@@ -38,6 +38,7 @@ from .dsp import (
     filter_forward,
 )
 from .models import (
+    TRAIN_SCHEMA,
     ConstantEvidenceModel,
     EvidenceModel,
     GenerativeEvidenceModel,
@@ -60,7 +61,7 @@ from .sim import (
     classify_epochs,
     evaluate_splits,
 )
-from .synth import SynthConfig, generate, split
+from .synth import LabeledDataset, SynthConfig, generate, split
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -183,7 +184,7 @@ def cmd_synth(args) -> int:
         dataset = generate(config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    write_dataset(args.out, dataset.epochs, rate=config.rate)
+    write_dataset(args.out, dataset, rate=config.rate)
     labels = dataset.labels
     n_pos = int(labels.sum())
     print(f"wrote {args.out}")
@@ -198,16 +199,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-TRAIN_SCHEMA = {
-    "learning_rate": "float",
-    "max_iterations": "int",
-    "tolerance": "float",
-    "variance_fraction": "float",
-    "bandwidth": "float",
-    "holdout_fraction": "float",
-    "seed": "int",
-}
-
 TRAIN_DEFAULTS = {
     "learning_rate": 0.1,
     "max_iterations": 10000,
@@ -219,17 +210,17 @@ TRAIN_DEFAULTS = {
 }
 
 
-def _fit_model(kind: str, train_epochs: list, resolved: dict, loss_trace=None) -> EvidenceModel:
+def _fit_model(kind: str, train: LabeledDataset, resolved: dict, loss_trace=None) -> EvidenceModel:
     if kind == "logreg":
         return train_logistic_evidence(
-            train_epochs,
+            train,
             learning_rate=resolved["learning_rate"],
             max_iterations=resolved["max_iterations"],
             tolerance=resolved["tolerance"],
             loss_trace=loss_trace,
         )
     pipeline = build_generative(
-        train_epochs,
+        train,
         variance_fraction=resolved["variance_fraction"],
         bandwidth=resolved["bandwidth"],
         scorer_kind="logistic" if kind == "gen-logr" else "lda",
@@ -259,21 +250,21 @@ def cmd_train(args) -> int:
         )[0]
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    train_epochs = [dataset.epochs[i] for i in holdout.train]
-    valid_epochs = [dataset.epochs[i] for i in holdout.test]
     trace: list = []
     try:
-        model = _fit_model(args.kind, train_epochs, resolved, loss_trace=trace)
+        # no training copy outlives the fit: validation is the memory peak
+        model = _fit_model(args.kind, dataset.subset(holdout.train), resolved, loss_trace=trace)
     except np.linalg.LinAlgError:
         raise
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    predictions = classify_epochs(model, valid_epochs)
-    ba = balanced_accuracy(predictions, [e.label for e in valid_epochs])
+    valid = dataset.subset(holdout.test)
+    predictions = classify_epochs(model, valid)
+    ba = balanced_accuracy(predictions, valid.labels)
     write_model(args.out, model, hyper=_hyper_for(args.kind, resolved))
     print(f"wrote {args.out}")
     print(f"model: {args.kind}  parameters: {model.parameter_count}")
-    print(f"train epochs: {len(train_epochs)}  validation epochs: {len(valid_epochs)}")
+    print(f"train epochs: {len(holdout.train)}  validation epochs: {len(valid)}")
     if trace:
         tail = "  ".join(f"{v:.6f}" for v in trace[-5:])
         print(f"loss tail: {tail}")
@@ -326,9 +317,9 @@ def _file_model_factory(kind: str, hyper: dict):
     resolved = dict(TRAIN_DEFAULTS)
     resolved.update(hyper)
 
-    def factory(train_epochs):
+    def factory(train):
         try:
-            return _fit_model(kind, list(train_epochs), resolved)
+            return _fit_model(kind, train, resolved)
         except np.linalg.LinAlgError:
             raise
         except ValueError as exc:
@@ -357,15 +348,6 @@ def cmd_simulate(args) -> int:
         )
     if resolved["splits"] < 1:
         raise ConfigError("splits must be at least 1")
-    # repeats within a query are only possible when sampling with replacement
-    if (
-        strategy is not QueryStrategy.WITH_REPLACEMENT
-        and resolved["symbols_per_query"] > resolved["alphabet_size"]
-    ):
-        raise ConfigError(
-            f"symbols_per_query {resolved['symbols_per_query']} exceeds alphabet "
-            f"size {resolved['alphabet_size']} for strategy {strategy.value!r}"
-        )
     try:
         typing_config = TypingConfig(
             attempts=resolved["attempts"],
@@ -474,18 +456,18 @@ def cmd_preprocess(args) -> int:
     recording = dataclasses.replace(recording, data=filtered)
     try:
         recording = downsample(recording, resolved["downsample_factor"])
-        epochs, dropped = epoch(recording, resolved["window_ms"])
+        data, labels, dropped = epoch(recording, resolved["window_ms"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not epochs:
+    if labels.size == 0:
         raise DataError("no epochs survive preprocessing")
-    write_dataset(args.out, epochs, rate=recording.rate)
+    write_dataset(args.out, LabeledDataset(data=data, labels=labels), rate=recording.rate)
     print(f"wrote {args.out}")
     print(
         f"channels: {recording.n_channels}  rate: {recording.rate:.1f} Hz  "
-        f"samples per epoch: {epochs[0].data.shape[1]}"
+        f"samples per epoch: {data.shape[2]}"
     )
-    print(f"epochs: {len(epochs)}  dropped at boundary: {dropped}")
+    print(f"epochs: {labels.size}  dropped at boundary: {dropped}")
     return EXIT_OK
 
 

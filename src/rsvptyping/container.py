@@ -17,13 +17,14 @@ writer output byte-identical for identical inputs.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from typing import Sequence
 
 import numpy as np
 
-from .dsp import RawRecording, TrialEpoch
+from .dsp import RawRecording, ZScoreStats
 from .models import (
+    TRAIN_SCHEMA,
     EvidenceModel,
     GenerativeEvidenceModel,
     GenerativePipeline,
@@ -33,7 +34,6 @@ from .models import (
     LogisticModel,
     PcaProjection,
 )
-from .dsp import ZScoreStats
 from .synth import LabeledDataset
 
 FORMAT_NAME = "rsvptyping-container"
@@ -94,11 +94,9 @@ def _base_header(kind: str) -> dict:
 # Epoch datasets
 
 
-def write_dataset(path, epochs: Sequence[TrialEpoch], rate: float | None = None) -> None:
-    if not epochs:
-        raise ValueError("refusing to write an empty dataset")
-    stacked = np.stack([e.data for e in epochs]).astype("<f4")
-    labels = np.asarray([e.label for e in epochs], dtype=np.uint8)
+def write_dataset(path, dataset: LabeledDataset, rate: float | None = None) -> None:
+    stacked = dataset.data.astype("<f4")
+    labels = dataset.labels.astype(np.uint8)
     n, channels, samples = stacked.shape
     header = _base_header("epochs")
     header.update(
@@ -133,11 +131,10 @@ def read_dataset(path) -> LabeledDataset:
     labels = np.frombuffer(payload[offset:], dtype=np.uint8)
     if not np.all(np.isin(labels, (0, 1))):
         raise ContainerFormatError(f"{path}: labels must be 0 or 1")
+    if not np.all(np.isfinite(data)):
+        raise ContainerFormatError(f"{path}: epochs contain non-finite samples")
     try:
-        epochs = tuple(
-            TrialEpoch(data[i], int(labels[i]), i * samples) for i in range(n)
-        )
-        return LabeledDataset(epochs=epochs)
+        return LabeledDataset(data=data, labels=labels)
     except ValueError as exc:
         raise ContainerFormatError(f"{path}: {exc}") from exc
 
@@ -176,6 +173,8 @@ def read_raw(path) -> RawRecording:
         .reshape(channels, n_samples)
         .astype(np.float64)
     )
+    if not np.all(np.isfinite(data)):
+        raise ContainerFormatError(f"{path}: recording contains non-finite samples")
     try:
         return RawRecording(data=data, rate=rate, stim_onsets=onsets)
     except ValueError as exc:
@@ -245,13 +244,26 @@ def write_model(path, model: EvidenceModel, hyper: dict | None = None) -> None:
     write_container(path, header, payload)
 
 
+def _valid_array_entry(entry) -> bool:
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(type(s) is int and s >= 0 for s in entry["shape"])
+    )
+
+
 def _read_arrays(path, header: dict, payload: bytes) -> dict[str, np.ndarray]:
+    entries = header.get("arrays", [])
+    if not isinstance(entries, list) or not all(map(_valid_array_entry, entries)):
+        raise ContainerFormatError(f"{path}: malformed model array table")
     out = {}
     offset = 0
-    for entry in header.get("arrays", []):
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+    for entry in entries:
+        if entry["name"] in out:
+            raise ContainerFormatError(f"{path}: duplicate model array {entry['name']!r}")
+        shape = tuple(entry["shape"])
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(payload):
             raise ContainerFormatError(f"{path}: model payload truncated")
         arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8")
@@ -262,12 +274,25 @@ def _read_arrays(path, header: dict, payload: bytes) -> dict[str, np.ndarray]:
     return out
 
 
+# JSON types of the training config's value kinds
+_HYPER_TYPES = {"int": int, "float": float}
+
+
+def _valid_hyper(hyper) -> bool:
+    return isinstance(hyper, dict) and all(
+        key in TRAIN_SCHEMA and type(value) is _HYPER_TYPES[TRAIN_SCHEMA[key]]
+        for key, value in hyper.items()
+    )
+
+
 def read_model(path) -> tuple[EvidenceModel, dict]:
     """Load a trained model plus the hyperparameters it was trained with."""
     header, payload = read_container(path, "model")
     kind = header.get("model")
     arrays = _read_arrays(path, header, payload)
     hyper = header.get("hyper", {})
+    if not _valid_hyper(hyper):
+        raise ContainerFormatError(f"{path}: malformed training hyperparameters")
     try:
         stats = ZScoreStats(mean=arrays["zscore_mean"], std=arrays["zscore_std"])
         if kind == "logreg":
@@ -305,4 +330,6 @@ def read_model(path) -> tuple[EvidenceModel, dict]:
             return GenerativeEvidenceModel(pipeline, kind=kind), hyper
     except KeyError as exc:
         raise ContainerFormatError(f"{path}: missing model array {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ContainerFormatError(f"{path}: invalid model: {exc}") from exc
     raise ContainerFormatError(f"{path}: unknown model kind {kind!r}")

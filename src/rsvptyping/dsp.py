@@ -2,6 +2,9 @@
 trial epochs: notch, Butterworth bandpass, downsampling, epoching, and
 per-channel standardization.
 
+Epochs are whole arrays throughout: a stack of shape (epochs, channels,
+samples) with one 0/1 label per epoch.
+
 Filtering is causal single-pass (direct-form transposed II, zero initial
 state), which is what an online system would see; nothing here is zero-phase.
 Designs use the bilinear transform with frequency pre-warping.
@@ -58,8 +61,8 @@ class RawRecording:
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2:
             raise ValueError("recording data must be channels x samples")
-        if self.rate <= 0:
-            raise ValueError("sampling rate must be positive")
+        if not (self.rate > 0 and math.isfinite(self.rate)):
+            raise ValueError("sampling rate must be positive and finite")
         onsets = tuple((int(s), int(l)) for s, l in self.stim_onsets)
         last = -1
         for sample, label in onsets:
@@ -80,25 +83,6 @@ class RawRecording:
     @property
     def n_samples(self) -> int:
         return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class TrialEpoch:
-    """Fixed-length segment starting at one stimulus onset."""
-
-    data: np.ndarray
-    label: int
-    onset_sample: int
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data)
-        if data.ndim != 2:
-            raise ValueError("epoch data must be channels x samples")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("epoch contains non-finite samples")
-        if self.label not in (POSITIVE, NEGATIVE):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-        object.__setattr__(self, "data", data)
 
 
 def design_notch(rate: float, center_hz: float = 50.0, q: float = 30.0) -> BiquadCoefficients:
@@ -226,25 +210,25 @@ def downsample(recording: RawRecording, factor: int = 2) -> RawRecording:
     return RawRecording(data=data, rate=recording.rate / factor, stim_onsets=onsets)
 
 
-def epoch(recording: RawRecording, window_ms: float = 500.0) -> tuple[list[TrialEpoch], int]:
-    """Slice one epoch per onset; returns (epochs, dropped_count).
+def epoch(
+    recording: RawRecording, window_ms: float = 500.0
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Slice one epoch per onset; returns (data, labels, dropped_count).
 
-    Window length is floor(window_ms * rate / 1000) samples. Epochs that
-    would extend past the end of the recording are dropped and counted.
-    Nearby onsets produce partially overlapping epochs.
+    ``data`` has shape (epochs, channels, window) and ``labels`` one entry
+    per epoch, in onset order. Window length is floor(window_ms * rate /
+    1000) samples. Epochs that would extend past the end of the recording
+    are dropped and counted. Nearby onsets produce partially overlapping
+    epochs.
     """
     n_samples = int(math.floor(window_ms * recording.rate / 1000.0))
     if n_samples < 1:
         raise ValueError("epoch window shorter than one sample")
-    epochs: list[TrialEpoch] = []
-    dropped = 0
-    for onset, label in recording.stim_onsets:
-        if onset + n_samples > recording.n_samples:
-            dropped += 1
-            continue
-        data = recording.data[:, onset : onset + n_samples]
-        epochs.append(TrialEpoch(data=data.copy(), label=label, onset_sample=onset))
-    return epochs, dropped
+    onsets = np.asarray(recording.stim_onsets, dtype=np.int64).reshape(-1, 2)
+    kept = onsets[onsets[:, 0] + n_samples <= recording.n_samples]
+    windows = kept[:, 0, None] + np.arange(n_samples)
+    data = recording.data[:, windows].transpose(1, 0, 2)
+    return data, kept[:, 1], len(onsets) - len(kept)
 
 
 def exclude_channels(recording: RawRecording, channels: Sequence[int]) -> RawRecording:
@@ -269,26 +253,27 @@ class ZScoreStats:
     std: np.ndarray
 
 
-def fit_zscore(epochs: Sequence[TrialEpoch]) -> ZScoreStats:
-    """Per-channel statistics pooled over all training epochs and samples.
+def fit_zscore(data: np.ndarray) -> ZScoreStats:
+    """Per-channel statistics pooled over all training epochs and samples of
+    a stack (n, channels, samples).
 
     Channels with (near) zero spread get std 1 so they pass through centered
     but unscaled.
     """
-    if not epochs:
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 3:
+        raise ValueError("training epochs must be epochs x channels x samples")
+    if data.shape[0] == 0:
         raise ValueError("cannot fit z-scoring on an empty training set")
-    stacked = np.concatenate([np.asarray(e.data, dtype=np.float64) for e in epochs], axis=1)
-    mean = stacked.mean(axis=1)
-    std = stacked.std(axis=1)
+    # one contiguous row per channel with the epochs laid end to end, so the
+    # sums run in the same order whatever the memory layout of the stack
+    per_channel = np.ascontiguousarray(data.transpose(1, 0, 2)).reshape(data.shape[1], -1)
+    mean = per_channel.mean(axis=1)
+    std = per_channel.std(axis=1)
     std = np.where(std < 1e-12, 1.0, std)
     return ZScoreStats(mean=mean, std=std)
 
 
-def apply_zscore(stats: ZScoreStats, epoch: TrialEpoch) -> TrialEpoch:
-    data = (np.asarray(epoch.data, dtype=np.float64) - stats.mean[:, None]) / stats.std[:, None]
-    return TrialEpoch(data=data, label=epoch.label, onset_sample=epoch.onset_sample)
-
-
 def zscore_array(stats: ZScoreStats, data: np.ndarray) -> np.ndarray:
-    """Vectorized variant for stacked epochs (n, channels, samples)."""
+    """Standardize stacked epochs (n, channels, samples) with fitted stats."""
     return (np.asarray(data, dtype=np.float64) - stats.mean[None, :, None]) / stats.std[None, :, None]

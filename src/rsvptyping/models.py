@@ -8,8 +8,11 @@ of components, a linear scorer (logistic regression or LDA) that compresses
 each epoch to one real number, and a Gaussian KDE per class over those
 scores.
 
-Both families are wrapped behind the EvidenceModel interface, which turns a
-TrialEpoch into the LikelihoodPair consumed by the core update rules.
+Both families are wrapped behind the EvidenceModel interface, which maps a
+LabeledDataset's epoch stack to two float64 arrays (pos, neg), one entry per
+epoch: label probabilities for discriminative models, class-conditional
+densities for generative ones. These are the values of the LikelihoodPair
+the core update rules consume.
 """
 
 from __future__ import annotations
@@ -21,13 +24,21 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (
-    DegenerateEvidenceError,
-    LabelPrior,
-    LikelihoodMode,
-    LikelihoodPair,
-)
-from .dsp import TrialEpoch, ZScoreStats, apply_zscore, fit_zscore, zscore_array
+from .core import LabelPrior, LikelihoodMode, LikelihoodPair
+from .dsp import ZScoreStats, fit_zscore, zscore_array
+from .synth import LabeledDataset
+
+# Keys of the training config and their value kinds. A model file stores
+# the ones its fit used, so they are checked against this when it is read.
+TRAIN_SCHEMA = {
+    "learning_rate": "float",
+    "max_iterations": "int",
+    "tolerance": "float",
+    "variance_fraction": "float",
+    "bandwidth": "float",
+    "holdout_fraction": "float",
+    "seed": "int",
+}
 
 # Gradient descent defaults for logistic regression.
 LEARNING_RATE = 0.1
@@ -179,13 +190,6 @@ def logistic_scores(model: LogisticModel, features: np.ndarray) -> np.ndarray:
     return x @ model.weights + model.bias
 
 
-def predict_proba(model: LogisticModel, feature: np.ndarray) -> LikelihoodPair:
-    """p(label | feature) as a discriminative LikelihoodPair."""
-    z = logistic_scores(model, np.asarray(feature, dtype=np.float64)[None, :])[0]
-    pos = float(_sigmoid(np.asarray([z]))[0])
-    return LikelihoodPair.discriminative(pos)
-
-
 # ---------------------------------------------------------------------------
 # Linear discriminant analysis
 
@@ -281,10 +285,6 @@ def lda_scores(model: LdaModel, features: np.ndarray) -> np.ndarray:
     quad_pos = np.einsum("ij,jk,ik->i", dp, model.precision, dp)
     quad_neg = np.einsum("ij,jk,ik->i", dn, model.precision, dn)
     return 0.5 * (quad_neg - quad_pos) + (model.log_prior_pos - model.log_prior_neg)
-
-
-def lda_score(model: LdaModel, feature: np.ndarray) -> float:
-    return float(lda_scores(model, np.asarray(feature, dtype=np.float64)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +399,24 @@ def kde_log_eval_many(density: KdeDensity, xs: np.ndarray) -> np.ndarray:
     pts = np.asarray(xs, dtype=np.float64)
     if pts.ndim != 1:
         raise ValueError("query points must be a vector")
-    z = (pts[:, None] - density.scores[None, :]) / density.bandwidth
-    exponents = -0.5 * z**2
+    # one (queries, scores) buffer, updated in place: scoring a test set
+    # against a training set's scores makes it tens of MB
+    exponents = pts[:, None] - density.scores[None, :]
+    exponents /= density.bandwidth
+    np.square(exponents, out=exponents)
+    exponents *= -0.5
     peak = exponents.max(axis=1)
-    logs = peak + np.log(np.exp(exponents - peak[:, None]).mean(axis=1))
+    exponents -= peak[:, None]
+    logs = peak + np.log(np.exp(exponents, out=exponents).mean(axis=1))
     logs -= math.log(density.bandwidth) + LOG_SQRT_2PI
     return np.maximum(logs, LOG_DENSITY_FLOOR)
 
 
-def kde_log_eval(density: KdeDensity, x: float) -> float:
-    return float(kde_log_eval_many(density, np.asarray([x]))[0])
-
-
-def kde_eval(density: KdeDensity, x: float) -> float:
-    """Density at x; never exactly zero thanks to the log floor."""
-    return math.exp(kde_log_eval(density, x))
+def _exp(logs: np.ndarray) -> np.ndarray:
+    """Elementwise exp through the C library, not numpy's SIMD kernels: numpy
+    picks its kernel by CPU, and it differs from libm in the last bit for a
+    few percent of inputs. Evidence values feed byte-identical reports."""
+    return np.fromiter(map(math.exp, logs.tolist()), dtype=np.float64, count=logs.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +471,7 @@ def pipeline_scores(pipeline: GenerativePipeline, stacked: np.ndarray) -> np.nda
 
 
 def build_generative(
-    train_epochs: Sequence[TrialEpoch],
+    train: LabeledDataset,
     *,
     variance_fraction: float = 0.8,
     bandwidth: float = 1.0,
@@ -479,14 +482,11 @@ def build_generative(
     The scorer is fit without class weighting; the class imbalance is instead
     handled downstream by the label prior during Bayes conversion.
     """
-    if not train_epochs:
-        raise ValueError("no training epochs")
-    labels = np.asarray([e.label for e in train_epochs], dtype=np.int64)
+    labels = train.labels
     if labels.min() == labels.max():
         raise ValueError("both classes must be present")
-    stats = fit_zscore(train_epochs)
-    stacked = np.stack([e.data for e in train_epochs])
-    flat = zscore_array(stats, stacked).reshape(len(train_epochs), -1)
+    stats = fit_zscore(train.data)
+    flat = zscore_array(stats, train.data).reshape(len(train), -1)
     pca = fit_pca(flat, variance_fraction)
     reduced = project(pca, flat)
     if scorer_kind == "logistic":
@@ -505,16 +505,6 @@ def build_generative(
     )
 
 
-def generative_likelihoods(
-    pipeline: GenerativePipeline, epoch: TrialEpoch
-) -> LikelihoodPair:
-    """Class-conditional densities (d+, d-) for one epoch."""
-    score = float(pipeline_scores(pipeline, epoch.data[None, :, :])[0])
-    d_pos = math.exp(kde_log_eval(pipeline.kde_pos, score))
-    d_neg = math.exp(kde_log_eval(pipeline.kde_neg, score))
-    return LikelihoodPair.generative(d_pos, d_neg)
-
-
 def uniform_prior() -> LabelPrior:
     """50/50 prior for Bayes conversion of generative outputs."""
     return LabelPrior(0.5)
@@ -528,17 +518,17 @@ def empirical_prior(labels: Sequence[int]) -> LabelPrior:
     return LabelPrior(float(arr.mean()))
 
 
-def generative_to_discriminative(
-    pair: LikelihoodPair, prior: LabelPrior
-) -> LikelihoodPair:
-    """Bayes conversion: pos = d+ p(+) / (d+ p(+) + d- p(-))."""
-    if pair.mode is not LikelihoodMode.GENERATIVE:
-        raise ValueError("expected a generative pair")
-    num = pair.pos * prior.p_pos
-    den = num + pair.neg * prior.p_neg
-    if den <= 0.0:
-        raise DegenerateEvidenceError("both class densities are zero")
-    return LikelihoodPair.discriminative(num / den)
+def bayes_positive(d_pos: np.ndarray, d_neg: np.ndarray, prior: LabelPrior) -> np.ndarray:
+    """Bayes conversion of class densities to p(+|e) for each epoch:
+    d+ p(+) / (d+ p(+) + d- p(-)).
+
+    Where both weighted densities underflow to zero (an epoch far from both
+    classes, each density at the KDE floor) nothing favours either class,
+    and the result is 0.5, a tie.
+    """
+    num = d_pos * prior.p_pos
+    den = num + d_neg * prior.p_neg
+    return np.divide(num, den, out=np.full_like(num, 0.5), where=den > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +536,13 @@ def generative_to_discriminative(
 
 
 class EvidenceModel(abc.ABC):
-    """Anything that turns a TrialEpoch into per-trial evidence.
+    """Anything that turns epochs into per-trial evidence.
 
-    Implementations must be deterministic: the same epoch always yields the
-    same LikelihoodPair. ``parameter_count`` is the number of stored floats,
-    used by reports to relate performance to model size.
+    ``predict_batch`` returns two float64 arrays (pos, neg) with one entry
+    per epoch of the dataset, in ``mode``'s representation. Implementations
+    must be deterministic: the same epoch always yields the same values.
+    ``parameter_count`` is the number of stored floats, used by reports to
+    relate performance to model size.
     """
 
     kind: str = "abstract"
@@ -560,10 +552,7 @@ class EvidenceModel(abc.ABC):
     def mode(self) -> LikelihoodMode: ...
 
     @abc.abstractmethod
-    def predict(self, epoch: TrialEpoch) -> LikelihoodPair: ...
-
-    def predict_batch(self, epochs: Sequence[TrialEpoch]) -> list[LikelihoodPair]:
-        return [self.predict(e) for e in epochs]
+    def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]: ...
 
     @property
     @abc.abstractmethod
@@ -583,15 +572,10 @@ class LogisticEvidenceModel(EvidenceModel):
     def mode(self) -> LikelihoodMode:
         return LikelihoodMode.DISCRIMINATIVE
 
-    def predict(self, epoch: TrialEpoch) -> LikelihoodPair:
-        flat = apply_zscore(self.stats, epoch).data.reshape(-1)
-        return predict_proba(self.model, flat)
-
-    def predict_batch(self, epochs: Sequence[TrialEpoch]) -> list[LikelihoodPair]:
-        stacked = np.stack([e.data for e in epochs])
-        flat = zscore_array(self.stats, stacked).reshape(len(epochs), -1)
+    def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+        flat = zscore_array(self.stats, dataset.data).reshape(len(dataset), -1)
         pos = _sigmoid(logistic_scores(self.model, flat))
-        return [LikelihoodPair.discriminative(float(p)) for p in pos]
+        return pos, 1.0 - pos
 
     @property
     def parameter_count(self) -> int:
@@ -599,7 +583,7 @@ class LogisticEvidenceModel(EvidenceModel):
 
 
 def train_logistic_evidence(
-    train_epochs: Sequence[TrialEpoch],
+    train: LabeledDataset,
     *,
     learning_rate: float = LEARNING_RATE,
     max_iterations: int = MAX_ITERATIONS,
@@ -607,15 +591,11 @@ def train_logistic_evidence(
     loss_trace: Optional[list] = None,
 ) -> LogisticEvidenceModel:
     """Fit the discriminative baseline on labeled epochs."""
-    if not train_epochs:
-        raise ValueError("no training epochs")
-    labels = np.asarray([e.label for e in train_epochs], dtype=np.int64)
-    stats = fit_zscore(train_epochs)
-    stacked = np.stack([e.data for e in train_epochs])
-    flat = zscore_array(stats, stacked).reshape(len(train_epochs), -1)
+    stats = fit_zscore(train.data)
+    flat = zscore_array(stats, train.data).reshape(len(train), -1)
     model = train_logistic(
         flat,
-        labels,
+        train.labels,
         learning_rate=learning_rate,
         max_iterations=max_iterations,
         tolerance=tolerance,
@@ -635,18 +615,12 @@ class GenerativeEvidenceModel(EvidenceModel):
     def mode(self) -> LikelihoodMode:
         return LikelihoodMode.GENERATIVE
 
-    def predict(self, epoch: TrialEpoch) -> LikelihoodPair:
-        return generative_likelihoods(self.pipeline, epoch)
-
-    def predict_batch(self, epochs: Sequence[TrialEpoch]) -> list[LikelihoodPair]:
-        stacked = np.stack([e.data for e in epochs])
-        scores = pipeline_scores(self.pipeline, stacked)
-        log_pos = kde_log_eval_many(self.pipeline.kde_pos, scores)
-        log_neg = kde_log_eval_many(self.pipeline.kde_neg, scores)
-        return [
-            LikelihoodPair.generative(math.exp(lp), math.exp(ln))
-            for lp, ln in zip(log_pos, log_neg)
-        ]
+    def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+        scores = pipeline_scores(self.pipeline, dataset.data)
+        return (
+            _exp(kde_log_eval_many(self.pipeline.kde_pos, scores)),
+            _exp(kde_log_eval_many(self.pipeline.kde_neg, scores)),
+        )
 
     @property
     def parameter_count(self) -> int:
@@ -684,8 +658,9 @@ class ConstantEvidenceModel(EvidenceModel):
     def mode(self) -> LikelihoodMode:
         return self._pair.mode
 
-    def predict(self, epoch: TrialEpoch) -> LikelihoodPair:
-        return self._pair
+    def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+        n = len(dataset)
+        return np.full(n, self._pair.pos), np.full(n, self._pair.neg)
 
     @property
     def parameter_count(self) -> int:
@@ -701,8 +676,9 @@ class OracleEvidenceModel(EvidenceModel):
     def mode(self) -> LikelihoodMode:
         return LikelihoodMode.DISCRIMINATIVE
 
-    def predict(self, epoch: TrialEpoch) -> LikelihoodPair:
-        return LikelihoodPair.discriminative(1.0 if epoch.label == 1 else 0.0)
+    def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+        pos = dataset.labels.astype(np.float64)
+        return pos, 1.0 - pos
 
     @property
     def parameter_count(self) -> int:

@@ -1,11 +1,12 @@
 """Simulated typing harness and evaluation metrics.
 
 An attempt tries to type one target symbol: the posterior starts uniform,
-queries present batches of symbols, each presentation draws a matching test
-epoch (positive pool when the queried symbol is the target, negative pool
-otherwise), the model scores it, and the core update folds the evidence into
-the posterior. The attempt ends when a symbol crosses the decision
-threshold, or after a fixed number of rounds.
+queries present batches of symbols, each presentation draws the evidence of
+a matching test epoch (positive pool when the queried symbol is the target,
+negative pool otherwise), and the core update folds it into the posterior.
+The model scores every pool epoch once, as arrays, before the first
+attempt. The attempt ends when a symbol crosses the decision threshold, or
+after a fixed number of rounds.
 
 Attempts use independently derived RNG streams, so results do not depend on
 execution order and a run is exactly reproducible from its seed.
@@ -26,18 +27,13 @@ from .core import (
     Alphabet,
     LabelPrior,
     LikelihoodMode,
+    LikelihoodPair,
     QueryEvent,
     apply_query,
     decide,
     init_posterior,
 )
-from .dsp import TrialEpoch
-from .models import (
-    EvidenceModel,
-    empirical_prior,
-    generative_to_discriminative,
-    uniform_prior,
-)
+from .models import EvidenceModel, bayes_positive, empirical_prior, uniform_prior
 from .synth import LabeledDataset, SplitIndices
 from . import synth
 
@@ -80,9 +76,14 @@ class TypingConfig:
             raise ValueError("attempts, max_rounds and symbols_per_query must be >= 1")
         if not (0.0 < self.threshold <= 1.0):
             raise ValueError("threshold must lie in (0, 1]")
+        # repeats within a query are only possible when sampling with replacement
         if self.query_strategy is not QueryStrategy.WITH_REPLACEMENT:
             if self.symbols_per_query > self.alphabet.size:
-                raise ValueError("cannot pick more distinct symbols than the alphabet")
+                raise ValueError(
+                    f"symbols_per_query {self.symbols_per_query} exceeds alphabet "
+                    f"size {self.alphabet.size} for strategy "
+                    f"{self.query_strategy.value!r}"
+                )
 
     def resolved_prior(self) -> LabelPrior:
         if self.label_prior is not None:
@@ -92,20 +93,21 @@ class TypingConfig:
 
 @dataclass(frozen=True)
 class EvidencePools:
-    """Held-out epochs the simulator draws responses from."""
+    """Held-out epochs the simulator draws responses from, split by label."""
 
-    positive: tuple[TrialEpoch, ...]
-    negative: tuple[TrialEpoch, ...]
+    positive: LabeledDataset
+    negative: LabeledDataset
 
     def __post_init__(self) -> None:
-        if not self.positive or not self.negative:
+        if len(self.positive) == 0 or len(self.negative) == 0:
             raise ValueError("both pools must be nonempty")
 
     @classmethod
-    def from_epochs(cls, epochs: Sequence[TrialEpoch]) -> "EvidencePools":
+    def from_dataset(cls, dataset: LabeledDataset) -> "EvidencePools":
+        labels = dataset.labels
         return cls(
-            positive=tuple(e for e in epochs if e.label == 1),
-            negative=tuple(e for e in epochs if e.label == 0),
+            positive=dataset.subset(np.flatnonzero(labels == 1)),
+            negative=dataset.subset(np.flatnonzero(labels == 0)),
         )
 
 
@@ -190,8 +192,9 @@ def select_query(
     return np.asarray(picks, dtype=np.int64)
 
 
-def _pool_pairs(model: EvidenceModel, pools: EvidencePools) -> tuple[list, list]:
-    return model.predict_batch(pools.positive), model.predict_batch(pools.negative)
+def _pool_pairs(model: EvidenceModel, pool: LabeledDataset) -> list[LikelihoodPair]:
+    pos, neg = model.predict_batch(pool)
+    return [LikelihoodPair(model.mode, p, n) for p, n in zip(pos.tolist(), neg.tolist())]
 
 
 def run_typing(
@@ -207,7 +210,8 @@ def run_typing(
     """
     alphabet = config.alphabet
     prior = config.resolved_prior()
-    pos_pairs, neg_pairs = _pool_pairs(model, pools)
+    pos_pairs = _pool_pairs(model, pools.positive)
+    neg_pairs = _pool_pairs(model, pools.negative)
     needs_prior = model.mode is LikelihoodMode.DISCRIMINATIVE
     seeds = np.random.SeedSequence(config.seed).spawn(config.attempts)
 
@@ -298,17 +302,18 @@ def balanced_accuracy(predicted: Sequence[int], truth: Sequence[int]) -> float:
 
 def classify_epochs(
     model: EvidenceModel,
-    epochs: Sequence[TrialEpoch],
+    dataset: LabeledDataset,
     conversion_prior: Optional[LabelPrior] = None,
 ) -> np.ndarray:
-    """Hard label predictions: argmax of the discriminative pair. Generative
-    outputs are first converted with Bayes' rule under ``conversion_prior``
-    (uniform 50/50 when not given)."""
-    pairs = model.predict_batch(epochs)
+    """Hard label predictions: argmax of the discriminative pair, ties to the
+    positive class. Generative outputs are first converted with Bayes' rule
+    under ``conversion_prior`` (uniform 50/50 when not given)."""
+    pos, neg = model.predict_batch(dataset)
     if model.mode is LikelihoodMode.GENERATIVE:
         prior = conversion_prior if conversion_prior is not None else uniform_prior()
-        pairs = [generative_to_discriminative(p, prior) for p in pairs]
-    return np.asarray([1 if p.pos >= p.neg else 0 for p in pairs], dtype=np.int64)
+        pos = bayes_positive(pos, neg, prior)
+        neg = 1.0 - pos
+    return (pos >= neg).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -342,7 +347,7 @@ class SplitSummary:
 
 
 def evaluate_splits(
-    model_factory: Callable[[list[TrialEpoch]], EvidenceModel],
+    model_factory: Callable[[LabeledDataset], EvidenceModel],
     dataset: LabeledDataset,
     typing_config: TypingConfig,
     *,
@@ -370,15 +375,16 @@ def evaluate_splits(
         raise ValueError(f"expected {n_splits} splits, dataset carries {len(splits)}")
     rows = []
     for k, s in enumerate(splits):
-        train = dataset.subset(s.train)
-        test = dataset.subset(s.test)
-        model = model_factory(train)
+        # the training copy is not kept: scoring the test epochs is this
+        # loop's memory peak
+        model = model_factory(dataset.subset(s.train))
         prior = conversion_prior
         if empirical_conversion:
-            prior = empirical_prior([e.label for e in train])
+            prior = empirical_prior(dataset.labels[list(s.train)])
+        test = dataset.subset(s.test)
         predictions = classify_epochs(model, test, prior)
-        ba = balanced_accuracy(predictions, [e.label for e in test])
-        pools = EvidencePools.from_epochs(test)
+        ba = balanced_accuracy(predictions, test.labels)
+        pools = EvidencePools.from_dataset(test)
         run_config = dataclasses.replace(
             typing_config, seed=typing_config.seed + k, record_traces=False
         )

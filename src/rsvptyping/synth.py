@@ -1,10 +1,10 @@
 """Synthetic ERP dataset generator.
 
-Produces labeled single-trial epochs that mimic the statistics a typing
-experiment cares about: a large majority of non-target trials containing
-only bandlimited background noise, and a small fraction of target trials
-carrying an additional stereotyped deflection (a Gaussian-windowed bump,
-standing in for a P300-like response).
+Produces a labeled stack of single-trial epochs that mimics the statistics
+a typing experiment cares about: a large majority of non-target trials
+containing only bandlimited background noise, and a small fraction of
+target trials carrying an additional stereotyped deflection (a
+Gaussian-windowed bump, standing in for a P300-like response).
 
 The generator is fully determined by its config, including the seed, and
 quantizes samples to float32 so that in-memory datasets match their on-disk
@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dsp import TrialEpoch, design_bandpass, filter_forward
+from .dsp import design_bandpass, filter_forward
 
 DEFAULT_ALPHABET_SIZE = 28  # 26 letters + space + backspace
 
@@ -92,27 +92,39 @@ class SplitIndices:
             raise ValueError("both portions must be nonempty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """Epochs with ground-truth labels, plus optional split metadata."""
+    """Epochs (n, channels, samples) with their 0/1 labels, plus optional
+    split metadata. ``len()`` is the epoch count."""
 
-    epochs: tuple[TrialEpoch, ...]
+    data: np.ndarray
+    labels: np.ndarray
     splits: tuple[SplitIndices, ...] = ()
 
     def __post_init__(self) -> None:
-        n = len(self.epochs)
+        data = np.asarray(self.data, dtype=np.float64)
+        labels = np.asarray(self.labels)
+        if data.ndim != 3:
+            raise ValueError("epoch data must be epochs x channels x samples")
+        n = data.shape[0]
         if n == 0:
             raise ValueError("dataset is empty")
+        if labels.shape != (n,):
+            raise ValueError(f"expected {n} labels, got shape {labels.shape}")
+        if not np.all(np.isin(labels, (0, 1))):
+            raise ValueError("labels must be 0 or 1")
         for s in self.splits:
             if sorted(s.train + s.test) != list(range(n)):
                 raise ValueError("each split must partition the dataset")
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "labels", labels.astype(np.int64))
 
-    @property
-    def labels(self) -> np.ndarray:
-        return np.asarray([e.label for e in self.epochs], dtype=np.int64)
+    def __len__(self) -> int:
+        return self.data.shape[0]
 
-    def subset(self, indices: Sequence[int]) -> list[TrialEpoch]:
-        return [self.epochs[i] for i in indices]
+    def subset(self, indices: Sequence[int]) -> "LabeledDataset":
+        rows = np.asarray(indices, dtype=np.int64)
+        return LabeledDataset(data=self.data[rows], labels=self.labels[rows])
 
     def with_splits(self, splits: tuple[SplitIndices, ...]) -> "LabeledDataset":
         return dataclasses.replace(self, splits=splits)
@@ -159,10 +171,7 @@ def generate(config: SynthConfig) -> LabeledDataset:
 
     # quantize like the on-disk format so file round-trips are exact
     data = data.astype(np.float32).astype(np.float64)
-    epochs = tuple(
-        TrialEpoch(data[i], int(labels[i]), i * samples) for i in range(n)
-    )
-    return LabeledDataset(epochs=epochs)
+    return LabeledDataset(data=data, labels=labels)
 
 
 def split(

@@ -31,7 +31,7 @@ from rsvptyping.models import (
     GenerativeEvidenceModel,
     KdeDensity,
     build_generative,
-    kde_eval,
+    kde_log_eval_many,
     logistic_loss_and_gradient,
     train_logistic,
     train_logistic_evidence,
@@ -188,8 +188,10 @@ def test_05_dsp_filter_responses():
 
 
 def test_06_kde_analytic_values():
-    peak = kde_eval(KdeDensity(scores=np.array([0.0]), bandwidth=1.0), 0.0)
-    midpoint = kde_eval(KdeDensity(scores=np.array([0.0, 2.0]), bandwidth=1.0), 1.0)
+    peak = math.exp(kde_log_eval_many(KdeDensity(scores=np.array([0.0]), bandwidth=1.0),
+                                      np.array([0.0]))[0])
+    midpoint = math.exp(kde_log_eval_many(KdeDensity(scores=np.array([0.0, 2.0]), bandwidth=1.0),
+                                          np.array([1.0]))[0])
     check(
         abs(peak - 0.398942) <= 1e-6 and abs(midpoint - 0.241971) <= 1e-6,
         f"6. kde peak {peak:.6f} (target 0.398942 +- 1e-6), "

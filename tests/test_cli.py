@@ -17,9 +17,9 @@ from rsvptyping.container import (
     write_raw,
 )
 from rsvptyping.core import DegenerateEvidenceError
-from rsvptyping.dsp import RawRecording, TrialEpoch
+from rsvptyping.dsp import RawRecording
 from rsvptyping.sim import SubChanceAccuracyWarning
-from rsvptyping.synth import SynthConfig, generate
+from rsvptyping.synth import LabeledDataset, SynthConfig, generate
 
 
 def read_bytes(path):
@@ -179,9 +179,7 @@ class TestTrain:
 
     def test_single_class_data_exits_2(self, tmp_path, capsys):
         base = generate(SynthConfig(n_epochs=40, channels=2, target_fraction=0.5, seed=1))
-        negatives = [
-            TrialEpoch(e.data, 0, e.onset_sample) for e in base.epochs
-        ]
+        negatives = LabeledDataset(base.data, np.zeros(len(base), dtype=np.int64))
         data = tmp_path / "neg.bin"
         write_dataset(data, negatives)
         rc = main(["train", str(data), "--out", str(tmp_path / "m.bin")])
@@ -194,6 +192,16 @@ class TestTrain:
         )
         assert rc == 1
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_non_finite_sample_exits_2(self, tmp_path, workspace, capsys):
+        data = tmp_path / "nan.bin"
+        header, payload = read_container(workspace["data"], "epochs")
+        blob = bytearray(payload)
+        blob[:4] = np.array([np.nan], dtype="<f4").tobytes()
+        write_container(data, header, bytes(blob))
+        rc = main(["train", str(data), "--out", str(tmp_path / "m.bin")])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
 
     def test_missing_dataset_exits_2(self, tmp_path):
         rc = main(["train", str(tmp_path / "absent.bin"), "--out", str(tmp_path / "m.bin")])
@@ -320,6 +328,52 @@ class TestSimulate:
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("kind, case", [
+        ("logreg", "nan-weight"),
+        ("logreg", "array-entry-not-a-dict"),
+        ("logreg", "arrays-not-a-list"),
+        ("logreg", "negative-shape"),
+        ("logreg", "hyper-not-a-dict"),
+        ("logreg", "unknown-hyper-key"),
+        ("logreg", "string-max-iterations"),
+        ("gen-lda", "string-bandwidth"),
+    ])
+    def test_malformed_model_file_exits_2(self, tmp_path, workspace, kind, case, capsys):
+        model = workspace["model"]
+        if kind == "gen-lda":
+            model = tmp_path / "gen.bin"
+            assert main(["train", str(workspace["data"]), "--kind", kind,
+                         "--out", str(model)]) == 0
+        header, payload = read_container(model, "model")
+        arrays, hyper = header["arrays"], header["hyper"]
+        if case == "nan-weight":
+            names = [entry["name"] for entry in arrays]
+            offset = 8 * sum(math.prod(e["shape"]) for e in arrays[: names.index("weights")])
+            blob = bytearray(payload)
+            blob[offset : offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+            payload = bytes(blob)
+        elif case == "array-entry-not-a-dict":
+            header["arrays"] = [arrays[0]["name"]] + arrays[1:]
+        elif case == "arrays-not-a-list":
+            header["arrays"] = {"name": "weights", "shape": [3]}
+        elif case == "negative-shape":
+            arrays[0]["shape"] = [-3]
+        elif case == "hyper-not-a-dict":
+            header["hyper"] = [["max_iterations", 300]]
+        elif case == "unknown-hyper-key":
+            hyper["momentum"] = 0.9
+        elif case == "string-max-iterations":
+            hyper["max_iterations"] = "300"
+        elif case == "string-bandwidth":
+            hyper["bandwidth"] = "wide"
+        bad = tmp_path / "bad.bin"
+        write_container(bad, header, payload)
+        cfg = self.sim_cfg(tmp_path, attempts=10)
+        rc = main(["simulate", str(bad), str(workspace["data"]), "--config", str(cfg),
+                   "--out", str(tmp_path / "rep.json")])
+        assert rc == 2
+        assert "data error:" in capsys.readouterr().err
+
     def test_numerical_failure_exits_3(self, tmp_path, workspace, monkeypatch):
         def explode(*args, **kwargs):
             raise DegenerateEvidenceError("posterior mass vanished")
@@ -363,10 +417,9 @@ class TestPreprocess:
         stdout = capsys.readouterr().out
         assert "rate: 125.0 Hz" in stdout
         dataset = read_dataset(out)
-        epochs = dataset.epochs
         # 250 Hz halved -> 62-sample epochs; onsets near the end get dropped
-        assert epochs[0].data.shape == (6, 62)
-        assert len(epochs) in (len(onsets), len(onsets) - 1)
+        assert dataset.data.shape[1:] == (6, 62)
+        assert len(dataset) in (len(onsets), len(onsets) - 1)
         assert "dropped at boundary:" in stdout
         header, _ = read_container(out, "epochs")
         assert header["rate"] == 125.0
@@ -377,8 +430,8 @@ class TestPreprocess:
         out = tmp_path / "d.bin"
         assert main(["preprocess", str(raw), "--out", str(out)]) == 0
         dataset = read_dataset(out)
-        kept = [label for _, label in onsets][: len(dataset.epochs)]
-        assert [e.label for e in dataset.epochs] == kept
+        kept = [label for _, label in onsets][: len(dataset)]
+        assert dataset.labels.tolist() == kept
 
     def test_byte_identical_rerun(self, tmp_path):
         raw = tmp_path / "raw.bin"
@@ -410,6 +463,21 @@ class TestPreprocess:
         write_container(raw, header, payload)
         rc = main(["preprocess", str(raw), "--out", str(tmp_path / "d.bin")])
         assert rc == 2
+
+    @pytest.mark.parametrize("field", ["sample", "rate"])
+    def test_non_finite_recording_exits_2(self, tmp_path, capsys, field):
+        raw = tmp_path / "raw.bin"
+        make_raw(raw, n_samples=12_000)
+        header, payload = read_container(raw, "raw")
+        blob = bytearray(payload)
+        if field == "sample":
+            blob[400:404] = np.array([np.nan], dtype="<f4").tobytes()
+        else:
+            header["rate"] = math.nan
+        write_container(raw, header, bytes(blob))
+        rc = main(["preprocess", str(raw), "--out", str(tmp_path / "d.bin")])
+        assert rc == 2
+        assert "data error:" in capsys.readouterr().err
 
     def test_excluding_every_channel_exits_2(self, tmp_path):
         raw = tmp_path / "raw.bin"

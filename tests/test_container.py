@@ -26,7 +26,7 @@ from rsvptyping.models import (
     build_generative,
     train_logistic_evidence,
 )
-from rsvptyping.synth import SynthConfig, generate
+from rsvptyping.synth import LabeledDataset, SynthConfig, generate
 
 
 @pytest.fixture(scope="module")
@@ -36,23 +36,22 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def probes():
-    data = generate(SynthConfig(n_epochs=100, channels=3, target_fraction=0.25, seed=9))
-    return list(data.epochs)
+    return generate(SynthConfig(n_epochs=100, channels=3, target_fraction=0.25, seed=9))
 
 
 @pytest.fixture(scope="module")
 def logreg(dataset):
-    return train_logistic_evidence(list(dataset.epochs), max_iterations=200)
+    return train_logistic_evidence(dataset, max_iterations=200)
 
 
 @pytest.fixture(scope="module")
 def gen_logr(dataset):
-    return GenerativeEvidenceModel(build_generative(list(dataset.epochs)))
+    return GenerativeEvidenceModel(build_generative(dataset))
 
 
 @pytest.fixture(scope="module")
 def gen_lda(dataset):
-    pipeline = build_generative(list(dataset.epochs), scorer_kind="lda")
+    pipeline = build_generative(dataset, scorer_kind="lda")
     return GenerativeEvidenceModel(pipeline, kind="gen-lda")
 
 
@@ -130,38 +129,36 @@ class TestContainerCore:
 class TestDatasetIO:
     def test_round_trip_bit_exact(self, tmp_path, dataset):
         path = tmp_path / "d.bin"
-        write_dataset(path, dataset.epochs, rate=125.0)
+        write_dataset(path, dataset, rate=125.0)
         loaded = read_dataset(path)
-        assert len(loaded.epochs) == len(dataset.epochs)
-        for orig, back in zip(dataset.epochs, loaded.epochs):
-            # synth data is float32-quantized already, so equality is exact
-            assert np.array_equal(orig.data, back.data)
-            assert back.label == orig.label
-            assert back.onset_sample == orig.onset_sample
+        assert len(loaded) == len(dataset)
+        # synth data is float32-quantized already, so equality is exact
+        assert np.array_equal(loaded.data, dataset.data)
+        assert np.array_equal(loaded.labels, dataset.labels)
 
     def test_rate_in_header(self, tmp_path, dataset):
         path = tmp_path / "d.bin"
-        write_dataset(path, dataset.epochs, rate=125.0)
+        write_dataset(path, dataset, rate=125.0)
         header, _ = read_container(path, "epochs")
         assert header["rate"] == 125.0
-        assert header["n_epochs"] == len(dataset.epochs)
+        assert header["n_epochs"] == len(dataset)
 
     def test_rewrite_byte_identical(self, tmp_path, dataset):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        write_dataset(a, dataset.epochs, rate=125.0)
-        write_dataset(b, dataset.epochs, rate=125.0)
+        write_dataset(a, dataset, rate=125.0)
+        write_dataset(b, dataset, rate=125.0)
         assert read_bytes(a) == read_bytes(b)
 
     def test_payload_size_mismatch(self, tmp_path, dataset):
         path = tmp_path / "d.bin"
-        write_dataset(path, dataset.epochs)
+        write_dataset(path, dataset)
         path.write_bytes(read_bytes(path) + b"\x00")
         with pytest.raises(ContainerFormatError, match="payload size"):
             read_dataset(path)
 
     def test_bad_label_value(self, tmp_path, dataset):
         path = tmp_path / "d.bin"
-        write_dataset(path, dataset.epochs)
+        write_dataset(path, dataset)
         blob = bytearray(read_bytes(path))
         blob[-1] = 7
         path.write_bytes(bytes(blob))
@@ -170,7 +167,7 @@ class TestDatasetIO:
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
-            write_dataset(tmp_path / "d.bin", [])
+            write_dataset(tmp_path / "d.bin", LabeledDataset(np.zeros((0, 3, 62)), np.zeros(0)))
 
 
 class TestRawIO:
@@ -237,8 +234,7 @@ class TestModelIO:
         assert loaded.parameter_count == model.parameter_count
         before = model.predict_batch(probes)
         after = loaded.predict_batch(probes)
-        for x, y in zip(before, after):
-            assert x.pos == y.pos and x.neg == y.neg
+        assert np.array_equal(before[0], after[0]) and np.array_equal(before[1], after[1])
 
     @pytest.mark.parametrize("name", ["logreg", "gen_logr", "gen_lda"])
     def test_rewrite_byte_identical(self, tmp_path, name, request):

@@ -4,8 +4,6 @@ import pytest
 from rsvptyping.dsp import (
     BiquadCoefficients,
     RawRecording,
-    TrialEpoch,
-    apply_zscore,
     design_bandpass,
     design_notch,
     downsample,
@@ -152,30 +150,34 @@ class TestDownsampleAndEpoch:
         rec = RawRecording(
             data=np.zeros((2, 500)), rate=125.0, stim_onsets=((0, 1), (100, 0))
         )
-        epochs, dropped = epoch(rec, window_ms=500.0)
+        data, labels, dropped = epoch(rec, window_ms=500.0)
         assert dropped == 0
-        assert all(e.data.shape == (2, 62) for e in epochs)  # floor(62.5)
+        assert data.shape == (2, 2, 62)  # floor(62.5)
+        assert labels.tolist() == [1, 0]
 
     def test_epoch_at_boundary_dropped(self):
         rec = RawRecording(
-            data=np.zeros((1, 100)), rate=125.0, stim_onsets=((10, 1), (99, 0))
+            data=np.arange(100, dtype=float)[None, :], rate=125.0,
+            stim_onsets=((10, 1), (99, 0)),
         )
-        epochs, dropped = epoch(rec, window_ms=500.0)
-        assert len(epochs) == 1 and dropped == 1
-        assert epochs[0].onset_sample == 10
+        data, labels, dropped = epoch(rec, window_ms=500.0)
+        assert len(data) == 1 and dropped == 1
+        assert data[0, 0, 0] == 10.0  # the kept epoch starts at its onset
+        assert labels.tolist() == [1]
 
     def test_overlapping_onsets_share_samples(self):
         data = np.arange(200, dtype=float).reshape(1, 200)
         rec = RawRecording(data=data, rate=125.0, stim_onsets=((0, 0), (30, 1)))
-        epochs, _ = epoch(rec, window_ms=500.0)
-        np.testing.assert_array_equal(epochs[0].data[0, 30:], epochs[1].data[0, : 62 - 30])
+        data, _, _ = epoch(rec, window_ms=500.0)
+        np.testing.assert_array_equal(data[0, 0, 30:], data[1, 0, : 62 - 30])
 
     def test_epoch_count_invariant(self):
         rng = np.random.default_rng(9)
         onsets = tuple((int(s), int(rng.integers(2))) for s in sorted(rng.choice(990, 40, replace=False)))
         rec = RawRecording(data=rng.standard_normal((3, 1000)), rate=125.0, stim_onsets=onsets)
-        epochs, dropped = epoch(rec, window_ms=500.0)
-        assert len(epochs) + dropped == len(onsets)
+        data, labels, dropped = epoch(rec, window_ms=500.0)
+        assert len(data) + dropped == len(onsets)
+        assert len(labels) == len(data)
 
     def test_onset_validation(self):
         with pytest.raises(ValueError):
@@ -199,51 +201,51 @@ class TestDownsampleAndEpoch:
             filtered = RawRecording(
                 data=filter_forward(cascade, rec.data), rate=rec.rate, stim_onsets=rec.stim_onsets
             )
-            eps, _ = epoch(downsample(filtered, 2), window_ms=500.0)
-            return np.stack([e.data for e in eps])
+            data, _, _ = epoch(downsample(filtered, 2), window_ms=500.0)
+            return data
 
         np.testing.assert_array_equal(run(), run())
 
 
 class TestZScore:
     def make_epochs(self, rng, n=50, channels=3, samples=20):
-        return [
-            TrialEpoch(rng.standard_normal((channels, samples)) * 2 + 1, int(rng.integers(2)), i)
-            for i in range(n)
-        ]
+        return rng.standard_normal((n, channels, samples)) * 2 + 1
 
     def test_constant_channel_maps_to_zeros(self):
-        eps = [TrialEpoch(np.full((1, 10), 4.2), 0, 0), TrialEpoch(np.full((1, 10), 4.2), 1, 1)]
+        eps = np.full((2, 1, 10), 4.2)
         stats = fit_zscore(eps)
         assert stats.std[0] == 1.0  # degenerate scale guard
-        out = apply_zscore(stats, eps[0])
-        np.testing.assert_allclose(out.data, np.zeros((1, 10)), atol=1e-12)
+        out = zscore_array(stats, eps)
+        np.testing.assert_allclose(out[0], np.zeros((1, 10)), atol=1e-12)
 
     def test_standardizes_training_distribution(self):
         rng = np.random.default_rng(17)
         eps = self.make_epochs(rng, n=400)
         stats = fit_zscore(eps)
-        z = np.concatenate([apply_zscore(stats, e).data for e in eps], axis=1)
-        np.testing.assert_allclose(z.mean(axis=1), 0.0, atol=1e-12)
-        np.testing.assert_allclose(z.std(axis=1), 1.0, atol=1e-12)
+        z = zscore_array(stats, eps)
+        np.testing.assert_allclose(z.mean(axis=(0, 2)), 0.0, atol=1e-12)
+        np.testing.assert_allclose(z.std(axis=(0, 2)), 1.0, atol=1e-12)
 
     def test_test_data_uses_train_stats_only(self):
         rng = np.random.default_rng(21)
         train = self.make_epochs(rng, n=100)
         stats = fit_zscore(train)
-        shifted = TrialEpoch(train[0].data + 10.0, train[0].label, 0)
-        out = apply_zscore(stats, shifted)
-        expected = apply_zscore(stats, train[0]).data + 10.0 / stats.std[:, None]
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        out = zscore_array(stats, train[:1] + 10.0)
+        expected = zscore_array(stats, train[:1]) + 10.0 / stats.std[None, :, None]
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_array_variant_matches(self):
+        # the per-channel statistics are those of the epochs laid end to end
         rng = np.random.default_rng(2)
         eps = self.make_epochs(rng, n=10)
         stats = fit_zscore(eps)
-        stacked = np.stack([e.data for e in eps])
-        out = zscore_array(stats, stacked)
-        np.testing.assert_allclose(out[3], apply_zscore(stats, eps[3]).data, atol=1e-15)
+        joined = np.concatenate(list(eps), axis=1)
+        assert np.array_equal(stats.mean, joined.mean(axis=1))
+        assert np.array_equal(stats.std, joined.std(axis=1))
+        out = zscore_array(stats, eps)
+        expected = (eps[3] - stats.mean[:, None]) / stats.std[:, None]
+        np.testing.assert_allclose(out[3], expected, atol=1e-15)
 
     def test_empty_train_set_rejected(self):
         with pytest.raises(ValueError):
-            fit_zscore([])
+            fit_zscore(np.zeros((0, 3, 20)))

@@ -1,0 +1,62 @@
+"""Golden values: the report numbers of test_10's small CLI workflow.
+
+The constants were recorded from the workflow's reports and are compared
+exactly, at the reports' six decimals. A change that moves any of them (a
+new optimizer, a new simulator kernel, different RNG use) fails here, so the
+new numbers must be written down in this file and in CHANGES.md.
+"""
+
+import json
+
+import pytest
+
+from rsvptyping.cli import main
+
+GOLDEN = {
+    "logreg": {
+        "splits": [
+            {"split": 0, "balanced_accuracy": 0.655556, "typing_accuracy": 0.15,
+             "itr_bits_per_symbol": 0.15586},
+            {"split": 1, "balanced_accuracy": 0.711111, "typing_accuracy": 0.125,
+             "itr_bits_per_symbol": 0.103264},
+        ],
+        "aggregate": {
+            "balanced_accuracy": {"mean": 0.683333, "std": 0.027778},
+            "itr_bits_per_symbol": {"mean": 0.129562, "std": 0.026298},
+        },
+    },
+    "gen-lda": {
+        "splits": [
+            {"split": 0, "balanced_accuracy": 0.544444, "typing_accuracy": 0.0,
+             "itr_bits_per_symbol": 0.052467},
+            {"split": 1, "balanced_accuracy": 0.588889, "typing_accuracy": 0.25,
+             "itr_bits_per_symbol": 0.429911},
+        ],
+        "aggregate": {
+            "balanced_accuracy": {"mean": 0.566667, "std": 0.022222},
+            "itr_bits_per_symbol": {"mean": 0.241189, "std": 0.188722},
+        },
+    },
+}
+
+
+@pytest.mark.filterwarnings("ignore::rsvptyping.sim.SubChanceAccuracyWarning")
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_workflow_report_matches_golden_values(tmp_path, kind):
+    synth_cfg = tmp_path / "synth.cfg"
+    synth_cfg.write_text("n_epochs = 300\nchannels = 3\ntarget_fraction = 0.25\nseed = 6\n")
+    train_cfg = tmp_path / "train.cfg"
+    train_cfg.write_text("max_iterations = 150\n")
+    sim_cfg = tmp_path / "sim.cfg"
+    sim_cfg.write_text("attempts = 40\nsplits = 2\nseed = 1\n")
+    data, model, report = tmp_path / "data.bin", tmp_path / "model.bin", tmp_path / "report.json"
+
+    assert main(["synth", "--config", str(synth_cfg), "--out", str(data)]) == 0
+    assert main(["train", str(data), "--kind", kind, "--config", str(train_cfg),
+                 "--out", str(model)]) == 0
+    assert main(["simulate", str(model), str(data), "--config", str(sim_cfg),
+                 "--out", str(report)]) == 0
+
+    written = json.loads(report.read_text())
+    assert written["splits"] == GOLDEN[kind]["splits"]
+    assert written["aggregate"] == GOLDEN[kind]["aggregate"]

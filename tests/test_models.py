@@ -14,7 +14,7 @@ from rsvptyping.core import (
     update_discriminative,
     update_generative,
 )
-from rsvptyping.dsp import TrialEpoch
+from rsvptyping.dsp import ZScoreStats
 from rsvptyping.models import (
     ConstantEvidenceModel,
     GenerativeEvidenceModel,
@@ -24,24 +24,22 @@ from rsvptyping.models import (
     LogisticModel,
     OracleEvidenceModel,
     PcaProjection,
+    bayes_positive,
     build_generative,
     empirical_prior,
     fit_kde,
     fit_pca,
-    generative_likelihoods,
-    generative_to_discriminative,
-    kde_eval,
-    kde_log_eval,
-    lda_score,
+    kde_log_eval_many,
     lda_scores,
     logistic_loss_and_gradient,
-    predict_proba,
     project,
     train_lda,
     train_logistic,
     train_logistic_evidence,
     uniform_prior,
 )
+from rsvptyping.sim import classify_epochs
+from rsvptyping.synth import LabeledDataset
 
 from oracles import (
     central_difference_gradient,
@@ -50,8 +48,25 @@ from oracles import (
 )
 
 
-def make_epoch(data, label, onset=0):
-    return TrialEpoch(np.asarray(data, dtype=np.float64), label, onset)
+def make_dataset(data, labels):
+    return LabeledDataset(data=np.asarray(data, dtype=np.float64), labels=labels)
+
+
+def proba(model: LogisticModel, features) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, neg) of a bare logistic model: evidence of a one-channel,
+    unscaled epoch per feature row."""
+    x = np.asarray(features, dtype=np.float64)
+    identity = ZScoreStats(mean=np.zeros(1), std=np.ones(1))
+    evidence = LogisticEvidenceModel(identity, model)
+    return evidence.predict_batch(make_dataset(x[:, None, :], np.zeros(len(x), dtype=int)))
+
+
+def kde_eval(density: KdeDensity, x: float) -> float:
+    return float(np.exp(kde_log_eval_many(density, np.array([x]))[0]))
+
+
+def convert(d_pos: float, d_neg: float, prior: LabelPrior) -> float:
+    return float(bayes_positive(np.array([d_pos]), np.array([d_neg]), prior)[0])
 
 
 class TestLogistic:
@@ -59,7 +74,7 @@ class TestLogistic:
         x = np.array([[-1.0]] * 20 + [[1.0]] * 20)
         y = np.array([0] * 20 + [1] * 20)
         model = train_logistic(x, y)
-        preds = [predict_proba(model, row).pos >= 0.5 for row in x]
+        preds = (proba(model, x)[0] >= 0.5).tolist()
         assert preds == [False] * 20 + [True] * 20
 
     def test_label_independent_data_predicts_base_rate(self):
@@ -67,7 +82,7 @@ class TestLogistic:
         x = rng.standard_normal((400, 3))
         y = np.array([0, 1] * 200)
         model = train_logistic(x, y)
-        pos = np.mean([predict_proba(model, row).pos for row in x])
+        pos = np.mean(proba(model, x)[0])
         assert abs(pos - 0.5) <= 0.05
 
     def test_weighted_boundary_matches_grid_oracle(self):
@@ -130,23 +145,24 @@ class TestLogistic:
 class TestPredictProba:
     def test_zero_model_is_even_odds(self):
         model = LogisticModel(weights=np.zeros(3), bias=0.0)
-        pair = predict_proba(model, np.array([1.0, 2.0, 3.0]))
-        assert pair.pos == 0.5 and pair.neg == 0.5
-        assert pair.mode is LikelihoodMode.DISCRIMINATIVE
+        pos, neg = proba(model, [[1.0, 2.0, 3.0]])
+        assert pos[0] == 0.5 and neg[0] == 0.5
+        identity = ZScoreStats(mean=np.zeros(1), std=np.ones(1))
+        assert LogisticEvidenceModel(identity, model).mode is LikelihoodMode.DISCRIMINATIVE
 
     def test_large_bias_saturates(self):
         model = LogisticModel(weights=np.zeros(1), bias=50.0)
-        assert predict_proba(model, np.array([0.0])).pos > 0.999999
+        assert proba(model, [[0.0]])[0][0] > 0.999999
 
     def test_log_three_gives_three_quarters(self):
         model = LogisticModel(weights=np.array([1.0]), bias=0.0)
-        pair = predict_proba(model, np.array([math.log(3.0)]))
-        assert pair.pos == pytest.approx(0.75, abs=1e-12)
+        pos, _ = proba(model, [[math.log(3.0)]])
+        assert pos[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_dimension_mismatch(self):
         model = LogisticModel(weights=np.zeros(3), bias=0.0)
         with pytest.raises(ValueError):
-            predict_proba(model, np.zeros(4))
+            proba(model, np.zeros((1, 4)))
 
 
 class TestLda:
@@ -154,7 +170,7 @@ class TestLda:
         x = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([0, 0, 1, 1])
         model = train_lda(x, y)
-        assert abs(lda_score(model, np.array([0.0]))) < 1e-10
+        assert abs(lda_scores(model, np.array([[0.0]]))[0]) < 1e-10
 
     def test_identical_means_give_constant_score(self):
         x = np.array([[-1.0], [1.0], [-1.0], [1.0]])
@@ -183,7 +199,7 @@ class TestLda:
             pt = rng.standard_normal(2) * 2
             dp, dn = pt - mu_pos, pt - mu_neg
             expected = 0.5 * (dn @ precision @ dn - dp @ precision @ dp)
-            assert lda_score(model, pt) == pytest.approx(expected, abs=1e-6)
+            assert lda_scores(model, pt[None, :])[0] == pytest.approx(expected, abs=1e-6)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
@@ -268,7 +284,7 @@ class TestKde:
         density = fit_kde(np.array([0.0]))
         value = kde_eval(density, 60.0)
         assert value >= 0.0
-        assert kde_log_eval(density, 60.0) >= -745.0
+        assert kde_log_eval_many(density, np.array([60.0]))[0] >= -745.0
         # the floored density still forms a valid generative pair
         pair = LikelihoodPair.generative(value, value)
         state = init_posterior(Alphabet.default(4))
@@ -287,7 +303,7 @@ class TestKde:
     def test_integrates_to_one(self):
         density = fit_kde(np.array([-2.0, 0.5, 3.0]), bandwidth=1.5)
         grid = np.linspace(-20, 20, 20001)
-        vals = np.exp([kde_log_eval(density, float(g)) for g in grid])
+        vals = np.exp(kde_log_eval_many(density, grid))
         assert np.trapezoid(vals, grid) == pytest.approx(1.0, abs=1e-6)
 
     def test_empty_scores_rejected(self):
@@ -298,14 +314,15 @@ class TestKde:
 
 
 def separable_epochs(rng, n=40, channels=2, samples=8, offset=4.0):
-    epochs = []
+    labels = np.arange(n) % 2
+    data = np.empty((n, channels, samples))
     for i in range(n):
-        label = i % 2
-        data = rng.standard_normal((channels, samples)) * 0.2
-        if label:
-            data = data + offset
-        epochs.append(make_epoch(data, label, i))
-    return epochs
+        data[i] = rng.standard_normal((channels, samples)) * 0.2 + offset * labels[i]
+    return make_dataset(data, labels)
+
+
+def generative_likelihoods(pipeline, epochs):
+    return GenerativeEvidenceModel(pipeline).predict_batch(epochs)
 
 
 class TestGenerativePipeline:
@@ -313,10 +330,10 @@ class TestGenerativePipeline:
         rng = np.random.default_rng(23)
         epochs = separable_epochs(rng)
         pipeline = build_generative(epochs)
-        pos_epoch = next(e for e in epochs if e.label == 1)
-        pair = generative_likelihoods(pipeline, pos_epoch)
-        assert pair.mode is LikelihoodMode.GENERATIVE
-        assert pair.pos > pair.neg
+        pos_epoch = epochs.subset(np.flatnonzero(epochs.labels == 1)[:1])
+        pos, neg = generative_likelihoods(pipeline, pos_epoch)
+        assert GenerativeEvidenceModel(pipeline).mode is LikelihoodMode.GENERATIVE
+        assert pos[0] > neg[0]
 
     def test_identical_kdes_give_equal_densities(self):
         rng = np.random.default_rng(27)
@@ -330,63 +347,60 @@ class TestGenerativePipeline:
             kde_pos=shared,
             kde_neg=shared,
         )
-        for e in epochs[:5]:
-            pair = generative_likelihoods(pipeline, e)
-            assert pair.pos == pair.neg
+        pos, neg = generative_likelihoods(pipeline, epochs.subset(range(5)))
+        np.testing.assert_array_equal(pos, neg)
 
     def test_determinism(self):
         rng = np.random.default_rng(33)
         epochs = separable_epochs(rng)
         pipeline = build_generative(epochs)
-        first = generative_likelihoods(pipeline, epochs[3])
-        second = generative_likelihoods(pipeline, epochs[3])
-        assert (first.pos, first.neg) == (second.pos, second.neg)
+        first = generative_likelihoods(pipeline, epochs.subset([3]))
+        second = generative_likelihoods(pipeline, epochs.subset([3]))
+        assert (first[0][0], first[1][0]) == (second[0][0], second[1][0])
 
     def test_lda_scorer_variant(self):
         rng = np.random.default_rng(35)
         epochs = separable_epochs(rng)
         pipeline = build_generative(epochs, scorer_kind="lda")
         assert pipeline.pca.n_components >= 1
-        pair = generative_likelihoods(pipeline, epochs[1])
-        assert pair.pos > pair.neg
+        pos, neg = generative_likelihoods(pipeline, epochs.subset([1]))
+        assert pos[0] > neg[0]
 
     def test_wrong_epoch_shape_rejected(self):
         rng = np.random.default_rng(37)
         pipeline = build_generative(separable_epochs(rng))
         with pytest.raises(ValueError):
-            generative_likelihoods(pipeline, make_epoch(np.zeros((2, 9)), 0))
+            generative_likelihoods(pipeline, make_dataset(np.zeros((1, 2, 9)), [0]))
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(39)
-        epochs = [make_epoch(rng.standard_normal((2, 8)), 1, i) for i in range(10)]
+        epochs = make_dataset(rng.standard_normal((10, 2, 8)), np.ones(10, dtype=int))
         with pytest.raises(ValueError):
             build_generative(epochs)
 
 
 class TestBayesConversion:
     def test_equal_densities_uniform_prior(self):
-        pair = LikelihoodPair.generative(0.3, 0.3)
-        assert generative_to_discriminative(pair, uniform_prior()).pos == 0.5
+        assert convert(0.3, 0.3, uniform_prior()) == 0.5
 
     def test_equal_densities_empirical_prior(self):
-        pair = LikelihoodPair.generative(0.3, 0.3)
         prior = empirical_prior([1] + [0] * 9)
-        out = generative_to_discriminative(pair, prior)
-        assert out.pos == pytest.approx(0.1, abs=1e-15)
+        assert convert(0.3, 0.3, prior) == pytest.approx(0.1, abs=1e-15)
 
     def test_four_to_one_ratio(self):
-        pair = LikelihoodPair.generative(0.4, 0.1)
-        assert generative_to_discriminative(pair, uniform_prior()).pos == pytest.approx(
-            0.8, abs=1e-15
-        )
+        assert convert(0.4, 0.1, uniform_prior()) == pytest.approx(0.8, abs=1e-15)
 
     def test_both_zero_densities_unrepresentable(self):
         with pytest.raises(ValueError):
             LikelihoodPair.generative(0.0, 0.0)
 
     def test_non_generative_pair_rejected(self):
-        with pytest.raises(ValueError):
-            generative_to_discriminative(LikelihoodPair.discriminative(0.5), uniform_prior())
+        # label probabilities are not densities: classification leaves them
+        # unconverted, whatever the conversion prior
+        epochs = make_dataset(np.zeros((4, 1, 3)), [0, 1, 0, 1])
+        model = ConstantEvidenceModel(0.6)
+        assert convert(0.6, 0.4, LabelPrior(0.1)) < 0.5
+        assert list(classify_epochs(model, epochs, conversion_prior=LabelPrior(0.1))) == [1] * 4
 
     def test_bridge_with_core_updates(self):
         rng = np.random.default_rng(41)
@@ -399,7 +413,7 @@ class TestBayesConversion:
             q = int(rng.integers(alphabet.size))
             state = init_posterior(alphabet)
             via_gen = update_generative(state, QueryEvent(q, pair)).probabilities()
-            converted = generative_to_discriminative(pair, prior)
+            converted = LikelihoodPair.discriminative(convert(pair.pos, pair.neg, prior))
             via_disc = update_discriminative(
                 state, QueryEvent(q, converted), prior
             ).probabilities()
@@ -411,43 +425,40 @@ class TestEvidenceModels:
         rng = np.random.default_rng(43)
         epochs = separable_epochs(rng)
         model = train_logistic_evidence(epochs)
-        batch = model.predict_batch(epochs[:6])
-        for e, pair in zip(epochs[:6], batch):
-            single = model.predict(e)
-            assert single.pos == pytest.approx(pair.pos, rel=1e-12)
+        batch_pos, _ = model.predict_batch(epochs.subset(range(6)))
+        for i in range(6):
+            single_pos, _ = model.predict_batch(epochs.subset([i]))
+            assert single_pos[0] == pytest.approx(batch_pos[i], rel=1e-12)
 
     def test_logistic_evidence_separable_is_confident(self):
         rng = np.random.default_rng(45)
         epochs = separable_epochs(rng)
         model = train_logistic_evidence(epochs)
-        correct = [
-            (model.predict(e).pos >= 0.5) == (e.label == 1) for e in epochs
-        ]
-        assert all(correct)
+        pos, _ = model.predict_batch(epochs)
+        assert np.array_equal(pos >= 0.5, epochs.labels == 1)
 
     def test_generative_evidence_batch_matches_single(self):
         rng = np.random.default_rng(47)
         epochs = separable_epochs(rng)
         model = GenerativeEvidenceModel(build_generative(epochs))
-        batch = model.predict_batch(epochs[:6])
-        for e, pair in zip(epochs[:6], batch):
-            single = model.predict(e)
-            assert single.pos == pytest.approx(pair.pos, rel=1e-12)
-            assert single.neg == pytest.approx(pair.neg, rel=1e-12)
+        batch_pos, batch_neg = model.predict_batch(epochs.subset(range(6)))
+        for i in range(6):
+            single_pos, single_neg = model.predict_batch(epochs.subset([i]))
+            assert single_pos[0] == pytest.approx(batch_pos[i], rel=1e-12)
+            assert single_neg[0] == pytest.approx(batch_neg[i], rel=1e-12)
 
     def test_oracle_model_reports_labels_with_certainty(self):
         model = OracleEvidenceModel()
-        pos = model.predict(make_epoch(np.zeros((1, 4)), 1))
-        neg = model.predict(make_epoch(np.zeros((1, 4)), 0))
-        assert (pos.pos, pos.neg) == (1.0, 0.0)
-        assert (neg.pos, neg.neg) == (0.0, 1.0)
+        pos, neg = model.predict_batch(make_dataset(np.zeros((2, 1, 4)), [1, 0]))
+        assert (pos[0], neg[0]) == (1.0, 0.0)
+        assert (pos[1], neg[1]) == (0.0, 1.0)
         assert model.parameter_count == 0
 
     def test_constant_model_ignores_input(self):
         model = ConstantEvidenceModel(0.9, kind="always-pos")
         rng = np.random.default_rng(49)
-        pairs = {model.predict(make_epoch(rng.standard_normal((2, 5)), 0)).pos for _ in range(5)}
-        assert pairs == {0.9}
+        pos, _ = model.predict_batch(make_dataset(rng.standard_normal((5, 2, 5)), [0] * 5))
+        assert set(pos.tolist()) == {0.9}
         assert model.mode is LikelihoodMode.DISCRIMINATIVE
 
     def test_parameter_counts(self):

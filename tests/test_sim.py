@@ -6,7 +6,9 @@ import pytest
 from rsvptyping.core import Alphabet, LabelPrior, LikelihoodMode
 from rsvptyping.models import (
     ConstantEvidenceModel,
+    GenerativeEvidenceModel,
     OracleEvidenceModel,
+    build_generative,
     train_logistic_evidence,
 )
 from rsvptyping.sim import (
@@ -22,7 +24,7 @@ from rsvptyping.sim import (
     run_typing,
     select_query,
 )
-from rsvptyping.synth import SynthConfig, generate, split
+from rsvptyping.synth import LabeledDataset, SynthConfig, generate, split
 
 
 class TestItr:
@@ -96,8 +98,8 @@ class TestSelectQuery:
             select_query(p, 6, QueryStrategy.TOP_K, rng)
 
 
-def dummy_pools(rng, n_pos=15, n_neg=40, channels=2, samples=6):
-    data = generate(
+def dummy_dataset(rng, n_pos=15, n_neg=40, channels=2):
+    return generate(
         SynthConfig(
             n_epochs=n_pos + n_neg,
             channels=channels,
@@ -107,7 +109,18 @@ def dummy_pools(rng, n_pos=15, n_neg=40, channels=2, samples=6):
             seed=int(rng.integers(1 << 31)),
         )
     )
-    return EvidencePools.from_epochs(list(data.epochs))
+
+
+def dummy_pools(rng):
+    return EvidencePools.from_dataset(dummy_dataset(rng))
+
+
+def first_of_each_class(data: LabeledDataset, k: int) -> LabeledDataset:
+    """The first k positive epochs, then the first k negative ones."""
+    labels = data.labels
+    return data.subset(
+        np.concatenate([np.flatnonzero(labels == 1)[:k], np.flatnonzero(labels == 0)[:k]])
+    )
 
 
 class TestRunTyping:
@@ -238,8 +251,7 @@ class TestBalancedAccuracy:
 class TestClassifyEpochs:
     def test_generative_prior_changes_predictions(self):
         rng = np.random.default_rng(15)
-        pools = dummy_pools(rng)
-        epochs = list(pools.positive[:3]) + list(pools.negative[:3])
+        epochs = first_of_each_class(dummy_dataset(rng), 3)
         model = ConstantEvidenceModel(
             0.4, 0.1, mode=LikelihoodMode.GENERATIVE, kind="constant-gen"
         )
@@ -250,10 +262,20 @@ class TestClassifyEpochs:
 
     def test_discriminative_argmax(self):
         rng = np.random.default_rng(16)
-        pools = dummy_pools(rng)
-        epochs = list(pools.positive[:2]) + list(pools.negative[:2])
+        epochs = first_of_each_class(dummy_dataset(rng), 2)
         assert list(classify_epochs(ConstantEvidenceModel(0.7), epochs)) == [1] * 4
         assert list(classify_epochs(ConstantEvidenceModel(0.2), epochs)) == [0] * 4
+
+    def test_epoch_far_from_both_kdes_is_a_tie(self):
+        # an epoch far outside both classes: each KDE density sits at its
+        # exp(-745) floor and the prior-weighted densities underflow to zero
+        rng = np.random.default_rng(17)
+        data = dummy_dataset(rng)
+        model = GenerativeEvidenceModel(build_generative(data, scorer_kind="lda"), kind="gen-lda")
+        far = LabeledDataset(data.data[:2] * 1e4, data.labels[:2])
+        pos, neg = model.predict_batch(far)
+        assert pos.tolist() == neg.tolist() == [math.exp(-745.0)] * 2
+        assert list(classify_epochs(model, far)) == [1, 1]
 
 
 class TestEvaluateSplits:

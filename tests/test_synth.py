@@ -59,18 +59,17 @@ class TestGenerate:
     def test_reproducible_bit_for_bit(self):
         a = generate(small_config())
         b = generate(small_config())
-        for ea, eb in zip(a.epochs, b.epochs):
-            np.testing.assert_array_equal(ea.data, eb.data)
-            assert ea.label == eb.label
+        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_seed_changes_data(self):
         a = generate(small_config(seed=1))
         b = generate(small_config(seed=2))
-        assert not np.array_equal(a.epochs[0].data, b.epochs[0].data)
+        assert not np.array_equal(a.data[0], b.data[0])
 
     def test_zero_amplitude_classes_indistinguishable(self):
         data = generate(small_config(n_epochs=2000, erp_amplitude=0.0))
-        stacked = np.stack([e.data for e in data.epochs])
+        stacked = data.data
         labels = data.labels
         diff = stacked[labels == 1].mean(axis=0) - stacked[labels == 0].mean(axis=0)
         pooled_std = stacked.std()
@@ -80,15 +79,14 @@ class TestGenerate:
 
     def test_noiseless_dataset_is_separable(self):
         data = generate(small_config(n_epochs=60, noise_std=0.0))
-        model = train_logistic_evidence(list(data.epochs))
-        preds = [model.predict(e).pos >= 0.5 for e in data.epochs]
-        truth = [e.label == 1 for e in data.epochs]
-        assert preds == truth
+        model = train_logistic_evidence(data)
+        pos, _ = model.predict_batch(data)
+        assert (pos >= 0.5).tolist() == (data.labels == 1).tolist()
 
     def test_mean_difference_recovers_template(self):
         config = small_config(n_epochs=10000, target_fraction=0.3, channels=2)
         data = generate(config)
-        stacked = np.stack([e.data for e in data.epochs])
+        stacked = data.data
         labels = data.labels
         diff = stacked[labels == 1].mean(axis=0) - stacked[labels == 0].mean(axis=0)
         injected = np.tile(config.template(), (config.channels, 1))
@@ -98,14 +96,14 @@ class TestGenerate:
     def test_erp_limited_to_selected_channels(self):
         config = small_config(n_epochs=4000, erp_channels=(0,), erp_amplitude=3.0)
         data = generate(config)
-        stacked = np.stack([e.data for e in data.epochs])
+        stacked = data.data
         labels = data.labels
         diff = stacked[labels == 1].mean(axis=0) - stacked[labels == 0].mean(axis=0)
         assert np.abs(diff[0]).max() > 10 * np.abs(diff[1]).max()
 
     def test_float32_quantization(self):
         data = generate(small_config())
-        arr = data.epochs[0].data
+        arr = data.data
         np.testing.assert_array_equal(arr, arr.astype(np.float32).astype(np.float64))
 
     def test_degenerate_fraction_for_count(self):
@@ -158,4 +156,4 @@ class TestSplit:
         with_meta = data.with_splits(splits)
         assert with_meta.splits == splits
         with pytest.raises(ValueError):
-            LabeledDataset(epochs=data.epochs, splits=(SplitIndices((0, 1), (2,)),))
+            LabeledDataset(data.data, data.labels, splits=(SplitIndices((0, 1), (2,)),))
