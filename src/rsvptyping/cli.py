@@ -38,12 +38,15 @@ from .dsp import (
     filter_forward,
 )
 from .models import (
+    GRADIENT_TOLERANCE,
+    L2_PENALTY,
     TRAIN_SCHEMA,
     ConstantEvidenceModel,
     EvidenceModel,
     GenerativeEvidenceModel,
     OracleEvidenceModel,
     build_generative,
+    check_train_settings,
     train_logistic_evidence,
 )
 from .reports import (
@@ -200,44 +203,62 @@ def cmd_synth(args) -> int:
 
 
 TRAIN_DEFAULTS = {
-    "learning_rate": 0.1,
-    "max_iterations": 10000,
-    "tolerance": 1e-6,
+    "l2": L2_PENALTY,
+    "tolerance": GRADIENT_TOLERANCE,
     "variance_fraction": 0.8,
     "bandwidth": 1.0,
     "holdout_fraction": 0.1,
     "seed": 0,
 }
 
+# The training settings each model kind's fit uses, stored in its model file.
+HYPER_KEYS = {
+    "logreg": ("l2", "tolerance"),
+    "gen-logr": ("variance_fraction", "bandwidth", "l2", "tolerance"),
+    "gen-lda": ("variance_fraction", "bandwidth"),
+}
 
-def _fit_model(kind: str, train: LabeledDataset, resolved: dict, loss_trace=None) -> EvidenceModel:
+
+def _fit_model(kind: str, train: LabeledDataset, resolved: dict, fits: list) -> EvidenceModel:
     if kind == "logreg":
         return train_logistic_evidence(
-            train,
-            learning_rate=resolved["learning_rate"],
-            max_iterations=resolved["max_iterations"],
-            tolerance=resolved["tolerance"],
-            loss_trace=loss_trace,
+            train, l2=resolved["l2"], tolerance=resolved["tolerance"], fits=fits
         )
     pipeline = build_generative(
         train,
         variance_fraction=resolved["variance_fraction"],
         bandwidth=resolved["bandwidth"],
         scorer_kind="logistic" if kind == "gen-logr" else "lda",
+        l2=resolved["l2"],
+        tolerance=resolved["tolerance"],
+        fits=fits,
     )
     return GenerativeEvidenceModel(pipeline, kind=kind)
 
 
 def _hyper_for(kind: str, resolved: dict) -> dict:
-    if kind == "logreg":
-        keys = ("learning_rate", "max_iterations", "tolerance")
-    else:
-        keys = ("variance_fraction", "bandwidth")
-    return {k: resolved[k] for k in keys}
+    return {k: resolved[k] for k in HYPER_KEYS[kind]}
+
+
+def _warn_unconverged(fits: list) -> None:
+    """One stderr line when any logistic fit stopped short of its tolerance."""
+    stopped = [fit for fit in fits if not fit.converged]
+    if stopped:
+        worst = max(stopped, key=lambda fit: fit.gradient_norm)
+        print(
+            f"warning: {len(stopped)} of {len(fits)} logistic fits stopped short of "
+            f"tolerance {worst.tolerance:g}: gradient norm up to "
+            f"{worst.gradient_norm:.3e} after {worst.steps} Newton steps",
+            file=sys.stderr,
+        )
 
 
 def cmd_train(args) -> int:
     resolved = resolve_config(args.config, TRAIN_SCHEMA, TRAIN_DEFAULTS, {"seed": args.seed})
+    try:
+        check_train_settings(resolved)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not 0.0 < resolved["holdout_fraction"] < 1.0:
         raise ConfigError("holdout_fraction must lie in (0, 1)")
     dataset = read_dataset(args.data)
@@ -250,10 +271,10 @@ def cmd_train(args) -> int:
         )[0]
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    trace: list = []
+    fits: list = []
     try:
         # no training copy outlives the fit: validation is the memory peak
-        model = _fit_model(args.kind, dataset.subset(holdout.train), resolved, loss_trace=trace)
+        model = _fit_model(args.kind, dataset.subset(holdout.train), resolved, fits)
     except np.linalg.LinAlgError:
         raise
     except ValueError as exc:
@@ -265,10 +286,10 @@ def cmd_train(args) -> int:
     print(f"wrote {args.out}")
     print(f"model: {args.kind}  parameters: {model.parameter_count}")
     print(f"train epochs: {len(holdout.train)}  validation epochs: {len(valid)}")
-    if trace:
-        tail = "  ".join(f"{v:.6f}" for v in trace[-5:])
-        print(f"loss tail: {tail}")
+    for fit in fits:
+        print(f"fit: {fit.steps} Newton steps, gradient norm {fit.gradient_norm:.3e}")
     print(f"validation balanced accuracy: {ba:.6f}")
+    _warn_unconverged(fits)
     return EXIT_OK
 
 
@@ -313,13 +334,13 @@ def _builtin_factory(name: str, alphabet_size: int):
     raise AssertionError(name)
 
 
-def _file_model_factory(kind: str, hyper: dict):
+def _file_model_factory(kind: str, hyper: dict, fits: list):
     resolved = dict(TRAIN_DEFAULTS)
     resolved.update(hyper)
 
     def factory(train):
         try:
-            return _fit_model(kind, train, resolved)
+            return _fit_model(kind, train, resolved, fits)
         except np.linalg.LinAlgError:
             raise
         except ValueError as exc:
@@ -363,6 +384,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError(str(exc)) from exc
 
     dataset = read_dataset(args.data)
+    fits: list = []
     if args.model in BUILTIN_MODELS:
         kind = args.model
         parameter_count = 0
@@ -371,7 +393,7 @@ def cmd_simulate(args) -> int:
         loaded, hyper = read_model(args.model)
         kind = loaded.kind
         parameter_count = loaded.parameter_count
-        factory = _file_model_factory(kind, hyper)
+        factory = _file_model_factory(kind, hyper, fits)
 
     try:
         summary = evaluate_splits(
@@ -408,6 +430,7 @@ def cmd_simulate(args) -> int:
         f"± {summary.std_balanced_accuracy:.6f}"
     )
     print(f"itr bits/symbol: {summary.mean_itr:.6f} ± {summary.std_itr:.6f}")
+    _warn_unconverged(fits)
     return EXIT_OK
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .dsp import RawRecording, ZScoreStats
 from .models import (
-    TRAIN_SCHEMA,
     EvidenceModel,
     GenerativeEvidenceModel,
     GenerativePipeline,
@@ -33,6 +32,7 @@ from .models import (
     LogisticEvidenceModel,
     LogisticModel,
     PcaProjection,
+    check_train_settings,
 )
 from .synth import LabeledDataset
 
@@ -274,25 +274,18 @@ def _read_arrays(path, header: dict, payload: bytes) -> dict[str, np.ndarray]:
     return out
 
 
-# JSON types of the training config's value kinds
-_HYPER_TYPES = {"int": int, "float": float}
-
-
-def _valid_hyper(hyper) -> bool:
-    return isinstance(hyper, dict) and all(
-        key in TRAIN_SCHEMA and type(value) is _HYPER_TYPES[TRAIN_SCHEMA[key]]
-        for key, value in hyper.items()
-    )
-
-
 def read_model(path) -> tuple[EvidenceModel, dict]:
     """Load a trained model plus the hyperparameters it was trained with."""
     header, payload = read_container(path, "model")
     kind = header.get("model")
     arrays = _read_arrays(path, header, payload)
     hyper = header.get("hyper", {})
-    if not _valid_hyper(hyper):
+    if not isinstance(hyper, dict):
         raise ContainerFormatError(f"{path}: malformed training hyperparameters")
+    try:
+        check_train_settings(hyper)
+    except ValueError as exc:
+        raise ContainerFormatError(f"{path}: malformed training hyperparameters: {exc}") from exc
     try:
         stats = ZScoreStats(mean=arrays["zscore_mean"], std=arrays["zscore_std"])
         if kind == "logreg":

@@ -198,13 +198,21 @@ def downsample(recording: RawRecording, factor: int = 2) -> RawRecording:
     """Keep every ``factor``-th sample starting at index 0.
 
     Assumes the signal was already bandlimited (run the bandpass first).
-    Onset indices are remapped by floor division.
+    Onset indices are remapped by floor division; two onsets that would
+    land on one sample are rejected.
     """
     if factor < 1 or int(factor) != factor:
         raise ValueError("downsample factor must be a positive integer")
     factor = int(factor)
     if factor == 1:
         return recording
+    samples = [s for s, _ in recording.stim_onsets]
+    for before, after in zip(samples, samples[1:]):
+        if before // factor == after // factor:
+            raise ValueError(
+                f"onsets {before} and {after} fall on one sample after "
+                f"downsampling by {factor}"
+            )
     data = recording.data[:, ::factor]
     onsets = tuple((s // factor, label) for s, label in recording.stim_onsets)
     return RawRecording(data=data, rate=recording.rate / factor, stim_onsets=onsets)

@@ -2,7 +2,8 @@
 
 Two families are provided. The discriminative family maps an epoch straight
 to label probabilities: per-channel z-scoring, flattening, and logistic
-regression trained on weighted cross-entropy. The generative family instead
+regression trained on ridge-penalized weighted cross-entropy by Newton's
+method. The generative family instead
 models class-conditional densities: z-score, flatten, PCA to a small number
 of components, a linear scorer (logistic regression or LDA) that compresses
 each epoch to one real number, and a Gaussian KDE per class over those
@@ -29,21 +30,52 @@ from .dsp import ZScoreStats, fit_zscore, zscore_array
 from .synth import LabeledDataset
 
 # Keys of the training config and their value kinds. A model file stores
-# the ones its fit used, so they are checked against this when it is read.
+# the ones its fit used, so they are checked when it is read.
 TRAIN_SCHEMA = {
-    "learning_rate": "float",
-    "max_iterations": "int",
+    "l2": "float",
     "tolerance": "float",
     "variance_fraction": "float",
     "bandwidth": "float",
     "holdout_fraction": "float",
     "seed": "int",
 }
+# Settings of the gradient-descent fit the Newton fit replaced; model files
+# written before it may still name them.
+REMOVED_TRAIN_KEYS = ("learning_rate", "max_iterations")
+_SETTING_TYPES = {"int": int, "float": float}
 
-# Gradient descent defaults for logistic regression.
-LEARNING_RATE = 0.1
-MAX_ITERATIONS = 10000
+# Ridge penalty (l2 / 2) * |weights|^2 of logistic fits. 1e-2 is the best
+# of {1e-4, 1e-3, 1e-2, 1e-1} on the train command's 10% holdout of the
+# README dataset; the data are close to separable, so an unpenalized fit
+# drives the training loss to 0 and overfits.
+L2_PENALTY = 1e-2
 GRADIENT_TOLERANCE = 1e-6
+# Newton steps before a fit stops short of its tolerance; a penalized fit of
+# the README dataset takes 7.
+NEWTON_MAX_STEPS = 50
+# Step halvings before a Newton direction counts as giving no decrease.
+MAX_STEP_HALVINGS = 40
+
+
+def check_train_settings(settings: dict) -> None:
+    """Raise ValueError naming the first setting a fit cannot use: a removed
+    or unknown key, a value not of its schema type, or a non-positive or
+    non-finite ``l2`` or ``tolerance``."""
+    for key, value in settings.items():
+        if key in REMOVED_TRAIN_KEYS:
+            raise ValueError(
+                f"training setting {key!r} was removed: logistic fits take "
+                f"Newton steps on an l2-penalized loss"
+            )
+        if key not in TRAIN_SCHEMA:
+            raise ValueError(f"unknown training setting {key!r}")
+        if type(value) is not _SETTING_TYPES[TRAIN_SCHEMA[key]]:
+            raise ValueError(
+                f"training setting {key!r} must be {TRAIN_SCHEMA[key]}, got {value!r}"
+            )
+        if key in ("l2", "tolerance") and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{key} must be positive and finite, got {value!r}")
+
 
 # KDE log-densities are clamped here so downstream log-domain updates stay
 # finite; exp(-745) is still a positive subnormal double.
@@ -122,30 +154,80 @@ def _sample_weights(
     return np.where(labels == 1, w_pos, w_neg).astype(np.float64)
 
 
+def _penalized_loss(
+    weights: np.ndarray, z: np.ndarray, labels: np.ndarray, sample_w: np.ndarray, l2: float
+) -> float:
+    # softplus(z) = log(1 + e^z), computed without overflow
+    data_term = float(np.sum(sample_w * (np.logaddexp(0.0, z) - labels * z)))
+    return data_term + 0.5 * l2 * float(weights @ weights)
+
+
 def logistic_loss_and_gradient(
     weights: np.ndarray,
     bias: float,
     features: np.ndarray,
     labels: np.ndarray,
     class_weights: Optional[tuple[float, float]] = None,
+    l2: float = 0.0,
 ) -> tuple[float, np.ndarray, float]:
-    """Mean weighted cross-entropy and its gradient in (weights, bias).
+    """Mean weighted cross-entropy plus (l2 / 2) * |weights|^2, and its
+    gradient in (weights, bias). The bias is not penalized.
 
     Per sample: w_i * (softplus(z_i) - y_i * z_i) with z = X.weights + bias,
     which is the numerically stable form of -w_i * log p(y_i | x_i).
     """
     x = _as_float_matrix(features)
     y = _as_labels(labels, x.shape[0], require_both=class_weights is None)
-    sample_w = _sample_weights(y, class_weights)
-    z = x @ np.asarray(weights, dtype=np.float64) + bias
-    # softplus(z) = log(1 + e^z), computed without overflow
-    softplus = np.logaddexp(0.0, z)
-    n = x.shape[0]
-    loss = float(np.sum(sample_w * (softplus - y * z)) / n)
-    residual = sample_w * (_sigmoid(z) - y) / n
-    grad_w = x.T @ residual
+    sample_w = _sample_weights(y, class_weights) / x.shape[0]
+    w = np.asarray(weights, dtype=np.float64)
+    z = x @ w + bias
+    loss = _penalized_loss(w, z, y, sample_w, l2)
+    residual = sample_w * (_sigmoid(z) - y)
+    grad_w = x.T @ residual + l2 * w
     grad_b = float(np.sum(residual))
     return loss, grad_w, grad_b
+
+
+@dataclass(frozen=True)
+class LogisticFit:
+    """How a Newton fit ended: the loss at each iterate, and the penalized
+    gradient norm at the last one with the tolerance it was held to."""
+
+    losses: tuple[float, ...]
+    gradient_norm: float
+    tolerance: float
+
+    @property
+    def steps(self) -> int:
+        return len(self.losses) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.gradient_norm <= self.tolerance
+
+
+def _newton_direction(
+    z: np.ndarray,
+    x: np.ndarray,
+    sample_w: np.ndarray,
+    l2: float,
+    grad_w: np.ndarray,
+    grad_b: float,
+) -> tuple[np.ndarray, float]:
+    """Solve H d = -g for the penalized loss's Hessian H in (weights, bias)."""
+    p = _sigmoid(z)
+    curvature = sample_w * p * (1.0 - p)
+    d = x.shape[1]
+    hessian = np.empty((d + 1, d + 1))
+    # one (n, d) temporary; X^T X of a single buffer is a symmetric product
+    scaled = x * np.sqrt(curvature)[:, None]
+    hessian[:d, :d] = scaled.T @ scaled
+    del scaled
+    hessian[np.arange(d), np.arange(d)] += l2
+    hessian[:d, d] = hessian[d, :d] = x.T @ curvature
+    hessian[d, d] = float(np.sum(curvature))
+    step = np.linalg.solve(hessian, -np.append(grad_w, grad_b))
+    return step[:d], float(step[d])
 
 
 def train_logistic(
@@ -153,31 +235,47 @@ def train_logistic(
     labels: np.ndarray,
     class_weights: Optional[tuple[float, float]] = None,
     *,
-    learning_rate: float = LEARNING_RATE,
-    max_iterations: int = MAX_ITERATIONS,
+    l2: float = L2_PENALTY,
     tolerance: float = GRADIENT_TOLERANCE,
-    loss_trace: Optional[list] = None,
+    fits: Optional[list] = None,
 ) -> LogisticModel:
-    """Fit logistic regression by full-batch gradient descent.
+    """Fit ridge-penalized logistic regression by Newton's method (IRLS).
 
-    Starts from zero parameters and stops when the gradient norm drops to
-    ``tolerance`` or after ``max_iterations`` steps, whichever comes first.
-    Class weights default to inverse label fractions. Deterministic: no
-    randomness is involved. If ``loss_trace`` is a list, the loss at each
-    iteration is appended to it.
+    Minimizes the mean weighted cross-entropy plus (l2 / 2) * |weights|^2,
+    the bias unpenalized, from zero parameters. Each step is a full Newton
+    step, halved until the loss decreases. The fit stops when the penalized
+    gradient norm drops to ``tolerance``; it stops short of it after
+    NEWTON_MAX_STEPS steps, or when halving finds no decrease. Class weights
+    default to inverse label fractions. Deterministic: no randomness is
+    involved. If ``fits`` is a list, a LogisticFit is appended to it.
     """
+    if not (math.isfinite(l2) and l2 >= 0.0):
+        raise ValueError(f"l2 must be non-negative and finite, got {l2!r}")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     x = _as_float_matrix(features)
     y = _as_labels(labels, x.shape[0])
+    sample_w = _sample_weights(y, class_weights) / x.shape[0]
     w = np.zeros(x.shape[1])
     b = 0.0
-    for _ in range(max_iterations):
-        loss, grad_w, grad_b = logistic_loss_and_gradient(w, b, x, y, class_weights)
-        if loss_trace is not None:
-            loss_trace.append(loss)
-        if math.hypot(float(np.linalg.norm(grad_w)), grad_b) <= tolerance:
+    losses = []
+    for step in range(NEWTON_MAX_STEPS + 1):
+        loss, grad_w, grad_b = logistic_loss_and_gradient(w, b, x, y, class_weights, l2)
+        losses.append(loss)
+        norm = math.hypot(float(np.linalg.norm(grad_w)), grad_b)
+        if norm <= tolerance or step == NEWTON_MAX_STEPS:
             break
-        w = w - learning_rate * grad_w
-        b = b - learning_rate * grad_b
+        dw, db = _newton_direction(x @ w + b, x, sample_w, l2, grad_w, grad_b)
+        for halving in range(MAX_STEP_HALVINGS):
+            t = 0.5**halving
+            trial_w, trial_b = w + t * dw, b + t * db
+            if _penalized_loss(trial_w, x @ trial_w + trial_b, y, sample_w, l2) < loss:
+                break
+        else:
+            break
+        w, b = trial_w, trial_b
+    if fits is not None:
+        fits.append(LogisticFit(tuple(losses), norm, tolerance))
     return LogisticModel(weights=w, bias=b)
 
 
@@ -476,11 +574,15 @@ def build_generative(
     variance_fraction: float = 0.8,
     bandwidth: float = 1.0,
     scorer_kind: str = "logistic",
+    l2: float = L2_PENALTY,
+    tolerance: float = GRADIENT_TOLERANCE,
+    fits: Optional[list] = None,
 ) -> GenerativePipeline:
     """Train every stage of the generative pipeline on labeled epochs.
 
     The scorer is fit without class weighting; the class imbalance is instead
-    handled downstream by the label prior during Bayes conversion.
+    handled downstream by the label prior during Bayes conversion. ``l2``,
+    ``tolerance`` and ``fits`` go to the logistic scorer's fit.
     """
     labels = train.labels
     if labels.min() == labels.max():
@@ -490,7 +592,9 @@ def build_generative(
     pca = fit_pca(flat, variance_fraction)
     reduced = project(pca, flat)
     if scorer_kind == "logistic":
-        scorer: Scorer = train_logistic(reduced, labels, class_weights=(1.0, 1.0))
+        scorer: Scorer = train_logistic(
+            reduced, labels, class_weights=(1.0, 1.0), l2=l2, tolerance=tolerance, fits=fits
+        )
     elif scorer_kind == "lda":
         scorer = train_lda(reduced, labels)
     else:
@@ -585,22 +689,14 @@ class LogisticEvidenceModel(EvidenceModel):
 def train_logistic_evidence(
     train: LabeledDataset,
     *,
-    learning_rate: float = LEARNING_RATE,
-    max_iterations: int = MAX_ITERATIONS,
+    l2: float = L2_PENALTY,
     tolerance: float = GRADIENT_TOLERANCE,
-    loss_trace: Optional[list] = None,
+    fits: Optional[list] = None,
 ) -> LogisticEvidenceModel:
     """Fit the discriminative baseline on labeled epochs."""
     stats = fit_zscore(train.data)
     flat = zscore_array(stats, train.data).reshape(len(train), -1)
-    model = train_logistic(
-        flat,
-        train.labels,
-        learning_rate=learning_rate,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        loss_trace=loss_trace,
-    )
+    model = train_logistic(flat, train.labels, l2=l2, tolerance=tolerance, fits=fits)
     return LogisticEvidenceModel(stats, model)
 
 

@@ -205,20 +205,30 @@ def test_07_classifier_gradient_and_separable_accuracy():
     labels = (rng.random(40) < 0.3).astype(int)
     weights = rng.standard_normal(7) * 0.5
     bias = 0.3
-    _, grad_w, grad_b = logistic_loss_and_gradient(weights, bias, features, labels)
-
-    def loss_of(params):
-        value, _, _ = logistic_loss_and_gradient(params[:-1], params[-1], features, labels)
-        return value
-
     packed = np.concatenate([weights, [bias]])
-    numeric = central_difference_gradient(loss_of, packed)
-    analytic = np.concatenate([grad_w, [grad_b]])
-    rel = float(np.max(np.abs(analytic - numeric)) / max(np.max(np.abs(numeric)), 1e-12))
+    # the plain loss and the ridge-penalized loss the fit minimizes
+    rels = []
+    for l2 in (0.0, 0.3):
+        _, grad_w, grad_b = logistic_loss_and_gradient(
+            weights, bias, features, labels, l2=l2
+        )
+
+        def loss_of(params, l2=l2):
+            value, _, _ = logistic_loss_and_gradient(
+                params[:-1], params[-1], features, labels, l2=l2
+            )
+            return value
+
+        numeric = central_difference_gradient(loss_of, packed)
+        analytic = np.concatenate([grad_w, [grad_b]])
+        rels.append(
+            float(np.max(np.abs(analytic - numeric)) / max(np.max(np.abs(numeric)), 1e-12))
+        )
+    rel = max(rels)
 
     x = np.concatenate([rng.normal(-3.0, 0.3, size=(30, 2)), rng.normal(3.0, 0.3, size=(30, 2))])
     y = np.concatenate([np.zeros(30, dtype=int), np.ones(30, dtype=int)])
-    model = train_logistic(x, y, max_iterations=2000)
+    model = train_logistic(x, y)
     scores = x @ model.weights + model.bias
     predictions = (scores >= 0.0).astype(int)
     balanced = 0.5 * (
@@ -226,7 +236,8 @@ def test_07_classifier_gradient_and_separable_accuracy():
     )
     check(
         rel <= 1e-5 and balanced == 1.0,
-        f"7. gradient vs central differences rel err {rel:.2e} <= 1e-5; "
+        f"7. gradient vs central differences rel err {rels[0]:.2e} (l2 = 0), "
+        f"{rels[1]:.2e} (l2 = 0.3) <= 1e-5; "
         f"separable balanced accuracy {balanced:.3f} == 1.0",
     )
 
@@ -299,7 +310,7 @@ def test_10_cli_byte_identical_reruns(tmp_path):
     synth_cfg = tmp_path / "synth.cfg"
     synth_cfg.write_text("n_epochs = 300\nchannels = 3\ntarget_fraction = 0.25\nseed = 6\n")
     train_cfg = tmp_path / "train.cfg"
-    train_cfg.write_text("max_iterations = 150\n")
+    train_cfg.write_text("l2 = 0.01\n")
     sim_cfg = tmp_path / "sim.cfg"
     sim_cfg.write_text("attempts = 40\nsplits = 2\nseed = 1\n")
 

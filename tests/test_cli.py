@@ -2,11 +2,13 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import rsvptyping.cli as cli
+import rsvptyping.models as models
 from rsvptyping.cli import main, parse_config_file, resolve_config
 from rsvptyping.container import (
     read_container,
@@ -42,7 +44,7 @@ def workspace(tmp_path_factory):
     data = root / "data.bin"
     assert main(["synth", "--config", str(synth_cfg), "--out", str(data)]) == 0
     train_cfg = root / "train.cfg"
-    train_cfg.write_text("max_iterations = 300\n")
+    train_cfg.write_text("l2 = 0.05\n")
     model = root / "logreg.bin"
     rc = main(
         ["train", str(data), "--kind", "logreg", "--config", str(train_cfg), "--out", str(model)]
@@ -147,9 +149,7 @@ class TestTrain:
         data = tmp_path / "d.bin"
         assert main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
         model = tmp_path / "m.bin"
-        tcfg = tmp_path / "t.cfg"
-        tcfg.write_text("max_iterations = 500\n")
-        rc = main(["train", str(data), "--config", str(tcfg), "--out", str(model)])
+        rc = main(["train", str(data), "--out", str(model)])
         assert rc == 0
         assert "validation balanced accuracy: 1.000000" in capsys.readouterr().out
 
@@ -164,18 +164,64 @@ class TestTrain:
 
     def test_hyper_echoed_for_logreg(self, workspace):
         _, hyper = read_model(workspace["model"])
-        assert hyper == {"learning_rate": 0.1, "max_iterations": 300, "tolerance": 1e-6}
+        assert hyper == {"l2": 0.05, "tolerance": 1e-6}
 
-    def test_loss_tail_printed(self, tmp_path, workspace, capsys):
+    def test_fit_summary_printed(self, tmp_path, workspace, capsys):
         model = tmp_path / "m.bin"
         rc = main(
             ["train", str(workspace["data"]), "--config", str(workspace["train_cfg"]),
              "--out", str(model)]
         )
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "loss tail:" in out
-        assert "validation balanced accuracy:" in out
+        captured = capsys.readouterr()
+        assert re.search(r"^fit: \d+ Newton steps, gradient norm \S+$", captured.out, re.M)
+        assert "validation balanced accuracy:" in captured.out
+        assert "warning:" not in captured.err
+
+    def test_gen_logr_honours_fit_settings(self, tmp_path, workspace):
+        paths = []
+        for l2 in ("0.01", "0.1"):
+            cfg = tmp_path / f"t{l2}.cfg"
+            cfg.write_text(f"l2 = {l2}\n")
+            paths.append(tmp_path / f"m{l2}.bin")
+            rc = main(["train", str(workspace["data"]), "--kind", "gen-logr",
+                       "--config", str(cfg), "--out", str(paths[-1])])
+            assert rc == 0
+        assert read_bytes(paths[0]) != read_bytes(paths[1])
+        _, hyper = read_model(paths[1])
+        assert hyper == {"variance_fraction": 0.8, "bandwidth": 1.0, "l2": 0.1,
+                         "tolerance": 1e-6}
+
+    @pytest.mark.parametrize("line", [
+        "l2 = 0", "l2 = -0.5", "l2 = nan", "tolerance = 0", "tolerance = inf",
+    ])
+    def test_bad_fit_setting_exits_1(self, tmp_path, workspace, line, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(["train", str(workspace["data"]), "--config", str(cfg),
+                   "--out", str(tmp_path / "m.bin")])
+        assert rc == 1
+        assert "must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::rsvptyping.sim.SubChanceAccuracyWarning")
+    def test_unconverged_fit_warns(self, tmp_path, workspace, monkeypatch, capsys):
+        monkeypatch.setattr(models, "NEWTON_MAX_STEPS", 1)
+        model = tmp_path / "m.bin"
+        assert main(["train", str(workspace["data"]), "--out", str(model)]) == 0
+        captured = capsys.readouterr()
+        assert "fit: 1 Newton steps" in captured.out
+        assert re.fullmatch(
+            r"warning: 1 of 1 logistic fits stopped short of tolerance 1e-06: "
+            r"gradient norm up to \S+ after 1 Newton steps\n",
+            captured.err,
+        )
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("attempts = 10\nsplits = 2\n")
+        assert main(["simulate", str(model), str(workspace["data"]), "--config", str(cfg),
+                     "--out", str(tmp_path / "rep.json")]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: 2 of 2 logistic fits stopped short")
+        assert err.count("\n") == 1
 
     def test_single_class_data_exits_2(self, tmp_path, capsys):
         base = generate(SynthConfig(n_epochs=40, channels=2, target_fraction=0.5, seed=1))
@@ -335,7 +381,9 @@ class TestSimulate:
         ("logreg", "negative-shape"),
         ("logreg", "hyper-not-a-dict"),
         ("logreg", "unknown-hyper-key"),
-        ("logreg", "string-max-iterations"),
+        ("logreg", "string-l2"),
+        ("logreg", "negative-l2"),
+        ("logreg", "nan-tolerance"),
         ("gen-lda", "string-bandwidth"),
     ])
     def test_malformed_model_file_exits_2(self, tmp_path, workspace, kind, case, capsys):
@@ -359,11 +407,15 @@ class TestSimulate:
         elif case == "negative-shape":
             arrays[0]["shape"] = [-3]
         elif case == "hyper-not-a-dict":
-            header["hyper"] = [["max_iterations", 300]]
+            header["hyper"] = [["l2", 0.05]]
         elif case == "unknown-hyper-key":
             hyper["momentum"] = 0.9
-        elif case == "string-max-iterations":
-            hyper["max_iterations"] = "300"
+        elif case == "string-l2":
+            hyper["l2"] = "0.05"
+        elif case == "negative-l2":
+            hyper["l2"] = -0.05
+        elif case == "nan-tolerance":
+            hyper["tolerance"] = math.nan
         elif case == "string-bandwidth":
             hyper["bandwidth"] = "wide"
         bad = tmp_path / "bad.bin"
@@ -373,6 +425,20 @@ class TestSimulate:
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 2
         assert "data error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("learning_rate", 0.1), ("max_iterations", 300)])
+    def test_model_file_with_removed_setting_exits_2(
+        self, tmp_path, workspace, key, value, capsys
+    ):
+        header, payload = read_container(workspace["model"], "model")
+        header["hyper"][key] = value
+        old = tmp_path / "old.bin"
+        write_container(old, header, payload)
+        cfg = self.sim_cfg(tmp_path, attempts=10)
+        rc = main(["simulate", str(old), str(workspace["data"]), "--config", str(cfg),
+                   "--out", str(tmp_path / "rep.json")])
+        assert rc == 2
+        assert f"training setting '{key}' was removed" in capsys.readouterr().err
 
     def test_numerical_failure_exits_3(self, tmp_path, workspace, monkeypatch):
         def explode(*args, **kwargs):
@@ -478,6 +544,16 @@ class TestPreprocess:
         rc = main(["preprocess", str(raw), "--out", str(tmp_path / "d.bin")])
         assert rc == 2
         assert "data error:" in capsys.readouterr().err
+
+    def test_onsets_colliding_after_downsampling_exit_1(self, tmp_path, capsys):
+        raw = tmp_path / "raw.bin"
+        data = np.random.default_rng(0).standard_normal((2, 2_000))
+        write_raw(raw, RawRecording(data=data, rate=250.0,
+                                    stim_onsets=((100, 1), (101, 0), (400, 0))))
+        rc = main(["preprocess", str(raw), "--out", str(tmp_path / "d.bin")])
+        assert rc == 1
+        assert ("onsets 100 and 101 fall on one sample after downsampling by 2"
+                in capsys.readouterr().err)
 
     def test_excluding_every_channel_exits_2(self, tmp_path):
         raw = tmp_path / "raw.bin"

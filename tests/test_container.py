@@ -41,7 +41,7 @@ def probes():
 
 @pytest.fixture(scope="module")
 def logreg(dataset):
-    return train_logistic_evidence(dataset, max_iterations=200)
+    return train_logistic_evidence(dataset)
 
 
 @pytest.fixture(scope="module")
@@ -213,10 +213,10 @@ class TestRawIO:
 class TestModelIO:
     def test_logreg_bit_exact(self, tmp_path, logreg):
         path = tmp_path / "m.bin"
-        write_model(path, logreg, hyper={"learning_rate": 0.1, "max_iterations": 200})
+        write_model(path, logreg, hyper={"l2": 0.05, "tolerance": 1e-6})
         loaded, hyper = read_model(path)
         assert loaded.kind == "logreg"
-        assert hyper == {"learning_rate": 0.1, "max_iterations": 200}
+        assert hyper == {"l2": 0.05, "tolerance": 1e-6}
         assert np.array_equal(loaded.model.weights, logreg.model.weights)
         assert loaded.model.bias == logreg.model.bias
         assert np.array_equal(loaded.stats.mean, logreg.stats.mean)

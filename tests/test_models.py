@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsvptyping.core import (
     DegenerateEvidenceError,
@@ -122,13 +124,13 @@ class TestLogistic:
         y = rng.integers(0, 2, 40)
         y[:2] = [0, 1]
         cw = (1.0, 4.0)
-        for _ in range(5):
+        for l2 in (0.0, 0.0, 0.5, 0.5, 2.0):
             theta = rng.standard_normal(6) * 0.8
 
-            def loss_at(t):
-                return logistic_loss_and_gradient(t[:5], t[5], x, y, cw)[0]
+            def loss_at(t, l2=l2):
+                return logistic_loss_and_gradient(t[:5], t[5], x, y, cw, l2)[0]
 
-            _, gw, gb = logistic_loss_and_gradient(theta[:5], theta[5], x, y, cw)
+            _, gw, gb = logistic_loss_and_gradient(theta[:5], theta[5], x, y, cw, l2)
             analytic = np.concatenate([gw, [gb]])
             numeric = central_difference_gradient(loss_at, theta)
             rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
@@ -137,9 +139,69 @@ class TestLogistic:
     def test_loss_trace_decreases(self):
         x = np.array([[-1.5], [-0.5], [0.5], [1.5]])
         y = np.array([0, 0, 1, 1])
-        trace: list = []
-        train_logistic(x, y, loss_trace=trace, max_iterations=200)
-        assert len(trace) >= 2 and trace[-1] < trace[0]
+        fits: list = []
+        train_logistic(x, y, fits=fits)
+        losses = fits[0].losses
+        assert len(losses) >= 2
+        assert all(after < before for before, after in zip(losses, losses[1:]))
+        assert fits[0].converged and fits[0].steps == len(losses) - 1
+
+    def test_penalty_adds_half_l2_squared_norm(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((30, 4))
+        y = np.array([0, 1] * 15)
+        w = rng.standard_normal(4)
+        plain, plain_gw, plain_gb = logistic_loss_and_gradient(w, 0.2, x, y)
+        loss, gw, gb = logistic_loss_and_gradient(w, 0.2, x, y, l2=0.3)
+        assert loss == pytest.approx(plain + 0.15 * float(w @ w), rel=1e-12)
+        np.testing.assert_allclose(gw, plain_gw + 0.3 * w, rtol=1e-12)
+        assert gb == plain_gb  # the bias is not penalized
+
+    def test_newton_matches_long_gradient_descent(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((200, 3))
+        y = (x @ np.array([1.0, -0.5, 0.25]) + 0.3 * rng.standard_normal(200) > 0).astype(int)
+        l2, tolerance = 0.1, 1e-8
+        fits: list = []
+        model = train_logistic(x, y, l2=l2, tolerance=tolerance, fits=fits)
+        _, gw, gb = logistic_loss_and_gradient(model.weights, model.bias, x, y, l2=l2)
+        assert math.hypot(np.linalg.norm(gw), gb) <= tolerance
+        assert fits[0].converged and fits[0].steps <= 10
+        # plain gradient descent from zero, at a step under 1 / curvature
+        w, b = np.zeros(3), 0.0
+        for _ in range(20000):
+            _, gw, gb = logistic_loss_and_gradient(w, b, x, y, l2=l2)
+            w, b = w - 0.5 * gw, b - 0.5 * gb
+        np.testing.assert_allclose(model.weights, w, atol=1e-6)
+        assert model.bias == pytest.approx(b, abs=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(8, 80),
+        d=st.integers(1, 6),
+        l2=st.floats(1e-3, 1.0),
+        weighted=st.booleans(),
+    )
+    def test_fit_is_stationary(self, seed, n, d, l2, weighted):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0, size=d)
+        y = rng.integers(0, 2, n)
+        y[:2] = [0, 1]
+        cw = (1.0, 1.0) if weighted else None
+        fits: list = []
+        model = train_logistic(x, y, cw, l2=l2, fits=fits)
+        _, gw, gb = logistic_loss_and_gradient(model.weights, model.bias, x, y, cw, l2)
+        assert fits[0].converged
+        assert math.hypot(np.linalg.norm(gw), gb) == fits[0].gradient_norm <= 1e-6
+
+    @pytest.mark.parametrize("setting", [
+        {"l2": -0.1}, {"l2": math.nan}, {"tolerance": 0.0}, {"tolerance": math.inf},
+    ])
+    def test_bad_fit_settings_rejected(self, setting):
+        x = np.array([[-1.0], [1.0]])
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            train_logistic(x, np.array([0, 1]), **setting)
 
 
 class TestPredictProba:

@@ -296,9 +296,7 @@ class TestEvaluateSplits:
 
     def test_five_rows_and_determinism(self):
         data = self.small_dataset()
-        factory = lambda train: train_logistic_evidence(
-            train, max_iterations=300
-        )
+        factory = lambda train: train_logistic_evidence(train)
         a = evaluate_splits(factory, data, self.typing_config())
         b = evaluate_splits(factory, data, self.typing_config())
         assert len(a.per_split) == 5
