@@ -10,10 +10,11 @@ each epoch to one real number, and a Gaussian KDE per class over those
 scores.
 
 Both families are wrapped behind the EvidenceModel interface, which maps a
-LabeledDataset's epoch stack to two float64 arrays (pos, neg), one entry per
-epoch: label probabilities for discriminative models, class-conditional
-densities for generative ones. These are the values of the LikelihoodPair
-the core update rules consume.
+LabeledDataset's epoch stack to two float64 arrays (log_pos, log_neg), one
+entry per epoch: log label probabilities for discriminative models, log
+class-conditional densities for generative ones. They are the logs of the
+LikelihoodPair values the core update rules consume; certain evidence
+gives -inf.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ MAX_STEP_HALVINGS = 40
 
 def check_train_settings(settings: dict) -> None:
     """Raise ValueError naming the first setting a fit cannot use: a removed
-    or unknown key, a value not of its schema type, or a non-positive or
-    non-finite ``l2`` or ``tolerance``."""
+    or unknown key, a value not of its schema type, a non-positive or
+    non-finite ``l2``, ``tolerance`` or ``bandwidth``, or a
+    ``variance_fraction`` outside (0, 1]."""
     for key, value in settings.items():
         if key in REMOVED_TRAIN_KEYS:
             raise ValueError(
@@ -73,12 +75,17 @@ def check_train_settings(settings: dict) -> None:
             raise ValueError(
                 f"training setting {key!r} must be {TRAIN_SCHEMA[key]}, got {value!r}"
             )
-        if key in ("l2", "tolerance") and not (math.isfinite(value) and value > 0):
+        if key in ("l2", "tolerance", "bandwidth") and not (
+            math.isfinite(value) and value > 0
+        ):
             raise ValueError(f"{key} must be positive and finite, got {value!r}")
+        if key == "variance_fraction" and not 0.0 < value <= 1.0:
+            raise ValueError(f"variance_fraction must lie in (0, 1], got {value!r}")
 
 
-# KDE log-densities are clamped here so downstream log-domain updates stay
-# finite; exp(-745) is still a positive subnormal double.
+# KDE log-densities are floored here: an epoch far outside both classes
+# scores the floor under both densities, a tie, instead of being decided by
+# the far tails of the two kernel sums.
 LOG_DENSITY_FLOOR = -745.0
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -103,6 +110,11 @@ def _as_labels(labels: np.ndarray, n: int, require_both: bool = True) -> np.ndar
     if require_both and out.min() == out.max():
         raise ValueError("both classes must be present")
     return out
+
+
+def _log_sigmoid(z: np.ndarray) -> np.ndarray:
+    """log(1 / (1 + e^-z)) = -softplus(-z), without overflow."""
+    return -np.logaddexp(0.0, -z)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -510,13 +522,6 @@ def kde_log_eval_many(density: KdeDensity, xs: np.ndarray) -> np.ndarray:
     return np.maximum(logs, LOG_DENSITY_FLOOR)
 
 
-def _exp(logs: np.ndarray) -> np.ndarray:
-    """Elementwise exp through the C library, not numpy's SIMD kernels: numpy
-    picks its kernel by CPU, and it differs from libm in the last bit for a
-    few percent of inputs. Evidence values feed byte-identical reports."""
-    return np.fromiter(map(math.exp, logs.tolist()), dtype=np.float64, count=logs.shape[0])
-
-
 # ---------------------------------------------------------------------------
 # Generative pipeline
 
@@ -622,17 +627,28 @@ def empirical_prior(labels: Sequence[int]) -> LabelPrior:
     return LabelPrior(float(arr.mean()))
 
 
-def bayes_positive(d_pos: np.ndarray, d_neg: np.ndarray, prior: LabelPrior) -> np.ndarray:
-    """Bayes conversion of class densities to p(+|e) for each epoch:
-    d+ p(+) / (d+ p(+) + d- p(-)).
+def prior_weighted(
+    log_pos: np.ndarray, log_neg: np.ndarray, prior: LabelPrior
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log class densities plus the log label prior: log d+ p(+), log d- p(-)."""
+    return log_pos + math.log(prior.p_pos), log_neg + math.log(prior.p_neg)
 
-    Where both weighted densities underflow to zero (an epoch far from both
-    classes, each density at the KDE floor) nothing favours either class,
-    and the result is 0.5, a tie.
+
+def bayes_positive(log_pos: np.ndarray, log_neg: np.ndarray, prior: LabelPrior) -> np.ndarray:
+    """Bayes conversion of log class densities to p(+|e) for each epoch:
+    d+ p(+) / (d+ p(+) + d- p(-)), the sigmoid of the prior-weighted log
+    ratio.
+
+    Equal weighted densities give 0.5, a tie; so do two zero densities,
+    where nothing favours either class.
     """
-    num = d_pos * prior.p_pos
-    den = num + d_neg * prior.p_neg
-    return np.divide(num, den, out=np.full_like(num, 0.5), where=den > 0.0)
+    weighted_pos, weighted_neg = prior_weighted(log_pos, log_neg, prior)
+    # the ratio is taken only where the two differ: -inf - -inf is NaN
+    log_odds = np.subtract(
+        weighted_pos, weighted_neg,
+        out=np.zeros_like(weighted_pos), where=weighted_pos != weighted_neg,
+    )
+    return _sigmoid(log_odds)
 
 
 # ---------------------------------------------------------------------------
@@ -642,9 +658,10 @@ def bayes_positive(d_pos: np.ndarray, d_neg: np.ndarray, prior: LabelPrior) -> n
 class EvidenceModel(abc.ABC):
     """Anything that turns epochs into per-trial evidence.
 
-    ``predict_batch`` returns two float64 arrays (pos, neg) with one entry
-    per epoch of the dataset, in ``mode``'s representation. Implementations
-    must be deterministic: the same epoch always yields the same values.
+    ``predict_batch`` returns two float64 arrays (log_pos, log_neg) with
+    one entry per epoch of the dataset: the logs of the ``mode``'s pair,
+    -inf for a zero. Implementations must be deterministic: the same epoch
+    always yields the same values.
     ``parameter_count`` is the number of stored floats, used by reports to
     relate performance to model size.
     """
@@ -678,8 +695,8 @@ class LogisticEvidenceModel(EvidenceModel):
 
     def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
         flat = zscore_array(self.stats, dataset.data).reshape(len(dataset), -1)
-        pos = _sigmoid(logistic_scores(self.model, flat))
-        return pos, 1.0 - pos
+        scores = logistic_scores(self.model, flat)
+        return _log_sigmoid(scores), _log_sigmoid(-scores)
 
     @property
     def parameter_count(self) -> int:
@@ -701,7 +718,7 @@ def train_logistic_evidence(
 
 
 class GenerativeEvidenceModel(EvidenceModel):
-    """Wraps a GenerativePipeline; emits class-conditional densities."""
+    """Wraps a GenerativePipeline; emits log class-conditional densities."""
 
     def __init__(self, pipeline: GenerativePipeline, kind: str = "gen-logr"):
         self.pipeline = pipeline
@@ -714,8 +731,8 @@ class GenerativeEvidenceModel(EvidenceModel):
     def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
         scores = pipeline_scores(self.pipeline, dataset.data)
         return (
-            _exp(kde_log_eval_many(self.pipeline.kde_pos, scores)),
-            _exp(kde_log_eval_many(self.pipeline.kde_neg, scores)),
+            kde_log_eval_many(self.pipeline.kde_pos, scores),
+            kde_log_eval_many(self.pipeline.kde_neg, scores),
         )
 
     @property
@@ -756,7 +773,8 @@ class ConstantEvidenceModel(EvidenceModel):
 
     def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
         n = len(dataset)
-        return np.full(n, self._pair.pos), np.full(n, self._pair.neg)
+        with np.errstate(divide="ignore"):
+            return np.full(n, np.log(self._pair.pos)), np.full(n, np.log(self._pair.neg))
 
     @property
     def parameter_count(self) -> int:
@@ -773,8 +791,8 @@ class OracleEvidenceModel(EvidenceModel):
         return LikelihoodMode.DISCRIMINATIVE
 
     def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-        pos = dataset.labels.astype(np.float64)
-        return pos, 1.0 - pos
+        positive = dataset.labels == 1
+        return np.where(positive, 0.0, -np.inf), np.where(positive, -np.inf, 0.0)
 
     @property
     def parameter_count(self) -> int:

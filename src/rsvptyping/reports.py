@@ -45,6 +45,12 @@ def build_report(
                 "balanced_accuracy": fixed(row.balanced_accuracy),
                 "typing_accuracy": fixed(row.typing_accuracy),
                 "itr_bits_per_symbol": fixed(row.itr_bits_per_symbol),
+                "outcomes": {
+                    "correct": row.correct,
+                    "wrong": row.wrong,
+                    "timeout": row.timeout,
+                },
+                "rounds_to_decision": list(row.rounds_to_decision),
             }
             for row in summary.per_split
         ],

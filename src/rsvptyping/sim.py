@@ -3,13 +3,20 @@
 An attempt tries to type one target symbol: the posterior starts uniform,
 queries present batches of symbols, each presentation draws the evidence of
 a matching test epoch (positive pool when the queried symbol is the target,
-negative pool otherwise), and the core update folds it into the posterior.
-The model scores every pool epoch once, as arrays, before the first
-attempt. The attempt ends when a symbol crosses the decision threshold, or
-after a fixed number of rounds.
+negative pool otherwise), and the recursive Bayesian update folds it into
+the posterior. The attempt ends when a symbol crosses the decision
+threshold, or after a fixed number of rounds.
 
-Attempts use independently derived RNG streams, so results do not depend on
-execution order and a run is exactly reproducible from its seed.
+The model scores every pool epoch once, as log factors, before the first
+round. All attempts of a run then step together as one (attempts, A)
+log-posterior matrix: one query selection, one evidence draw and one
+normalization per round for every row still typing. The scalar updates in
+``core`` are the reference this kernel is tested against.
+
+A run draws from one generator seeded with its ``seed``; every round draws
+for every attempt, finished or not, so an attempt's path never depends on
+another attempt's outcome and a run is exactly reproducible from its
+config.
 """
 
 from __future__ import annotations
@@ -23,17 +30,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    Alphabet,
-    LabelPrior,
-    LikelihoodMode,
-    LikelihoodPair,
-    QueryEvent,
-    apply_query,
-    decide,
-    init_posterior,
-)
-from .models import EvidenceModel, bayes_positive, empirical_prior, uniform_prior
+from .core import Alphabet, DegenerateEvidenceError, LabelPrior, LikelihoodMode
+from .models import EvidenceModel, empirical_prior, prior_weighted, uniform_prior
 from .synth import LabeledDataset, SplitIndices
 from . import synth
 
@@ -121,6 +119,9 @@ class AttemptTrace:
 
 @dataclass(frozen=True)
 class TypingResult:
+    """Outcome counts of a run. ``rounds_to_decision[r - 1]`` counts the
+    attempts that stopped on a decision (correct or wrong) in round r."""
+
     attempts: int
     correct: int
     wrong: int
@@ -128,6 +129,7 @@ class TypingResult:
     accuracy: float
     itr_bits_per_symbol: float
     traces: tuple[AttemptTrace, ...]
+    rounds_to_decision: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         counts = (self.correct, self.wrong, self.timeout)
@@ -135,6 +137,8 @@ class TypingResult:
             raise ValueError("outcome counts must partition the attempts")
         if self.accuracy != self.correct / self.attempts:
             raise ValueError("accuracy must equal correct / attempts")
+        if self.rounds_to_decision and sum(self.rounds_to_decision) != self.correct + self.wrong:
+            raise ValueError("rounds to decision must count the decided attempts")
 
 
 def itr(alphabet_size: int, accuracy: float) -> float:
@@ -156,45 +160,90 @@ def itr(alphabet_size: int, accuracy: float) -> float:
     return bits
 
 
-def select_query(
-    probabilities: np.ndarray,
+def _probabilities(log_posterior: np.ndarray) -> np.ndarray:
+    """Each row in the linear domain, renormalized against drift, as
+    PosteriorState.probabilities does for one state."""
+    weights = np.exp(log_posterior - log_posterior.max(axis=1, keepdims=True))
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def select_queries(
+    log_posterior: np.ndarray,
     k: int,
     strategy: QueryStrategy,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Pick the next k symbols to present."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    size = p.shape[0]
+    """Pick the next k symbols for every row of a (rows, A) log-posterior
+    matrix; returns (rows, k) symbol indices.
+
+    With replacement: inverse CDF, one uniform per slot. Without
+    replacement: Gumbel-top-k on the log-posterior (Kool et al., ICML 2019),
+    distributed as drawing one symbol at a time in proportion to the mass
+    not yet drawn; zero-mass symbols come after every positive-mass one, in
+    uniform random order. Top-k: the k most probable, ties to the lower
+    index.
+    """
+    log_p = np.asarray(log_posterior, dtype=np.float64)
+    rows, size = log_p.shape
     if k < 1:
         raise ValueError("k must be >= 1")
     if strategy is QueryStrategy.WITH_REPLACEMENT:
-        return rng.choice(size, size=k, replace=True, p=p)
-    if strategy is QueryStrategy.TOP_K:
-        if k > size:
-            raise ValueError("k exceeds the alphabet")
-        order = np.argsort(-p, kind="stable")  # ties broken by lower index
-        return order[:k]
+        weights = _probabilities(log_p)
+        cdf = np.cumsum(weights, axis=1)
+        points = rng.random((rows, k)) * cdf[:, -1:]
+        picks = np.sum(cdf[:, None, :] <= points[:, :, None], axis=2)
+        # a point that rounds up to the total stays on the last symbol with mass
+        last = size - 1 - np.argmax(weights[:, ::-1] > 0.0, axis=1)
+        return np.minimum(picks, last[:, None])
     if k > size:
         raise ValueError("k exceeds the alphabet")
-    remaining = list(range(size))
-    weights = p.copy()
-    picks = []
-    for _ in range(k):
-        total = weights[remaining].sum()
-        if total > 0.0:
-            probs = weights[remaining] / total
-        else:
-            # all remaining mass is zero: fall back to uniform
-            probs = np.full(len(remaining), 1.0 / len(remaining))
-        chosen = remaining[int(rng.choice(len(remaining), p=probs))]
-        picks.append(chosen)
-        remaining.remove(chosen)
-    return np.asarray(picks, dtype=np.int64)
+    if strategy is QueryStrategy.TOP_K:
+        return np.argsort(-log_p, axis=1, kind="stable")[:, :k]
+    gumbel = rng.gumbel(size=(rows, size))
+    possible = log_p > -np.inf
+    keys = np.where(possible, log_p + gumbel, gumbel)
+    # positive mass first, then by descending perturbed log-probability
+    return np.lexsort((-keys, ~possible), axis=1)[:, :k]
 
 
-def _pool_pairs(model: EvidenceModel, pool: LabeledDataset) -> list[LikelihoodPair]:
-    pos, neg = model.predict_batch(pool)
-    return [LikelihoodPair(model.mode, p, n) for p, n in zip(pos.tolist(), neg.tolist())]
+def apply_round(
+    log_posterior: np.ndarray,
+    queries: np.ndarray,
+    log_pos: np.ndarray,
+    log_neg: np.ndarray,
+) -> np.ndarray:
+    """Fold one round of presentations into each row, then renormalize once.
+
+    ``queries``, ``log_pos`` and ``log_neg`` are (rows, slots): slot j of a
+    row scales the queried symbol's mass by exp(log_pos) and every other
+    symbol's by exp(log_neg). Every slot applies, repeats included, so this
+    equals core.apply_query over the row's events in any order. Factors are
+    added, never subtracted, so -inf evidence cannot produce NaN. A row left
+    without mass raises DegenerateEvidenceError.
+    """
+    mass = np.array(log_posterior, dtype=np.float64)
+    symbols = np.arange(mass.shape[1])
+    for j in range(queries.shape[1]):
+        queried = queries[:, j, None] == symbols
+        mass += np.where(queried, log_pos[:, j, None], log_neg[:, j, None])
+    peak = mass.max(axis=1, keepdims=True)
+    if not np.all(peak > -np.inf):
+        raise DegenerateEvidenceError(
+            "evidence assigns zero mass to every symbol with remaining prior mass"
+        )
+    return mass - (peak + np.log(np.sum(np.exp(mass - peak), axis=1, keepdims=True)))
+
+
+def decide_rows(log_posterior: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each row, the most probable symbol (ties to the lowest index) and
+    whether its probability reaches ``threshold``, as core.decide."""
+    probs = _probabilities(log_posterior)
+    best = np.argmax(probs, axis=1)
+    return best, probs[np.arange(best.shape[0]), best] >= threshold
+
+
+OUTCOMES = ("timeout", "correct", "wrong")
+TIMEOUT, CORRECT, WRONG = range(3)
 
 
 def run_typing(
@@ -202,84 +251,92 @@ def run_typing(
 ) -> TypingResult:
     """Simulate ``config.attempts`` independent attempts to type a symbol.
 
-    Model outputs for every pool epoch are precomputed once, since the model
-    is deterministic. Each attempt gets its own RNG stream spawned from the
-    run seed, so the result is independent of attempt execution order. An
-    update that wipes out all posterior mass (possible only with hard 0/1
-    evidence) propagates as DegenerateEvidenceError.
+    The model scores every pool epoch once, as log factors; discriminative
+    ones are divided by the label prior here. The attempts then step
+    together through an (attempts, A) log-posterior matrix: each round
+    selects queries for every row, draws a pool epoch for every (attempt,
+    slot), folds the evidence into the rows still typing and decides them.
+
+    RNG contract: one generator seeded with ``config.seed`` draws the
+    targets, then in each round the query randomness and both pools'
+    indices for every attempt, finished or not, so an attempt's path never
+    depends on another attempt's outcome. An update that wipes out all
+    posterior mass (possible only with hard 0/1 evidence) propagates as
+    DegenerateEvidenceError.
     """
-    alphabet = config.alphabet
-    prior = config.resolved_prior()
-    pos_pairs = _pool_pairs(model, pools.positive)
-    neg_pairs = _pool_pairs(model, pools.negative)
-    needs_prior = model.mode is LikelihoodMode.DISCRIMINATIVE
-    seeds = np.random.SeedSequence(config.seed).spawn(config.attempts)
+    size = config.alphabet.size
+    n, k = config.attempts, config.symbols_per_query
+    # (2, epochs): the factor of the queried symbol, then of every other one
+    target_evidence = np.stack(model.predict_batch(pools.positive))
+    other_evidence = np.stack(model.predict_batch(pools.negative))
+    if model.mode is LikelihoodMode.DISCRIMINATIVE:
+        prior = config.resolved_prior()
+        log_prior = np.array([[math.log(prior.p_pos)], [math.log(prior.p_neg)]])
+        target_evidence -= log_prior
+        other_evidence -= log_prior
 
-    correct = wrong = timeout = 0
-    traces: list[AttemptTrace] = []
-    for seq in seeds:
-        rng = np.random.default_rng(seq)
-        target = int(rng.integers(alphabet.size))
-        state = init_posterior(alphabet)
-        outcome = "timeout"
-        queries: list[tuple[int, ...]] = []
-        posteriors: list[np.ndarray] = []
-        for _ in range(config.max_rounds):
-            query = select_query(
-                state.probabilities(), config.symbols_per_query,
-                config.query_strategy, rng,
-            )
-            events = []
-            for q in query:
-                q = int(q)
-                if q == target:
-                    pair = pos_pairs[int(rng.integers(len(pos_pairs)))]
-                else:
-                    pair = neg_pairs[int(rng.integers(len(neg_pairs)))]
-                events.append(QueryEvent(queried_index=q, likelihood=pair))
-            state = apply_query(state, events, prior if needs_prior else None)
-            if config.record_traces:
-                queries.append(tuple(int(q) for q in query))
-                posteriors.append(state.probabilities())
-            decision = decide(state, config.threshold)
-            if decision is not None:
-                if decision == target:
-                    outcome = "correct"
-                    break
-                if config.stop_on_wrong:
-                    outcome = "wrong"
-                    break
-        if outcome == "correct":
-            correct += 1
-        elif outcome == "wrong":
-            wrong += 1
-        else:
-            timeout += 1
+    rng = np.random.default_rng(config.seed)
+    targets = rng.integers(size, size=n)
+    log_posterior = np.full((n, size), -math.log(size))
+    active = np.ones(n, dtype=bool)
+    outcome = np.full(n, TIMEOUT)
+    rounds = np.full(n, config.max_rounds)
+    history: list[tuple[np.ndarray, np.ndarray]] = []
+    for r in range(1, config.max_rounds + 1):
+        queries = select_queries(log_posterior, k, config.query_strategy, rng)
+        target_draw = rng.integers(target_evidence.shape[1], size=(n, k))
+        other_draw = rng.integers(other_evidence.shape[1], size=(n, k))
+        live = np.flatnonzero(active)
+        query = queries[live]
+        evidence = np.where(
+            query == targets[live, None],
+            target_evidence[:, target_draw[live]],
+            other_evidence[:, other_draw[live]],
+        )
+        log_posterior[live] = apply_round(log_posterior[live], query, evidence[0], evidence[1])
         if config.record_traces:
-            traces.append(
-                AttemptTrace(
-                    target=target,
-                    queries=tuple(queries),
-                    posteriors=tuple(posteriors),
-                    outcome=outcome,
-                )
-            )
+            history.append((queries, _probabilities(log_posterior)))
+        best, confident = decide_rows(log_posterior[live], config.threshold)
+        right = confident & (best == targets[live])
+        stop = right | (confident & config.stop_on_wrong)
+        outcome[live[stop]] = np.where(right[stop], CORRECT, WRONG)
+        rounds[live[stop]] = r
+        active[live[stop]] = False
+        if not active.any():
+            break
 
-    accuracy = correct / config.attempts
-    if accuracy < 1.0 / alphabet.size:
+    traces: tuple[AttemptTrace, ...] = ()
+    if config.record_traces:
+        traces = tuple(
+            AttemptTrace(
+                target=int(targets[i]),
+                queries=tuple(tuple(q[i].tolist()) for q, _ in history[: rounds[i]]),
+                posteriors=tuple(p[i] for _, p in history[: rounds[i]]),
+                outcome=OUTCOMES[outcome[i]],
+            )
+            for i in range(n)
+        )
+    counts = np.bincount(outcome, minlength=len(OUTCOMES))
+    correct = int(counts[CORRECT])
+    accuracy = correct / n
+    if accuracy < 1.0 / size:
         warnings.warn(
-            f"typing accuracy {accuracy:.4f} is below chance 1/{alphabet.size}",
+            f"typing accuracy {accuracy:.4f} is below chance 1/{size}",
             SubChanceAccuracyWarning,
             stacklevel=2,
         )
+    decided = rounds[outcome != TIMEOUT]
     return TypingResult(
-        attempts=config.attempts,
+        attempts=n,
         correct=correct,
-        wrong=wrong,
-        timeout=timeout,
+        wrong=int(counts[WRONG]),
+        timeout=int(counts[TIMEOUT]),
         accuracy=accuracy,
-        itr_bits_per_symbol=itr(alphabet.size, accuracy),
-        traces=tuple(traces),
+        itr_bits_per_symbol=itr(size, accuracy),
+        traces=traces,
+        rounds_to_decision=tuple(
+            np.bincount(decided - 1, minlength=config.max_rounds).tolist()
+        ),
     )
 
 
@@ -306,14 +363,14 @@ def classify_epochs(
     conversion_prior: Optional[LabelPrior] = None,
 ) -> np.ndarray:
     """Hard label predictions: argmax of the discriminative pair, ties to the
-    positive class. Generative outputs are first converted with Bayes' rule
-    under ``conversion_prior`` (uniform 50/50 when not given)."""
-    pos, neg = model.predict_batch(dataset)
+    positive class, compared in the log domain. Generative densities are
+    first weighted by ``conversion_prior`` (uniform 50/50 when not given),
+    which is Bayes' rule up to the shared normalizer."""
+    log_pos, log_neg = model.predict_batch(dataset)
     if model.mode is LikelihoodMode.GENERATIVE:
         prior = conversion_prior if conversion_prior is not None else uniform_prior()
-        pos = bayes_positive(pos, neg, prior)
-        neg = 1.0 - pos
-    return (pos >= neg).astype(np.int64)
+        log_pos, log_neg = prior_weighted(log_pos, log_neg, prior)
+    return (log_pos >= log_neg).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -322,6 +379,10 @@ class SplitMetrics:
     balanced_accuracy: float
     typing_accuracy: float
     itr_bits_per_symbol: float
+    correct: int
+    wrong: int
+    timeout: int
+    rounds_to_decision: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -395,6 +456,10 @@ def evaluate_splits(
                 balanced_accuracy=ba,
                 typing_accuracy=result.accuracy,
                 itr_bits_per_symbol=result.itr_bits_per_symbol,
+                correct=result.correct,
+                wrong=result.wrong,
+                timeout=result.timeout,
+                rounds_to_decision=result.rounds_to_decision,
             )
         )
     return SplitSummary.from_metrics(rows)

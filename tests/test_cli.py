@@ -194,6 +194,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("line", [
         "l2 = 0", "l2 = -0.5", "l2 = nan", "tolerance = 0", "tolerance = inf",
+        "variance_fraction = 1.5", "variance_fraction = 0", "bandwidth = -1",
+        "bandwidth = inf",
     ])
     def test_bad_fit_setting_exits_1(self, tmp_path, workspace, line, capsys):
         cfg = tmp_path / "t.cfg"
@@ -201,7 +203,11 @@ class TestTrain:
         rc = main(["train", str(workspace["data"]), "--config", str(cfg),
                    "--out", str(tmp_path / "m.bin")])
         assert rc == 1
-        assert "must be positive and finite" in capsys.readouterr().err
+        expected = (
+            "must lie in (0, 1]" if line.startswith("variance_fraction")
+            else "must be positive and finite"
+        )
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::rsvptyping.sim.SubChanceAccuracyWarning")
     def test_unconverged_fit_warns(self, tmp_path, workspace, monkeypatch, capsys):
@@ -385,6 +391,8 @@ class TestSimulate:
         ("logreg", "negative-l2"),
         ("logreg", "nan-tolerance"),
         ("gen-lda", "string-bandwidth"),
+        ("gen-lda", "negative-bandwidth"),
+        ("gen-lda", "variance-fraction-above-1"),
     ])
     def test_malformed_model_file_exits_2(self, tmp_path, workspace, kind, case, capsys):
         model = workspace["model"]
@@ -418,6 +426,10 @@ class TestSimulate:
             hyper["tolerance"] = math.nan
         elif case == "string-bandwidth":
             hyper["bandwidth"] = "wide"
+        elif case == "negative-bandwidth":
+            hyper["bandwidth"] = -1.0
+        elif case == "variance-fraction-above-1":
+            hyper["variance_fraction"] = 1.5
         bad = tmp_path / "bad.bin"
         write_container(bad, header, payload)
         cfg = self.sim_cfg(tmp_path, attempts=10)

@@ -15,26 +15,34 @@ from rsvptyping.cli import main
 GOLDEN = {
     "logreg": {
         "splits": [
-            {"split": 0, "balanced_accuracy": 0.644444, "typing_accuracy": 0.175,
-             "itr_bits_per_symbol": 0.215557},
+            {"split": 0, "balanced_accuracy": 0.644444, "typing_accuracy": 0.1,
+             "itr_bits_per_symbol": 0.058961,
+             "outcomes": {"correct": 4, "wrong": 36, "timeout": 0},
+             "rounds_to_decision": [17, 12, 3, 2, 3, 1, 1, 1, 0, 0]},
             {"split": 1, "balanced_accuracy": 0.622222, "typing_accuracy": 0.175,
-             "itr_bits_per_symbol": 0.215557},
+             "itr_bits_per_symbol": 0.215557,
+             "outcomes": {"correct": 7, "wrong": 33, "timeout": 0},
+             "rounds_to_decision": [14, 17, 8, 1, 0, 0, 0, 0, 0, 0]},
         ],
         "aggregate": {
             "balanced_accuracy": {"mean": 0.633333, "std": 0.011111},
-            "itr_bits_per_symbol": {"mean": 0.215557, "std": 0.0},
+            "itr_bits_per_symbol": {"mean": 0.137259, "std": 0.078298},
         },
     },
     "gen-lda": {
         "splits": [
-            {"split": 0, "balanced_accuracy": 0.544444, "typing_accuracy": 0.0,
-             "itr_bits_per_symbol": 0.052467},
-            {"split": 1, "balanced_accuracy": 0.588889, "typing_accuracy": 0.25,
-             "itr_bits_per_symbol": 0.429911},
+            {"split": 0, "balanced_accuracy": 0.544444, "typing_accuracy": 0.025,
+             "itr_bits_per_symbol": 0.002679,
+             "outcomes": {"correct": 1, "wrong": 1, "timeout": 38},
+             "rounds_to_decision": [0, 0, 0, 0, 0, 0, 0, 1, 0, 1]},
+            {"split": 1, "balanced_accuracy": 0.588889, "typing_accuracy": 0.225,
+             "itr_bits_per_symbol": 0.353124,
+             "outcomes": {"correct": 9, "wrong": 12, "timeout": 19},
+             "rounds_to_decision": [0, 1, 3, 1, 2, 4, 4, 4, 2, 0]},
         ],
         "aggregate": {
             "balanced_accuracy": {"mean": 0.566667, "std": 0.022222},
-            "itr_bits_per_symbol": {"mean": 0.241189, "std": 0.188722},
+            "itr_bits_per_symbol": {"mean": 0.177901, "std": 0.175223},
         },
     },
 }

@@ -55,12 +55,15 @@ def make_dataset(data, labels):
 
 
 def proba(model: LogisticModel, features) -> tuple[np.ndarray, np.ndarray]:
-    """(pos, neg) of a bare logistic model: evidence of a one-channel,
-    unscaled epoch per feature row."""
+    """(pos, neg) of a bare logistic model: the exponentiated evidence of a
+    one-channel, unscaled epoch per feature row."""
     x = np.asarray(features, dtype=np.float64)
     identity = ZScoreStats(mean=np.zeros(1), std=np.ones(1))
     evidence = LogisticEvidenceModel(identity, model)
-    return evidence.predict_batch(make_dataset(x[:, None, :], np.zeros(len(x), dtype=int)))
+    log_pos, log_neg = evidence.predict_batch(
+        make_dataset(x[:, None, :], np.zeros(len(x), dtype=int))
+    )
+    return np.exp(log_pos), np.exp(log_neg)
 
 
 def kde_eval(density: KdeDensity, x: float) -> float:
@@ -68,7 +71,8 @@ def kde_eval(density: KdeDensity, x: float) -> float:
 
 
 def convert(d_pos: float, d_neg: float, prior: LabelPrior) -> float:
-    return float(bayes_positive(np.array([d_pos]), np.array([d_neg]), prior)[0])
+    with np.errstate(divide="ignore"):
+        return float(bayes_positive(np.log([d_pos]), np.log([d_neg]), prior)[0])
 
 
 class TestLogistic:
@@ -496,8 +500,8 @@ class TestEvidenceModels:
         rng = np.random.default_rng(45)
         epochs = separable_epochs(rng)
         model = train_logistic_evidence(epochs)
-        pos, _ = model.predict_batch(epochs)
-        assert np.array_equal(pos >= 0.5, epochs.labels == 1)
+        log_pos, _ = model.predict_batch(epochs)
+        assert np.array_equal(log_pos >= math.log(0.5), epochs.labels == 1)
 
     def test_generative_evidence_batch_matches_single(self):
         rng = np.random.default_rng(47)
@@ -511,16 +515,16 @@ class TestEvidenceModels:
 
     def test_oracle_model_reports_labels_with_certainty(self):
         model = OracleEvidenceModel()
-        pos, neg = model.predict_batch(make_dataset(np.zeros((2, 1, 4)), [1, 0]))
-        assert (pos[0], neg[0]) == (1.0, 0.0)
-        assert (pos[1], neg[1]) == (0.0, 1.0)
+        log_pos, log_neg = model.predict_batch(make_dataset(np.zeros((2, 1, 4)), [1, 0]))
+        assert (log_pos[0], log_neg[0]) == (0.0, -math.inf)
+        assert (log_pos[1], log_neg[1]) == (-math.inf, 0.0)
         assert model.parameter_count == 0
 
     def test_constant_model_ignores_input(self):
         model = ConstantEvidenceModel(0.9, kind="always-pos")
         rng = np.random.default_rng(49)
-        pos, _ = model.predict_batch(make_dataset(rng.standard_normal((5, 2, 5)), [0] * 5))
-        assert set(pos.tolist()) == {0.9}
+        log_pos, _ = model.predict_batch(make_dataset(rng.standard_normal((5, 2, 5)), [0] * 5))
+        assert set(log_pos.tolist()) == {math.log(0.9)}
         assert model.mode is LikelihoodMode.DISCRIMINATIVE
 
     def test_parameter_counts(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rsvptyping.core import Alphabet, LabelPrior, LikelihoodMode
+from rsvptyping.core import Alphabet, DegenerateEvidenceError, LabelPrior, LikelihoodMode
 from rsvptyping.models import (
     ConstantEvidenceModel,
     GenerativeEvidenceModel,
@@ -22,7 +22,7 @@ from rsvptyping.sim import (
     evaluate_splits,
     itr,
     run_typing,
-    select_query,
+    select_queries,
 )
 from rsvptyping.synth import LabeledDataset, SynthConfig, generate, split
 
@@ -51,6 +51,13 @@ class TestItr:
             itr(1, 0.5)
         with pytest.raises(ValueError):
             itr(28, 1.5)
+
+
+def select_query(probabilities, k, strategy, rng):
+    """The batched selection fed one row: a probability vector's picks."""
+    with np.errstate(divide="ignore"):
+        log_p = np.log(np.asarray(probabilities, dtype=np.float64))
+    return select_queries(log_p[None, :], k, strategy, rng)[0]
 
 
 class TestSelectQuery:
@@ -88,6 +95,30 @@ class TestSelectQuery:
         counts = np.bincount(draws, minlength=4) / n
         sigma = np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(counts - p) <= 3 * sigma)
+
+    def test_without_replacement_first_pick_frequencies(self):
+        # Gumbel-top-k: the first pick of each row is a draw from p
+        rng = np.random.default_rng(6)
+        p = np.array([0.5, 0.25, 0.15, 0.1])
+        n = 100_000
+        picks = select_queries(np.tile(np.log(p), (n, 1)), 2,
+                               QueryStrategy.WITHOUT_REPLACEMENT, rng)
+        counts = np.bincount(picks[:, 0], minlength=4) / n
+        sigma = np.sqrt(p * (1 - p) / n)
+        assert np.all(np.abs(counts - p) <= 3 * sigma)
+        assert np.all(picks[:, 0] != picks[:, 1])
+
+    def test_zero_mass_symbols_drawn_last_and_uniformly(self):
+        rng = np.random.default_rng(7)
+        p = np.array([0.0, 0.7, 0.0, 0.3, 0.0])
+        picks = np.array([select_query(p, 4, QueryStrategy.WITHOUT_REPLACEMENT, rng)
+                          for _ in range(3000)])
+        assert np.all(np.sort(picks[:, :2], axis=1) == [1, 3])
+        fill = np.bincount(picks[:, 2:].ravel(), minlength=5)[[0, 2, 4]] / 6000
+        assert np.all(np.abs(fill - 1 / 3) < 0.03)
+        # with replacement, zero-mass symbols are never drawn
+        drawn = select_query(p, 1000, QueryStrategy.WITH_REPLACEMENT, rng)
+        assert set(drawn.tolist()) == {1, 3}
 
     def test_k_exceeding_alphabet_rejected(self):
         p = np.full(5, 0.2)
@@ -211,6 +242,50 @@ class TestRunTyping:
         blind = run_typing(ConstantEvidenceModel(0.9), pools, config)
         assert oracle.accuracy >= blind.accuracy
 
+    @pytest.mark.filterwarnings("ignore::rsvptyping.sim.SubChanceAccuracyWarning")
+    def test_attempt_paths_do_not_depend_on_other_attempts(self):
+        # stopping on a wrong decision ends some attempts early; every
+        # attempt that never decided wrongly must follow the same path
+        rng = np.random.default_rng(13)
+        pools = dummy_pools(rng)
+        model = ConstantEvidenceModel(0.9)
+        stop = run_typing(model, pools, self.oracle_config(attempts=300, threshold=0.9))
+        literal = run_typing(
+            model, pools,
+            self.oracle_config(attempts=300, threshold=0.9, stop_on_wrong=False),
+        )
+        same = [i for i, t in enumerate(stop.traces) if t.outcome != "wrong"]
+        assert 0 < len(same) < 300
+        for i in same:
+            a, b = stop.traces[i], literal.traces[i]
+            assert (a.target, a.queries, a.outcome) == (b.target, b.queries, b.outcome)
+            for pa, pb in zip(a.posteriors, b.posteriors):
+                np.testing.assert_array_equal(pa, pb)
+
+    @pytest.mark.filterwarnings("ignore::rsvptyping.sim.SubChanceAccuracyWarning")
+    def test_rounds_to_decision_counts_trace_lengths(self):
+        rng = np.random.default_rng(18)
+        pools = dummy_pools(rng)
+        config = self.oracle_config(attempts=80, threshold=0.9)
+        result = run_typing(ConstantEvidenceModel(0.9), pools, config)
+        lengths = [len(t.queries) for t in result.traces if t.outcome != "timeout"]
+        assert len(result.rounds_to_decision) == config.max_rounds
+        assert list(result.rounds_to_decision) == np.bincount(
+            np.array(lengths) - 1, minlength=config.max_rounds
+        ).tolist()
+        assert sum(result.rounds_to_decision) == result.correct + result.wrong
+
+    def test_vanishing_mass_raises(self):
+        # certain evidence that two distinct queried symbols are both the
+        # target leaves no symbol possible
+        rng = np.random.default_rng(19)
+        pools = dummy_pools(rng)
+        config = self.oracle_config(
+            attempts=5, query_strategy=QueryStrategy.TOP_K, symbols_per_query=2
+        )
+        with pytest.raises(DegenerateEvidenceError):
+            run_typing(ConstantEvidenceModel(1.0), pools, config)
+
     def test_traces_can_be_disabled(self):
         rng = np.random.default_rng(14)
         pools = dummy_pools(rng)
@@ -267,14 +342,14 @@ class TestClassifyEpochs:
         assert list(classify_epochs(ConstantEvidenceModel(0.2), epochs)) == [0] * 4
 
     def test_epoch_far_from_both_kdes_is_a_tie(self):
-        # an epoch far outside both classes: each KDE density sits at its
-        # exp(-745) floor and the prior-weighted densities underflow to zero
+        # an epoch far outside both classes: each KDE log-density sits at
+        # its -745 floor, so the prior-weighted densities are equal
         rng = np.random.default_rng(17)
         data = dummy_dataset(rng)
         model = GenerativeEvidenceModel(build_generative(data, scorer_kind="lda"), kind="gen-lda")
         far = LabeledDataset(data.data[:2] * 1e4, data.labels[:2])
-        pos, neg = model.predict_batch(far)
-        assert pos.tolist() == neg.tolist() == [math.exp(-745.0)] * 2
+        log_pos, log_neg = model.predict_batch(far)
+        assert log_pos.tolist() == log_neg.tolist() == [-745.0] * 2
         assert list(classify_epochs(model, far)) == [1, 1]
 
 

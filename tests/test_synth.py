@@ -80,8 +80,8 @@ class TestGenerate:
     def test_noiseless_dataset_is_separable(self):
         data = generate(small_config(n_epochs=60, noise_std=0.0))
         model = train_logistic_evidence(data)
-        pos, _ = model.predict_batch(data)
-        assert (pos >= 0.5).tolist() == (data.labels == 1).tolist()
+        log_pos, log_neg = model.predict_batch(data)
+        assert (log_pos >= log_neg).tolist() == (data.labels == 1).tolist()
 
     def test_mean_difference_recovers_template(self):
         config = small_config(n_epochs=10000, target_fraction=0.3, channels=2)
