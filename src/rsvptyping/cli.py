@@ -233,7 +233,7 @@ def _fit_model(kind: str, train: LabeledDataset, resolved: dict, fits: list) -> 
         tolerance=resolved["tolerance"],
         fits=fits,
     )
-    return GenerativeEvidenceModel(pipeline, kind=kind)
+    return GenerativeEvidenceModel(pipeline)
 
 
 def _hyper_for(kind: str, resolved: dict) -> dict:
@@ -280,7 +280,7 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     valid = dataset.subset(holdout.test)
-    predictions = classify_epochs(model, valid)
+    predictions = classify_epochs(model.mode, *model.predict_batch(valid))
     ba = balanced_accuracy(predictions, valid.labels)
     write_model(args.out, model, hyper=_hyper_for(args.kind, resolved))
     print(f"wrote {args.out}")

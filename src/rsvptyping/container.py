@@ -320,7 +320,7 @@ def read_model(path) -> tuple[EvidenceModel, dict]:
                 kde_pos=KdeDensity(arrays["kde_pos_scores"], float(bandwidths[0])),
                 kde_neg=KdeDensity(arrays["kde_neg_scores"], float(bandwidths[1])),
             )
-            return GenerativeEvidenceModel(pipeline, kind=kind), hyper
+            return GenerativeEvidenceModel(pipeline), hyper
     except KeyError as exc:
         raise ContainerFormatError(f"{path}: missing model array {exc}") from exc
     except (IndexError, TypeError, ValueError) as exc:

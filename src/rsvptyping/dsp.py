@@ -255,10 +255,18 @@ def exclude_channels(recording: RawRecording, channels: Sequence[int]) -> RawRec
 
 @dataclass(frozen=True)
 class ZScoreStats:
-    """Per-channel mean and standard deviation from a training set."""
+    """Per-channel mean and standard deviation from a training set: finite
+    vectors of one length, every std positive."""
 
     mean: np.ndarray
     std: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.mean) != 1 or np.shape(self.std) != np.shape(self.mean):
+            raise ValueError("z-score mean and std must be vectors of one length")
+        finite = np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.std))
+        if not (finite and np.all(np.asarray(self.std) > 0)):
+            raise ValueError("z-score mean and std must be finite, std positive")
 
 
 def fit_zscore(data: np.ndarray) -> ZScoreStats:

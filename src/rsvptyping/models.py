@@ -322,7 +322,10 @@ class LdaModel:
         d = mp.shape[0]
         if mp.shape != (d,) or mn.shape != (d,) or pr.shape != (d, d):
             raise ValueError("inconsistent LDA shapes")
-        if not (np.all(np.isfinite(mp)) and np.all(np.isfinite(mn)) and np.all(np.isfinite(pr))):
+        if not (
+            np.all(np.isfinite(mp)) and np.all(np.isfinite(mn)) and np.all(np.isfinite(pr))
+            and math.isfinite(self.log_prior_pos) and math.isfinite(self.log_prior_neg)
+        ):
             raise ValueError("LDA parameters must be finite")
         if not np.allclose(pr, pr.T, atol=1e-10):
             raise ValueError("precision must be symmetric")
@@ -392,8 +395,8 @@ def lda_scores(model: LdaModel, features: np.ndarray) -> np.ndarray:
         )
     dp = x - model.mean_pos
     dn = x - model.mean_neg
-    quad_pos = np.einsum("ij,jk,ik->i", dp, model.precision, dp)
-    quad_neg = np.einsum("ij,jk,ik->i", dn, model.precision, dn)
+    quad_pos = np.sum((dp @ model.precision) * dp, axis=1)
+    quad_neg = np.sum((dn @ model.precision) * dn, axis=1)
     return 0.5 * (quad_neg - quad_pos) + (model.log_prior_pos - model.log_prior_neg)
 
 
@@ -420,6 +423,10 @@ class PcaProjection:
         comp = np.asarray(self.components, dtype=np.float64)
         if mean.ndim != 1 or comp.ndim != 2 or comp.shape[0] != mean.shape[0]:
             raise ValueError("inconsistent PCA shapes")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(comp))):
+            raise ValueError("PCA parameters must be finite")
+        if not 0.0 < self.variance_fraction <= 1.0:
+            raise ValueError("variance_fraction must lie in (0, 1]")
         gram = comp.T @ comp
         if np.max(np.abs(gram - np.eye(comp.shape[1]))) > ORTHONORMALITY_ATOL:
             raise ValueError("components must be orthonormal")
@@ -456,7 +463,8 @@ def fit_pca(features: np.ndarray, variance_fraction: float = 0.8) -> PcaProjecti
         cumulative = np.cumsum(explained) / total
         r = int(np.searchsorted(cumulative, variance_fraction - 1e-12) + 1)
         r = min(r, len(cumulative))
-        achieved = float(cumulative[r - 1])
+        # the running sum can round past the total
+        achieved = min(float(cumulative[r - 1]), 1.0)
     components = vt[:r].T.copy()
     for j in range(components.shape[1]):
         col = components[:, j]
@@ -718,11 +726,15 @@ def train_logistic_evidence(
 
 
 class GenerativeEvidenceModel(EvidenceModel):
-    """Wraps a GenerativePipeline; emits log class-conditional densities."""
+    """Wraps a GenerativePipeline; emits log class-conditional densities.
+    Its kind names the scorer: ``gen-logr`` or ``gen-lda``."""
 
-    def __init__(self, pipeline: GenerativePipeline, kind: str = "gen-logr"):
+    def __init__(self, pipeline: GenerativePipeline):
         self.pipeline = pipeline
-        self.kind = kind
+
+    @property
+    def kind(self) -> str:
+        return "gen-logr" if isinstance(self.pipeline.scorer, LogisticModel) else "gen-lda"
 
     @property
     def mode(self) -> LikelihoodMode:

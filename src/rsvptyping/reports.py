@@ -43,14 +43,14 @@ def build_report(
             {
                 "split": row.split_index,
                 "balanced_accuracy": fixed(row.balanced_accuracy),
-                "typing_accuracy": fixed(row.typing_accuracy),
-                "itr_bits_per_symbol": fixed(row.itr_bits_per_symbol),
+                "typing_accuracy": fixed(row.typing.accuracy),
+                "itr_bits_per_symbol": fixed(row.typing.itr_bits_per_symbol),
                 "outcomes": {
-                    "correct": row.correct,
-                    "wrong": row.wrong,
-                    "timeout": row.timeout,
+                    "correct": row.typing.correct,
+                    "wrong": row.typing.wrong,
+                    "timeout": row.typing.timeout,
                 },
-                "rounds_to_decision": list(row.rounds_to_decision),
+                "rounds_to_decision": list(row.typing.rounds_to_decision),
             }
             for row in summary.per_split
         ],

@@ -7,11 +7,13 @@ negative pool otherwise), and the recursive Bayesian update folds it into
 the posterior. The attempt ends when a symbol crosses the decision
 threshold, or after a fixed number of rounds.
 
-The model scores every pool epoch once, as log factors, before the first
-round. All attempts of a run then step together as one (attempts, A)
-log-posterior matrix: one query selection, one evidence draw and one
-normalization per round for every row still typing. The scalar updates in
-``core`` are the reference this kernel is tested against.
+Typing never calls a model: it takes the held-out epochs' evidence, the
+(log_pos, log_neg) arrays a model scored once per split, and their labels,
+which split the factors into the two pools. All attempts of a run step
+together as one (attempts, A) log-posterior matrix: one query selection,
+one evidence draw and one normalization per round for every row still
+typing. The scalar updates in ``core`` are the reference this kernel is
+tested against.
 
 A run draws from one generator seeded with its ``seed``; every round draws
 for every attempt, finished or not, so an attempt's path never depends on
@@ -32,7 +34,7 @@ import numpy as np
 
 from .core import Alphabet, DegenerateEvidenceError, LabelPrior, LikelihoodMode
 from .models import EvidenceModel, empirical_prior, prior_weighted, uniform_prior
-from .synth import LabeledDataset, SplitIndices
+from .synth import LabeledDataset
 from . import synth
 
 
@@ -63,7 +65,6 @@ class TypingConfig:
     symbols_per_query: int = 10
     alphabet: Alphabet = dataclasses.field(default_factory=Alphabet.default)
     threshold: float = 0.9
-    label_prior: Optional[LabelPrior] = None
     query_strategy: QueryStrategy = QueryStrategy.WITH_REPLACEMENT
     seed: int = 0
     stop_on_wrong: bool = True
@@ -82,32 +83,6 @@ class TypingConfig:
                     f"size {self.alphabet.size} for strategy "
                     f"{self.query_strategy.value!r}"
                 )
-
-    def resolved_prior(self) -> LabelPrior:
-        if self.label_prior is not None:
-            return self.label_prior
-        return LabelPrior.uniform_over(self.alphabet.size)
-
-
-@dataclass(frozen=True)
-class EvidencePools:
-    """Held-out epochs the simulator draws responses from, split by label."""
-
-    positive: LabeledDataset
-    negative: LabeledDataset
-
-    def __post_init__(self) -> None:
-        if len(self.positive) == 0 or len(self.negative) == 0:
-            raise ValueError("both pools must be nonempty")
-
-    @classmethod
-    def from_dataset(cls, dataset: LabeledDataset) -> "EvidencePools":
-        labels = dataset.labels
-        return cls(
-            positive=dataset.subset(np.flatnonzero(labels == 1)),
-            negative=dataset.subset(np.flatnonzero(labels == 0)),
-        )
-
 
 @dataclass(frozen=True)
 class AttemptTrace:
@@ -247,15 +222,23 @@ TIMEOUT, CORRECT, WRONG = range(3)
 
 
 def run_typing(
-    model: EvidenceModel, pools: EvidencePools, config: TypingConfig
+    mode: LikelihoodMode,
+    log_pos: np.ndarray,
+    log_neg: np.ndarray,
+    labels: np.ndarray,
+    config: TypingConfig,
 ) -> TypingResult:
     """Simulate ``config.attempts`` independent attempts to type a symbol.
 
-    The model scores every pool epoch once, as log factors; discriminative
-    ones are divided by the label prior here. The attempts then step
-    together through an (attempts, A) log-posterior matrix: each round
-    selects queries for every row, draws a pool epoch for every (attempt,
-    slot), folds the evidence into the rows still typing and decides them.
+    ``log_pos`` and ``log_neg`` are the evidence of the held-out epochs, one
+    entry per epoch, as a model of likelihood ``mode`` scored it; no model
+    is called here. ``labels`` splits the epochs into the positive pool,
+    drawn when the queried symbol is the target, and the negative pool;
+    both must be nonempty. Discriminative factors are divided by the label
+    prior 1/A here. The attempts then step together through an (attempts,
+    A) log-posterior matrix: each round selects queries for every row, draws
+    a pool epoch for every (attempt, slot), folds the evidence into the rows
+    still typing and decides them.
 
     RNG contract: one generator seeded with ``config.seed`` draws the
     targets, then in each round the query randomness and both pools'
@@ -267,13 +250,14 @@ def run_typing(
     size = config.alphabet.size
     n, k = config.attempts, config.symbols_per_query
     # (2, epochs): the factor of the queried symbol, then of every other one
-    target_evidence = np.stack(model.predict_batch(pools.positive))
-    other_evidence = np.stack(model.predict_batch(pools.negative))
-    if model.mode is LikelihoodMode.DISCRIMINATIVE:
-        prior = config.resolved_prior()
-        log_prior = np.array([[math.log(prior.p_pos)], [math.log(prior.p_neg)]])
-        target_evidence -= log_prior
-        other_evidence -= log_prior
+    evidence = np.array([log_pos, log_neg], dtype=np.float64)
+    if mode is LikelihoodMode.DISCRIMINATIVE:
+        prior = LabelPrior.uniform_over(size)
+        evidence -= np.array([[math.log(prior.p_pos)], [math.log(prior.p_neg)]])
+    positive = np.asarray(labels) == 1
+    if positive.all() or not positive.any():
+        raise ValueError("both pools must be nonempty")
+    target_evidence, other_evidence = evidence[:, positive], evidence[:, ~positive]
 
     rng = np.random.default_rng(config.seed)
     targets = rng.integers(size, size=n)
@@ -358,16 +342,17 @@ def balanced_accuracy(predicted: Sequence[int], truth: Sequence[int]) -> float:
 
 
 def classify_epochs(
-    model: EvidenceModel,
-    dataset: LabeledDataset,
+    mode: LikelihoodMode,
+    log_pos: np.ndarray,
+    log_neg: np.ndarray,
     conversion_prior: Optional[LabelPrior] = None,
 ) -> np.ndarray:
-    """Hard label predictions: argmax of the discriminative pair, ties to the
-    positive class, compared in the log domain. Generative densities are
-    first weighted by ``conversion_prior`` (uniform 50/50 when not given),
-    which is Bayes' rule up to the shared normalizer."""
-    log_pos, log_neg = model.predict_batch(dataset)
-    if model.mode is LikelihoodMode.GENERATIVE:
+    """Hard label predictions from a model's evidence: argmax of the
+    discriminative pair, ties to the positive class, compared in the log
+    domain. Generative densities are first weighted by ``conversion_prior``
+    (uniform 50/50 when not given), which is Bayes' rule up to the shared
+    normalizer."""
+    if mode is LikelihoodMode.GENERATIVE:
         prior = conversion_prior if conversion_prior is not None else uniform_prior()
         log_pos, log_neg = prior_weighted(log_pos, log_neg, prior)
     return (log_pos >= log_neg).astype(np.int64)
@@ -377,12 +362,7 @@ def classify_epochs(
 class SplitMetrics:
     split_index: int
     balanced_accuracy: float
-    typing_accuracy: float
-    itr_bits_per_symbol: float
-    correct: int
-    wrong: int
-    timeout: int
-    rounds_to_decision: tuple[int, ...]
+    typing: TypingResult
 
 
 @dataclass(frozen=True)
@@ -396,7 +376,7 @@ class SplitSummary:
     @classmethod
     def from_metrics(cls, rows: Sequence[SplitMetrics]) -> "SplitSummary":
         bas = np.asarray([r.balanced_accuracy for r in rows])
-        itrs = np.asarray([r.itr_bits_per_symbol for r in rows])
+        itrs = np.asarray([r.typing.itr_bits_per_symbol for r in rows])
         # population std, matching a "mean +/- std over the splits" report
         return cls(
             per_split=tuple(rows),
@@ -414,52 +394,38 @@ def evaluate_splits(
     *,
     n_splits: int = 5,
     split_seed: int = 0,
-    conversion_prior: Optional[LabelPrior] = None,
     empirical_conversion: bool = False,
 ) -> SplitSummary:
     """Retrain and evaluate a model on each train/test split.
 
-    Balanced accuracy is measured on the held-out epochs; typing runs draw
-    from pools built from the same held-out epochs. Split k's typing run uses
-    seed ``typing_config.seed + k`` so splits are independent but the whole
+    The model scores each split's held-out epochs once. Balanced accuracy
+    is measured on that evidence, and the typing run draws from the same
+    evidence, split by label. Split k's typing run uses seed
+    ``typing_config.seed + k`` so splits are independent but the whole
     evaluation stays a pure function of its arguments.
 
     With ``empirical_conversion`` the label prior used to turn generative
     densities into label predictions is refit from each split's training
-    labels, overriding ``conversion_prior``. The typing runs are unaffected:
+    labels instead of the uniform 50/50. The typing runs are unaffected:
     only the balanced-accuracy column responds to the conversion prior.
     """
-    splits: Sequence[SplitIndices] = dataset.splits or synth.split(
-        dataset, n_splits=n_splits, seed=split_seed
-    )
-    if len(splits) != n_splits:
-        raise ValueError(f"expected {n_splits} splits, dataset carries {len(splits)}")
     rows = []
-    for k, s in enumerate(splits):
+    for k, s in enumerate(synth.split(dataset, n_splits=n_splits, seed=split_seed)):
         # the training copy is not kept: scoring the test epochs is this
         # loop's memory peak
         model = model_factory(dataset.subset(s.train))
-        prior = conversion_prior
-        if empirical_conversion:
-            prior = empirical_prior(dataset.labels[list(s.train)])
+        prior = empirical_prior(dataset.labels[list(s.train)]) if empirical_conversion else None
         test = dataset.subset(s.test)
-        predictions = classify_epochs(model, test, prior)
-        ba = balanced_accuracy(predictions, test.labels)
-        pools = EvidencePools.from_dataset(test)
+        log_pos, log_neg = model.predict_batch(test)
+        predictions = classify_epochs(model.mode, log_pos, log_neg, prior)
         run_config = dataclasses.replace(
             typing_config, seed=typing_config.seed + k, record_traces=False
         )
-        result = run_typing(model, pools, run_config)
         rows.append(
             SplitMetrics(
                 split_index=k,
-                balanced_accuracy=ba,
-                typing_accuracy=result.accuracy,
-                itr_bits_per_symbol=result.itr_bits_per_symbol,
-                correct=result.correct,
-                wrong=result.wrong,
-                timeout=result.timeout,
-                rounds_to_decision=result.rounds_to_decision,
+                balanced_accuracy=balanced_accuracy(predictions, test.labels),
+                typing=run_typing(model.mode, log_pos, log_neg, test.labels, run_config),
             )
         )
     return SplitSummary.from_metrics(rows)

@@ -13,7 +13,6 @@ representation bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -94,12 +93,11 @@ class SplitIndices:
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """Epochs (n, channels, samples) with their 0/1 labels, plus optional
-    split metadata. ``len()`` is the epoch count."""
+    """Epochs (n, channels, samples) with their 0/1 labels. ``len()`` is the
+    epoch count."""
 
     data: np.ndarray
     labels: np.ndarray
-    splits: tuple[SplitIndices, ...] = ()
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=np.float64)
@@ -113,9 +111,6 @@ class LabeledDataset:
             raise ValueError(f"expected {n} labels, got shape {labels.shape}")
         if not np.all(np.isin(labels, (0, 1))):
             raise ValueError("labels must be 0 or 1")
-        for s in self.splits:
-            if sorted(s.train + s.test) != list(range(n)):
-                raise ValueError("each split must partition the dataset")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "labels", labels.astype(np.int64))
 
@@ -125,9 +120,6 @@ class LabeledDataset:
     def subset(self, indices: Sequence[int]) -> "LabeledDataset":
         rows = np.asarray(indices, dtype=np.int64)
         return LabeledDataset(data=self.data[rows], labels=self.labels[rows])
-
-    def with_splits(self, splits: tuple[SplitIndices, ...]) -> "LabeledDataset":
-        return dataclasses.replace(self, splits=splits)
 
 
 def generate(config: SynthConfig) -> LabeledDataset:

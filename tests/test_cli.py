@@ -393,6 +393,12 @@ class TestSimulate:
         ("gen-lda", "string-bandwidth"),
         ("gen-lda", "negative-bandwidth"),
         ("gen-lda", "variance-fraction-above-1"),
+        ("logreg", "nan-zscore-std"),
+        ("logreg", "negative-zscore-std"),
+        ("logreg", "zero-zscore-std"),
+        ("logreg", "nan-zscore-mean"),
+        ("gen-lda", "nan-pca-variance-fraction"),
+        ("gen-lda", "nan-lda-log-priors"),
     ])
     def test_malformed_model_file_exits_2(self, tmp_path, workspace, kind, case, capsys):
         model = workspace["model"]
@@ -402,11 +408,22 @@ class TestSimulate:
                          "--out", str(model)]) == 0
         header, payload = read_container(model, "model")
         arrays, hyper = header["arrays"], header["hyper"]
-        if case == "nan-weight":
+        # a stored parameter overwritten by a bad value: (array, value)
+        poked = {
+            "nan-weight": ("weights", np.nan),
+            "nan-zscore-std": ("zscore_std", np.nan),
+            "negative-zscore-std": ("zscore_std", -1.0),
+            "zero-zscore-std": ("zscore_std", 0.0),
+            "nan-zscore-mean": ("zscore_mean", np.nan),
+            "nan-pca-variance-fraction": ("pca_variance_fraction", np.nan),
+            "nan-lda-log-priors": ("lda_log_priors", np.nan),
+        }
+        if case in poked:
+            name, value = poked[case]
             names = [entry["name"] for entry in arrays]
-            offset = 8 * sum(math.prod(e["shape"]) for e in arrays[: names.index("weights")])
+            offset = 8 * sum(math.prod(e["shape"]) for e in arrays[: names.index(name)])
             blob = bytearray(payload)
-            blob[offset : offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+            blob[offset : offset + 8] = np.array([value], dtype="<f8").tobytes()
             payload = bytes(blob)
         elif case == "array-entry-not-a-dict":
             header["arrays"] = [arrays[0]["name"]] + arrays[1:]

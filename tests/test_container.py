@@ -51,8 +51,7 @@ def gen_logr(dataset):
 
 @pytest.fixture(scope="module")
 def gen_lda(dataset):
-    pipeline = build_generative(dataset, scorer_kind="lda")
-    return GenerativeEvidenceModel(pipeline, kind="gen-lda")
+    return GenerativeEvidenceModel(build_generative(dataset, scorer_kind="lda"))
 
 
 def read_bytes(path):
@@ -221,6 +220,9 @@ class TestModelIO:
         assert loaded.model.bias == logreg.model.bias
         assert np.array_equal(loaded.stats.mean, logreg.stats.mean)
         assert np.array_equal(loaded.stats.std, logreg.stats.std)
+
+    def test_generative_kind_names_the_scorer(self, gen_logr, gen_lda):
+        assert (gen_logr.kind, gen_lda.kind) == ("gen-logr", "gen-lda")
 
     @pytest.mark.parametrize("name", ["logreg", "gen_logr", "gen_lda"])
     def test_identical_predictions_after_reload(

@@ -4,6 +4,7 @@ import pytest
 from rsvptyping.dsp import (
     BiquadCoefficients,
     RawRecording,
+    ZScoreStats,
     design_bandpass,
     design_notch,
     downsample,
@@ -249,3 +250,11 @@ class TestZScore:
     def test_empty_train_set_rejected(self):
         with pytest.raises(ValueError):
             fit_zscore(np.zeros((0, 3, 20)))
+
+    def test_bad_stats_rejected(self):
+        ones = np.ones(2)
+        for mean, std in ((np.array([0.0, np.nan]), ones), (np.zeros(2), np.array([1.0, np.inf])),
+                          (np.zeros(2), np.array([1.0, 0.0])), (np.zeros(2), np.array([1.0, -1.0])),
+                          (np.zeros(3), ones), (np.zeros((2, 1)), np.ones((2, 1)))):
+            with pytest.raises(ValueError):
+                ZScoreStats(mean=mean, std=std)

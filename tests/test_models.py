@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -271,6 +272,12 @@ class TestLda:
         with pytest.raises(ValueError):
             train_lda(np.zeros((4, 2)), np.zeros(4, dtype=int))
 
+    def test_non_finite_log_prior_rejected(self):
+        model = train_lda(np.array([[-2.0], [-1.0], [1.0], [2.0]]), np.array([0, 0, 1, 1]))
+        for field in ("log_prior_pos", "log_prior_neg"):
+            with pytest.raises(ValueError):
+                dataclasses.replace(model, **{field: math.nan})
+
 
 class TestPca:
     def test_single_axis_data_keeps_one_component(self):
@@ -328,6 +335,21 @@ class TestPca:
                 components=np.array([[1.0, 1.0], [0.0, 0.0]]),
                 variance_fraction=1.0,
             )
+
+    def test_bad_parameters_rejected(self):
+        for mean, fraction in ((np.zeros(2), 0.0), (np.zeros(2), 1.5),
+                               (np.zeros(2), math.nan), (np.array([0.0, math.nan]), 1.0)):
+            with pytest.raises(ValueError):
+                PcaProjection(mean=mean, components=np.eye(2), variance_fraction=fraction)
+        with pytest.raises(ValueError):
+            PcaProjection(mean=np.zeros(2), components=np.full((2, 1), math.nan),
+                          variance_fraction=1.0)
+
+    def test_full_variance_fraction_is_at_most_one(self):
+        # the running sum of explained variance can round past the total
+        for seed in range(20):
+            x = np.random.default_rng(seed).standard_normal((50, 12))
+            assert fit_pca(x, 1.0).variance_fraction <= 1.0
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
@@ -466,7 +488,10 @@ class TestBayesConversion:
         epochs = make_dataset(np.zeros((4, 1, 3)), [0, 1, 0, 1])
         model = ConstantEvidenceModel(0.6)
         assert convert(0.6, 0.4, LabelPrior(0.1)) < 0.5
-        assert list(classify_epochs(model, epochs, conversion_prior=LabelPrior(0.1))) == [1] * 4
+        predictions = classify_epochs(
+            model.mode, *model.predict_batch(epochs), conversion_prior=LabelPrior(0.1)
+        )
+        assert list(predictions) == [1] * 4
 
     def test_bridge_with_core_updates(self):
         rng = np.random.default_rng(41)

@@ -1,5 +1,6 @@
 """Property tests: the batched typing kernel against the scalar core
-updates, and the CLI's exit codes on damaged container files."""
+updates, the CLI's exit codes on damaged container files, and config files
+read back as written."""
 
 import math
 import struct
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsvptyping.cli import main
+from rsvptyping.cli import SIMULATE_SCHEMA, main, resolve_config
 from rsvptyping.core import (
     Alphabet,
     DegenerateEvidenceError,
@@ -20,6 +21,7 @@ from rsvptyping.core import (
     decide,
     init_posterior,
 )
+from rsvptyping.models import TRAIN_SCHEMA
 from rsvptyping.sim import apply_round, decide_rows
 
 
@@ -145,3 +147,51 @@ def test_header_byte_flip_exits_0_or_2(containers, name, where, mask):
     position = int(where * (4 + header_len))
     blob[position] ^= mask
     assert run_on(containers, name, bytes(blob)) in (0, 2)
+
+
+@pytest.mark.parametrize("name", ["data", "logreg", "gen-lda"])
+@settings(max_examples=40, deadline=None)
+@given(where=st.floats(0.0, 1.0, exclude_max=True), mask=st.integers(1, 255))
+def test_payload_byte_flip_exits_0_or_2(containers, name, where, mask):
+    blob = bytearray(containers[1][name].read_bytes())
+    (header_len,) = struct.unpack("<I", blob[:4])
+    start = 4 + header_len
+    blob[start + int(where * (len(blob) - start))] ^= mask
+    assert run_on(containers, name, bytes(blob)) in (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# Config files
+
+# values of each schema type, as a config line can hold them: text has no
+# comment mark or line break, and no whitespace at either end
+SCHEMA_VALUES = {
+    "int": st.integers(-(10**12), 10**12),
+    "float": st.floats(allow_nan=False),
+    "bool": st.booleans(),
+    "str": st.text(
+        st.characters(blacklist_characters="#\r\n", blacklist_categories=("Cs",))
+    ).map(str.strip),
+}
+
+
+@st.composite
+def config_files(draw):
+    """A schema and values for some of its keys."""
+    schema = draw(st.sampled_from([TRAIN_SCHEMA, SIMULATE_SCHEMA]))
+    keys = draw(st.lists(st.sampled_from(sorted(schema)), unique=True))
+    return schema, {key: draw(SCHEMA_VALUES[schema[key]]) for key in keys}
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_files())
+def test_config_file_round_trip(tmp_path_factory, case):
+    schema, values = case
+    path = tmp_path_factory.mktemp("config") / "run.cfg"
+    path.write_text(
+        "# written by the round-trip property\n"
+        + "".join(f"{key} = {value!r}\n" if schema[key] == "float" else f"{key} = {value}\n"
+                  for key, value in values.items()),
+        encoding="utf-8",
+    )
+    assert resolve_config(str(path), schema, {}) == values

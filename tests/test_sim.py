@@ -12,7 +12,6 @@ from rsvptyping.models import (
     train_logistic_evidence,
 )
 from rsvptyping.sim import (
-    EvidencePools,
     QueryStrategy,
     SubChanceAccuracyWarning,
     TypingConfig,
@@ -142,8 +141,9 @@ def dummy_dataset(rng, n_pos=15, n_neg=40, channels=2):
     )
 
 
-def dummy_pools(rng):
-    return EvidencePools.from_dataset(dummy_dataset(rng))
+def typing_run(model, data: LabeledDataset, config: TypingConfig):
+    """A typing run on the evidence the model scores for ``data``."""
+    return run_typing(model.mode, *model.predict_batch(data), data.labels, config)
 
 
 def first_of_each_class(data: LabeledDataset, k: int) -> LabeledDataset:
@@ -169,8 +169,8 @@ class TestRunTyping:
 
     def test_oracle_model_types_perfectly(self):
         rng = np.random.default_rng(6)
-        pools = dummy_pools(rng)
-        result = run_typing(OracleEvidenceModel(), pools, self.oracle_config())
+        data = dummy_dataset(rng)
+        result = typing_run(OracleEvidenceModel(), data, self.oracle_config())
         assert result.correct == result.attempts
         assert result.itr_bits_per_symbol == pytest.approx(math.log2(28), abs=1e-9)
         # certain evidence collapses the posterior the moment the target is queried
@@ -181,12 +181,12 @@ class TestRunTyping:
 
     def test_uninformative_model_times_out_everywhere(self):
         rng = np.random.default_rng(7)
-        pools = dummy_pools(rng)
+        data = dummy_dataset(rng)
         prior = LabelPrior.uniform_over(28)
         model = ConstantEvidenceModel(prior.p_pos, kind="uninformative")
         config = self.oracle_config(attempts=50, threshold=0.9)
         with pytest.warns(SubChanceAccuracyWarning):
-            result = run_typing(model, pools, config)
+            result = typing_run(model, data, config)
         assert result.timeout == 50 and result.correct == 0
         assert result.accuracy == 0.0
         assert result.itr_bits_per_symbol == pytest.approx(math.log2(28 / 27), abs=1e-9)
@@ -194,10 +194,10 @@ class TestRunTyping:
     @pytest.mark.filterwarnings("ignore::rsvptyping.sim.SubChanceAccuracyWarning")
     def test_constant_confident_model_types_at_chance(self):
         rng = np.random.default_rng(8)
-        pools = dummy_pools(rng)
+        data = dummy_dataset(rng)
         model = ConstantEvidenceModel(0.9, kind="always-pos")
         config = self.oracle_config(attempts=300, threshold=0.9, max_rounds=30)
-        result = run_typing(model, pools, config)
+        result = typing_run(model, data, config)
         # a blindly confident model types a symbol, but a random one
         assert result.correct + result.wrong > 250
         assert abs(result.accuracy - 1 / 28) < 0.05
@@ -205,11 +205,11 @@ class TestRunTyping:
     @pytest.mark.filterwarnings("ignore::rsvptyping.sim.SubChanceAccuracyWarning")
     def test_stop_on_wrong_flag(self):
         rng = np.random.default_rng(9)
-        pools = dummy_pools(rng)
+        data = dummy_dataset(rng)
         model = ConstantEvidenceModel(0.9)
-        stop = run_typing(model, pools, self.oracle_config(attempts=60, threshold=0.9))
-        literal = run_typing(
-            model, pools,
+        stop = typing_run(model, data, self.oracle_config(attempts=60, threshold=0.9))
+        literal = typing_run(
+            model, data,
             self.oracle_config(attempts=60, threshold=0.9, stop_on_wrong=False),
         )
         assert stop.wrong > 0
@@ -218,17 +218,17 @@ class TestRunTyping:
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(10)
-        pools = dummy_pools(rng)
+        data = dummy_dataset(rng)
         model = OracleEvidenceModel()
         config = self.oracle_config(attempts=40)
-        a = run_typing(model, pools, config)
-        b = run_typing(model, pools, config)
+        a = typing_run(model, data, config)
+        b = typing_run(model, data, config)
         assert (a.correct, a.wrong, a.timeout) == (b.correct, b.wrong, b.timeout)
         for ta, tb in zip(a.traces, b.traces):
             assert ta.target == tb.target and ta.queries == tb.queries
             for pa, pb in zip(ta.posteriors, tb.posteriors):
                 np.testing.assert_array_equal(pa, pb)
-        different = run_typing(model, pools, self.oracle_config(attempts=40, seed=99))
+        different = typing_run(model, data, self.oracle_config(attempts=40, seed=99))
         assert any(
             ta.target != tb.target for ta, tb in zip(a.traces, different.traces)
         )
@@ -236,10 +236,10 @@ class TestRunTyping:
     @pytest.mark.filterwarnings("ignore::rsvptyping.sim.SubChanceAccuracyWarning")
     def test_oracle_dominates_other_models(self):
         rng = np.random.default_rng(12)
-        pools = dummy_pools(rng)
+        data = dummy_dataset(rng)
         config = self.oracle_config(attempts=80, threshold=0.9)
-        oracle = run_typing(OracleEvidenceModel(), pools, config)
-        blind = run_typing(ConstantEvidenceModel(0.9), pools, config)
+        oracle = typing_run(OracleEvidenceModel(), data, config)
+        blind = typing_run(ConstantEvidenceModel(0.9), data, config)
         assert oracle.accuracy >= blind.accuracy
 
     @pytest.mark.filterwarnings("ignore::rsvptyping.sim.SubChanceAccuracyWarning")
@@ -247,11 +247,11 @@ class TestRunTyping:
         # stopping on a wrong decision ends some attempts early; every
         # attempt that never decided wrongly must follow the same path
         rng = np.random.default_rng(13)
-        pools = dummy_pools(rng)
+        data = dummy_dataset(rng)
         model = ConstantEvidenceModel(0.9)
-        stop = run_typing(model, pools, self.oracle_config(attempts=300, threshold=0.9))
-        literal = run_typing(
-            model, pools,
+        stop = typing_run(model, data, self.oracle_config(attempts=300, threshold=0.9))
+        literal = typing_run(
+            model, data,
             self.oracle_config(attempts=300, threshold=0.9, stop_on_wrong=False),
         )
         same = [i for i, t in enumerate(stop.traces) if t.outcome != "wrong"]
@@ -265,9 +265,9 @@ class TestRunTyping:
     @pytest.mark.filterwarnings("ignore::rsvptyping.sim.SubChanceAccuracyWarning")
     def test_rounds_to_decision_counts_trace_lengths(self):
         rng = np.random.default_rng(18)
-        pools = dummy_pools(rng)
+        data = dummy_dataset(rng)
         config = self.oracle_config(attempts=80, threshold=0.9)
-        result = run_typing(ConstantEvidenceModel(0.9), pools, config)
+        result = typing_run(ConstantEvidenceModel(0.9), data, config)
         lengths = [len(t.queries) for t in result.traces if t.outcome != "timeout"]
         assert len(result.rounds_to_decision) == config.max_rounds
         assert list(result.rounds_to_decision) == np.bincount(
@@ -279,18 +279,18 @@ class TestRunTyping:
         # certain evidence that two distinct queried symbols are both the
         # target leaves no symbol possible
         rng = np.random.default_rng(19)
-        pools = dummy_pools(rng)
+        data = dummy_dataset(rng)
         config = self.oracle_config(
             attempts=5, query_strategy=QueryStrategy.TOP_K, symbols_per_query=2
         )
         with pytest.raises(DegenerateEvidenceError):
-            run_typing(ConstantEvidenceModel(1.0), pools, config)
+            typing_run(ConstantEvidenceModel(1.0), data, config)
 
     def test_traces_can_be_disabled(self):
         rng = np.random.default_rng(14)
-        pools = dummy_pools(rng)
+        data = dummy_dataset(rng)
         config = self.oracle_config(attempts=10, record_traces=False)
-        result = run_typing(OracleEvidenceModel(), pools, config)
+        result = typing_run(OracleEvidenceModel(), data, config)
         assert result.traces == ()
         assert result.attempts == 10
 
@@ -302,8 +302,12 @@ class TestRunTyping:
             )
 
     def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError):
-            EvidencePools(positive=(), negative=())
+        # a single-class label vector leaves one pool without epochs
+        log_pos, log_neg = np.log(np.full(4, 0.9)), np.log(np.full(4, 0.1))
+        config = self.oracle_config(attempts=5)
+        for labels in (np.ones(4, dtype=int), np.zeros(4, dtype=int)):
+            with pytest.raises(ValueError):
+                run_typing(LikelihoodMode.DISCRIMINATIVE, log_pos, log_neg, labels, config)
 
 
 class TestBalancedAccuracy:
@@ -330,27 +334,29 @@ class TestClassifyEpochs:
         model = ConstantEvidenceModel(
             0.4, 0.1, mode=LikelihoodMode.GENERATIVE, kind="constant-gen"
         )
-        unif = classify_epochs(model, epochs)
+        evidence = model.predict_batch(epochs)
+        unif = classify_epochs(model.mode, *evidence)
         assert list(unif) == [1] * 6  # 0.4 / 0.5 odds -> pos = 0.8
-        emp = classify_epochs(model, epochs, conversion_prior=LabelPrior(0.1))
+        emp = classify_epochs(model.mode, *evidence, conversion_prior=LabelPrior(0.1))
         assert list(emp) == [0] * 6  # prior drags pos to ~0.31
 
     def test_discriminative_argmax(self):
         rng = np.random.default_rng(16)
         epochs = first_of_each_class(dummy_dataset(rng), 2)
-        assert list(classify_epochs(ConstantEvidenceModel(0.7), epochs)) == [1] * 4
-        assert list(classify_epochs(ConstantEvidenceModel(0.2), epochs)) == [0] * 4
+        for p, label in ((0.7, 1), (0.2, 0)):
+            model = ConstantEvidenceModel(p)
+            assert list(classify_epochs(model.mode, *model.predict_batch(epochs))) == [label] * 4
 
     def test_epoch_far_from_both_kdes_is_a_tie(self):
         # an epoch far outside both classes: each KDE log-density sits at
         # its -745 floor, so the prior-weighted densities are equal
         rng = np.random.default_rng(17)
         data = dummy_dataset(rng)
-        model = GenerativeEvidenceModel(build_generative(data, scorer_kind="lda"), kind="gen-lda")
+        model = GenerativeEvidenceModel(build_generative(data, scorer_kind="lda"))
         far = LabeledDataset(data.data[:2] * 1e4, data.labels[:2])
         log_pos, log_neg = model.predict_batch(far)
         assert log_pos.tolist() == log_neg.tolist() == [-745.0] * 2
-        assert list(classify_epochs(model, far)) == [1, 1]
+        assert list(classify_epochs(model.mode, log_pos, log_neg)) == [1, 1]
 
 
 class TestEvaluateSplits:
@@ -387,16 +393,21 @@ class TestEvaluateSplits:
         assert summary.mean_balanced_accuracy == 0.5
         assert summary.std_balanced_accuracy == 0.0
 
-    def test_uses_attached_splits(self):
+    def test_scores_each_test_set_once(self):
+        # classification and typing share one evidence array per split
         data = self.small_dataset()
-        attached = data.with_splits(split(data, n_splits=2, seed=9))
-        factory = lambda train: ConstantEvidenceModel(0.9)
+        scored = []
+
+        class CountingOracle(OracleEvidenceModel):
+            def predict_batch(self, dataset):
+                scored.append(len(dataset))
+                return super().predict_batch(dataset)
+
         summary = evaluate_splits(
-            factory, attached, self.typing_config(), n_splits=2
+            lambda train: CountingOracle(), data, self.typing_config(), n_splits=3
         )
-        assert len(summary.per_split) == 2
-        with pytest.raises(ValueError):
-            evaluate_splits(factory, attached, self.typing_config(), n_splits=3)
+        assert len(summary.per_split) == 3
+        assert scored == [len(s.test) for s in split(data, n_splits=3)]
 
     def test_oracle_summary_is_perfect(self):
         data = self.small_dataset()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rsvptyping.synth import LabeledDataset, SplitIndices, SynthConfig, generate, split
+from rsvptyping.synth import SynthConfig, generate, split
 from rsvptyping.models import train_logistic_evidence
 
 
@@ -149,11 +149,3 @@ class TestSplit:
         # 2 positives: a 0.2 test share of 2 rounds to 0
         with pytest.raises(ValueError):
             split(data, n_splits=1, test_fraction=0.2)
-
-    def test_dataset_split_attachment(self):
-        data = generate(small_config(n_epochs=100))
-        splits = split(data, n_splits=2, seed=0)
-        with_meta = data.with_splits(splits)
-        assert with_meta.splits == splits
-        with pytest.raises(ValueError):
-            LabeledDataset(data.data, data.labels, splits=(SplitIndices((0, 1), (2,)),))
