@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -59,6 +60,8 @@ from .reports import (
 )
 from .sim import (
     QueryStrategy,
+    SplitSummary,
+    SubChanceAccuracyWarning,
     TypingConfig,
     balanced_accuracy,
     classify_epochs,
@@ -253,6 +256,15 @@ def _warn_unconverged(fits: list) -> None:
         )
 
 
+def _warn_sub_chance(summary: SplitSummary, alphabet_size: int) -> None:
+    """One stderr line when any split typed below chance 1/A."""
+    low = [row for row in summary.per_split if row.typing.accuracy < 1.0 / alphabet_size]
+    if low:
+        named = ", ".join(f"split {row.split_index} ({row.typing.accuracy:.4f})" for row in low)
+        print(f"warning: typing accuracy below chance 1/{alphabet_size} in {len(low)} of "
+              f"{len(summary.per_split)} splits: {named}", file=sys.stderr)
+
+
 def cmd_train(args) -> int:
     resolved = resolve_config(args.config, TRAIN_SCHEMA, TRAIN_DEFAULTS, {"seed": args.seed})
     try:
@@ -396,14 +408,17 @@ def cmd_simulate(args) -> int:
         factory = _file_model_factory(kind, hyper, fits)
 
     try:
-        summary = evaluate_splits(
-            factory,
-            dataset,
-            typing_config,
-            n_splits=resolved["splits"],
-            split_seed=resolved["split_seed"],
-            empirical_conversion=resolved["conversion_prior"] == "empirical",
-        )
+        with warnings.catch_warnings():
+            # reported once for the whole run by _warn_sub_chance
+            warnings.simplefilter("ignore", SubChanceAccuracyWarning)
+            summary = evaluate_splits(
+                factory,
+                dataset,
+                typing_config,
+                n_splits=resolved["splits"],
+                split_seed=resolved["split_seed"],
+                empirical_conversion=resolved["conversion_prior"] == "empirical",
+            )
     except np.linalg.LinAlgError:
         raise
     except ValueError as exc:
@@ -431,6 +446,7 @@ def cmd_simulate(args) -> int:
     )
     print(f"itr bits/symbol: {summary.mean_itr:.6f} ± {summary.std_itr:.6f}")
     _warn_unconverged(fits)
+    _warn_sub_chance(summary, resolved["alphabet_size"])
     return EXIT_OK
 
 

@@ -185,48 +185,37 @@ def read_raw(path) -> RawRecording:
 # Models
 
 
+_ZSCORE_ARRAYS = ("zscore_mean", "zscore_std")
+_PCA_ARRAYS = ("pca_mean", "pca_components", "pca_variance_fraction")
+_KDE_ARRAYS = ("kde_pos_scores", "kde_neg_scores", "kde_bandwidths")
+
+# The arrays each model kind is stored as, in file order.
+MODEL_ARRAYS = {
+    "logreg": _ZSCORE_ARRAYS + ("weights", "bias"),
+    "gen-logr": _ZSCORE_ARRAYS + _PCA_ARRAYS + ("scorer_weights", "scorer_bias") + _KDE_ARRAYS,
+    "gen-lda": _ZSCORE_ARRAYS + _PCA_ARRAYS
+    + ("lda_mean_pos", "lda_mean_neg", "lda_precision", "lda_log_priors") + _KDE_ARRAYS,
+}
+
+
 def _model_arrays(model: EvidenceModel) -> tuple[str, list[tuple[str, np.ndarray]]]:
     if isinstance(model, LogisticEvidenceModel):
-        return model.kind, [
-            ("zscore_mean", model.stats.mean),
-            ("zscore_std", model.stats.std),
-            ("weights", model.model.weights),
-            ("bias", np.asarray(model.model.bias)),
-        ]
-    if isinstance(model, GenerativeEvidenceModel):
+        arrays = [model.stats.mean, model.stats.std, model.model.weights, model.model.bias]
+    elif isinstance(model, GenerativeEvidenceModel):
         p = model.pipeline
-        arrays = [
-            ("zscore_mean", p.zscore.mean),
-            ("zscore_std", p.zscore.std),
-            ("pca_mean", p.pca.mean),
-            ("pca_components", p.pca.components),
-            ("pca_variance_fraction", np.asarray(p.pca.variance_fraction)),
-        ]
         if isinstance(p.scorer, LogisticModel):
-            arrays += [
-                ("scorer_weights", p.scorer.weights),
-                ("scorer_bias", np.asarray(p.scorer.bias)),
-            ]
+            scorer = [p.scorer.weights, p.scorer.bias]
         else:
-            arrays += [
-                ("lda_mean_pos", p.scorer.mean_pos),
-                ("lda_mean_neg", p.scorer.mean_neg),
-                ("lda_precision", p.scorer.precision),
-                (
-                    "lda_log_priors",
-                    np.asarray([p.scorer.log_prior_pos, p.scorer.log_prior_neg]),
-                ),
-            ]
-        arrays += [
-            ("kde_pos_scores", p.kde_pos.scores),
-            ("kde_neg_scores", p.kde_neg.scores),
-            (
-                "kde_bandwidths",
-                np.asarray([p.kde_pos.bandwidth, p.kde_neg.bandwidth]),
-            ),
-        ]
-        return model.kind, arrays
-    raise ValueError(f"model kind {model.kind!r} cannot be serialized")
+            scorer = [p.scorer.mean_pos, p.scorer.mean_neg, p.scorer.precision,
+                      [p.scorer.log_prior_pos, p.scorer.log_prior_neg]]
+        arrays = [p.zscore.mean, p.zscore.std, p.pca.mean, p.pca.components,
+                  p.pca.variance_fraction, *scorer, p.kde_pos.scores, p.kde_neg.scores,
+                  [p.kde_pos.bandwidth, p.kde_neg.bandwidth]]
+    else:
+        raise ValueError(f"model kind {model.kind!r} cannot be serialized")
+    return model.kind, [
+        (name, np.asarray(arr)) for name, arr in zip(MODEL_ARRAYS[model.kind], arrays, strict=True)
+    ]
 
 
 def write_model(path, model: EvidenceModel, hyper: dict | None = None) -> None:
@@ -278,7 +267,12 @@ def read_model(path) -> tuple[EvidenceModel, dict]:
     """Load a trained model plus the hyperparameters it was trained with."""
     header, payload = read_container(path, "model")
     kind = header.get("model")
+    if not (isinstance(kind, str) and kind in MODEL_ARRAYS):
+        raise ContainerFormatError(f"{path}: unknown model kind {kind!r}")
     arrays = _read_arrays(path, header, payload)
+    missing = [name for name in MODEL_ARRAYS[kind] if name not in arrays]
+    if missing:
+        raise ContainerFormatError(f"{path}: missing model arrays {', '.join(missing)}")
     hyper = header.get("hyper", {})
     if not isinstance(hyper, dict):
         raise ContainerFormatError(f"{path}: malformed training hyperparameters")
@@ -289,40 +283,33 @@ def read_model(path) -> tuple[EvidenceModel, dict]:
     try:
         stats = ZScoreStats(mean=arrays["zscore_mean"], std=arrays["zscore_std"])
         if kind == "logreg":
-            model = LogisticModel(
-                weights=arrays["weights"], bias=float(arrays["bias"])
-            )
+            model = LogisticModel(weights=arrays["weights"], bias=float(arrays["bias"]))
             return LogisticEvidenceModel(stats, model), hyper
-        if kind in ("gen-logr", "gen-lda"):
-            pca = PcaProjection(
-                mean=arrays["pca_mean"],
-                components=arrays["pca_components"],
-                variance_fraction=float(arrays["pca_variance_fraction"]),
+        pca = PcaProjection(
+            mean=arrays["pca_mean"],
+            components=arrays["pca_components"],
+            variance_fraction=float(arrays["pca_variance_fraction"]),
+        )
+        if kind == "gen-logr":
+            scorer = LogisticModel(
+                weights=arrays["scorer_weights"], bias=float(arrays["scorer_bias"])
             )
-            if kind == "gen-logr":
-                scorer = LogisticModel(
-                    weights=arrays["scorer_weights"],
-                    bias=float(arrays["scorer_bias"]),
-                )
-            else:
-                scorer = LdaModel(
-                    mean_pos=arrays["lda_mean_pos"],
-                    mean_neg=arrays["lda_mean_neg"],
-                    precision=arrays["lda_precision"],
-                    log_prior_pos=float(arrays["lda_log_priors"][0]),
-                    log_prior_neg=float(arrays["lda_log_priors"][1]),
-                )
-            bandwidths = arrays["kde_bandwidths"]
-            pipeline = GenerativePipeline(
-                zscore=stats,
-                pca=pca,
-                scorer=scorer,
-                kde_pos=KdeDensity(arrays["kde_pos_scores"], float(bandwidths[0])),
-                kde_neg=KdeDensity(arrays["kde_neg_scores"], float(bandwidths[1])),
+        else:
+            scorer = LdaModel(
+                mean_pos=arrays["lda_mean_pos"],
+                mean_neg=arrays["lda_mean_neg"],
+                precision=arrays["lda_precision"],
+                log_prior_pos=float(arrays["lda_log_priors"][0]),
+                log_prior_neg=float(arrays["lda_log_priors"][1]),
             )
-            return GenerativeEvidenceModel(pipeline), hyper
-    except KeyError as exc:
-        raise ContainerFormatError(f"{path}: missing model array {exc}") from exc
+        bandwidths = arrays["kde_bandwidths"]
+        pipeline = GenerativePipeline(
+            zscore=stats,
+            pca=pca,
+            scorer=scorer,
+            kde_pos=KdeDensity(arrays["kde_pos_scores"], float(bandwidths[0])),
+            kde_neg=KdeDensity(arrays["kde_neg_scores"], float(bandwidths[1])),
+        )
+        return GenerativeEvidenceModel(pipeline), hyper
     except (IndexError, TypeError, ValueError) as exc:
         raise ContainerFormatError(f"{path}: invalid model: {exc}") from exc
-    raise ContainerFormatError(f"{path}: unknown model kind {kind!r}")

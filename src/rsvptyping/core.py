@@ -11,8 +11,11 @@ evidence (target / non-target). Two update rules are supported:
   p(response | label), and the queried symbol is scaled by the positive
   density, all others by the negative density.
 
-All accumulation happens in the log domain so that long query sequences do
-not underflow, and every public operation returns a freshly normalized state.
+One batched filter applies those factors (``update_factors``) to every row
+of an (rows, A) log-posterior matrix (``apply_round``, ``decide_rows``);
+the scalar API checks its arguments and makes one one-row call of it. All
+accumulation happens in the log domain so that long query sequences do not
+underflow, and every public operation returns a freshly normalized state.
 """
 
 from __future__ import annotations
@@ -23,9 +26,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-
-# Tolerance for the "probabilities sum to one" invariant after public ops.
-PROB_ATOL = 1e-12
 
 # Discriminative pairs must be a proper two-class distribution this tightly.
 DISC_SUM_ATOL = 1e-9
@@ -38,10 +38,6 @@ class DegenerateEvidenceError(ArithmeticError):
 class LikelihoodMode(Enum):
     DISCRIMINATIVE = "discriminative"
     GENERATIVE = "generative"
-
-
-def _log(x: float) -> float:
-    return math.log(x) if x > 0.0 else float("-inf")
 
 
 @dataclass(frozen=True)
@@ -162,19 +158,69 @@ class PosteriorState:
 
     def probabilities(self) -> np.ndarray:
         """Linear-domain probabilities, renormalized against drift."""
-        m = np.max(self.log_probs)
-        w = np.exp(self.log_probs - m)
-        return w / np.sum(w)
+        return probabilities(self.log_probs[None])[0]
 
 
-def _normalized(log_mass: np.ndarray, step: int) -> PosteriorState:
-    if not np.any(log_mass > -np.inf):
+def probabilities(log_posterior: np.ndarray) -> np.ndarray:
+    """Each row of a (rows, A) log-posterior matrix in the linear domain,
+    renormalized against drift."""
+    weights = np.exp(log_posterior - log_posterior.max(axis=1, keepdims=True))
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def update_factors(
+    mode: LikelihoodMode,
+    log_pos: np.ndarray,
+    log_neg: np.ndarray,
+    label_prior: Optional[LabelPrior] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log factors for the queried symbol and for every other symbol:
+    discriminative evidence divided by ``label_prior``, which it then needs,
+    or generative log densities unchanged."""
+    log_pos = np.asarray(log_pos, dtype=np.float64)
+    log_neg = np.asarray(log_neg, dtype=np.float64)
+    if mode is LikelihoodMode.GENERATIVE:
+        return log_pos, log_neg
+    if label_prior is None:
+        raise ValueError("discriminative updates need a label prior")
+    return log_pos - math.log(label_prior.p_pos), log_neg - math.log(label_prior.p_neg)
+
+
+def apply_round(
+    log_posterior: np.ndarray,
+    queries: np.ndarray,
+    log_pos: np.ndarray,
+    log_neg: np.ndarray,
+) -> np.ndarray:
+    """Fold one round of presentations into each row, then renormalize once.
+
+    ``queries``, ``log_pos`` and ``log_neg`` are (rows, slots): slot j of a
+    row scales the queried symbol's mass by exp(log_pos) and every other
+    symbol's by exp(log_neg), factors as ``update_factors`` returns them.
+    Every slot applies, repeats included, and the result does not depend on
+    the order of a row's slots. Factors are added, never subtracted, so -inf
+    evidence cannot produce NaN. A row left without mass raises
+    DegenerateEvidenceError.
+    """
+    mass = np.array(log_posterior, dtype=np.float64)
+    symbols = np.arange(mass.shape[1])
+    for j in range(queries.shape[1]):
+        queried = queries[:, j, None] == symbols
+        mass += np.where(queried, log_pos[:, j, None], log_neg[:, j, None])
+    peak = mass.max(axis=1, keepdims=True)
+    if not np.all(peak > -np.inf):
         raise DegenerateEvidenceError(
             "evidence assigns zero mass to every symbol with remaining prior mass"
         )
-    m = np.max(log_mass)
-    log_z = m + math.log(np.sum(np.exp(log_mass - m)))
-    return PosteriorState(log_mass - log_z, step)
+    return mass - (peak + np.log(np.sum(np.exp(mass - peak), axis=1, keepdims=True)))
+
+
+def decide_rows(log_posterior: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each row, the most probable symbol (ties to the lowest index) and
+    whether its probability reaches ``threshold``."""
+    probs = probabilities(log_posterior)
+    best = np.argmax(probs, axis=1)
+    return best, probs[np.arange(best.shape[0]), best] >= threshold
 
 
 def init_posterior(
@@ -193,25 +239,13 @@ def init_posterior(
         raise ValueError(f"prior length {p.shape} does not match alphabet size {a}")
     if np.any(p < 0.0) or not np.all(np.isfinite(p)):
         raise ValueError("prior entries must be finite and nonnegative")
-    total = float(np.sum(p))
-    if total <= 0.0:
+    if not np.any(p > 0.0):
         raise ValueError("prior must have positive total mass")
     with np.errstate(divide="ignore"):
-        log_p = np.log(p) - math.log(total)
-    return _normalized(log_p, step=0)
-
-
-def _updated(
-    state: PosteriorState, queried_index: int, log_pos: float, log_neg: float
-) -> PosteriorState:
-    if not (0 <= queried_index < state.size):
-        raise ValueError(f"queried index {queried_index} outside alphabet")
-    log_mass = state.log_probs + log_neg
-    # log_probs[q] may be -inf; -inf plus a finite factor stays -inf.
-    q_mass = state.log_probs[queried_index] + log_pos
-    log_mass = log_mass.copy()
-    log_mass[queried_index] = q_mass
-    return _normalized(log_mass, state.step + 1)
+        log_p = np.log(p)[None]
+    # a round without presentations only normalizes, in the log domain
+    no_events = np.empty((1, 0))
+    return PosteriorState(apply_round(log_p, no_events, no_events, no_events)[0], step=0)
 
 
 def update_discriminative(
@@ -222,12 +256,9 @@ def update_discriminative(
     The queried symbol's unnormalized mass is multiplied by ``pos / p_pos``,
     every other symbol's by ``neg / p_neg``, and the result is renormalized.
     """
-    pair = event.likelihood
-    if pair.mode is not LikelihoodMode.DISCRIMINATIVE:
+    if event.likelihood.mode is not LikelihoodMode.DISCRIMINATIVE:
         raise ValueError("update_discriminative requires discriminative evidence")
-    log_pos = _log(pair.pos) - _log(label_prior.p_pos)
-    log_neg = _log(pair.neg) - _log(label_prior.p_neg)
-    return _updated(state, event.queried_index, log_pos, log_neg)
+    return apply_query(state, [event], label_prior)
 
 
 def update_generative(state: PosteriorState, event: QueryEvent) -> PosteriorState:
@@ -236,10 +267,9 @@ def update_generative(state: PosteriorState, event: QueryEvent) -> PosteriorStat
     The queried symbol's mass is multiplied by p(e|+), all others by p(e|-);
     any common scale factor cancels in the normalization.
     """
-    pair = event.likelihood
-    if pair.mode is not LikelihoodMode.GENERATIVE:
+    if event.likelihood.mode is not LikelihoodMode.GENERATIVE:
         raise ValueError("update_generative requires generative evidence")
-    return _updated(state, event.queried_index, _log(pair.pos), _log(pair.neg))
+    return apply_query(state, [event])
 
 
 def apply_query(
@@ -247,7 +277,7 @@ def apply_query(
     events: Sequence[QueryEvent],
     label_prior: Optional[LabelPrior] = None,
 ) -> PosteriorState:
-    """Apply a batch of same-mode events sequentially.
+    """Apply a batch of same-mode events as one round of the filter.
 
     Responses within a query are treated as independent, so the result does
     not depend on event order. An empty batch returns the state unchanged.
@@ -257,16 +287,15 @@ def apply_query(
     modes = {e.likelihood.mode for e in events}
     if len(modes) > 1:
         raise ValueError("apply_query requires all events to share one mode")
-    mode = modes.pop()
-    if mode is LikelihoodMode.DISCRIMINATIVE:
-        if label_prior is None:
-            raise ValueError("discriminative updates need a label prior")
-        for event in events:
-            state = update_discriminative(state, event, label_prior)
-    else:
-        for event in events:
-            state = update_generative(state, event)
-    return state
+    with np.errstate(divide="ignore"):
+        evidence = np.log([(e.likelihood.pos, e.likelihood.neg) for e in events]).T
+    log_pos, log_neg = update_factors(modes.pop(), *evidence, label_prior)
+    queries = np.array([e.queried_index for e in events])
+    for q in queries:
+        if not 0 <= q < state.size:
+            raise ValueError(f"queried index {q} outside alphabet")
+    log_probs = apply_round(state.log_probs[None], queries[None], log_pos[None], log_neg[None])
+    return PosteriorState(log_probs[0], state.step + len(events))
 
 
 def decide(state: PosteriorState, threshold: float) -> Optional[int]:
@@ -277,6 +306,5 @@ def decide(state: PosteriorState, threshold: float) -> Optional[int]:
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-    probs = state.probabilities()
-    best = int(np.argmax(probs))
-    return best if probs[best] >= threshold else None
+    best, confident = decide_rows(state.log_probs[None], threshold)
+    return int(best[0]) if confident[0] else None

@@ -427,6 +427,10 @@ class PcaProjection:
             raise ValueError("PCA parameters must be finite")
         if not 0.0 < self.variance_fraction <= 1.0:
             raise ValueError("variance_fraction must lie in (0, 1]")
+        # orthonormal columns have no entry above 1 in magnitude; checking
+        # that first keeps the Gram matrix from overflowing
+        if np.max(np.abs(comp)) > 1.0 + ORTHONORMALITY_ATOL:
+            raise ValueError("components must be orthonormal")
         gram = comp.T @ comp
         if np.max(np.abs(gram - np.eye(comp.shape[1]))) > ORTHONORMALITY_ATOL:
             raise ValueError("components must be orthonormal")

@@ -12,8 +12,7 @@ Typing never calls a model: it takes the held-out epochs' evidence, the
 which split the factors into the two pools. All attempts of a run step
 together as one (attempts, A) log-posterior matrix: one query selection,
 one evidence draw and one normalization per round for every row still
-typing. The scalar updates in ``core`` are the reference this kernel is
-tested against.
+typing, through the posterior filter in ``core``.
 
 A run draws from one generator seeded with its ``seed``; every round draws
 for every attempt, finished or not, so an attempt's path never depends on
@@ -32,7 +31,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Alphabet, DegenerateEvidenceError, LabelPrior, LikelihoodMode
+from .core import (
+    Alphabet,
+    LabelPrior,
+    LikelihoodMode,
+    apply_round,
+    decide_rows,
+    probabilities,
+    update_factors,
+)
 from .models import EvidenceModel, empirical_prior, prior_weighted, uniform_prior
 from .synth import LabeledDataset
 from . import synth
@@ -135,13 +142,6 @@ def itr(alphabet_size: int, accuracy: float) -> float:
     return bits
 
 
-def _probabilities(log_posterior: np.ndarray) -> np.ndarray:
-    """Each row in the linear domain, renormalized against drift, as
-    PosteriorState.probabilities does for one state."""
-    weights = np.exp(log_posterior - log_posterior.max(axis=1, keepdims=True))
-    return weights / weights.sum(axis=1, keepdims=True)
-
-
 def select_queries(
     log_posterior: np.ndarray,
     k: int,
@@ -163,7 +163,7 @@ def select_queries(
     if k < 1:
         raise ValueError("k must be >= 1")
     if strategy is QueryStrategy.WITH_REPLACEMENT:
-        weights = _probabilities(log_p)
+        weights = probabilities(log_p)
         cdf = np.cumsum(weights, axis=1)
         points = rng.random((rows, k)) * cdf[:, -1:]
         picks = np.sum(cdf[:, None, :] <= points[:, :, None], axis=2)
@@ -179,42 +179,6 @@ def select_queries(
     keys = np.where(possible, log_p + gumbel, gumbel)
     # positive mass first, then by descending perturbed log-probability
     return np.lexsort((-keys, ~possible), axis=1)[:, :k]
-
-
-def apply_round(
-    log_posterior: np.ndarray,
-    queries: np.ndarray,
-    log_pos: np.ndarray,
-    log_neg: np.ndarray,
-) -> np.ndarray:
-    """Fold one round of presentations into each row, then renormalize once.
-
-    ``queries``, ``log_pos`` and ``log_neg`` are (rows, slots): slot j of a
-    row scales the queried symbol's mass by exp(log_pos) and every other
-    symbol's by exp(log_neg). Every slot applies, repeats included, so this
-    equals core.apply_query over the row's events in any order. Factors are
-    added, never subtracted, so -inf evidence cannot produce NaN. A row left
-    without mass raises DegenerateEvidenceError.
-    """
-    mass = np.array(log_posterior, dtype=np.float64)
-    symbols = np.arange(mass.shape[1])
-    for j in range(queries.shape[1]):
-        queried = queries[:, j, None] == symbols
-        mass += np.where(queried, log_pos[:, j, None], log_neg[:, j, None])
-    peak = mass.max(axis=1, keepdims=True)
-    if not np.all(peak > -np.inf):
-        raise DegenerateEvidenceError(
-            "evidence assigns zero mass to every symbol with remaining prior mass"
-        )
-    return mass - (peak + np.log(np.sum(np.exp(mass - peak), axis=1, keepdims=True)))
-
-
-def decide_rows(log_posterior: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """For each row, the most probable symbol (ties to the lowest index) and
-    whether its probability reaches ``threshold``, as core.decide."""
-    probs = _probabilities(log_posterior)
-    best = np.argmax(probs, axis=1)
-    return best, probs[np.arange(best.shape[0]), best] >= threshold
 
 
 OUTCOMES = ("timeout", "correct", "wrong")
@@ -234,11 +198,12 @@ def run_typing(
     entry per epoch, as a model of likelihood ``mode`` scored it; no model
     is called here. ``labels`` splits the epochs into the positive pool,
     drawn when the queried symbol is the target, and the negative pool;
-    both must be nonempty. Discriminative factors are divided by the label
-    prior 1/A here. The attempts then step together through an (attempts,
-    A) log-posterior matrix: each round selects queries for every row, draws
-    a pool epoch for every (attempt, slot), folds the evidence into the rows
-    still typing and decides them.
+    both must be nonempty. ``core.update_factors`` divides discriminative
+    evidence by the label prior 1/A. The attempts then step together
+    through an (attempts, A) log-posterior matrix: each round selects
+    queries for every row, draws a pool epoch for every (attempt, slot),
+    folds the evidence into the rows still typing with ``core.apply_round``
+    and decides them with ``core.decide_rows``.
 
     RNG contract: one generator seeded with ``config.seed`` draws the
     targets, then in each round the query randomness and both pools'
@@ -250,10 +215,7 @@ def run_typing(
     size = config.alphabet.size
     n, k = config.attempts, config.symbols_per_query
     # (2, epochs): the factor of the queried symbol, then of every other one
-    evidence = np.array([log_pos, log_neg], dtype=np.float64)
-    if mode is LikelihoodMode.DISCRIMINATIVE:
-        prior = LabelPrior.uniform_over(size)
-        evidence -= np.array([[math.log(prior.p_pos)], [math.log(prior.p_neg)]])
+    evidence = np.array(update_factors(mode, log_pos, log_neg, LabelPrior.uniform_over(size)))
     positive = np.asarray(labels) == 1
     if positive.all() or not positive.any():
         raise ValueError("both pools must be nonempty")
@@ -279,7 +241,7 @@ def run_typing(
         )
         log_posterior[live] = apply_round(log_posterior[live], query, evidence[0], evidence[1])
         if config.record_traces:
-            history.append((queries, _probabilities(log_posterior)))
+            history.append((queries, probabilities(log_posterior)))
         best, confident = decide_rows(log_posterior[live], config.threshold)
         right = confident & (best == targets[live])
         stop = right | (confident & config.stop_on_wrong)

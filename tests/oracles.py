@@ -1,8 +1,9 @@
 """Independent reference computations the test suite checks against.
 
-These deliberately avoid the package's recursive/log-domain code paths:
-posteriors are found by enumerating the full joint distribution in linear
-space, and filter responses are measured from impulse responses via FFT.
+These deliberately avoid the package's code paths: posteriors are found by
+enumerating the full joint distribution in linear space, or by folding
+evidence in one event at a time where the package folds a whole round at
+once, and filter responses are measured from impulse responses via FFT.
 """
 
 from __future__ import annotations
@@ -48,6 +49,37 @@ def enumerated_posterior(size, events, p_pos=None, prior=None):
             total += weight
         mass[d] = total
     return mass / mass.sum()
+
+
+def sequential_posterior(log_start, queries, log_pos, log_neg):
+    """Log posterior of one row after its events, folded in one at a time.
+
+    Event j adds ``log_pos[j]`` to the log mass of symbol ``queries[j]`` and
+    ``log_neg[j]`` to every other symbol's, and the row is renormalized
+    after every event, in plain Python floats with the C library's exp and
+    log. Costs O(events * A), unlike the 2^m enumeration, and stays finite
+    where linear-space products underflow. Returns None when an event
+    leaves no symbol with mass.
+    """
+    log_probs = np.asarray(log_start, dtype=np.float64).tolist()
+    for q, lp, ln in zip(*(np.asarray(v).tolist() for v in (queries, log_pos, log_neg))):
+        # -inf plus a finite factor stays -inf: a symbol without mass keeps none
+        log_mass = [x + (lp if i == q else ln) for i, x in enumerate(log_probs)]
+        peak = max(log_mass)
+        if peak == -math.inf:
+            return None
+        log_z = peak + math.log(math.fsum(math.exp(x - peak) for x in log_mass))
+        log_probs = [x - log_z for x in log_mass]
+    return np.array(log_probs)
+
+
+def threshold_decision(log_probs, threshold):
+    """Most probable symbol of one normalized log posterior, ties to the
+    lowest index, if its probability reaches ``threshold``; else None."""
+    w = np.exp(log_probs - np.max(log_probs))
+    probs = w / np.sum(w)
+    best = int(np.argmax(probs))
+    return best if probs[best] >= threshold else None
 
 
 def measured_gain_db(apply_filter, rate, freq_hz, n=16384):

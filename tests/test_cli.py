@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -209,7 +210,6 @@ class TestTrain:
         )
         assert expected in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::rsvptyping.sim.SubChanceAccuracyWarning")
     def test_unconverged_fit_warns(self, tmp_path, workspace, monkeypatch, capsys):
         monkeypatch.setattr(models, "NEWTON_MAX_STEPS", 1)
         model = tmp_path / "m.bin"
@@ -225,9 +225,12 @@ class TestTrain:
         cfg.write_text("attempts = 10\nsplits = 2\n")
         assert main(["simulate", str(model), str(workspace["data"]), "--config", str(cfg),
                      "--out", str(tmp_path / "rep.json")]) == 0
-        err = capsys.readouterr().err
-        assert err.startswith("warning: 2 of 2 logistic fits stopped short")
-        assert err.count("\n") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("warning: 2 of 2 logistic fits stopped short")
+        # the one-step fits also type below chance on split 1's 10 attempts
+        assert lines[1:] == [
+            "warning: typing accuracy below chance 1/28 in 1 of 2 splits: split 1 (0.0000)"
+        ]
 
     def test_single_class_data_exits_2(self, tmp_path, capsys):
         base = generate(SynthConfig(n_epochs=40, channels=2, target_fraction=0.5, seed=1))
@@ -287,13 +290,19 @@ class TestSimulate:
         assert abs(report["aggregate"]["itr_bits_per_symbol"]["mean"] - math.log2(28)) < 1e-6
         assert report["aggregate"]["balanced_accuracy"]["mean"] == 1.0
 
-    def test_uninformative_times_out_every_attempt(self, tmp_path, workspace):
+    def test_uninformative_times_out_every_attempt(self, tmp_path, workspace, capsys):
         cfg = self.sim_cfg(tmp_path, attempts=40)
         out = tmp_path / "rep.json"
-        with pytest.warns(SubChanceAccuracyWarning):
+        with warnings.catch_warnings():
+            # the run reports sub-chance typing on stderr, not as a warning
+            warnings.simplefilter("error", SubChanceAccuracyWarning)
             rc = main(["simulate", "uninformative", str(workspace["data"]),
                        "--config", str(cfg), "--out", str(out)])
         assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: typing accuracy below chance 1/28 in 2 of 2 splits: "
+            "split 0 (0.0000), split 1 (0.0000)\n"
+        )
         report = json.loads(out.read_text())
         for row in report["splits"]:
             assert row["typing_accuracy"] == 0.0
@@ -595,17 +604,13 @@ class TestPreprocess:
 
 class TestReport:
     def test_merge_and_sort(self, tmp_path, workspace):
-        import warnings
-
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("attempts = 30\nsplits = 2\n")
         paths = []
         for name in ("oracle", "always-pos"):
             out = tmp_path / f"{name}.json"
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", SubChanceAccuracyWarning)
-                rc = main(["simulate", name, str(workspace["data"]), "--config", str(cfg),
-                           "--out", str(out)])
+            rc = main(["simulate", name, str(workspace["data"]), "--config", str(cfg),
+                       "--out", str(out)])
             assert rc == 0
             paths.append(out)
         merged = tmp_path / "merged.csv"

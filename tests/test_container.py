@@ -1,6 +1,7 @@
 """Container I/O tests: bit-exact round trips and malformed-file rejection."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -292,6 +293,27 @@ class TestModelIO:
         header["arrays"] = kept
         write_container(path, header, payload[: len(payload) - 8 * n])
         with pytest.raises(ContainerFormatError, match="missing model array"):
+            read_model(path)
+
+    @pytest.mark.parametrize("kind", ["bogus", ["logreg"], None])
+    def test_unknown_kind_reported_before_arrays(self, tmp_path, logreg, kind):
+        path = tmp_path / "m.bin"
+        write_model(path, logreg)
+        header, _ = read_container(path, "model")
+        header["model"] = kind
+        header["arrays"] = []
+        write_container(path, header, b"")
+        with pytest.raises(ContainerFormatError, match="unknown model kind"):
+            read_model(path)
+
+    def test_every_missing_array_listed(self, tmp_path, logreg):
+        path = tmp_path / "m.bin"
+        write_model(path, logreg)
+        header, payload = read_container(path, "model")
+        header["arrays"] = header["arrays"][:2]
+        n = sum(math.prod(e["shape"]) for e in header["arrays"])
+        write_container(path, header, payload[: 8 * n])
+        with pytest.raises(ContainerFormatError, match="missing model arrays weights, bias$"):
             read_model(path)
 
     def test_constant_model_rejected(self, tmp_path):

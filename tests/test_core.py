@@ -82,6 +82,11 @@ class TestInitPosterior:
         with pytest.raises(ValueError):
             init_posterior(Alphabet.default(3), prior=(0, 0, 0))
 
+    def test_huge_prior_entries_normalize(self):
+        # their sum overflows float64; the log domain does not
+        state = init_posterior(Alphabet.default(3), prior=(1e308, 1e308, 0))
+        np.testing.assert_allclose(state.probabilities(), [0.5, 0.5, 0.0], atol=1e-15)
+
     def test_zero_entries_stay_impossible(self):
         state = init_posterior(Alphabet.default(3), prior=(1, 0, 1))
         probs = state.probabilities()

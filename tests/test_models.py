@@ -336,6 +336,12 @@ class TestPca:
                 variance_fraction=1.0,
             )
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_component_rejected_without_overflow(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            PcaProjection(mean=np.zeros(2), components=np.array([[1e200], [0.0]]),
+                          variance_fraction=1.0)
+
     def test_bad_parameters_rejected(self):
         for mean, fraction in ((np.zeros(2), 0.0), (np.zeros(2), 1.5),
                                (np.zeros(2), math.nan), (np.array([0.0, math.nan]), 1.0)):

@@ -1,6 +1,6 @@
-"""Property tests: the batched typing kernel against the scalar core
-updates, the CLI's exit codes on damaged container files, and config files
-read back as written."""
+"""Property tests: the batched posterior filter against a per-event
+reference, the scalar query API, the CLI's exit codes on damaged container
+files, and config files read back as written."""
 
 import math
 import struct
@@ -18,11 +18,13 @@ from rsvptyping.core import (
     LikelihoodPair,
     QueryEvent,
     apply_query,
-    decide,
+    apply_round,
+    decide_rows,
     init_posterior,
 )
 from rsvptyping.models import TRAIN_SCHEMA
-from rsvptyping.sim import apply_round, decide_rows
+
+from oracles import sequential_posterior, threshold_decision
 
 
 def _log(x: float) -> float:
@@ -32,6 +34,27 @@ def _log(x: float) -> float:
 # evidence with exact zeros, so that some factors are -inf
 probabilities = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 densities = st.one_of(st.just(0.0), st.floats(1e-300, 5.0))
+modes = st.sampled_from(["discriminative", "generative"])
+
+
+def start_weights(size):
+    """Unnormalized start posteriors, zero entries included."""
+    return st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size).filter(
+        lambda w: sum(w) > 0.0
+    )
+
+
+def evidence(draw, mode, slots):
+    """``slots`` evidence pairs of one mode."""
+    if mode == "discriminative":
+        return [LikelihoodPair.discriminative(draw(probabilities)) for _ in range(slots)]
+    return [LikelihoodPair.generative(*draw(
+                st.tuples(densities, densities).filter(lambda d: d[0] + d[1] > 0.0)))
+            for _ in range(slots)]
+
+
+def label_prior(draw, mode):
+    return LabelPrior(draw(st.floats(0.05, 0.95))) if mode == "discriminative" else None
 
 
 @st.composite
@@ -40,63 +63,97 @@ def rounds(draw):
     size = draw(st.integers(2, 8))
     rows = draw(st.integers(1, 4))
     slots = draw(st.integers(1, 2 * size))
-    mode = draw(st.sampled_from(["discriminative", "generative"]))
-    starts = [
-        draw(
-            st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size).filter(
-                lambda w: sum(w) > 0.0
-            )
-        )
-        for _ in range(rows)
-    ]
+    mode = draw(modes)
+    starts = [draw(start_weights(size)) for _ in range(rows)]
     # drawn with repeats, as sampling with replacement does
     queries = [draw(st.lists(st.integers(0, size - 1), min_size=slots, max_size=slots))
                for _ in range(rows)]
-    if mode == "discriminative":
-        pairs = [[LikelihoodPair.discriminative(draw(probabilities)) for _ in range(slots)]
-                 for _ in range(rows)]
-        prior = LabelPrior(draw(st.floats(0.05, 0.95)))
-    else:
-        pairs = [[LikelihoodPair.generative(*draw(
-                    st.tuples(densities, densities).filter(lambda d: d[0] + d[1] > 0.0)))
-                  for _ in range(slots)]
-                 for _ in range(rows)]
-        prior = None
-    return size, starts, queries, pairs, prior
+    pairs = [evidence(draw, mode, slots) for _ in range(rows)]
+    return size, starts, queries, pairs, label_prior(draw, mode)
 
 
 @settings(max_examples=300, deadline=None)
 @given(rounds(), st.floats(0.05, 1.0))
-def test_kernel_round_matches_sequential_core_updates(case, threshold):
+def test_kernel_round_matches_sequential_reference(case, threshold):
     size, starts, queries, pairs, prior = case
     alphabet = Alphabet.default(size)
-    states = [init_posterior(alphabet, start) for start in starts]
+    start = np.stack([init_posterior(alphabet, weights).log_probs for weights in starts])
     log_prior = (0.0, 0.0) if prior is None else (_log(prior.p_pos), _log(prior.p_neg))
     log_pos = np.array([[_log(p.pos) - log_prior[0] for p in row] for row in pairs])
     log_neg = np.array([[_log(p.neg) - log_prior[1] for p in row] for row in pairs])
 
-    expected = []
-    for state, row_queries, row_pairs in zip(states, queries, pairs):
-        events = [QueryEvent(q, pair) for q, pair in zip(row_queries, row_pairs)]
-        try:
-            expected.append(apply_query(state, events, prior))
-        except DegenerateEvidenceError:
-            expected.append(None)
-    start = np.stack([state.log_probs for state in states])
-    if any(state is None for state in expected):
+    expected = [sequential_posterior(*row) for row in zip(start, queries, log_pos, log_neg)]
+    if any(row is None for row in expected):
         with pytest.raises(DegenerateEvidenceError):
             apply_round(start, np.array(queries), log_pos, log_neg)
         return
     updated = apply_round(start, np.array(queries), log_pos, log_neg)
     assert not np.isnan(updated).any()
-    for row, state in zip(updated, expected):
-        probs = np.exp(row - row.max())
-        np.testing.assert_allclose(probs / probs.sum(), state.probabilities(), rtol=0, atol=1e-12)
+    for row, reference in zip(updated, expected):
+        np.testing.assert_allclose(np.exp(row), np.exp(reference), rtol=0, atol=1e-12)
 
-    reference = np.stack([state.log_probs for state in expected])
-    best, confident = decide_rows(reference, threshold)
-    for b, c, state in zip(best, confident, expected):
-        assert (int(b) if c else None) == decide(state, threshold)
+    best, confident = decide_rows(np.stack(expected), threshold)
+    for b, c, reference in zip(best, confident, expected):
+        assert (int(b) if c else None) == threshold_decision(reference, threshold)
+
+
+@st.composite
+def queries(draw):
+    """A start state, one query's events with repeated symbols and exact 0/1
+    evidence, the label prior they need, and a reordering of the events."""
+    size = draw(st.integers(2, 8))
+    mode = draw(modes)
+    slots = draw(st.integers(1, 2 * size))
+    state = init_posterior(Alphabet.default(size), draw(start_weights(size)))
+    indices = draw(st.lists(st.integers(0, size - 1), min_size=slots, max_size=slots))
+    events = [QueryEvent(q, pair) for q, pair in zip(indices, evidence(draw, mode, slots))]
+    return state, events, label_prior(draw, mode), draw(st.permutations(events))
+
+
+def _posterior_or_none(state, events, prior):
+    try:
+        return apply_query(state, events, prior)
+    except DegenerateEvidenceError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(queries())
+def test_apply_query_stays_normalized(case):
+    state, events, prior, _ = case
+    out = _posterior_or_none(state, events, prior)
+    if out is not None:
+        assert abs(float(np.sum(np.exp(out.log_probs))) - 1.0) <= 1e-12
+        assert out.step == state.step + len(events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(queries())
+def test_apply_query_ignores_event_order(case):
+    state, events, prior, shuffled = case
+    out = _posterior_or_none(state, events, prior)
+    out_shuffled = _posterior_or_none(state, shuffled, prior)
+    assert (out is None) == (out_shuffled is None)
+    if out is not None:
+        np.testing.assert_allclose(
+            out_shuffled.probabilities(), out.probabilities(), rtol=0, atol=1e-12
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(queries())
+def test_apply_query_one_event_at_a_time_agrees(case):
+    state, events, prior, _ = case
+    out = _posterior_or_none(state, events, prior)
+    stepped = state
+    for event in events:
+        stepped = _posterior_or_none(stepped, [event], prior)
+        if stepped is None:
+            break
+    assert (out is None) == (stepped is None)
+    if out is not None:
+        np.testing.assert_allclose(stepped.probabilities(), out.probabilities(), rtol=0, atol=1e-12)
+        assert stepped.step == out.step
 
 
 # ---------------------------------------------------------------------------
