@@ -491,7 +491,7 @@ def cmd_preprocess(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    filtered = filter_forward(band, filter_forward(notch, recording.data))
+    filtered = filter_forward([notch, *band], recording.data)
     recording = dataclasses.replace(recording, data=filtered)
     try:
         recording = downsample(recording, resolved["downsample_factor"])

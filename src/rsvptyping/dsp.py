@@ -5,9 +5,14 @@ per-channel standardization.
 Epochs are whole arrays throughout: a stack of shape (epochs, channels,
 samples) with one 0/1 label per epoch.
 
-Filtering is causal single-pass (direct-form transposed II, zero initial
-state), which is what an online system would see; nothing here is zero-phase.
-Designs use the bilinear transform with frequency pre-warping.
+Filtering is causal single-pass from zero initial state, which is what an
+online system would see; nothing here is zero-phase. A cascade of biquads
+runs as one linear state-space system, two states per section, over blocks
+of ``BLOCK_SAMPLES`` samples: each block's output is one product with the
+lower-triangular Toeplitz matrix of the impulse response plus the part due
+to the state the block starts in, and a loop over blocks carries that state.
+The result equals the per-sample direct-form transposed II recursion up to
+rounding. Designs use the bilinear transform with frequency pre-warping.
 """
 
 from __future__ import annotations
@@ -173,6 +178,57 @@ def design_bandpass(
     ]
 
 
+BLOCK_SAMPLES = 128  # samples per block of the state-space filter
+
+
+def _state_space(cascade: Sequence[BiquadCoefficients]):
+    """The cascade as one system ``s' = A s + B x``, ``y = C s + D x`` with two
+    states per section: each section's transposed direct-form II registers,
+    driven by the previous section's output. Entries are long doubles."""
+    size = 2 * len(cascade)
+    a = np.zeros((size, size), dtype=np.longdouble)
+    b = np.zeros(size, dtype=np.longdouble)
+    c = np.zeros(size, dtype=np.longdouble)
+    d = np.longdouble(1.0)
+    for k, sec in enumerate(cascade):
+        i = 2 * k
+        b0, b1, b2, a1, a2 = (np.longdouble(v) for v in (sec.b0, sec.b1, sec.b2, sec.a1, sec.a2))
+        # the section's input is the cascade so far: c @ s + d * x
+        drive = np.array([b1 - a1 * b0, b2 - a2 * b0])
+        a[i:i + 2, :i] = np.outer(drive, c[:i])
+        a[i:i + 2, i:i + 2] = [[-a1, 1.0], [-a2, 0.0]]
+        b[i:i + 2] = drive * d
+        c[:i] *= b0
+        c[i] = 1.0
+        d *= b0
+    return a, b, c, d
+
+
+def _block_operators(cascade: Sequence[BiquadCoefficients], block: int):
+    """The maps that filter one block of ``block`` samples: the lower-
+    triangular Toeplitz matrix of the impulse response (inputs to outputs
+    from zero state), ``reach`` (inputs to end state), ``carry`` = A^L
+    (start state to end state) and ``observe`` (start state to outputs).
+
+    A cascade with poles near the unit circle has an A far from normal, so
+    its powers lose digits; they are accumulated in long double, which is
+    wider than float64 on x86, and rounded once at the end."""
+    a, b, c, d = _state_space(cascade)
+    # observe[i] = C A^i and reach[j] = A^(L-1-j) B, by repeated products
+    observe = np.empty((block, a.shape[0]), dtype=np.longdouble)
+    reach = np.empty((block, a.shape[0]), dtype=np.longdouble)
+    carry = a
+    observe[0], reach[-1] = c, b
+    for i in range(1, block):
+        observe[i] = observe[i - 1] @ a
+        reach[-1 - i] = a @ reach[-i]
+        carry = a @ carry
+    impulse = np.concatenate(([d], observe[:-1] @ b))
+    lags = np.subtract.outer(np.arange(block), np.arange(block))
+    toeplitz = np.where(lags >= 0, impulse[np.maximum(lags, 0)], 0.0)
+    return tuple(m.astype(np.float64) for m in (toeplitz, reach, carry, observe))
+
+
 def filter_forward(coeffs: FilterCascade, signal: np.ndarray) -> np.ndarray:
     """Causal single-pass filtering along the last axis, zero initial state.
 
@@ -180,18 +236,26 @@ def filter_forward(coeffs: FilterCascade, signal: np.ndarray) -> np.ndarray:
     """
     cascade = [coeffs] if isinstance(coeffs, BiquadCoefficients) else list(coeffs)
     x = np.asarray(signal, dtype=np.float64)
-    for c in cascade:
-        y = np.empty_like(x)
-        z1 = np.zeros(x.shape[:-1])
-        z2 = np.zeros(x.shape[:-1])
-        for n in range(x.shape[-1]):
-            xn = x[..., n]
-            yn = c.b0 * xn + z1
-            z1 = c.b1 * xn - c.a1 * yn + z2
-            z2 = c.b2 * xn - c.a2 * yn
-            y[..., n] = yn
-        x = y
-    return x
+    n = x.shape[-1]
+    if n == 0:
+        return np.empty(x.shape)
+    rows = x.reshape(-1, n)
+    block = min(BLOCK_SAMPLES, n)
+    toeplitz, reach, carry, observe = _block_operators(cascade, block)
+
+    count = -(-n // block)
+    if count * block > n:  # pad the last block; never needed when n <= L
+        rows = np.pad(rows, ((0, 0), (0, count * block - n)))
+    blocks = rows.reshape(len(rows), count, block)
+    out = blocks @ toeplitz.T
+    if count > 1:
+        # the state each block starts in, carried from block to block
+        ends = blocks[:, :-1] @ reach
+        starts = np.zeros((len(rows), count, carry.shape[0]))
+        for k in range(1, count):
+            starts[:, k] = starts[:, k - 1] @ carry.T + ends[:, k - 1]
+        out += starts @ observe.T
+    return np.ascontiguousarray(out.reshape(len(rows), count * block)[:, :n]).reshape(x.shape)
 
 
 def downsample(recording: RawRecording, factor: int = 2) -> RawRecording:

@@ -457,8 +457,10 @@ def fit_pca(features: np.ndarray, variance_fraction: float = 0.8) -> PcaProjecti
         raise ValueError("variance_fraction must lie in (0, 1]")
     mean = x.mean(axis=0)
     centered = x - mean
-    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
-    explained = singular**2 / (n - 1)
+    # the Gram matrix's eigenpairs are the squared singular values and right
+    # singular vectors of the centered data; eigh returns them ascending
+    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered)
+    explained = np.clip(eigvals[::-1], 0.0, None) / (n - 1)
     total = float(explained.sum())
     if total <= 0.0:
         r = 1
@@ -469,7 +471,7 @@ def fit_pca(features: np.ndarray, variance_fraction: float = 0.8) -> PcaProjecti
         r = min(r, len(cumulative))
         # the running sum can round past the total
         achieved = min(float(cumulative[r - 1]), 1.0)
-    components = vt[:r].T.copy()
+    components = eigvecs[:, ::-1][:, :r].copy()
     for j in range(components.shape[1]):
         col = components[:, j]
         if col[np.argmax(np.abs(col))] < 0:

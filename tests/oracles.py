@@ -3,7 +3,10 @@
 These deliberately avoid the package's code paths: posteriors are found by
 enumerating the full joint distribution in linear space, or by folding
 evidence in one event at a time where the package folds a whole round at
-once, and filter responses are measured from impulse responses via FFT.
+once; filters run their recursion one time step at a time where the package
+filters whole blocks, and filter responses are measured from impulse
+responses via FFT; PCA comes from the SVD where the package decomposes the
+Gram matrix.
 """
 
 from __future__ import annotations
@@ -82,6 +85,27 @@ def threshold_decision(log_probs, threshold):
     return best if probs[best] >= threshold else None
 
 
+def reference_filter(coeffs, signal):
+    """Causal single-pass filtering along the last axis from zero state, one
+    time step at a time: each biquad section (attributes b0, b1, b2, a1, a2)
+    runs the direct-form transposed II recursion, and a cascade applies its
+    sections in sequence."""
+    cascade = [coeffs] if hasattr(coeffs, "b0") else list(coeffs)
+    x = np.asarray(signal, dtype=np.float64)
+    for c in cascade:
+        y = np.empty_like(x)
+        z1 = np.zeros(x.shape[:-1])
+        z2 = np.zeros(x.shape[:-1])
+        for n in range(x.shape[-1]):
+            xn = x[..., n]
+            yn = c.b0 * xn + z1
+            z1 = c.b1 * xn - c.a1 * yn + z2
+            z2 = c.b2 * xn - c.a2 * yn
+            y[..., n] = yn
+        x = y
+    return x
+
+
 def measured_gain_db(apply_filter, rate, freq_hz, n=16384):
     """Filter magnitude response at ``freq_hz`` measured from the impulse
     response via FFT. ``n`` is chosen by callers so the frequency lands on an
@@ -111,6 +135,17 @@ def analytic_butterworth_bandpass_db(rate, low, high, order, freq_hz):
     w = warped(freq_hz)
     x = (w * w - w0_sq) / (bw * w)
     return -10.0 * math.log10(1.0 + x ** (2 * order))
+
+
+def svd_pca(features):
+    """Explained variances, descending, and the matching principal axes as
+    columns, from the thin SVD of the centered data; each axis is signed so
+    that its entry of largest magnitude is positive."""
+    x = np.asarray(features, dtype=np.float64)
+    centered = x - x.mean(axis=0)
+    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+    axes = vt.T * np.sign(vt[np.arange(len(vt)), np.argmax(np.abs(vt), axis=1)])
+    return singular**2 / (len(x) - 1), axes
 
 
 def central_difference_gradient(f, params, eps=1e-6):

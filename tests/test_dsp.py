@@ -126,6 +126,11 @@ class TestFilterForward:
         out = filter_forward(coeffs, x)
         np.testing.assert_allclose(out[1], filter_forward(coeffs, x[1]), atol=1e-15)
 
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 0, 0)])
+    def test_no_samples_give_an_empty_float64_array(self, shape):
+        out = filter_forward(design_bandpass(RATE), np.zeros(shape, dtype=np.int64))
+        assert out.shape == shape and out.dtype == np.float64
+
 
 class TestDownsampleAndEpoch:
     def make_recording(self, n=1000, rate=250.0, onsets=((101, 1), (400, 0))):

@@ -48,6 +48,7 @@ from oracles import (
     central_difference_gradient,
     grid_search_boundary_1d,
     reference_weighted_ce,
+    svd_pca,
 )
 
 
@@ -321,6 +322,20 @@ class TestPca:
             dist_in = np.linalg.norm(u - v)
             dist_out = np.linalg.norm(project(proj, u) - project(proj, v))
             assert dist_out <= dist_in + 1e-12
+
+    def test_matches_svd_oracle(self):
+        rng = np.random.default_rng(41)
+        scales = np.linspace(3.0, 0.2, 24)
+        x = rng.standard_normal((400, 24)) * scales + rng.standard_normal(24)
+        proj = fit_pca(x, 0.8)
+        explained, axes = svd_pca(x)
+        r = proj.n_components
+        assert r == int(np.searchsorted(np.cumsum(explained) / explained.sum(), 0.8) + 1)
+        kept = np.var(project(proj, x), axis=0, ddof=1)
+        np.testing.assert_allclose(kept, explained[:r], rtol=1e-12, atol=0)
+        assert proj.variance_fraction == pytest.approx(explained[:r].sum() / explained.sum(),
+                                                       rel=1e-12)
+        np.testing.assert_allclose(proj.components, axes[:, :r], rtol=0, atol=1e-10)
 
     def test_determinism(self):
         rng = np.random.default_rng(40)

@@ -1,13 +1,14 @@
 """Property tests: the batched posterior filter against a per-event
-reference, the scalar query API, the CLI's exit codes on damaged container
-files, and config files read back as written."""
+reference, the scalar query API, the block filter against the per-sample
+recursion, the CLI's exit codes on damaged container files, and config files
+read back as written."""
 
 import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsvptyping.cli import SIMULATE_SCHEMA, main, resolve_config
@@ -22,9 +23,16 @@ from rsvptyping.core import (
     decide_rows,
     init_posterior,
 )
+from rsvptyping.dsp import (
+    BLOCK_SAMPLES,
+    BiquadCoefficients,
+    design_bandpass,
+    design_notch,
+    filter_forward,
+)
 from rsvptyping.models import TRAIN_SCHEMA
 
-from oracles import sequential_posterior, threshold_decision
+from oracles import reference_filter, sequential_posterior, threshold_decision
 
 
 def _log(x: float) -> float:
@@ -154,6 +162,69 @@ def test_apply_query_one_event_at_a_time_agrees(case):
     if out is not None:
         np.testing.assert_allclose(stepped.probabilities(), out.probabilities(), rtol=0, atol=1e-12)
         assert stepped.step == out.step
+
+
+# ---------------------------------------------------------------------------
+# Filter cascades
+
+
+# zero or of order one: tiny coefficients would push the outputs of a cascade
+# into subnormal numbers, where no relative tolerance holds
+numerator_coefficients = st.one_of(
+    st.just(0.0), st.floats(0.01, 2.0), st.floats(-2.0, -0.01)
+)
+
+
+@st.composite
+def stable_sections(draw):
+    """A biquad with poles at |z| <= 0.99: a conjugate pair or two reals."""
+    if draw(st.booleans()):
+        radius = draw(st.floats(0.0, 0.99))
+        angle = draw(st.floats(0.0, math.pi))
+        a1, a2 = -2.0 * radius * math.cos(angle), radius * radius
+    else:
+        p, q = draw(st.floats(-0.99, 0.99)), draw(st.floats(-0.99, 0.99))
+        a1, a2 = -(p + q), p * q
+    b0, b1, b2 = (draw(numerator_coefficients) for _ in range(3))
+    return BiquadCoefficients(b0=b0, b1=b1, b2=b2, a1=a1, a2=a2)
+
+
+# lengths about one block long, and several blocks with a remainder
+lengths = st.one_of(
+    st.sampled_from([1, BLOCK_SAMPLES - 1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1]),
+    st.builds(lambda k, r: k * BLOCK_SAMPLES + r,
+              st.integers(2, 5), st.integers(0, BLOCK_SAMPLES - 1)),
+)
+
+
+# the notch and 4th-order bandpass that `preprocess` builds at 256 Hz
+CLI_CASCADE = [design_notch(256.0), *design_bandpass(256.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@example(cascade=CLI_CASCADE, lead=[], length=1, transposed=False, seed=0)
+@example(cascade=CLI_CASCADE, lead=[], length=BLOCK_SAMPLES - 1, transposed=False, seed=0)
+@example(cascade=CLI_CASCADE, lead=[2], length=BLOCK_SAMPLES, transposed=False, seed=0)
+@example(cascade=CLI_CASCADE, lead=[2, 3], length=BLOCK_SAMPLES + 1, transposed=True, seed=0)
+@example(cascade=CLI_CASCADE, lead=[3], length=3 * BLOCK_SAMPLES + 17, transposed=True, seed=0)
+@example(cascade=CLI_CASCADE, lead=[0], length=2 * BLOCK_SAMPLES + 5, transposed=False, seed=0)
+@given(
+    cascade=st.lists(stable_sections(), min_size=1, max_size=4),
+    lead=st.lists(st.integers(0, 3), max_size=2),
+    length=lengths,
+    transposed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_filter_matches_per_sample_recursion(cascade, lead, length, transposed, seed):
+    shape = (*lead, length)
+    rng = np.random.default_rng(seed)
+    # a transposed view filters along a strided axis
+    signal = rng.standard_normal(shape[::-1]).T if transposed else rng.standard_normal(shape)
+    out = filter_forward(cascade, signal)
+    expected = reference_filter(cascade, signal)
+    assert out.shape == shape and out.dtype == np.float64
+    scale = np.max(np.abs(expected), initial=0.0)
+    assert np.max(np.abs(out - expected), initial=0.0) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
