@@ -49,15 +49,20 @@ def _encode_header(header: dict) -> bytes:
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def write_container(path, header: dict, payload: bytes) -> None:
+def write_container(path, header: dict, *payload) -> None:
+    """Write the header, then each payload part in order. A part is any
+    bytes-like object, C-contiguous arrays included, written as is."""
     body = _encode_header(header)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(body)))
         fh.write(body)
-        fh.write(payload)
+        for part in payload:
+            fh.write(part)
 
 
-def read_container(path, expected_kind: str) -> tuple[dict, bytes]:
+def read_container(path, expected_kind: str) -> tuple[dict, memoryview]:
+    """The header and a view of the payload in the file's bytes, not a copy;
+    readers copy what they keep out of it."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -83,7 +88,7 @@ def read_container(path, expected_kind: str) -> tuple[dict, bytes]:
         raise ContainerFormatError(
             f"{path}: expected kind {expected_kind!r}, found {kind!r}"
         )
-    return header, blob[4 + header_len :]
+    return header, memoryview(blob)[4 + header_len :]
 
 
 def _base_header(kind: str) -> dict:
@@ -95,7 +100,7 @@ def _base_header(kind: str) -> dict:
 
 
 def write_dataset(path, dataset: LabeledDataset, rate: float | None = None) -> None:
-    stacked = dataset.data.astype("<f4")
+    stacked = np.ascontiguousarray(dataset.data, dtype="<f4")
     labels = dataset.labels.astype(np.uint8)
     n, channels, samples = stacked.shape
     header = _base_header("epochs")
@@ -108,7 +113,7 @@ def write_dataset(path, dataset: LabeledDataset, rate: float | None = None) -> N
             "label_offset": n * channels * samples * 4,
         }
     )
-    write_container(path, header, stacked.tobytes() + labels.tobytes())
+    write_container(path, header, stacked, labels)
 
 
 def read_dataset(path) -> LabeledDataset:
@@ -144,7 +149,7 @@ def read_dataset(path) -> LabeledDataset:
 
 
 def write_raw(path, recording: RawRecording) -> None:
-    data = recording.data.astype("<f4")
+    data = np.ascontiguousarray(recording.data, dtype="<f4")
     header = _base_header("raw")
     header.update(
         {
@@ -154,7 +159,7 @@ def write_raw(path, recording: RawRecording) -> None:
             "onsets": [[int(s), int(l)] for s, l in recording.stim_onsets],
         }
     )
-    write_container(path, header, data.tobytes())
+    write_container(path, header, data)
 
 
 def read_raw(path) -> RawRecording:
@@ -227,10 +232,7 @@ def write_model(path, model: EvidenceModel, hyper: dict | None = None) -> None:
         {"name": name, "shape": list(arr.shape)} for name, arr in arrays
     ]
     header["hyper"] = hyper or {}
-    payload = b"".join(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays
-    )
-    write_container(path, header, payload)
+    write_container(path, header, *(np.ascontiguousarray(arr, dtype="<f8") for _, arr in arrays))
 
 
 def _valid_array_entry(entry) -> bool:
@@ -242,7 +244,7 @@ def _valid_array_entry(entry) -> bool:
     )
 
 
-def _read_arrays(path, header: dict, payload: bytes) -> dict[str, np.ndarray]:
+def _read_arrays(path, header: dict, payload: memoryview) -> dict[str, np.ndarray]:
     entries = header.get("arrays", [])
     if not isinstance(entries, list) or not all(map(_valid_array_entry, entries)):
         raise ContainerFormatError(f"{path}: malformed model array table")

@@ -229,33 +229,41 @@ def _block_operators(cascade: Sequence[BiquadCoefficients], block: int):
     return tuple(m.astype(np.float64) for m in (toeplitz, reach, carry, observe))
 
 
-def filter_forward(coeffs: FilterCascade, signal: np.ndarray) -> np.ndarray:
+def filter_forward(coeffs: FilterCascade, signal: np.ndarray, start: int = 0) -> np.ndarray:
     """Causal single-pass filtering along the last axis, zero initial state.
 
     Accepts one biquad or a cascade; cascades are applied in sequence.
+    Returns the outputs from sample ``start`` on (0 <= start <= T): the
+    recursion still starts at sample 0, so the first ``start`` samples only
+    warm the filter up. When the signal fits in one block, only the
+    Toeplitz rows of the kept outputs are multiplied.
     """
     cascade = [coeffs] if isinstance(coeffs, BiquadCoefficients) else list(coeffs)
     x = np.asarray(signal, dtype=np.float64)
     n = x.shape[-1]
-    if n == 0:
-        return np.empty(x.shape)
+    if not 0 <= start <= n:
+        raise ValueError(f"filter start {start} outside [0, {n}]")
+    if start == n:
+        return np.empty((*x.shape[:-1], 0))
     rows = x.reshape(-1, n)
     block = min(BLOCK_SAMPLES, n)
     toeplitz, reach, carry, observe = _block_operators(cascade, block)
 
     count = -(-n // block)
-    if count * block > n:  # pad the last block; never needed when n <= L
+    if count == 1:
+        return (rows @ toeplitz[start:].T).reshape(*x.shape[:-1], n - start)
+    if count * block > n:  # pad the last block
         rows = np.pad(rows, ((0, 0), (0, count * block - n)))
     blocks = rows.reshape(len(rows), count, block)
     out = blocks @ toeplitz.T
-    if count > 1:
-        # the state each block starts in, carried from block to block
-        ends = blocks[:, :-1] @ reach
-        starts = np.zeros((len(rows), count, carry.shape[0]))
-        for k in range(1, count):
-            starts[:, k] = starts[:, k - 1] @ carry.T + ends[:, k - 1]
-        out += starts @ observe.T
-    return np.ascontiguousarray(out.reshape(len(rows), count * block)[:, :n]).reshape(x.shape)
+    # the state each block starts in, carried from block to block
+    ends = blocks[:, :-1] @ reach
+    starts = np.zeros((len(rows), count, carry.shape[0]))
+    for k in range(1, count):
+        starts[:, k] = starts[:, k - 1] @ carry.T + ends[:, k - 1]
+    out += starts @ observe.T
+    out = out.reshape(len(rows), count * block)[:, start:n]
+    return np.ascontiguousarray(out).reshape(*x.shape[:-1], n - start)
 
 
 def downsample(recording: RawRecording, factor: int = 2) -> RawRecording:
@@ -289,13 +297,22 @@ def epoch(
 
     ``data`` has shape (epochs, channels, window) and ``labels`` one entry
     per epoch, in onset order. Window length is floor(window_ms * rate /
-    1000) samples. Epochs that would extend past the end of the recording
+    1000) samples; a window that is not finite or is longer than the whole
+    recording raises. Epochs that would extend past the end of the recording
     are dropped and counted. Nearby onsets produce partially overlapping
     epochs.
     """
-    n_samples = int(math.floor(window_ms * recording.rate / 1000.0))
+    length = window_ms * recording.rate / 1000.0
+    if not math.isfinite(length):
+        raise ValueError(f"epoch window must be finite, got {window_ms} ms")
+    n_samples = int(math.floor(length))
     if n_samples < 1:
         raise ValueError("epoch window shorter than one sample")
+    if n_samples > recording.n_samples:
+        raise ValueError(
+            f"epoch window of {n_samples} samples is longer than the recording "
+            f"({recording.n_samples} samples)"
+        )
     onsets = np.asarray(recording.stim_onsets, dtype=np.int64).reshape(-1, 2)
     kept = onsets[onsets[:, 0] + n_samples <= recording.n_samples]
     windows = kept[:, 0, None] + np.arange(n_samples)

@@ -48,6 +48,12 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("rate", "trial_ms", "erp_latency_ms", "erp_width_ms",
+                     "erp_amplitude", "noise_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.trial_ms * self.rate):
+            raise ValueError("trial_ms * rate is too large")
         if self.n_epochs < 2:
             raise ValueError("need at least 2 epochs")
         if self.channels < 1 or self.rate <= 0 or self.trial_ms <= 0:
@@ -122,13 +128,23 @@ class LabeledDataset:
         return LabeledDataset(data=self.data[rows], labels=self.labels[rows])
 
 
+CHUNK_EPOCHS = 512  # epochs drawn and filtered per step of generate
+
+
 def generate(config: SynthConfig) -> LabeledDataset:
     """Draw a dataset from the synthetic ERP model.
 
     Noise is white Gaussian shaped by the standard 1-20 Hz bandpass at the
-    config rate; a warmup stretch is generated and discarded so epochs do not
-    start with the filter transient. Target epochs add the config template on
-    the chosen channels. Label count is exactly round(fraction * n).
+    config rate; a warmup stretch is generated and filtered but not kept, so
+    epochs do not start with the filter transient. Target epochs add the
+    config template on the chosen channels. Label count is exactly
+    round(fraction * n).
+
+    The output is filled ``CHUNK_EPOCHS`` epochs at a time: each chunk's
+    white noise is drawn into one reused buffer from the one generator in
+    order, which gives the same stream as a single draw, then filtered,
+    scaled, given its template and rounded through float32. Memory beyond
+    the output is one chunk's worth, whatever ``n_epochs`` is.
     """
     n = config.n_epochs
     n_pos = int(round(config.target_fraction * n))
@@ -146,23 +162,26 @@ def generate(config: SynthConfig) -> LabeledDataset:
     labels[rng.permutation(n)[:n_pos]] = 1
 
     warmup = samples
-    white = rng.standard_normal((n, config.channels, warmup + samples))
     high = min(20.0, 0.45 * config.rate)  # keep the band valid at low rates
     cascade = design_bandpass(config.rate, 1.0, high, 2)
-    noise = filter_forward(cascade, white)[:, :, warmup:] * config.noise_std
-
-    data = noise
     template = config.template()
     channel_mask = (
         np.arange(config.channels)
         if config.erp_channels is None
         else np.asarray(config.erp_channels, dtype=np.int64)
     )
-    pos_rows = np.flatnonzero(labels == 1)
-    data[np.ix_(pos_rows, channel_mask)] += template
 
-    # quantize like the on-disk format so file round-trips are exact
-    data = data.astype(np.float32).astype(np.float64)
+    data = np.empty((n, config.channels, samples))
+    buffer = np.empty((min(CHUNK_EPOCHS, n), config.channels, warmup + samples))
+    for lo in range(0, n, CHUNK_EPOCHS):
+        hi = min(lo + CHUNK_EPOCHS, n)
+        white = rng.standard_normal(out=buffer[: hi - lo])
+        chunk = filter_forward(cascade, white, start=warmup)
+        chunk *= config.noise_std
+        pos_rows = np.flatnonzero(labels[lo:hi] == 1)
+        chunk[np.ix_(pos_rows, channel_mask)] += template
+        # quantize like the on-disk format so file round-trips are exact
+        data[lo:hi] = chunk.astype(np.float32)
     return LabeledDataset(data=data, labels=labels)
 
 

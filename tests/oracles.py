@@ -6,7 +6,8 @@ evidence in one event at a time where the package folds a whole round at
 once; filters run their recursion one time step at a time where the package
 filters whole blocks, and filter responses are measured from impulse
 responses via FFT; PCA comes from the SVD where the package decomposes the
-Gram matrix.
+Gram matrix; the synthetic dataset is drawn and filtered as one whole array
+where the package fills it a chunk of epochs at a time.
 """
 
 from __future__ import annotations
@@ -104,6 +105,50 @@ def reference_filter(coeffs, signal):
             y[..., n] = yn
         x = y
     return x
+
+
+def reference_generate(config):
+    """The synthetic ERP dataset of ``config`` made in one piece: all the
+    white noise drawn at once, filtered from sample 0 with the warmup kept
+    and then cut off, scaled, given the template and rounded through
+    float32."""
+    from rsvptyping.dsp import design_bandpass, filter_forward
+    from rsvptyping.synth import LabeledDataset
+
+    n = config.n_epochs
+    n_pos = int(round(config.target_fraction * n))
+    if n_pos < 1 or n_pos > n - 1:
+        raise ValueError(
+            f"target_fraction {config.target_fraction} leaves {n_pos} positives "
+            f"out of {n}; both classes must be nonempty"
+        )
+    samples = config.samples_per_epoch
+    if samples < 2:
+        raise ValueError("trial window is too short for the sample rate")
+
+    rng = np.random.default_rng(config.seed)
+    labels = np.zeros(n, dtype=np.int64)
+    labels[rng.permutation(n)[:n_pos]] = 1
+
+    warmup = samples
+    white = rng.standard_normal((n, config.channels, warmup + samples))
+    high = min(20.0, 0.45 * config.rate)  # keep the band valid at low rates
+    cascade = design_bandpass(config.rate, 1.0, high, 2)
+    noise = filter_forward(cascade, white)[:, :, warmup:] * config.noise_std
+
+    data = noise
+    template = config.template()
+    channel_mask = (
+        np.arange(config.channels)
+        if config.erp_channels is None
+        else np.asarray(config.erp_channels, dtype=np.int64)
+    )
+    pos_rows = np.flatnonzero(labels == 1)
+    data[np.ix_(pos_rows, channel_mask)] += template
+
+    # quantize like the on-disk format so file round-trips are exact
+    data = data.astype(np.float32).astype(np.float64)
+    return LabeledDataset(data=data, labels=labels)
 
 
 def measured_gain_db(apply_filter, rate, freq_hz, n=16384):

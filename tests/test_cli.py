@@ -139,6 +139,20 @@ class TestSynth:
         rc = main(["synth", "--config", str(workspace["synth_cfg"]), "--out", str(out)])
         assert rc == 2
 
+    @pytest.mark.parametrize("line", [
+        "rate = inf", "trial_ms = inf", "erp_latency_ms = nan", "erp_width_ms = nan",
+        "erp_amplitude = inf", "noise_std = nan", "noise_std = -inf",
+        "rate = 1e200\ntrial_ms = 1e200",
+    ])
+    def test_non_finite_setting_exits_1(self, tmp_path, capsys, line):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"n_epochs = 100\n{line}\n")
+        out = tmp_path / "d.bin"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and line.split()[0] in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_separable_reaches_perfect_validation(self, tmp_path, capsys):
@@ -592,6 +606,20 @@ class TestPreprocess:
         assert rc == 1
         assert ("onsets 100 and 101 fall on one sample after downsampling by 2"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value, message", [
+        ("inf", "must be finite"), ("nan", "must be finite"), ("1e308", "must be finite"),
+        ("1e300", "longer than the recording"), ("100000", "longer than the recording"),
+    ])
+    def test_unusable_window_exits_1(self, tmp_path, capsys, value, message):
+        raw = tmp_path / "raw.bin"
+        make_raw(raw, n_samples=12_000)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"window_ms = {value}\n")
+        out = tmp_path / "d.bin"
+        assert main(["preprocess", str(raw), "--config", str(cfg), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_excluding_every_channel_exits_2(self, tmp_path):
         raw = tmp_path / "raw.bin"

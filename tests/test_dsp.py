@@ -131,6 +131,16 @@ class TestFilterForward:
         out = filter_forward(design_bandpass(RATE), np.zeros(shape, dtype=np.int64))
         assert out.shape == shape and out.dtype == np.float64
 
+    @pytest.mark.parametrize("shape", [(5,), (3, 130), (2, 0, 7)])
+    def test_start_at_the_end_gives_an_empty_float64_array(self, shape):
+        out = filter_forward(design_bandpass(RATE), np.ones(shape), start=shape[-1])
+        assert out.shape == (*shape[:-1], 0) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("start", [-1, 11])
+    def test_start_outside_the_signal_raises(self, start):
+        with pytest.raises(ValueError, match="filter start"):
+            filter_forward(design_bandpass(RATE), np.ones((2, 10)), start=start)
+
 
 class TestDownsampleAndEpoch:
     def make_recording(self, n=1000, rate=250.0, onsets=((101, 1), (400, 0))):

@@ -201,30 +201,48 @@ lengths = st.one_of(
 CLI_CASCADE = [design_notch(256.0), *design_bandpass(256.0)]
 
 
+# the cascade and shape `synth` filters: 62 warmup samples and 62 kept
+SYNTH_CASCADE = design_bandpass(125.0)
+
+
 @settings(max_examples=200, deadline=None)
-@example(cascade=CLI_CASCADE, lead=[], length=1, transposed=False, seed=0)
-@example(cascade=CLI_CASCADE, lead=[], length=BLOCK_SAMPLES - 1, transposed=False, seed=0)
-@example(cascade=CLI_CASCADE, lead=[2], length=BLOCK_SAMPLES, transposed=False, seed=0)
-@example(cascade=CLI_CASCADE, lead=[2, 3], length=BLOCK_SAMPLES + 1, transposed=True, seed=0)
-@example(cascade=CLI_CASCADE, lead=[3], length=3 * BLOCK_SAMPLES + 17, transposed=True, seed=0)
-@example(cascade=CLI_CASCADE, lead=[0], length=2 * BLOCK_SAMPLES + 5, transposed=False, seed=0)
+@example(cascade=CLI_CASCADE, lead=[], length=1, transposed=False, seed=0, start_at=0.0)
+@example(cascade=CLI_CASCADE, lead=[], length=BLOCK_SAMPLES - 1, transposed=False, seed=0,
+         start_at=0.0)
+@example(cascade=CLI_CASCADE, lead=[2], length=BLOCK_SAMPLES, transposed=False, seed=0,
+         start_at=0.0)
+@example(cascade=CLI_CASCADE, lead=[2], length=BLOCK_SAMPLES, transposed=False, seed=0,
+         start_at=1.0)
+@example(cascade=CLI_CASCADE, lead=[2, 3], length=BLOCK_SAMPLES + 1, transposed=True, seed=0,
+         start_at=0.0)
+@example(cascade=CLI_CASCADE, lead=[3], length=3 * BLOCK_SAMPLES + 17, transposed=True, seed=0,
+         start_at=0.3)
+@example(cascade=CLI_CASCADE, lead=[0], length=2 * BLOCK_SAMPLES + 5, transposed=False, seed=0,
+         start_at=0.0)
+@example(cascade=SYNTH_CASCADE, lead=[4, 6], length=124, transposed=False, seed=0, start_at=0.5)
 @given(
     cascade=st.lists(stable_sections(), min_size=1, max_size=4),
     lead=st.lists(st.integers(0, 3), max_size=2),
     length=lengths,
     transposed=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
+    start_at=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
 )
-def test_block_filter_matches_per_sample_recursion(cascade, lead, length, transposed, seed):
+def test_block_filter_matches_per_sample_recursion(
+    cascade, lead, length, transposed, seed, start_at
+):
     shape = (*lead, length)
+    start = round(start_at * length)
     rng = np.random.default_rng(seed)
     # a transposed view filters along a strided axis
     signal = rng.standard_normal(shape[::-1]).T if transposed else rng.standard_normal(shape)
-    out = filter_forward(cascade, signal)
+    out = filter_forward(cascade, signal, start=start)
     expected = reference_filter(cascade, signal)
-    assert out.shape == shape and out.dtype == np.float64
+    assert out.shape == (*lead, length - start) and out.dtype == np.float64
+    # the scale of the whole recursion, warmup included, which the kept
+    # outputs' rounding comes from
     scale = np.max(np.abs(expected), initial=0.0)
-    assert np.max(np.abs(out - expected), initial=0.0) <= 1e-12 * scale
+    assert np.max(np.abs(out - expected[..., start:]), initial=0.0) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,16 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rsvptyping.synth import SynthConfig, generate, split
+from rsvptyping.cli import main
+from rsvptyping.synth import CHUNK_EPOCHS, SynthConfig, generate, split
 from rsvptyping.models import train_logistic_evidence
+
+from oracles import reference_generate
 
 
 def small_config(**overrides):
@@ -109,6 +117,72 @@ class TestGenerate:
     def test_degenerate_fraction_for_count(self):
         with pytest.raises(ValueError):
             generate(small_config(n_epochs=10, target_fraction=0.01))
+
+
+# the README walkthrough's synth config, and the sha256 of the data.bin it
+# writes; like the golden constants, the hash depends on the BLAS kernel's
+# rounding of the filter products
+README_SYNTH = (
+    "n_epochs = 6000\nchannels = 6\ntarget_fraction = 0.0357142857  # 1/28\nseed = 0\n"
+)
+README_DATA_SHA256 = "1796a3ff5e326fe7ed86b1632a0f7c84598cdc07ccccd35636f1e26070506f58"
+
+
+@st.composite
+def chunked_configs(draw):
+    """Configs with epoch counts below, at and above one chunk, ERP channel
+    subsets, noise scales other than 1, and trials whose warmup plus kept
+    samples span one filter block (500 ms at 125 Hz: 124 samples) or more
+    (700 and 1200 ms: 174 and 300)."""
+    channels = draw(st.integers(1, 3))
+    erp = draw(st.one_of(st.none(), st.lists(
+        st.integers(0, channels - 1), min_size=1, max_size=channels, unique=True)))
+    n_epochs = draw(st.one_of(
+        st.integers(20, CHUNK_EPOCHS - 1), st.just(CHUNK_EPOCHS),
+        st.integers(CHUNK_EPOCHS + 1, 2 * CHUNK_EPOCHS + 40)))
+    return SynthConfig(
+        n_epochs=n_epochs,
+        channels=channels,
+        trial_ms=draw(st.sampled_from([500.0, 700.0, 1200.0])),
+        erp_amplitude=draw(st.floats(0.0, 2.0)),
+        noise_std=draw(st.floats(0.0, 3.0)),
+        target_fraction=draw(st.floats(0.05, 0.5)),
+        erp_channels=None if erp is None else tuple(erp),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestChunkedGenerate:
+    @settings(max_examples=25, deadline=None)
+    @example(SynthConfig(n_epochs=CHUNK_EPOCHS, channels=2, noise_std=0.5, seed=1))
+    @example(SynthConfig(n_epochs=CHUNK_EPOCHS + 1, channels=3, trial_ms=1200.0,
+                         erp_channels=(2, 0), target_fraction=0.1, seed=2))
+    @given(config=chunked_configs())
+    def test_matches_whole_array_reference(self, config):
+        got = generate(config)
+        want = reference_generate(config)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        assert got.data.shape == want.data.shape and got.data.dtype == np.float64
+        # one float32 ulp: both round the same float64 noise through float32,
+        # and the two filter products may differ in the last float64 bit
+        ulp = np.spacing(np.abs(want.data).astype(np.float32)).astype(np.float64)
+        assert np.all(np.abs(got.data - want.data) <= ulp)
+
+    def test_readme_dataset_bytes_are_pinned(self, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(README_SYNTH)
+        out = tmp_path / "data.bin"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == README_DATA_SHA256
+
+    def test_peak_memory_stays_near_the_output(self):
+        tracemalloc.start()
+        try:
+            dataset = generate(SynthConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * dataset.data.nbytes
 
 
 class TestSplit:
