@@ -136,13 +136,18 @@ def _convert(kind: str, raw: str):
     raise AssertionError(f"unknown converter {kind}")
 
 
+# random generator seeds; numpy accepts only non-negative ones
+SEED_KEYS = ("seed", "split_seed")
+
+
 def resolve_config(
     path: Optional[str],
     schema: dict[str, str],
     defaults: dict,
     overrides: Optional[dict] = None,
 ) -> dict:
-    """Merge defaults, config file, and CLI overrides; reject unknown keys."""
+    """Merge defaults, config file, and CLI overrides; reject unknown keys
+    and negative seeds."""
     resolved = dict(defaults)
     if path is not None:
         for key, (raw, lineno) in parse_config_file(path).items():
@@ -158,6 +163,9 @@ def resolve_config(
     for key, value in (overrides or {}).items():
         if value is not None:
             resolved[key] = value
+    for key in SEED_KEYS:
+        if resolved.get(key, 0) < 0:
+            raise ConfigError(f"{key} must be a non-negative integer, got {resolved[key]}")
     return resolved
 
 
@@ -258,7 +266,7 @@ def _warn_unconverged(fits: list) -> None:
 
 def _warn_sub_chance(summary: SplitSummary, alphabet_size: int) -> None:
     """One stderr line when any split typed below chance 1/A."""
-    low = [row for row in summary.per_split if row.typing.accuracy < 1.0 / alphabet_size]
+    low = [row for row in summary.per_split if row.typing.below_chance]
     if low:
         named = ", ".join(f"split {row.split_index} ({row.typing.accuracy:.4f})" for row in low)
         print(f"warning: typing accuracy below chance 1/{alphabet_size} in {len(low)} of "
@@ -520,7 +528,7 @@ def cmd_report(args) -> int:
             raise DataError(f"cannot read report {path}: {exc}") from exc
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{path}: not a valid report file") from exc
-    rows.sort(key=lambda r: (int(r["parameters"]), r["model"]))
+    rows.sort(key=lambda r: (r["parameters"], r["model"]))
     write_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK

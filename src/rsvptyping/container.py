@@ -38,7 +38,6 @@ from .synth import LabeledDataset
 
 FORMAT_NAME = "rsvptyping-container"
 FORMAT_VERSION = 1
-KINDS = ("epochs", "raw", "model")
 
 
 class ContainerFormatError(ValueError):

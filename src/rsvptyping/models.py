@@ -770,24 +770,13 @@ class ConstantEvidenceModel(EvidenceModel):
     """Ignores the epoch and always returns the same pair. Used for the
     control rows: a model that blindly backs one class no matter what."""
 
-    def __init__(
-        self,
-        pos: float,
-        neg: Optional[float] = None,
-        mode: LikelihoodMode = LikelihoodMode.DISCRIMINATIVE,
-        kind: str = "constant",
-    ):
-        if mode is LikelihoodMode.DISCRIMINATIVE:
-            self._pair = LikelihoodPair.discriminative(pos)
-        else:
-            if neg is None:
-                raise ValueError("generative constant needs both densities")
-            self._pair = LikelihoodPair.generative(pos, neg)
+    def __init__(self, pos: float, kind: str = "constant"):
+        self._pair = LikelihoodPair.discriminative(pos)
         self.kind = kind
 
     @property
     def mode(self) -> LikelihoodMode:
-        return self._pair.mode
+        return LikelihoodMode.DISCRIMINATIVE
 
     def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
         n = len(dataset)

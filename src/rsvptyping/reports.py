@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from typing import Sequence
 
 from . import __version__
@@ -79,12 +80,22 @@ def read_report_json(path) -> dict:
 
 
 def report_csv_row(report: dict) -> dict:
-    """The flat per-model row used for size-vs-performance tables."""
+    """The flat per-model row used for size-vs-performance tables; raises
+    ValueError when a field the row needs has the wrong type or value."""
+    kind, parameters = report["model"]["kind"], report["model"]["parameters"]
+    ba = report["aggregate"]["balanced_accuracy"]["mean"]
+    itr = report["aggregate"]["itr_bits_per_symbol"]["mean"]
+    if not isinstance(kind, str):
+        raise ValueError(f"model kind must be a string, got {kind!r}")
+    if not isinstance(parameters, int) or isinstance(parameters, bool):
+        raise ValueError(f"model parameters must be an integer, got {parameters!r}")
+    if not (math.isfinite(ba) and math.isfinite(itr)):
+        raise ValueError("aggregate means must be finite")
     return {
-        "model": report["model"]["kind"],
-        "parameters": report["model"]["parameters"],
-        "balanced_accuracy": f"{report['aggregate']['balanced_accuracy']['mean']:.6f}",
-        "itr": f"{report['aggregate']['itr_bits_per_symbol']['mean']:.6f}",
+        "model": kind,
+        "parameters": parameters,
+        "balanced_accuracy": f"{ba:.6f}",
+        "itr": f"{itr:.6f}",
     }
 
 

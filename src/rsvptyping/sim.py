@@ -63,8 +63,7 @@ class TypingConfig:
     ``stop_on_wrong`` ends an attempt when any symbol crosses the threshold,
     matching a real system that types whatever crossed. Setting it False
     restores the literal loop of the simulation algorithm, which only stops
-    early on the correct symbol. ``record_traces`` can be disabled for large
-    runs to avoid storing per-round posteriors.
+    early on the correct symbol.
     """
 
     attempts: int = 1000
@@ -75,7 +74,6 @@ class TypingConfig:
     query_strategy: QueryStrategy = QueryStrategy.WITH_REPLACEMENT
     seed: int = 0
     stop_on_wrong: bool = True
-    record_traces: bool = True
 
     def __post_init__(self) -> None:
         if self.attempts < 1 or self.max_rounds < 1 or self.symbols_per_query < 1:
@@ -91,36 +89,58 @@ class TypingConfig:
                     f"{self.query_strategy.value!r}"
                 )
 
-@dataclass(frozen=True)
-class AttemptTrace:
-    target: int
-    queries: tuple[tuple[int, ...], ...]
-    posteriors: tuple[np.ndarray, ...]
-    outcome: str
+
+OUTCOMES = ("timeout", "correct", "wrong")
+TIMEOUT, CORRECT, WRONG = range(3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypingResult:
-    """Outcome counts of a run. ``rounds_to_decision[r - 1]`` counts the
-    attempts that stopped on a decision (correct or wrong) in round r."""
+    """A run's per-attempt arrays: the ``target`` symbol, the ``outcome``
+    (an index into ``OUTCOMES``), the ``rounds`` presented (``max_rounds``
+    for a timeout) and the final ``(attempts, A)`` ``log_posterior``. The
+    counts and rates are read off them; ``rounds_to_decision[r - 1]``
+    counts the attempts that stopped on a decision (correct or wrong) in
+    round r."""
 
-    attempts: int
-    correct: int
-    wrong: int
-    timeout: int
-    accuracy: float
-    itr_bits_per_symbol: float
-    traces: tuple[AttemptTrace, ...]
-    rounds_to_decision: tuple[int, ...] = ()
+    target: np.ndarray
+    outcome: np.ndarray
+    rounds: np.ndarray
+    log_posterior: np.ndarray
+    max_rounds: int
 
-    def __post_init__(self) -> None:
-        counts = (self.correct, self.wrong, self.timeout)
-        if min(counts) < 0 or sum(counts) != self.attempts:
-            raise ValueError("outcome counts must partition the attempts")
-        if self.accuracy != self.correct / self.attempts:
-            raise ValueError("accuracy must equal correct / attempts")
-        if self.rounds_to_decision and sum(self.rounds_to_decision) != self.correct + self.wrong:
-            raise ValueError("rounds to decision must count the decided attempts")
+    @property
+    def attempts(self) -> int:
+        return self.outcome.size
+
+    @property
+    def correct(self) -> int:
+        return int(np.count_nonzero(self.outcome == CORRECT))
+
+    @property
+    def wrong(self) -> int:
+        return int(np.count_nonzero(self.outcome == WRONG))
+
+    @property
+    def timeout(self) -> int:
+        return int(np.count_nonzero(self.outcome == TIMEOUT))
+
+    @property
+    def accuracy(self) -> float:
+        return self.correct / self.attempts
+
+    @property
+    def below_chance(self) -> bool:
+        return self.accuracy < 1.0 / self.log_posterior.shape[1]
+
+    @property
+    def itr_bits_per_symbol(self) -> float:
+        return itr(self.log_posterior.shape[1], self.accuracy)
+
+    @property
+    def rounds_to_decision(self) -> tuple[int, ...]:
+        decided = self.rounds[self.outcome != TIMEOUT]
+        return tuple(np.bincount(decided - 1, minlength=self.max_rounds).tolist())
 
 
 def itr(alphabet_size: int, accuracy: float) -> float:
@@ -181,10 +201,6 @@ def select_queries(
     return np.lexsort((-keys, ~possible), axis=1)[:, :k]
 
 
-OUTCOMES = ("timeout", "correct", "wrong")
-TIMEOUT, CORRECT, WRONG = range(3)
-
-
 def run_typing(
     mode: LikelihoodMode,
     log_pos: np.ndarray,
@@ -227,7 +243,6 @@ def run_typing(
     active = np.ones(n, dtype=bool)
     outcome = np.full(n, TIMEOUT)
     rounds = np.full(n, config.max_rounds)
-    history: list[tuple[np.ndarray, np.ndarray]] = []
     for r in range(1, config.max_rounds + 1):
         queries = select_queries(log_posterior, k, config.query_strategy, rng)
         target_draw = rng.integers(target_evidence.shape[1], size=(n, k))
@@ -240,8 +255,6 @@ def run_typing(
             other_evidence[:, other_draw[live]],
         )
         log_posterior[live] = apply_round(log_posterior[live], query, evidence[0], evidence[1])
-        if config.record_traces:
-            history.append((queries, probabilities(log_posterior)))
         best, confident = decide_rows(log_posterior[live], config.threshold)
         right = confident & (best == targets[live])
         stop = right | (confident & config.stop_on_wrong)
@@ -251,39 +264,14 @@ def run_typing(
         if not active.any():
             break
 
-    traces: tuple[AttemptTrace, ...] = ()
-    if config.record_traces:
-        traces = tuple(
-            AttemptTrace(
-                target=int(targets[i]),
-                queries=tuple(tuple(q[i].tolist()) for q, _ in history[: rounds[i]]),
-                posteriors=tuple(p[i] for _, p in history[: rounds[i]]),
-                outcome=OUTCOMES[outcome[i]],
-            )
-            for i in range(n)
-        )
-    counts = np.bincount(outcome, minlength=len(OUTCOMES))
-    correct = int(counts[CORRECT])
-    accuracy = correct / n
-    if accuracy < 1.0 / size:
+    result = TypingResult(targets, outcome, rounds, log_posterior, config.max_rounds)
+    if result.below_chance:
         warnings.warn(
-            f"typing accuracy {accuracy:.4f} is below chance 1/{size}",
+            f"typing accuracy {result.accuracy:.4f} is below chance 1/{size}",
             SubChanceAccuracyWarning,
             stacklevel=2,
         )
-    decided = rounds[outcome != TIMEOUT]
-    return TypingResult(
-        attempts=n,
-        correct=correct,
-        wrong=int(counts[WRONG]),
-        timeout=int(counts[TIMEOUT]),
-        accuracy=accuracy,
-        itr_bits_per_symbol=itr(size, accuracy),
-        traces=traces,
-        rounds_to_decision=tuple(
-            np.bincount(decided - 1, minlength=config.max_rounds).tolist()
-        ),
-    )
+    return result
 
 
 def balanced_accuracy(predicted: Sequence[int], truth: Sequence[int]) -> float:
@@ -380,9 +368,7 @@ def evaluate_splits(
         test = dataset.subset(s.test)
         log_pos, log_neg = model.predict_batch(test)
         predictions = classify_epochs(model.mode, log_pos, log_neg, prior)
-        run_config = dataclasses.replace(
-            typing_config, seed=typing_config.seed + k, record_traces=False
-        )
+        run_config = dataclasses.replace(typing_config, seed=typing_config.seed + k)
         rows.append(
             SplitMetrics(
                 split_index=k,

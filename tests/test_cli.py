@@ -660,6 +660,72 @@ class TestReport:
         rc = main(["report", str(tmp_path / "ghost.json"), "--out", str(tmp_path / "m.csv")])
         assert rc == 2
 
+    @staticmethod
+    def report(kind="logreg", parameters=12, ba=0.75, itr=1.5):
+        return {
+            "model": {"kind": kind, "parameters": parameters},
+            "aggregate": {
+                "balanced_accuracy": {"mean": ba, "std": 0.0},
+                "itr_bits_per_symbol": {"mean": itr, "std": 0.0},
+            },
+        }
+
+    def test_hand_written_report_merges(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(self.report()))
+        merged = tmp_path / "m.csv"
+        assert main(["report", str(path), "--out", str(merged)]) == 0
+        assert merged.read_text().splitlines()[1] == "logreg,12,0.750000,1.500000"
+
+    @pytest.mark.parametrize("fields", [
+        {"parameters": "12"},
+        {"parameters": None},
+        {"parameters": [12]},
+        {"parameters": True},
+        {"parameters": 12.0},
+        {"kind": 7},
+        {"kind": None},
+        {"ba": math.nan},
+        {"itr": math.inf},
+        {"ba": "0.75"},
+    ])
+    def test_malformed_row_field_exits_2(self, tmp_path, capsys, fields):
+        # next to a valid report, so the rows would have to be sorted
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(self.report()))
+        bad.write_text(json.dumps(self.report(**fields)))
+        merged = tmp_path / "m.csv"
+        assert main(["report", str(good), str(bad), "--out", str(merged)]) == 2
+        assert capsys.readouterr().err == f"data error: {bad}: not a valid report file\n"
+        assert not merged.exists()
+
+
+class TestNegativeSeeds:
+    @pytest.mark.parametrize("command, config, flags, key", [
+        ("train", "", ["--seed", "-1"], "seed"),
+        ("simulate", "seed = -3\n", [], "seed"),
+        ("simulate", "split_seed = -1\n", [], "split_seed"),
+        ("simulate", "", ["--seed", "-4"], "seed"),
+        ("synth", "seed = -2\n", [], "seed"),
+        ("synth", "", ["--seed", "-5"], "seed"),
+    ])
+    def test_negative_seed_exits_1(
+        self, tmp_path, workspace, capsys, command, config, flags, key
+    ):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        inputs = {
+            "train": [str(workspace["data"])],
+            "simulate": ["oracle", str(workspace["data"])],
+            "synth": [],
+        }[command]
+        out = tmp_path / "out.bin"
+        rc = main([command, *inputs, "--config", str(cfg), *flags, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be a non-negative integer, got -")
+        assert not out.exists()
+
 
 class TestUsage:
     def test_no_command_exits_1(self, capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rsvptyping.cli import SIMULATE_SCHEMA, main, resolve_config
+from rsvptyping.cli import SEED_KEYS, SIMULATE_SCHEMA, ConfigError, main, resolve_config
 from rsvptyping.core import (
     Alphabet,
     DegenerateEvidenceError,
@@ -340,4 +340,11 @@ def test_config_file_round_trip(tmp_path_factory, case):
                   for key, value in values.items()),
         encoding="utf-8",
     )
-    assert resolve_config(str(path), schema, {}) == values
+    # every value reads back as written, except a negative seed, which the
+    # config rejects by name
+    negative = [key for key in SEED_KEYS if values.get(key, 0) < 0]
+    if negative:
+        with pytest.raises(ConfigError, match=f"^{negative[0]} must be a non-negative integer"):
+            resolve_config(str(path), schema, {})
+    else:
+        assert resolve_config(str(path), schema, {}) == values
