@@ -293,7 +293,7 @@ def cmd_train(args) -> int:
         raise DataError(str(exc)) from exc
     fits: list = []
     try:
-        # no training copy outlives the fit: validation is the memory peak
+        # the training copy is made inline so that it does not outlive the fit
         model = _fit_model(args.kind, dataset.subset(holdout.train), resolved, fits)
     except np.linalg.LinAlgError:
         raise

@@ -357,20 +357,33 @@ def fit_zscore(data: np.ndarray) -> ZScoreStats:
     Channels with (near) zero spread get std 1 so they pass through centered
     but unscaled.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data)
     if data.ndim != 3:
         raise ValueError("training epochs must be epochs x channels x samples")
     if data.shape[0] == 0:
         raise ValueError("cannot fit z-scoring on an empty training set")
-    # one contiguous row per channel with the epochs laid end to end, so the
-    # sums run in the same order whatever the memory layout of the stack
-    per_channel = np.ascontiguousarray(data.transpose(1, 0, 2)).reshape(data.shape[1], -1)
-    mean = per_channel.mean(axis=1)
-    std = per_channel.std(axis=1)
+    # each channel in turn is copied into one contiguous buffer with the
+    # epochs laid end to end, so the sums run in the same order whatever the
+    # memory layout of the stack; the spread is then formed in that buffer
+    # the way ndarray.std forms it, without its full-size temporary
+    channel = np.empty((data.shape[0], data.shape[2]))
+    values = channel.reshape(-1)
+    mean = np.empty(data.shape[1])
+    std = np.empty(data.shape[1])
+    for c in range(data.shape[1]):
+        np.copyto(channel, data[:, c, :])
+        mean[c] = values.mean()
+        values -= mean[c]
+        np.square(values, out=values)
+        std[c] = np.sqrt(values.sum() / values.size)
     std = np.where(std < 1e-12, 1.0, std)
     return ZScoreStats(mean=mean, std=std)
 
 
 def zscore_array(stats: ZScoreStats, data: np.ndarray) -> np.ndarray:
-    """Standardize stacked epochs (n, channels, samples) with fitted stats."""
-    return (np.asarray(data, dtype=np.float64) - stats.mean[None, :, None]) / stats.std[None, :, None]
+    """Standardize stacked epochs (n, channels, samples) with fitted stats.
+    Returns a new C-ordered float64 stack; ``data`` is left as it is."""
+    out = np.array(data, dtype=np.float64, order="C")
+    out -= stats.mean[None, :, None]
+    out /= stats.std[None, :, None]
+    return out

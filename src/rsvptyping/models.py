@@ -90,6 +90,9 @@ LOG_DENSITY_FLOOR = -745.0
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+# Bytes of float64 kernel exponents kde_log_eval_many holds at once.
+KDE_BLOCK_BYTES = 1 << 20
+
 
 def _as_float_matrix(features: np.ndarray) -> np.ndarray:
     out = np.asarray(features, dtype=np.float64)
@@ -444,11 +447,16 @@ class PcaProjection:
         return self.components.shape[1]
 
 
-def fit_pca(features: np.ndarray, variance_fraction: float = 0.8) -> PcaProjection:
+def fit_pca(
+    features: np.ndarray, variance_fraction: float = 0.8
+) -> tuple[PcaProjection, np.ndarray]:
     """Keep the smallest number of components whose cumulative explained
     variance reaches ``variance_fraction``. Zero-variance input keeps one
     component by convention. Component signs are fixed so the entry of
-    largest magnitude is positive, making the fit deterministic."""
+    largest magnitude is positive, making the fit deterministic.
+
+    Returns the projection and the training rows projected by it, both from
+    one centered copy of ``features``."""
     x = _as_float_matrix(features)
     n = x.shape[0]
     if n < 2:
@@ -476,18 +484,8 @@ def fit_pca(features: np.ndarray, variance_fraction: float = 0.8) -> PcaProjecti
         col = components[:, j]
         if col[np.argmax(np.abs(col))] < 0:
             components[:, j] = -col
-    return PcaProjection(mean=mean, components=components, variance_fraction=achieved)
-
-
-def project(projection: PcaProjection, feature: np.ndarray) -> np.ndarray:
-    """Map one feature vector (or a matrix of rows) into component space."""
-    x = np.asarray(feature, dtype=np.float64)
-    if x.shape[-1] != projection.mean.shape[0]:
-        raise ValueError(
-            f"feature dimension {x.shape[-1]} does not match PCA "
-            f"{projection.mean.shape[0]}"
-        )
-    return (x - projection.mean) @ projection.components
+    projection = PcaProjection(mean=mean, components=components, variance_fraction=achieved)
+    return projection, centered @ projection.components
 
 
 # ---------------------------------------------------------------------------
@@ -523,15 +521,22 @@ def kde_log_eval_many(density: KdeDensity, xs: np.ndarray) -> np.ndarray:
     pts = np.asarray(xs, dtype=np.float64)
     if pts.ndim != 1:
         raise ValueError("query points must be a vector")
-    # one (queries, scores) buffer, updated in place: scoring a test set
-    # against a training set's scores makes it tens of MB
-    exponents = pts[:, None] - density.scores[None, :]
-    exponents /= density.bandwidth
-    np.square(exponents, out=exponents)
-    exponents *= -0.5
-    peak = exponents.max(axis=1)
-    exponents -= peak[:, None]
-    logs = peak + np.log(np.exp(exponents, out=exponents).mean(axis=1))
+    scores = density.scores
+    logs = np.empty(pts.shape[0])
+    # the queries go through one (rows, scores) buffer a block of rows at a
+    # time; each row's sum runs as it would in a whole-matrix buffer
+    rows = max(1, KDE_BLOCK_BYTES // (8 * scores.shape[0]))
+    buffer = np.empty((min(rows, pts.shape[0]), scores.shape[0]))
+    for start in range(0, pts.shape[0], rows):
+        block = pts[start:start + rows]
+        exponents = buffer[: block.shape[0]]
+        np.subtract(block[:, None], scores[None, :], out=exponents)
+        exponents /= density.bandwidth
+        np.square(exponents, out=exponents)
+        exponents *= -0.5
+        peak = exponents.max(axis=1)
+        exponents -= peak[:, None]
+        logs[start:start + rows] = peak + np.log(np.exp(exponents, out=exponents).mean(axis=1))
     logs -= math.log(density.bandwidth) + LOG_SQRT_2PI
     return np.maximum(logs, LOG_DENSITY_FLOOR)
 
@@ -584,7 +589,9 @@ def _flatten_epochs(pipeline: GenerativePipeline, stacked: np.ndarray) -> np.nda
 def pipeline_scores(pipeline: GenerativePipeline, stacked: np.ndarray) -> np.ndarray:
     """Compress a stack of epochs (n, channels, samples) to scalar scores."""
     flat = _flatten_epochs(pipeline, stacked)
-    return log_ratio_scores(pipeline.scorer, project(pipeline.pca, flat))
+    # the z-scored rows are this call's own copy, so they are centered in place
+    flat -= pipeline.pca.mean
+    return log_ratio_scores(pipeline.scorer, flat @ pipeline.pca.components)
 
 
 def build_generative(
@@ -608,8 +615,7 @@ def build_generative(
         raise ValueError("both classes must be present")
     stats = fit_zscore(train.data)
     flat = zscore_array(stats, train.data).reshape(len(train), -1)
-    pca = fit_pca(flat, variance_fraction)
-    reduced = project(pca, flat)
+    pca, reduced = fit_pca(flat, variance_fraction)
     if scorer_kind == "logistic":
         scorer: Scorer = train_logistic(
             reduced, labels, class_weights=(1.0, 1.0), l2=l2, tolerance=tolerance, fits=fits

@@ -7,7 +7,9 @@ once; filters run their recursion one time step at a time where the package
 filters whole blocks, and filter responses are measured from impulse
 responses via FFT; PCA comes from the SVD where the package decomposes the
 Gram matrix; the synthetic dataset is drawn and filtered as one whole array
-where the package fills it a chunk of epochs at a time.
+where the package fills it a chunk of epochs at a time; KDE log-densities and
+z-score statistics come from whole-matrix temporaries where the package works
+a block of rows or one channel at a time.
 """
 
 from __future__ import annotations
@@ -228,3 +230,30 @@ def grid_search_boundary_1d(xs, ys, class_weights, slopes, intercepts):
             if loss < best[0]:
                 best = (loss, -b / w)
     return best[1]
+
+
+def reference_kde_log_eval(scores, bandwidth, xs, floor=-745.0):
+    """Gaussian KDE log-density at each query from one whole
+    (queries, scores) matrix, peak-shifted before the exponential and
+    floored at ``floor``."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pts = np.asarray(xs, dtype=np.float64)
+    exponents = pts[:, None] - scores[None, :]
+    exponents /= bandwidth
+    np.square(exponents, out=exponents)
+    exponents *= -0.5
+    peak = exponents.max(axis=1)
+    exponents -= peak[:, None]
+    logs = peak + np.log(np.exp(exponents, out=exponents).mean(axis=1))
+    logs -= math.log(bandwidth) + 0.5 * math.log(2.0 * math.pi)
+    return np.maximum(logs, floor)
+
+
+def reference_zscore_stats(data):
+    """Per-channel mean and std of a stack (n, channels, samples) from one
+    transposed copy with each channel's epochs laid end to end; a std under
+    1e-12 becomes 1."""
+    data = np.asarray(data, dtype=np.float64)
+    per_channel = np.ascontiguousarray(data.transpose(1, 0, 2)).reshape(data.shape[1], -1)
+    std = per_channel.std(axis=1)
+    return per_channel.mean(axis=1), np.where(std < 1e-12, 1.0, std)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,26 @@ class TestZScore:
         out = zscore_array(stats, eps)
         expected = (eps[3] - stats.mean[:, None]) / stats.std[:, None]
         np.testing.assert_allclose(out[3], expected, atol=1e-15)
+
+    def test_standardizing_leaves_the_input_unmodified(self):
+        rng = np.random.default_rng(3)
+        eps = self.make_epochs(rng)
+        before = eps.copy()
+        out = zscore_array(fit_zscore(eps), eps)
+        assert np.array_equal(eps, before)
+        assert not np.shares_memory(out, eps)
+
+    def test_fit_peak_memory_is_one_channel(self):
+        # the training stack of the README dataset's first split
+        eps = np.random.default_rng(5).standard_normal((4800, 6, 62))
+        one_channel = eps[:, 0, :].nbytes
+        tracemalloc.start()
+        try:
+            fit_zscore(eps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one_channel + 2**20
 
     def test_empty_train_set_rejected(self):
         with pytest.raises(ValueError):

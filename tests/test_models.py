@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rsvptyping.core import (
     update_discriminative,
     update_generative,
 )
+from rsvptyping import models
 from rsvptyping.dsp import ZScoreStats
 from rsvptyping.models import (
     ConstantEvidenceModel,
@@ -35,7 +37,6 @@ from rsvptyping.models import (
     kde_log_eval_many,
     lda_scores,
     logistic_loss_and_gradient,
-    project,
     train_lda,
     train_logistic,
     train_logistic_evidence,
@@ -284,14 +285,14 @@ class TestPca:
     def test_single_axis_data_keeps_one_component(self):
         t = np.linspace(-1, 1, 30)
         x = np.outer(t, np.array([1.0, 2.0, -1.0]))
-        proj = fit_pca(x, 0.8)
+        proj, _ = fit_pca(x, 0.8)
         assert proj.n_components == 1
         assert proj.variance_fraction >= 0.999999
 
     def test_isotropic_gaussian_matches_eigenvalue_oracle(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((500, 10))
-        proj = fit_pca(x, 0.8)
+        proj, _ = fit_pca(x, 0.8)
         # oracle: eigenvalues of the sample covariance
         cov = np.cov(x, rowvar=False)
         eigvals = np.sort(np.linalg.eigvalsh(cov))[::-1]
@@ -303,35 +304,38 @@ class TestPca:
     def test_reconstruction_keeps_most_variance(self):
         rng = np.random.default_rng(29)
         x = rng.standard_normal((200, 6)) @ np.diag([3.0, 2.0, 1.0, 0.5, 0.3, 0.1])
-        proj = fit_pca(x, 0.8)
-        reduced = project(proj, x)
+        proj, reduced = fit_pca(x, 0.8)
         recon = reduced @ proj.components.T + proj.mean
         lost = np.var(x - recon, axis=0).sum() / np.var(x - x.mean(axis=0), axis=0).sum()
         assert lost <= 0.2
 
     def test_zero_variance_keeps_one_component(self):
-        proj = fit_pca(np.ones((5, 4)), 0.8)
+        proj, _ = fit_pca(np.ones((5, 4)), 0.8)
         assert proj.n_components == 1
 
     def test_projection_is_contraction(self):
         rng = np.random.default_rng(31)
         x = rng.standard_normal((100, 8))
-        proj = fit_pca(x, 0.8)
+        proj, _ = fit_pca(x, 0.8)
+
+        def project(w):
+            return (w - proj.mean) @ proj.components
+
         for _ in range(20):
             u, v = rng.standard_normal((2, 8))
             dist_in = np.linalg.norm(u - v)
-            dist_out = np.linalg.norm(project(proj, u) - project(proj, v))
+            dist_out = np.linalg.norm(project(u) - project(v))
             assert dist_out <= dist_in + 1e-12
 
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(41)
         scales = np.linspace(3.0, 0.2, 24)
         x = rng.standard_normal((400, 24)) * scales + rng.standard_normal(24)
-        proj = fit_pca(x, 0.8)
+        proj, reduced = fit_pca(x, 0.8)
         explained, axes = svd_pca(x)
         r = proj.n_components
         assert r == int(np.searchsorted(np.cumsum(explained) / explained.sum(), 0.8) + 1)
-        kept = np.var(project(proj, x), axis=0, ddof=1)
+        kept = np.var(reduced, axis=0, ddof=1)
         np.testing.assert_allclose(kept, explained[:r], rtol=1e-12, atol=0)
         assert proj.variance_fraction == pytest.approx(explained[:r].sum() / explained.sum(),
                                                        rel=1e-12)
@@ -340,7 +344,7 @@ class TestPca:
     def test_determinism(self):
         rng = np.random.default_rng(40)
         x = rng.standard_normal((60, 5))
-        p1, p2 = fit_pca(x), fit_pca(x)
+        (p1, _), (p2, _) = fit_pca(x), fit_pca(x)
         np.testing.assert_array_equal(p1.components, p2.components)
 
     def test_non_orthonormal_components_rejected(self):
@@ -370,11 +374,19 @@ class TestPca:
         # the running sum of explained variance can round past the total
         for seed in range(20):
             x = np.random.default_rng(seed).standard_normal((50, 12))
-            assert fit_pca(x, 1.0).variance_fraction <= 1.0
+            assert fit_pca(x, 1.0)[0].variance_fraction <= 1.0
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             fit_pca(np.zeros((1, 3)))
+
+    def test_training_projection_matches_a_projection_of_the_input(self):
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((80, 7)) + 3.0
+        before = x.copy()
+        proj, reduced = fit_pca(x, 0.9)
+        assert np.array_equal(x, before)
+        assert np.array_equal(reduced, (x - proj.mean) @ proj.components)
 
 
 class TestKde:
@@ -414,6 +426,24 @@ class TestKde:
         grid = np.linspace(-20, 20, 20001)
         vals = np.exp(kde_log_eval_many(density, grid))
         assert np.trapezoid(vals, grid) == pytest.approx(1.0, abs=1e-6)
+
+    def test_no_queries_give_an_empty_float64_array(self):
+        out = kde_log_eval_many(fit_kde(np.array([0.0, 1.0])), np.array([]))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_peak_memory_is_one_block(self):
+        # a test set's scores against a training set's: the whole
+        # (queries, scores) matrix would be 44 MB
+        rng = np.random.default_rng(10)
+        density = fit_kde(rng.standard_normal(4629), bandwidth=0.5)
+        queries = rng.standard_normal(1200)
+        tracemalloc.start()
+        try:
+            kde_log_eval_many(density, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_empty_scores_rejected(self):
         with pytest.raises(ValueError):
@@ -481,6 +511,16 @@ class TestGenerativePipeline:
         with pytest.raises(ValueError):
             generative_likelihoods(pipeline, make_dataset(np.zeros((1, 2, 9)), [0]))
 
+    @pytest.mark.parametrize("scorer_kind", ["logistic", "lda"])
+    def test_fit_and_scoring_leave_the_epochs_unmodified(self, scorer_kind):
+        rng = np.random.default_rng(41)
+        epochs = separable_epochs(rng)
+        before = epochs.data.copy()
+        model = GenerativeEvidenceModel(build_generative(epochs, scorer_kind=scorer_kind))
+        assert np.array_equal(epochs.data, before)
+        model.predict_batch(epochs)
+        assert np.array_equal(epochs.data, before)
+
     def test_single_class_rejected(self):
         rng = np.random.default_rng(39)
         epochs = make_dataset(rng.standard_normal((10, 2, 8)), np.ones(10, dtype=int))
@@ -542,6 +582,14 @@ class TestEvidenceModels:
             single_pos, _ = model.predict_batch(epochs.subset([i]))
             assert single_pos[0] == pytest.approx(batch_pos[i], rel=1e-12)
 
+    def test_logistic_evidence_leaves_the_epochs_unmodified(self):
+        rng = np.random.default_rng(44)
+        epochs = separable_epochs(rng)
+        before = epochs.data.copy()
+        model = train_logistic_evidence(epochs)
+        model.predict_batch(epochs)
+        assert np.array_equal(epochs.data, before)
+
     def test_logistic_evidence_separable_is_confident(self):
         rng = np.random.default_rng(45)
         epochs = separable_epochs(rng)
@@ -580,3 +628,39 @@ class TestEvidenceModels:
         assert disc.parameter_count == 2 * 2 + 2 * 8 + 1
         gen = GenerativeEvidenceModel(build_generative(epochs))
         assert gen.parameter_count > 0
+
+
+class TestTracedCallSites:
+    """The benchmark's tracer times the fit and scoring stages by replacing
+    these names on the models module, so the pipeline must look them up
+    there at call time."""
+
+    NAMES = ("fit_zscore", "zscore_array", "fit_pca", "fit_kde", "kde_log_eval_many")
+
+    def count_calls(self, monkeypatch):
+        calls = dict.fromkeys(self.NAMES, 0)
+        for name in self.NAMES:
+            original = getattr(models, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(models, name, counted)
+        return calls
+
+    def test_generative_fit_and_scoring_reach_the_module_names(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        epochs = separable_epochs(np.random.default_rng(53))
+        model = GenerativeEvidenceModel(build_generative(epochs, scorer_kind="lda"))
+        assert calls == {"fit_zscore": 1, "zscore_array": 1, "fit_pca": 1, "fit_kde": 2,
+                         "kde_log_eval_many": 0}
+        model.predict_batch(epochs)
+        assert calls == {"fit_zscore": 1, "zscore_array": 2, "fit_pca": 1, "fit_kde": 2,
+                         "kde_log_eval_many": 2}
+
+    def test_logistic_fit_and_scoring_reach_the_module_names(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        epochs = separable_epochs(np.random.default_rng(55))
+        train_logistic_evidence(epochs).predict_batch(epochs)
+        assert (calls["fit_zscore"], calls["zscore_array"]) == (1, 2)

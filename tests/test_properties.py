@@ -1,10 +1,12 @@
 """Property tests: the batched posterior filter against a per-event
 reference, the scalar query API, the block filter against the per-sample
-recursion, the CLI's exit codes on damaged container files, and config files
+recursion, block KDE and per-channel z-scoring against their whole-matrix
+forms, the CLI's exit codes on damaged container files, and config files
 read back as written."""
 
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,9 +32,17 @@ from rsvptyping.dsp import (
     design_notch,
     filter_forward,
 )
-from rsvptyping.models import TRAIN_SCHEMA
+from rsvptyping import models
+from rsvptyping.dsp import fit_zscore, zscore_array
+from rsvptyping.models import TRAIN_SCHEMA, fit_kde, kde_log_eval_many
 
-from oracles import reference_filter, sequential_posterior, threshold_decision
+from oracles import (
+    reference_filter,
+    reference_kde_log_eval,
+    reference_zscore_stats,
+    sequential_posterior,
+    threshold_decision,
+)
 
 
 def _log(x: float) -> float:
@@ -247,6 +257,78 @@ def test_block_filter_matches_per_sample_recursion(
 
 # ---------------------------------------------------------------------------
 # Damaged containers
+
+
+@st.composite
+def kde_cases(draw):
+    """A small block budget, then score and query counts around its block
+    size: 0, 1, rows - 1, rows, rows + 1 and k * rows + r queries, and from
+    one score to more than the budget holds."""
+    budget = draw(st.integers(1, 64))
+    n_scores = draw(st.integers(1, budget + 8))
+    rows = max(1, budget // n_scores)
+    n_queries = draw(st.sampled_from([0, 1, rows - 1, rows, rows + 1])
+                     | st.builds(lambda k, r: k * rows + r,
+                                 st.integers(2, 5), st.integers(0, rows - 1)))
+    return (budget, n_scores, max(n_queries, 0), draw(st.sampled_from([0.05, 0.5, 1.0, 3.7])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kde_cases())
+def test_block_kde_matches_whole_matrix(case):
+    budget, n_scores, n_queries, bandwidth, seed = case
+    rng = np.random.default_rng(seed)
+    scores = rng.standard_normal(n_scores) * 3.0
+    # a wide spread puts some queries on the density floor
+    queries = rng.standard_normal(n_queries) * rng.choice([1.0, 30.0])
+    with mock.patch.object(models, "KDE_BLOCK_BYTES", 8 * budget):
+        got = kde_log_eval_many(fit_kde(scores, bandwidth), queries)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, reference_kde_log_eval(scores, bandwidth, queries))
+
+
+# the negative class of a README-dataset split scores 4,629
+# training epochs; its block at the module budget holds this many queries
+README_ROWS = max(1, models.KDE_BLOCK_BYTES // (8 * 4629))
+
+
+@pytest.mark.parametrize("n_scores, n_queries", [
+    (4629, 0), (4629, 1), (4629, README_ROWS - 1), (4629, README_ROWS),
+    (4629, README_ROWS + 1), (4629, 1200), (models.KDE_BLOCK_BYTES // 8 + 1, 3),
+])
+def test_block_kde_at_the_module_budget(n_scores, n_queries):
+    rng = np.random.default_rng(n_scores + n_queries)
+    scores = rng.standard_normal(n_scores)
+    queries = rng.standard_normal(n_queries) * 2.0
+    got = kde_log_eval_many(fit_kde(scores, 0.3), queries)
+    assert np.array_equal(got, reference_kde_log_eval(scores, 0.3, queries))
+
+
+@st.composite
+def epoch_stacks(draw):
+    """Epoch stacks (n, channels, samples) in C order or as a transposed
+    view, some with a constant channel."""
+    n, channels, samples = (draw(st.integers(1, 40)), draw(st.integers(1, 6)),
+                            draw(st.integers(1, 30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = (rng.standard_normal((n, channels, samples)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
+            + draw(st.floats(-100.0, 100.0)))
+    if draw(st.booleans()):
+        data[:, draw(st.integers(0, channels - 1)), :] = 4.2
+    if draw(st.booleans()):
+        data = np.ascontiguousarray(data.transpose(2, 1, 0)).transpose(2, 1, 0)
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(epoch_stacks())
+def test_per_channel_zscore_matches_transposed_copy(data):
+    stats = fit_zscore(data)
+    mean, std = reference_zscore_stats(data)
+    assert np.array_equal(stats.mean, mean) and np.array_equal(stats.std, std)
+    expected = (data - mean[None, :, None]) / std[None, :, None]
+    assert np.array_equal(zscore_array(stats, data), expected)
 
 
 @pytest.fixture(scope="module")

@@ -90,8 +90,8 @@ class TestSelectQuery:
         rng = np.random.default_rng(4)
         p = np.array([0.5, 0.25, 0.15, 0.1])
         n = 100_000
-        draws = select_query(p, 1, QueryStrategy.WITH_REPLACEMENT, rng)
-        draws = rng.choice(4, size=n, p=p)
+        draws = select_queries(np.tile(np.log(p), (n, 1)), 1,
+                               QueryStrategy.WITH_REPLACEMENT, rng)[:, 0]
         counts = np.bincount(draws, minlength=4) / n
         sigma = np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(counts - p) <= 3 * sigma)
