@@ -4,14 +4,15 @@ Layout: a 4-byte little-endian header length, a UTF-8 JSON header, then the
 payload bytes. The header's "kind" field says what the payload holds:
 
 * "epochs": float32 epochs in epoch-major, channel-major, time-minor order,
-  followed by one label byte per epoch;
+  followed by one label byte per epoch; read back as a float32 view;
 * "raw": one continuous float32 block (channel-major, time-minor) with the
-  stimulus onset table carried in the header;
+  stimulus onsets carried in the header as [sample, label] pairs;
 * "model": float64 arrays back to back, listed with names and shapes in the
   header, so trained models round-trip bit for bit.
 
 Headers are serialized with sorted keys and no whitespace, which makes every
-writer output byte-identical for identical inputs.
+writer output byte-identical for identical inputs. A header that cannot be
+decoded or converted, numbers out of range included, is a ContainerFormatError.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def read_container(path, expected_kind: str) -> tuple[dict, memoryview]:
         raise ContainerFormatError(f"{path}: truncated header")
     try:
         header = json.loads(blob[4 : 4 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise ContainerFormatError(f"{path}: malformed header") from exc
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise ContainerFormatError(f"{path}: not a {FORMAT_NAME} file")
@@ -127,20 +128,18 @@ def read_dataset(path) -> LabeledDataset:
     expected = n * channels * samples * 4
     if offset != expected or len(payload) != expected + n:
         raise ContainerFormatError(f"{path}: payload size does not match header")
-    data = (
-        np.frombuffer(payload[:offset], dtype="<f4")
-        .reshape(n, channels, samples)
-        .astype(np.float64)
-    )
     labels = np.frombuffer(payload[offset:], dtype=np.uint8)
     if not np.all(np.isin(labels, (0, 1))):
         raise ContainerFormatError(f"{path}: labels must be 0 or 1")
-    if not np.all(np.isfinite(data)):
-        raise ContainerFormatError(f"{path}: epochs contain non-finite samples")
     try:
-        return LabeledDataset(data=data, labels=labels)
+        data = np.frombuffer(payload[:offset], dtype="<f4").reshape(n, channels, samples)
+        dataset = LabeledDataset(data=data, labels=labels)
     except ValueError as exc:
         raise ContainerFormatError(f"{path}: {exc}") from exc
+    # min and max propagate NaN and find infinities without a data-sized mask
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        raise ContainerFormatError(f"{path}: epochs contain non-finite samples")
+    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +154,7 @@ def write_raw(path, recording: RawRecording) -> None:
             "channels": recording.n_channels,
             "n_samples": recording.n_samples,
             "rate": recording.rate,
-            "onsets": [[int(s), int(l)] for s, l in recording.stim_onsets],
+            "onsets": recording.stim_onsets.tolist(),
         }
     )
     write_container(path, header, data)
@@ -167,22 +166,19 @@ def read_raw(path) -> RawRecording:
         channels = int(header["channels"])
         n_samples = int(header["n_samples"])
         rate = float(header["rate"])
-        onsets = tuple((int(s), int(l)) for s, l in header["onsets"])
-    except (KeyError, TypeError, ValueError) as exc:
+        onsets = np.asarray(header["onsets"], dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ContainerFormatError(f"{path}: incomplete raw header") from exc
     if len(payload) != channels * n_samples * 4:
         raise ContainerFormatError(f"{path}: payload size does not match header")
-    data = (
-        np.frombuffer(payload, dtype="<f4")
-        .reshape(channels, n_samples)
-        .astype(np.float64)
-    )
-    if not np.all(np.isfinite(data)):
-        raise ContainerFormatError(f"{path}: recording contains non-finite samples")
     try:
-        return RawRecording(data=data, rate=rate, stim_onsets=onsets)
+        data = np.frombuffer(payload, dtype="<f4").reshape(channels, n_samples)
+        recording = RawRecording(data=data, rate=rate, stim_onsets=onsets)
     except ValueError as exc:
         raise ContainerFormatError(f"{path}: {exc}") from exc
+    if not np.all(np.isfinite(recording.data)):
+        raise ContainerFormatError(f"{path}: recording contains non-finite samples")
+    return recording
 
 
 # ---------------------------------------------------------------------------

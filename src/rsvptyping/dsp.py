@@ -50,34 +50,42 @@ class BiquadCoefficients:
 FilterCascade = Union[BiquadCoefficients, Sequence[BiquadCoefficients]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawRecording:
     """Continuous voltage data (channels x samples, µV) with stimulus onsets.
 
-    Each onset is (sample_index, label); label is 1 for target stimuli and 0
-    otherwise. Onsets must be strictly increasing and in bounds.
+    ``stim_onsets`` is stored as an (n, 2) int64 array, one row
+    (sample_index, label) per onset; label is 1 for target stimuli and 0
+    otherwise. Any sequence of pairs is accepted. Onsets must be strictly
+    increasing and in bounds, and there must be at least one channel.
     """
 
     data: np.ndarray
     rate: float
-    stim_onsets: tuple[tuple[int, int], ...]
+    stim_onsets: np.ndarray
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2:
             raise ValueError("recording data must be channels x samples")
+        if data.shape[0] == 0:
+            raise ValueError("recording has no channels")
         if not (self.rate > 0 and math.isfinite(self.rate)):
             raise ValueError("sampling rate must be positive and finite")
-        onsets = tuple((int(s), int(l)) for s, l in self.stim_onsets)
-        last = -1
-        for sample, label in onsets:
-            if sample <= last:
-                raise ValueError("stimulus onsets must be strictly increasing")
-            if not (0 <= sample < data.shape[1]):
-                raise ValueError(f"onset {sample} outside recording")
-            if label not in (POSITIVE, NEGATIVE):
-                raise ValueError(f"label must be 0 or 1, got {label}")
-            last = sample
+        onsets = np.asarray(self.stim_onsets, dtype=np.int64)
+        if onsets.shape == (0,):  # an empty sequence has no pair axis
+            onsets = onsets.reshape(0, 2)
+        if onsets.ndim != 2 or onsets.shape[1] != 2:
+            raise ValueError("each stimulus onset must be a (sample, label) pair")
+        samples, labels = onsets.T
+        if np.any(samples[1:] <= samples[:-1]):
+            raise ValueError("stimulus onsets must be strictly increasing")
+        outside = samples[(samples < 0) | (samples >= data.shape[1])]
+        if outside.size:
+            raise ValueError(f"onset {outside[0]} outside recording")
+        bad = labels[(labels != POSITIVE) & (labels != NEGATIVE)]
+        if bad.size:
+            raise ValueError(f"label must be 0 or 1, got {bad[0]}")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "stim_onsets", onsets)
 
@@ -278,15 +286,15 @@ def downsample(recording: RawRecording, factor: int = 2) -> RawRecording:
     factor = int(factor)
     if factor == 1:
         return recording
-    samples = [s for s, _ in recording.stim_onsets]
-    for before, after in zip(samples, samples[1:]):
-        if before // factor == after // factor:
-            raise ValueError(
-                f"onsets {before} and {after} fall on one sample after "
-                f"downsampling by {factor}"
-            )
+    onsets = recording.stim_onsets // [factor, 1]
+    clash = np.flatnonzero(onsets[1:, 0] == onsets[:-1, 0])
+    if clash.size:
+        before, after = recording.stim_onsets[clash[0] : clash[0] + 2, 0]
+        raise ValueError(
+            f"onsets {before} and {after} fall on one sample after "
+            f"downsampling by {factor}"
+        )
     data = recording.data[:, ::factor]
-    onsets = tuple((s // factor, label) for s, label in recording.stim_onsets)
     return RawRecording(data=data, rate=recording.rate / factor, stim_onsets=onsets)
 
 
@@ -313,7 +321,7 @@ def epoch(
             f"epoch window of {n_samples} samples is longer than the recording "
             f"({recording.n_samples} samples)"
         )
-    onsets = np.asarray(recording.stim_onsets, dtype=np.int64).reshape(-1, 2)
+    onsets = recording.stim_onsets
     kept = onsets[onsets[:, 0] + n_samples <= recording.n_samples]
     windows = kept[:, 0, None] + np.arange(n_samples)
     data = recording.data[:, windows].transpose(1, 0, 2)

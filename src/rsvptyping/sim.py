@@ -361,10 +361,10 @@ def evaluate_splits(
     """
     rows = []
     for k, s in enumerate(synth.split(dataset, n_splits=n_splits, seed=split_seed)):
-        # the training copy is not kept: scoring the test epochs is this
-        # loop's memory peak
+        # the training copy is made inline so that it does not outlive the
+        # fit, which is this loop's memory peak
         model = model_factory(dataset.subset(s.train))
-        prior = empirical_prior(dataset.labels[list(s.train)]) if empirical_conversion else None
+        prior = empirical_prior(dataset.labels[s.train]) if empirical_conversion else None
         test = dataset.subset(s.test)
         log_pos, log_neg = model.predict_batch(test)
         predictions = classify_epochs(model.mode, log_pos, log_neg, prior)

@@ -7,15 +7,15 @@ target trials carrying an additional stereotyped deflection (a
 Gaussian-windowed bump, standing in for a P300-like response).
 
 The generator is fully determined by its config, including the seed, and
-quantizes samples to float32 so that in-memory datasets match their on-disk
-representation bit for bit.
+returns float32 samples, the on-disk dtype, so in-memory datasets match their
+files bit for bit. Train/test splits are sorted int64 index arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -83,36 +83,32 @@ class SynthConfig:
         return self.erp_amplitude * np.exp(-0.5 * z**2)
 
 
-@dataclass(frozen=True)
-class SplitIndices:
-    """One train/test partition of epoch indices."""
+class SplitIndices(NamedTuple):
+    """One train/test partition: two disjoint, sorted int64 index arrays."""
 
-    train: tuple[int, ...]
-    test: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if set(self.train) & set(self.test):
-            raise ValueError("train and test overlap")
-        if not self.train or not self.test:
-            raise ValueError("both portions must be nonempty")
+    train: np.ndarray
+    test: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Epochs (n, channels, samples) with their 0/1 labels. ``len()`` is the
-    epoch count."""
+    epoch count. Float32 or float64 data is kept as given, without a copy;
+    any other dtype becomes float64. Fits and scores widen to float64."""
 
     data: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=np.float64)
+        data = np.asarray(self.data)
+        if data.dtype not in (np.float32, np.float64):
+            data = data.astype(np.float64)
         labels = np.asarray(self.labels)
         if data.ndim != 3:
             raise ValueError("epoch data must be epochs x channels x samples")
+        if 0 in data.shape:
+            raise ValueError(f"dataset is empty: epochs x channels x samples {data.shape}")
         n = data.shape[0]
-        if n == 0:
-            raise ValueError("dataset is empty")
         if labels.shape != (n,):
             raise ValueError(f"expected {n} labels, got shape {labels.shape}")
         if not np.all(np.isin(labels, (0, 1))):
@@ -143,8 +139,8 @@ def generate(config: SynthConfig) -> LabeledDataset:
     The output is filled ``CHUNK_EPOCHS`` epochs at a time: each chunk's
     white noise is drawn into one reused buffer from the one generator in
     order, which gives the same stream as a single draw, then filtered,
-    scaled, given its template and rounded through float32. Memory beyond
-    the output is one chunk's worth, whatever ``n_epochs`` is.
+    scaled, given its template and rounded into the float32 output. Memory
+    beyond the output is a few float64 chunks, whatever ``n_epochs`` is.
     """
     n = config.n_epochs
     n_pos = int(round(config.target_fraction * n))
@@ -171,7 +167,7 @@ def generate(config: SynthConfig) -> LabeledDataset:
         else np.asarray(config.erp_channels, dtype=np.int64)
     )
 
-    data = np.empty((n, config.channels, samples))
+    data = np.empty((n, config.channels, samples), dtype=np.float32)
     buffer = np.empty((min(CHUNK_EPOCHS, n), config.channels, warmup + samples))
     for lo in range(0, n, CHUNK_EPOCHS):
         hi = min(lo + CHUNK_EPOCHS, n)
@@ -180,8 +176,7 @@ def generate(config: SynthConfig) -> LabeledDataset:
         chunk *= config.noise_std
         pos_rows = np.flatnonzero(labels[lo:hi] == 1)
         chunk[np.ix_(pos_rows, channel_mask)] += template
-        # quantize like the on-disk format so file round-trips are exact
-        data[lo:hi] = chunk.astype(np.float32)
+        data[lo:hi] = chunk
     return LabeledDataset(data=data, labels=labels)
 
 
@@ -196,7 +191,7 @@ def split(
     Each split permutes the two classes independently and sends a
     ``test_fraction`` share of each into the test portion, so class
     fractions are preserved to within one sample. Raises if any portion of
-    any split would miss a class.
+    any split would miss a class, so both portions are nonempty.
     """
     if n_splits < 1:
         raise ValueError("need at least one split")
@@ -207,14 +202,13 @@ def split(
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_splits):
-        train: list[int] = []
-        test: list[int] = []
+        train, test = [], []
         for indices in by_class:
             perm = indices[rng.permutation(len(indices))]
             n_test = int(round(test_fraction * len(indices)))
             if n_test < 1 or n_test >= len(indices):
                 raise ValueError("dataset too small to stratify")
-            test.extend(perm[:n_test].tolist())
-            train.extend(perm[n_test:].tolist())
-        out.append(SplitIndices(train=tuple(sorted(train)), test=tuple(sorted(test))))
+            test.append(perm[:n_test])
+            train.append(perm[n_test:])
+        out.append(SplitIndices(np.sort(np.concatenate(train)), np.sort(np.concatenate(test))))
     return tuple(out)

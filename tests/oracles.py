@@ -9,7 +9,8 @@ responses via FFT; PCA comes from the SVD where the package decomposes the
 Gram matrix; the synthetic dataset is drawn and filtered as one whole array
 where the package fills it a chunk of epochs at a time; KDE log-densities and
 z-score statistics come from whole-matrix temporaries where the package works
-a block of rows or one channel at a time.
+a block of rows or one channel at a time; stimulus onsets are checked and
+remapped one Python pair at a time where the package works on one array.
 """
 
 from __future__ import annotations
@@ -257,3 +258,23 @@ def reference_zscore_stats(data):
     per_channel = np.ascontiguousarray(data.transpose(1, 0, 2)).reshape(data.shape[1], -1)
     std = per_channel.std(axis=1)
     return per_channel.mean(axis=1), np.where(std < 1e-12, 1.0, std)
+
+
+def reference_onsets_valid(onsets, n_samples):
+    """Whether (sample, label) pairs are strictly increasing, inside
+    [0, n_samples) and labelled 0 or 1, checked one pair at a time."""
+    last = -1
+    for sample, label in onsets:
+        if sample <= last or not 0 <= sample < n_samples or label not in (0, 1):
+            return False
+        last = sample
+    return True
+
+
+def reference_downsample_onsets(onsets, factor):
+    """Onsets remapped by floor division, or the first two original samples
+    that land on one sample."""
+    for (before, _), (after, _) in zip(onsets, onsets[1:]):
+        if before // factor == after // factor:
+            return (before, after)
+    return [[sample // factor, label] for sample, label in onsets]

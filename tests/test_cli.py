@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -28,6 +29,15 @@ from rsvptyping.synth import LabeledDataset, SynthConfig, generate
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def splice_header(path, kind, field, text):
+    """Rewrite one header field of a container as raw JSON ``text``, which
+    may hold a number that json.dumps would refuse to write."""
+    header, payload = read_container(path, kind)
+    header[field] = "@"
+    body = json.dumps(header).replace('"@"', text).encode()
+    path.write_bytes(struct.pack("<I", len(body)) + body + bytes(payload))
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +281,25 @@ class TestTrain:
         rc = main(["train", str(data), "--out", str(tmp_path / "m.bin")])
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, workspace, capsys):
+        data = tmp_path / "d.bin"
+        data.write_bytes(read_bytes(workspace["data"]))
+        splice_header(data, "epochs", "n_epochs", "9" * 5000)
+        assert main(["train", str(data), "--out", str(tmp_path / "m.bin")]) == 2
+        assert "data error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["channels", "samples_per_epoch"])
+    def test_no_channels_or_samples_exits_2(self, tmp_path, workspace, capsys, field):
+        data = tmp_path / "d.bin"
+        header, payload = read_container(workspace["data"], "epochs")
+        labels = bytes(payload[header["label_offset"] :])
+        header.update({field: 0, "label_offset": 0})
+        write_container(data, header, labels)
+        out = tmp_path / "m.bin"
+        assert main(["train", str(data), "--out", str(out)]) == 2
+        assert "data error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_dataset_exits_2(self, tmp_path):
         rc = main(["train", str(tmp_path / "absent.bin"), "--out", str(tmp_path / "m.bin")])
@@ -596,6 +625,39 @@ class TestPreprocess:
         rc = main(["preprocess", str(raw), "--out", str(tmp_path / "d.bin")])
         assert rc == 2
         assert "data error:" in capsys.readouterr().err
+
+    def test_rate_past_the_float_range_exits_2(self, tmp_path, capsys):
+        raw = tmp_path / "raw.bin"
+        make_raw(raw, n_samples=12_000)
+        splice_header(raw, "raw", "rate", "9" * 400)
+        assert main(["preprocess", str(raw), "--out", str(tmp_path / "d.bin")]) == 2
+        assert "data error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("onsets", [
+        [[100, 1, 0], [400, 0, 0]],  # a 3-wide row, not a pair
+        [[100, 1], [400]],  # a ragged row
+        [[100, 1], [2**63, 0]],  # too large for int64
+        None,
+    ])
+    def test_malformed_onsets_exit_2(self, tmp_path, capsys, onsets):
+        raw = tmp_path / "raw.bin"
+        make_raw(raw, n_samples=12_000)
+        header, payload = read_container(raw, "raw")
+        header["onsets"] = onsets
+        write_container(raw, header, payload)
+        assert main(["preprocess", str(raw), "--out", str(tmp_path / "d.bin")]) == 2
+        assert "data error:" in capsys.readouterr().err
+
+    def test_zero_channel_recording_exits_2(self, tmp_path, capsys):
+        raw = tmp_path / "raw.bin"
+        make_raw(raw, n_samples=12_000)
+        header, _ = read_container(raw, "raw")
+        header["channels"] = 0
+        write_container(raw, header, b"")
+        out = tmp_path / "d.bin"
+        assert main(["preprocess", str(raw), "--out", str(out)]) == 2
+        assert "data error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_onsets_colliding_after_downsampling_exit_1(self, tmp_path, capsys):
         raw = tmp_path / "raw.bin"

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,16 @@ class TestContainerCore:
         with pytest.raises(ContainerFormatError, match="malformed header"):
             read_container(path, "raw")
 
+    @pytest.mark.parametrize("body", [
+        b'{"n":' + b"9" * 5000 + b"}",  # past Python's 4,300-digit limit
+        b"[" * 100_000 + b"]" * 100_000,  # past the decoder's recursion limit
+    ])
+    def test_header_json_cannot_decode(self, tmp_path, body):
+        path = tmp_path / "x.bin"
+        path.write_bytes(struct.pack("<I", len(body)) + body)
+        with pytest.raises(ContainerFormatError, match="malformed header"):
+            read_container(path, "raw")
+
     def test_wrong_format(self, tmp_path):
         path = tmp_path / "x.bin"
         body = json.dumps({"format": "something-else", "version": 1}).encode()
@@ -165,6 +176,33 @@ class TestDatasetIO:
         with pytest.raises(ContainerFormatError, match="labels"):
             read_dataset(path)
 
+    def test_reads_a_float32_view_of_the_file(self, tmp_path, dataset):
+        path = tmp_path / "d.bin"
+        write_dataset(path, dataset)
+        loaded = read_dataset(path)
+        assert loaded.data.dtype == np.float32 and not loaded.data.flags.owndata
+
+    def test_read_peak_memory_stays_near_the_file_size(self, tmp_path):
+        path = tmp_path / "d.bin"
+        write_dataset(path, generate(SynthConfig(n_epochs=3000, seed=2)))
+        tracemalloc.start()
+        try:
+            read_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * path.stat().st_size
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, -1])
+    def test_non_finite_sample(self, tmp_path, dataset, value, position):
+        path = tmp_path / "d.bin"
+        data = dataset.data.copy()
+        data.reshape(-1)[position] = value
+        write_dataset(path, LabeledDataset(data, dataset.labels))
+        with pytest.raises(ContainerFormatError, match="non-finite"):
+            read_dataset(path)
+
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
             write_dataset(tmp_path / "d.bin", LabeledDataset(np.zeros((0, 3, 62)), np.zeros(0)))
@@ -183,7 +221,7 @@ class TestRawIO:
         back = read_raw(path)
         assert np.array_equal(back.data, rec.data)
         assert back.rate == rec.rate
-        assert back.stim_onsets == rec.stim_onsets
+        np.testing.assert_array_equal(back.stim_onsets, rec.stim_onsets)
 
     def test_quantizes_to_float32(self, tmp_path):
         data = np.full((1, 8), 0.1, dtype=np.float64)
@@ -199,6 +237,14 @@ class TestRawIO:
         path.write_bytes(read_bytes(path)[:-4])
         with pytest.raises(ContainerFormatError, match="payload size"):
             read_raw(path)
+
+    def test_onsets_are_one_int64_array(self, tmp_path):
+        path = tmp_path / "r.bin"
+        write_raw(path, self.make_recording())
+        back = read_raw(path)
+        assert back.stim_onsets.dtype == np.int64 and back.stim_onsets.shape == (2, 2)
+        header, _ = read_container(path, "raw")
+        assert header["onsets"] == [[10, 1], [200, 0]]
 
     def test_onset_out_of_range(self, tmp_path):
         path = tmp_path / "r.bin"

@@ -153,7 +153,7 @@ class TestDownsampleAndEpoch:
         rec = downsample(self.make_recording(), 2)
         assert rec.rate == 125.0
         assert rec.n_samples == 500
-        assert rec.stim_onsets[0] == (50, 1)  # 101 // 2
+        assert rec.stim_onsets[0].tolist() == [50, 1]  # 101 // 2
 
     def test_downsample_keeps_every_other_sample(self):
         original = self.make_recording()
@@ -202,6 +202,18 @@ class TestDownsampleAndEpoch:
             RawRecording(data=np.zeros((1, 10)), rate=10.0, stim_onsets=((5, 1), (5, 0)))
         with pytest.raises(ValueError):
             RawRecording(data=np.zeros((1, 10)), rate=10.0, stim_onsets=((12, 1),))
+
+    def test_onsets_are_stored_as_one_int64_array(self):
+        rec = self.make_recording()
+        assert rec.stim_onsets.dtype == np.int64
+        assert rec.stim_onsets.tolist() == [[101, 1], [400, 0]]
+        empty = RawRecording(data=np.zeros((1, 10)), rate=10.0, stim_onsets=())
+        assert empty.stim_onsets.shape == (0, 2)
+
+    @pytest.mark.parametrize("onsets", [((1, 0, 0),), ((1,),), [[]], 5])
+    def test_onsets_must_be_pairs(self, onsets):
+        with pytest.raises(ValueError, match="pair"):
+            RawRecording(data=np.zeros((1, 10)), rate=10.0, stim_onsets=onsets)
 
     def test_exclude_channels(self):
         rec = self.make_recording()

@@ -1,8 +1,8 @@
 """Property tests: the batched posterior filter against a per-event
 reference, the scalar query API, the block filter against the per-sample
 recursion, block KDE and per-channel z-scoring against their whole-matrix
-forms, the CLI's exit codes on damaged container files, and config files
-read back as written."""
+forms, onset checks and downsampling against per-pair loops, the CLI's exit
+codes on damaged container files, and config files read back as written."""
 
 import math
 import struct
@@ -29,7 +29,9 @@ from rsvptyping.dsp import (
     BLOCK_SAMPLES,
     BiquadCoefficients,
     design_bandpass,
+    RawRecording,
     design_notch,
+    downsample,
     filter_forward,
 )
 from rsvptyping import models
@@ -37,8 +39,10 @@ from rsvptyping.dsp import fit_zscore, zscore_array
 from rsvptyping.models import TRAIN_SCHEMA, fit_kde, kde_log_eval_many
 
 from oracles import (
+    reference_downsample_onsets,
     reference_filter,
     reference_kde_log_eval,
+    reference_onsets_valid,
     reference_zscore_stats,
     sequential_posterior,
     threshold_decision,
@@ -308,7 +312,7 @@ def test_block_kde_at_the_module_budget(n_scores, n_queries):
 @st.composite
 def epoch_stacks(draw):
     """Epoch stacks (n, channels, samples) in C order or as a transposed
-    view, some with a constant channel."""
+    view, some with a constant channel, in float64 or float32."""
     n, channels, samples = (draw(st.integers(1, 40)), draw(st.integers(1, 6)),
                             draw(st.integers(1, 30)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -318,7 +322,7 @@ def epoch_stacks(draw):
         data[:, draw(st.integers(0, channels - 1)), :] = 4.2
     if draw(st.booleans()):
         data = np.ascontiguousarray(data.transpose(2, 1, 0)).transpose(2, 1, 0)
-    return data
+    return data.astype(draw(st.sampled_from([np.float64, np.float32])))
 
 
 @settings(max_examples=200, deadline=None)
@@ -329,6 +333,37 @@ def test_per_channel_zscore_matches_transposed_copy(data):
     assert np.array_equal(stats.mean, mean) and np.array_equal(stats.std, std)
     expected = (data - mean[None, :, None]) / std[None, :, None]
     assert np.array_equal(zscore_array(stats, data), expected)
+
+
+@st.composite
+def onset_lists(draw):
+    """Sorted distinct onsets inside 38 samples with 0/1 labels, half of them
+    with one entry spoiled: out of range, mislabelled, repeated or out of
+    order."""
+    samples = sorted(draw(st.lists(st.integers(0, 37), unique=True, max_size=8)))
+    onsets = [[sample, draw(st.integers(0, 1))] for sample in samples]
+    if onsets and draw(st.booleans()):
+        row = draw(st.sampled_from(onsets))
+        row[draw(st.integers(0, 1))] = draw(st.sampled_from([-1, 2, 38, onsets[0][0]]))
+    return onsets
+
+
+@settings(max_examples=300, deadline=None)
+@example(onsets=[[3, 1], [10, 0], [11, 1]], factor=2)
+@given(onsets=onset_lists(), factor=st.integers(1, 4))
+def test_onset_arrays_match_per_pair_loops(onsets, factor):
+    data = np.zeros((1, 38))
+    if not reference_onsets_valid(onsets, 38):
+        with pytest.raises(ValueError):
+            RawRecording(data=data, rate=10.0, stim_onsets=onsets)
+        return
+    recording = RawRecording(data=data, rate=10.0, stim_onsets=onsets)
+    want = reference_downsample_onsets(onsets, factor)
+    if isinstance(want, tuple):
+        with pytest.raises(ValueError, match=f"onsets {want[0]} and {want[1]} fall on one"):
+            downsample(recording, factor)
+    else:
+        assert downsample(recording, factor).stim_onsets.tolist() == want
 
 
 @pytest.fixture(scope="module")

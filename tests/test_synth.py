@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsvptyping.cli import main
-from rsvptyping.synth import CHUNK_EPOCHS, SynthConfig, generate, split
+from rsvptyping.synth import CHUNK_EPOCHS, LabeledDataset, SynthConfig, generate, split
 from rsvptyping.models import train_logistic_evidence
 
 from oracles import reference_generate
@@ -162,7 +162,7 @@ class TestChunkedGenerate:
         got = generate(config)
         want = reference_generate(config)
         np.testing.assert_array_equal(got.labels, want.labels)
-        assert got.data.shape == want.data.shape and got.data.dtype == np.float64
+        assert got.data.shape == want.data.shape and got.data.dtype == np.float32
         # one float32 ulp: both round the same float64 noise through float32,
         # and the two filter products may differ in the last float64 bit
         ulp = np.spacing(np.abs(want.data).astype(np.float32)).astype(np.float64)
@@ -182,7 +182,14 @@ class TestChunkedGenerate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * dataset.data.nbytes
+        # the float32 output plus three float64 chunks of warmup and kept
+        # samples: the white noise buffer and the filter's working arrays
+        n, channels, samples = dataset.data.shape
+        chunk = CHUNK_EPOCHS * channels * 2 * samples * 8
+        bound = dataset.data.nbytes + 3 * chunk
+        # no looser than the bound of a float64 output, 1.5 times its bytes
+        assert bound <= 1.5 * n * channels * samples * 8
+        assert peak <= bound
 
 
 class TestSplit:
@@ -193,15 +200,26 @@ class TestSplit:
         for s in splits:
             assert len(s.train) == 80 and len(s.test) == 20
 
+    def test_parts_are_sorted_int64_arrays(self):
+        data = generate(small_config(n_epochs=150))
+        for s in split(data, n_splits=3, seed=1):
+            for part in s:
+                assert isinstance(part, np.ndarray) and part.dtype == np.int64
+                assert np.all(np.diff(part) > 0)
+
     def test_same_seed_same_splits(self):
         data = generate(small_config())
-        assert split(data, seed=4) == split(data, seed=4)
-        assert split(data, seed=4) != split(data, seed=5)
+
+        def same(a, b):
+            return all(np.array_equal(x, y) for s, t in zip(a, b) for x, y in zip(s, t))
+
+        assert same(split(data, seed=4), split(data, seed=4))
+        assert not same(split(data, seed=4), split(data, seed=5))
 
     def test_partition_property(self):
         data = generate(small_config(n_epochs=150))
         for s in split(data, n_splits=4, seed=1):
-            assert sorted(s.train + s.test) == list(range(150))
+            assert sorted(np.concatenate([s.train, s.test])) == list(range(150))
 
     def test_stratification(self):
         data = generate(small_config(n_epochs=500, target_fraction=0.1))
@@ -223,3 +241,24 @@ class TestSplit:
         # 2 positives: a 0.2 test share of 2 rounds to 0
         with pytest.raises(ValueError):
             split(data, n_splits=1, test_fraction=0.2)
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_data_is_kept_as_given(self, dtype):
+        data = np.zeros((4, 2, 3), dtype=dtype)
+        dataset = LabeledDataset(data, np.array([0, 1, 0, 1]))
+        assert dataset.data is data
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float16, bool])
+    def test_other_dtypes_become_float64(self, dtype):
+        data = np.ones((4, 2, 3), dtype=dtype)
+        dataset = LabeledDataset(data, np.array([0, 1, 0, 1]))
+        assert dataset.data.dtype == np.float64
+        np.testing.assert_array_equal(dataset.data, 1.0)
+
+    def test_subset_keeps_the_dtype(self):
+        dataset = generate(small_config(n_epochs=20))
+        part = dataset.subset(np.array([3, 1]))
+        assert part.data.dtype == np.float32
+        np.testing.assert_array_equal(part.data, dataset.data[[3, 1]])
