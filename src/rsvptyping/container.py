@@ -29,10 +29,8 @@ from .models import (
     GenerativeEvidenceModel,
     GenerativePipeline,
     KdeDensity,
-    LdaModel,
     LogisticEvidenceModel,
     LogisticModel,
-    PcaProjection,
     check_train_settings,
 )
 from .synth import LabeledDataset
@@ -185,34 +183,30 @@ def read_raw(path) -> RawRecording:
 # Models
 
 
-_ZSCORE_ARRAYS = ("zscore_mean", "zscore_std")
-_PCA_ARRAYS = ("pca_mean", "pca_components", "pca_variance_fraction")
+_LINEAR_ARRAYS = ("zscore_mean", "zscore_std", "weights", "bias")
 _KDE_ARRAYS = ("kde_pos_scores", "kde_neg_scores", "kde_bandwidths")
 
-# The arrays each model kind is stored as, in file order.
+# The arrays each model kind is stored as, in file order: every kind stores
+# its z-score statistics and one linear scorer of the flattened z-scored
+# epoch (a generative fit's PCA projection is folded into it), and the
+# generative kinds add the training scores and bandwidths of their two KDEs.
 MODEL_ARRAYS = {
-    "logreg": _ZSCORE_ARRAYS + ("weights", "bias"),
-    "gen-logr": _ZSCORE_ARRAYS + _PCA_ARRAYS + ("scorer_weights", "scorer_bias") + _KDE_ARRAYS,
-    "gen-lda": _ZSCORE_ARRAYS + _PCA_ARRAYS
-    + ("lda_mean_pos", "lda_mean_neg", "lda_precision", "lda_log_priors") + _KDE_ARRAYS,
+    "logreg": _LINEAR_ARRAYS,
+    "gen-logr": _LINEAR_ARRAYS + _KDE_ARRAYS,
+    "gen-lda": _LINEAR_ARRAYS + _KDE_ARRAYS,
 }
 
 
 def _model_arrays(model: EvidenceModel) -> tuple[str, list[tuple[str, np.ndarray]]]:
     if isinstance(model, LogisticEvidenceModel):
-        arrays = [model.stats.mean, model.stats.std, model.model.weights, model.model.bias]
+        stats, scorer, kde = model.stats, model.model, []
     elif isinstance(model, GenerativeEvidenceModel):
         p = model.pipeline
-        if isinstance(p.scorer, LogisticModel):
-            scorer = [p.scorer.weights, p.scorer.bias]
-        else:
-            scorer = [p.scorer.mean_pos, p.scorer.mean_neg, p.scorer.precision,
-                      [p.scorer.log_prior_pos, p.scorer.log_prior_neg]]
-        arrays = [p.zscore.mean, p.zscore.std, p.pca.mean, p.pca.components,
-                  p.pca.variance_fraction, *scorer, p.kde_pos.scores, p.kde_neg.scores,
-                  [p.kde_pos.bandwidth, p.kde_neg.bandwidth]]
+        stats, scorer = p.zscore, p.scorer
+        kde = [p.kde_pos.scores, p.kde_neg.scores, [p.kde_pos.bandwidth, p.kde_neg.bandwidth]]
     else:
         raise ValueError(f"model kind {model.kind!r} cannot be serialized")
+    arrays = [stats.mean, stats.std, scorer.weights, scorer.bias, *kde]
     return model.kind, [
         (name, np.asarray(arr)) for name, arr in zip(MODEL_ARRAYS[model.kind], arrays, strict=True)
     ]
@@ -270,6 +264,11 @@ def read_model(path) -> tuple[EvidenceModel, dict]:
     missing = [name for name in MODEL_ARRAYS[kind] if name not in arrays]
     if missing:
         raise ContainerFormatError(f"{path}: missing model arrays {', '.join(missing)}")
+    if tuple(arrays) != MODEL_ARRAYS[kind]:
+        raise ContainerFormatError(
+            f"{path}: model arrays {', '.join(arrays)} are not the {kind} layout "
+            f"{', '.join(MODEL_ARRAYS[kind])}"
+        )
     hyper = header.get("hyper", {})
     if not isinstance(hyper, dict):
         raise ContainerFormatError(f"{path}: malformed training hyperparameters")
@@ -279,31 +278,14 @@ def read_model(path) -> tuple[EvidenceModel, dict]:
         raise ContainerFormatError(f"{path}: malformed training hyperparameters: {exc}") from exc
     try:
         stats = ZScoreStats(mean=arrays["zscore_mean"], std=arrays["zscore_std"])
+        scorer = LogisticModel(weights=arrays["weights"], bias=float(arrays["bias"]))
         if kind == "logreg":
-            model = LogisticModel(weights=arrays["weights"], bias=float(arrays["bias"]))
-            return LogisticEvidenceModel(stats, model), hyper
-        pca = PcaProjection(
-            mean=arrays["pca_mean"],
-            components=arrays["pca_components"],
-            variance_fraction=float(arrays["pca_variance_fraction"]),
-        )
-        if kind == "gen-logr":
-            scorer = LogisticModel(
-                weights=arrays["scorer_weights"], bias=float(arrays["scorer_bias"])
-            )
-        else:
-            scorer = LdaModel(
-                mean_pos=arrays["lda_mean_pos"],
-                mean_neg=arrays["lda_mean_neg"],
-                precision=arrays["lda_precision"],
-                log_prior_pos=float(arrays["lda_log_priors"][0]),
-                log_prior_neg=float(arrays["lda_log_priors"][1]),
-            )
+            return LogisticEvidenceModel(stats, scorer), hyper
         bandwidths = arrays["kde_bandwidths"]
         pipeline = GenerativePipeline(
             zscore=stats,
-            pca=pca,
             scorer=scorer,
+            scorer_kind="logistic" if kind == "gen-logr" else "lda",
             kde_pos=KdeDensity(arrays["kde_pos_scores"], float(bandwidths[0])),
             kde_neg=KdeDensity(arrays["kde_neg_scores"], float(bandwidths[1])),
         )

@@ -1,13 +1,15 @@
 """Trainable evidence models.
 
-Two families are provided. The discriminative family maps an epoch straight
-to label probabilities: per-channel z-scoring, flattening, and logistic
-regression trained on ridge-penalized weighted cross-entropy by Newton's
-method. The generative family instead
-models class-conditional densities: z-score, flatten, PCA to a small number
-of components, a linear scorer (logistic regression or LDA) that compresses
-each epoch to one real number, and a Gaussian KDE per class over those
-scores.
+Two families are provided, and both score an epoch the same way: per-channel
+z-scoring, flattening, and one linear score weights . x + bias. The
+discriminative family maps that score straight to label probabilities: the
+scorer is logistic regression trained on ridge-penalized weighted
+cross-entropy by Newton's method. The generative family instead models
+class-conditional densities with a Gaussian KDE per class over the score.
+Its scorer is logistic regression or LDA fit on a PCA projection of the
+epochs; LDA with one shared covariance is itself a linear log-odds model,
+and the projection is folded into the scorer's weights after the fit, so
+PCA is a training step only.
 
 Both families are wrapped behind the EvidenceModel interface, which maps a
 LabeledDataset's epoch stack to two float64 arrays (log_pos, log_neg), one
@@ -22,7 +24,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -306,52 +308,20 @@ def logistic_scores(model: LogisticModel, features: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Linear discriminant analysis
 
-
-@dataclass(frozen=True)
-class LdaModel:
-    """Two-class Gaussian classifier with a shared, ridge-regularized
-    covariance, stored as its precision (inverse covariance)."""
-
-    mean_pos: np.ndarray
-    mean_neg: np.ndarray
-    precision: np.ndarray
-    log_prior_pos: float
-    log_prior_neg: float
-
-    def __post_init__(self) -> None:
-        mp = np.asarray(self.mean_pos, dtype=np.float64)
-        mn = np.asarray(self.mean_neg, dtype=np.float64)
-        pr = np.asarray(self.precision, dtype=np.float64)
-        d = mp.shape[0]
-        if mp.shape != (d,) or mn.shape != (d,) or pr.shape != (d, d):
-            raise ValueError("inconsistent LDA shapes")
-        if not (
-            np.all(np.isfinite(mp)) and np.all(np.isfinite(mn)) and np.all(np.isfinite(pr))
-            and math.isfinite(self.log_prior_pos) and math.isfinite(self.log_prior_neg)
-        ):
-            raise ValueError("LDA parameters must be finite")
-        if not np.allclose(pr, pr.T, atol=1e-10):
-            raise ValueError("precision must be symmetric")
-        for arr, name in ((mp, "mean_pos"), (mn, "mean_neg"), (pr, "precision")):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def dimension(self) -> int:
-        return self.mean_pos.shape[0]
+# Ridge added to LDA's pooled covariance, as a fraction of its mean diagonal:
+# enough to keep the matrix positive definite on degenerate data.
+LDA_RIDGE = 1e-3
 
 
-def train_lda(
-    features: np.ndarray,
-    labels: np.ndarray,
-    shrinkage: Optional[float] = None,
-) -> LdaModel:
-    """Fit LDA with pooled covariance plus a ridge term.
+def train_lda(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
+    """Fit LDA with pooled covariance plus a ridge term, returned as the
+    linear log-odds model it is.
 
-    The ridge defaults to 1e-3 times the mean diagonal of the pooled
-    covariance, enough to keep the matrix positive definite on degenerate
-    data.
+    With one shared covariance S, log p(+|x) - log p(-|x) is linear in x:
+    weights = S^-1 (mean_pos - mean_neg) and
+    bias = log(n_pos / n_neg) - weights . (mean_pos + mean_neg) / 2.
+    The ridge is LDA_RIDGE times the mean diagonal of the pooled covariance;
+    a covariance that is still not positive definite raises LinAlgError.
     """
     x = _as_float_matrix(features)
     y = _as_labels(labels, x.shape[0])
@@ -367,40 +337,18 @@ def train_lda(
     if not np.all(np.isfinite(pooled)):
         raise ValueError("pooled covariance is not finite")
     mean_diag = float(np.mean(np.diag(pooled)))
-    if shrinkage is None:
-        shrinkage = 1e-3 * mean_diag if mean_diag > 0 else 1e-3
-    regularized = pooled + shrinkage * np.eye(d)
+    ridge = LDA_RIDGE * mean_diag if mean_diag > 0 else LDA_RIDGE
+    regularized = pooled + ridge * np.eye(d)
     try:
-        chol = np.linalg.cholesky(regularized)
+        np.linalg.cholesky(regularized)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "regularized covariance is not positive definite"
         ) from exc
-    inv_chol = np.linalg.inv(chol)
-    precision = inv_chol.T @ inv_chol
-    precision = (precision + precision.T) / 2.0
+    weights = np.linalg.solve(regularized, means[1] - means[0])
     counts = np.bincount(y, minlength=2)
-    return LdaModel(
-        mean_pos=means[1],
-        mean_neg=means[0],
-        precision=precision,
-        log_prior_pos=math.log(counts[1] / n),
-        log_prior_neg=math.log(counts[0] / n),
-    )
-
-
-def lda_scores(model: LdaModel, features: np.ndarray) -> np.ndarray:
-    """Class-posterior log-ratios log p(+|x) - log p(-|x) for each row."""
-    x = _as_float_matrix(features)
-    if x.shape[1] != model.dimension:
-        raise ValueError(
-            f"feature dimension {x.shape[1]} does not match model {model.dimension}"
-        )
-    dp = x - model.mean_pos
-    dn = x - model.mean_neg
-    quad_pos = np.sum((dp @ model.precision) * dp, axis=1)
-    quad_neg = np.sum((dn @ model.precision) * dn, axis=1)
-    return 0.5 * (quad_neg - quad_pos) + (model.log_prior_pos - model.log_prior_neg)
+    bias = math.log(counts[1] / counts[0]) - 0.5 * float(weights @ (means[1] + means[0]))
+    return LogisticModel(weights=weights, bias=bias)
 
 
 # ---------------------------------------------------------------------------
@@ -544,54 +492,44 @@ def kde_log_eval_many(density: KdeDensity, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Generative pipeline
 
-Scorer = Union[LogisticModel, LdaModel]
-
-
-def log_ratio_scores(scorer: Scorer, features: np.ndarray) -> np.ndarray:
-    """One real score per row: the scorer's estimated class log-ratio."""
-    if isinstance(scorer, LogisticModel):
-        return logistic_scores(scorer, features)
-    return lda_scores(scorer, features)
+# The scorer a generative pipeline's fit uses, and the model kind it makes.
+GENERATIVE_KINDS = {"logistic": "gen-logr", "lda": "gen-lda"}
 
 
 @dataclass(frozen=True)
 class GenerativePipeline:
-    """z-score -> flatten -> PCA -> linear scorer -> per-class KDE."""
+    """z-score -> flatten -> linear scorer -> per-class KDE.
+
+    The scorer takes the flattened z-scored epoch; the PCA projection it was
+    fit on is folded into its weights. ``scorer_kind`` names the fit that
+    made it: ``logistic`` or ``lda``.
+    """
 
     zscore: ZScoreStats
-    pca: PcaProjection
-    scorer: Scorer
+    scorer: LogisticModel
+    scorer_kind: str
     kde_pos: KdeDensity
     kde_neg: KdeDensity
 
     def __post_init__(self) -> None:
-        if self.pca.mean.shape[0] % self.zscore.mean.shape[0] != 0:
-            raise ValueError("PCA input dimension must be channels * samples")
-        if self.scorer.dimension != self.pca.n_components:
-            raise ValueError("scorer dimension must match PCA output")
-
-    @property
-    def n_channels(self) -> int:
-        return self.zscore.mean.shape[0]
+        if self.scorer_kind not in GENERATIVE_KINDS:
+            raise ValueError(f"unknown scorer kind {self.scorer_kind!r}")
+        if self.scorer.dimension % self.zscore.mean.shape[0] != 0:
+            raise ValueError("scorer input dimension must be channels * samples")
 
 
-def _flatten_epochs(pipeline: GenerativePipeline, stacked: np.ndarray) -> np.ndarray:
-    z = zscore_array(pipeline.zscore, stacked)
-    flat = z.reshape(z.shape[0], -1)
-    if flat.shape[1] != pipeline.pca.mean.shape[0]:
-        raise ValueError(
-            f"epoch size {flat.shape[1]} does not match pipeline "
-            f"{pipeline.pca.mean.shape[0]}"
-        )
-    return flat
+def _epoch_scores(stats: ZScoreStats, scorer: LogisticModel, stacked: np.ndarray) -> np.ndarray:
+    """One linear score per epoch of a stack (n, channels, samples): z-score,
+    flatten, weights . x + bias."""
+    flat = zscore_array(stats, stacked).reshape(stacked.shape[0], -1)
+    return logistic_scores(scorer, flat)
 
 
-def pipeline_scores(pipeline: GenerativePipeline, stacked: np.ndarray) -> np.ndarray:
-    """Compress a stack of epochs (n, channels, samples) to scalar scores."""
-    flat = _flatten_epochs(pipeline, stacked)
-    # the z-scored rows are this call's own copy, so they are centered in place
-    flat -= pipeline.pca.mean
-    return log_ratio_scores(pipeline.scorer, flat @ pipeline.pca.components)
+def _fold_projection(scorer: LogisticModel, pca: PcaProjection) -> LogisticModel:
+    """The scorer of PCA-projected rows as one linear map of the unprojected
+    rows: w . ((x - mean) @ components) + b = (components @ w) . x + bias."""
+    weights = pca.components @ scorer.weights
+    return LogisticModel(weights=weights, bias=scorer.bias - float(weights @ pca.mean))
 
 
 def build_generative(
@@ -606,10 +544,14 @@ def build_generative(
 ) -> GenerativePipeline:
     """Train every stage of the generative pipeline on labeled epochs.
 
-    The scorer is fit without class weighting; the class imbalance is instead
-    handled downstream by the label prior during Bayes conversion. ``l2``,
-    ``tolerance`` and ``fits`` go to the logistic scorer's fit.
+    The scorer is fit on the PCA projection of the z-scored epochs, then
+    the projection is folded into it. It is fit without class weighting;
+    the class imbalance is instead handled downstream by the label prior
+    during Bayes conversion. ``l2``, ``tolerance`` and ``fits`` go to the
+    logistic scorer's fit.
     """
+    if scorer_kind not in GENERATIVE_KINDS:
+        raise ValueError(f"unknown scorer kind {scorer_kind!r}")
     labels = train.labels
     if labels.min() == labels.max():
         raise ValueError("both classes must be present")
@@ -617,18 +559,17 @@ def build_generative(
     flat = zscore_array(stats, train.data).reshape(len(train), -1)
     pca, reduced = fit_pca(flat, variance_fraction)
     if scorer_kind == "logistic":
-        scorer: Scorer = train_logistic(
+        scorer = train_logistic(
             reduced, labels, class_weights=(1.0, 1.0), l2=l2, tolerance=tolerance, fits=fits
         )
-    elif scorer_kind == "lda":
-        scorer = train_lda(reduced, labels)
     else:
-        raise ValueError(f"unknown scorer kind {scorer_kind!r}")
-    scores = log_ratio_scores(scorer, reduced)
+        scorer = train_lda(reduced, labels)
+    folded = _fold_projection(scorer, pca)
+    scores = logistic_scores(folded, flat)
     return GenerativePipeline(
         zscore=stats,
-        pca=pca,
-        scorer=scorer,
+        scorer=folded,
+        scorer_kind=scorer_kind,
         kde_pos=fit_kde(scores[labels == 1], bandwidth),
         kde_neg=fit_kde(scores[labels == 0], bandwidth),
     )
@@ -652,23 +593,6 @@ def prior_weighted(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log class densities plus the log label prior: log d+ p(+), log d- p(-)."""
     return log_pos + math.log(prior.p_pos), log_neg + math.log(prior.p_neg)
-
-
-def bayes_positive(log_pos: np.ndarray, log_neg: np.ndarray, prior: LabelPrior) -> np.ndarray:
-    """Bayes conversion of log class densities to p(+|e) for each epoch:
-    d+ p(+) / (d+ p(+) + d- p(-)), the sigmoid of the prior-weighted log
-    ratio.
-
-    Equal weighted densities give 0.5, a tie; so do two zero densities,
-    where nothing favours either class.
-    """
-    weighted_pos, weighted_neg = prior_weighted(log_pos, log_neg, prior)
-    # the ratio is taken only where the two differ: -inf - -inf is NaN
-    log_odds = np.subtract(
-        weighted_pos, weighted_neg,
-        out=np.zeros_like(weighted_pos), where=weighted_pos != weighted_neg,
-    )
-    return _sigmoid(log_odds)
 
 
 # ---------------------------------------------------------------------------
@@ -714,8 +638,7 @@ class LogisticEvidenceModel(EvidenceModel):
         return LikelihoodMode.DISCRIMINATIVE
 
     def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-        flat = zscore_array(self.stats, dataset.data).reshape(len(dataset), -1)
-        scores = logistic_scores(self.model, flat)
+        scores = _epoch_scores(self.stats, self.model, dataset.data)
         return _log_sigmoid(scores), _log_sigmoid(-scores)
 
     @property
@@ -746,30 +669,25 @@ class GenerativeEvidenceModel(EvidenceModel):
 
     @property
     def kind(self) -> str:
-        return "gen-logr" if isinstance(self.pipeline.scorer, LogisticModel) else "gen-lda"
+        return GENERATIVE_KINDS[self.pipeline.scorer_kind]
 
     @property
     def mode(self) -> LikelihoodMode:
         return LikelihoodMode.GENERATIVE
 
     def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-        scores = pipeline_scores(self.pipeline, dataset.data)
+        p = self.pipeline
+        scores = _epoch_scores(p.zscore, p.scorer, dataset.data)
         return (
-            kde_log_eval_many(self.pipeline.kde_pos, scores),
-            kde_log_eval_many(self.pipeline.kde_neg, scores),
+            kde_log_eval_many(p.kde_pos, scores),
+            kde_log_eval_many(p.kde_neg, scores),
         )
 
     @property
     def parameter_count(self) -> int:
         p = self.pipeline
-        zscore = 2 * p.zscore.mean.shape[0]
-        pca = p.pca.mean.shape[0] * (1 + p.pca.n_components)
-        if isinstance(p.scorer, LogisticModel):
-            scorer = p.scorer.dimension + 1
-        else:
-            scorer = 2 * p.scorer.dimension + p.scorer.dimension**2 + 2
         kde = p.kde_pos.scores.shape[0] + p.kde_neg.scores.shape[0] + 2
-        return zscore + pca + scorer + kde
+        return 2 * p.zscore.mean.shape[0] + p.scorer.dimension + 1 + kde
 
 
 class ConstantEvidenceModel(EvidenceModel):

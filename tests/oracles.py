@@ -278,3 +278,11 @@ def reference_downsample_onsets(onsets, factor):
         if before // factor == after // factor:
             return (before, after)
     return [[sample // factor, label] for sample, label in onsets]
+
+
+def reference_projected_scores(mean, components, weights, bias, rows):
+    """Scores of a linear scorer fit in PCA space, without folding: each row
+    centered, projected onto the components, then weights . z + bias."""
+    rows = np.asarray(rows, dtype=np.float64)
+    projected = (rows - np.asarray(mean)) @ np.asarray(components)
+    return projected @ np.asarray(weights) + bias

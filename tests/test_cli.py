@@ -178,13 +178,14 @@ class TestTrain:
         assert rc == 0
         assert "validation balanced accuracy: 1.000000" in capsys.readouterr().out
 
-    def test_gen_lda_has_pca_stage(self, tmp_path, workspace):
+    def test_gen_lda_scorer_takes_the_flattened_epoch(self, tmp_path, workspace):
         model = tmp_path / "m.bin"
         rc = main(["train", str(workspace["data"]), "--kind", "gen-lda", "--out", str(model)])
         assert rc == 0
         loaded, hyper = read_model(model)
+        _, channels, samples = read_dataset(workspace["data"]).data.shape
         assert loaded.kind == "gen-lda"
-        assert loaded.pipeline.pca.components.shape[0] >= 1
+        assert loaded.pipeline.scorer.dimension == channels * samples
         assert hyper == {"variance_fraction": 0.8, "bandwidth": 1.0}
 
     def test_hyper_echoed_for_logreg(self, workspace):
@@ -449,8 +450,8 @@ class TestSimulate:
         ("logreg", "negative-zscore-std"),
         ("logreg", "zero-zscore-std"),
         ("logreg", "nan-zscore-mean"),
-        ("gen-lda", "nan-pca-variance-fraction"),
-        ("gen-lda", "nan-lda-log-priors"),
+        ("gen-lda", "nan-kde-bandwidths"),
+        ("gen-lda", "nan-bias"),
     ])
     def test_malformed_model_file_exits_2(self, tmp_path, workspace, kind, case, capsys):
         model = workspace["model"]
@@ -467,8 +468,8 @@ class TestSimulate:
             "negative-zscore-std": ("zscore_std", -1.0),
             "zero-zscore-std": ("zscore_std", 0.0),
             "nan-zscore-mean": ("zscore_mean", np.nan),
-            "nan-pca-variance-fraction": ("pca_variance_fraction", np.nan),
-            "nan-lda-log-priors": ("lda_log_priors", np.nan),
+            "nan-kde-bandwidths": ("kde_bandwidths", np.nan),
+            "nan-bias": ("bias", np.nan),
         }
         if case in poked:
             name, value = poked[case]
@@ -506,6 +507,57 @@ class TestSimulate:
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 2
         assert "data error:" in capsys.readouterr().err
+
+    def test_generative_file_of_the_pca_layout_exits_2(self, tmp_path, workspace, capsys):
+        # a gen-logr file as written before the PCA projection was folded
+        # into the scorer: here an identity projection, so the stored scorer
+        # is the same linear map as today's
+        model = tmp_path / "gen.bin"
+        assert main(["train", str(workspace["data"]), "--kind", "gen-logr",
+                     "--out", str(model)]) == 0
+        header, _ = read_container(model, "model")
+        loaded, _ = read_model(model)
+        p = loaded.pipeline
+        d = p.scorer.dimension
+        arrays = [
+            ("zscore_mean", p.zscore.mean), ("zscore_std", p.zscore.std),
+            ("pca_mean", np.zeros(d)), ("pca_components", np.eye(d)),
+            ("pca_variance_fraction", np.array(1.0)),
+            ("scorer_weights", p.scorer.weights), ("scorer_bias", np.array(p.scorer.bias)),
+            ("kde_pos_scores", p.kde_pos.scores), ("kde_neg_scores", p.kde_neg.scores),
+            ("kde_bandwidths", np.array([p.kde_pos.bandwidth, p.kde_neg.bandwidth])),
+        ]
+        header["arrays"] = [{"name": n, "shape": list(a.shape)} for n, a in arrays]
+        old = tmp_path / "old.bin"
+        write_container(old, header, *(np.asarray(a, dtype="<f8") for _, a in arrays))
+        cfg = self.sim_cfg(tmp_path, attempts=10)
+        rc = main(["simulate", str(old), str(workspace["data"]), "--config", str(cfg),
+                   "--out", str(tmp_path / "rep.json")])
+        assert rc == 2
+        assert "missing model arrays weights, bias" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["extra-array", "swapped-arrays"])
+    def test_logreg_file_with_another_array_table_exits_2(
+        self, tmp_path, workspace, case, capsys
+    ):
+        header, payload = read_container(workspace["model"], "model")
+        if case == "extra-array":
+            header["arrays"].append({"name": "pca_mean", "shape": [2]})
+            payload = bytes(payload) + np.zeros(2, dtype="<f8").tobytes()
+        else:
+            # two one-float arrays: the payload still matches the table
+            header["arrays"] = [
+                {"name": "zscore_mean", "shape": [3]}, {"name": "zscore_std", "shape": [3]},
+                {"name": "bias", "shape": []}, {"name": "weights", "shape": [1]},
+            ]
+            payload = np.concatenate([np.zeros(3), np.ones(3), [0.5, 1.0]]).astype("<f8")
+        bad = tmp_path / "bad.bin"
+        write_container(bad, header, payload)
+        cfg = self.sim_cfg(tmp_path, attempts=10)
+        rc = main(["simulate", str(bad), str(workspace["data"]), "--config", str(cfg),
+                   "--out", str(tmp_path / "rep.json")])
+        assert rc == 2
+        assert "are not the logreg layout" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("learning_rate", 0.1), ("max_iterations", 300)])
     def test_model_file_with_removed_setting_exits_2(

@@ -293,14 +293,28 @@ class TestModelIO:
         write_model(b, model, hyper={"bandwidth": 1.0})
         assert read_bytes(a) == read_bytes(b)
 
+    @pytest.mark.parametrize("name", ["logreg", "gen_logr", "gen_lda"])
+    def test_every_kind_stores_one_linear_scorer(self, tmp_path, dataset, name, request):
+        model = request.getfixturevalue(name)
+        path = tmp_path / "m.bin"
+        write_model(path, model)
+        header, _ = read_container(path, "model")
+        names = [entry["name"] for entry in header["arrays"]]
+        linear = ["zscore_mean", "zscore_std", "weights", "bias"]
+        kde = ["kde_pos_scores", "kde_neg_scores", "kde_bandwidths"]
+        assert names == (linear if name == "logreg" else linear + kde)
+        shapes = {entry["name"]: entry["shape"] for entry in header["arrays"]}
+        assert shapes["weights"] == [math.prod(dataset.data.shape[1:])]
+        assert sum(math.prod(shape) for shape in shapes.values()) == model.parameter_count
+
     def test_gen_lda_arrays_survive(self, tmp_path, gen_lda):
         path = tmp_path / "m.bin"
         write_model(path, gen_lda)
         loaded, _ = read_model(path)
         orig, back = gen_lda.pipeline, loaded.pipeline
-        assert np.array_equal(back.pca.components, orig.pca.components)
-        assert np.array_equal(back.scorer.precision, orig.scorer.precision)
-        assert back.scorer.log_prior_pos == orig.scorer.log_prior_pos
+        assert back.scorer_kind == orig.scorer_kind == "lda"
+        assert np.array_equal(back.scorer.weights, orig.scorer.weights)
+        assert back.scorer.bias == orig.scorer.bias
         assert np.array_equal(back.kde_pos.scores, orig.kde_pos.scores)
         assert back.kde_neg.bandwidth == orig.kde_neg.bandwidth
 

@@ -29,16 +29,16 @@ from rsvptyping.models import (
     LogisticModel,
     OracleEvidenceModel,
     PcaProjection,
-    bayes_positive,
     build_generative,
     empirical_prior,
     fit_kde,
     fit_pca,
     kde_log_eval_many,
-    lda_scores,
     logistic_loss_and_gradient,
+    logistic_scores,
     train_lda,
     train_logistic,
+    prior_weighted,
     train_logistic_evidence,
     uniform_prior,
 )
@@ -73,9 +73,11 @@ def kde_eval(density: KdeDensity, x: float) -> float:
     return float(np.exp(kde_log_eval_many(density, np.array([x]))[0]))
 
 
-def convert(d_pos: float, d_neg: float, prior: LabelPrior) -> float:
-    with np.errstate(divide="ignore"):
-        return float(bayes_positive(np.log([d_pos]), np.log([d_neg]), prior)[0])
+def weighted_log_odds(d_pos: float, d_neg: float, prior: LabelPrior) -> float:
+    """log d+ p(+) - log d- p(-), the prior-weighted log ratio that label
+    predictions compare with 0."""
+    weighted_pos, weighted_neg = prior_weighted(np.log([d_pos]), np.log([d_neg]), prior)
+    return float(weighted_pos[0] - weighted_neg[0])
 
 
 class TestLogistic:
@@ -239,13 +241,13 @@ class TestLda:
         x = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([0, 0, 1, 1])
         model = train_lda(x, y)
-        assert abs(lda_scores(model, np.array([[0.0]]))[0]) < 1e-10
+        assert abs(logistic_scores(model, np.array([[0.0]]))[0]) < 1e-10
 
     def test_identical_means_give_constant_score(self):
         x = np.array([[-1.0], [1.0], [-1.0], [1.0]])
         y = np.array([0, 0, 1, 1])
         model = train_lda(x, y)
-        scores = lda_scores(model, np.linspace(-3, 3, 7)[:, None])
+        scores = logistic_scores(model, np.linspace(-3, 3, 7)[:, None])
         np.testing.assert_allclose(scores, scores[0], atol=1e-12)
 
     def test_matches_closed_form_gaussian_log_ratio(self):
@@ -268,17 +270,24 @@ class TestLda:
             pt = rng.standard_normal(2) * 2
             dp, dn = pt - mu_pos, pt - mu_neg
             expected = 0.5 * (dn @ precision @ dn - dp @ precision @ dp)
-            assert lda_scores(model, pt[None, :])[0] == pytest.approx(expected, abs=1e-6)
+            assert logistic_scores(model, pt[None, :])[0] == pytest.approx(expected, abs=1e-6)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             train_lda(np.zeros((4, 2)), np.zeros(4, dtype=int))
 
-    def test_non_finite_log_prior_rejected(self):
-        model = train_lda(np.array([[-2.0], [-1.0], [1.0], [2.0]]), np.array([0, 0, 1, 1]))
-        for field in ("log_prior_pos", "log_prior_neg"):
-            with pytest.raises(ValueError):
-                dataclasses.replace(model, **{field: math.nan})
+    def test_bias_carries_the_log_prior_ratio(self):
+        # one positive to three negatives, with the class means at 1 and 3:
+        # the score at the midpoint 2 is the log prior ratio alone
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0, 0, 0, 1])
+        model = train_lda(x, y)
+        assert isinstance(model, LogisticModel)
+        assert logistic_scores(model, np.array([[2.0]]))[0] == pytest.approx(
+            math.log(1 / 3), abs=1e-12
+        )
+        with pytest.raises(ValueError):
+            dataclasses.replace(model, bias=math.nan)
 
 
 class TestPca:
@@ -481,8 +490,8 @@ class TestGenerativePipeline:
         shared = built.kde_pos
         pipeline = GenerativePipeline(
             zscore=built.zscore,
-            pca=built.pca,
             scorer=built.scorer,
+            scorer_kind=built.scorer_kind,
             kde_pos=shared,
             kde_neg=shared,
         )
@@ -501,7 +510,9 @@ class TestGenerativePipeline:
         rng = np.random.default_rng(35)
         epochs = separable_epochs(rng)
         pipeline = build_generative(epochs, scorer_kind="lda")
-        assert pipeline.pca.n_components >= 1
+        # the PCA projection is folded in: the scorer takes the flat epoch
+        assert pipeline.scorer.dimension == 2 * 8
+        assert GenerativeEvidenceModel(pipeline).kind == "gen-lda"
         pos, neg = generative_likelihoods(pipeline, epochs.subset([1]))
         assert pos[0] > neg[0]
 
@@ -530,14 +541,16 @@ class TestGenerativePipeline:
 
 class TestBayesConversion:
     def test_equal_densities_uniform_prior(self):
-        assert convert(0.3, 0.3, uniform_prior()) == 0.5
+        assert weighted_log_odds(0.3, 0.3, uniform_prior()) == 0.0
 
     def test_equal_densities_empirical_prior(self):
         prior = empirical_prior([1] + [0] * 9)
-        assert convert(0.3, 0.3, prior) == pytest.approx(0.1, abs=1e-15)
+        assert weighted_log_odds(0.3, 0.3, prior) == pytest.approx(math.log(1 / 9), abs=1e-15)
 
     def test_four_to_one_ratio(self):
-        assert convert(0.4, 0.1, uniform_prior()) == pytest.approx(0.8, abs=1e-15)
+        assert weighted_log_odds(0.4, 0.1, uniform_prior()) == pytest.approx(
+            math.log(4.0), abs=1e-15
+        )
 
     def test_both_zero_densities_unrepresentable(self):
         with pytest.raises(ValueError):
@@ -548,7 +561,7 @@ class TestBayesConversion:
         # unconverted, whatever the conversion prior
         epochs = make_dataset(np.zeros((4, 1, 3)), [0, 1, 0, 1])
         model = ConstantEvidenceModel(0.6)
-        assert convert(0.6, 0.4, LabelPrior(0.1)) < 0.5
+        assert weighted_log_odds(0.6, 0.4, LabelPrior(0.1)) < 0.0
         predictions = classify_epochs(
             model.mode, *model.predict_batch(epochs), conversion_prior=LabelPrior(0.1)
         )
@@ -565,7 +578,8 @@ class TestBayesConversion:
             q = int(rng.integers(alphabet.size))
             state = init_posterior(alphabet)
             via_gen = update_generative(state, QueryEvent(q, pair)).probabilities()
-            converted = LikelihoodPair.discriminative(convert(pair.pos, pair.neg, prior))
+            log_odds = weighted_log_odds(pair.pos, pair.neg, prior)
+            converted = LikelihoodPair.discriminative(1.0 / (1.0 + math.exp(-log_odds)))
             via_disc = update_discriminative(
                 state, QueryEvent(q, converted), prior
             ).probabilities()
@@ -626,8 +640,11 @@ class TestEvidenceModels:
         epochs = separable_epochs(rng, channels=2, samples=8)
         disc = train_logistic_evidence(epochs)
         assert disc.parameter_count == 2 * 2 + 2 * 8 + 1
-        gen = GenerativeEvidenceModel(build_generative(epochs))
-        assert gen.parameter_count > 0
+        # z-score pairs, the folded scorer's weights and bias, and the two
+        # KDEs' training scores and bandwidths
+        for scorer_kind in ("logistic", "lda"):
+            gen = GenerativeEvidenceModel(build_generative(epochs, scorer_kind=scorer_kind))
+            assert gen.parameter_count == 2 * 2 + 2 * 8 + 1 + len(epochs) + 2
 
 
 class TestTracedCallSites:
@@ -635,7 +652,8 @@ class TestTracedCallSites:
     these names on the models module, so the pipeline must look them up
     there at call time."""
 
-    NAMES = ("fit_zscore", "zscore_array", "fit_pca", "fit_kde", "kde_log_eval_many")
+    NAMES = ("fit_zscore", "zscore_array", "fit_pca", "train_lda", "train_logistic", "fit_kde",
+             "kde_log_eval_many")
 
     def count_calls(self, monkeypatch):
         calls = dict.fromkeys(self.NAMES, 0)
@@ -653,14 +671,16 @@ class TestTracedCallSites:
         calls = self.count_calls(monkeypatch)
         epochs = separable_epochs(np.random.default_rng(53))
         model = GenerativeEvidenceModel(build_generative(epochs, scorer_kind="lda"))
-        assert calls == {"fit_zscore": 1, "zscore_array": 1, "fit_pca": 1, "fit_kde": 2,
-                         "kde_log_eval_many": 0}
+        fit = {"fit_zscore": 1, "zscore_array": 1, "fit_pca": 1, "train_lda": 1,
+               "train_logistic": 0, "fit_kde": 2, "kde_log_eval_many": 0}
+        assert calls == fit
         model.predict_batch(epochs)
-        assert calls == {"fit_zscore": 1, "zscore_array": 2, "fit_pca": 1, "fit_kde": 2,
-                         "kde_log_eval_many": 2}
+        assert calls == {**fit, "zscore_array": 2, "kde_log_eval_many": 2}
+        build_generative(epochs, scorer_kind="logistic")
+        assert (calls["train_lda"], calls["train_logistic"]) == (1, 1)
 
     def test_logistic_fit_and_scoring_reach_the_module_names(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
         epochs = separable_epochs(np.random.default_rng(55))
         train_logistic_evidence(epochs).predict_batch(epochs)
-        assert (calls["fit_zscore"], calls["zscore_array"]) == (1, 2)
+        assert (calls["fit_zscore"], calls["zscore_array"], calls["train_logistic"]) == (1, 2, 1)

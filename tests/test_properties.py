@@ -1,7 +1,7 @@
 """Property tests: the batched posterior filter against a per-event
 reference, the scalar query API, the block filter against the per-sample
 recursion, block KDE and per-channel z-scoring against their whole-matrix
-forms, onset checks and downsampling against per-pair loops, the CLI's exit
+forms, the folded generative scorer against PCA then the scorer, onset checks and downsampling against per-pair loops, the CLI's exit
 codes on damaged container files, and config files read back as written."""
 
 import math
@@ -37,12 +37,14 @@ from rsvptyping.dsp import (
 from rsvptyping import models
 from rsvptyping.dsp import fit_zscore, zscore_array
 from rsvptyping.models import TRAIN_SCHEMA, fit_kde, kde_log_eval_many
+from rsvptyping.synth import LabeledDataset
 
 from oracles import (
     reference_downsample_onsets,
     reference_filter,
     reference_kde_log_eval,
     reference_onsets_valid,
+    reference_projected_scores,
     reference_zscore_stats,
     sequential_posterior,
     threshold_decision,
@@ -333,6 +335,45 @@ def test_per_channel_zscore_matches_transposed_copy(data):
     assert np.array_equal(stats.mean, mean) and np.array_equal(stats.std, std)
     expected = (data - mean[None, :, None]) / std[None, :, None]
     assert np.array_equal(zscore_array(stats, data), expected)
+
+
+@st.composite
+def generative_fits(draw):
+    """A training set with both classes, held-out epochs, a scorer kind and
+    a PCA variance fraction; the positive class carries a drawn offset."""
+    n, held, channels, samples = (draw(st.integers(6, 40)), draw(st.integers(1, 10)),
+                                  draw(st.integers(1, 4)), draw(st.integers(1, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(np.arange(n) % 2)
+    data = rng.standard_normal((n + held, channels, samples)) * draw(
+        st.sampled_from([1e-2, 1.0, 30.0])
+    )
+    data[:n] += draw(st.floats(0.0, 3.0)) * labels[:, None, None]
+    train = LabeledDataset(data=data[:n], labels=labels)
+    return (train, data[n:], draw(st.sampled_from(["logistic", "lda"])),
+            draw(st.floats(0.1, 1.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generative_fits())
+def test_folded_scorer_matches_projection_then_scorer(case):
+    train, held, scorer_kind, variance_fraction = case
+    pipeline = models.build_generative(
+        train, variance_fraction=variance_fraction, scorer_kind=scorer_kind
+    )
+    # the unfolded composition: the same PCA fit, then the scorer fit on
+    # the projected training rows, applied in PCA space
+    flat = zscore_array(pipeline.zscore, train.data).reshape(len(train), -1)
+    pca, reduced = models.fit_pca(flat, variance_fraction)
+    if scorer_kind == "logistic":
+        scorer = models.train_logistic(reduced, train.labels, class_weights=(1.0, 1.0))
+    else:
+        scorer = models.train_lda(reduced, train.labels)
+    rows = zscore_array(pipeline.zscore, held).reshape(len(held), -1)
+    expected = reference_projected_scores(pca.mean, pca.components, scorer.weights,
+                                          scorer.bias, rows)
+    got = models.logistic_scores(pipeline.scorer, rows)
+    np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
 
 
 @st.composite
