@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import Alphabet, DegenerateEvidenceError
+from .core import DegenerateEvidenceError
 from .container import (
     ContainerFormatError,
     read_dataset,
@@ -394,7 +394,7 @@ def cmd_simulate(args) -> int:
             attempts=resolved["attempts"],
             max_rounds=resolved["max_rounds"],
             symbols_per_query=resolved["symbols_per_query"],
-            alphabet=Alphabet.default(resolved["alphabet_size"]),
+            alphabet_size=resolved["alphabet_size"],
             threshold=resolved["threshold"],
             query_strategy=strategy,
             seed=resolved["seed"],

@@ -106,8 +106,8 @@ def design_notch(rate: float, center_hz: float = 50.0, q: float = 30.0) -> Biqua
     """
     if not (0.0 < center_hz < rate / 2.0):
         raise ValueError(f"notch center {center_hz} Hz must lie below Nyquist ({rate / 2} Hz)")
-    if q <= 0:
-        raise ValueError("quality factor must be positive")
+    if not (q > 0 and math.isfinite(q)):
+        raise ValueError(f"quality factor must be positive and finite, got {q}")
     w0 = 2.0 * math.pi * center_hz / rate
     alpha = math.sin(w0) / (2.0 * q)
     cw = math.cos(w0)
@@ -166,24 +166,22 @@ def design_bandpass(
         analog_poles.append((bw * p - disc) / 2.0)
 
     z_poles = [(fs2 + s) / (fs2 - s) for s in analog_poles]
-    sections: list[tuple[float, float]] = []
-    for p, q in _pair_conjugates(z_poles):
-        a1 = -(p + q).real
-        a2 = (p * q).real
-        sections.append((a1, a2))
+    # unnormalized cascade: each section is (1 - z^-2) / (1 + a1 z^-1 + a2 z^-2),
+    # checked for stability before its gain is used
+    sections = [
+        BiquadCoefficients(b0=1.0, b1=0.0, b2=-1.0, a1=-(p + q).real, a2=(p * q).real)
+        for p, q in _pair_conjugates(z_poles)
+    ]
 
-    # unnormalized cascade: each section is (1 - z^-2) / (1 + a1 z^-1 + a2 z^-2);
     # normalize to unit gain at the (warped-back) center frequency
     f_center = rate / math.pi * math.atan(math.sqrt(w0_sq) / fs2)
     zc = cmath.exp(1j * 2.0 * math.pi * f_center / rate)
     gain = 1.0 + 0.0j
-    for a1, a2 in sections:
-        gain *= (1.0 - zc ** -2) / (1.0 + a1 * zc ** -1 + a2 * zc ** -2)
+    for section in sections:
+        gain *= (1.0 - zc ** -2) / (1.0 + section.a1 * zc ** -1 + section.a2 * zc ** -2)
     k = (1.0 / abs(gain)) ** (1.0 / len(sections))
 
-    return [
-        BiquadCoefficients(b0=k, b1=0.0, b2=-k, a1=a1, a2=a2) for a1, a2 in sections
-    ]
+    return [BiquadCoefficients(b0=k, b1=0.0, b2=-k, a1=s.a1, a2=s.a2) for s in sections]
 
 
 BLOCK_SAMPLES = 128  # samples per block of the state-space filter

@@ -14,9 +14,9 @@ PCA is a training step only.
 Both families are wrapped behind the EvidenceModel interface, which maps a
 LabeledDataset's epoch stack to two float64 arrays (log_pos, log_neg), one
 entry per epoch: log label probabilities for discriminative models, log
-class-conditional densities for generative ones. They are the logs of the
-LikelihoodPair values the core update rules consume; certain evidence
-gives -inf.
+class-conditional densities for generative ones; certain evidence gives
+-inf. ``core.update_factors`` turns them into the posterior filter's log
+factors.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import LabelPrior, LikelihoodMode, LikelihoodPair
+from .core import LabelPrior, LikelihoodMode
 from .dsp import ZScoreStats, fit_zscore, zscore_array
 from .synth import LabeledDataset
 
@@ -354,41 +354,17 @@ def train_lda(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
 # ---------------------------------------------------------------------------
 # PCA
 
-ORTHONORMALITY_ATOL = 1e-8
-
 
 @dataclass(frozen=True)
 class PcaProjection:
-    """Affine projection onto the top principal components.
-
-    ``variance_fraction`` records the cumulative explained variance actually
-    retained by the kept components.
+    """Affine projection onto the top principal components, as ``fit_pca``
+    found it. ``variance_fraction`` records the cumulative explained
+    variance actually retained by the kept components.
     """
 
     mean: np.ndarray
     components: np.ndarray  # (d, r), orthonormal columns
     variance_fraction: float
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=np.float64)
-        comp = np.asarray(self.components, dtype=np.float64)
-        if mean.ndim != 1 or comp.ndim != 2 or comp.shape[0] != mean.shape[0]:
-            raise ValueError("inconsistent PCA shapes")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(comp))):
-            raise ValueError("PCA parameters must be finite")
-        if not 0.0 < self.variance_fraction <= 1.0:
-            raise ValueError("variance_fraction must lie in (0, 1]")
-        # orthonormal columns have no entry above 1 in magnitude; checking
-        # that first keeps the Gram matrix from overflowing
-        if np.max(np.abs(comp)) > 1.0 + ORTHONORMALITY_ATOL:
-            raise ValueError("components must be orthonormal")
-        gram = comp.T @ comp
-        if np.max(np.abs(gram - np.eye(comp.shape[1]))) > ORTHONORMALITY_ATOL:
-            raise ValueError("components must be orthonormal")
-        for arr, name in ((mean, "mean"), (comp, "components")):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def n_components(self) -> int:
@@ -432,6 +408,8 @@ def fit_pca(
         col = components[:, j]
         if col[np.argmax(np.abs(col))] < 0:
             components[:, j] = -col
+    gram = components.T @ components
+    assert np.max(np.abs(gram - np.eye(r))) <= 1e-8, "eigh returned non-orthonormal axes"
     projection = PcaProjection(mean=mean, components=components, variance_fraction=achieved)
     return projection, centered @ projection.components
 
@@ -475,16 +453,21 @@ def kde_log_eval_many(density: KdeDensity, xs: np.ndarray) -> np.ndarray:
     # time; each row's sum runs as it would in a whole-matrix buffer
     rows = max(1, KDE_BLOCK_BYTES // (8 * scores.shape[0]))
     buffer = np.empty((min(rows, pts.shape[0]), scores.shape[0]))
-    for start in range(0, pts.shape[0], rows):
-        block = pts[start:start + rows]
-        exponents = buffer[: block.shape[0]]
-        np.subtract(block[:, None], scores[None, :], out=exponents)
-        exponents /= density.bandwidth
-        np.square(exponents, out=exponents)
-        exponents *= -0.5
-        peak = exponents.max(axis=1)
-        exponents -= peak[:, None]
-        logs[start:start + rows] = peak + np.log(np.exp(exponents, out=exponents).mean(axis=1))
+    # an exponent too large to square becomes -inf, a kernel that underflows
+    # to 0; a row whose kernels all underflow takes peak 0 in place of -inf,
+    # so it sums to 0 and logs to -inf: the floor, as for a far-outside point
+    with np.errstate(over="ignore", divide="ignore"):
+        for start in range(0, pts.shape[0], rows):
+            block = pts[start:start + rows]
+            exponents = buffer[: block.shape[0]]
+            np.subtract(block[:, None], scores[None, :], out=exponents)
+            exponents /= density.bandwidth
+            np.square(exponents, out=exponents)
+            exponents *= -0.5
+            peak = exponents.max(axis=1)
+            peak[peak == -np.inf] = 0.0
+            exponents -= peak[:, None]
+            logs[start:start + rows] = peak + np.log(np.exp(exponents, out=exponents).mean(axis=1))
     logs -= math.log(density.bandwidth) + LOG_SQRT_2PI
     return np.maximum(logs, LOG_DENSITY_FLOOR)
 
@@ -695,7 +678,9 @@ class ConstantEvidenceModel(EvidenceModel):
     control rows: a model that blindly backs one class no matter what."""
 
     def __init__(self, pos: float, kind: str = "constant"):
-        self._pair = LikelihoodPair.discriminative(pos)
+        if not (math.isfinite(pos) and 0.0 <= pos <= 1.0):
+            raise ValueError(f"pos must be a probability in [0, 1], got {pos!r}")
+        self._pos = pos
         self.kind = kind
 
     @property
@@ -705,7 +690,7 @@ class ConstantEvidenceModel(EvidenceModel):
     def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
         n = len(dataset)
         with np.errstate(divide="ignore"):
-            return np.full(n, np.log(self._pair.pos)), np.full(n, np.log(self._pair.neg))
+            return np.full(n, np.log(self._pos)), np.full(n, np.log(1.0 - self._pos))
 
     @property
     def parameter_count(self) -> int:

@@ -32,7 +32,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (
-    Alphabet,
     LabelPrior,
     LikelihoodMode,
     apply_round,
@@ -69,23 +68,25 @@ class TypingConfig:
     attempts: int = 1000
     max_rounds: int = 10
     symbols_per_query: int = 10
-    alphabet: Alphabet = dataclasses.field(default_factory=Alphabet.default)
+    alphabet_size: int = 28
     threshold: float = 0.9
     query_strategy: QueryStrategy = QueryStrategy.WITH_REPLACEMENT
     seed: int = 0
     stop_on_wrong: bool = True
 
     def __post_init__(self) -> None:
+        if self.alphabet_size < 2:
+            raise ValueError("alphabet needs at least 2 symbols")
         if self.attempts < 1 or self.max_rounds < 1 or self.symbols_per_query < 1:
             raise ValueError("attempts, max_rounds and symbols_per_query must be >= 1")
         if not (0.0 < self.threshold <= 1.0):
             raise ValueError("threshold must lie in (0, 1]")
         # repeats within a query are only possible when sampling with replacement
         if self.query_strategy is not QueryStrategy.WITH_REPLACEMENT:
-            if self.symbols_per_query > self.alphabet.size:
+            if self.symbols_per_query > self.alphabet_size:
                 raise ValueError(
                     f"symbols_per_query {self.symbols_per_query} exceeds alphabet "
-                    f"size {self.alphabet.size} for strategy "
+                    f"size {self.alphabet_size} for strategy "
                     f"{self.query_strategy.value!r}"
                 )
 
@@ -228,7 +229,7 @@ def run_typing(
     posterior mass (possible only with hard 0/1 evidence) propagates as
     DegenerateEvidenceError.
     """
-    size = config.alphabet.size
+    size = config.alphabet_size
     n, k = config.attempts, config.symbols_per_query
     # (2, epochs): the factor of the queried symbol, then of every other one
     evidence = np.array(update_factors(mode, log_pos, log_neg, LabelPrior.uniform_over(size)))

@@ -16,14 +16,11 @@ import pytest
 
 from rsvptyping.cli import main as cli_main
 from rsvptyping.core import (
-    Alphabet,
     LabelPrior,
-    LikelihoodPair,
-    QueryEvent,
-    apply_query,
-    init_posterior,
-    update_discriminative,
-    update_generative,
+    LikelihoodMode,
+    apply_round,
+    probabilities,
+    update_factors,
 )
 from rsvptyping.dsp import design_bandpass, design_notch, filter_forward
 from rsvptyping.models import (
@@ -63,21 +60,29 @@ def calibrated_dataset():
 
 
 def random_events(rng, a, n_events, mode):
-    """Single-mode event list plus its enumeration-oracle rows. A query's
-    events all come from one evidence model, so modes never mix."""
-    events, rows = [], []
+    """Single-mode enumeration-oracle rows (queried index, mode, pos, neg).
+    A query's events all come from one evidence model, so modes never mix."""
+    rows = []
     for _ in range(n_events):
         q = int(rng.integers(a))
         if mode == "disc":
             pos = float(rng.uniform(0.02, 0.98))
-            events.append(QueryEvent(q, LikelihoodPair.discriminative(pos)))
             rows.append((q, "disc", pos, 1.0 - pos))
         else:
             d_pos = float(rng.uniform(0.05, 4.0))
             d_neg = float(rng.uniform(0.05, 4.0))
-            events.append(QueryEvent(q, LikelihoodPair.generative(d_pos, d_neg)))
             rows.append((q, "gen", d_pos, d_neg))
-    return events, rows
+    return rows
+
+
+def filter_round(a, rows, prior):
+    """Probabilities after folding ``rows`` into a uniform posterior over
+    ``a`` symbols as one round of the batched filter."""
+    queries, modes, pos, neg = zip(*rows)
+    mode = LikelihoodMode.DISCRIMINATIVE if modes[0] == "disc" else LikelihoodMode.GENERATIVE
+    log_pos, log_neg = update_factors(mode, np.log([pos]), np.log([neg]), prior)
+    start = np.full((1, a), -math.log(a))
+    return probabilities(apply_round(start, np.array([queries]), log_pos, log_neg))[0]
 
 
 def test_01_recursive_posterior_matches_enumeration():
@@ -88,11 +93,11 @@ def test_01_recursive_posterior_matches_enumeration():
         a = int(rng.integers(2, 7))
         p_pos = float(rng.uniform(0.05, 0.6))
         mode = "disc" if rng.random() < 0.5 else "gen"
-        events, rows = random_events(rng, a, int(rng.integers(1, 7)), mode)
+        rows = random_events(rng, a, int(rng.integers(1, 7)), mode)
         prior = LabelPrior(p_pos) if mode == "disc" else None
-        state = apply_query(init_posterior(Alphabet.default(a)), events, prior)
+        probs = filter_round(a, rows, prior)
         expected = enumerated_posterior(a, rows, p_pos=p_pos)
-        worst = max(worst, float(np.max(np.abs(state.probabilities() - expected))))
+        worst = max(worst, float(np.max(np.abs(probs - expected))))
     elapsed = time.perf_counter() - start
     check(
         worst <= 1e-9 and elapsed < 5.0,
@@ -111,15 +116,10 @@ def test_02_generative_discriminative_bridge():
         q = int(rng.integers(a))
         d_pos = float(rng.uniform(0.01, 5.0))
         d_neg = float(rng.uniform(0.01, 5.0))
-        state = init_posterior(Alphabet.default(a))
-        via_gen = update_generative(state, QueryEvent(q, LikelihoodPair.generative(d_pos, d_neg)))
+        via_gen = filter_round(a, [(q, "gen", d_pos, d_neg)], None)
         pos = d_pos * p_pos / (d_pos * p_pos + d_neg * (1.0 - p_pos))
-        via_disc = update_discriminative(
-            state, QueryEvent(q, LikelihoodPair.discriminative(pos)), prior
-        )
-        worst = max(
-            worst, float(np.max(np.abs(via_gen.probabilities() - via_disc.probabilities())))
-        )
+        via_disc = filter_round(a, [(q, "disc", pos, 1.0 - pos)], prior)
+        worst = max(worst, float(np.max(np.abs(via_gen - via_disc))))
     check(
         worst <= 1e-9,
         f"2. generative update equals converted discriminative update, "
@@ -135,16 +135,13 @@ def test_03_normalization_and_order_invariance():
         a = int(rng.integers(2, 9))
         p_pos = float(rng.uniform(0.05, 0.6))
         mode = "disc" if rng.random() < 0.5 else "gen"
-        events, _ = random_events(rng, a, int(rng.integers(1, 8)), mode)
+        rows = random_events(rng, a, int(rng.integers(1, 8)), mode)
         prior = LabelPrior(p_pos) if mode == "disc" else None
-        state = init_posterior(Alphabet.default(a))
-        fwd = apply_query(state, events, prior)
-        perm = [events[i] for i in rng.permutation(len(events))]
-        shuf = apply_query(state, perm, prior)
-        worst_norm = max(worst_norm, abs(float(fwd.probabilities().sum()) - 1.0))
-        worst_order = max(
-            worst_order, float(np.max(np.abs(fwd.probabilities() - shuf.probabilities())))
-        )
+        fwd = filter_round(a, rows, prior)
+        perm = [rows[i] for i in rng.permutation(len(rows))]
+        shuf = filter_round(a, perm, prior)
+        worst_norm = max(worst_norm, abs(float(fwd.sum()) - 1.0))
+        worst_order = max(worst_order, float(np.max(np.abs(fwd - shuf))))
     check(
         worst_norm <= 1e-12 and worst_order <= 1e-12,
         f"3. normalization and order invariance, 1000 sequences: "
@@ -245,7 +242,7 @@ def test_07_classifier_gradient_and_separable_accuracy():
 def test_08_end_to_end_ordering(calibrated_dataset):
     config = TypingConfig(
         attempts=1000, max_rounds=10, symbols_per_query=10,
-        alphabet=Alphabet.default(28), threshold=0.9, seed=0,
+        alphabet_size=28, threshold=0.9, seed=0,
     )
     start = time.perf_counter()
     disc = evaluate_splits(lambda tr: train_logistic_evidence(tr), calibrated_dataset, config)
@@ -281,7 +278,7 @@ def test_09_fixed_class_controls(calibrated_dataset):
     # balanced accuracy and 0.000 +- 0.000 bits at three-decimal precision
     config = TypingConfig(
         attempts=20000, max_rounds=10, symbols_per_query=10,
-        alphabet=Alphabet.default(28), threshold=0.9, seed=0,
+        alphabet_size=28, threshold=0.9, seed=0,
     )
     lines = []
     ok = True

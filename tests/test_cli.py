@@ -188,6 +188,28 @@ class TestTrain:
         assert loaded.pipeline.scorer.dimension == channels * samples
         assert hyper == {"variance_fraction": 0.8, "bandwidth": 1.0}
 
+    def test_underflowing_bandwidth_trains_and_simulates_without_warnings(
+        self, tmp_path, workspace, capsys
+    ):
+        # every held-out kernel underflows: each epoch scores the KDE floor
+        # under both classes, a tie, instead of NaN evidence
+        train_cfg = tmp_path / "t.cfg"
+        train_cfg.write_text("bandwidth = 1e-300\n")
+        sim_cfg = tmp_path / "s.cfg"
+        sim_cfg.write_text("attempts = 20\nsplits = 2\n")
+        model = tmp_path / "m.bin"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", str(workspace["data"]), "--kind", "gen-lda",
+                         "--config", str(train_cfg), "--out", str(model)]) == 0
+            assert main(["simulate", str(model), str(workspace["data"]),
+                         "--config", str(sim_cfg), "--out", str(tmp_path / "r.json")]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        assert "validation balanced accuracy: 0.500000" in captured.out
+        assert "RuntimeWarning" not in captured.err
+        assert "error" not in captured.err
+
     def test_hyper_echoed_for_logreg(self, workspace):
         _, hyper = read_model(workspace["model"])
         assert hyper == {"l2": 0.05, "tolerance": 1e-6}
@@ -413,6 +435,13 @@ class TestSimulate:
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 1
         assert "symbols_per_query" in capsys.readouterr().err
+
+    def test_single_symbol_alphabet_exits_1(self, tmp_path, workspace, capsys):
+        cfg = self.sim_cfg(tmp_path, alphabet_size=1)
+        rc = main(["simulate", "oracle", str(workspace["data"]), "--config", str(cfg),
+                   "--out", str(tmp_path / "rep.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: alphabet needs at least 2 symbols\n"
 
     def test_k_larger_than_alphabet_ok_with_replacement(self, tmp_path, workspace):
         # with replacement a query may repeat symbols, so K > A is legal
@@ -647,6 +676,22 @@ class TestPreprocess:
         cfg.write_text("band_high = 130\n")
         rc = main(["preprocess", str(raw), "--config", str(cfg), "--out", str(tmp_path / "d.bin")])
         assert rc == 1
+
+    @pytest.mark.parametrize("line, message", [
+        ("band_low = 1e-50", "unstable biquad"),
+        ("notch_q = nan", "quality factor must be positive and finite"),
+        ("notch_q = inf", "quality factor must be positive and finite"),
+    ])
+    def test_degenerate_filter_design_exits_1(self, tmp_path, capsys, line, message):
+        raw = tmp_path / "raw.bin"
+        make_raw(raw, n_samples=12_000)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(["preprocess", str(raw), "--config", str(cfg), "--out", str(tmp_path / "d.bin")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "d.bin").exists()
 
     def test_malformed_container_exits_2(self, tmp_path):
         raw = tmp_path / "raw.bin"

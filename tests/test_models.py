@@ -11,12 +11,9 @@ from rsvptyping.core import (
     DegenerateEvidenceError,
     LabelPrior,
     LikelihoodMode,
-    LikelihoodPair,
-    QueryEvent,
-    init_posterior,
-    Alphabet,
-    update_discriminative,
-    update_generative,
+    apply_round,
+    probabilities,
+    update_factors,
 )
 from rsvptyping import models
 from rsvptyping.dsp import ZScoreStats
@@ -28,7 +25,6 @@ from rsvptyping.models import (
     LogisticEvidenceModel,
     LogisticModel,
     OracleEvidenceModel,
-    PcaProjection,
     build_generative,
     empirical_prior,
     fit_kde,
@@ -71,6 +67,15 @@ def proba(model: LogisticModel, features) -> tuple[np.ndarray, np.ndarray]:
 
 def kde_eval(density: KdeDensity, x: float) -> float:
     return float(np.exp(kde_log_eval_many(density, np.array([x]))[0]))
+
+
+def one_query(a, mode, q, pos, neg, label_prior=None):
+    """A uniform posterior over ``a`` symbols after one presentation of
+    symbol ``q`` with evidence (pos, neg) in the linear domain."""
+    with np.errstate(divide="ignore"):
+        log_pos, log_neg = update_factors(mode, np.log([[pos]]), np.log([[neg]]), label_prior)
+    start = np.full((1, a), -math.log(a))
+    return probabilities(apply_round(start, np.array([[q]]), log_pos, log_neg))[0]
 
 
 def weighted_log_odds(d_pos: float, d_neg: float, prior: LabelPrior) -> float:
@@ -356,28 +361,25 @@ class TestPca:
         (p1, _), (p2, _) = fit_pca(x), fit_pca(x)
         np.testing.assert_array_equal(p1.components, p2.components)
 
-    def test_non_orthonormal_components_rejected(self):
-        with pytest.raises(ValueError):
-            PcaProjection(
-                mean=np.zeros(2),
-                components=np.array([[1.0, 1.0], [0.0, 0.0]]),
-                variance_fraction=1.0,
-            )
-
-    @pytest.mark.filterwarnings("error")
-    def test_huge_component_rejected_without_overflow(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            PcaProjection(mean=np.zeros(2), components=np.array([[1e200], [0.0]]),
-                          variance_fraction=1.0)
-
-    def test_bad_parameters_rejected(self):
-        for mean, fraction in ((np.zeros(2), 0.0), (np.zeros(2), 1.5),
-                               (np.zeros(2), math.nan), (np.array([0.0, math.nan]), 1.0)):
-            with pytest.raises(ValueError):
-                PcaProjection(mean=mean, components=np.eye(2), variance_fraction=fraction)
-        with pytest.raises(ValueError):
-            PcaProjection(mean=np.zeros(2), components=np.full((2, 1), math.nan),
-                          variance_fraction=1.0)
+    def test_components_are_orthonormal(self):
+        # the inputs of the tests above
+        t = np.linspace(-1, 1, 30)
+        inputs = [
+            np.outer(t, np.array([1.0, 2.0, -1.0])),
+            np.random.default_rng(13).standard_normal((500, 10)),
+            np.random.default_rng(29).standard_normal((200, 6))
+            @ np.diag([3.0, 2.0, 1.0, 0.5, 0.3, 0.1]),
+            np.ones((5, 4)),
+            np.random.default_rng(31).standard_normal((100, 8)),
+            np.random.default_rng(41).standard_normal((400, 24)) * np.linspace(3.0, 0.2, 24),
+            np.random.default_rng(40).standard_normal((60, 5)),
+            np.random.default_rng(43).standard_normal((80, 7)) + 3.0,
+        ]
+        for x in inputs:
+            for fraction in (0.8, 1.0):
+                components = fit_pca(x, fraction)[0].components
+                gram = components.T @ components
+                np.testing.assert_allclose(gram, np.eye(gram.shape[0]), rtol=0, atol=1e-8)
 
     def test_full_variance_fraction_is_at_most_one(self):
         # the running sum of explained variance can round past the total
@@ -416,9 +418,17 @@ class TestKde:
         assert value >= 0.0
         assert kde_log_eval_many(density, np.array([60.0]))[0] >= -745.0
         # the floored density still forms a valid generative pair
-        pair = LikelihoodPair.generative(value, value)
-        state = init_posterior(Alphabet.default(4))
-        update_generative(state, QueryEvent(0, pair))
+        after = one_query(4, LikelihoodMode.GENERATIVE, 0, value, value)
+        np.testing.assert_allclose(after, np.full(4, 0.25), rtol=0, atol=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_kernels_score_the_floor(self):
+        # at this bandwidth every kernel underflows except at an exact match
+        density = fit_kde(np.array([0.0, 1.0]), bandwidth=1e-300)
+        logs = kde_log_eval_many(density, np.array([0.5, 3.0, -2.0, 1.0]))
+        assert not np.isnan(logs).any()
+        np.testing.assert_array_equal(logs[:3], np.full(3, models.LOG_DENSITY_FLOOR))
+        assert logs[3] == pytest.approx(math.log(0.5) - math.log(1e-300) - 0.5 * math.log(2 * math.pi))
 
     def test_translation_symmetry(self):
         rng = np.random.default_rng(8)
@@ -553,8 +563,8 @@ class TestBayesConversion:
         )
 
     def test_both_zero_densities_unrepresentable(self):
-        with pytest.raises(ValueError):
-            LikelihoodPair.generative(0.0, 0.0)
+        with pytest.raises(DegenerateEvidenceError):
+            one_query(4, LikelihoodMode.GENERATIVE, 0, 0.0, 0.0)
 
     def test_non_generative_pair_rejected(self):
         # label probabilities are not densities: classification leaves them
@@ -569,20 +579,14 @@ class TestBayesConversion:
 
     def test_bridge_with_core_updates(self):
         rng = np.random.default_rng(41)
-        alphabet = Alphabet.default(6)
         for _ in range(50):
             prior = LabelPrior(float(rng.uniform(0.05, 0.95)))
-            pair = LikelihoodPair.generative(
-                float(rng.uniform(1e-6, 2.0)), float(rng.uniform(1e-6, 2.0))
-            )
-            q = int(rng.integers(alphabet.size))
-            state = init_posterior(alphabet)
-            via_gen = update_generative(state, QueryEvent(q, pair)).probabilities()
-            log_odds = weighted_log_odds(pair.pos, pair.neg, prior)
-            converted = LikelihoodPair.discriminative(1.0 / (1.0 + math.exp(-log_odds)))
-            via_disc = update_discriminative(
-                state, QueryEvent(q, converted), prior
-            ).probabilities()
+            d_pos, d_neg = float(rng.uniform(1e-6, 2.0)), float(rng.uniform(1e-6, 2.0))
+            q = int(rng.integers(6))
+            via_gen = one_query(6, LikelihoodMode.GENERATIVE, q, d_pos, d_neg)
+            log_odds = weighted_log_odds(d_pos, d_neg, prior)
+            pos = 1.0 / (1.0 + math.exp(-log_odds))
+            via_disc = one_query(6, LikelihoodMode.DISCRIMINATIVE, q, pos, 1.0 - pos, prior)
             np.testing.assert_allclose(via_gen, via_disc, atol=1e-9)
 
 
@@ -634,6 +638,15 @@ class TestEvidenceModels:
         log_pos, _ = model.predict_batch(make_dataset(rng.standard_normal((5, 2, 5)), [0] * 5))
         assert set(log_pos.tolist()) == {math.log(0.9)}
         assert model.mode is LikelihoodMode.DISCRIMINATIVE
+
+    def test_constant_model_takes_a_probability(self):
+        for pos in (-0.1, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="probability"):
+                ConstantEvidenceModel(pos)
+        data = make_dataset(np.zeros((1, 1, 2)), [0])
+        for pos, expected in ((1.0, (0.0, -math.inf)), (0.0, (-math.inf, 0.0))):
+            log_pos, log_neg = ConstantEvidenceModel(pos).predict_batch(data)
+            assert (log_pos[0], log_neg[0]) == expected
 
     def test_parameter_counts(self):
         rng = np.random.default_rng(51)

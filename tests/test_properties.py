@@ -1,8 +1,9 @@
 """Property tests: the batched posterior filter against a per-event
-reference, the scalar query API, the block filter against the per-sample
-recursion, block KDE and per-channel z-scoring against their whole-matrix
-forms, the folded generative scorer against PCA then the scorer, onset checks and downsampling against per-pair loops, the CLI's exit
-codes on damaged container files, and config files read back as written."""
+reference, the block filter against the per-sample recursion, block KDE and
+per-channel z-scoring against their whole-matrix forms, the folded
+generative scorer against PCA then the scorer, onset checks and downsampling
+against per-pair loops, the CLI's exit codes on damaged container files, and
+config files read back as written."""
 
 import math
 import struct
@@ -14,17 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsvptyping.cli import SEED_KEYS, SIMULATE_SCHEMA, ConfigError, main, resolve_config
-from rsvptyping.core import (
-    Alphabet,
-    DegenerateEvidenceError,
-    LabelPrior,
-    LikelihoodPair,
-    QueryEvent,
-    apply_query,
-    apply_round,
-    decide_rows,
-    init_posterior,
-)
+from rsvptyping.core import DegenerateEvidenceError, LabelPrior, apply_round, decide_rows
 from rsvptyping.dsp import (
     BLOCK_SAMPLES,
     BiquadCoefficients,
@@ -69,11 +60,10 @@ def start_weights(size):
 
 
 def evidence(draw, mode, slots):
-    """``slots`` evidence pairs of one mode."""
+    """``slots`` (pos, neg) evidence pairs of one mode."""
     if mode == "discriminative":
-        return [LikelihoodPair.discriminative(draw(probabilities)) for _ in range(slots)]
-    return [LikelihoodPair.generative(*draw(
-                st.tuples(densities, densities).filter(lambda d: d[0] + d[1] > 0.0)))
+        return [(p, 1.0 - p) for p in (draw(probabilities) for _ in range(slots))]
+    return [draw(st.tuples(densities, densities).filter(lambda d: d[0] + d[1] > 0.0))
             for _ in range(slots)]
 
 
@@ -83,7 +73,8 @@ def label_prior(draw, mode):
 
 @st.composite
 def rounds(draw):
-    """Start posteriors, one round of queries and the evidence each drew."""
+    """Start posteriors, one round of queries, the evidence each drew and a
+    reordering of the round's slots."""
     size = draw(st.integers(2, 8))
     rows = draw(st.integers(1, 4))
     slots = draw(st.integers(1, 2 * size))
@@ -93,91 +84,41 @@ def rounds(draw):
     queries = [draw(st.lists(st.integers(0, size - 1), min_size=slots, max_size=slots))
                for _ in range(rows)]
     pairs = [evidence(draw, mode, slots) for _ in range(rows)]
-    return size, starts, queries, pairs, label_prior(draw, mode)
+    order = draw(st.permutations(range(slots)))
+    return starts, queries, pairs, label_prior(draw, mode), order
 
 
 @settings(max_examples=300, deadline=None)
 @given(rounds(), st.floats(0.05, 1.0))
 def test_kernel_round_matches_sequential_reference(case, threshold):
-    size, starts, queries, pairs, prior = case
-    alphabet = Alphabet.default(size)
-    start = np.stack([init_posterior(alphabet, weights).log_probs for weights in starts])
+    starts, queries, pairs, prior, order = case
+    # a round without slots only normalizes each start
+    no_slots = np.empty((len(starts), 0))
+    with np.errstate(divide="ignore"):
+        start = apply_round(np.log(starts), no_slots, no_slots, no_slots)
     log_prior = (0.0, 0.0) if prior is None else (_log(prior.p_pos), _log(prior.p_neg))
-    log_pos = np.array([[_log(p.pos) - log_prior[0] for p in row] for row in pairs])
-    log_neg = np.array([[_log(p.neg) - log_prior[1] for p in row] for row in pairs])
+    log_pos = np.array([[_log(pos) - log_prior[0] for pos, _ in row] for row in pairs])
+    log_neg = np.array([[_log(neg) - log_prior[1] for _, neg in row] for row in pairs])
+    queries = np.array(queries)
 
     expected = [sequential_posterior(*row) for row in zip(start, queries, log_pos, log_neg)]
     if any(row is None for row in expected):
-        with pytest.raises(DegenerateEvidenceError):
-            apply_round(start, np.array(queries), log_pos, log_neg)
+        for perm in (slice(None), order):
+            with pytest.raises(DegenerateEvidenceError):
+                apply_round(start, queries[:, perm], log_pos[:, perm], log_neg[:, perm])
         return
-    updated = apply_round(start, np.array(queries), log_pos, log_neg)
+    updated = apply_round(start, queries, log_pos, log_neg)
     assert not np.isnan(updated).any()
     for row, reference in zip(updated, expected):
         np.testing.assert_allclose(np.exp(row), np.exp(reference), rtol=0, atol=1e-12)
+        assert abs(math.fsum(np.exp(row)) - 1.0) <= 1e-12
+    # the slots of a round commute
+    reordered = apply_round(start, queries[:, order], log_pos[:, order], log_neg[:, order])
+    np.testing.assert_allclose(np.exp(reordered), np.exp(updated), rtol=0, atol=1e-12)
 
     best, confident = decide_rows(np.stack(expected), threshold)
     for b, c, reference in zip(best, confident, expected):
         assert (int(b) if c else None) == threshold_decision(reference, threshold)
-
-
-@st.composite
-def queries(draw):
-    """A start state, one query's events with repeated symbols and exact 0/1
-    evidence, the label prior they need, and a reordering of the events."""
-    size = draw(st.integers(2, 8))
-    mode = draw(modes)
-    slots = draw(st.integers(1, 2 * size))
-    state = init_posterior(Alphabet.default(size), draw(start_weights(size)))
-    indices = draw(st.lists(st.integers(0, size - 1), min_size=slots, max_size=slots))
-    events = [QueryEvent(q, pair) for q, pair in zip(indices, evidence(draw, mode, slots))]
-    return state, events, label_prior(draw, mode), draw(st.permutations(events))
-
-
-def _posterior_or_none(state, events, prior):
-    try:
-        return apply_query(state, events, prior)
-    except DegenerateEvidenceError:
-        return None
-
-
-@settings(max_examples=200, deadline=None)
-@given(queries())
-def test_apply_query_stays_normalized(case):
-    state, events, prior, _ = case
-    out = _posterior_or_none(state, events, prior)
-    if out is not None:
-        assert abs(float(np.sum(np.exp(out.log_probs))) - 1.0) <= 1e-12
-        assert out.step == state.step + len(events)
-
-
-@settings(max_examples=200, deadline=None)
-@given(queries())
-def test_apply_query_ignores_event_order(case):
-    state, events, prior, shuffled = case
-    out = _posterior_or_none(state, events, prior)
-    out_shuffled = _posterior_or_none(state, shuffled, prior)
-    assert (out is None) == (out_shuffled is None)
-    if out is not None:
-        np.testing.assert_allclose(
-            out_shuffled.probabilities(), out.probabilities(), rtol=0, atol=1e-12
-        )
-
-
-@settings(max_examples=200, deadline=None)
-@given(queries())
-def test_apply_query_one_event_at_a_time_agrees(case):
-    state, events, prior, _ = case
-    out = _posterior_or_none(state, events, prior)
-    stepped = state
-    for event in events:
-        stepped = _posterior_or_none(stepped, [event], prior)
-        if stepped is None:
-            break
-    assert (out is None) == (stepped is None)
-    if out is not None:
-        np.testing.assert_allclose(stepped.probabilities(), out.probabilities(), rtol=0, atol=1e-12)
-        assert stepped.step == out.step
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rsvptyping.core import Alphabet, DegenerateEvidenceError, LabelPrior, LikelihoodMode
+from rsvptyping.core import DegenerateEvidenceError, LabelPrior, LikelihoodMode
 from rsvptyping.models import (
     ConstantEvidenceModel,
     GenerativeEvidenceModel,
@@ -25,6 +25,14 @@ from rsvptyping.sim import (
     select_queries,
 )
 from rsvptyping.synth import LabeledDataset, SynthConfig, generate, split
+
+
+class TestTypingConfig:
+    def test_alphabet_needs_two_symbols(self):
+        for size in (1, 0, -3):
+            with pytest.raises(ValueError, match="alphabet needs at least 2 symbols"):
+                TypingConfig(alphabet_size=size)
+        assert TypingConfig().alphabet_size == 28
 
 
 class TestItr:
@@ -161,7 +169,7 @@ class TestRunTyping:
             attempts=200,
             max_rounds=10,
             symbols_per_query=10,
-            alphabet=Alphabet.default(28),
+            alphabet_size=28,
             threshold=0.99,
             seed=11,
         )
@@ -348,7 +356,7 @@ class TestEvaluateSplits:
     def typing_config(self):
         return TypingConfig(
             attempts=40, max_rounds=8, symbols_per_query=5,
-            alphabet=Alphabet.default(10), threshold=0.9, seed=0,
+            alphabet_size=10, threshold=0.9, seed=0,
         )
 
     def test_five_rows_and_determinism(self):
