@@ -15,7 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsvptyping.cli import SEED_KEYS, SIMULATE_SCHEMA, ConfigError, main, resolve_config
-from rsvptyping.core import DegenerateEvidenceError, LabelPrior, apply_round, decide_rows
+from rsvptyping.core import (
+    DegenerateEvidenceError,
+    LabelPrior,
+    LikelihoodMode,
+    apply_round,
+    decide_rows,
+    update_factors,
+)
 from rsvptyping.dsp import (
     BLOCK_SAMPLES,
     BiquadCoefficients,
@@ -119,6 +126,66 @@ def test_kernel_round_matches_sequential_reference(case, threshold):
     best, confident = decide_rows(np.stack(expected), threshold)
     for b, c, reference in zip(best, confident, expected):
         assert (int(b) if c else None) == threshold_decision(reference, threshold)
+
+
+@st.composite
+def queries(draw):
+    """One session's start posterior, one query's slots with repeated symbols
+    and exact 0/1 evidence turned into factors by ``update_factors``, and a
+    reordering of the slots."""
+    size = draw(st.integers(2, 8))
+    mode = draw(modes)
+    slots = draw(st.integers(1, 2 * size))
+    no_slots = np.empty((1, 0))
+    pairs = np.array(evidence(draw, mode, slots))
+    with np.errstate(divide="ignore"):
+        start = apply_round(np.log([draw(start_weights(size))]), no_slots, no_slots, no_slots)
+        pos, neg = np.log(pairs[None, :, 0]), np.log(pairs[None, :, 1])
+    log_pos, log_neg = update_factors(LikelihoodMode(mode), pos, neg, label_prior(draw, mode))
+    indices = np.array([draw(st.lists(st.integers(0, size - 1), min_size=slots, max_size=slots))])
+    return start, indices, log_pos, log_neg, draw(st.permutations(range(slots)))
+
+
+def _round_or_none(start, indices, log_pos, log_neg):
+    try:
+        return apply_round(start, indices, log_pos, log_neg)
+    except DegenerateEvidenceError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(queries())
+def test_apply_query_stays_normalized(case):
+    out = _round_or_none(*case[:4])
+    if out is not None:
+        assert abs(math.fsum(np.exp(out[0])) - 1.0) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(queries())
+def test_apply_query_ignores_event_order(case):
+    start, indices, log_pos, log_neg, order = case
+    out = _round_or_none(start, indices, log_pos, log_neg)
+    out_shuffled = _round_or_none(start, indices[:, order], log_pos[:, order], log_neg[:, order])
+    assert (out is None) == (out_shuffled is None)
+    if out is not None:
+        np.testing.assert_allclose(np.exp(out_shuffled), np.exp(out), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(queries())
+def test_apply_query_one_event_at_a_time_agrees(case):
+    start, indices, log_pos, log_neg, _ = case
+    out = _round_or_none(start, indices, log_pos, log_neg)
+    stepped = start
+    for j in range(indices.shape[1]):
+        stepped = _round_or_none(stepped, indices[:, j:j + 1], log_pos[:, j:j + 1],
+                                 log_neg[:, j:j + 1])
+        if stepped is None:
+            break
+    assert (out is None) == (stepped is None)
+    if out is not None:
+        np.testing.assert_allclose(np.exp(stepped), np.exp(out), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
