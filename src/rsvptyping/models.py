@@ -4,12 +4,15 @@ Two families are provided, and both score an epoch the same way: per-channel
 z-scoring, flattening, and one linear score weights . x + bias. The
 discriminative family maps that score straight to label probabilities: the
 scorer is logistic regression trained on ridge-penalized weighted
-cross-entropy by Newton's method. The generative family instead models
-class-conditional densities with a Gaussian KDE per class over the score.
-Its scorer is logistic regression or LDA fit on a PCA projection of the
-epochs; LDA with one shared covariance is itself a linear log-odds model,
-and the projection is folded into the scorer's weights after the fit, so
-PCA is a training step only.
+cross-entropy by Newton's method. Each Newton step forms the (d, d) block of
+its Hessian from a float32 copy of the features and checks the direction
+with one float64 Hessian-vector product; a relative residual above
+HESSIAN_RESIDUAL_LIMIT (1e-5) forms that step's block again in float64.
+The generative family instead models class-conditional densities with a
+Gaussian KDE per class over the score. Its scorer is logistic regression or
+LDA fit on a PCA projection of the epochs; LDA with one shared covariance is
+itself a linear log-odds model, and the projection is folded into the
+scorer's weights after the fit, so PCA is a training step only.
 
 Both families are wrapped behind the EvidenceModel interface, which maps a
 LabeledDataset's epoch stack to two float64 arrays (log_pos, log_neg), one
@@ -58,6 +61,15 @@ GRADIENT_TOLERANCE = 1e-6
 NEWTON_MAX_STEPS = 50
 # Step halvings before a Newton direction counts as giving no decrease.
 MAX_STEP_HALVINGS = 40
+# Largest relative residual |H d + g| / |g| that a Newton direction solved
+# against the float32-formed Hessian may leave in the float64 Hessian H. The
+# residual is about the gradient the step leaves behind, and near the
+# tolerance the loss often cannot resolve another step's decrease, so the
+# limit is tight: at 1e-3, fits of nearly collinear, badly scaled designs
+# took more steps than float64 Hessians need or stopped short of the
+# tolerance. Fits of the README dataset leave residuals under 2e-6, so it
+# never fires there.
+HESSIAN_RESIDUAL_LIMIT = 1e-5
 
 
 def check_train_settings(settings: dict) -> None:
@@ -208,11 +220,14 @@ def logistic_loss_and_gradient(
 @dataclass(frozen=True)
 class LogisticFit:
     """How a Newton fit ended: the loss at each iterate, and the penalized
-    gradient norm at the last one with the tolerance it was held to."""
+    gradient norm at the last one with the tolerance it was held to.
+    ``float64_steps`` counts the steps whose float32-formed Hessian failed
+    the residual check and was formed again from the float64 rows."""
 
     losses: tuple[float, ...]
     gradient_norm: float
     tolerance: float
+    float64_steps: int
 
     @property
     def steps(self) -> int:
@@ -226,25 +241,51 @@ class LogisticFit:
 def _newton_direction(
     z: np.ndarray,
     x: np.ndarray,
+    x32: np.ndarray,
+    scaled32: np.ndarray,
     sample_w: np.ndarray,
     l2: float,
     grad_w: np.ndarray,
     grad_b: float,
-) -> tuple[np.ndarray, float]:
-    """Solve H d = -g for the penalized loss's Hessian H in (weights, bias)."""
+) -> tuple[np.ndarray, float, bool]:
+    """Solve H d = -g for the penalized loss's Hessian H in (weights, bias).
+
+    The (d, d) block X^T C X of H is formed from ``x32``, the float32 copy
+    of the rows ``x``, scaled by sqrt(C) into the reused buffer
+    ``scaled32``. The bias row and column, the penalty and the solve are
+    float64. One float64 Hessian-vector product then checks the direction:
+    if |H d + g| > HESSIAN_RESIDUAL_LIMIT * |g|, the block is formed again
+    from ``x`` and solved once more. Returns the direction and whether it
+    came from the float64 rows.
+    """
     p = _sigmoid(z)
     curvature = sample_w * p * (1.0 - p)
+    root = np.sqrt(curvature)
     d = x.shape[1]
+    gradient = np.append(grad_w, grad_b)
     hessian = np.empty((d + 1, d + 1))
-    # one (n, d) temporary; X^T X of a single buffer is a symmetric product
-    scaled = x * np.sqrt(curvature)[:, None]
-    hessian[:d, :d] = scaled.T @ scaled
-    del scaled
-    hessian[np.arange(d), np.arange(d)] += l2
     hessian[:d, d] = hessian[d, :d] = x.T @ curvature
     hessian[d, d] = float(np.sum(curvature))
-    step = np.linalg.solve(hessian, -np.append(grad_w, grad_b))
-    return step[:d], float(step[d])
+    for exact in (False, True):
+        # X^T X of a single buffer is a symmetric product
+        if exact:
+            scaled = x * root[:, None]
+            hessian[:d, :d] = scaled.T @ scaled
+            del scaled
+        else:
+            # large rows can overflow float32 to inf; the check rejects the result
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(x32, root.astype(np.float32)[:, None], out=scaled32)
+                hessian[:d, :d] = scaled32.T @ scaled32
+        hessian[np.arange(d), np.arange(d)] += l2
+        step = np.linalg.solve(hessian, -gradient)
+        dw, db = step[:d], float(step[d])
+        weighted = curvature * (x @ dw + db)
+        product = np.append(x.T @ weighted + l2 * dw, np.sum(weighted))
+        # written so that a NaN or inf residual fails it too
+        if np.linalg.norm(product + gradient) <= HESSIAN_RESIDUAL_LIMIT * np.linalg.norm(gradient):
+            break
+    return dw, db, exact
 
 
 def train_logistic(
@@ -265,6 +306,15 @@ def train_logistic(
     NEWTON_MAX_STEPS steps, or when halving finds no decrease. Class weights
     default to inverse label fractions. Deterministic: no randomness is
     involved. If ``fits`` is a list, a LogisticFit is appended to it.
+
+    Each step's (d, d) Hessian block is formed from one float32 copy of the
+    features, made once per fit, through one reused float32 (n, d) buffer.
+    The direction is kept when one float64 Hessian-vector product shows a
+    relative residual |H d + g| / |g| of at most HESSIAN_RESIDUAL_LIMIT
+    (1e-5); otherwise that step's block is formed from the float64 features,
+    and the LogisticFit counts the step in ``float64_steps``. The loss, the
+    gradient, the bias row and column, the line search and the stopping
+    rule are float64.
     """
     if not (math.isfinite(l2) and l2 >= 0.0):
         raise ValueError(f"l2 must be non-negative and finite, got {l2!r}")
@@ -273,16 +323,22 @@ def train_logistic(
     x = _as_float_matrix(features)
     y = _as_labels(labels, x.shape[0])
     sample_w = _sample_weights(y, class_weights) / x.shape[0]
+    with np.errstate(over="ignore"):
+        x32 = x.astype(np.float32)
+    scaled32 = np.empty_like(x32)
     w = np.zeros(x.shape[1])
     b = 0.0
     losses = []
+    float64_steps = 0
     for step in range(NEWTON_MAX_STEPS + 1):
         loss, grad_w, grad_b = logistic_loss_and_gradient(w, b, x, y, class_weights, l2)
         losses.append(loss)
         norm = math.hypot(float(np.linalg.norm(grad_w)), grad_b)
         if norm <= tolerance or step == NEWTON_MAX_STEPS:
             break
-        dw, db = _newton_direction(x @ w + b, x, sample_w, l2, grad_w, grad_b)
+        dw, db, exact = _newton_direction(
+            x @ w + b, x, x32, scaled32, sample_w, l2, grad_w, grad_b
+        )
         for halving in range(MAX_STEP_HALVINGS):
             t = 0.5**halving
             trial_w, trial_b = w + t * dw, b + t * db
@@ -291,8 +347,9 @@ def train_logistic(
         else:
             break
         w, b = trial_w, trial_b
+        float64_steps += exact
     if fits is not None:
-        fits.append(LogisticFit(tuple(losses), norm, tolerance))
+        fits.append(LogisticFit(tuple(losses), norm, tolerance, float64_steps))
     return LogisticModel(weights=w, bias=b)
 
 

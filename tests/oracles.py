@@ -11,6 +11,9 @@ where the package fills it a chunk of epochs at a time; KDE log-densities and
 z-score statistics come from whole-matrix temporaries where the package works
 a block of rows or one channel at a time; stimulus onsets are checked and
 remapped one Python pair at a time where the package works on one array.
+The reference logistic fit forms every Newton Hessian from the float64 rows,
+where the package forms it from a float32 copy and checks each direction;
+it shares the package's loss, gradient and input checks.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ import itertools
 import math
 
 import numpy as np
+
+from rsvptyping import models
+from rsvptyping.models import LogisticFit, LogisticModel
 
 
 def enumerated_posterior(size, events, p_pos=None, prior=None):
@@ -286,3 +292,53 @@ def reference_projected_scores(mean, components, weights, bias, rows):
     rows = np.asarray(rows, dtype=np.float64)
     projected = (rows - np.asarray(mean)) @ np.asarray(components)
     return projected @ np.asarray(weights) + bias
+
+
+def _reference_newton_direction(z, x, sample_w, l2, grad_w, grad_b):
+    """Solve H d = -g for the penalized loss's Hessian H in (weights, bias)."""
+    p = models._sigmoid(z)
+    curvature = sample_w * p * (1.0 - p)
+    d = x.shape[1]
+    hessian = np.empty((d + 1, d + 1))
+    # one (n, d) temporary; X^T X of a single buffer is a symmetric product
+    scaled = x * np.sqrt(curvature)[:, None]
+    hessian[:d, :d] = scaled.T @ scaled
+    del scaled
+    hessian[np.arange(d), np.arange(d)] += l2
+    hessian[:d, d] = hessian[d, :d] = x.T @ curvature
+    hessian[d, d] = float(np.sum(curvature))
+    step = np.linalg.solve(hessian, -np.append(grad_w, grad_b))
+    return step[:d], float(step[d])
+
+
+def reference_train_logistic(features, labels, class_weights=None, *,
+                             l2=models.L2_PENALTY, tolerance=models.GRADIENT_TOLERANCE,
+                             fits=None):
+    """The Newton fit of ``models.train_logistic`` with every Hessian formed
+    from the float64 rows and no residual check: full steps halved until
+    the loss decreases, from zero parameters. Its LogisticFit counts every
+    step as a float64 step."""
+    x = models._as_float_matrix(features)
+    y = models._as_labels(labels, x.shape[0])
+    sample_w = models._sample_weights(y, class_weights) / x.shape[0]
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    losses = []
+    for step in range(models.NEWTON_MAX_STEPS + 1):
+        loss, grad_w, grad_b = models.logistic_loss_and_gradient(w, b, x, y, class_weights, l2)
+        losses.append(loss)
+        norm = math.hypot(float(np.linalg.norm(grad_w)), grad_b)
+        if norm <= tolerance or step == models.NEWTON_MAX_STEPS:
+            break
+        dw, db = _reference_newton_direction(x @ w + b, x, sample_w, l2, grad_w, grad_b)
+        for halving in range(models.MAX_STEP_HALVINGS):
+            t = 0.5**halving
+            trial_w, trial_b = w + t * dw, b + t * db
+            if models._penalized_loss(trial_w, x @ trial_w + trial_b, y, sample_w, l2) < loss:
+                break
+        else:
+            break
+        w, b = trial_w, trial_b
+    if fits is not None:
+        fits.append(LogisticFit(tuple(losses), norm, tolerance, len(losses) - 1))
+    return LogisticModel(weights=w, bias=b)

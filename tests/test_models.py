@@ -42,6 +42,7 @@ from rsvptyping.sim import classify_epochs
 from rsvptyping.synth import LabeledDataset
 
 from oracles import (
+    reference_train_logistic,
     central_difference_gradient,
     grid_search_boundary_1d,
     reference_weighted_ce,
@@ -208,6 +209,84 @@ class TestLogistic:
         _, gw, gb = logistic_loss_and_gradient(model.weights, model.bias, x, y, cw, l2)
         assert fits[0].converged
         assert math.hypot(np.linalg.norm(gw), gb) == fits[0].gradient_norm <= 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 24),
+        extra_rows=st.integers(0, 160),
+        l2=st.floats(1e-2, 1.0),
+        weighted=st.booleans(),
+    )
+    def test_float32_hessian_matches_float64_fit(self, seed, d, extra_rows, l2, weighted):
+        # z-scored columns, ten or more rows per column and labels that are
+        # not separable, as the evidence models fit them at the default l2
+        rng = np.random.default_rng(seed)
+        n = max(40, 10 * d) + extra_rows
+        x = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0, size=d)
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
+        direction = rng.standard_normal(d)
+        score = x @ direction / np.linalg.norm(direction)
+        y = (score + rng.standard_normal(n) > 0.5).astype(int)
+        y[:2] = [0, 1]
+        cw = (1.0, 1.0) if weighted else None
+        fits: list = []
+        reference: list = []
+        model = train_logistic(x, y, cw, l2=l2, fits=fits)
+        expected = reference_train_logistic(x, y, cw, l2=l2, fits=reference)
+        assert fits[0].steps == reference[0].steps
+        assert fits[0].float64_steps == 0
+        scale = math.hypot(np.linalg.norm(expected.weights), expected.bias)
+        assert np.linalg.norm(model.weights - expected.weights) <= 1e-9 * scale
+        assert abs(model.bias - expected.bias) <= 1e-9 * scale
+
+    def test_badly_scaled_collinear_design_forms_float64_hessians(self):
+        # 50 columns within 1e-3 of the first, scaled from 1e-3 to 1e3: the
+        # float32 Hessian's rounding swamps its small eigenvalues, and the
+        # fit without the residual check takes 13 steps where float64 takes 5
+        rng = np.random.default_rng(0)
+        base = rng.standard_normal(2000)
+        x = (base[:, None] + 1e-3 * rng.standard_normal((2000, 50))) * np.logspace(-3, 3, 50)
+        y = (base + rng.standard_normal(2000) > 0).astype(int)
+        fits: list = []
+        reference: list = []
+        train_logistic(x, y, l2=1e-6, fits=fits)
+        reference_train_logistic(x, y, l2=1e-6, fits=reference)
+        assert reference[0].converged
+        assert fits[0].converged and fits[0].steps == reference[0].steps
+        assert fits[0].float64_steps >= 1
+
+    def test_features_beyond_float32_range_form_float64_hessians(self):
+        # 1e40 overflows float32 to inf; every direction comes from float64
+        # rows, as in the reference fit, and no overflow warning escapes
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((200, 3))
+        y = (x[:, 0] + rng.standard_normal(200) > 0).astype(int)
+        x[:, 1] *= 1e40
+        fits: list = []
+        reference: list = []
+        model = train_logistic(x, y, fits=fits)
+        expected = reference_train_logistic(x, y, fits=reference)
+        assert fits[0].steps == reference[0].steps >= 1
+        assert fits[0].float64_steps == fits[0].steps
+        np.testing.assert_array_equal(model.weights, expected.weights)
+        assert model.bias == expected.bias
+
+    def test_fit_memory_is_one_float32_copy_and_buffer(self):
+        # the README holdout's shape; a float64 Hessian per step made an
+        # (n, d) float64 temporary as large as the input
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((5400, 372))
+        y = (x[:, :8].sum(axis=1) + 2.0 * rng.standard_normal(5400) > 4.0).astype(int)
+        fits: list = []
+        tracemalloc.start()
+        try:
+            train_logistic(x, y, fits=fits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fits[0].converged and fits[0].float64_steps == 0
+        assert peak <= 1.15 * x.nbytes
 
     @pytest.mark.parametrize("setting", [
         {"l2": -0.1}, {"l2": math.nan}, {"tolerance": 0.0}, {"tolerance": math.inf},
@@ -666,7 +745,7 @@ class TestTracedCallSites:
     there at call time."""
 
     NAMES = ("fit_zscore", "zscore_array", "fit_pca", "train_lda", "train_logistic", "fit_kde",
-             "kde_log_eval_many")
+             "kde_log_eval_many", "logistic_loss_and_gradient")
 
     def count_calls(self, monkeypatch):
         calls = dict.fromkeys(self.NAMES, 0)
@@ -685,15 +764,23 @@ class TestTracedCallSites:
         epochs = separable_epochs(np.random.default_rng(53))
         model = GenerativeEvidenceModel(build_generative(epochs, scorer_kind="lda"))
         fit = {"fit_zscore": 1, "zscore_array": 1, "fit_pca": 1, "train_lda": 1,
-               "train_logistic": 0, "fit_kde": 2, "kde_log_eval_many": 0}
+               "train_logistic": 0, "fit_kde": 2, "kde_log_eval_many": 0,
+               "logistic_loss_and_gradient": 0}
         assert calls == fit
         model.predict_batch(epochs)
         assert calls == {**fit, "zscore_array": 2, "kde_log_eval_many": 2}
-        build_generative(epochs, scorer_kind="logistic")
+        fits: list = []
+        build_generative(epochs, scorer_kind="logistic", fits=fits)
         assert (calls["train_lda"], calls["train_logistic"]) == (1, 1)
+        # the benchmark counts a fit's iterations from these calls
+        assert fits[0].steps >= 1
+        assert calls["logistic_loss_and_gradient"] == fits[0].steps + 1
 
     def test_logistic_fit_and_scoring_reach_the_module_names(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
         epochs = separable_epochs(np.random.default_rng(55))
-        train_logistic_evidence(epochs).predict_batch(epochs)
+        fits: list = []
+        train_logistic_evidence(epochs, fits=fits).predict_batch(epochs)
         assert (calls["fit_zscore"], calls["zscore_array"], calls["train_logistic"]) == (1, 2, 1)
+        assert fits[0].steps >= 1
+        assert calls["logistic_loss_and_gradient"] == fits[0].steps + 1
