@@ -44,7 +44,6 @@ from .models import (
     TRAIN_SCHEMA,
     ConstantEvidenceModel,
     EvidenceModel,
-    GenerativeEvidenceModel,
     OracleEvidenceModel,
     build_generative,
     check_train_settings,
@@ -235,16 +234,15 @@ def _fit_model(kind: str, train: LabeledDataset, resolved: dict, fits: list) -> 
         return train_logistic_evidence(
             train, l2=resolved["l2"], tolerance=resolved["tolerance"], fits=fits
         )
-    pipeline = build_generative(
+    return build_generative(
         train,
+        kind=kind,
         variance_fraction=resolved["variance_fraction"],
         bandwidth=resolved["bandwidth"],
-        scorer_kind="logistic" if kind == "gen-logr" else "lda",
         l2=resolved["l2"],
         tolerance=resolved["tolerance"],
         fits=fits,
     )
-    return GenerativeEvidenceModel(pipeline)
 
 
 def _hyper_for(kind: str, resolved: dict) -> dict:
@@ -342,31 +340,11 @@ SIMULATE_DEFAULTS = {
 }
 
 
-def _builtin_factory(name: str, alphabet_size: int):
+def _builtin_model(name: str, alphabet_size: int) -> EvidenceModel:
     if name == "oracle":
-        return lambda train: OracleEvidenceModel()
-    if name == "uninformative":
-        return lambda train: ConstantEvidenceModel(1.0 / alphabet_size, kind="uninformative")
-    if name == "always-pos":
-        return lambda train: ConstantEvidenceModel(0.9, kind="always-pos")
-    if name == "always-neg":
-        return lambda train: ConstantEvidenceModel(0.1, kind="always-neg")
-    raise AssertionError(name)
-
-
-def _file_model_factory(kind: str, hyper: dict, fits: list):
-    resolved = dict(TRAIN_DEFAULTS)
-    resolved.update(hyper)
-
-    def factory(train):
-        try:
-            return _fit_model(kind, train, resolved, fits)
-        except np.linalg.LinAlgError:
-            raise
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
-
-    return factory
+        return OracleEvidenceModel()
+    pos = {"uninformative": 1.0 / alphabet_size, "always-pos": 0.9, "always-neg": 0.1}[name]
+    return ConstantEvidenceModel(pos, kind=name)
 
 
 def cmd_simulate(args) -> int:
@@ -406,14 +384,16 @@ def cmd_simulate(args) -> int:
     dataset = read_dataset(args.data)
     fits: list = []
     if args.model in BUILTIN_MODELS:
-        kind = args.model
-        parameter_count = 0
-        factory = _builtin_factory(kind, resolved["alphabet_size"])
+        model = _builtin_model(args.model, resolved["alphabet_size"])
+
+        def factory(train):
+            return model
     else:
-        loaded, hyper = read_model(args.model)
-        kind = loaded.kind
-        parameter_count = loaded.parameter_count
-        factory = _file_model_factory(kind, hyper, fits)
+        model, hyper = read_model(args.model)
+        settings = {**TRAIN_DEFAULTS, **hyper}
+
+        def factory(train):
+            return _fit_model(model.kind, train, settings, fits)
 
     try:
         with warnings.catch_warnings():
@@ -440,14 +420,14 @@ def cmd_simulate(args) -> int:
         command="simulate",
         seed=resolved["seed"],
         config_echo=config_echo,
-        model_kind=kind,
-        parameter_count=parameter_count,
+        model_kind=model.kind,
+        parameter_count=model.parameter_count,
         summary=summary,
     )
     write_report_json(args.out, report)
     write_csv(csv_path_for(args.out), [report_csv_row(report)])
     print(f"wrote {args.out}")
-    print(f"model: {kind}  splits: {resolved['splits']}  attempts: {resolved['attempts']}")
+    print(f"model: {model.kind}  splits: {resolved['splits']}  attempts: {resolved['attempts']}")
     print(
         f"balanced accuracy: {summary.mean_balanced_accuracy:.6f} "
         f"± {summary.std_balanced_accuracy:.6f}"

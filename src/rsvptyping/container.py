@@ -27,7 +27,6 @@ from .dsp import RawRecording, ZScoreStats
 from .models import (
     EvidenceModel,
     GenerativeEvidenceModel,
-    GenerativePipeline,
     KdeDensity,
     LogisticEvidenceModel,
     LogisticModel,
@@ -198,15 +197,12 @@ MODEL_ARRAYS = {
 
 
 def _model_arrays(model: EvidenceModel) -> tuple[str, list[tuple[str, np.ndarray]]]:
-    if isinstance(model, LogisticEvidenceModel):
-        stats, scorer, kde = model.stats, model.model, []
-    elif isinstance(model, GenerativeEvidenceModel):
-        p = model.pipeline
-        stats, scorer = p.zscore, p.scorer
-        kde = [p.kde_pos.scores, p.kde_neg.scores, [p.kde_pos.bandwidth, p.kde_neg.bandwidth]]
-    else:
+    if model.kind not in MODEL_ARRAYS:
         raise ValueError(f"model kind {model.kind!r} cannot be serialized")
-    arrays = [stats.mean, stats.std, scorer.weights, scorer.bias, *kde]
+    arrays = [model.zscore.mean, model.zscore.std, model.scorer.weights, model.scorer.bias]
+    if isinstance(model, GenerativeEvidenceModel):
+        kde_pos, kde_neg = model.kde_pos, model.kde_neg
+        arrays += [kde_pos.scores, kde_neg.scores, [kde_pos.bandwidth, kde_neg.bandwidth]]
     return model.kind, [
         (name, np.asarray(arr)) for name, arr in zip(MODEL_ARRAYS[model.kind], arrays, strict=True)
     ]
@@ -282,13 +278,8 @@ def read_model(path) -> tuple[EvidenceModel, dict]:
         if kind == "logreg":
             return LogisticEvidenceModel(stats, scorer), hyper
         bandwidths = arrays["kde_bandwidths"]
-        pipeline = GenerativePipeline(
-            zscore=stats,
-            scorer=scorer,
-            scorer_kind="logistic" if kind == "gen-logr" else "lda",
-            kde_pos=KdeDensity(arrays["kde_pos_scores"], float(bandwidths[0])),
-            kde_neg=KdeDensity(arrays["kde_neg_scores"], float(bandwidths[1])),
-        )
-        return GenerativeEvidenceModel(pipeline), hyper
+        kde_pos = KdeDensity(arrays["kde_pos_scores"], float(bandwidths[0]))
+        kde_neg = KdeDensity(arrays["kde_neg_scores"], float(bandwidths[1]))
+        return GenerativeEvidenceModel(kind, stats, scorer, kde_pos, kde_neg), hyper
     except (IndexError, TypeError, ValueError) as exc:
         raise ContainerFormatError(f"{path}: invalid model: {exc}") from exc

@@ -14,12 +14,14 @@ LDA fit on a PCA projection of the epochs; LDA with one shared covariance is
 itself a linear log-odds model, and the projection is folded into the
 scorer's weights after the fit, so PCA is a training step only.
 
-Both families are wrapped behind the EvidenceModel interface, which maps a
-LabeledDataset's epoch stack to two float64 arrays (log_pos, log_neg), one
-entry per epoch: log label probabilities for discriminative models, log
-class-conditional densities for generative ones; certain evidence gives
--inf. ``core.update_factors`` turns them into the posterior filter's log
-factors.
+Each trained model is one flat record of its parts, named by its kind:
+LogisticEvidenceModel (``logreg``) holds ``zscore`` and ``scorer``, and
+GenerativeEvidenceModel (``gen-logr`` or ``gen-lda``) adds ``kde_pos`` and
+``kde_neg``. Every EvidenceModel maps a LabeledDataset's epoch stack to two
+float64 arrays (log_pos, log_neg), one entry per epoch: log label
+probabilities for discriminative models, log class-conditional densities for
+generative ones; certain evidence gives -inf. ``core.update_factors`` turns
+them into the posterior filter's log factors.
 """
 
 from __future__ import annotations
@@ -532,31 +534,6 @@ def kde_log_eval_many(density: KdeDensity, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Generative pipeline
 
-# The scorer a generative pipeline's fit uses, and the model kind it makes.
-GENERATIVE_KINDS = {"logistic": "gen-logr", "lda": "gen-lda"}
-
-
-@dataclass(frozen=True)
-class GenerativePipeline:
-    """z-score -> flatten -> linear scorer -> per-class KDE.
-
-    The scorer takes the flattened z-scored epoch; the PCA projection it was
-    fit on is folded into its weights. ``scorer_kind`` names the fit that
-    made it: ``logistic`` or ``lda``.
-    """
-
-    zscore: ZScoreStats
-    scorer: LogisticModel
-    scorer_kind: str
-    kde_pos: KdeDensity
-    kde_neg: KdeDensity
-
-    def __post_init__(self) -> None:
-        if self.scorer_kind not in GENERATIVE_KINDS:
-            raise ValueError(f"unknown scorer kind {self.scorer_kind!r}")
-        if self.scorer.dimension % self.zscore.mean.shape[0] != 0:
-            raise ValueError("scorer input dimension must be channels * samples")
-
 
 def _epoch_scores(stats: ZScoreStats, scorer: LogisticModel, stacked: np.ndarray) -> np.ndarray:
     """One linear score per epoch of a stack (n, channels, samples): z-score,
@@ -575,14 +552,15 @@ def _fold_projection(scorer: LogisticModel, pca: PcaProjection) -> LogisticModel
 def build_generative(
     train: LabeledDataset,
     *,
+    kind: str = "gen-logr",
     variance_fraction: float = 0.8,
     bandwidth: float = 1.0,
-    scorer_kind: str = "logistic",
     l2: float = L2_PENALTY,
     tolerance: float = GRADIENT_TOLERANCE,
     fits: Optional[list] = None,
-) -> GenerativePipeline:
-    """Train every stage of the generative pipeline on labeled epochs.
+) -> GenerativeEvidenceModel:
+    """Fit a generative evidence model of ``kind`` on labeled epochs: its
+    scorer is logistic regression for ``gen-logr`` and LDA for ``gen-lda``.
 
     The scorer is fit on the PCA projection of the z-scored epochs, then
     the projection is folded into it. It is fit without class weighting;
@@ -590,15 +568,15 @@ def build_generative(
     during Bayes conversion. ``l2``, ``tolerance`` and ``fits`` go to the
     logistic scorer's fit.
     """
-    if scorer_kind not in GENERATIVE_KINDS:
-        raise ValueError(f"unknown scorer kind {scorer_kind!r}")
+    if kind not in ("gen-logr", "gen-lda"):
+        raise ValueError(f"unknown generative model kind {kind!r}")
     labels = train.labels
     if labels.min() == labels.max():
         raise ValueError("both classes must be present")
     stats = fit_zscore(train.data)
     flat = zscore_array(stats, train.data).reshape(len(train), -1)
     pca, reduced = fit_pca(flat, variance_fraction)
-    if scorer_kind == "logistic":
+    if kind == "gen-logr":
         scorer = train_logistic(
             reduced, labels, class_weights=(1.0, 1.0), l2=l2, tolerance=tolerance, fits=fits
         )
@@ -606,10 +584,10 @@ def build_generative(
         scorer = train_lda(reduced, labels)
     folded = _fold_projection(scorer, pca)
     scores = logistic_scores(folded, flat)
-    return GenerativePipeline(
+    return GenerativeEvidenceModel(
+        kind=kind,
         zscore=stats,
         scorer=folded,
-        scorer_kind=scorer_kind,
         kde_pos=fit_kde(scores[labels == 1], bandwidth),
         kde_neg=fit_kde(scores[labels == 0], bandwidth),
     )
@@ -642,6 +620,7 @@ def prior_weighted(
 class EvidenceModel(abc.ABC):
     """Anything that turns epochs into per-trial evidence.
 
+    ``kind`` is the model's name in reports and model files.
     ``predict_batch`` returns two float64 arrays (log_pos, log_neg) with
     one entry per epoch of the dataset: the logs of the ``mode``'s pair,
     -inf for a zero. Implementations must be deterministic: the same epoch
@@ -650,7 +629,7 @@ class EvidenceModel(abc.ABC):
     relate performance to model size.
     """
 
-    kind: str = "abstract"
+    kind: str
 
     @property
     @abc.abstractmethod
@@ -664,26 +643,35 @@ class EvidenceModel(abc.ABC):
     def parameter_count(self) -> int: ...
 
 
+def _check_scorer_input(zscore: ZScoreStats, scorer: LogisticModel) -> None:
+    """The scorer takes a flattened epoch: channels * samples inputs."""
+    channels = zscore.mean.shape[0]
+    if channels == 0 or scorer.dimension == 0 or scorer.dimension % channels:
+        raise ValueError("scorer input dimension must be channels * samples")
+
+
+@dataclass(frozen=True)
 class LogisticEvidenceModel(EvidenceModel):
     """z-score + logistic regression, the discriminative baseline."""
 
+    zscore: ZScoreStats
+    scorer: LogisticModel
     kind = "logreg"
 
-    def __init__(self, stats: ZScoreStats, model: LogisticModel):
-        self.stats = stats
-        self.model = model
+    def __post_init__(self) -> None:
+        _check_scorer_input(self.zscore, self.scorer)
 
     @property
     def mode(self) -> LikelihoodMode:
         return LikelihoodMode.DISCRIMINATIVE
 
     def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-        scores = _epoch_scores(self.stats, self.model, dataset.data)
+        scores = _epoch_scores(self.zscore, self.scorer, dataset.data)
         return _log_sigmoid(scores), _log_sigmoid(-scores)
 
     @property
     def parameter_count(self) -> int:
-        return 2 * self.stats.mean.shape[0] + self.model.dimension + 1
+        return 2 * self.zscore.mean.shape[0] + self.scorer.dimension + 1
 
 
 def train_logistic_evidence(
@@ -696,38 +684,46 @@ def train_logistic_evidence(
     """Fit the discriminative baseline on labeled epochs."""
     stats = fit_zscore(train.data)
     flat = zscore_array(stats, train.data).reshape(len(train), -1)
-    model = train_logistic(flat, train.labels, l2=l2, tolerance=tolerance, fits=fits)
-    return LogisticEvidenceModel(stats, model)
+    scorer = train_logistic(flat, train.labels, l2=l2, tolerance=tolerance, fits=fits)
+    return LogisticEvidenceModel(stats, scorer)
 
 
+@dataclass(frozen=True)
 class GenerativeEvidenceModel(EvidenceModel):
-    """Wraps a GenerativePipeline; emits log class-conditional densities.
-    Its kind names the scorer: ``gen-logr`` or ``gen-lda``."""
+    """z-score -> flatten -> linear scorer -> per-class KDE; emits log
+    class-conditional densities.
 
-    def __init__(self, pipeline: GenerativePipeline):
-        self.pipeline = pipeline
+    The scorer takes the flattened z-scored epoch; the PCA projection it was
+    fit on is folded into its weights. ``kind`` names the fit that made it:
+    ``gen-logr`` (logistic regression) or ``gen-lda``.
+    """
 
-    @property
-    def kind(self) -> str:
-        return GENERATIVE_KINDS[self.pipeline.scorer_kind]
+    kind: str
+    zscore: ZScoreStats
+    scorer: LogisticModel
+    kde_pos: KdeDensity
+    kde_neg: KdeDensity
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("gen-logr", "gen-lda"):
+            raise ValueError(f"unknown generative model kind {self.kind!r}")
+        _check_scorer_input(self.zscore, self.scorer)
 
     @property
     def mode(self) -> LikelihoodMode:
         return LikelihoodMode.GENERATIVE
 
     def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-        p = self.pipeline
-        scores = _epoch_scores(p.zscore, p.scorer, dataset.data)
+        scores = _epoch_scores(self.zscore, self.scorer, dataset.data)
         return (
-            kde_log_eval_many(p.kde_pos, scores),
-            kde_log_eval_many(p.kde_neg, scores),
+            kde_log_eval_many(self.kde_pos, scores),
+            kde_log_eval_many(self.kde_neg, scores),
         )
 
     @property
     def parameter_count(self) -> int:
-        p = self.pipeline
-        kde = p.kde_pos.scores.shape[0] + p.kde_neg.scores.shape[0] + 2
-        return 2 * p.zscore.mean.shape[0] + p.scorer.dimension + 1 + kde
+        kde = self.kde_pos.scores.shape[0] + self.kde_neg.scores.shape[0] + 2
+        return 2 * self.zscore.mean.shape[0] + self.scorer.dimension + 1 + kde
 
 
 class ConstantEvidenceModel(EvidenceModel):

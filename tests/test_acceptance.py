@@ -25,7 +25,6 @@ from rsvptyping.core import (
 from rsvptyping.dsp import design_bandpass, design_notch, filter_forward
 from rsvptyping.models import (
     ConstantEvidenceModel,
-    GenerativeEvidenceModel,
     KdeDensity,
     build_generative,
     kde_log_eval_many,
@@ -246,9 +245,7 @@ def test_08_end_to_end_ordering(calibrated_dataset):
     )
     start = time.perf_counter()
     disc = evaluate_splits(lambda tr: train_logistic_evidence(tr), calibrated_dataset, config)
-    gen = evaluate_splits(
-        lambda tr: GenerativeEvidenceModel(build_generative(tr)), calibrated_dataset, config
-    )
+    gen = evaluate_splits(lambda tr: build_generative(tr), calibrated_dataset, config)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SubChanceAccuracyWarning)
         control = evaluate_splits(

@@ -185,7 +185,7 @@ class TestTrain:
         loaded, hyper = read_model(model)
         _, channels, samples = read_dataset(workspace["data"]).data.shape
         assert loaded.kind == "gen-lda"
-        assert loaded.pipeline.scorer.dimension == channels * samples
+        assert loaded.scorer.dimension == channels * samples
         assert hyper == {"variance_fraction": 0.8, "bandwidth": 1.0}
 
     def test_underflowing_bandwidth_trains_and_simulates_without_warnings(
@@ -481,6 +481,9 @@ class TestSimulate:
         ("logreg", "nan-zscore-mean"),
         ("gen-lda", "nan-kde-bandwidths"),
         ("gen-lda", "nan-bias"),
+        ("logreg", "mis-sized-weights"),
+        ("logreg", "no-channels"),
+        ("gen-lda", "no-channels"),
     ])
     def test_malformed_model_file_exits_2(self, tmp_path, workspace, kind, case, capsys):
         model = workspace["model"]
@@ -500,13 +503,23 @@ class TestSimulate:
             "nan-kde-bandwidths": ("kde_bandwidths", np.nan),
             "nan-bias": ("bias", np.nan),
         }
+        names = [entry["name"] for entry in arrays]
+        starts = np.cumsum([0] + [8 * math.prod(e["shape"]) for e in arrays])
         if case in poked:
             name, value = poked[case]
-            names = [entry["name"] for entry in arrays]
-            offset = 8 * sum(math.prod(e["shape"]) for e in arrays[: names.index(name)])
+            offset = starts[names.index(name)]
             blob = bytearray(payload)
             blob[offset : offset + 8] = np.array([value], dtype="<f8").tobytes()
             payload = bytes(blob)
+        elif case == "mis-sized-weights":
+            # one weight more than channels * samples
+            end = starts[names.index("weights") + 1]
+            arrays[names.index("weights")]["shape"][0] += 1
+            payload = bytes(payload[:end]) + bytes(8) + bytes(payload[end:])
+        elif case == "no-channels":
+            # empty z-score statistics in front of the stored scorer
+            arrays[0]["shape"] = arrays[1]["shape"] = [0]
+            payload = bytes(payload[starts[2]:])
         elif case == "array-entry-not-a-dict":
             header["arrays"] = [arrays[0]["name"]] + arrays[1:]
         elif case == "arrays-not-a-list":
@@ -545,8 +558,7 @@ class TestSimulate:
         assert main(["train", str(workspace["data"]), "--kind", "gen-logr",
                      "--out", str(model)]) == 0
         header, _ = read_container(model, "model")
-        loaded, _ = read_model(model)
-        p = loaded.pipeline
+        p, _ = read_model(model)
         d = p.scorer.dimension
         arrays = [
             ("zscore_mean", p.zscore.mean), ("zscore_std", p.zscore.std),
@@ -621,6 +633,28 @@ class TestSimulate:
         rc = main(["simulate", "oracle", str(workspace["data"]), "--config", str(cfg),
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 3
+
+    @pytest.mark.parametrize("error, code, message", [
+        (ValueError("no usable scorer"), 2, "data error: no usable scorer"),
+        (np.linalg.LinAlgError("cholesky failed"), 3, "numerical failure: cholesky failed"),
+    ], ids=["value-error", "linalg-error"])
+    def test_refit_failure_exit_code(
+        self, tmp_path, workspace, monkeypatch, capsys, error, code, message
+    ):
+        model = tmp_path / "gen.bin"
+        assert main(["train", str(workspace["data"]), "--kind", "gen-lda",
+                     "--out", str(model)]) == 0
+
+        def explode(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "build_generative", explode)
+        capsys.readouterr()
+        cfg = self.sim_cfg(tmp_path, attempts=10)
+        rc = main(["simulate", str(model), str(workspace["data"]), "--config", str(cfg),
+                   "--out", str(tmp_path / "rep.json")])
+        assert rc == code
+        assert message in capsys.readouterr().err
 
 
 def make_raw(path, n_channels=8, n_samples=40_000, rate=250.0, seed=0):

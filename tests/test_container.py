@@ -24,7 +24,6 @@ from rsvptyping.container import (
 from rsvptyping.dsp import RawRecording
 from rsvptyping.models import (
     ConstantEvidenceModel,
-    GenerativeEvidenceModel,
     build_generative,
     train_logistic_evidence,
 )
@@ -48,12 +47,12 @@ def logreg(dataset):
 
 @pytest.fixture(scope="module")
 def gen_logr(dataset):
-    return GenerativeEvidenceModel(build_generative(dataset))
+    return build_generative(dataset)
 
 
 @pytest.fixture(scope="module")
 def gen_lda(dataset):
-    return GenerativeEvidenceModel(build_generative(dataset, scorer_kind="lda"))
+    return build_generative(dataset, kind="gen-lda")
 
 
 def read_bytes(path):
@@ -263,10 +262,10 @@ class TestModelIO:
         loaded, hyper = read_model(path)
         assert loaded.kind == "logreg"
         assert hyper == {"l2": 0.05, "tolerance": 1e-6}
-        assert np.array_equal(loaded.model.weights, logreg.model.weights)
-        assert loaded.model.bias == logreg.model.bias
-        assert np.array_equal(loaded.stats.mean, logreg.stats.mean)
-        assert np.array_equal(loaded.stats.std, logreg.stats.std)
+        assert np.array_equal(loaded.scorer.weights, logreg.scorer.weights)
+        assert loaded.scorer.bias == logreg.scorer.bias
+        assert np.array_equal(loaded.zscore.mean, logreg.zscore.mean)
+        assert np.array_equal(loaded.zscore.std, logreg.zscore.std)
 
     def test_generative_kind_names_the_scorer(self, gen_logr, gen_lda):
         assert (gen_logr.kind, gen_lda.kind) == ("gen-logr", "gen-lda")
@@ -311,8 +310,8 @@ class TestModelIO:
         path = tmp_path / "m.bin"
         write_model(path, gen_lda)
         loaded, _ = read_model(path)
-        orig, back = gen_lda.pipeline, loaded.pipeline
-        assert back.scorer_kind == orig.scorer_kind == "lda"
+        orig, back = gen_lda, loaded
+        assert back.kind == orig.kind == "gen-lda"
         assert np.array_equal(back.scorer.weights, orig.scorer.weights)
         assert back.scorer.bias == orig.scorer.bias
         assert np.array_equal(back.kde_pos.scores, orig.kde_pos.scores)

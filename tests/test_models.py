@@ -15,12 +15,11 @@ from rsvptyping.core import (
     probabilities,
     update_factors,
 )
-from rsvptyping import models
+from rsvptyping import cli, models
 from rsvptyping.dsp import ZScoreStats
 from rsvptyping.models import (
     ConstantEvidenceModel,
     GenerativeEvidenceModel,
-    GenerativePipeline,
     KdeDensity,
     LogisticEvidenceModel,
     LogisticModel,
@@ -558,65 +557,54 @@ def separable_epochs(rng, n=40, channels=2, samples=8, offset=4.0):
     return make_dataset(data, labels)
 
 
-def generative_likelihoods(pipeline, epochs):
-    return GenerativeEvidenceModel(pipeline).predict_batch(epochs)
-
-
 class TestGenerativePipeline:
     def test_separated_classes_yield_higher_positive_density(self):
         rng = np.random.default_rng(23)
         epochs = separable_epochs(rng)
-        pipeline = build_generative(epochs)
+        model = build_generative(epochs)
         pos_epoch = epochs.subset(np.flatnonzero(epochs.labels == 1)[:1])
-        pos, neg = generative_likelihoods(pipeline, pos_epoch)
-        assert GenerativeEvidenceModel(pipeline).mode is LikelihoodMode.GENERATIVE
+        pos, neg = model.predict_batch(pos_epoch)
+        assert model.mode is LikelihoodMode.GENERATIVE
         assert pos[0] > neg[0]
 
     def test_identical_kdes_give_equal_densities(self):
         rng = np.random.default_rng(27)
         epochs = separable_epochs(rng)
         built = build_generative(epochs)
-        shared = built.kde_pos
-        pipeline = GenerativePipeline(
-            zscore=built.zscore,
-            scorer=built.scorer,
-            scorer_kind=built.scorer_kind,
-            kde_pos=shared,
-            kde_neg=shared,
-        )
-        pos, neg = generative_likelihoods(pipeline, epochs.subset(range(5)))
+        model = dataclasses.replace(built, kde_neg=built.kde_pos)
+        pos, neg = model.predict_batch(epochs.subset(range(5)))
         np.testing.assert_array_equal(pos, neg)
 
     def test_determinism(self):
         rng = np.random.default_rng(33)
         epochs = separable_epochs(rng)
-        pipeline = build_generative(epochs)
-        first = generative_likelihoods(pipeline, epochs.subset([3]))
-        second = generative_likelihoods(pipeline, epochs.subset([3]))
+        model = build_generative(epochs)
+        first = model.predict_batch(epochs.subset([3]))
+        second = model.predict_batch(epochs.subset([3]))
         assert (first[0][0], first[1][0]) == (second[0][0], second[1][0])
 
     def test_lda_scorer_variant(self):
         rng = np.random.default_rng(35)
         epochs = separable_epochs(rng)
-        pipeline = build_generative(epochs, scorer_kind="lda")
+        model = build_generative(epochs, kind="gen-lda")
         # the PCA projection is folded in: the scorer takes the flat epoch
-        assert pipeline.scorer.dimension == 2 * 8
-        assert GenerativeEvidenceModel(pipeline).kind == "gen-lda"
-        pos, neg = generative_likelihoods(pipeline, epochs.subset([1]))
+        assert model.scorer.dimension == 2 * 8
+        assert model.kind == "gen-lda"
+        pos, neg = model.predict_batch(epochs.subset([1]))
         assert pos[0] > neg[0]
 
     def test_wrong_epoch_shape_rejected(self):
         rng = np.random.default_rng(37)
-        pipeline = build_generative(separable_epochs(rng))
+        model = build_generative(separable_epochs(rng))
         with pytest.raises(ValueError):
-            generative_likelihoods(pipeline, make_dataset(np.zeros((1, 2, 9)), [0]))
+            model.predict_batch(make_dataset(np.zeros((1, 2, 9)), [0]))
 
-    @pytest.mark.parametrize("scorer_kind", ["logistic", "lda"])
-    def test_fit_and_scoring_leave_the_epochs_unmodified(self, scorer_kind):
+    @pytest.mark.parametrize("kind", ["gen-logr", "gen-lda"])
+    def test_fit_and_scoring_leave_the_epochs_unmodified(self, kind):
         rng = np.random.default_rng(41)
         epochs = separable_epochs(rng)
         before = epochs.data.copy()
-        model = GenerativeEvidenceModel(build_generative(epochs, scorer_kind=scorer_kind))
+        model = build_generative(epochs, kind=kind)
         assert np.array_equal(epochs.data, before)
         model.predict_batch(epochs)
         assert np.array_equal(epochs.data, before)
@@ -626,6 +614,14 @@ class TestGenerativePipeline:
         epochs = make_dataset(rng.standard_normal((10, 2, 8)), np.ones(10, dtype=int))
         with pytest.raises(ValueError):
             build_generative(epochs)
+
+    def test_unknown_kind_rejected(self):
+        epochs = separable_epochs(np.random.default_rng(40))
+        with pytest.raises(ValueError, match="unknown generative model kind 'lda'"):
+            build_generative(epochs, kind="lda")
+        model = build_generative(epochs)
+        with pytest.raises(ValueError, match="unknown generative model kind 'logreg'"):
+            dataclasses.replace(model, kind="logreg")
 
 
 class TestBayesConversion:
@@ -697,7 +693,7 @@ class TestEvidenceModels:
     def test_generative_evidence_batch_matches_single(self):
         rng = np.random.default_rng(47)
         epochs = separable_epochs(rng)
-        model = GenerativeEvidenceModel(build_generative(epochs))
+        model = build_generative(epochs)
         batch_pos, batch_neg = model.predict_batch(epochs.subset(range(6)))
         for i in range(6):
             single_pos, single_neg = model.predict_batch(epochs.subset([i]))
@@ -734,15 +730,16 @@ class TestEvidenceModels:
         assert disc.parameter_count == 2 * 2 + 2 * 8 + 1
         # z-score pairs, the folded scorer's weights and bias, and the two
         # KDEs' training scores and bandwidths
-        for scorer_kind in ("logistic", "lda"):
-            gen = GenerativeEvidenceModel(build_generative(epochs, scorer_kind=scorer_kind))
+        for kind in ("gen-logr", "gen-lda"):
+            gen = build_generative(epochs, kind=kind)
             assert gen.parameter_count == 2 * 2 + 2 * 8 + 1 + len(epochs) + 2
 
 
 class TestTracedCallSites:
     """The benchmark's tracer times the fit and scoring stages by replacing
-    these names on the models module, so the pipeline must look them up
-    there at call time."""
+    these names on the models module, the two fits on the cli module and
+    ``predict_batch`` on both trained evidence classes, so callers must look
+    them up there at call time."""
 
     NAMES = ("fit_zscore", "zscore_array", "fit_pca", "train_lda", "train_logistic", "fit_kde",
              "kde_log_eval_many", "logistic_loss_and_gradient")
@@ -762,7 +759,7 @@ class TestTracedCallSites:
     def test_generative_fit_and_scoring_reach_the_module_names(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
         epochs = separable_epochs(np.random.default_rng(53))
-        model = GenerativeEvidenceModel(build_generative(epochs, scorer_kind="lda"))
+        model = build_generative(epochs, kind="gen-lda")
         fit = {"fit_zscore": 1, "zscore_array": 1, "fit_pca": 1, "train_lda": 1,
                "train_logistic": 0, "fit_kde": 2, "kde_log_eval_many": 0,
                "logistic_loss_and_gradient": 0}
@@ -770,7 +767,7 @@ class TestTracedCallSites:
         model.predict_batch(epochs)
         assert calls == {**fit, "zscore_array": 2, "kde_log_eval_many": 2}
         fits: list = []
-        build_generative(epochs, scorer_kind="logistic", fits=fits)
+        build_generative(epochs, kind="gen-logr", fits=fits)
         assert (calls["train_lda"], calls["train_logistic"]) == (1, 1)
         # the benchmark counts a fit's iterations from these calls
         assert fits[0].steps >= 1
@@ -784,3 +781,37 @@ class TestTracedCallSites:
         assert (calls["fit_zscore"], calls["zscore_array"], calls["train_logistic"]) == (1, 2, 1)
         assert fits[0].steps >= 1
         assert calls["logistic_loss_and_gradient"] == fits[0].steps + 1
+
+    @pytest.mark.parametrize("kind, fit, evidence_class", [
+        ("logreg", "train_logistic_evidence", LogisticEvidenceModel),
+        ("gen-logr", "build_generative", GenerativeEvidenceModel),
+        ("gen-lda", "build_generative", GenerativeEvidenceModel),
+    ])
+    def test_cli_fits_and_scores_through_the_traced_names(
+        self, tmp_path, monkeypatch, kind, fit, evidence_class
+    ):
+        calls = {"fit": 0, "predict_batch": 0}
+        original_fit = getattr(cli, fit)
+        original_predict = evidence_class.predict_batch
+
+        def counted_fit(*args, **kwargs):
+            calls["fit"] += 1
+            return original_fit(*args, **kwargs)
+
+        def counted_predict(self, dataset):
+            calls["predict_batch"] += 1
+            return original_predict(self, dataset)
+
+        monkeypatch.setattr(cli, fit, counted_fit)
+        monkeypatch.setattr(evidence_class, "predict_batch", counted_predict)
+        synth_cfg, sim_cfg = tmp_path / "synth.cfg", tmp_path / "sim.cfg"
+        synth_cfg.write_text("n_epochs = 200\nchannels = 2\ntarget_fraction = 0.25\n")
+        sim_cfg.write_text("attempts = 5\nsplits = 2\n")
+        data, model = tmp_path / "data.bin", tmp_path / "model.bin"
+        assert cli.main(["synth", "--config", str(synth_cfg), "--out", str(data)]) == 0
+        assert cli.main(["train", str(data), "--kind", kind, "--out", str(model)]) == 0
+        assert calls == {"fit": 1, "predict_batch": 1}
+        assert cli.main(["simulate", str(model), str(data), "--config", str(sim_cfg),
+                         "--out", str(tmp_path / "report.json")]) == 0
+        # one refit and one scoring of the held-out epochs per split
+        assert calls == {"fit": 3, "predict_batch": 3}

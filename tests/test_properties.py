@@ -347,8 +347,8 @@ def test_per_channel_zscore_matches_transposed_copy(data):
 
 @st.composite
 def generative_fits(draw):
-    """A training set with both classes, held-out epochs, a scorer kind and
-    a PCA variance fraction; the positive class carries a drawn offset."""
+    """A training set with both classes, held-out epochs, a generative model
+    kind and a PCA variance fraction; the positive class carries a drawn offset."""
     n, held, channels, samples = (draw(st.integers(6, 40)), draw(st.integers(1, 10)),
                                   draw(st.integers(1, 4)), draw(st.integers(1, 12)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -358,29 +358,27 @@ def generative_fits(draw):
     )
     data[:n] += draw(st.floats(0.0, 3.0)) * labels[:, None, None]
     train = LabeledDataset(data=data[:n], labels=labels)
-    return (train, data[n:], draw(st.sampled_from(["logistic", "lda"])),
+    return (train, data[n:], draw(st.sampled_from(["gen-logr", "gen-lda"])),
             draw(st.floats(0.1, 1.0)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(generative_fits())
 def test_folded_scorer_matches_projection_then_scorer(case):
-    train, held, scorer_kind, variance_fraction = case
-    pipeline = models.build_generative(
-        train, variance_fraction=variance_fraction, scorer_kind=scorer_kind
-    )
+    train, held, kind, variance_fraction = case
+    model = models.build_generative(train, kind=kind, variance_fraction=variance_fraction)
     # the unfolded composition: the same PCA fit, then the scorer fit on
     # the projected training rows, applied in PCA space
-    flat = zscore_array(pipeline.zscore, train.data).reshape(len(train), -1)
+    flat = zscore_array(model.zscore, train.data).reshape(len(train), -1)
     pca, reduced = models.fit_pca(flat, variance_fraction)
-    if scorer_kind == "logistic":
+    if kind == "gen-logr":
         scorer = models.train_logistic(reduced, train.labels, class_weights=(1.0, 1.0))
     else:
         scorer = models.train_lda(reduced, train.labels)
-    rows = zscore_array(pipeline.zscore, held).reshape(len(held), -1)
+    rows = zscore_array(model.zscore, held).reshape(len(held), -1)
     expected = reference_projected_scores(pca.mean, pca.components, scorer.weights,
                                           scorer.bias, rows)
-    got = models.logistic_scores(pipeline.scorer, rows)
+    got = models.logistic_scores(model.scorer, rows)
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
 
 

@@ -6,7 +6,6 @@ import pytest
 from rsvptyping.core import DegenerateEvidenceError, LabelPrior, LikelihoodMode
 from rsvptyping.models import (
     ConstantEvidenceModel,
-    GenerativeEvidenceModel,
     OracleEvidenceModel,
     build_generative,
     train_logistic_evidence,
@@ -336,7 +335,7 @@ class TestClassifyEpochs:
         # its -745 floor, so the prior-weighted densities are equal
         rng = np.random.default_rng(17)
         data = dummy_dataset(rng)
-        model = GenerativeEvidenceModel(build_generative(data, scorer_kind="lda"))
+        model = build_generative(data, kind="gen-lda")
         far = LabeledDataset(data.data[:2] * 1e4, data.labels[:2])
         log_pos, log_neg = model.predict_batch(far)
         assert log_pos.tolist() == log_neg.tolist() == [-745.0] * 2
