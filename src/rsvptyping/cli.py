@@ -38,9 +38,9 @@ from .dsp import (
     exclude_channels,
     filter_forward,
 )
-from .models import (
-    GRADIENT_TOLERANCE,
-    L2_PENALTY,
+from .models import (  # the fits are called by name, in _fit_model
+    MODEL_KINDS,
+    TRAIN_DEFAULTS,
     TRAIN_SCHEMA,
     ConstantEvidenceModel,
     EvidenceModel,
@@ -73,7 +73,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-MODEL_KINDS = ("logreg", "gen-logr", "gen-lda")
 BUILTIN_MODELS = ("oracle", "uninformative", "always-pos", "always-neg")
 
 
@@ -212,41 +211,10 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-TRAIN_DEFAULTS = {
-    "l2": L2_PENALTY,
-    "tolerance": GRADIENT_TOLERANCE,
-    "variance_fraction": 0.8,
-    "bandwidth": 1.0,
-    "holdout_fraction": 0.1,
-    "seed": 0,
-}
-
-# The training settings each model kind's fit uses, stored in its model file.
-HYPER_KEYS = {
-    "logreg": ("l2", "tolerance"),
-    "gen-logr": ("variance_fraction", "bandwidth", "l2", "tolerance"),
-    "gen-lda": ("variance_fraction", "bandwidth"),
-}
-
-
-def _fit_model(kind: str, train: LabeledDataset, resolved: dict, fits: list) -> EvidenceModel:
-    if kind == "logreg":
-        return train_logistic_evidence(
-            train, l2=resolved["l2"], tolerance=resolved["tolerance"], fits=fits
-        )
-    return build_generative(
-        train,
-        kind=kind,
-        variance_fraction=resolved["variance_fraction"],
-        bandwidth=resolved["bandwidth"],
-        l2=resolved["l2"],
-        tolerance=resolved["tolerance"],
-        fits=fits,
-    )
-
-
-def _hyper_for(kind: str, resolved: dict) -> dict:
-    return {k: resolved[k] for k in HYPER_KEYS[kind]}
+def _fit_model(kind: str, train: LabeledDataset, settings: dict, fits: list) -> EvidenceModel:
+    # looked up by name at each call, so a wrapper put on this module is used
+    fit = globals()[MODEL_KINDS[kind].fit]
+    return fit(train, kind=kind, **settings, fits=fits)
 
 
 def _warn_unconverged(fits: list) -> None:
@@ -277,8 +245,7 @@ def cmd_train(args) -> int:
         check_train_settings(resolved)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not 0.0 < resolved["holdout_fraction"] < 1.0:
-        raise ConfigError("holdout_fraction must lie in (0, 1)")
+    settings = {key: resolved[key] for key in MODEL_KINDS[args.kind].settings}
     dataset = read_dataset(args.data)
     try:
         holdout = split(
@@ -292,7 +259,7 @@ def cmd_train(args) -> int:
     fits: list = []
     try:
         # the training copy is made inline so that it does not outlive the fit
-        model = _fit_model(args.kind, dataset.subset(holdout.train), resolved, fits)
+        model = _fit_model(args.kind, dataset.subset(holdout.train), settings, fits)
     except np.linalg.LinAlgError:
         raise
     except ValueError as exc:
@@ -300,7 +267,7 @@ def cmd_train(args) -> int:
     valid = dataset.subset(holdout.test)
     predictions = classify_epochs(model.mode, *model.predict_batch(valid))
     ba = balanced_accuracy(predictions, valid.labels)
-    write_model(args.out, model, hyper=_hyper_for(args.kind, resolved))
+    write_model(args.out, model, hyper=settings)
     print(f"wrote {args.out}")
     print(f"model: {args.kind}  parameters: {model.parameter_count}")
     print(f"train epochs: {len(holdout.train)}  validation epochs: {len(valid)}")
@@ -390,10 +357,10 @@ def cmd_simulate(args) -> int:
             return model
     else:
         model, hyper = read_model(args.model)
-        settings = {**TRAIN_DEFAULTS, **hyper}
 
         def factory(train):
-            return _fit_model(model.kind, train, settings, fits)
+            # a setting the file omits takes the fit's default, its TRAIN_DEFAULTS value
+            return _fit_model(model.kind, train, hyper, fits)
 
     try:
         with warnings.catch_warnings():
@@ -542,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit an evidence model on a dataset")
     p.add_argument("data", help="input dataset file")
-    p.add_argument("--kind", choices=MODEL_KINDS, default="logreg")
+    p.add_argument("--kind", choices=tuple(MODEL_KINDS), default="logreg")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", required=True, help="output model path")

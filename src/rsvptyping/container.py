@@ -25,6 +25,8 @@ import numpy as np
 
 from .dsp import RawRecording, ZScoreStats
 from .models import (
+    LINEAR_ARRAYS,
+    MODEL_KINDS,
     EvidenceModel,
     GenerativeEvidenceModel,
     KdeDensity,
@@ -182,42 +184,21 @@ def read_raw(path) -> RawRecording:
 # Models
 
 
-_LINEAR_ARRAYS = ("zscore_mean", "zscore_std", "weights", "bias")
-_KDE_ARRAYS = ("kde_pos_scores", "kde_neg_scores", "kde_bandwidths")
-
-# The arrays each model kind is stored as, in file order: every kind stores
-# its z-score statistics and one linear scorer of the flattened z-scored
-# epoch (a generative fit's PCA projection is folded into it), and the
-# generative kinds add the training scores and bandwidths of their two KDEs.
-MODEL_ARRAYS = {
-    "logreg": _LINEAR_ARRAYS,
-    "gen-logr": _LINEAR_ARRAYS + _KDE_ARRAYS,
-    "gen-lda": _LINEAR_ARRAYS + _KDE_ARRAYS,
-}
-
-
-def _model_arrays(model: EvidenceModel) -> tuple[str, list[tuple[str, np.ndarray]]]:
-    if model.kind not in MODEL_ARRAYS:
+def write_model(path, model: EvidenceModel, hyper: dict | None = None) -> None:
+    """Serialize a trained model as its kind's MODEL_KINDS arrays, in order;
+    float64 payload gives bit-exact loading."""
+    if model.kind not in MODEL_KINDS:
         raise ValueError(f"model kind {model.kind!r} cannot be serialized")
     arrays = [model.zscore.mean, model.zscore.std, model.scorer.weights, model.scorer.bias]
     if isinstance(model, GenerativeEvidenceModel):
         kde_pos, kde_neg = model.kde_pos, model.kde_neg
         arrays += [kde_pos.scores, kde_neg.scores, [kde_pos.bandwidth, kde_neg.bandwidth]]
-    return model.kind, [
-        (name, np.asarray(arr)) for name, arr in zip(MODEL_ARRAYS[model.kind], arrays, strict=True)
-    ]
-
-
-def write_model(path, model: EvidenceModel, hyper: dict | None = None) -> None:
-    """Serialize a trained model; float64 payload gives bit-exact loading."""
-    kind, arrays = _model_arrays(model)
     header = _base_header("model")
-    header["model"] = kind
-    header["arrays"] = [
-        {"name": name, "shape": list(arr.shape)} for name, arr in arrays
-    ]
+    header["model"] = model.kind
+    header["arrays"] = [{"name": name, "shape": list(np.shape(arr))}
+                        for name, arr in zip(MODEL_KINDS[model.kind].arrays, arrays, strict=True)]
     header["hyper"] = hyper or {}
-    write_container(path, header, *(np.ascontiguousarray(arr, dtype="<f8") for _, arr in arrays))
+    write_container(path, header, *(np.ascontiguousarray(arr, dtype="<f8") for arr in arrays))
 
 
 def _valid_array_entry(entry) -> bool:
@@ -254,17 +235,16 @@ def read_model(path) -> tuple[EvidenceModel, dict]:
     """Load a trained model plus the hyperparameters it was trained with."""
     header, payload = read_container(path, "model")
     kind = header.get("model")
-    if not (isinstance(kind, str) and kind in MODEL_ARRAYS):
+    if not (isinstance(kind, str) and kind in MODEL_KINDS):
         raise ContainerFormatError(f"{path}: unknown model kind {kind!r}")
+    layout = MODEL_KINDS[kind].arrays
     arrays = _read_arrays(path, header, payload)
-    missing = [name for name in MODEL_ARRAYS[kind] if name not in arrays]
+    missing = [name for name in layout if name not in arrays]
     if missing:
         raise ContainerFormatError(f"{path}: missing model arrays {', '.join(missing)}")
-    if tuple(arrays) != MODEL_ARRAYS[kind]:
-        raise ContainerFormatError(
-            f"{path}: model arrays {', '.join(arrays)} are not the {kind} layout "
-            f"{', '.join(MODEL_ARRAYS[kind])}"
-        )
+    if tuple(arrays) != layout:
+        raise ContainerFormatError(f"{path}: model arrays {', '.join(arrays)} are not the "
+                                   f"{kind} layout {', '.join(layout)}")
     hyper = header.get("hyper", {})
     if not isinstance(hyper, dict):
         raise ContainerFormatError(f"{path}: malformed training hyperparameters")
@@ -272,14 +252,19 @@ def read_model(path) -> tuple[EvidenceModel, dict]:
         check_train_settings(hyper)
     except ValueError as exc:
         raise ContainerFormatError(f"{path}: malformed training hyperparameters: {exc}") from exc
+    unused = [key for key in hyper if key not in MODEL_KINDS[kind].settings]
+    if unused:
+        raise ContainerFormatError(f"{path}: {kind} fits take no setting {', '.join(unused)}")
     try:
         stats = ZScoreStats(mean=arrays["zscore_mean"], std=arrays["zscore_std"])
         scorer = LogisticModel(weights=arrays["weights"], bias=float(arrays["bias"]))
-        if kind == "logreg":
+        if layout == LINEAR_ARRAYS:
             return LogisticEvidenceModel(stats, scorer), hyper
         bandwidths = arrays["kde_bandwidths"]
+        if bandwidths.shape != (2,):
+            raise ValueError(f"kde_bandwidths must hold 2 values, got shape {bandwidths.shape}")
         kde_pos = KdeDensity(arrays["kde_pos_scores"], float(bandwidths[0]))
         kde_neg = KdeDensity(arrays["kde_neg_scores"], float(bandwidths[1]))
         return GenerativeEvidenceModel(kind, stats, scorer, kde_pos, kde_neg), hyper
-    except (IndexError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ContainerFormatError(f"{path}: invalid model: {exc}") from exc

@@ -37,27 +37,16 @@ from .core import LabelPrior, LikelihoodMode
 from .dsp import ZScoreStats, fit_zscore, zscore_array
 from .synth import LabeledDataset
 
-# Keys of the training config and their value kinds. A model file stores
-# the ones its fit used, so they are checked when it is read.
-TRAIN_SCHEMA = {
-    "l2": "float",
-    "tolerance": "float",
-    "variance_fraction": "float",
-    "bandwidth": "float",
-    "holdout_fraction": "float",
-    "seed": "int",
-}
-# Settings of the gradient-descent fit the Newton fit replaced; model files
-# written before it may still name them.
-REMOVED_TRAIN_KEYS = ("learning_rate", "max_iterations")
-_SETTING_TYPES = {"int": int, "float": float}
-
 # Ridge penalty (l2 / 2) * |weights|^2 of logistic fits. 1e-2 is the best
 # of {1e-4, 1e-3, 1e-2, 1e-1} on the train command's 10% holdout of the
 # README dataset; the data are close to separable, so an unpenalized fit
 # drives the training loss to 0 and overfits.
 L2_PENALTY = 1e-2
 GRADIENT_TOLERANCE = 1e-6
+# Explained variance a generative fit's PCA keeps, and the bandwidth of its
+# two KDEs over the scorer's outputs.
+VARIANCE_FRACTION = 0.8
+KDE_BANDWIDTH = 1.0
 # Newton steps before a fit stops short of its tolerance; a penalized fit of
 # the README dataset takes 7.
 NEWTON_MAX_STEPS = 50
@@ -73,12 +62,65 @@ MAX_STEP_HALVINGS = 40
 # never fires there.
 HESSIAN_RESIDUAL_LIMIT = 1e-5
 
+# Keys of the training config and their defaults; each key's value kind,
+# "float" or "int", is its default's type. A model file stores the settings
+# its fit used, so they are checked when it is read.
+TRAIN_DEFAULTS = {
+    "l2": L2_PENALTY,
+    "tolerance": GRADIENT_TOLERANCE,
+    "variance_fraction": VARIANCE_FRACTION,
+    "bandwidth": KDE_BANDWIDTH,
+    "holdout_fraction": 0.1,
+    "seed": 0,
+}
+TRAIN_SCHEMA = {key: type(value).__name__ for key, value in TRAIN_DEFAULTS.items()}
+# Settings of the gradient-descent fit the Newton fit replaced; model files
+# written before it may still name them.
+REMOVED_TRAIN_KEYS = ("learning_rate", "max_iterations")
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """A trainable model kind: the name of its fit, called as ``fit(train,
+    kind=kind, **settings, fits=fits)``; the training settings that fit
+    takes and its model file stores; the arrays the file stores, in order."""
+
+    fit: str
+    settings: tuple[str, ...]
+    arrays: tuple[str, ...]
+
+
+# Every kind stores z-score statistics and one linear scorer of the
+# flattened z-scored epoch; generative kinds add their two KDEs.
+LINEAR_ARRAYS = ("zscore_mean", "zscore_std", "weights", "bias")
+LINEAR_KDE_ARRAYS = LINEAR_ARRAYS + ("kde_pos_scores", "kde_neg_scores", "kde_bandwidths")
+
+# The one place a trainable model kind is declared. Fits are named, not
+# held, and looked up at call time, so a wrapper put in place of one is used.
+MODEL_KINDS = {
+    "logreg": ModelKind("train_logistic_evidence", ("l2", "tolerance"), LINEAR_ARRAYS),
+    "gen-logr": ModelKind(
+        "build_generative", ("variance_fraction", "bandwidth", "l2", "tolerance"),
+        LINEAR_KDE_ARRAYS,
+    ),
+    "gen-lda": ModelKind(
+        "build_generative", ("variance_fraction", "bandwidth"), LINEAR_KDE_ARRAYS
+    ),
+}
+
+
+def _check_kind(kind: str, fit: str, family: str) -> None:
+    """Raise ValueError unless MODEL_KINDS fits ``kind`` with ``fit``."""
+    if kind not in MODEL_KINDS or MODEL_KINDS[kind].fit != fit:
+        raise ValueError(f"unknown {family} model kind {kind!r}")
+
 
 def check_train_settings(settings: dict) -> None:
     """Raise ValueError naming the first setting a fit cannot use: a removed
     or unknown key, a value not of its schema type, a non-positive or
-    non-finite ``l2``, ``tolerance`` or ``bandwidth``, or a
-    ``variance_fraction`` outside (0, 1]."""
+    non-finite ``l2``, ``tolerance`` or ``bandwidth``, a
+    ``variance_fraction`` outside (0, 1], or a ``holdout_fraction`` outside
+    (0, 1)."""
     for key, value in settings.items():
         if key in REMOVED_TRAIN_KEYS:
             raise ValueError(
@@ -87,7 +129,7 @@ def check_train_settings(settings: dict) -> None:
             )
         if key not in TRAIN_SCHEMA:
             raise ValueError(f"unknown training setting {key!r}")
-        if type(value) is not _SETTING_TYPES[TRAIN_SCHEMA[key]]:
+        if type(value) is not type(TRAIN_DEFAULTS[key]):
             raise ValueError(
                 f"training setting {key!r} must be {TRAIN_SCHEMA[key]}, got {value!r}"
             )
@@ -97,6 +139,8 @@ def check_train_settings(settings: dict) -> None:
             raise ValueError(f"{key} must be positive and finite, got {value!r}")
         if key == "variance_fraction" and not 0.0 < value <= 1.0:
             raise ValueError(f"variance_fraction must lie in (0, 1], got {value!r}")
+        if key == "holdout_fraction" and not 0.0 < value < 1.0:
+            raise ValueError(f"holdout_fraction must lie in (0, 1), got {value!r}")
 
 
 # KDE log-densities are floored here: an epoch far outside both classes
@@ -431,7 +475,7 @@ class PcaProjection:
 
 
 def fit_pca(
-    features: np.ndarray, variance_fraction: float = 0.8
+    features: np.ndarray, variance_fraction: float = VARIANCE_FRACTION
 ) -> tuple[PcaProjection, np.ndarray]:
     """Keep the smallest number of components whose cumulative explained
     variance reaches ``variance_fraction``. Zero-variance input keeps one
@@ -482,7 +526,7 @@ class KdeDensity:
     """Mean of Gaussian kernels centered on the training scores."""
 
     scores: np.ndarray
-    bandwidth: float = 1.0
+    bandwidth: float = KDE_BANDWIDTH
 
     def __post_init__(self) -> None:
         s = np.asarray(self.scores, dtype=np.float64)
@@ -497,7 +541,7 @@ class KdeDensity:
         object.__setattr__(self, "scores", s)
 
 
-def fit_kde(scores: np.ndarray, bandwidth: float = 1.0) -> KdeDensity:
+def fit_kde(scores: np.ndarray, bandwidth: float = KDE_BANDWIDTH) -> KdeDensity:
     return KdeDensity(scores=np.asarray(scores, dtype=np.float64), bandwidth=bandwidth)
 
 
@@ -553,8 +597,8 @@ def build_generative(
     train: LabeledDataset,
     *,
     kind: str = "gen-logr",
-    variance_fraction: float = 0.8,
-    bandwidth: float = 1.0,
+    variance_fraction: float = VARIANCE_FRACTION,
+    bandwidth: float = KDE_BANDWIDTH,
     l2: float = L2_PENALTY,
     tolerance: float = GRADIENT_TOLERANCE,
     fits: Optional[list] = None,
@@ -568,8 +612,7 @@ def build_generative(
     during Bayes conversion. ``l2``, ``tolerance`` and ``fits`` go to the
     logistic scorer's fit.
     """
-    if kind not in ("gen-logr", "gen-lda"):
-        raise ValueError(f"unknown generative model kind {kind!r}")
+    _check_kind(kind, "build_generative", "generative")
     labels = train.labels
     if labels.min() == labels.max():
         raise ValueError("both classes must be present")
@@ -677,11 +720,14 @@ class LogisticEvidenceModel(EvidenceModel):
 def train_logistic_evidence(
     train: LabeledDataset,
     *,
+    kind: str = "logreg",
     l2: float = L2_PENALTY,
     tolerance: float = GRADIENT_TOLERANCE,
     fits: Optional[list] = None,
 ) -> LogisticEvidenceModel:
-    """Fit the discriminative baseline on labeled epochs."""
+    """Fit the discriminative baseline, model kind ``logreg``, on labeled
+    epochs."""
+    _check_kind(kind, "train_logistic_evidence", "logistic")
     stats = fit_zscore(train.data)
     flat = zscore_array(stats, train.data).reshape(len(train), -1)
     scorer = train_logistic(flat, train.labels, l2=l2, tolerance=tolerance, fits=fits)
@@ -705,8 +751,7 @@ class GenerativeEvidenceModel(EvidenceModel):
     kde_neg: KdeDensity
 
     def __post_init__(self) -> None:
-        if self.kind not in ("gen-logr", "gen-lda"):
-            raise ValueError(f"unknown generative model kind {self.kind!r}")
+        _check_kind(self.kind, "build_generative", "generative")
         _check_scorer_input(self.zscore, self.scorer)
 
     @property

@@ -1,5 +1,7 @@
 """CLI tests: config parsing, each subcommand, exit codes, determinism."""
 
+import argparse
+import inspect
 import json
 import math
 import re
@@ -338,6 +340,39 @@ class TestTrain:
         assert rc == 1
 
 
+class TestModelKinds:
+    """Each kind declared in models.MODEL_KINDS trains through the CLI, and
+    its model file holds what the table says."""
+
+    def test_kind_choices_are_the_table_keys(self):
+        subcommands = next(action for action in cli.build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        kind = next(action for action in subcommands.choices["train"]._actions
+                    if action.dest == "kind")
+        assert kind.choices == tuple(models.MODEL_KINDS)
+
+    @pytest.mark.parametrize("kind", list(models.MODEL_KINDS))
+    def test_model_file_holds_the_kinds_arrays_and_settings(self, tmp_path, workspace, kind):
+        path = tmp_path / "model.bin"
+        assert main(["train", str(workspace["data"]), "--kind", kind, "--out", str(path)]) == 0
+        entry = models.MODEL_KINDS[kind]
+        header, _ = read_container(path, "model")
+        assert tuple(e["name"] for e in header["arrays"]) == entry.arrays
+        model, hyper = read_model(path)
+        assert model.kind == kind
+        assert sorted(hyper) == sorted(entry.settings)
+
+    @pytest.mark.parametrize("kind", list(models.MODEL_KINDS))
+    def test_fit_defaults_are_the_train_defaults(self, kind):
+        # simulate refits with the file's settings; one it omits takes the
+        # fit's default, which must be the train command's default
+        entry = models.MODEL_KINDS[kind]
+        parameters = inspect.signature(getattr(cli, entry.fit)).parameters
+        assert "kind" in parameters
+        for key in entry.settings:
+            assert parameters[key].default == models.TRAIN_DEFAULTS[key]
+
+
 class TestSimulate:
     def sim_cfg(self, tmp_path, **extra):
         lines = {"attempts": 60, "splits": 2, "seed": 3}
@@ -484,6 +519,8 @@ class TestSimulate:
         ("logreg", "mis-sized-weights"),
         ("logreg", "no-channels"),
         ("gen-lda", "no-channels"),
+        ("gen-lda", "three-kde-bandwidths"),
+        ("logreg", "setting-of-another-kind"),
     ])
     def test_malformed_model_file_exits_2(self, tmp_path, workspace, kind, case, capsys):
         model = workspace["model"]
@@ -516,6 +553,11 @@ class TestSimulate:
             end = starts[names.index("weights") + 1]
             arrays[names.index("weights")]["shape"][0] += 1
             payload = bytes(payload[:end]) + bytes(8) + bytes(payload[end:])
+        elif case == "three-kde-bandwidths":
+            # a third bandwidth after the two the KDEs use
+            end = starts[names.index("kde_bandwidths") + 1]
+            arrays[names.index("kde_bandwidths")]["shape"] = [3]
+            payload = bytes(payload[:end]) + np.array([1.0], "<f8").tobytes() + bytes(payload[end:])
         elif case == "no-channels":
             # empty z-score statistics in front of the stored scorer
             arrays[0]["shape"] = arrays[1]["shape"] = [0]
@@ -542,6 +584,9 @@ class TestSimulate:
             hyper["bandwidth"] = -1.0
         elif case == "variance-fraction-above-1":
             hyper["variance_fraction"] = 1.5
+        elif case == "setting-of-another-kind":
+            # a valid setting that only the generative fits take
+            hyper["bandwidth"] = 1.0
         bad = tmp_path / "bad.bin"
         write_container(bad, header, payload)
         cfg = self.sim_cfg(tmp_path, attempts=10)

@@ -782,28 +782,23 @@ class TestTracedCallSites:
         assert fits[0].steps >= 1
         assert calls["logistic_loss_and_gradient"] == fits[0].steps + 1
 
-    @pytest.mark.parametrize("kind, fit, evidence_class", [
-        ("logreg", "train_logistic_evidence", LogisticEvidenceModel),
-        ("gen-logr", "build_generative", GenerativeEvidenceModel),
-        ("gen-lda", "build_generative", GenerativeEvidenceModel),
-    ])
-    def test_cli_fits_and_scores_through_the_traced_names(
-        self, tmp_path, monkeypatch, kind, fit, evidence_class
-    ):
+    @pytest.mark.parametrize("kind", list(models.MODEL_KINDS))
+    def test_cli_fits_and_scores_through_the_traced_names(self, tmp_path, monkeypatch, kind):
         calls = {"fit": 0, "predict_batch": 0}
+        fit = models.MODEL_KINDS[kind].fit
         original_fit = getattr(cli, fit)
-        original_predict = evidence_class.predict_batch
 
         def counted_fit(*args, **kwargs):
             calls["fit"] += 1
             return original_fit(*args, **kwargs)
 
-        def counted_predict(self, dataset):
-            calls["predict_batch"] += 1
-            return original_predict(self, dataset)
-
         monkeypatch.setattr(cli, fit, counted_fit)
-        monkeypatch.setattr(evidence_class, "predict_batch", counted_predict)
+        for evidence_class in (LogisticEvidenceModel, GenerativeEvidenceModel):
+            def counted_predict(self, dataset, _original=evidence_class.predict_batch):
+                calls["predict_batch"] += 1
+                return _original(self, dataset)
+
+            monkeypatch.setattr(evidence_class, "predict_batch", counted_predict)
         synth_cfg, sim_cfg = tmp_path / "synth.cfg", tmp_path / "sim.cfg"
         synth_cfg.write_text("n_epochs = 200\nchannels = 2\ntarget_fraction = 0.25\n")
         sim_cfg.write_text("attempts = 5\nsplits = 2\n")
