@@ -39,6 +39,7 @@ from .dsp import (
     filter_forward,
 )
 from .models import (  # the fits are called by name, in _fit_model
+    DEFAULT_ALPHABET_SIZE,
     MODEL_KINDS,
     TRAIN_DEFAULTS,
     TRAIN_SCHEMA,
@@ -265,7 +266,7 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     valid = dataset.subset(holdout.test)
-    predictions = classify_epochs(model.mode, *model.predict_batch(valid))
+    predictions = classify_epochs(model.predict_batch(valid))
     ba = balanced_accuracy(predictions, valid.labels)
     write_model(args.out, model, hyper=settings)
     print(f"wrote {args.out}")
@@ -296,7 +297,7 @@ SIMULATE_DEFAULTS = {
     "attempts": 1000,
     "max_rounds": 10,
     "symbols_per_query": 10,
-    "alphabet_size": 28,
+    "alphabet_size": DEFAULT_ALPHABET_SIZE,
     "threshold": 0.9,
     "query_strategy": QueryStrategy.WITH_REPLACEMENT.value,
     "stop_on_wrong": True,
@@ -311,7 +312,7 @@ def _builtin_model(name: str, alphabet_size: int) -> EvidenceModel:
     if name == "oracle":
         return OracleEvidenceModel()
     pos = {"uninformative": 1.0 / alphabet_size, "always-pos": 0.9, "always-neg": 0.1}[name]
-    return ConstantEvidenceModel(pos, kind=name)
+    return ConstantEvidenceModel(pos, kind=name, prior=1.0 / alphabet_size)
 
 
 def cmd_simulate(args) -> int:

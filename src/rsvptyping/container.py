@@ -32,7 +32,7 @@ from .models import (
     KdeDensity,
     LogisticEvidenceModel,
     LogisticModel,
-    check_train_settings,
+    check_kind_settings,
 )
 from .synth import LabeledDataset
 
@@ -186,9 +186,11 @@ def read_raw(path) -> RawRecording:
 
 def write_model(path, model: EvidenceModel, hyper: dict | None = None) -> None:
     """Serialize a trained model as its kind's MODEL_KINDS arrays, in order;
-    float64 payload gives bit-exact loading."""
+    float64 payload gives bit-exact loading. ``hyper`` is checked as
+    read_model checks it, before any file is created."""
     if model.kind not in MODEL_KINDS:
         raise ValueError(f"model kind {model.kind!r} cannot be serialized")
+    check_kind_settings(model.kind, hyper or {})
     arrays = [model.zscore.mean, model.zscore.std, model.scorer.weights, model.scorer.bias]
     if isinstance(model, GenerativeEvidenceModel):
         kde_pos, kde_neg = model.kde_pos, model.kde_neg
@@ -249,12 +251,9 @@ def read_model(path) -> tuple[EvidenceModel, dict]:
     if not isinstance(hyper, dict):
         raise ContainerFormatError(f"{path}: malformed training hyperparameters")
     try:
-        check_train_settings(hyper)
+        check_kind_settings(kind, hyper)
     except ValueError as exc:
         raise ContainerFormatError(f"{path}: malformed training hyperparameters: {exc}") from exc
-    unused = [key for key in hyper if key not in MODEL_KINDS[kind].settings]
-    if unused:
-        raise ContainerFormatError(f"{path}: {kind} fits take no setting {', '.join(unused)}")
     try:
         stats = ZScoreStats(mean=arrays["zscore_mean"], std=arrays["zscore_std"])
         scorer = LogisticModel(weights=arrays["weights"], bias=float(arrays["bias"]))

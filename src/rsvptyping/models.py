@@ -17,11 +17,12 @@ scorer's weights after the fit, so PCA is a training step only.
 Each trained model is one flat record of its parts, named by its kind:
 LogisticEvidenceModel (``logreg``) holds ``zscore`` and ``scorer``, and
 GenerativeEvidenceModel (``gen-logr`` or ``gen-lda``) adds ``kde_pos`` and
-``kde_neg``. Every EvidenceModel maps a LabeledDataset's epoch stack to two
-float64 arrays (log_pos, log_neg), one entry per epoch: log label
-probabilities for discriminative models, log class-conditional densities for
-generative ones; certain evidence gives -inf. ``core.update_factors`` turns
-them into the posterior filter's log factors.
+``kde_neg``. Every EvidenceModel maps a LabeledDataset's epoch stack to one
+float64 log-likelihood ratio log p(e|+) - log p(e|-) per epoch, each model
+dividing by the label prior it is calibrated to: the logistic score for
+``logreg``, whose class weighting calibrates p(+|e) to 1/2; the difference
+of the two floored KDE log-densities for generative kinds; +-inf for
+certain evidence.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import LabelPrior, LikelihoodMode
+from .core import LabelPrior
 from .dsp import ZScoreStats, fit_zscore, zscore_array
 from .synth import LabeledDataset
 
@@ -61,6 +62,9 @@ MAX_STEP_HALVINGS = 40
 # tolerance. Fits of the README dataset leave residuals under 2e-6, so it
 # never fires there.
 HESSIAN_RESIDUAL_LIMIT = 1e-5
+# Symbols of the default typing alphabet; one queried symbol of it is the
+# target with prior 1/DEFAULT_ALPHABET_SIZE.
+DEFAULT_ALPHABET_SIZE = 28
 
 # Keys of the training config and their defaults; each key's value kind,
 # "float" or "int", is its default's type. A model file stores the settings
@@ -143,6 +147,16 @@ def check_train_settings(settings: dict) -> None:
             raise ValueError(f"holdout_fraction must lie in (0, 1), got {value!r}")
 
 
+def check_kind_settings(kind: str, settings: dict) -> None:
+    """Raise ValueError unless ``settings`` pass check_train_settings and
+    are all settings that the fit of ``kind`` takes: those a model file of
+    that kind may store."""
+    check_train_settings(settings)
+    unused = [key for key in settings if key not in MODEL_KINDS[kind].settings]
+    if unused:
+        raise ValueError(f"{kind} fits take no setting {', '.join(unused)}")
+
+
 # KDE log-densities are floored here: an epoch far outside both classes
 # scores the floor under both densities, a tie, instead of being decided by
 # the far tails of the two kernel sums.
@@ -158,7 +172,8 @@ def _as_float_matrix(features: np.ndarray) -> np.ndarray:
     out = np.asarray(features, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"expected a 2-D feature matrix, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    # min and max propagate NaN and find infinities without a matrix-sized mask
+    if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
         raise ValueError("features must be finite")
     return out
 
@@ -173,11 +188,6 @@ def _as_labels(labels: np.ndarray, n: int, require_both: bool = True) -> np.ndar
     if require_both and out.min() == out.max():
         raise ValueError("both classes must be present")
     return out
-
-
-def _log_sigmoid(z: np.ndarray) -> np.ndarray:
-    """log(1 / (1 + e^-z)) = -softplus(-z), without overflow."""
-    return -np.logaddexp(0.0, -z)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -636,24 +646,12 @@ def build_generative(
     )
 
 
-def uniform_prior() -> LabelPrior:
-    """50/50 prior for Bayes conversion of generative outputs."""
-    return LabelPrior(0.5)
-
-
 def empirical_prior(labels: Sequence[int]) -> LabelPrior:
     """Prior from training label fractions."""
     arr = np.asarray(labels)
     if arr.size == 0:
         raise ValueError("no labels")
     return LabelPrior(float(arr.mean()))
-
-
-def prior_weighted(
-    log_pos: np.ndarray, log_neg: np.ndarray, prior: LabelPrior
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log class densities plus the log label prior: log d+ p(+), log d- p(-)."""
-    return log_pos + math.log(prior.p_pos), log_neg + math.log(prior.p_neg)
 
 
 # ---------------------------------------------------------------------------
@@ -664,22 +662,18 @@ class EvidenceModel(abc.ABC):
     """Anything that turns epochs into per-trial evidence.
 
     ``kind`` is the model's name in reports and model files.
-    ``predict_batch`` returns two float64 arrays (log_pos, log_neg) with
-    one entry per epoch of the dataset: the logs of the ``mode``'s pair,
-    -inf for a zero. Implementations must be deterministic: the same epoch
-    always yields the same values.
+    ``predict_batch`` returns one float64 array with one entry per epoch of
+    the dataset: the log-likelihood ratio log p(e|+) - log p(e|-), +-inf
+    for certain evidence. Implementations must be deterministic: the same
+    epoch always yields the same value.
     ``parameter_count`` is the number of stored floats, used by reports to
     relate performance to model size.
     """
 
     kind: str
 
-    @property
     @abc.abstractmethod
-    def mode(self) -> LikelihoodMode: ...
-
-    @abc.abstractmethod
-    def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]: ...
+    def predict_batch(self, dataset: LabeledDataset) -> np.ndarray: ...
 
     @property
     @abc.abstractmethod
@@ -695,7 +689,9 @@ def _check_scorer_input(zscore: ZScoreStats, scorer: LogisticModel) -> None:
 
 @dataclass(frozen=True)
 class LogisticEvidenceModel(EvidenceModel):
-    """z-score + logistic regression, the discriminative baseline."""
+    """z-score + logistic regression, the discriminative baseline. Its
+    class weighting calibrates p(+|e) to the prior 1/2, so the score, the
+    log odds of p(+|e), is the log-likelihood ratio."""
 
     zscore: ZScoreStats
     scorer: LogisticModel
@@ -704,13 +700,8 @@ class LogisticEvidenceModel(EvidenceModel):
     def __post_init__(self) -> None:
         _check_scorer_input(self.zscore, self.scorer)
 
-    @property
-    def mode(self) -> LikelihoodMode:
-        return LikelihoodMode.DISCRIMINATIVE
-
-    def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-        scores = _epoch_scores(self.zscore, self.scorer, dataset.data)
-        return _log_sigmoid(scores), _log_sigmoid(-scores)
+    def predict_batch(self, dataset: LabeledDataset) -> np.ndarray:
+        return _epoch_scores(self.zscore, self.scorer, dataset.data)
 
     @property
     def parameter_count(self) -> int:
@@ -736,8 +727,9 @@ def train_logistic_evidence(
 
 @dataclass(frozen=True)
 class GenerativeEvidenceModel(EvidenceModel):
-    """z-score -> flatten -> linear scorer -> per-class KDE; emits log
-    class-conditional densities.
+    """z-score -> flatten -> linear scorer -> per-class KDE; emits the
+    difference of the two log class-conditional densities, finite because
+    both are floored.
 
     The scorer takes the flattened z-scored epoch; the PCA projection it was
     fit on is folded into its weights. ``kind`` names the fit that made it:
@@ -754,16 +746,9 @@ class GenerativeEvidenceModel(EvidenceModel):
         _check_kind(self.kind, "build_generative", "generative")
         _check_scorer_input(self.zscore, self.scorer)
 
-    @property
-    def mode(self) -> LikelihoodMode:
-        return LikelihoodMode.GENERATIVE
-
-    def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+    def predict_batch(self, dataset: LabeledDataset) -> np.ndarray:
         scores = _epoch_scores(self.zscore, self.scorer, dataset.data)
-        return (
-            kde_log_eval_many(self.kde_pos, scores),
-            kde_log_eval_many(self.kde_neg, scores),
-        )
+        return kde_log_eval_many(self.kde_pos, scores) - kde_log_eval_many(self.kde_neg, scores)
 
     @property
     def parameter_count(self) -> int:
@@ -772,23 +757,24 @@ class GenerativeEvidenceModel(EvidenceModel):
 
 
 class ConstantEvidenceModel(EvidenceModel):
-    """Ignores the epoch and always returns the same pair. Used for the
-    control rows: a model that blindly backs one class no matter what."""
+    """Ignores the epoch and always reports p(+|e) = ``pos``, calibrated to
+    the label ``prior``: the log-likelihood ratio logit(pos) - logit(prior)
+    for every epoch. Used for the control rows: a model that blindly backs
+    one class no matter what. The default prior is that of one queried
+    symbol of the default alphabet."""
 
-    def __init__(self, pos: float, kind: str = "constant"):
+    def __init__(self, pos: float, kind: str = "constant",
+                 prior: float = 1.0 / DEFAULT_ALPHABET_SIZE):
         if not (math.isfinite(pos) and 0.0 <= pos <= 1.0):
             raise ValueError(f"pos must be a probability in [0, 1], got {pos!r}")
-        self._pos = pos
+        label_prior = LabelPrior(prior)
+        with np.errstate(divide="ignore"):
+            self._llr = float((np.log(pos) - math.log(label_prior.p_pos))
+                              - (np.log(1.0 - pos) - math.log(label_prior.p_neg)))
         self.kind = kind
 
-    @property
-    def mode(self) -> LikelihoodMode:
-        return LikelihoodMode.DISCRIMINATIVE
-
-    def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-        n = len(dataset)
-        with np.errstate(divide="ignore"):
-            return np.full(n, np.log(self._pos)), np.full(n, np.log(1.0 - self._pos))
+    def predict_batch(self, dataset: LabeledDataset) -> np.ndarray:
+        return np.full(len(dataset), self._llr)
 
     @property
     def parameter_count(self) -> int:
@@ -800,13 +786,8 @@ class OracleEvidenceModel(EvidenceModel):
 
     kind = "oracle"
 
-    @property
-    def mode(self) -> LikelihoodMode:
-        return LikelihoodMode.DISCRIMINATIVE
-
-    def predict_batch(self, dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-        positive = dataset.labels == 1
-        return np.where(positive, 0.0, -np.inf), np.where(positive, -np.inf, 0.0)
+    def predict_batch(self, dataset: LabeledDataset) -> np.ndarray:
+        return np.where(dataset.labels == 1, np.inf, -np.inf)
 
     @property
     def parameter_count(self) -> int:

@@ -8,11 +8,13 @@ the posterior. The attempt ends when a symbol crosses the decision
 threshold, or after a fixed number of rounds.
 
 Typing never calls a model: it takes the held-out epochs' evidence, the
-(log_pos, log_neg) arrays a model scored once per split, and their labels,
-which split the factors into the two pools. All attempts of a run step
-together as one (attempts, A) log-posterior matrix: one query selection,
-one evidence draw and one normalization per round for every row still
-typing, through the posterior filter in ``core``.
+log-likelihood ratio array a model scored once per split, and their labels,
+which split it into the two pools. A presentation acts on the posterior
+only through its ratio: the queried symbol gains it over every other
+symbol, and the renormalization removes anything the symbols share. All
+attempts of a run step together as one (attempts, A) log-posterior matrix:
+one query selection, one evidence draw and one normalization per round for
+every row still typing, through the posterior filter in ``core``.
 
 A run draws from one generator seeded with its ``seed``; every round draws
 for every attempt, finished or not, so an attempt's path never depends on
@@ -31,15 +33,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    LabelPrior,
-    LikelihoodMode,
-    apply_round,
-    decide_rows,
-    probabilities,
-    update_factors,
-)
-from .models import EvidenceModel, empirical_prior, prior_weighted, uniform_prior
+from .core import LabelPrior, apply_round, decide_rows, probabilities
+from .models import DEFAULT_ALPHABET_SIZE, EvidenceModel, empirical_prior
 from .synth import LabeledDataset
 from . import synth
 
@@ -68,7 +63,7 @@ class TypingConfig:
     attempts: int = 1000
     max_rounds: int = 10
     symbols_per_query: int = 10
-    alphabet_size: int = 28
+    alphabet_size: int = DEFAULT_ALPHABET_SIZE
     threshold: float = 0.9
     query_strategy: QueryStrategy = QueryStrategy.WITH_REPLACEMENT
     seed: int = 0
@@ -202,25 +197,27 @@ def select_queries(
     return np.lexsort((-keys, ~possible), axis=1)[:, :k]
 
 
-def run_typing(
-    mode: LikelihoodMode,
-    log_pos: np.ndarray,
-    log_neg: np.ndarray,
-    labels: np.ndarray,
-    config: TypingConfig,
-) -> TypingResult:
+def log_factors(llr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``core.apply_round``'s log factors for the queried symbol and for
+    every other symbol from log-likelihood ratios: (min(llr, 0),
+    min(-llr, 0)). They differ from (llr, 0) by one shift per slot, which
+    the renormalization removes, and are never +inf, so certain evidence
+    (+-inf) cannot raise a posterior entry to +inf."""
+    llr = np.asarray(llr, dtype=np.float64)
+    return np.minimum(llr, 0.0), np.minimum(-llr, 0.0)
+
+
+def run_typing(llr: np.ndarray, labels: np.ndarray, config: TypingConfig) -> TypingResult:
     """Simulate ``config.attempts`` independent attempts to type a symbol.
 
-    ``log_pos`` and ``log_neg`` are the evidence of the held-out epochs, one
-    entry per epoch, as a model of likelihood ``mode`` scored it; no model
-    is called here. ``labels`` splits the epochs into the positive pool,
-    drawn when the queried symbol is the target, and the negative pool;
-    both must be nonempty. ``core.update_factors`` divides discriminative
-    evidence by the label prior 1/A. The attempts then step together
-    through an (attempts, A) log-posterior matrix: each round selects
-    queries for every row, draws a pool epoch for every (attempt, slot),
-    folds the evidence into the rows still typing with ``core.apply_round``
-    and decides them with ``core.decide_rows``.
+    ``llr`` is the evidence of the held-out epochs, one log-likelihood ratio
+    per epoch, as a model scored it; no model is called here. ``labels``
+    splits the epochs into the positive pool, drawn when the queried symbol
+    is the target, and the negative pool; both must be nonempty. The
+    attempts step together through an (attempts, A) log-posterior matrix:
+    each round selects queries for every row, draws a pool epoch for every
+    (attempt, slot), folds its ``log_factors`` into the rows still typing
+    with ``core.apply_round`` and decides them with ``core.decide_rows``.
 
     RNG contract: one generator seeded with ``config.seed`` draws the
     targets, then in each round the query randomness and both pools'
@@ -232,7 +229,7 @@ def run_typing(
     size = config.alphabet_size
     n, k = config.attempts, config.symbols_per_query
     # (2, epochs): the factor of the queried symbol, then of every other one
-    evidence = np.array(update_factors(mode, log_pos, log_neg, LabelPrior.uniform_over(size)))
+    evidence = np.array(log_factors(llr))
     positive = np.asarray(labels) == 1
     if positive.all() or not positive.any():
         raise ValueError("both pools must be nonempty")
@@ -292,21 +289,14 @@ def balanced_accuracy(predicted: Sequence[int], truth: Sequence[int]) -> float:
     return (recalls[0] + recalls[1]) / 2.0
 
 
-def classify_epochs(
-    mode: LikelihoodMode,
-    log_pos: np.ndarray,
-    log_neg: np.ndarray,
-    conversion_prior: Optional[LabelPrior] = None,
-) -> np.ndarray:
-    """Hard label predictions from a model's evidence: argmax of the
-    discriminative pair, ties to the positive class, compared in the log
-    domain. Generative densities are first weighted by ``conversion_prior``
-    (uniform 50/50 when not given), which is Bayes' rule up to the shared
-    normalizer."""
-    if mode is LikelihoodMode.GENERATIVE:
-        prior = conversion_prior if conversion_prior is not None else uniform_prior()
-        log_pos, log_neg = prior_weighted(log_pos, log_neg, prior)
-    return (log_pos >= log_neg).astype(np.int64)
+def classify_epochs(llr: np.ndarray, conversion_prior: Optional[LabelPrior] = None) -> np.ndarray:
+    """Hard label predictions from a model's log-likelihood ratios: label 1
+    where the posterior log odds llr + log(p / (1 - p)) under the label
+    prior p = ``conversion_prior`` (1/2 when not given) are at least 0, so
+    ties go to the positive class."""
+    prior = conversion_prior or LabelPrior(0.5)
+    log_odds = math.log(prior.p_pos) - math.log(prior.p_neg)
+    return (np.asarray(llr) + log_odds >= 0.0).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -355,10 +345,10 @@ def evaluate_splits(
     ``typing_config.seed + k`` so splits are independent but the whole
     evaluation stays a pure function of its arguments.
 
-    With ``empirical_conversion`` the label prior used to turn generative
-    densities into label predictions is refit from each split's training
-    labels instead of the uniform 50/50. The typing runs are unaffected:
-    only the balanced-accuracy column responds to the conversion prior.
+    With ``empirical_conversion`` the label prior used to turn the evidence
+    into label predictions is refit from each split's training labels
+    instead of the uniform 50/50. The typing runs are unaffected: only the
+    balanced-accuracy column responds to the conversion prior.
     """
     rows = []
     for k, s in enumerate(synth.split(dataset, n_splits=n_splits, seed=split_seed)):
@@ -367,14 +357,14 @@ def evaluate_splits(
         model = model_factory(dataset.subset(s.train))
         prior = empirical_prior(dataset.labels[s.train]) if empirical_conversion else None
         test = dataset.subset(s.test)
-        log_pos, log_neg = model.predict_batch(test)
-        predictions = classify_epochs(model.mode, log_pos, log_neg, prior)
+        llr = model.predict_batch(test)
+        predictions = classify_epochs(llr, prior)
         run_config = dataclasses.replace(typing_config, seed=typing_config.seed + k)
         rows.append(
             SplitMetrics(
                 split_index=k,
                 balanced_accuracy=balanced_accuracy(predictions, test.labels),
-                typing=run_typing(model.mode, log_pos, log_neg, test.labels, run_config),
+                typing=run_typing(llr, test.labels, run_config),
             )
         )
     return SplitSummary.from_metrics(rows)

@@ -1,6 +1,7 @@
 """CLI tests: config parsing, each subcommand, exit codes, determinism."""
 
 import argparse
+import hashlib
 import inspect
 import json
 import math
@@ -271,12 +272,13 @@ class TestTrain:
             captured.err,
         )
         cfg = tmp_path / "sim.cfg"
-        cfg.write_text("attempts = 10\nsplits = 2\n")
+        cfg.write_text("attempts = 10\nsplits = 2\nseed = 1\n")
         assert main(["simulate", str(model), str(workspace["data"]), "--config", str(cfg),
                      "--out", str(tmp_path / "rep.json")]) == 0
         lines = capsys.readouterr().err.splitlines()
         assert lines[0].startswith("warning: 2 of 2 logistic fits stopped short")
-        # the one-step fits also type below chance on split 1's 10 attempts
+        # the one-step fits also type below chance on split 1's 10 attempts at
+        # this seed
         assert lines[1:] == [
             "warning: typing accuracy below chance 1/28 in 1 of 2 splits: split 1 (0.0000)"
         ]
@@ -371,6 +373,39 @@ class TestModelKinds:
         assert "kind" in parameters
         for key in entry.settings:
             assert parameters[key].default == models.TRAIN_DEFAULTS[key]
+
+
+# sha256 over the report.json and report.csv bytes of each builtin control,
+# under the three query strategies in turn, for test_10's small dataset and
+# `attempts = 40`, `splits = 2`, `seed = 1`. They were recorded when each
+# model's evidence was still a pair of log factors that typing divided by
+# the prior 1/A; the one log-likelihood ratio per epoch left them unchanged.
+CONTROL_REPORTS_SHA256 = {
+    "oracle": "32af84cdd76a8ae9bf814c0f100a386429081463b86e6cebaf4e241d963649cb",
+    "uninformative": "c0547ff4d0c71a163a87c5fec06b63a474cb0db5d6959912c3b3b4f161165028",
+    "always-pos": "6c27f0e7c00af2e495ea8ba207f6d27adfac8279c64b4816a8a3dc5786a7383f",
+    "always-neg": "abf2ddc90dfa55e1a49c43863319a828f54a98ab8872229b227fc25845cbf187",
+}
+
+
+@pytest.mark.parametrize("model", cli.BUILTIN_MODELS)
+def test_builtin_control_reports_are_pinned(tmp_path, monkeypatch, model):
+    # relative paths, since a report echoes its model and data arguments
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "synth.cfg").write_text(
+        "n_epochs = 300\nchannels = 3\ntarget_fraction = 0.25\nseed = 6\n"
+    )
+    assert main(["synth", "--config", "synth.cfg", "--out", "data.bin"]) == 0
+    digest = hashlib.sha256()
+    for strategy in ("sample-with-replacement", "sample-without-replacement", "top-k"):
+        (tmp_path / "sim.cfg").write_text(
+            f"attempts = 40\nsplits = 2\nseed = 1\nquery_strategy = {strategy}\n"
+        )
+        assert main(["simulate", model, "data.bin", "--config", "sim.cfg",
+                     "--out", "r.json"]) == 0
+        digest.update(read_bytes(tmp_path / "r.json"))
+        digest.update(read_bytes(tmp_path / "r.csv"))
+    assert digest.hexdigest() == CONTROL_REPORTS_SHA256[model]
 
 
 class TestSimulate:

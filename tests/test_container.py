@@ -23,6 +23,8 @@ from rsvptyping.container import (
 )
 from rsvptyping.dsp import RawRecording
 from rsvptyping.models import (
+    MODEL_KINDS,
+    TRAIN_DEFAULTS,
     ConstantEvidenceModel,
     build_generative,
     train_logistic_evidence,
@@ -280,17 +282,31 @@ class TestModelIO:
         loaded, _ = read_model(path)
         assert loaded.kind == model.kind
         assert loaded.parameter_count == model.parameter_count
-        before = model.predict_batch(probes)
-        after = loaded.predict_batch(probes)
-        assert np.array_equal(before[0], after[0]) and np.array_equal(before[1], after[1])
+        assert np.array_equal(model.predict_batch(probes), loaded.predict_batch(probes))
 
     @pytest.mark.parametrize("name", ["logreg", "gen_logr", "gen_lda"])
     def test_rewrite_byte_identical(self, tmp_path, name, request):
         model = request.getfixturevalue(name)
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        write_model(a, model, hyper={"bandwidth": 1.0})
-        write_model(b, model, hyper={"bandwidth": 1.0})
+        hyper = {key: TRAIN_DEFAULTS[key] for key in MODEL_KINDS[model.kind].settings}
+        write_model(a, model, hyper=hyper)
+        write_model(b, model, hyper=hyper)
         assert read_bytes(a) == read_bytes(b)
+
+    @pytest.mark.parametrize("name, hyper, message", [
+        ("logreg", {"bandwidth": 1.0}, "logreg fits take no setting bandwidth"),
+        ("gen_lda", {"l2": 0.01}, "gen-lda fits take no setting l2"),
+        ("logreg", {"l2": -0.5}, "l2 must be positive"),
+        ("gen_logr", {"variance_fraction": 1}, "must be float"),
+        ("logreg", {"momentum": 0.9}, "unknown training setting"),
+        ("logreg", {"learning_rate": 0.1}, "was removed"),
+    ])
+    def test_unreadable_settings_are_not_written(self, tmp_path, name, hyper, message, request):
+        # read_model would reject the file, so write_model raises first
+        path = tmp_path / "m.bin"
+        with pytest.raises(ValueError, match=message):
+            write_model(path, request.getfixturevalue(name), hyper=hyper)
+        assert not path.exists()
 
     @pytest.mark.parametrize("name", ["logreg", "gen_logr", "gen_lda"])
     def test_every_kind_stores_one_linear_scorer(self, tmp_path, dataset, name, request):

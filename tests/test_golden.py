@@ -15,18 +15,18 @@ from rsvptyping.cli import main
 GOLDEN = {
     "logreg": {
         "splits": [
-            {"split": 0, "balanced_accuracy": 0.644444, "typing_accuracy": 0.1,
-             "itr_bits_per_symbol": 0.058961,
-             "outcomes": {"correct": 4, "wrong": 36, "timeout": 0},
-             "rounds_to_decision": [17, 12, 3, 2, 3, 1, 1, 1, 0, 0]},
-            {"split": 1, "balanced_accuracy": 0.622222, "typing_accuracy": 0.175,
-             "itr_bits_per_symbol": 0.215557,
-             "outcomes": {"correct": 7, "wrong": 33, "timeout": 0},
-             "rounds_to_decision": [14, 17, 8, 1, 0, 0, 0, 0, 0, 0]},
+            {"split": 0, "balanced_accuracy": 0.644444, "typing_accuracy": 0.2,
+             "itr_bits_per_symbol": 0.281517,
+             "outcomes": {"correct": 8, "wrong": 29, "timeout": 3},
+             "rounds_to_decision": [6, 6, 2, 7, 6, 6, 1, 1, 2, 0]},
+            {"split": 1, "balanced_accuracy": 0.622222, "typing_accuracy": 0.325,
+             "itr_bits_per_symbol": 0.68807,
+             "outcomes": {"correct": 13, "wrong": 26, "timeout": 1},
+             "rounds_to_decision": [11, 6, 4, 10, 4, 2, 1, 0, 1, 0]},
         ],
         "aggregate": {
             "balanced_accuracy": {"mean": 0.633333, "std": 0.011111},
-            "itr_bits_per_symbol": {"mean": 0.137259, "std": 0.078298},
+            "itr_bits_per_symbol": {"mean": 0.484793, "std": 0.203276},
         },
     },
     "gen-lda": {

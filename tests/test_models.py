@@ -16,7 +16,7 @@ from rsvptyping.core import (
     update_factors,
 )
 from rsvptyping import cli, models
-from rsvptyping.dsp import ZScoreStats
+from rsvptyping.dsp import ZScoreStats, zscore_array
 from rsvptyping.models import (
     ConstantEvidenceModel,
     GenerativeEvidenceModel,
@@ -33,11 +33,9 @@ from rsvptyping.models import (
     logistic_scores,
     train_lda,
     train_logistic,
-    prior_weighted,
     train_logistic_evidence,
-    uniform_prior,
 )
-from rsvptyping.sim import classify_epochs
+from rsvptyping.sim import classify_epochs, log_factors
 from rsvptyping.synth import LabeledDataset
 
 from oracles import (
@@ -54,15 +52,14 @@ def make_dataset(data, labels):
 
 
 def proba(model: LogisticModel, features) -> tuple[np.ndarray, np.ndarray]:
-    """(pos, neg) of a bare logistic model: the exponentiated evidence of a
-    one-channel, unscaled epoch per feature row."""
+    """(pos, neg) of a bare logistic model: p(+|e) and p(-|e) from the
+    evidence of a one-channel, unscaled epoch per feature row, a log ratio
+    against the calibration prior 1/2."""
     x = np.asarray(features, dtype=np.float64)
     identity = ZScoreStats(mean=np.zeros(1), std=np.ones(1))
     evidence = LogisticEvidenceModel(identity, model)
-    log_pos, log_neg = evidence.predict_batch(
-        make_dataset(x[:, None, :], np.zeros(len(x), dtype=int))
-    )
-    return np.exp(log_pos), np.exp(log_neg)
+    llr = evidence.predict_batch(make_dataset(x[:, None, :], np.zeros(len(x), dtype=int)))
+    return np.exp(-np.logaddexp(0.0, -llr)), np.exp(-np.logaddexp(0.0, llr))
 
 
 def kde_eval(density: KdeDensity, x: float) -> float:
@@ -78,11 +75,10 @@ def one_query(a, mode, q, pos, neg, label_prior=None):
     return probabilities(apply_round(start, np.array([[q]]), log_pos, log_neg))[0]
 
 
-def weighted_log_odds(d_pos: float, d_neg: float, prior: LabelPrior) -> float:
-    """log d+ p(+) - log d- p(-), the prior-weighted log ratio that label
-    predictions compare with 0."""
-    weighted_pos, weighted_neg = prior_weighted(np.log([d_pos]), np.log([d_neg]), prior)
-    return float(weighted_pos[0] - weighted_neg[0])
+def classify_one(llr: float, prior=None) -> int:
+    """The label classify_epochs gives one epoch of log-likelihood ratio
+    ``llr`` under conversion prior ``prior``."""
+    return int(classify_epochs(np.array([llr]), conversion_prior=prior)[0])
 
 
 class TestLogistic:
@@ -302,7 +298,8 @@ class TestPredictProba:
         pos, neg = proba(model, [[1.0, 2.0, 3.0]])
         assert pos[0] == 0.5 and neg[0] == 0.5
         identity = ZScoreStats(mean=np.zeros(1), std=np.ones(1))
-        assert LogisticEvidenceModel(identity, model).mode is LikelihoodMode.DISCRIMINATIVE
+        epoch = make_dataset(np.ones((1, 1, 3)), [0])
+        assert LogisticEvidenceModel(identity, model).predict_batch(epoch).tolist() == [0.0]
 
     def test_large_bias_saturates(self):
         model = LogisticModel(weights=np.zeros(1), bias=50.0)
@@ -563,17 +560,26 @@ class TestGenerativePipeline:
         epochs = separable_epochs(rng)
         model = build_generative(epochs)
         pos_epoch = epochs.subset(np.flatnonzero(epochs.labels == 1)[:1])
-        pos, neg = model.predict_batch(pos_epoch)
-        assert model.mode is LikelihoodMode.GENERATIVE
-        assert pos[0] > neg[0]
+        llr = model.predict_batch(pos_epoch)
+        assert llr.shape == (1,) and llr.dtype == np.float64
+        assert llr[0] > 0.0
 
     def test_identical_kdes_give_equal_densities(self):
         rng = np.random.default_rng(27)
         epochs = separable_epochs(rng)
         built = build_generative(epochs)
         model = dataclasses.replace(built, kde_neg=built.kde_pos)
-        pos, neg = model.predict_batch(epochs.subset(range(5)))
-        np.testing.assert_array_equal(pos, neg)
+        np.testing.assert_array_equal(model.predict_batch(epochs.subset(range(5))), np.zeros(5))
+
+    def test_ratio_is_the_difference_of_the_kde_log_densities(self):
+        rng = np.random.default_rng(28)
+        epochs = separable_epochs(rng)
+        model = build_generative(epochs)
+        flat = zscore_array(model.zscore, epochs.data).reshape(len(epochs), -1)
+        scores = logistic_scores(model.scorer, flat)
+        expected = (kde_log_eval_many(model.kde_pos, scores)
+                    - kde_log_eval_many(model.kde_neg, scores))
+        np.testing.assert_allclose(model.predict_batch(epochs), expected, rtol=0, atol=1e-9)
 
     def test_determinism(self):
         rng = np.random.default_rng(33)
@@ -581,7 +587,7 @@ class TestGenerativePipeline:
         model = build_generative(epochs)
         first = model.predict_batch(epochs.subset([3]))
         second = model.predict_batch(epochs.subset([3]))
-        assert (first[0][0], first[1][0]) == (second[0][0], second[1][0])
+        assert first[0] == second[0]
 
     def test_lda_scorer_variant(self):
         rng = np.random.default_rng(35)
@@ -590,8 +596,7 @@ class TestGenerativePipeline:
         # the PCA projection is folded in: the scorer takes the flat epoch
         assert model.scorer.dimension == 2 * 8
         assert model.kind == "gen-lda"
-        pos, neg = model.predict_batch(epochs.subset([1]))
-        assert pos[0] > neg[0]
+        assert model.predict_batch(epochs.subset([1]))[0] > 0.0
 
     def test_wrong_epoch_shape_rejected(self):
         rng = np.random.default_rng(37)
@@ -626,31 +631,39 @@ class TestGenerativePipeline:
 
 class TestBayesConversion:
     def test_equal_densities_uniform_prior(self):
-        assert weighted_log_odds(0.3, 0.3, uniform_prior()) == 0.0
+        # a tie goes to the positive class
+        assert classify_one(0.0) == 1
+        assert classify_one(-1e-12) == 0
 
     def test_equal_densities_empirical_prior(self):
+        # prior 1/10: the log prior odds log(1/9) must be outweighed
         prior = empirical_prior([1] + [0] * 9)
-        assert weighted_log_odds(0.3, 0.3, prior) == pytest.approx(math.log(1 / 9), abs=1e-15)
+        assert classify_one(0.0, prior) == 0
+        assert classify_one(math.log(9.0) - 1e-9, prior) == 0
+        assert classify_one(math.log(9.0) + 1e-9, prior) == 1
 
     def test_four_to_one_ratio(self):
-        assert weighted_log_odds(0.4, 0.1, uniform_prior()) == pytest.approx(
-            math.log(4.0), abs=1e-15
-        )
+        assert classify_one(math.log(4.0)) == 1
+        assert classify_one(math.log(4.0), LabelPrior(0.19)) == 0
+        assert classify_one(math.log(4.0), LabelPrior(0.21)) == 1
+
+    def test_certain_evidence_ignores_the_prior(self):
+        for prior in (None, LabelPrior(0.01), LabelPrior(0.99)):
+            assert classify_one(math.inf, prior) == 1
+            assert classify_one(-math.inf, prior) == 0
 
     def test_both_zero_densities_unrepresentable(self):
         with pytest.raises(DegenerateEvidenceError):
             one_query(4, LikelihoodMode.GENERATIVE, 0, 0.0, 0.0)
 
-    def test_non_generative_pair_rejected(self):
-        # label probabilities are not densities: classification leaves them
-        # unconverted, whatever the conversion prior
+    def test_conversion_prior_shifts_every_kind(self):
+        # each model's ratio is against its own calibration prior, so the
+        # conversion prior moves a discriminative control as it does a density
         epochs = make_dataset(np.zeros((4, 1, 3)), [0, 1, 0, 1])
-        model = ConstantEvidenceModel(0.6)
-        assert weighted_log_odds(0.6, 0.4, LabelPrior(0.1)) < 0.0
-        predictions = classify_epochs(
-            model.mode, *model.predict_batch(epochs), conversion_prior=LabelPrior(0.1)
-        )
-        assert list(predictions) == [1] * 4
+        model = ConstantEvidenceModel(0.6, prior=0.5)
+        llr = model.predict_batch(epochs)
+        assert list(classify_epochs(llr)) == [1] * 4
+        assert list(classify_epochs(llr, conversion_prior=LabelPrior(0.1))) == [0] * 4
 
     def test_bridge_with_core_updates(self):
         rng = np.random.default_rng(41)
@@ -659,10 +672,15 @@ class TestBayesConversion:
             d_pos, d_neg = float(rng.uniform(1e-6, 2.0)), float(rng.uniform(1e-6, 2.0))
             q = int(rng.integers(6))
             via_gen = one_query(6, LikelihoodMode.GENERATIVE, q, d_pos, d_neg)
-            log_odds = weighted_log_odds(d_pos, d_neg, prior)
+            log_odds = math.log(d_pos / d_neg) + math.log(prior.p_pos / prior.p_neg)
             pos = 1.0 / (1.0 + math.exp(-log_odds))
             via_disc = one_query(6, LikelihoodMode.DISCRIMINATIVE, q, pos, 1.0 - pos, prior)
             np.testing.assert_allclose(via_gen, via_disc, atol=1e-9)
+            # the log ratio alone, folded as run_typing folds it
+            factors = log_factors(np.array([[math.log(d_pos / d_neg)]]))
+            start = np.full((1, 6), -math.log(6))
+            via_llr = probabilities(apply_round(start, np.array([[q]]), *factors))[0]
+            np.testing.assert_allclose(via_gen, via_llr, atol=1e-12)
 
 
 class TestEvidenceModels:
@@ -670,10 +688,10 @@ class TestEvidenceModels:
         rng = np.random.default_rng(43)
         epochs = separable_epochs(rng)
         model = train_logistic_evidence(epochs)
-        batch_pos, _ = model.predict_batch(epochs.subset(range(6)))
+        batch = model.predict_batch(epochs.subset(range(6)))
         for i in range(6):
-            single_pos, _ = model.predict_batch(epochs.subset([i]))
-            assert single_pos[0] == pytest.approx(batch_pos[i], rel=1e-12)
+            single = model.predict_batch(epochs.subset([i]))
+            assert single[0] == pytest.approx(batch[i], rel=1e-12)
 
     def test_logistic_evidence_leaves_the_epochs_unmodified(self):
         rng = np.random.default_rng(44)
@@ -687,41 +705,47 @@ class TestEvidenceModels:
         rng = np.random.default_rng(45)
         epochs = separable_epochs(rng)
         model = train_logistic_evidence(epochs)
-        log_pos, _ = model.predict_batch(epochs)
-        assert np.array_equal(log_pos >= math.log(0.5), epochs.labels == 1)
+        assert np.array_equal(model.predict_batch(epochs) >= 0.0, epochs.labels == 1)
 
     def test_generative_evidence_batch_matches_single(self):
         rng = np.random.default_rng(47)
         epochs = separable_epochs(rng)
         model = build_generative(epochs)
-        batch_pos, batch_neg = model.predict_batch(epochs.subset(range(6)))
+        batch = model.predict_batch(epochs.subset(range(6)))
         for i in range(6):
-            single_pos, single_neg = model.predict_batch(epochs.subset([i]))
-            assert single_pos[0] == pytest.approx(batch_pos[i], rel=1e-12)
-            assert single_neg[0] == pytest.approx(batch_neg[i], rel=1e-12)
+            single = model.predict_batch(epochs.subset([i]))
+            assert single[0] == pytest.approx(batch[i], rel=1e-12, abs=1e-12)
 
     def test_oracle_model_reports_labels_with_certainty(self):
         model = OracleEvidenceModel()
-        log_pos, log_neg = model.predict_batch(make_dataset(np.zeros((2, 1, 4)), [1, 0]))
-        assert (log_pos[0], log_neg[0]) == (0.0, -math.inf)
-        assert (log_pos[1], log_neg[1]) == (-math.inf, 0.0)
+        llr = model.predict_batch(make_dataset(np.zeros((2, 1, 4)), [1, 0]))
+        assert llr.tolist() == [math.inf, -math.inf]
         assert model.parameter_count == 0
 
     def test_constant_model_ignores_input(self):
         model = ConstantEvidenceModel(0.9, kind="always-pos")
         rng = np.random.default_rng(49)
-        log_pos, _ = model.predict_batch(make_dataset(rng.standard_normal((5, 2, 5)), [0] * 5))
-        assert set(log_pos.tolist()) == {math.log(0.9)}
-        assert model.mode is LikelihoodMode.DISCRIMINATIVE
+        llr = model.predict_batch(make_dataset(rng.standard_normal((5, 2, 5)), [0] * 5))
+        assert llr.shape == (5,) and len(set(llr.tolist())) == 1
+        # logit(0.9) - logit(1/28), against the default alphabet's prior
+        assert llr[0] == pytest.approx(math.log(9.0) + math.log(27.0), rel=1e-15)
+
+    def test_constant_model_divides_by_its_prior(self):
+        data = make_dataset(np.zeros((2, 1, 2)), [0, 1])
+        assert ConstantEvidenceModel(0.1, prior=0.1).predict_batch(data).tolist() == [0.0, 0.0]
+        llr = ConstantEvidenceModel(0.75, prior=0.5).predict_batch(data)
+        assert llr[0] == pytest.approx(math.log(3.0), rel=1e-15)
+        for prior in (0.0, 1.0, -0.5):
+            with pytest.raises(ValueError, match="p_pos"):
+                ConstantEvidenceModel(0.5, prior=prior)
 
     def test_constant_model_takes_a_probability(self):
         for pos in (-0.1, 1.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="probability"):
                 ConstantEvidenceModel(pos)
         data = make_dataset(np.zeros((1, 1, 2)), [0])
-        for pos, expected in ((1.0, (0.0, -math.inf)), (0.0, (-math.inf, 0.0))):
-            log_pos, log_neg = ConstantEvidenceModel(pos).predict_batch(data)
-            assert (log_pos[0], log_neg[0]) == expected
+        for pos, expected in ((1.0, math.inf), (0.0, -math.inf)):
+            assert ConstantEvidenceModel(pos).predict_batch(data).tolist() == [expected]
 
     def test_parameter_counts(self):
         rng = np.random.default_rng(51)

@@ -1,5 +1,6 @@
 """Property tests: the batched posterior filter against a per-event
-reference, the block filter against the per-sample recursion, block KDE and
+reference, typing's log-likelihood-ratio factors against the factor pair
+they replace, the block filter against the per-sample recursion, block KDE and
 per-channel z-scoring against their whole-matrix forms, the folded
 generative scorer against PCA then the scorer, onset checks and downsampling
 against per-pair loops, the CLI's exit codes on damaged container files, and
@@ -35,6 +36,7 @@ from rsvptyping.dsp import (
 from rsvptyping import models
 from rsvptyping.dsp import fit_zscore, zscore_array
 from rsvptyping.models import TRAIN_SCHEMA, fit_kde, kde_log_eval_many
+from rsvptyping.sim import log_factors
 from rsvptyping.synth import LabeledDataset
 
 from oracles import (
@@ -186,6 +188,20 @@ def test_apply_query_one_event_at_a_time_agrees(case):
     assert (out is None) == (stepped is None)
     if out is not None:
         np.testing.assert_allclose(np.exp(stepped), np.exp(out), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(queries())
+def test_log_ratio_folds_as_the_factor_pair(case):
+    # log_factors of log_pos - log_neg, +-inf where a factor is -inf, moves
+    # each row as the pair does: the two differ by one shift per slot
+    start, indices, log_pos, log_neg, _ = case
+    out = _round_or_none(start, indices, log_pos, log_neg)
+    folded = _round_or_none(start, indices, *log_factors(log_pos - log_neg))
+    assert (out is None) == (folded is None)
+    if out is not None:
+        assert not np.isnan(folded).any()
+        np.testing.assert_allclose(np.exp(folded), np.exp(out), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rsvptyping.core import DegenerateEvidenceError, LabelPrior, LikelihoodMode
+from rsvptyping.core import DegenerateEvidenceError, LabelPrior
 from rsvptyping.models import (
     ConstantEvidenceModel,
     OracleEvidenceModel,
@@ -151,7 +151,7 @@ def dummy_dataset(rng, n_pos=15, n_neg=40, channels=2):
 
 def typing_run(model, data: LabeledDataset, config: TypingConfig):
     """A typing run on the evidence the model scores for ``data``."""
-    return run_typing(model.mode, *model.predict_batch(data), data.labels, config)
+    return run_typing(model.predict_batch(data), data.labels, config)
 
 
 def first_of_each_class(data: LabeledDataset, k: int) -> LabeledDataset:
@@ -185,6 +185,17 @@ class TestRunTyping:
         final = result.log_posterior[np.arange(result.attempts), result.target]
         np.testing.assert_allclose(final, 0.0, atol=1e-12)
         assert np.all((result.rounds >= 1) & (result.rounds <= 10))
+
+    @pytest.mark.parametrize("strategy", list(QueryStrategy))
+    def test_oracle_types_perfectly_under_every_strategy(self, strategy):
+        # +-inf ratios fold into factors that are never +inf, so no NaN
+        data = dummy_dataset(np.random.default_rng(20))
+        config = self.oracle_config(attempts=100, query_strategy=strategy)
+        result = typing_run(OracleEvidenceModel(), data, config)
+        assert result.accuracy == 1.0
+        assert not np.isnan(result.log_posterior).any()
+        final = result.log_posterior[np.arange(result.attempts), result.target]
+        np.testing.assert_array_equal(final, 0.0)
 
     def test_uninformative_model_times_out_everywhere(self):
         rng = np.random.default_rng(7)
@@ -288,11 +299,11 @@ class TestRunTyping:
 
     def test_empty_pool_rejected(self):
         # a single-class label vector leaves one pool without epochs
-        log_pos, log_neg = np.log(np.full(4, 0.9)), np.log(np.full(4, 0.1))
+        llr = np.full(4, math.log(9.0))
         config = self.oracle_config(attempts=5)
         for labels in (np.ones(4, dtype=int), np.zeros(4, dtype=int)):
             with pytest.raises(ValueError):
-                run_typing(LikelihoodMode.DISCRIMINATIVE, log_pos, log_neg, labels, config)
+                run_typing(llr, labels, config)
 
 
 class TestBalancedAccuracy:
@@ -315,31 +326,31 @@ class TestBalancedAccuracy:
 class TestClassifyEpochs:
     def test_generative_prior_changes_predictions(self):
         # constant class-conditional densities p(e|+) = 0.4, p(e|-) = 0.1
-        evidence = np.log(np.full(6, 0.4)), np.log(np.full(6, 0.1))
-        unif = classify_epochs(LikelihoodMode.GENERATIVE, *evidence)
+        llr = np.full(6, math.log(0.4 / 0.1))
+        unif = classify_epochs(llr)
         assert list(unif) == [1] * 6  # 0.4 / 0.5 odds -> pos = 0.8
-        emp = classify_epochs(
-            LikelihoodMode.GENERATIVE, *evidence, conversion_prior=LabelPrior(0.1)
-        )
+        emp = classify_epochs(llr, conversion_prior=LabelPrior(0.1))
         assert list(emp) == [0] * 6  # prior drags pos to ~0.31
 
     def test_discriminative_argmax(self):
         rng = np.random.default_rng(16)
         epochs = first_of_each_class(dummy_dataset(rng), 2)
         for p, label in ((0.7, 1), (0.2, 0)):
-            model = ConstantEvidenceModel(p)
-            assert list(classify_epochs(model.mode, *model.predict_batch(epochs))) == [label] * 4
+            model = ConstantEvidenceModel(p, prior=0.5)
+            assert list(classify_epochs(model.predict_batch(epochs))) == [label] * 4
+        # against the prior 1/28, p(+|e) = 0.2 is evidence for the target
+        assert list(classify_epochs(ConstantEvidenceModel(0.2).predict_batch(epochs))) == [1] * 4
 
     def test_epoch_far_from_both_kdes_is_a_tie(self):
         # an epoch far outside both classes: each KDE log-density sits at
-        # its -745 floor, so the prior-weighted densities are equal
+        # its -745 floor, so their log ratio is 0
         rng = np.random.default_rng(17)
         data = dummy_dataset(rng)
         model = build_generative(data, kind="gen-lda")
         far = LabeledDataset(data.data[:2] * 1e4, data.labels[:2])
-        log_pos, log_neg = model.predict_batch(far)
-        assert log_pos.tolist() == log_neg.tolist() == [-745.0] * 2
-        assert list(classify_epochs(model.mode, log_pos, log_neg)) == [1, 1]
+        llr = model.predict_batch(far)
+        assert llr.tolist() == [0.0] * 2
+        assert list(classify_epochs(llr)) == [1, 1]
 
 
 class TestEvaluateSplits:
