@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import sys
 import warnings
+from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -39,10 +40,8 @@ from .dsp import (
     filter_forward,
 )
 from .models import (  # the fits are called by name, in _fit_model
-    DEFAULT_ALPHABET_SIZE,
     MODEL_KINDS,
     TRAIN_DEFAULTS,
-    TRAIN_SCHEMA,
     ConstantEvidenceModel,
     EvidenceModel,
     OracleEvidenceModel,
@@ -59,7 +58,6 @@ from .reports import (
     write_report_json,
 )
 from .sim import (
-    QueryStrategy,
     SplitSummary,
     SubChanceAccuracyWarning,
     TypingConfig,
@@ -94,7 +92,7 @@ def parse_config_file(path) -> dict[str, tuple[str, int]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     entries: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -114,49 +112,43 @@ def parse_config_file(path) -> dict[str, tuple[str, int]]:
     return entries
 
 
-def _convert(kind: str, raw: str):
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "bool":
+def _convert(default, raw: str):
+    """``raw`` read as a value of the default's type."""
+    if isinstance(default, bool):
         lowered = raw.lower()
         if lowered in ("true", "1", "yes"):
             return True
         if lowered in ("false", "0", "no"):
             return False
         raise ValueError(f"expected true/false, got {raw!r}")
-    if kind == "str":
-        return raw
-    if kind == "int_list":
-        if not raw:
-            return ()
-        return tuple(int(part.strip()) for part in raw.split(","))
-    raise AssertionError(f"unknown converter {kind}")
+    if isinstance(default, Enum):
+        try:
+            return type(default)(raw)
+        except ValueError:
+            choices = ", ".join(member.value for member in type(default))
+            raise ValueError(f"expected one of {choices}; got {raw!r}") from None
+    if isinstance(default, tuple):
+        return tuple(int(part.strip()) for part in raw.split(",")) if raw else ()
+    return type(default)(raw)  # int or float
 
 
 # random generator seeds; numpy accepts only non-negative ones
 SEED_KEYS = ("seed", "split_seed")
 
 
-def resolve_config(
-    path: Optional[str],
-    schema: dict[str, str],
-    defaults: dict,
-    overrides: Optional[dict] = None,
-) -> dict:
+def resolve_config(path: Optional[str], defaults: dict, overrides: Optional[dict] = None) -> dict:
     """Merge defaults, config file, and CLI overrides; reject unknown keys
-    and negative seeds."""
+    and negative seeds. A key's type is its default's type."""
     resolved = dict(defaults)
     if path is not None:
         for key, (raw, lineno) in parse_config_file(path).items():
-            if key not in schema:
-                known = ", ".join(sorted(schema))
+            if key not in defaults:
+                known = ", ".join(sorted(defaults))
                 raise ConfigError(
                     f"{path}:{lineno}: unknown key {key!r} (known keys: {known})"
                 )
             try:
-                resolved[key] = _convert(schema[key], raw)
+                resolved[key] = _convert(defaults[key], raw)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     for key, value in (overrides or {}).items():
@@ -172,25 +164,16 @@ def resolve_config(
 # Subcommands
 
 
+# SynthConfig's fields and defaults; an empty ``erp_channels`` list stands
+# for None, every channel.
+SYNTH_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SynthConfig)} | {
+    "erp_channels": ()
+}
+
+
 def cmd_synth(args) -> int:
-    schema = {
-        "n_epochs": "int",
-        "channels": "int",
-        "rate": "float",
-        "trial_ms": "float",
-        "erp_latency_ms": "float",
-        "erp_width_ms": "float",
-        "erp_amplitude": "float",
-        "noise_std": "float",
-        "target_fraction": "float",
-        "erp_channels": "int_list",
-        "seed": "int",
-    }
-    defaults = {
-        f.name: f.default for f in dataclasses.fields(SynthConfig) if f.name in schema
-    }
-    resolved = resolve_config(args.config, schema, defaults, {"seed": args.seed})
-    if resolved.get("erp_channels") == ():
+    resolved = resolve_config(args.config, SYNTH_DEFAULTS, {"seed": args.seed})
+    if resolved["erp_channels"] == ():
         resolved["erp_channels"] = None
     try:
         config = SynthConfig(**resolved)
@@ -241,7 +224,7 @@ def _warn_sub_chance(summary: SplitSummary, alphabet_size: int) -> None:
 
 
 def cmd_train(args) -> int:
-    resolved = resolve_config(args.config, TRAIN_SCHEMA, TRAIN_DEFAULTS, {"seed": args.seed})
+    resolved = resolve_config(args.config, TRAIN_DEFAULTS, {"seed": args.seed})
     try:
         check_train_settings(resolved)
     except ValueError as exc:
@@ -279,32 +262,10 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-SIMULATE_SCHEMA = {
-    "attempts": "int",
-    "max_rounds": "int",
-    "symbols_per_query": "int",
-    "alphabet_size": "int",
-    "threshold": "float",
-    "query_strategy": "str",
-    "stop_on_wrong": "bool",
-    "conversion_prior": "str",
-    "splits": "int",
-    "split_seed": "int",
-    "seed": "int",
-}
-
-SIMULATE_DEFAULTS = {
-    "attempts": 1000,
-    "max_rounds": 10,
-    "symbols_per_query": 10,
-    "alphabet_size": DEFAULT_ALPHABET_SIZE,
-    "threshold": 0.9,
-    "query_strategy": QueryStrategy.WITH_REPLACEMENT.value,
-    "stop_on_wrong": True,
-    "conversion_prior": "uniform",
+# TypingConfig's fields and defaults, plus the splits to evaluate over.
+SIMULATE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TypingConfig)} | {
     "splits": 5,
     "split_seed": 0,
-    "seed": 0,
 }
 
 
@@ -317,34 +278,13 @@ def _builtin_model(name: str, alphabet_size: int) -> EvidenceModel:
 
 def cmd_simulate(args) -> int:
     resolved = resolve_config(
-        args.config,
-        SIMULATE_SCHEMA,
-        SIMULATE_DEFAULTS,
-        {"seed": args.seed, "splits": args.splits},
+        args.config, SIMULATE_DEFAULTS, {"seed": args.seed, "splits": args.splits}
     )
-    try:
-        strategy = QueryStrategy(resolved["query_strategy"])
-    except ValueError as exc:
-        choices = ", ".join(s.value for s in QueryStrategy)
-        raise ConfigError(
-            f"query_strategy must be one of: {choices}; got {resolved['query_strategy']!r}"
-        ) from exc
-    if resolved["conversion_prior"] not in ("uniform", "empirical"):
-        raise ConfigError(
-            f"conversion_prior must be 'uniform' or 'empirical', got {resolved['conversion_prior']!r}"
-        )
     if resolved["splits"] < 1:
         raise ConfigError("splits must be at least 1")
     try:
         typing_config = TypingConfig(
-            attempts=resolved["attempts"],
-            max_rounds=resolved["max_rounds"],
-            symbols_per_query=resolved["symbols_per_query"],
-            alphabet_size=resolved["alphabet_size"],
-            threshold=resolved["threshold"],
-            query_strategy=strategy,
-            seed=resolved["seed"],
-            stop_on_wrong=resolved["stop_on_wrong"],
+            **{f.name: resolved[f.name] for f in dataclasses.fields(TypingConfig)}
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -373,7 +313,6 @@ def cmd_simulate(args) -> int:
                 typing_config,
                 n_splits=resolved["splits"],
                 split_seed=resolved["split_seed"],
-                empirical_conversion=resolved["conversion_prior"] == "empirical",
             )
     except np.linalg.LinAlgError:
         raise
@@ -381,7 +320,7 @@ def cmd_simulate(args) -> int:
         raise DataError(str(exc)) from exc
 
     config_echo = dict(resolved)
-    config_echo["query_strategy"] = strategy.value
+    config_echo["query_strategy"] = typing_config.query_strategy.value
     config_echo["model"] = str(args.model)
     config_echo["data"] = str(args.data)
     report = build_report(
@@ -406,17 +345,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-PREPROCESS_SCHEMA = {
-    "notch_hz": "float",
-    "notch_q": "float",
-    "band_low": "float",
-    "band_high": "float",
-    "band_order": "int",
-    "downsample_factor": "int",
-    "window_ms": "float",
-    "exclude_channels": "int_list",
-}
-
 PREPROCESS_DEFAULTS = {
     "notch_hz": 50.0,
     "notch_q": 30.0,
@@ -430,7 +358,7 @@ PREPROCESS_DEFAULTS = {
 
 
 def cmd_preprocess(args) -> int:
-    resolved = resolve_config(args.config, PREPROCESS_SCHEMA, PREPROCESS_DEFAULTS)
+    resolved = resolve_config(args.config, PREPROCESS_DEFAULTS)
     recording = read_raw(args.raw)
     try:
         if resolved["exclude_channels"]:
@@ -474,7 +402,7 @@ def cmd_report(args) -> int:
             rows.append(report_csv_row(report))
         except OSError as exc:
             raise DataError(f"cannot read report {path}: {exc}") from exc
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:  # also too deep
             raise DataError(f"{path}: not a valid report file") from exc
     rows.sort(key=lambda r: (r["parameters"], r["model"]))
     write_csv(args.out, rows)

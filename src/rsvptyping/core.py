@@ -11,11 +11,14 @@ evidence (target / non-target). Two update rules are supported:
   p(response | label), and the queried symbol is scaled by the positive
   density, all others by the negative density.
 
-One batched filter applies those factors (``update_factors``) to every row
-of an (rows, A) log-posterior matrix (``apply_round``, ``decide_rows``); a
-single session is a one-row matrix. All accumulation happens in the log
-domain so that long query sequences do not underflow, and every round
-returns a freshly normalized matrix.
+``update_factors`` states the two rules: it turns either rule's evidence into
+a pair of log factors. One batched filter applies a pair per presentation to
+every row of an (rows, A) log-posterior matrix (``apply_round``,
+``decide_rows``); a single session is a one-row matrix. The typing simulator
+makes its pairs from one log-likelihood ratio per presentation
+(``sim.log_factors``), the same update up to one shift per presentation. All
+accumulation happens in the log domain so that long query sequences do not
+underflow, and every round returns a freshly normalized matrix.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ def apply_round(
 
     ``queries``, ``log_pos`` and ``log_neg`` are (rows, slots): slot j of a
     row scales the queried symbol's mass by exp(log_pos) and every other
-    symbol's by exp(log_neg), factors as ``update_factors`` returns them.
+    symbol's by exp(log_neg), factors as ``sim.log_factors`` makes them from
+    a log-likelihood ratio (or ``update_factors`` from either rule's pair).
     Every slot applies, repeats included, and the result does not depend on
     the order of a row's slots. Factors are added, never subtracted, so -inf
     evidence cannot produce NaN. A row left without mass raises

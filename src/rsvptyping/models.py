@@ -30,13 +30,13 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .core import LabelPrior
 from .dsp import ZScoreStats, fit_zscore, zscore_array
-from .synth import LabeledDataset
+from .synth import DEFAULT_ALPHABET_SIZE, LabeledDataset
 
 # Ridge penalty (l2 / 2) * |weights|^2 of logistic fits. 1e-2 is the best
 # of {1e-4, 1e-3, 1e-2, 1e-1} on the train command's 10% holdout of the
@@ -62,13 +62,10 @@ MAX_STEP_HALVINGS = 40
 # tolerance. Fits of the README dataset leave residuals under 2e-6, so it
 # never fires there.
 HESSIAN_RESIDUAL_LIMIT = 1e-5
-# Symbols of the default typing alphabet; one queried symbol of it is the
-# target with prior 1/DEFAULT_ALPHABET_SIZE.
-DEFAULT_ALPHABET_SIZE = 28
 
-# Keys of the training config and their defaults; each key's value kind,
-# "float" or "int", is its default's type. A model file stores the settings
-# its fit used, so they are checked when it is read.
+# Keys of the training config and their defaults; each key's type is its
+# default's type. A model file stores the settings its fit used, so they
+# are checked when it is read.
 TRAIN_DEFAULTS = {
     "l2": L2_PENALTY,
     "tolerance": GRADIENT_TOLERANCE,
@@ -77,7 +74,6 @@ TRAIN_DEFAULTS = {
     "holdout_fraction": 0.1,
     "seed": 0,
 }
-TRAIN_SCHEMA = {key: type(value).__name__ for key, value in TRAIN_DEFAULTS.items()}
 # Settings of the gradient-descent fit the Newton fit replaced; model files
 # written before it may still name them.
 REMOVED_TRAIN_KEYS = ("learning_rate", "max_iterations")
@@ -121,7 +117,7 @@ def _check_kind(kind: str, fit: str, family: str) -> None:
 
 def check_train_settings(settings: dict) -> None:
     """Raise ValueError naming the first setting a fit cannot use: a removed
-    or unknown key, a value not of its schema type, a non-positive or
+    or unknown key, a value not of its default's type, a non-positive or
     non-finite ``l2``, ``tolerance`` or ``bandwidth``, a
     ``variance_fraction`` outside (0, 1], or a ``holdout_fraction`` outside
     (0, 1)."""
@@ -131,11 +127,12 @@ def check_train_settings(settings: dict) -> None:
                 f"training setting {key!r} was removed: logistic fits take "
                 f"Newton steps on an l2-penalized loss"
             )
-        if key not in TRAIN_SCHEMA:
+        if key not in TRAIN_DEFAULTS:
             raise ValueError(f"unknown training setting {key!r}")
-        if type(value) is not type(TRAIN_DEFAULTS[key]):
+        expected = type(TRAIN_DEFAULTS[key])
+        if type(value) is not expected:
             raise ValueError(
-                f"training setting {key!r} must be {TRAIN_SCHEMA[key]}, got {value!r}"
+                f"training setting {key!r} must be {expected.__name__}, got {value!r}"
             )
         if key in ("l2", "tolerance", "bandwidth") and not (
             math.isfinite(value) and value > 0
@@ -617,10 +614,10 @@ def build_generative(
     scorer is logistic regression for ``gen-logr`` and LDA for ``gen-lda``.
 
     The scorer is fit on the PCA projection of the z-scored epochs, then
-    the projection is folded into it. It is fit without class weighting;
-    the class imbalance is instead handled downstream by the label prior
-    during Bayes conversion. ``l2``, ``tolerance`` and ``fits`` go to the
-    logistic scorer's fit.
+    the projection is folded into it. It is fit without class weighting:
+    the two KDEs fit on its scores are class-conditional densities, so
+    their ratio carries no label prior. ``l2``, ``tolerance`` and ``fits``
+    go to the logistic scorer's fit.
     """
     _check_kind(kind, "build_generative", "generative")
     labels = train.labels
@@ -644,14 +641,6 @@ def build_generative(
         kde_pos=fit_kde(scores[labels == 1], bandwidth),
         kde_neg=fit_kde(scores[labels == 0], bandwidth),
     )
-
-
-def empirical_prior(labels: Sequence[int]) -> LabelPrior:
-    """Prior from training label fractions."""
-    arr = np.asarray(labels)
-    if arr.size == 0:
-        raise ValueError("no labels")
-    return LabelPrior(float(arr.mean()))
 
 
 # ---------------------------------------------------------------------------

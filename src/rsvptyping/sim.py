@@ -29,12 +29,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import LabelPrior, apply_round, decide_rows, probabilities
-from .models import DEFAULT_ALPHABET_SIZE, EvidenceModel, empirical_prior
+from .core import apply_round, decide_rows, probabilities
+from .models import DEFAULT_ALPHABET_SIZE, EvidenceModel
 from .synth import LabeledDataset
 from . import synth
 
@@ -289,14 +289,11 @@ def balanced_accuracy(predicted: Sequence[int], truth: Sequence[int]) -> float:
     return (recalls[0] + recalls[1]) / 2.0
 
 
-def classify_epochs(llr: np.ndarray, conversion_prior: Optional[LabelPrior] = None) -> np.ndarray:
+def classify_epochs(llr: np.ndarray) -> np.ndarray:
     """Hard label predictions from a model's log-likelihood ratios: label 1
-    where the posterior log odds llr + log(p / (1 - p)) under the label
-    prior p = ``conversion_prior`` (1/2 when not given) are at least 0, so
-    ties go to the positive class."""
-    prior = conversion_prior or LabelPrior(0.5)
-    log_odds = math.log(prior.p_pos) - math.log(prior.p_neg)
-    return (np.asarray(llr) + log_odds >= 0.0).astype(np.int64)
+    where the ratio is at least 0, the posterior log odds under the label
+    prior 1/2, so ties go to the positive class."""
+    return (np.asarray(llr) >= 0.0).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -335,7 +332,6 @@ def evaluate_splits(
     *,
     n_splits: int = 5,
     split_seed: int = 0,
-    empirical_conversion: bool = False,
 ) -> SplitSummary:
     """Retrain and evaluate a model on each train/test split.
 
@@ -344,21 +340,15 @@ def evaluate_splits(
     evidence, split by label. Split k's typing run uses seed
     ``typing_config.seed + k`` so splits are independent but the whole
     evaluation stays a pure function of its arguments.
-
-    With ``empirical_conversion`` the label prior used to turn the evidence
-    into label predictions is refit from each split's training labels
-    instead of the uniform 50/50. The typing runs are unaffected: only the
-    balanced-accuracy column responds to the conversion prior.
     """
     rows = []
     for k, s in enumerate(synth.split(dataset, n_splits=n_splits, seed=split_seed)):
         # the training copy is made inline so that it does not outlive the
         # fit, which is this loop's memory peak
         model = model_factory(dataset.subset(s.train))
-        prior = empirical_prior(dataset.labels[s.train]) if empirical_conversion else None
         test = dataset.subset(s.test)
         llr = model.predict_batch(test)
-        predictions = classify_epochs(llr, prior)
+        predictions = classify_epochs(llr)
         run_config = dataclasses.replace(typing_config, seed=typing_config.seed + k)
         rows.append(
             SplitMetrics(

@@ -25,7 +25,6 @@ from rsvptyping.models import (
     LogisticModel,
     OracleEvidenceModel,
     build_generative,
-    empirical_prior,
     fit_kde,
     fit_pca,
     kde_log_eval_many,
@@ -75,10 +74,10 @@ def one_query(a, mode, q, pos, neg, label_prior=None):
     return probabilities(apply_round(start, np.array([[q]]), log_pos, log_neg))[0]
 
 
-def classify_one(llr: float, prior=None) -> int:
+def classify_one(llr: float) -> int:
     """The label classify_epochs gives one epoch of log-likelihood ratio
-    ``llr`` under conversion prior ``prior``."""
-    return int(classify_epochs(np.array([llr]), conversion_prior=prior)[0])
+    ``llr``."""
+    return int(classify_epochs(np.array([llr]))[0])
 
 
 class TestLogistic:
@@ -635,35 +634,25 @@ class TestBayesConversion:
         assert classify_one(0.0) == 1
         assert classify_one(-1e-12) == 0
 
-    def test_equal_densities_empirical_prior(self):
-        # prior 1/10: the log prior odds log(1/9) must be outweighed
-        prior = empirical_prior([1] + [0] * 9)
-        assert classify_one(0.0, prior) == 0
-        assert classify_one(math.log(9.0) - 1e-9, prior) == 0
-        assert classify_one(math.log(9.0) + 1e-9, prior) == 1
-
     def test_four_to_one_ratio(self):
         assert classify_one(math.log(4.0)) == 1
-        assert classify_one(math.log(4.0), LabelPrior(0.19)) == 0
-        assert classify_one(math.log(4.0), LabelPrior(0.21)) == 1
 
     def test_certain_evidence_ignores_the_prior(self):
-        for prior in (None, LabelPrior(0.01), LabelPrior(0.99)):
-            assert classify_one(math.inf, prior) == 1
-            assert classify_one(-math.inf, prior) == 0
+        assert classify_one(math.inf) == 1
+        assert classify_one(-math.inf) == 0
 
     def test_both_zero_densities_unrepresentable(self):
         with pytest.raises(DegenerateEvidenceError):
             one_query(4, LikelihoodMode.GENERATIVE, 0, 0.0, 0.0)
 
-    def test_conversion_prior_shifts_every_kind(self):
-        # each model's ratio is against its own calibration prior, so the
-        # conversion prior moves a discriminative control as it does a density
+    def test_each_kind_is_labelled_against_its_own_prior(self):
+        # each model's ratio is against its own calibration prior, so one
+        # rule, llr >= 0, labels a discriminative control as it does a density
         epochs = make_dataset(np.zeros((4, 1, 3)), [0, 1, 0, 1])
-        model = ConstantEvidenceModel(0.6, prior=0.5)
-        llr = model.predict_batch(epochs)
+        llr = ConstantEvidenceModel(0.6, prior=0.5).predict_batch(epochs)
         assert list(classify_epochs(llr)) == [1] * 4
-        assert list(classify_epochs(llr, conversion_prior=LabelPrior(0.1))) == [0] * 4
+        llr = ConstantEvidenceModel(0.6, prior=0.9).predict_batch(epochs)
+        assert list(classify_epochs(llr)) == [0] * 4
 
     def test_bridge_with_core_updates(self):
         rng = np.random.default_rng(41)

@@ -8,6 +8,7 @@ config files read back as written."""
 
 import math
 import struct
+from enum import Enum
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rsvptyping.cli import SEED_KEYS, SIMULATE_SCHEMA, ConfigError, main, resolve_config
+from rsvptyping.cli import (
+    PREPROCESS_DEFAULTS,
+    SEED_KEYS,
+    SIMULATE_DEFAULTS,
+    SYNTH_DEFAULTS,
+    ConfigError,
+    main,
+    resolve_config,
+)
 from rsvptyping.core import (
     DegenerateEvidenceError,
     LabelPrior,
@@ -35,7 +44,7 @@ from rsvptyping.dsp import (
 )
 from rsvptyping import models
 from rsvptyping.dsp import fit_zscore, zscore_array
-from rsvptyping.models import TRAIN_SCHEMA, fit_kde, kde_log_eval_many
+from rsvptyping.models import TRAIN_DEFAULTS, fit_kde, kde_log_eval_many
 from rsvptyping.sim import log_factors
 from rsvptyping.synth import LabeledDataset
 
@@ -489,35 +498,48 @@ def test_payload_byte_flip_exits_0_or_2(containers, name, where, mask):
 # ---------------------------------------------------------------------------
 # Config files
 
-# values of each schema type, as a config line can hold them: text has no
-# comment mark or line break, and no whitespace at either end
-SCHEMA_VALUES = {
-    "int": st.integers(-(10**12), 10**12),
-    "float": st.floats(allow_nan=False),
-    "bool": st.booleans(),
-    "str": st.text(
-        st.characters(blacklist_characters="#\r\n", blacklist_categories=("Cs",))
-    ).map(str.strip),
-}
+def values_like(default):
+    """Values of the default's type, as a config line can hold them."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, Enum):
+        return st.sampled_from(type(default))
+    if isinstance(default, tuple):
+        return st.lists(st.integers(-(10**6), 10**6), max_size=4).map(tuple)
+    if isinstance(default, int):
+        return st.integers(-(10**12), 10**12)
+    return st.floats(allow_nan=False)
+
+
+def config_text(value) -> str:
+    """``value`` as a config line writes it."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    return str(value)
 
 
 @st.composite
 def config_files(draw):
-    """A schema and values for some of its keys."""
-    schema = draw(st.sampled_from([TRAIN_SCHEMA, SIMULATE_SCHEMA]))
-    keys = draw(st.lists(st.sampled_from(sorted(schema)), unique=True))
-    return schema, {key: draw(SCHEMA_VALUES[schema[key]]) for key in keys}
+    """A command's defaults and values for some of its keys."""
+    defaults = draw(st.sampled_from(
+        [SYNTH_DEFAULTS, TRAIN_DEFAULTS, SIMULATE_DEFAULTS, PREPROCESS_DEFAULTS]
+    ))
+    keys = draw(st.lists(st.sampled_from(sorted(defaults)), unique=True))
+    return defaults, {key: draw(values_like(defaults[key])) for key in keys}
 
 
 @settings(max_examples=200, deadline=None)
 @given(config_files())
 def test_config_file_round_trip(tmp_path_factory, case):
-    schema, values = case
+    defaults, values = case
     path = tmp_path_factory.mktemp("config") / "run.cfg"
     path.write_text(
         "# written by the round-trip property\n"
-        + "".join(f"{key} = {value!r}\n" if schema[key] == "float" else f"{key} = {value}\n"
-                  for key, value in values.items()),
+        + "".join(f"{key} = {config_text(value)}\n" for key, value in values.items()),
         encoding="utf-8",
     )
     # every value reads back as written, except a negative seed, which the
@@ -525,6 +547,6 @@ def test_config_file_round_trip(tmp_path_factory, case):
     negative = [key for key in SEED_KEYS if values.get(key, 0) < 0]
     if negative:
         with pytest.raises(ConfigError, match=f"^{negative[0]} must be a non-negative integer"):
-            resolve_config(str(path), schema, {})
+            resolve_config(str(path), defaults)
     else:
-        assert resolve_config(str(path), schema, {}) == values
+        assert resolve_config(str(path), defaults) == defaults | values

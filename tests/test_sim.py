@@ -324,13 +324,10 @@ class TestBalancedAccuracy:
 
 
 class TestClassifyEpochs:
-    def test_generative_prior_changes_predictions(self):
+    def test_generative_ratio_sets_the_label(self):
         # constant class-conditional densities p(e|+) = 0.4, p(e|-) = 0.1
         llr = np.full(6, math.log(0.4 / 0.1))
-        unif = classify_epochs(llr)
-        assert list(unif) == [1] * 6  # 0.4 / 0.5 odds -> pos = 0.8
-        emp = classify_epochs(llr, conversion_prior=LabelPrior(0.1))
-        assert list(emp) == [0] * 6  # prior drags pos to ~0.31
+        assert list(classify_epochs(llr)) == [1] * 6  # 0.4 / 0.5 odds -> pos = 0.8
 
     def test_discriminative_argmax(self):
         rng = np.random.default_rng(16)
