@@ -6,8 +6,9 @@ evidence model, ``simulate`` runs the typing benchmark across splits and
 writes a report, and ``report`` merges report files into one CSV table.
 
 Every command is a pure function of its input files, config, and seed:
-rerunning with identical inputs produces byte-identical outputs. Exit codes:
-0 success, 1 usage or config error, 2 data error, 3 numerical failure.
+rerunning with identical inputs produces byte-identical outputs at one BLAS
+thread count. Exit codes: 0 success, 1 usage, config or out-of-memory
+error, 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -476,6 +477,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a config asking for more memory than there is
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, ContainerFormatError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

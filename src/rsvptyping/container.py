@@ -23,17 +23,8 @@ import struct
 
 import numpy as np
 
-from .dsp import RawRecording, ZScoreStats
-from .models import (
-    LINEAR_ARRAYS,
-    MODEL_KINDS,
-    EvidenceModel,
-    GenerativeEvidenceModel,
-    KdeDensity,
-    LogisticEvidenceModel,
-    LogisticModel,
-    check_kind_settings,
-)
+from .dsp import RawRecording
+from .models import MODEL_KINDS, EvidenceModel, check_kind_settings
 from .synth import LabeledDataset
 
 FORMAT_NAME = "rsvptyping-container"
@@ -128,8 +119,6 @@ def read_dataset(path) -> LabeledDataset:
     if offset != expected or len(payload) != expected + n:
         raise ContainerFormatError(f"{path}: payload size does not match header")
     labels = np.frombuffer(payload[offset:], dtype=np.uint8)
-    if not np.all(np.isin(labels, (0, 1))):
-        raise ContainerFormatError(f"{path}: labels must be 0 or 1")
     try:
         data = np.frombuffer(payload[:offset], dtype="<f4").reshape(n, channels, samples)
         dataset = LabeledDataset(data=data, labels=labels)
@@ -185,20 +174,17 @@ def read_raw(path) -> RawRecording:
 
 
 def write_model(path, model: EvidenceModel, hyper: dict | None = None) -> None:
-    """Serialize a trained model as its kind's MODEL_KINDS arrays, in order;
+    """Serialize a trained model as its stored arrays, named and in order;
     float64 payload gives bit-exact loading. ``hyper`` is checked as
     read_model checks it, before any file is created."""
     if model.kind not in MODEL_KINDS:
         raise ValueError(f"model kind {model.kind!r} cannot be serialized")
     check_kind_settings(model.kind, hyper or {})
-    arrays = [model.zscore.mean, model.zscore.std, model.scorer.weights, model.scorer.bias]
-    if isinstance(model, GenerativeEvidenceModel):
-        kde_pos, kde_neg = model.kde_pos, model.kde_neg
-        arrays += [kde_pos.scores, kde_neg.scores, [kde_pos.bandwidth, kde_neg.bandwidth]]
+    arrays = model.stored_arrays()
     header = _base_header("model")
     header["model"] = model.kind
     header["arrays"] = [{"name": name, "shape": list(np.shape(arr))}
-                        for name, arr in zip(MODEL_KINDS[model.kind].arrays, arrays, strict=True)]
+                        for name, arr in zip(model.array_names, arrays, strict=True)]
     header["hyper"] = hyper or {}
     write_container(path, header, *(np.ascontiguousarray(arr, dtype="<f8") for arr in arrays))
 
@@ -239,7 +225,8 @@ def read_model(path) -> tuple[EvidenceModel, dict]:
     kind = header.get("model")
     if not (isinstance(kind, str) and kind in MODEL_KINDS):
         raise ContainerFormatError(f"{path}: unknown model kind {kind!r}")
-    layout = MODEL_KINDS[kind].arrays
+    record = MODEL_KINDS[kind].record
+    layout = record.array_names
     arrays = _read_arrays(path, header, payload)
     missing = [name for name in layout if name not in arrays]
     if missing:
@@ -255,15 +242,6 @@ def read_model(path) -> tuple[EvidenceModel, dict]:
     except ValueError as exc:
         raise ContainerFormatError(f"{path}: malformed training hyperparameters: {exc}") from exc
     try:
-        stats = ZScoreStats(mean=arrays["zscore_mean"], std=arrays["zscore_std"])
-        scorer = LogisticModel(weights=arrays["weights"], bias=float(arrays["bias"]))
-        if layout == LINEAR_ARRAYS:
-            return LogisticEvidenceModel(stats, scorer), hyper
-        bandwidths = arrays["kde_bandwidths"]
-        if bandwidths.shape != (2,):
-            raise ValueError(f"kde_bandwidths must hold 2 values, got shape {bandwidths.shape}")
-        kde_pos = KdeDensity(arrays["kde_pos_scores"], float(bandwidths[0]))
-        kde_neg = KdeDensity(arrays["kde_neg_scores"], float(bandwidths[1]))
-        return GenerativeEvidenceModel(kind, stats, scorer, kde_pos, kde_neg), hyper
+        return record.from_arrays(kind, *arrays.values()), hyper
     except (TypeError, ValueError) as exc:
         raise ContainerFormatError(f"{path}: invalid model: {exc}") from exc

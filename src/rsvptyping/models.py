@@ -83,30 +83,11 @@ REMOVED_TRAIN_KEYS = ("learning_rate", "max_iterations")
 class ModelKind:
     """A trainable model kind: the name of its fit, called as ``fit(train,
     kind=kind, **settings, fits=fits)``; the training settings that fit
-    takes and its model file stores; the arrays the file stores, in order."""
+    takes and its model file stores; the record class its fit returns."""
 
     fit: str
     settings: tuple[str, ...]
-    arrays: tuple[str, ...]
-
-
-# Every kind stores z-score statistics and one linear scorer of the
-# flattened z-scored epoch; generative kinds add their two KDEs.
-LINEAR_ARRAYS = ("zscore_mean", "zscore_std", "weights", "bias")
-LINEAR_KDE_ARRAYS = LINEAR_ARRAYS + ("kde_pos_scores", "kde_neg_scores", "kde_bandwidths")
-
-# The one place a trainable model kind is declared. Fits are named, not
-# held, and looked up at call time, so a wrapper put in place of one is used.
-MODEL_KINDS = {
-    "logreg": ModelKind("train_logistic_evidence", ("l2", "tolerance"), LINEAR_ARRAYS),
-    "gen-logr": ModelKind(
-        "build_generative", ("variance_fraction", "bandwidth", "l2", "tolerance"),
-        LINEAR_KDE_ARRAYS,
-    ),
-    "gen-lda": ModelKind(
-        "build_generative", ("variance_fraction", "bandwidth"), LINEAR_KDE_ARRAYS
-    ),
-}
+    record: type[EvidenceModel]
 
 
 def _check_kind(kind: str, fit: str, family: str) -> None:
@@ -514,10 +495,8 @@ def fit_pca(
         # the running sum can round past the total
         achieved = min(float(cumulative[r - 1]), 1.0)
     components = eigvecs[:, ::-1][:, :r].copy()
-    for j in range(components.shape[1]):
-        col = components[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            components[:, j] = -col
+    largest = components[np.argmax(np.abs(components), axis=0), np.arange(r)]
+    components *= np.where(largest < 0, -1.0, 1.0)
     gram = components.T @ components
     assert np.max(np.abs(gram - np.eye(r))) <= 1e-8, "eigh returned non-orthonormal axes"
     projection = PcaProjection(mean=mean, components=components, variance_fraction=achieved)
@@ -654,19 +633,25 @@ class EvidenceModel(abc.ABC):
     ``predict_batch`` returns one float64 array with one entry per epoch of
     the dataset: the log-likelihood ratio log p(e|+) - log p(e|-), +-inf
     for certain evidence. Implementations must be deterministic: the same
-    epoch always yields the same value.
-    ``parameter_count`` is the number of stored floats, used by reports to
-    relate performance to model size.
+    epoch always yields the same value. A trained record lists its model
+    file's float64 arrays, named by ``array_names``, in ``stored_arrays()``
+    and rebuilds itself from them in the classmethod ``from_arrays(kind,
+    *arrays)``. ``parameter_count``, used by reports to relate performance
+    to model size, is the number of floats stored: 0 for the controls.
     """
 
     kind: str
+    array_names: tuple[str, ...] = ()
 
     @abc.abstractmethod
     def predict_batch(self, dataset: LabeledDataset) -> np.ndarray: ...
 
+    def stored_arrays(self) -> tuple[np.ndarray, ...]:
+        return ()
+
     @property
-    @abc.abstractmethod
-    def parameter_count(self) -> int: ...
+    def parameter_count(self) -> int:
+        return sum(np.size(array) for array in self.stored_arrays())
 
 
 def _check_scorer_input(zscore: ZScoreStats, scorer: LogisticModel) -> None:
@@ -674,6 +659,15 @@ def _check_scorer_input(zscore: ZScoreStats, scorer: LogisticModel) -> None:
     channels = zscore.mean.shape[0]
     if channels == 0 or scorer.dimension == 0 or scorer.dimension % channels:
         raise ValueError("scorer input dimension must be channels * samples")
+
+
+def _linear_arrays(zscore: ZScoreStats, scorer: LogisticModel) -> tuple[np.ndarray, ...]:
+    return zscore.mean, zscore.std, scorer.weights, np.asarray(scorer.bias)
+
+
+def _linear_parts(mean, std, weights, bias) -> tuple[ZScoreStats, LogisticModel]:
+    """The z-score statistics and scorer that _linear_arrays stored."""
+    return ZScoreStats(mean=mean, std=std), LogisticModel(weights=weights, bias=float(bias))
 
 
 @dataclass(frozen=True)
@@ -685,6 +679,7 @@ class LogisticEvidenceModel(EvidenceModel):
     zscore: ZScoreStats
     scorer: LogisticModel
     kind = "logreg"
+    array_names = ("zscore_mean", "zscore_std", "weights", "bias")
 
     def __post_init__(self) -> None:
         _check_scorer_input(self.zscore, self.scorer)
@@ -692,9 +687,12 @@ class LogisticEvidenceModel(EvidenceModel):
     def predict_batch(self, dataset: LabeledDataset) -> np.ndarray:
         return _epoch_scores(self.zscore, self.scorer, dataset.data)
 
-    @property
-    def parameter_count(self) -> int:
-        return 2 * self.zscore.mean.shape[0] + self.scorer.dimension + 1
+    def stored_arrays(self) -> tuple[np.ndarray, ...]:
+        return _linear_arrays(self.zscore, self.scorer)
+
+    @classmethod
+    def from_arrays(cls, kind: str, *arrays: np.ndarray) -> LogisticEvidenceModel:
+        return cls(*_linear_parts(*arrays))
 
 
 def train_logistic_evidence(
@@ -730,6 +728,8 @@ class GenerativeEvidenceModel(EvidenceModel):
     scorer: LogisticModel
     kde_pos: KdeDensity
     kde_neg: KdeDensity
+    array_names = (*LogisticEvidenceModel.array_names,
+                   "kde_pos_scores", "kde_neg_scores", "kde_bandwidths")
 
     def __post_init__(self) -> None:
         _check_kind(self.kind, "build_generative", "generative")
@@ -739,10 +739,20 @@ class GenerativeEvidenceModel(EvidenceModel):
         scores = _epoch_scores(self.zscore, self.scorer, dataset.data)
         return kde_log_eval_many(self.kde_pos, scores) - kde_log_eval_many(self.kde_neg, scores)
 
-    @property
-    def parameter_count(self) -> int:
-        kde = self.kde_pos.scores.shape[0] + self.kde_neg.scores.shape[0] + 2
-        return 2 * self.zscore.mean.shape[0] + self.scorer.dimension + 1 + kde
+    def stored_arrays(self) -> tuple[np.ndarray, ...]:
+        kde_pos, kde_neg = self.kde_pos, self.kde_neg
+        return _linear_arrays(self.zscore, self.scorer) + (
+            kde_pos.scores, kde_neg.scores, np.array([kde_pos.bandwidth, kde_neg.bandwidth])
+        )
+
+    @classmethod
+    def from_arrays(cls, kind: str, *arrays: np.ndarray) -> GenerativeEvidenceModel:
+        *linear, pos_scores, neg_scores, bandwidths = arrays
+        zscore, scorer = _linear_parts(*linear)
+        if bandwidths.shape != (2,):
+            raise ValueError(f"kde_bandwidths must hold 2 values, got shape {bandwidths.shape}")
+        return cls(kind, zscore, scorer, KdeDensity(pos_scores, float(bandwidths[0])),
+                   KdeDensity(neg_scores, float(bandwidths[1])))
 
 
 class ConstantEvidenceModel(EvidenceModel):
@@ -765,10 +775,6 @@ class ConstantEvidenceModel(EvidenceModel):
     def predict_batch(self, dataset: LabeledDataset) -> np.ndarray:
         return np.full(len(dataset), self._llr)
 
-    @property
-    def parameter_count(self) -> int:
-        return 0
-
 
 class OracleEvidenceModel(EvidenceModel):
     """Reads the true epoch label and reports it with certainty."""
@@ -778,6 +784,16 @@ class OracleEvidenceModel(EvidenceModel):
     def predict_batch(self, dataset: LabeledDataset) -> np.ndarray:
         return np.where(dataset.labels == 1, np.inf, -np.inf)
 
-    @property
-    def parameter_count(self) -> int:
-        return 0
+
+# The one place a trainable model kind is declared. Fits are named, not
+# held, and looked up at call time, so a wrapper put in place of one is used.
+MODEL_KINDS = {
+    "logreg": ModelKind("train_logistic_evidence", ("l2", "tolerance"), LogisticEvidenceModel),
+    "gen-logr": ModelKind(
+        "build_generative", ("variance_fraction", "bandwidth", "l2", "tolerance"),
+        GenerativeEvidenceModel,
+    ),
+    "gen-lda": ModelKind(
+        "build_generative", ("variance_fraction", "bandwidth"), GenerativeEvidenceModel
+    ),
+}

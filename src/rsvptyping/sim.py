@@ -228,12 +228,11 @@ def run_typing(llr: np.ndarray, labels: np.ndarray, config: TypingConfig) -> Typ
     """
     size = config.alphabet_size
     n, k = config.attempts, config.symbols_per_query
-    # (2, epochs): the factor of the queried symbol, then of every other one
-    evidence = np.array(log_factors(llr))
+    llr = np.asarray(llr, dtype=np.float64)
     positive = np.asarray(labels) == 1
     if positive.all() or not positive.any():
         raise ValueError("both pools must be nonempty")
-    target_evidence, other_evidence = evidence[:, positive], evidence[:, ~positive]
+    target_llr, other_llr = llr[positive], llr[~positive]
 
     rng = np.random.default_rng(config.seed)
     targets = rng.integers(size, size=n)
@@ -243,16 +242,14 @@ def run_typing(llr: np.ndarray, labels: np.ndarray, config: TypingConfig) -> Typ
     rounds = np.full(n, config.max_rounds)
     for r in range(1, config.max_rounds + 1):
         queries = select_queries(log_posterior, k, config.query_strategy, rng)
-        target_draw = rng.integers(target_evidence.shape[1], size=(n, k))
-        other_draw = rng.integers(other_evidence.shape[1], size=(n, k))
+        target_draw = rng.integers(target_llr.shape[0], size=(n, k))
+        other_draw = rng.integers(other_llr.shape[0], size=(n, k))
         live = np.flatnonzero(active)
         query = queries[live]
-        evidence = np.where(
-            query == targets[live, None],
-            target_evidence[:, target_draw[live]],
-            other_evidence[:, other_draw[live]],
+        drawn = np.where(
+            query == targets[live, None], target_llr[target_draw[live]], other_llr[other_draw[live]]
         )
-        log_posterior[live] = apply_round(log_posterior[live], query, evidence[0], evidence[1])
+        log_posterior[live] = apply_round(log_posterior[live], query, *log_factors(drawn))
         best, confident = decide_rows(log_posterior[live], config.threshold)
         right = confident & (best == targets[live])
         stop = right | (confident & config.stop_on_wrong)

@@ -369,7 +369,7 @@ class TestModelKinds:
         assert main(["train", str(workspace["data"]), "--kind", kind, "--out", str(path)]) == 0
         entry = models.MODEL_KINDS[kind]
         header, _ = read_container(path, "model")
-        assert tuple(e["name"] for e in header["arrays"]) == entry.arrays
+        assert tuple(e["name"] for e in header["arrays"]) == entry.record.array_names
         model, hyper = read_model(path)
         assert model.kind == kind
         assert sorted(hyper) == sorted(entry.settings)
@@ -524,6 +524,18 @@ class TestSimulate:
             f"error: {cfg}:4: bad value for 'query_strategy': expected one of "
             "sample-with-replacement, sample-without-replacement, top-k; got 'roulette'\n"
         )
+
+    # each array the config asks for is larger than a 2^47-byte address
+    # space, so the allocation fails without touching memory
+    @pytest.mark.parametrize("key, value", [("alphabet_size", 10**12), ("attempts", 10**15)])
+    def test_config_too_large_for_memory_exits_1(self, tmp_path, workspace, capsys, key, value):
+        cfg = self.sim_cfg(tmp_path, **{"attempts": 1000, key: value})
+        rc = main(["simulate", "oracle", str(workspace["data"]), "--config", str(cfg),
+                   "--out", str(tmp_path / "rep.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not (tmp_path / "rep.json").exists()
 
     def test_conversion_prior_is_an_unknown_key(self, tmp_path, workspace, capsys):
         cfg = self.sim_cfg(tmp_path, conversion_prior="uniform")

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rsvptyping.cli import BUILTIN_MODELS, _builtin_model
 from rsvptyping.container import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -321,6 +322,38 @@ class TestModelIO:
         shapes = {entry["name"]: entry["shape"] for entry in header["arrays"]}
         assert shapes["weights"] == [math.prod(dataset.data.shape[1:])]
         assert sum(math.prod(shape) for shape in shapes.values()) == model.parameter_count
+
+    @pytest.mark.parametrize("kind", list(MODEL_KINDS))
+    def test_each_record_lists_rebuilds_and_counts_its_arrays(self, tmp_path, kind, request):
+        model = request.getfixturevalue(kind.replace("-", "_"))
+        record = MODEL_KINDS[kind].record
+        assert type(model) is record
+        arrays = model.stored_arrays()
+        assert len(arrays) == len(record.array_names)
+        named = dict(zip(record.array_names, arrays))
+        assert np.array_equal(named["zscore_std"], model.zscore.std)
+        assert np.array_equal(named["weights"], model.scorer.weights)
+        assert float(named["bias"]) == model.scorer.bias
+        path = tmp_path / "m.bin"
+        write_model(path, model)
+        header, payload = read_container(path, "model")
+        assert [entry["name"] for entry in header["arrays"]] == list(record.array_names)
+        assert model.parameter_count == sum(np.size(arr) for arr in arrays) == len(payload) // 8
+        loaded, _ = read_model(path)
+        assert type(loaded) is record and loaded.kind == kind
+        back = loaded.stored_arrays()
+        assert [arr.shape for arr in back] == [np.shape(arr) for arr in arrays]
+        assert all(np.asarray(arr).tobytes() == arr_back.tobytes()
+                   for arr, arr_back in zip(arrays, back, strict=True))
+        assert loaded.parameter_count == model.parameter_count
+
+    @pytest.mark.parametrize("name", BUILTIN_MODELS)
+    def test_controls_store_no_arrays(self, tmp_path, name):
+        model = _builtin_model(name, 28)
+        assert model.array_names == () and model.stored_arrays() == ()
+        assert model.parameter_count == 0
+        with pytest.raises(ValueError, match="cannot be serialized"):
+            write_model(tmp_path / "m.bin", model)
 
     def test_gen_lda_arrays_survive(self, tmp_path, gen_lda):
         path = tmp_path / "m.bin"
