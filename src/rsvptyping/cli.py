@@ -403,7 +403,8 @@ def cmd_report(args) -> int:
             rows.append(report_csv_row(report))
         except OSError as exc:
             raise DataError(f"cannot read report {path}: {exc}") from exc
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:  # also too deep
+        # RecursionError: nested too deep; OverflowError: an integer mean past float range
+        except (ValueError, KeyError, TypeError, RecursionError, OverflowError) as exc:
             raise DataError(f"{path}: not a valid report file") from exc
     rows.sort(key=lambda r: (r["parameters"], r["model"]))
     write_csv(args.out, rows)

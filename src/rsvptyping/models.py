@@ -9,10 +9,12 @@ its Hessian from a float32 copy of the features and checks the direction
 with one float64 Hessian-vector product; a relative residual above
 HESSIAN_RESIDUAL_LIMIT (1e-5) forms that step's block again in float64.
 The generative family instead models class-conditional densities with a
-Gaussian KDE per class over the score. Its scorer is logistic regression or
-LDA fit on a PCA projection of the epochs; LDA with one shared covariance is
-itself a linear log-odds model, and the projection is folded into the
-scorer's weights after the fit, so PCA is a training step only.
+Gaussian KDE per class over the score, each with the bandwidth that
+Silverman's rule of thumb gives for its class's training scores. Its scorer
+is logistic regression or LDA fit on a PCA projection of the epochs; LDA
+with one shared covariance is itself a linear log-odds model, and the
+projection is folded into the scorer's weights after the fit, so PCA is a
+training step only.
 
 Each trained model is one flat record of its parts, named by its kind:
 LogisticEvidenceModel (``logreg``) holds ``zscore`` and ``scorer``, and
@@ -44,10 +46,8 @@ from .synth import DEFAULT_ALPHABET_SIZE, LabeledDataset
 # drives the training loss to 0 and overfits.
 L2_PENALTY = 1e-2
 GRADIENT_TOLERANCE = 1e-6
-# Explained variance a generative fit's PCA keeps, and the bandwidth of its
-# two KDEs over the scorer's outputs.
+# Explained variance a generative fit's PCA keeps.
 VARIANCE_FRACTION = 0.8
-KDE_BANDWIDTH = 1.0
 # Newton steps before a fit stops short of its tolerance; a penalized fit of
 # the README dataset takes 7.
 NEWTON_MAX_STEPS = 50
@@ -70,13 +70,17 @@ TRAIN_DEFAULTS = {
     "l2": L2_PENALTY,
     "tolerance": GRADIENT_TOLERANCE,
     "variance_fraction": VARIANCE_FRACTION,
-    "bandwidth": KDE_BANDWIDTH,
     "holdout_fraction": 0.1,
     "seed": 0,
 }
-# Settings of the gradient-descent fit the Newton fit replaced; model files
-# written before it may still name them.
-REMOVED_TRAIN_KEYS = ("learning_rate", "max_iterations")
+# Settings that fits no longer take, each with the reason; model files
+# written before their removal may still name them.
+_NEWTON = "logistic fits take Newton steps on an l2-penalized loss"
+REMOVED_TRAIN_KEYS = {
+    "learning_rate": _NEWTON,
+    "max_iterations": _NEWTON,
+    "bandwidth": "the KDE bandwidths follow Silverman's rule from each class's training scores",
+}
 
 
 @dataclass(frozen=True)
@@ -98,16 +102,13 @@ def _check_kind(kind: str, fit: str, family: str) -> None:
 
 def check_train_settings(settings: dict) -> None:
     """Raise ValueError naming the first setting a fit cannot use: a removed
-    or unknown key, a value not of its default's type, a non-positive or
-    non-finite ``l2``, ``tolerance`` or ``bandwidth``, a
+    key, with the reason it was removed, an unknown key, a value not of its
+    default's type, a non-positive or non-finite ``l2`` or ``tolerance``, a
     ``variance_fraction`` outside (0, 1], or a ``holdout_fraction`` outside
     (0, 1)."""
     for key, value in settings.items():
         if key in REMOVED_TRAIN_KEYS:
-            raise ValueError(
-                f"training setting {key!r} was removed: logistic fits take "
-                f"Newton steps on an l2-penalized loss"
-            )
+            raise ValueError(f"training setting {key!r} was removed: {REMOVED_TRAIN_KEYS[key]}")
         if key not in TRAIN_DEFAULTS:
             raise ValueError(f"unknown training setting {key!r}")
         expected = type(TRAIN_DEFAULTS[key])
@@ -115,9 +116,7 @@ def check_train_settings(settings: dict) -> None:
             raise ValueError(
                 f"training setting {key!r} must be {expected.__name__}, got {value!r}"
             )
-        if key in ("l2", "tolerance", "bandwidth") and not (
-            math.isfinite(value) and value > 0
-        ):
+        if key in ("l2", "tolerance") and not (math.isfinite(value) and value > 0):
             raise ValueError(f"{key} must be positive and finite, got {value!r}")
         if key == "variance_fraction" and not 0.0 < value <= 1.0:
             raise ValueError(f"variance_fraction must lie in (0, 1], got {value!r}")
@@ -507,28 +506,42 @@ def fit_pca(
 # Kernel density estimation
 
 
+def _as_scores(scores: np.ndarray) -> np.ndarray:
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1 or s.shape[0] == 0 or not np.all(np.isfinite(s)):
+        raise ValueError("scores must be a nonempty finite vector")
+    return s
+
+
 @dataclass(frozen=True)
 class KdeDensity:
     """Mean of Gaussian kernels centered on the training scores."""
 
     scores: np.ndarray
-    bandwidth: float = KDE_BANDWIDTH
+    bandwidth: float
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.scores, dtype=np.float64)
-        if s.ndim != 1 or s.shape[0] == 0:
-            raise ValueError("scores must be a nonempty vector")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("scores must be finite")
+        s = _as_scores(self.scores).copy()
         if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
             raise ValueError("bandwidth must be positive and finite")
-        s = s.copy()
         s.flags.writeable = False
         object.__setattr__(self, "scores", s)
 
 
-def fit_kde(scores: np.ndarray, bandwidth: float = KDE_BANDWIDTH) -> KdeDensity:
-    return KdeDensity(scores=np.asarray(scores, dtype=np.float64), bandwidth=bandwidth)
+def fit_kde(scores: np.ndarray) -> KdeDensity:
+    """A KDE of ``scores`` whose bandwidth is Silverman's rule of thumb
+    (Silverman 1986, eq. 3.31), as R's ``bw.nrd0`` computes it:
+    0.9 * min(sd, IQR / 1.34) * n^(-1/5), with sd the sample standard
+    deviation (0 for one score) and IQR numpy's linear 75th minus 25th
+    percentile. A zero minimum falls back to sd, then to the first score's
+    magnitude, then to 1."""
+    s = _as_scores(scores)
+    n = s.shape[0]
+    # less the first score, the sd of equal scores is exactly 0, not rounding
+    sd = float(np.std(s - s[0], ddof=1)) if n > 1 else 0.0
+    q25, q75 = np.percentile(s, (25.0, 75.0))
+    spread = min(sd, float(q75 - q25) / 1.34) or sd or abs(float(s[0])) or 1.0
+    return KdeDensity(scores=s, bandwidth=0.9 * spread * n**-0.2)
 
 
 def kde_log_eval_many(density: KdeDensity, xs: np.ndarray) -> np.ndarray:
@@ -584,7 +597,6 @@ def build_generative(
     *,
     kind: str = "gen-logr",
     variance_fraction: float = VARIANCE_FRACTION,
-    bandwidth: float = KDE_BANDWIDTH,
     l2: float = L2_PENALTY,
     tolerance: float = GRADIENT_TOLERANCE,
     fits: Optional[list] = None,
@@ -595,7 +607,8 @@ def build_generative(
     The scorer is fit on the PCA projection of the z-scored epochs, then
     the projection is folded into it. It is fit without class weighting:
     the two KDEs fit on its scores are class-conditional densities, so
-    their ratio carries no label prior. ``l2``, ``tolerance`` and ``fits``
+    their ratio carries no label prior. Each KDE takes its bandwidth from
+    its class's scores by fit_kde's rule. ``l2``, ``tolerance`` and ``fits``
     go to the logistic scorer's fit.
     """
     _check_kind(kind, "build_generative", "generative")
@@ -617,8 +630,8 @@ def build_generative(
         kind=kind,
         zscore=stats,
         scorer=folded,
-        kde_pos=fit_kde(scores[labels == 1], bandwidth),
-        kde_neg=fit_kde(scores[labels == 0], bandwidth),
+        kde_pos=fit_kde(scores[labels == 1]),
+        kde_neg=fit_kde(scores[labels == 0]),
     )
 
 
@@ -790,10 +803,7 @@ class OracleEvidenceModel(EvidenceModel):
 MODEL_KINDS = {
     "logreg": ModelKind("train_logistic_evidence", ("l2", "tolerance"), LogisticEvidenceModel),
     "gen-logr": ModelKind(
-        "build_generative", ("variance_fraction", "bandwidth", "l2", "tolerance"),
-        GenerativeEvidenceModel,
+        "build_generative", ("variance_fraction", "l2", "tolerance"), GenerativeEvidenceModel
     ),
-    "gen-lda": ModelKind(
-        "build_generative", ("variance_fraction", "bandwidth"), GenerativeEvidenceModel
-    ),
+    "gen-lda": ModelKind("build_generative", ("variance_fraction",), GenerativeEvidenceModel),
 }

@@ -89,8 +89,10 @@ def report_csv_row(report: dict) -> dict:
         raise ValueError(f"model kind must be a string, got {kind!r}")
     if not isinstance(parameters, int) or isinstance(parameters, bool):
         raise ValueError(f"model parameters must be an integer, got {parameters!r}")
-    if not (math.isfinite(ba) and math.isfinite(itr)):
-        raise ValueError("aggregate means must be finite")
+    for mean in (ba, itr):
+        # by type, not isinstance: a JSON true is a bool, an int that reads as 1
+        if type(mean) not in (int, float) or not math.isfinite(mean):
+            raise ValueError(f"aggregate means must be finite numbers, got {mean!r}")
     return {
         "model": kind,
         "parameters": parameters,

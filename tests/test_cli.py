@@ -199,24 +199,33 @@ class TestTrain:
         _, channels, samples = read_dataset(workspace["data"]).data.shape
         assert loaded.kind == "gen-lda"
         assert loaded.scorer.dimension == channels * samples
-        assert hyper == {"variance_fraction": 0.8, "bandwidth": 1.0}
+        assert hyper == {"variance_fraction": 0.8}
 
-    def test_underflowing_bandwidth_trains_and_simulates_without_warnings(
-        self, tmp_path, workspace, capsys
-    ):
-        # every held-out kernel underflows: each epoch scores the KDE floor
-        # under both classes, a tie, instead of NaN evidence
-        train_cfg = tmp_path / "t.cfg"
-        train_cfg.write_text("bandwidth = 1e-300\n")
+    @pytest.mark.parametrize("kind", ["gen-logr", "gen-lda"])
+    def test_stored_bandwidths_are_the_rule_of_the_stored_scores(self, tmp_path, workspace,
+                                                                  kind):
+        model = tmp_path / "m.bin"
+        assert main(["train", str(workspace["data"]), "--kind", kind,
+                     "--out", str(model)]) == 0
+        loaded, _ = read_model(model)
+        for kde in (loaded.kde_pos, loaded.kde_neg):
+            assert kde.bandwidth == models.fit_kde(kde.scores).bandwidth
+
+    def test_flat_epochs_train_and_simulate_without_warnings(self, tmp_path, capsys):
+        # every epoch is zero, so every score is the scorer's bias: each
+        # KDE's bandwidth falls back to that score's size instead of 0
+        synth_cfg = tmp_path / "synth.cfg"
+        synth_cfg.write_text("n_epochs = 200\nchannels = 2\nnoise_std = 0\n"
+                             "erp_amplitude = 0\nseed = 5\n")
         sim_cfg = tmp_path / "s.cfg"
         sim_cfg.write_text("attempts = 20\nsplits = 2\n")
-        model = tmp_path / "m.bin"
+        data, model = tmp_path / "d.bin", tmp_path / "m.bin"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["train", str(workspace["data"]), "--kind", "gen-lda",
-                         "--config", str(train_cfg), "--out", str(model)]) == 0
-            assert main(["simulate", str(model), str(workspace["data"]),
-                         "--config", str(sim_cfg), "--out", str(tmp_path / "r.json")]) == 0
+            assert main(["synth", "--config", str(synth_cfg), "--out", str(data)]) == 0
+            assert main(["train", str(data), "--kind", "gen-lda", "--out", str(model)]) == 0
+            assert main(["simulate", str(model), str(data), "--config", str(sim_cfg),
+                         "--out", str(tmp_path / "r.json")]) == 0
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         captured = capsys.readouterr()
         assert "validation balanced accuracy: 0.500000" in captured.out
@@ -250,8 +259,7 @@ class TestTrain:
             assert rc == 0
         assert read_bytes(paths[0]) != read_bytes(paths[1])
         _, hyper = read_model(paths[1])
-        assert hyper == {"variance_fraction": 0.8, "bandwidth": 1.0, "l2": 0.1,
-                         "tolerance": 1e-6}
+        assert hyper == {"variance_fraction": 0.8, "l2": 0.1, "tolerance": 1e-6}
 
     @pytest.mark.parametrize("line", [
         "l2 = 0", "l2 = -0.5", "l2 = nan", "tolerance = 0", "tolerance = inf",
@@ -264,8 +272,10 @@ class TestTrain:
         rc = main(["train", str(workspace["data"]), "--config", str(cfg),
                    "--out", str(tmp_path / "m.bin")])
         assert rc == 1
+        # the KDE bandwidths follow from the scores: no config sets them
         expected = (
             "must lie in (0, 1]" if line.startswith("variance_fraction")
+            else "unknown key 'bandwidth'" if line.startswith("bandwidth")
             else "must be positive and finite"
         )
         assert expected in capsys.readouterr().err
@@ -640,7 +650,7 @@ class TestSimulate:
             hyper["variance_fraction"] = 1.5
         elif case == "setting-of-another-kind":
             # a valid setting that only the generative fits take
-            hyper["bandwidth"] = 1.0
+            hyper["variance_fraction"] = 0.8
         bad = tmp_path / "bad.bin"
         write_container(bad, header, payload)
         cfg = self.sim_cfg(tmp_path, attempts=10)
@@ -648,6 +658,23 @@ class TestSimulate:
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 2
         assert "data error:" in capsys.readouterr().err
+
+    def test_generative_file_with_a_bandwidth_setting_exits_2(self, tmp_path, workspace,
+                                                               capsys):
+        # as written before the KDE bandwidths followed Silverman's rule
+        model = tmp_path / "gen.bin"
+        assert main(["train", str(workspace["data"]), "--kind", "gen-lda",
+                     "--out", str(model)]) == 0
+        header, payload = read_container(model, "model")
+        header["hyper"]["bandwidth"] = 1.0
+        old = tmp_path / "old.bin"
+        write_container(old, header, payload)
+        rc = main(["simulate", str(old), str(workspace["data"]),
+                   "--config", str(self.sim_cfg(tmp_path, attempts=10)),
+                   "--out", str(tmp_path / "rep.json")])
+        assert rc == 2
+        assert ("training setting 'bandwidth' was removed: the KDE bandwidths follow "
+                "Silverman's rule from each class's training scores") in capsys.readouterr().err
 
     def test_generative_file_of_the_pca_layout_exits_2(self, tmp_path, workspace, capsys):
         # a gen-logr file as written before the PCA projection was folded
@@ -986,6 +1013,9 @@ class TestReport:
         {"ba": math.nan},
         {"itr": math.inf},
         {"ba": "0.75"},
+        {"ba": True, "itr": False},
+        {"itr": True},
+        {"ba": 10**400},
     ])
     def test_malformed_row_field_exits_2(self, tmp_path, capsys, fields):
         # next to a valid report, so the rows would have to be sorted

@@ -295,12 +295,13 @@ class TestModelIO:
         assert read_bytes(a) == read_bytes(b)
 
     @pytest.mark.parametrize("name, hyper, message", [
-        ("logreg", {"bandwidth": 1.0}, "logreg fits take no setting bandwidth"),
+        ("logreg", {"variance_fraction": 0.8}, "logreg fits take no setting variance_fraction"),
         ("gen_lda", {"l2": 0.01}, "gen-lda fits take no setting l2"),
         ("logreg", {"l2": -0.5}, "l2 must be positive"),
         ("gen_logr", {"variance_fraction": 1}, "must be float"),
         ("logreg", {"momentum": 0.9}, "unknown training setting"),
         ("logreg", {"learning_rate": 0.1}, "was removed"),
+        ("gen_lda", {"bandwidth": 1.0}, "'bandwidth' was removed: the KDE bandwidths follow"),
     ])
     def test_unreadable_settings_are_not_written(self, tmp_path, name, hyper, message, request):
         # read_model would reject the file, so write_model raises first

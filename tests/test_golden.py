@@ -31,17 +31,17 @@ GOLDEN = {
     },
     "gen-lda": {
         "splits": [
-            {"split": 0, "balanced_accuracy": 0.544444, "typing_accuracy": 0.025,
+            {"split": 0, "balanced_accuracy": 0.555556, "typing_accuracy": 0.025,
              "itr_bits_per_symbol": 0.002679,
-             "outcomes": {"correct": 1, "wrong": 1, "timeout": 38},
-             "rounds_to_decision": [0, 0, 0, 0, 0, 0, 0, 1, 0, 1]},
-            {"split": 1, "balanced_accuracy": 0.588889, "typing_accuracy": 0.225,
+             "outcomes": {"correct": 1, "wrong": 3, "timeout": 36},
+             "rounds_to_decision": [0, 0, 0, 0, 0, 0, 0, 2, 2, 0]},
+            {"split": 1, "balanced_accuracy": 0.6, "typing_accuracy": 0.225,
              "itr_bits_per_symbol": 0.353124,
-             "outcomes": {"correct": 9, "wrong": 12, "timeout": 19},
-             "rounds_to_decision": [0, 1, 3, 1, 2, 4, 4, 4, 2, 0]},
+             "outcomes": {"correct": 9, "wrong": 17, "timeout": 14},
+             "rounds_to_decision": [0, 2, 4, 2, 5, 5, 4, 2, 2, 0]},
         ],
         "aggregate": {
-            "balanced_accuracy": {"mean": 0.566667, "std": 0.022222},
+            "balanced_accuracy": {"mean": 0.577778, "std": 0.022222},
             "itr_bits_per_symbol": {"mean": 0.177901, "std": 0.175223},
         },
     },

@@ -34,7 +34,7 @@ from rsvptyping.models import (
     train_logistic,
     train_logistic_evidence,
 )
-from rsvptyping.sim import classify_epochs, log_factors
+from rsvptyping.sim import TypingConfig, classify_epochs, evaluate_splits, log_factors
 from rsvptyping.synth import LabeledDataset
 
 from oracles import (
@@ -476,18 +476,18 @@ class TestPca:
 
 class TestKde:
     def test_kernel_peak_value(self):
-        density = fit_kde(np.array([2.5]))
+        density = KdeDensity(np.array([2.5]), 1.0)
         assert kde_eval(density, 2.5) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-9)
         assert kde_eval(density, 2.5) == pytest.approx(0.398942, abs=1e-6)
 
     def test_two_score_midpoint(self):
-        density = fit_kde(np.array([-1.0, 1.0]))
+        density = KdeDensity(np.array([-1.0, 1.0]), 1.0)
         expected = math.exp(-0.5) / math.sqrt(2 * math.pi)
         assert kde_eval(density, 0.0) == pytest.approx(expected, abs=1e-12)
         assert kde_eval(density, 0.0) == pytest.approx(0.241971, abs=1e-6)
 
     def test_far_tail_is_floored_but_usable(self):
-        density = fit_kde(np.array([0.0]))
+        density = KdeDensity(np.array([0.0]), 1.0)
         value = kde_eval(density, 60.0)
         assert value >= 0.0
         assert kde_log_eval_many(density, np.array([60.0]))[0] >= -745.0
@@ -498,7 +498,7 @@ class TestKde:
     @pytest.mark.filterwarnings("error")
     def test_underflowing_kernels_score_the_floor(self):
         # at this bandwidth every kernel underflows except at an exact match
-        density = fit_kde(np.array([0.0, 1.0]), bandwidth=1e-300)
+        density = KdeDensity(np.array([0.0, 1.0]), 1e-300)
         logs = kde_log_eval_many(density, np.array([0.5, 3.0, -2.0, 1.0]))
         assert not np.isnan(logs).any()
         np.testing.assert_array_equal(logs[:3], np.full(3, models.LOG_DENSITY_FLOOR))
@@ -515,7 +515,7 @@ class TestKde:
             )
 
     def test_integrates_to_one(self):
-        density = fit_kde(np.array([-2.0, 0.5, 3.0]), bandwidth=1.5)
+        density = KdeDensity(np.array([-2.0, 0.5, 3.0]), 1.5)
         grid = np.linspace(-20, 20, 20001)
         vals = np.exp(kde_log_eval_many(density, grid))
         assert np.trapezoid(vals, grid) == pytest.approx(1.0, abs=1e-6)
@@ -528,7 +528,7 @@ class TestKde:
         # a test set's scores against a training set's: the whole
         # (queries, scores) matrix would be 44 MB
         rng = np.random.default_rng(10)
-        density = fit_kde(rng.standard_normal(4629), bandwidth=0.5)
+        density = KdeDensity(rng.standard_normal(4629), 0.5)
         queries = rng.standard_normal(1200)
         tracemalloc.start()
         try:
@@ -539,10 +539,34 @@ class TestKde:
         assert peak < 4 * 2**20
 
     def test_empty_scores_rejected(self):
-        with pytest.raises(ValueError):
-            fit_kde(np.array([]))
+        # before the bandwidth rule runs: the percentiles of no scores raise
+        # IndexError, and the spread of a non-finite one warns
+        for scores in ([], [1.0, math.inf], [math.nan], [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="nonempty finite vector"):
+                fit_kde(np.array(scores))
         with pytest.raises(ValueError):
             KdeDensity(scores=np.array([1.0]), bandwidth=0.0)
+
+    # values of R's bw.nrd0, Silverman's rule of thumb, for each of its branches
+    @pytest.mark.parametrize("scores, expected", [
+        ([1.0, 2.0, 3.0, 4.0, 5.0], 0.9735846228506357),  # the sd
+        ([0.0, 0.0, 0.0, 1.0], 0.12725232368091027),  # the IQR / 1.34
+        ([3.0, 3.0, 3.0], 2.167402216752623),  # no spread: the first score's size
+        ([0.1, 0.1, 0.1], 0.07224674055842077),  # the same, though their mean rounds
+        ([0.0, 0.0], 0.7834955069665117),  # nor a nonzero score: 1
+        ([2.5], 2.25),  # one score: sd 0
+    ])
+    def test_bandwidth_is_silvermans_rule(self, scores, expected):
+        # RuntimeWarnings are errors here: a single score's sd warns in numpy
+        density = fit_kde(np.array(scores))
+        assert density.bandwidth == pytest.approx(expected, rel=1e-12, abs=0)
+        assert np.array_equal(density.scores, scores)
+
+    def test_bandwidth_scales_with_the_scores(self):
+        scores = np.random.default_rng(9).standard_normal(500)
+        assert fit_kde(scores * 1e3).bandwidth == pytest.approx(
+            1e3 * fit_kde(scores).bandwidth, rel=1e-12
+        )
 
 
 def separable_epochs(rng, n=40, channels=2, samples=8, offset=4.0):
@@ -612,6 +636,27 @@ class TestGenerativePipeline:
         assert np.array_equal(epochs.data, before)
         model.predict_batch(epochs)
         assert np.array_equal(epochs.data, before)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore::rsvptyping.sim.SubChanceAccuracyWarning")
+    def test_underflowing_bandwidth_trains_and_simulates_without_warnings(self):
+        # every held-out kernel underflows: each epoch scores the KDE floor
+        # under both classes, a tie, instead of NaN evidence
+        def underflowing(train):
+            model = build_generative(train, kind="gen-lda")
+            return dataclasses.replace(
+                model, kde_pos=KdeDensity(model.kde_pos.scores, 1e-300),
+                kde_neg=KdeDensity(model.kde_neg.scores, 1e-300),
+            )
+
+        epochs = separable_epochs(np.random.default_rng(40), n=60)
+        model = underflowing(epochs.subset(range(40)))
+        held_out = epochs.subset(range(40, 60))
+        np.testing.assert_array_equal(model.predict_batch(held_out), np.zeros(20))
+        summary = evaluate_splits(underflowing, epochs, TypingConfig(attempts=20), n_splits=2)
+        for row in summary.per_split:
+            assert row.balanced_accuracy == 0.5
+            assert row.typing.timeout == 20
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(39)

@@ -44,7 +44,7 @@ from rsvptyping.dsp import (
 )
 from rsvptyping import models
 from rsvptyping.dsp import fit_zscore, zscore_array
-from rsvptyping.models import TRAIN_DEFAULTS, fit_kde, kde_log_eval_many
+from rsvptyping.models import TRAIN_DEFAULTS, KdeDensity, kde_log_eval_many
 from rsvptyping.sim import log_factors
 from rsvptyping.synth import LabeledDataset
 
@@ -322,7 +322,7 @@ def test_block_kde_matches_whole_matrix(case):
     # a wide spread puts some queries on the density floor
     queries = rng.standard_normal(n_queries) * rng.choice([1.0, 30.0])
     with mock.patch.object(models, "KDE_BLOCK_BYTES", 8 * budget):
-        got = kde_log_eval_many(fit_kde(scores, bandwidth), queries)
+        got = kde_log_eval_many(KdeDensity(scores, bandwidth), queries)
     assert got.dtype == np.float64
     assert np.array_equal(got, reference_kde_log_eval(scores, bandwidth, queries))
 
@@ -340,7 +340,7 @@ def test_block_kde_at_the_module_budget(n_scores, n_queries):
     rng = np.random.default_rng(n_scores + n_queries)
     scores = rng.standard_normal(n_scores)
     queries = rng.standard_normal(n_queries) * 2.0
-    got = kde_log_eval_many(fit_kde(scores, 0.3), queries)
+    got = kde_log_eval_many(KdeDensity(scores, 0.3), queries)
     assert np.array_equal(got, reference_kde_log_eval(scores, 0.3, queries))
 
 
