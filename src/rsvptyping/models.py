@@ -462,15 +462,20 @@ class PcaProjection:
 
 
 def fit_pca(
-    features: np.ndarray, variance_fraction: float = VARIANCE_FRACTION
+    features: np.ndarray,
+    variance_fraction: float = VARIANCE_FRACTION,
+    *,
+    overwrite_features: bool = False,
 ) -> tuple[PcaProjection, np.ndarray]:
     """Keep the smallest number of components whose cumulative explained
     variance reaches ``variance_fraction``. Zero-variance input keeps one
     component by convention. Component signs are fixed so the entry of
-    largest magnitude is positive, making the fit deterministic.
+    largest magnitude is positive, making the fit deterministic. Axes that
+    eigh returns non-orthonormal raise LinAlgError.
 
-    Returns the projection and the training rows projected by it, both from
-    one centered copy of ``features``."""
+    Returns the projection and the C-ordered training rows projected by it,
+    both from one centered copy of ``features``; with ``overwrite_features``
+    a float64 ``features`` is centered in place instead."""
     x = _as_float_matrix(features)
     n = x.shape[0]
     if n < 2:
@@ -478,7 +483,7 @@ def fit_pca(
     if not (0.0 < variance_fraction <= 1.0):
         raise ValueError("variance_fraction must lie in (0, 1]")
     mean = x.mean(axis=0)
-    centered = x - mean
+    centered = np.subtract(x, mean, out=x if overwrite_features else None)
     # the Gram matrix's eigenpairs are the squared singular values and right
     # singular vectors of the centered data; eigh returns them ascending
     eigvals, eigvecs = np.linalg.eigh(centered.T @ centered)
@@ -497,9 +502,15 @@ def fit_pca(
     largest = components[np.argmax(np.abs(components), axis=0), np.arange(r)]
     components *= np.where(largest < 0, -1.0, 1.0)
     gram = components.T @ components
-    assert np.max(np.abs(gram - np.eye(r))) <= 1e-8, "eigh returned non-orthonormal axes"
+    if not np.max(np.abs(gram - np.eye(r))) <= 1e-8:
+        raise np.linalg.LinAlgError("eigh returned non-orthonormal axes")
     projection = PcaProjection(mean=mean, components=components, variance_fraction=achieved)
-    return projection, centered @ projection.components
+    # numpy hands a row-major product to BLAS as its column-major transpose,
+    # so on 2+ threads OpenBLAS would pack a copy of all n x d rows for
+    # centered @ components; written the other way round, the product packs
+    # only the small components. The C-ordered copy keeps the scorer fits'
+    # rounding (and gen-logr's model bytes) as they were.
+    return projection, np.ascontiguousarray((components.T @ centered.T).T)
 
 
 # ---------------------------------------------------------------------------
@@ -616,16 +627,19 @@ def build_generative(
     if labels.min() == labels.max():
         raise ValueError("both classes must be present")
     stats = fit_zscore(train.data)
-    flat = zscore_array(stats, train.data).reshape(len(train), -1)
-    pca, reduced = fit_pca(flat, variance_fraction)
+    # the z-scored rows are centered in place and freed once projected; the
+    # KDEs' training scores are formed from the epochs again, as predict_batch does
+    pca, reduced = fit_pca(zscore_array(stats, train.data).reshape(len(train), -1),
+                           variance_fraction, overwrite_features=True)
     if kind == "gen-logr":
         scorer = train_logistic(
             reduced, labels, class_weights=(1.0, 1.0), l2=l2, tolerance=tolerance, fits=fits
         )
     else:
         scorer = train_lda(reduced, labels)
+    del reduced
     folded = _fold_projection(scorer, pca)
-    scores = logistic_scores(folded, flat)
+    scores = _epoch_scores(stats, folded, train.data)
     return GenerativeEvidenceModel(
         kind=kind,
         zscore=stats,

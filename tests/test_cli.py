@@ -782,6 +782,29 @@ class TestSimulate:
         assert rc == code
         assert message in capsys.readouterr().err
 
+    def test_non_orthonormal_pca_axes_exit_3(self, tmp_path, workspace, monkeypatch, capsys):
+        # the check holds under python -O too, and ends in an exit code
+        model = tmp_path / "gen.bin"
+        assert main(["train", str(workspace["data"]), "--kind", "gen-lda",
+                     "--out", str(model)]) == 0
+        eigh = np.linalg.eigh
+
+        def skewed(matrix):
+            values, vectors = eigh(matrix)
+            return values, 2.0 * vectors
+
+        monkeypatch.setattr(models.np.linalg, "eigh", skewed)
+        capsys.readouterr()
+        message = "numerical failure: eigh returned non-orthonormal axes"
+        assert main(["train", str(workspace["data"]), "--kind", "gen-lda",
+                     "--out", str(tmp_path / "again.bin")]) == 3
+        assert message in capsys.readouterr().err
+        cfg = self.sim_cfg(tmp_path, attempts=10)
+        rc = main(["simulate", str(model), str(workspace["data"]), "--config", str(cfg),
+                   "--out", str(tmp_path / "rep.json")])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+
 
 def make_raw(path, n_channels=8, n_samples=40_000, rate=250.0, seed=0):
     rng = np.random.default_rng(seed)

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +39,12 @@ from rsvptyping.models import (
     train_logistic_evidence,
 )
 from rsvptyping.sim import TypingConfig, classify_epochs, evaluate_splits, log_factors
-from rsvptyping.synth import LabeledDataset
+from rsvptyping.synth import LabeledDataset, SynthConfig, generate
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from oracles import (
     reference_train_logistic,
@@ -44,6 +53,9 @@ from oracles import (
     reference_weighted_ce,
     svd_pca,
 )
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def make_dataset(data, labels):
@@ -473,6 +485,63 @@ class TestPca:
         assert np.array_equal(x, before)
         assert np.array_equal(reduced, (x - proj.mean) @ proj.components)
 
+    def test_overwrite_features_centers_in_place(self):
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((80, 7)) + 3.0
+        proj, reduced = fit_pca(x, 0.9)
+        inplace, inplace_reduced = fit_pca(x.copy(), 0.9, overwrite_features=True)
+        np.testing.assert_array_equal(inplace.components, proj.components)
+        np.testing.assert_array_equal(inplace_reduced, reduced)
+        assert reduced.flags.c_contiguous and inplace_reduced.flags.c_contiguous
+        overwritten = x.copy()
+        fit_pca(overwritten, 0.9, overwrite_features=True)
+        np.testing.assert_array_equal(overwritten, x - proj.mean)
+
+    def test_non_orthonormal_axes_raise_linalg_error(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def skewed(matrix):
+            values, vectors = eigh(matrix)
+            return values, 2.0 * vectors
+
+        monkeypatch.setattr(models.np.linalg, "eigh", skewed)
+        x = np.random.default_rng(44).standard_normal((40, 5))
+        with pytest.raises(np.linalg.LinAlgError, match="eigh returned non-orthonormal axes"):
+            fit_pca(x, 0.9)
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_training_projection_makes_no_blas_copy_of_the_rows(self):
+        # A threaded gemm that packs the tall operand holds a copy of all
+        # n x d rows. The high-water mark before the call already covers the
+        # rows and one centered copy; the fit may add only its small results.
+        # Low-rank data keeps ~20 components, so the results stay small.
+        script = """
+import resource
+import numpy as np
+from rsvptyping.models import fit_pca
+
+rng = np.random.default_rng(0)
+basis = rng.standard_normal((20, 372))
+x = np.empty((10000, 372))
+for start in range(0, 10000, 500):
+    x[start:start + 500] = rng.standard_normal((500, 20)) @ basis
+    x[start:start + 500] += 0.05 * rng.standard_normal((500, 372))
+fit_pca(x[:500])  # BLAS and LAPACK set up their buffers
+spare = np.ones_like(x)
+del spare
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+proj, reduced = fit_pca(x)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(proj.n_components, (after - before) * 1024 / x.nbytes)
+"""
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        components, growth = int(out[0]), float(out[1])
+        assert components <= 25
+        assert growth < 0.5
+
 
 class TestKde:
     def test_kernel_peak_value(self):
@@ -658,6 +727,19 @@ class TestGenerativePipeline:
             assert row.balanced_accuracy == 0.5
             assert row.typing.timeout == 20
 
+    def test_fit_memory_is_under_two_zscored_matrices(self):
+        # the z-scored rows are centered in place and not kept through the
+        # scorer fit; a centered copy and the kept rows made 2.5 matrices
+        epochs = generate(SynthConfig(n_epochs=2000))
+        matrix_bytes = 8 * epochs.data.size
+        tracemalloc.start()
+        try:
+            build_generative(epochs, kind="gen-lda")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * matrix_bytes
+
     def test_single_class_rejected(self):
         rng = np.random.default_rng(39)
         epochs = make_dataset(rng.standard_normal((10, 2, 8)), np.ones(10, dtype=int))
@@ -818,12 +900,13 @@ class TestTracedCallSites:
         calls = self.count_calls(monkeypatch)
         epochs = separable_epochs(np.random.default_rng(53))
         model = build_generative(epochs, kind="gen-lda")
-        fit = {"fit_zscore": 1, "zscore_array": 1, "fit_pca": 1, "train_lda": 1,
+        # one z-scoring for the PCA, one for the KDEs' training scores
+        fit = {"fit_zscore": 1, "zscore_array": 2, "fit_pca": 1, "train_lda": 1,
                "train_logistic": 0, "fit_kde": 2, "kde_log_eval_many": 0,
                "logistic_loss_and_gradient": 0}
         assert calls == fit
         model.predict_batch(epochs)
-        assert calls == {**fit, "zscore_array": 2, "kde_log_eval_many": 2}
+        assert calls == {**fit, "zscore_array": 3, "kde_log_eval_many": 2}
         fits: list = []
         build_generative(epochs, kind="gen-logr", fits=fits)
         assert (calls["train_lda"], calls["train_logistic"]) == (1, 1)
