@@ -462,10 +462,7 @@ class PcaProjection:
 
 
 def fit_pca(
-    features: np.ndarray,
-    variance_fraction: float = VARIANCE_FRACTION,
-    *,
-    overwrite_features: bool = False,
+    features: np.ndarray, variance_fraction: float = VARIANCE_FRACTION
 ) -> tuple[PcaProjection, np.ndarray]:
     """Keep the smallest number of components whose cumulative explained
     variance reaches ``variance_fraction``. Zero-variance input keeps one
@@ -473,9 +470,9 @@ def fit_pca(
     largest magnitude is positive, making the fit deterministic. Axes that
     eigh returns non-orthonormal raise LinAlgError.
 
-    Returns the projection and the C-ordered training rows projected by it,
-    both from one centered copy of ``features``; with ``overwrite_features``
-    a float64 ``features`` is centered in place instead."""
+    Consumes its input: a float64 ``features`` is centered in place (any
+    other dtype is centered in a float64 copy). Returns the projection and
+    the C-ordered training rows projected by it."""
     x = _as_float_matrix(features)
     n = x.shape[0]
     if n < 2:
@@ -483,10 +480,10 @@ def fit_pca(
     if not (0.0 < variance_fraction <= 1.0):
         raise ValueError("variance_fraction must lie in (0, 1]")
     mean = x.mean(axis=0)
-    centered = np.subtract(x, mean, out=x if overwrite_features else None)
+    x -= mean
     # the Gram matrix's eigenpairs are the squared singular values and right
     # singular vectors of the centered data; eigh returns them ascending
-    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered)
+    eigvals, eigvecs = np.linalg.eigh(x.T @ x)
     explained = np.clip(eigvals[::-1], 0.0, None) / (n - 1)
     total = float(explained.sum())
     if total <= 0.0:
@@ -506,11 +503,11 @@ def fit_pca(
         raise np.linalg.LinAlgError("eigh returned non-orthonormal axes")
     projection = PcaProjection(mean=mean, components=components, variance_fraction=achieved)
     # numpy hands a row-major product to BLAS as its column-major transpose,
-    # so on 2+ threads OpenBLAS would pack a copy of all n x d rows for
-    # centered @ components; written the other way round, the product packs
+    # so on 2+ threads OpenBLAS would pack a copy of all n x d centered rows
+    # for x @ components; written the other way round, the product packs
     # only the small components. The C-ordered copy keeps the scorer fits'
     # rounding (and gen-logr's model bytes) as they were.
-    return projection, np.ascontiguousarray((components.T @ centered.T).T)
+    return projection, np.ascontiguousarray((components.T @ x.T).T)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +627,7 @@ def build_generative(
     # the z-scored rows are centered in place and freed once projected; the
     # KDEs' training scores are formed from the epochs again, as predict_batch does
     pca, reduced = fit_pca(zscore_array(stats, train.data).reshape(len(train), -1),
-                           variance_fraction, overwrite_features=True)
+                           variance_fraction)
     if kind == "gen-logr":
         scorer = train_logistic(
             reduced, labels, class_weights=(1.0, 1.0), l2=l2, tolerance=tolerance, fits=fits

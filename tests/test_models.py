@@ -392,7 +392,7 @@ class TestPca:
     def test_isotropic_gaussian_matches_eigenvalue_oracle(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((500, 10))
-        proj, _ = fit_pca(x, 0.8)
+        proj, _ = fit_pca(x.copy(), 0.8)
         # oracle: eigenvalues of the sample covariance
         cov = np.cov(x, rowvar=False)
         eigvals = np.sort(np.linalg.eigvalsh(cov))[::-1]
@@ -404,7 +404,7 @@ class TestPca:
     def test_reconstruction_keeps_most_variance(self):
         rng = np.random.default_rng(29)
         x = rng.standard_normal((200, 6)) @ np.diag([3.0, 2.0, 1.0, 0.5, 0.3, 0.1])
-        proj, reduced = fit_pca(x, 0.8)
+        proj, reduced = fit_pca(x.copy(), 0.8)
         recon = reduced @ proj.components.T + proj.mean
         lost = np.var(x - recon, axis=0).sum() / np.var(x - x.mean(axis=0), axis=0).sum()
         assert lost <= 0.2
@@ -431,7 +431,7 @@ class TestPca:
         rng = np.random.default_rng(41)
         scales = np.linspace(3.0, 0.2, 24)
         x = rng.standard_normal((400, 24)) * scales + rng.standard_normal(24)
-        proj, reduced = fit_pca(x, 0.8)
+        proj, reduced = fit_pca(x.copy(), 0.8)
         explained, axes = svd_pca(x)
         r = proj.n_components
         assert r == int(np.searchsorted(np.cumsum(explained) / explained.sum(), 0.8) + 1)
@@ -444,7 +444,7 @@ class TestPca:
     def test_determinism(self):
         rng = np.random.default_rng(40)
         x = rng.standard_normal((60, 5))
-        (p1, _), (p2, _) = fit_pca(x), fit_pca(x)
+        (p1, _), (p2, _) = fit_pca(x.copy()), fit_pca(x.copy())
         np.testing.assert_array_equal(p1.components, p2.components)
 
     def test_components_are_orthonormal(self):
@@ -463,7 +463,7 @@ class TestPca:
         ]
         for x in inputs:
             for fraction in (0.8, 1.0):
-                components = fit_pca(x, fraction)[0].components
+                components = fit_pca(x.copy(), fraction)[0].components
                 gram = components.T @ components
                 np.testing.assert_allclose(gram, np.eye(gram.shape[0]), rtol=0, atol=1e-8)
 
@@ -480,22 +480,16 @@ class TestPca:
     def test_training_projection_matches_a_projection_of_the_input(self):
         rng = np.random.default_rng(43)
         x = rng.standard_normal((80, 7)) + 3.0
-        before = x.copy()
-        proj, reduced = fit_pca(x, 0.9)
-        assert np.array_equal(x, before)
+        features = x.copy()
+        proj, reduced = fit_pca(features, 0.9)
+        # a float64 input is centered in place
+        assert np.array_equal(features, x - proj.mean)
+        assert reduced.flags.c_contiguous
         assert np.array_equal(reduced, (x - proj.mean) @ proj.components)
-
-    def test_overwrite_features_centers_in_place(self):
-        rng = np.random.default_rng(43)
-        x = rng.standard_normal((80, 7)) + 3.0
-        proj, reduced = fit_pca(x, 0.9)
-        inplace, inplace_reduced = fit_pca(x.copy(), 0.9, overwrite_features=True)
-        np.testing.assert_array_equal(inplace.components, proj.components)
-        np.testing.assert_array_equal(inplace_reduced, reduced)
-        assert reduced.flags.c_contiguous and inplace_reduced.flags.c_contiguous
-        overwritten = x.copy()
-        fit_pca(overwritten, 0.9, overwrite_features=True)
-        np.testing.assert_array_equal(overwritten, x - proj.mean)
+        # any other dtype is centered in a copy
+        single = x.astype(np.float32)
+        fit_pca(single, 0.9)
+        assert np.array_equal(single, x.astype(np.float32))
 
     def test_non_orthonormal_axes_raise_linalg_error(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -513,7 +507,7 @@ class TestPca:
     def test_training_projection_makes_no_blas_copy_of_the_rows(self):
         # A threaded gemm that packs the tall operand holds a copy of all
         # n x d rows. The high-water mark before the call already covers the
-        # rows and one centered copy; the fit may add only its small results.
+        # rows and one more matrix; the fit may add only its small results.
         # Low-rank data keeps ~20 components, so the results stay small.
         script = """
 import resource
@@ -526,7 +520,7 @@ x = np.empty((10000, 372))
 for start in range(0, 10000, 500):
     x[start:start + 500] = rng.standard_normal((500, 20)) @ basis
     x[start:start + 500] += 0.05 * rng.standard_normal((500, 372))
-fit_pca(x[:500])  # BLAS and LAPACK set up their buffers
+fit_pca(x[:500].copy())  # BLAS and LAPACK set up their buffers
 spare = np.ones_like(x)
 del spare
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
