@@ -505,8 +505,8 @@ def fit_pca(
     # numpy hands a row-major product to BLAS as its column-major transpose,
     # so on 2+ threads OpenBLAS would pack a copy of all n x d centered rows
     # for x @ components; written the other way round, the product packs
-    # only the small components. The C-ordered copy keeps the scorer fits'
-    # rounding (and gen-logr's model bytes) as they were.
+    # only the small components. The result is copied C-ordered because the
+    # scorer fits round differently on an F-ordered matrix.
     return projection, np.ascontiguousarray((components.T @ x.T).T)
 
 
