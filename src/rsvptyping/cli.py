@@ -196,14 +196,15 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _fit_model(kind: str, train: LabeledDataset, settings: dict, fits: list) -> EvidenceModel:
+def _fit_model(kind: str, train: LabeledDataset, settings: dict) -> EvidenceModel:
     # looked up by name at each call, so a wrapper put on this module is used
-    fit = globals()[MODEL_KINDS[kind].fit]
-    return fit(train, kind=kind, **settings, fits=fits)
+    return globals()[MODEL_KINDS[kind].fit](train, kind=kind, **settings)
 
 
-def _warn_unconverged(fits: list) -> None:
-    """One stderr line when any logistic fit stopped short of its tolerance."""
+def _warn_unconverged(fits) -> None:
+    """One stderr line when any logistic fit of ``fits``, a LogisticFit or
+    None per fit, stopped short of its tolerance."""
+    fits = [fit for fit in fits if fit is not None]
     stopped = [fit for fit in fits if not fit.converged]
     if stopped:
         worst = max(stopped, key=lambda fit: fit.gradient_norm)
@@ -241,10 +242,9 @@ def cmd_train(args) -> int:
         )[0]
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    fits: list = []
     try:
         # the training copy is made inline so that it does not outlive the fit
-        model = _fit_model(args.kind, dataset.subset(holdout.train), settings, fits)
+        model = _fit_model(args.kind, dataset.subset(holdout.train), settings)
     except np.linalg.LinAlgError:
         raise
     except ValueError as exc:
@@ -256,10 +256,10 @@ def cmd_train(args) -> int:
     print(f"wrote {args.out}")
     print(f"model: {args.kind}  parameters: {model.parameter_count}")
     print(f"train epochs: {len(holdout.train)}  validation epochs: {len(valid)}")
-    for fit in fits:
-        print(f"fit: {fit.steps} Newton steps, gradient norm {fit.gradient_norm:.3e}")
+    if model.fit is not None:
+        print(f"fit: {model.fit.steps} Newton steps, gradient norm {model.fit.gradient_norm:.3e}")
     print(f"validation balanced accuracy: {ba:.6f}")
-    _warn_unconverged(fits)
+    _warn_unconverged([model.fit])
     return EXIT_OK
 
 
@@ -291,7 +291,6 @@ def cmd_simulate(args) -> int:
         raise ConfigError(str(exc)) from exc
 
     dataset = read_dataset(args.data)
-    fits: list = []
     if args.model in BUILTIN_MODELS:
         model = _builtin_model(args.model, resolved["alphabet_size"])
 
@@ -302,7 +301,7 @@ def cmd_simulate(args) -> int:
 
         def factory(train):
             # a setting the file omits takes the fit's default, its TRAIN_DEFAULTS value
-            return _fit_model(model.kind, train, hyper, fits)
+            return _fit_model(model.kind, train, hyper)
 
     try:
         with warnings.catch_warnings():
@@ -341,7 +340,7 @@ def cmd_simulate(args) -> int:
         f"± {summary.std_balanced_accuracy:.6f}"
     )
     print(f"itr bits/symbol: {summary.mean_itr:.6f} ± {summary.std_itr:.6f}")
-    _warn_unconverged(fits)
+    _warn_unconverged(row.fit for row in summary.per_split)
     _warn_sub_chance(summary, resolved["alphabet_size"])
     return EXIT_OK
 

@@ -54,13 +54,6 @@ class LabelPrior:
     def p_neg(self) -> float:
         return 1.0 - self.p_pos
 
-    @classmethod
-    def uniform_over(cls, alphabet_size: int) -> "LabelPrior":
-        """p_pos = 1/A: under a uniform symbol prior, one queried symbol is
-        the target with probability 1/A. The reading of "uniform" is
-        ambiguous, so this is a default, not a hard rule."""
-        return cls(1.0 / alphabet_size)
-
 
 def probabilities(log_posterior: np.ndarray) -> np.ndarray:
     """Each row of a (rows, A) log-posterior matrix in the linear domain,

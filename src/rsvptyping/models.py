@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -86,8 +86,9 @@ REMOVED_TRAIN_KEYS = {
 @dataclass(frozen=True)
 class ModelKind:
     """A trainable model kind: the name of its fit, called as ``fit(train,
-    kind=kind, **settings, fits=fits)``; the training settings that fit
-    takes and its model file stores; the record class its fit returns."""
+    kind=kind, **settings)``; the training settings that fit takes and its
+    model file stores; the record class its fit returns, whose ``fit`` says
+    how a logistic scorer's fit ended."""
 
     fit: str
     settings: tuple[str, ...]
@@ -146,7 +147,8 @@ KDE_BLOCK_BYTES = 1 << 20
 
 
 def _as_float_matrix(features: np.ndarray) -> np.ndarray:
-    out = np.asarray(features, dtype=np.float64)
+    # C order: BLAS rounds the products of a fit differently on F-ordered rows
+    out = np.asarray(features, dtype=np.float64, order="C")
     if out.ndim != 2:
         raise ValueError(f"expected a 2-D feature matrix, got shape {out.shape}")
     # min and max propagate NaN and find infinities without a matrix-sized mask
@@ -181,11 +183,35 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class LogisticFit:
+    """How a Newton fit ended: the loss at each iterate, and the penalized
+    gradient norm at the last one with the tolerance it was held to.
+    ``float64_steps`` counts the steps whose float32-formed Hessian failed
+    the residual check and was formed again from the float64 rows."""
+
+    losses: tuple[float, ...]
+    gradient_norm: float
+    tolerance: float
+    float64_steps: int
+
+    @property
+    def steps(self) -> int:
+        return len(self.losses) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.gradient_norm <= self.tolerance
+
+
+@dataclass(frozen=True)
 class LogisticModel:
-    """Linear log-odds model: score(x) = weights . x + bias."""
+    """Linear log-odds model: score(x) = weights . x + bias. ``fit`` says how
+    the Newton fit that made it ended: None for LDA and for a model read
+    from a file. It is not stored, and equality ignores it."""
 
     weights: np.ndarray
     bias: float
+    fit: Optional[LogisticFit] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
@@ -250,27 +276,6 @@ def logistic_loss_and_gradient(
     return loss, grad_w, grad_b
 
 
-@dataclass(frozen=True)
-class LogisticFit:
-    """How a Newton fit ended: the loss at each iterate, and the penalized
-    gradient norm at the last one with the tolerance it was held to.
-    ``float64_steps`` counts the steps whose float32-formed Hessian failed
-    the residual check and was formed again from the float64 rows."""
-
-    losses: tuple[float, ...]
-    gradient_norm: float
-    tolerance: float
-    float64_steps: int
-
-    @property
-    def steps(self) -> int:
-        return len(self.losses) - 1
-
-    @property
-    def converged(self) -> bool:
-        return self.gradient_norm <= self.tolerance
-
-
 def _newton_direction(
     z: np.ndarray,
     x: np.ndarray,
@@ -328,7 +333,6 @@ def train_logistic(
     *,
     l2: float = L2_PENALTY,
     tolerance: float = GRADIENT_TOLERANCE,
-    fits: Optional[list] = None,
 ) -> LogisticModel:
     """Fit ridge-penalized logistic regression by Newton's method (IRLS).
 
@@ -338,7 +342,7 @@ def train_logistic(
     gradient norm drops to ``tolerance``; it stops short of it after
     NEWTON_MAX_STEPS steps, or when halving finds no decrease. Class weights
     default to inverse label fractions. Deterministic: no randomness is
-    involved. If ``fits`` is a list, a LogisticFit is appended to it.
+    involved. The model's ``fit`` is the LogisticFit of how the fit ended.
 
     Each step's (d, d) Hessian block is formed from one float32 copy of the
     features, made once per fit, through one reused float32 (n, d) buffer.
@@ -381,9 +385,7 @@ def train_logistic(
             break
         w, b = trial_w, trial_b
         float64_steps += exact
-    if fits is not None:
-        fits.append(LogisticFit(tuple(losses), norm, tolerance, float64_steps))
-    return LogisticModel(weights=w, bias=b)
+    return LogisticModel(w, b, LogisticFit(tuple(losses), norm, tolerance, float64_steps))
 
 
 def logistic_scores(model: LogisticModel, features: np.ndarray) -> np.ndarray:
@@ -456,10 +458,6 @@ class PcaProjection:
     components: np.ndarray  # (d, r), orthonormal columns
     variance_fraction: float
 
-    @property
-    def n_components(self) -> int:
-        return self.components.shape[1]
-
 
 def fit_pca(
     features: np.ndarray, variance_fraction: float = VARIANCE_FRACTION
@@ -470,9 +468,9 @@ def fit_pca(
     largest magnitude is positive, making the fit deterministic. Axes that
     eigh returns non-orthonormal raise LinAlgError.
 
-    Consumes its input: a float64 ``features`` is centered in place (any
-    other dtype is centered in a float64 copy). Returns the projection and
-    the C-ordered training rows projected by it."""
+    Consumes its input: a C-ordered float64 ``features`` is centered in
+    place (any other is centered in a C-ordered float64 copy). Returns the
+    projection and the C-ordered training rows projected by it."""
     x = _as_float_matrix(features)
     n = x.shape[0]
     if n < 2:
@@ -505,8 +503,8 @@ def fit_pca(
     # numpy hands a row-major product to BLAS as its column-major transpose,
     # so on 2+ threads OpenBLAS would pack a copy of all n x d centered rows
     # for x @ components; written the other way round, the product packs
-    # only the small components. The result is copied C-ordered because the
-    # scorer fits round differently on an F-ordered matrix.
+    # only the small components. The result is copied C-ordered, the order
+    # the scorer fits take, so they need no copy of their own.
     return projection, np.ascontiguousarray((components.T @ x.T).T)
 
 
@@ -595,9 +593,10 @@ def _epoch_scores(stats: ZScoreStats, scorer: LogisticModel, stacked: np.ndarray
 
 def _fold_projection(scorer: LogisticModel, pca: PcaProjection) -> LogisticModel:
     """The scorer of PCA-projected rows as one linear map of the unprojected
-    rows: w . ((x - mean) @ components) + b = (components @ w) . x + bias."""
+    rows: w . ((x - mean) @ components) + b = (components @ w) . x + bias.
+    It keeps the scorer's ``fit``."""
     weights = pca.components @ scorer.weights
-    return LogisticModel(weights=weights, bias=scorer.bias - float(weights @ pca.mean))
+    return LogisticModel(weights, scorer.bias - float(weights @ pca.mean), scorer.fit)
 
 
 def build_generative(
@@ -607,7 +606,6 @@ def build_generative(
     variance_fraction: float = VARIANCE_FRACTION,
     l2: float = L2_PENALTY,
     tolerance: float = GRADIENT_TOLERANCE,
-    fits: Optional[list] = None,
 ) -> GenerativeEvidenceModel:
     """Fit a generative evidence model of ``kind`` on labeled epochs: its
     scorer is logistic regression for ``gen-logr`` and LDA for ``gen-lda``.
@@ -616,8 +614,8 @@ def build_generative(
     the projection is folded into it. It is fit without class weighting:
     the two KDEs fit on its scores are class-conditional densities, so
     their ratio carries no label prior. Each KDE takes its bandwidth from
-    its class's scores by fit_kde's rule. ``l2``, ``tolerance`` and ``fits``
-    go to the logistic scorer's fit.
+    its class's scores by fit_kde's rule. ``l2`` and ``tolerance`` go to the
+    logistic scorer's fit.
     """
     _check_kind(kind, "build_generative", "generative")
     labels = train.labels
@@ -629,9 +627,7 @@ def build_generative(
     pca, reduced = fit_pca(zscore_array(stats, train.data).reshape(len(train), -1),
                            variance_fraction)
     if kind == "gen-logr":
-        scorer = train_logistic(
-            reduced, labels, class_weights=(1.0, 1.0), l2=l2, tolerance=tolerance, fits=fits
-        )
+        scorer = train_logistic(reduced, labels, (1.0, 1.0), l2=l2, tolerance=tolerance)
     else:
         scorer = train_lda(reduced, labels)
     del reduced
@@ -676,6 +672,12 @@ class EvidenceModel(abc.ABC):
     @property
     def parameter_count(self) -> int:
         return sum(np.size(array) for array in self.stored_arrays())
+
+    @property
+    def fit(self) -> Optional[LogisticFit]:
+        """How the logistic fit of the model's scorer ended; None for LDA
+        scorers, controls and models read from a file."""
+        return getattr(getattr(self, "scorer", None), "fit", None)
 
 
 def _check_scorer_input(zscore: ZScoreStats, scorer: LogisticModel) -> None:
@@ -725,14 +727,13 @@ def train_logistic_evidence(
     kind: str = "logreg",
     l2: float = L2_PENALTY,
     tolerance: float = GRADIENT_TOLERANCE,
-    fits: Optional[list] = None,
 ) -> LogisticEvidenceModel:
     """Fit the discriminative baseline, model kind ``logreg``, on labeled
     epochs."""
     _check_kind(kind, "train_logistic_evidence", "logistic")
     stats = fit_zscore(train.data)
     flat = zscore_array(stats, train.data).reshape(len(train), -1)
-    scorer = train_logistic(flat, train.labels, l2=l2, tolerance=tolerance, fits=fits)
+    scorer = train_logistic(flat, train.labels, l2=l2, tolerance=tolerance)
     return LogisticEvidenceModel(stats, scorer)
 
 

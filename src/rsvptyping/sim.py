@@ -29,12 +29,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import apply_round, decide_rows, probabilities
-from .models import DEFAULT_ALPHABET_SIZE, EvidenceModel
+from .models import DEFAULT_ALPHABET_SIZE, EvidenceModel, LogisticFit
 from .synth import LabeledDataset
 from . import synth
 
@@ -295,9 +295,13 @@ def classify_epochs(llr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SplitMetrics:
+    """One split's scores, and how its model's logistic fit ended (None
+    when its model had none)."""
+
     split_index: int
     balanced_accuracy: float
     typing: TypingResult
+    fit: Optional[LogisticFit] = None
 
 
 @dataclass(frozen=True)
@@ -352,6 +356,7 @@ def evaluate_splits(
                 split_index=k,
                 balanced_accuracy=balanced_accuracy(predictions, test.labels),
                 typing=run_typing(llr, test.labels, run_config),
+                fit=model.fit,
             )
         )
     return SplitSummary.from_metrics(rows)

@@ -303,6 +303,23 @@ class TestTrain:
             "warning: typing accuracy below chance 1/28 in 1 of 2 splits: split 1 (0.0000)"
         ]
 
+    @pytest.mark.parametrize("kind", ["gen-logr", "gen-lda"])
+    def test_generative_fit_diagnostics_reach_the_cli(self, tmp_path, workspace, monkeypatch,
+                                                      capsys, kind):
+        logistic = kind == "gen-logr"
+        model = tmp_path / "m.bin"
+        assert main(["train", str(workspace["data"]), "--kind", kind, "--out", str(model)]) == 0
+        assert len(re.findall(r"^fit: ", capsys.readouterr().out, re.M)) == logistic
+        monkeypatch.setattr(models, "NEWTON_MAX_STEPS", 1)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("attempts = 10\nsplits = 2\nseed = 1\n")
+        assert main(["simulate", str(model), str(workspace["data"]), "--config", str(cfg),
+                     "--out", str(tmp_path / "rep.json")]) == 0
+        warned = [line for line in capsys.readouterr().err.splitlines() if "fits" in line]
+        assert len(warned) == logistic
+        assert all(line.startswith("warning: 2 of 2 logistic fits stopped short")
+                   for line in warned)
+
     def test_single_class_data_exits_2(self, tmp_path, capsys):
         base = generate(SynthConfig(n_epochs=40, channels=2, target_fraction=0.5, seed=1))
         negatives = LabeledDataset(base.data, np.zeros(len(base), dtype=np.int64))

@@ -56,7 +56,6 @@ class TestTypes:
             LabelPrior(0.0)
         with pytest.raises(ValueError):
             LabelPrior(1.0)
-        assert LabelPrior.uniform_over(28).p_pos == pytest.approx(1 / 28)
         assert LabelPrior(0.25).p_neg == 0.75
 
 

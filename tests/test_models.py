@@ -160,12 +160,11 @@ class TestLogistic:
     def test_loss_trace_decreases(self):
         x = np.array([[-1.5], [-0.5], [0.5], [1.5]])
         y = np.array([0, 0, 1, 1])
-        fits: list = []
-        train_logistic(x, y, fits=fits)
-        losses = fits[0].losses
+        fit = train_logistic(x, y).fit
+        losses = fit.losses
         assert len(losses) >= 2
         assert all(after < before for before, after in zip(losses, losses[1:]))
-        assert fits[0].converged and fits[0].steps == len(losses) - 1
+        assert fit.converged and fit.steps == len(losses) - 1
 
     def test_penalty_adds_half_l2_squared_norm(self):
         rng = np.random.default_rng(2)
@@ -183,11 +182,10 @@ class TestLogistic:
         x = rng.standard_normal((200, 3))
         y = (x @ np.array([1.0, -0.5, 0.25]) + 0.3 * rng.standard_normal(200) > 0).astype(int)
         l2, tolerance = 0.1, 1e-8
-        fits: list = []
-        model = train_logistic(x, y, l2=l2, tolerance=tolerance, fits=fits)
+        model = train_logistic(x, y, l2=l2, tolerance=tolerance)
         _, gw, gb = logistic_loss_and_gradient(model.weights, model.bias, x, y, l2=l2)
         assert math.hypot(np.linalg.norm(gw), gb) <= tolerance
-        assert fits[0].converged and fits[0].steps <= 10
+        assert model.fit.converged and model.fit.steps <= 10
         # plain gradient descent from zero, at a step under 1 / curvature
         w, b = np.zeros(3), 0.0
         for _ in range(20000):
@@ -210,11 +208,10 @@ class TestLogistic:
         y = rng.integers(0, 2, n)
         y[:2] = [0, 1]
         cw = (1.0, 1.0) if weighted else None
-        fits: list = []
-        model = train_logistic(x, y, cw, l2=l2, fits=fits)
+        model = train_logistic(x, y, cw, l2=l2)
         _, gw, gb = logistic_loss_and_gradient(model.weights, model.bias, x, y, cw, l2)
-        assert fits[0].converged
-        assert math.hypot(np.linalg.norm(gw), gb) == fits[0].gradient_norm <= 1e-6
+        assert model.fit.converged
+        assert math.hypot(np.linalg.norm(gw), gb) == model.fit.gradient_norm <= 1e-6
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -236,12 +233,11 @@ class TestLogistic:
         y = (score + rng.standard_normal(n) > 0.5).astype(int)
         y[:2] = [0, 1]
         cw = (1.0, 1.0) if weighted else None
-        fits: list = []
         reference: list = []
-        model = train_logistic(x, y, cw, l2=l2, fits=fits)
+        model = train_logistic(x, y, cw, l2=l2)
         expected = reference_train_logistic(x, y, cw, l2=l2, fits=reference)
-        assert fits[0].steps == reference[0].steps
-        assert fits[0].float64_steps == 0
+        assert model.fit.steps == reference[0].steps
+        assert model.fit.float64_steps == 0
         scale = math.hypot(np.linalg.norm(expected.weights), expected.bias)
         assert np.linalg.norm(model.weights - expected.weights) <= 1e-9 * scale
         assert abs(model.bias - expected.bias) <= 1e-9 * scale
@@ -254,13 +250,12 @@ class TestLogistic:
         base = rng.standard_normal(2000)
         x = (base[:, None] + 1e-3 * rng.standard_normal((2000, 50))) * np.logspace(-3, 3, 50)
         y = (base + rng.standard_normal(2000) > 0).astype(int)
-        fits: list = []
         reference: list = []
-        train_logistic(x, y, l2=1e-6, fits=fits)
+        fit = train_logistic(x, y, l2=1e-6).fit
         reference_train_logistic(x, y, l2=1e-6, fits=reference)
         assert reference[0].converged
-        assert fits[0].converged and fits[0].steps == reference[0].steps
-        assert fits[0].float64_steps >= 1
+        assert fit.converged and fit.steps == reference[0].steps
+        assert fit.float64_steps >= 1
 
     def test_features_beyond_float32_range_form_float64_hessians(self):
         # 1e40 overflows float32 to inf; every direction comes from float64
@@ -269,12 +264,11 @@ class TestLogistic:
         x = rng.standard_normal((200, 3))
         y = (x[:, 0] + rng.standard_normal(200) > 0).astype(int)
         x[:, 1] *= 1e40
-        fits: list = []
         reference: list = []
-        model = train_logistic(x, y, fits=fits)
+        model = train_logistic(x, y)
         expected = reference_train_logistic(x, y, fits=reference)
-        assert fits[0].steps == reference[0].steps >= 1
-        assert fits[0].float64_steps == fits[0].steps
+        assert model.fit.steps == reference[0].steps >= 1
+        assert model.fit.float64_steps == model.fit.steps
         np.testing.assert_array_equal(model.weights, expected.weights)
         assert model.bias == expected.bias
 
@@ -284,14 +278,13 @@ class TestLogistic:
         rng = np.random.default_rng(12)
         x = rng.standard_normal((5400, 372))
         y = (x[:, :8].sum(axis=1) + 2.0 * rng.standard_normal(5400) > 4.0).astype(int)
-        fits: list = []
         tracemalloc.start()
         try:
-            train_logistic(x, y, fits=fits)
+            fit = train_logistic(x, y).fit
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert fits[0].converged and fits[0].float64_steps == 0
+        assert fit.converged and fit.float64_steps == 0
         assert peak <= 1.15 * x.nbytes
 
     @pytest.mark.parametrize("setting", [
@@ -301,6 +294,40 @@ class TestLogistic:
         x = np.array([[-1.0], [1.0]])
         with pytest.raises(ValueError, match=next(iter(setting))):
             train_logistic(x, np.array([0, 1]), **setting)
+
+
+def linear_parameters(model: LogisticModel) -> tuple:
+    return model.weights, model.bias
+
+
+# Each case maps (features, labels, weights) to the arrays it computes.
+LAYOUT_CASES = {
+    "train_logistic": lambda x, y, w: linear_parameters(train_logistic(x, y)),
+    "train_logistic_equal_weights": lambda x, y, w: linear_parameters(
+        train_logistic(x, y, (1.0, 1.0))),
+    "logistic_loss_and_gradient": lambda x, y, w: logistic_loss_and_gradient(
+        w, 0.1, x, y, l2=0.01),
+    "logistic_scores": lambda x, y, w: (logistic_scores(LogisticModel(w, 0.1), x),),
+    "train_lda": lambda x, y, w: linear_parameters(train_lda(x, y)),
+}
+
+
+@pytest.mark.parametrize("case", list(LAYOUT_CASES))
+def test_results_do_not_depend_on_memory_layout(case):
+    # BLAS sums a product of F-ordered rows in another order; the fits take
+    # C-ordered rows, so their bits depend only on the values
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((300, 40))
+    y = (x[:, 0] + rng.standard_normal(300) > 0.8).astype(int)
+    w = rng.standard_normal(40)
+    fortran = np.asfortranarray(x)
+    assert not fortran.flags.c_contiguous
+
+    def bits(features):
+        parts = LAYOUT_CASES[case](features, y, w)
+        return np.concatenate([np.ravel(np.asarray(part, dtype=np.float64)) for part in parts])
+
+    assert bits(fortran).tobytes() == bits(x).tobytes()
 
 
 class TestPredictProba:
@@ -386,7 +413,7 @@ class TestPca:
         t = np.linspace(-1, 1, 30)
         x = np.outer(t, np.array([1.0, 2.0, -1.0]))
         proj, _ = fit_pca(x, 0.8)
-        assert proj.n_components == 1
+        assert proj.components.shape[1] == 1
         assert proj.variance_fraction >= 0.999999
 
     def test_isotropic_gaussian_matches_eigenvalue_oracle(self):
@@ -398,8 +425,8 @@ class TestPca:
         eigvals = np.sort(np.linalg.eigvalsh(cov))[::-1]
         cum = np.cumsum(eigvals) / eigvals.sum()
         r_oracle = int(np.searchsorted(cum, 0.8 - 1e-12) + 1)
-        assert proj.n_components == r_oracle
-        assert abs(proj.n_components - 8) <= 1
+        assert proj.components.shape[1] == r_oracle
+        assert abs(proj.components.shape[1] - 8) <= 1
 
     def test_reconstruction_keeps_most_variance(self):
         rng = np.random.default_rng(29)
@@ -411,7 +438,7 @@ class TestPca:
 
     def test_zero_variance_keeps_one_component(self):
         proj, _ = fit_pca(np.ones((5, 4)), 0.8)
-        assert proj.n_components == 1
+        assert proj.components.shape[1] == 1
 
     def test_projection_is_contraction(self):
         rng = np.random.default_rng(31)
@@ -433,7 +460,7 @@ class TestPca:
         x = rng.standard_normal((400, 24)) * scales + rng.standard_normal(24)
         proj, reduced = fit_pca(x.copy(), 0.8)
         explained, axes = svd_pca(x)
-        r = proj.n_components
+        r = proj.components.shape[1]
         assert r == int(np.searchsorted(np.cumsum(explained) / explained.sum(), 0.8) + 1)
         kept = np.var(reduced, axis=0, ddof=1)
         np.testing.assert_allclose(kept, explained[:r], rtol=1e-12, atol=0)
@@ -526,7 +553,7 @@ del spare
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 proj, reduced = fit_pca(x)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(proj.n_components, (after - before) * 1024 / x.nbytes)
+print(proj.components.shape[1], (after - before) * 1024 / x.nbytes)
 """
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
                "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
@@ -901,21 +928,20 @@ class TestTracedCallSites:
         assert calls == fit
         model.predict_batch(epochs)
         assert calls == {**fit, "zscore_array": 3, "kde_log_eval_many": 2}
-        fits: list = []
-        build_generative(epochs, kind="gen-logr", fits=fits)
+        fit = build_generative(epochs, kind="gen-logr").fit
         assert (calls["train_lda"], calls["train_logistic"]) == (1, 1)
         # the benchmark counts a fit's iterations from these calls
-        assert fits[0].steps >= 1
-        assert calls["logistic_loss_and_gradient"] == fits[0].steps + 1
+        assert fit.steps >= 1
+        assert calls["logistic_loss_and_gradient"] == fit.steps + 1
 
     def test_logistic_fit_and_scoring_reach_the_module_names(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
         epochs = separable_epochs(np.random.default_rng(55))
-        fits: list = []
-        train_logistic_evidence(epochs, fits=fits).predict_batch(epochs)
+        model = train_logistic_evidence(epochs)
+        model.predict_batch(epochs)
         assert (calls["fit_zscore"], calls["zscore_array"], calls["train_logistic"]) == (1, 2, 1)
-        assert fits[0].steps >= 1
-        assert calls["logistic_loss_and_gradient"] == fits[0].steps + 1
+        assert model.fit.steps >= 1
+        assert calls["logistic_loss_and_gradient"] == model.fit.steps + 1
 
     @pytest.mark.parametrize("kind", list(models.MODEL_KINDS))
     def test_cli_fits_and_scores_through_the_traced_names(self, tmp_path, monkeypatch, kind):
@@ -945,3 +971,28 @@ class TestTracedCallSites:
                          "--out", str(tmp_path / "report.json")]) == 0
         # one refit and one scoring of the held-out epochs per split
         assert calls == {"fit": 3, "predict_batch": 3}
+
+
+@pytest.mark.parametrize("kind", list(models.MODEL_KINDS))
+def test_each_split_keeps_its_fit(monkeypatch, kind):
+    # one loss evaluation per iterate: the benchmark counts iterations so
+    calls = []
+    original = models.logistic_loss_and_gradient
+
+    def counted(*args, **kwargs):
+        calls[-1] += 1
+        return original(*args, **kwargs)
+
+    def factory(train):
+        calls.append(0)
+        return getattr(models, models.MODEL_KINDS[kind].fit)(train, kind=kind)
+
+    monkeypatch.setattr(models, "logistic_loss_and_gradient", counted)
+    epochs = separable_epochs(np.random.default_rng(57), n=60, offset=1.0)
+    summary = evaluate_splits(factory, epochs, TypingConfig(attempts=5), n_splits=3)
+    fits = [row.fit for row in summary.per_split]
+    if kind == "gen-lda":
+        assert fits == [None] * 3 and calls == [0] * 3
+    else:
+        assert [fit.steps + 1 for fit in fits] == calls
+        assert min(calls) >= 2

@@ -197,10 +197,47 @@ class TestRunTyping:
         final = result.log_posterior[np.arange(result.attempts), result.target]
         np.testing.assert_array_equal(final, 0.0)
 
+    @pytest.mark.filterwarnings("ignore::rsvptyping.sim.SubChanceAccuracyWarning")
+    @pytest.mark.parametrize("strategy", list(QueryStrategy))
+    def test_two_models_share_their_random_draws(self, monkeypatch, strategy):
+        # paired differences between model kinds need the same draws whatever
+        # the evidence. A run stops drawing once every attempt has ended, so
+        # the evidence here is too weak to end them all within max_rounds.
+        draws = []
+        default_rng = np.random.default_rng
+
+        class Recorder:
+            def __init__(self, generator):
+                self.generator = generator
+
+            def __getattr__(self, name):
+                method = getattr(self.generator, name)
+
+                def record(*args, **kwargs):
+                    out = method(*args, **kwargs)
+                    draws[-1].append((name, np.shape(out)))
+                    return out
+
+                return record
+
+        def recording_rng(*args, **kwargs):
+            draws.append([])
+            return Recorder(default_rng(*args, **kwargs))
+
+        labels = (np.arange(200) % 4 == 0).astype(int)
+        evidence = 0.5 * default_rng(3).standard_normal((2, 200)) + labels
+        config = self.oracle_config(attempts=50, max_rounds=4, query_strategy=strategy)
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        first, second = (run_typing(llr, labels, config) for llr in evidence)
+        assert (first.outcome == TIMEOUT).any() and (second.outcome == TIMEOUT).any()
+        np.testing.assert_array_equal(first.target, second.target)
+        assert len(draws) == 2 and len(draws[0]) >= 1 + 2 * config.max_rounds
+        assert draws[0] == draws[1]
+
     def test_uninformative_model_times_out_everywhere(self):
         rng = np.random.default_rng(7)
         data = dummy_dataset(rng)
-        prior = LabelPrior.uniform_over(28)
+        prior = LabelPrior(1 / 28)
         model = ConstantEvidenceModel(prior.p_pos, kind="uninformative")
         config = self.oracle_config(attempts=50, threshold=0.9)
         with pytest.warns(SubChanceAccuracyWarning):
