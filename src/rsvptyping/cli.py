@@ -42,7 +42,7 @@ from .dsp import (
 )
 from .models import (  # the fits are called by name, in _fit_model
     MODEL_KINDS,
-    TRAIN_DEFAULTS,
+    TRAIN_DEFAULTS as FIT_DEFAULTS,
     ConstantEvidenceModel,
     EvidenceModel,
     OracleEvidenceModel,
@@ -225,21 +225,24 @@ def _warn_sub_chance(summary: SplitSummary, alphabet_size: int) -> None:
               f"{len(summary.per_split)} splits: {named}", file=sys.stderr)
 
 
+# The fits' settings, plus the holdout that validation balanced accuracy is
+# measured on.
+TRAIN_DEFAULTS = FIT_DEFAULTS | {"holdout_fraction": 0.1, "seed": 0}
+
+
 def cmd_train(args) -> int:
     resolved = resolve_config(args.config, TRAIN_DEFAULTS, {"seed": args.seed})
     try:
-        check_train_settings(resolved)
+        check_train_settings({key: resolved[key] for key in FIT_DEFAULTS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    fraction = resolved["holdout_fraction"]
+    if not 0.0 < fraction < 1.0:
+        raise ConfigError(f"holdout_fraction must lie in (0, 1), got {fraction!r}")
     settings = {key: resolved[key] for key in MODEL_KINDS[args.kind].settings}
     dataset = read_dataset(args.data)
     try:
-        holdout = split(
-            dataset,
-            n_splits=1,
-            test_fraction=resolved["holdout_fraction"],
-            seed=resolved["seed"],
-        )[0]
+        holdout = split(dataset, n_splits=1, test_fraction=fraction, seed=resolved["seed"])[0]
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     try:
@@ -293,15 +296,16 @@ def cmd_simulate(args) -> int:
     dataset = read_dataset(args.data)
     if args.model in BUILTIN_MODELS:
         model = _builtin_model(args.model, resolved["alphabet_size"])
+        kind, parameters = model.kind, model.parameter_count
 
         def factory(train):
             return model
     else:
-        model, hyper = read_model(args.model)
+        kind, hyper, parameters = read_model(args.model)
 
         def factory(train):
             # a setting the file omits takes the fit's default, its TRAIN_DEFAULTS value
-            return _fit_model(model.kind, train, hyper)
+            return _fit_model(kind, train, hyper)
 
     try:
         with warnings.catch_warnings():
@@ -327,14 +331,14 @@ def cmd_simulate(args) -> int:
         command="simulate",
         seed=resolved["seed"],
         config_echo=config_echo,
-        model_kind=model.kind,
-        parameter_count=model.parameter_count,
+        model_kind=kind,
+        parameter_count=parameters,
         summary=summary,
     )
     write_report_json(args.out, report)
     write_csv(csv_path_for(args.out), [report_csv_row(report)])
     print(f"wrote {args.out}")
-    print(f"model: {model.kind}  splits: {resolved['splits']}  attempts: {resolved['attempts']}")
+    print(f"model: {kind}  splits: {resolved['splits']}  attempts: {resolved['attempts']}")
     print(
         f"balanced accuracy: {summary.mean_balanced_accuracy:.6f} "
         f"± {summary.std_balanced_accuracy:.6f}"

@@ -7,8 +7,9 @@ payload bytes. The header's "kind" field says what the payload holds:
   followed by one label byte per epoch; read back as a float32 view;
 * "raw": one continuous float32 block (channel-major, time-minor) with the
   stimulus onsets carried in the header as [sample, label] pairs;
-* "model": float64 arrays back to back, listed with names and shapes in the
-  header, so trained models round-trip bit for bit.
+* "model": no payload. The header is the recipe ``simulate`` refits each
+  split from, the model kind and its training settings, plus the number of
+  floats in the model ``train`` fitted.
 
 Headers are serialized with sorted keys and no whitespace, which makes every
 writer output byte-identical for identical inputs. A header that cannot be
@@ -18,7 +19,6 @@ decoded or converted, numbers out of range included, is a ContainerFormatError.
 from __future__ import annotations
 
 import json
-import math
 import struct
 
 import numpy as np
@@ -174,66 +174,34 @@ def read_raw(path) -> RawRecording:
 
 
 def write_model(path, model: EvidenceModel, hyper: dict | None = None) -> None:
-    """Serialize a trained model as its stored arrays, named and in order;
-    float64 payload gives bit-exact loading. ``hyper`` is checked as
-    read_model checks it, before any file is created."""
+    """Write a trained model's kind, the training settings ``hyper`` of its
+    fit and its parameter count. ``hyper`` is checked as read_model checks
+    it, before any file is created."""
     if model.kind not in MODEL_KINDS:
         raise ValueError(f"model kind {model.kind!r} cannot be serialized")
     check_kind_settings(model.kind, hyper or {})
-    arrays = model.stored_arrays()
     header = _base_header("model")
-    header["model"] = model.kind
-    header["arrays"] = [{"name": name, "shape": list(np.shape(arr))}
-                        for name, arr in zip(model.array_names, arrays, strict=True)]
-    header["hyper"] = hyper or {}
-    write_container(path, header, *(np.ascontiguousarray(arr, dtype="<f8") for arr in arrays))
+    header.update({"model": model.kind, "hyper": hyper or {},
+                   "parameters": model.parameter_count})
+    write_container(path, header)
 
 
-def _valid_array_entry(entry) -> bool:
-    return (
-        isinstance(entry, dict)
-        and isinstance(entry.get("name"), str)
-        and isinstance(entry.get("shape"), list)
-        and all(type(s) is int and s >= 0 for s in entry["shape"])
-    )
-
-
-def _read_arrays(path, header: dict, payload: memoryview) -> dict[str, np.ndarray]:
-    entries = header.get("arrays", [])
-    if not isinstance(entries, list) or not all(map(_valid_array_entry, entries)):
-        raise ContainerFormatError(f"{path}: malformed model array table")
-    out = {}
-    offset = 0
-    for entry in entries:
-        if entry["name"] in out:
-            raise ContainerFormatError(f"{path}: duplicate model array {entry['name']!r}")
-        shape = tuple(entry["shape"])
-        nbytes = math.prod(shape) * 8
-        if offset + nbytes > len(payload):
-            raise ContainerFormatError(f"{path}: model payload truncated")
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8")
-        out[entry["name"]] = arr.reshape(shape).astype(np.float64)
-        offset += nbytes
-    if offset != len(payload):
-        raise ContainerFormatError(f"{path}: model payload has trailing bytes")
-    return out
-
-
-def read_model(path) -> tuple[EvidenceModel, dict]:
-    """Load a trained model plus the hyperparameters it was trained with."""
+def read_model(path) -> tuple[str, dict, int]:
+    """The model kind, the training settings its fit used and its parameter
+    count. A file that stores arrays was written before model files became
+    recipes; it must be retrained."""
     header, payload = read_container(path, "model")
     kind = header.get("model")
     if not (isinstance(kind, str) and kind in MODEL_KINDS):
         raise ContainerFormatError(f"{path}: unknown model kind {kind!r}")
-    record = MODEL_KINDS[kind].record
-    layout = record.array_names
-    arrays = _read_arrays(path, header, payload)
-    missing = [name for name in layout if name not in arrays]
-    if missing:
-        raise ContainerFormatError(f"{path}: missing model arrays {', '.join(missing)}")
-    if tuple(arrays) != layout:
-        raise ContainerFormatError(f"{path}: model arrays {', '.join(arrays)} are not the "
-                                   f"{kind} layout {', '.join(layout)}")
+    if "arrays" in header:
+        raise ContainerFormatError(f"{path}: model file stores arrays, so an older version "
+                                   "wrote it; retrain it")
+    if len(payload):
+        raise ContainerFormatError(f"{path}: model file has trailing bytes after its header")
+    parameters = header.get("parameters")
+    if not (type(parameters) is int and parameters >= 0):
+        raise ContainerFormatError(f"{path}: malformed parameter count {parameters!r}")
     hyper = header.get("hyper", {})
     if not isinstance(hyper, dict):
         raise ContainerFormatError(f"{path}: malformed training hyperparameters")
@@ -241,7 +209,4 @@ def read_model(path) -> tuple[EvidenceModel, dict]:
         check_kind_settings(kind, hyper)
     except ValueError as exc:
         raise ContainerFormatError(f"{path}: malformed training hyperparameters: {exc}") from exc
-    try:
-        return record.from_arrays(kind, *arrays.values()), hyper
-    except (TypeError, ValueError) as exc:
-        raise ContainerFormatError(f"{path}: invalid model: {exc}") from exc
+    return kind, hyper, parameters

@@ -63,15 +63,13 @@ MAX_STEP_HALVINGS = 40
 # never fires there.
 HESSIAN_RESIDUAL_LIMIT = 1e-5
 
-# Keys of the training config and their defaults; each key's type is its
-# default's type. A model file stores the settings its fit used, so they
-# are checked when it is read.
+# Settings of the fits and their defaults; each key's type is its default's
+# type. A model file stores the settings its fit used, so they are checked
+# when it is read.
 TRAIN_DEFAULTS = {
     "l2": L2_PENALTY,
     "tolerance": GRADIENT_TOLERANCE,
     "variance_fraction": VARIANCE_FRACTION,
-    "holdout_fraction": 0.1,
-    "seed": 0,
 }
 # Settings that fits no longer take, each with the reason; model files
 # written before their removal may still name them.
@@ -86,13 +84,11 @@ REMOVED_TRAIN_KEYS = {
 @dataclass(frozen=True)
 class ModelKind:
     """A trainable model kind: the name of its fit, called as ``fit(train,
-    kind=kind, **settings)``; the training settings that fit takes and its
-    model file stores; the record class its fit returns, whose ``fit`` says
-    how a logistic scorer's fit ended."""
+    kind=kind, **settings)``, and the training settings that fit takes and
+    its model file stores, the recipe ``simulate`` refits each split from."""
 
     fit: str
     settings: tuple[str, ...]
-    record: type[EvidenceModel]
 
 
 def _check_kind(kind: str, fit: str, family: str) -> None:
@@ -104,9 +100,8 @@ def _check_kind(kind: str, fit: str, family: str) -> None:
 def check_train_settings(settings: dict) -> None:
     """Raise ValueError naming the first setting a fit cannot use: a removed
     key, with the reason it was removed, an unknown key, a value not of its
-    default's type, a non-positive or non-finite ``l2`` or ``tolerance``, a
-    ``variance_fraction`` outside (0, 1], or a ``holdout_fraction`` outside
-    (0, 1)."""
+    default's type, a non-positive or non-finite ``l2`` or ``tolerance``, or
+    a ``variance_fraction`` outside (0, 1]."""
     for key, value in settings.items():
         if key in REMOVED_TRAIN_KEYS:
             raise ValueError(f"training setting {key!r} was removed: {REMOVED_TRAIN_KEYS[key]}")
@@ -121,8 +116,6 @@ def check_train_settings(settings: dict) -> None:
             raise ValueError(f"{key} must be positive and finite, got {value!r}")
         if key == "variance_fraction" and not 0.0 < value <= 1.0:
             raise ValueError(f"variance_fraction must lie in (0, 1], got {value!r}")
-        if key == "holdout_fraction" and not 0.0 < value < 1.0:
-            raise ValueError(f"holdout_fraction must lie in (0, 1), got {value!r}")
 
 
 def check_kind_settings(kind: str, settings: dict) -> None:
@@ -206,8 +199,7 @@ class LogisticFit:
 @dataclass(frozen=True)
 class LogisticModel:
     """Linear log-odds model: score(x) = weights . x + bias. ``fit`` says how
-    the Newton fit that made it ended: None for LDA and for a model read
-    from a file. It is not stored, and equality ignores it."""
+    the Newton fit that made it ended, None for LDA; equality ignores it."""
 
     weights: np.ndarray
     bias: float
@@ -653,47 +645,25 @@ class EvidenceModel(abc.ABC):
     ``predict_batch`` returns one float64 array with one entry per epoch of
     the dataset: the log-likelihood ratio log p(e|+) - log p(e|-), +-inf
     for certain evidence. Implementations must be deterministic: the same
-    epoch always yields the same value. A trained record lists its model
-    file's float64 arrays, named by ``array_names``, in ``stored_arrays()``
-    and rebuilds itself from them in the classmethod ``from_arrays(kind,
-    *arrays)``. ``parameter_count``, used by reports to relate performance
-    to model size, is the number of floats stored: 0 for the controls.
+    epoch always yields the same value. ``parameter_count``, used by reports
+    to relate performance to model size, is the number of floats the model
+    holds: 0 for the controls.
     """
 
     kind: str
-    array_names: tuple[str, ...] = ()
 
     @abc.abstractmethod
     def predict_batch(self, dataset: LabeledDataset) -> np.ndarray: ...
 
-    def stored_arrays(self) -> tuple[np.ndarray, ...]:
-        return ()
-
     @property
     def parameter_count(self) -> int:
-        return sum(np.size(array) for array in self.stored_arrays())
+        return 0
 
     @property
     def fit(self) -> Optional[LogisticFit]:
         """How the logistic fit of the model's scorer ended; None for LDA
-        scorers, controls and models read from a file."""
+        scorers and controls."""
         return getattr(getattr(self, "scorer", None), "fit", None)
-
-
-def _check_scorer_input(zscore: ZScoreStats, scorer: LogisticModel) -> None:
-    """The scorer takes a flattened epoch: channels * samples inputs."""
-    channels = zscore.mean.shape[0]
-    if channels == 0 or scorer.dimension == 0 or scorer.dimension % channels:
-        raise ValueError("scorer input dimension must be channels * samples")
-
-
-def _linear_arrays(zscore: ZScoreStats, scorer: LogisticModel) -> tuple[np.ndarray, ...]:
-    return zscore.mean, zscore.std, scorer.weights, np.asarray(scorer.bias)
-
-
-def _linear_parts(mean, std, weights, bias) -> tuple[ZScoreStats, LogisticModel]:
-    """The z-score statistics and scorer that _linear_arrays stored."""
-    return ZScoreStats(mean=mean, std=std), LogisticModel(weights=weights, bias=float(bias))
 
 
 @dataclass(frozen=True)
@@ -705,20 +675,14 @@ class LogisticEvidenceModel(EvidenceModel):
     zscore: ZScoreStats
     scorer: LogisticModel
     kind = "logreg"
-    array_names = ("zscore_mean", "zscore_std", "weights", "bias")
-
-    def __post_init__(self) -> None:
-        _check_scorer_input(self.zscore, self.scorer)
 
     def predict_batch(self, dataset: LabeledDataset) -> np.ndarray:
         return _epoch_scores(self.zscore, self.scorer, dataset.data)
 
-    def stored_arrays(self) -> tuple[np.ndarray, ...]:
-        return _linear_arrays(self.zscore, self.scorer)
-
-    @classmethod
-    def from_arrays(cls, kind: str, *arrays: np.ndarray) -> LogisticEvidenceModel:
-        return cls(*_linear_parts(*arrays))
+    @property
+    def parameter_count(self) -> int:
+        # per-channel z-score means and sds, the weights and the bias
+        return 2 * self.zscore.mean.size + self.scorer.dimension + 1
 
 
 def train_logistic_evidence(
@@ -753,31 +717,19 @@ class GenerativeEvidenceModel(EvidenceModel):
     scorer: LogisticModel
     kde_pos: KdeDensity
     kde_neg: KdeDensity
-    array_names = (*LogisticEvidenceModel.array_names,
-                   "kde_pos_scores", "kde_neg_scores", "kde_bandwidths")
 
     def __post_init__(self) -> None:
         _check_kind(self.kind, "build_generative", "generative")
-        _check_scorer_input(self.zscore, self.scorer)
 
     def predict_batch(self, dataset: LabeledDataset) -> np.ndarray:
         scores = _epoch_scores(self.zscore, self.scorer, dataset.data)
         return kde_log_eval_many(self.kde_pos, scores) - kde_log_eval_many(self.kde_neg, scores)
 
-    def stored_arrays(self) -> tuple[np.ndarray, ...]:
-        kde_pos, kde_neg = self.kde_pos, self.kde_neg
-        return _linear_arrays(self.zscore, self.scorer) + (
-            kde_pos.scores, kde_neg.scores, np.array([kde_pos.bandwidth, kde_neg.bandwidth])
-        )
-
-    @classmethod
-    def from_arrays(cls, kind: str, *arrays: np.ndarray) -> GenerativeEvidenceModel:
-        *linear, pos_scores, neg_scores, bandwidths = arrays
-        zscore, scorer = _linear_parts(*linear)
-        if bandwidths.shape != (2,):
-            raise ValueError(f"kde_bandwidths must hold 2 values, got shape {bandwidths.shape}")
-        return cls(kind, zscore, scorer, KdeDensity(pos_scores, float(bandwidths[0])),
-                   KdeDensity(neg_scores, float(bandwidths[1])))
+    @property
+    def parameter_count(self) -> int:
+        # logreg's count, plus the two KDEs' training scores and bandwidths
+        return (2 * self.zscore.mean.size + self.scorer.dimension + 1
+                + self.kde_pos.scores.size + self.kde_neg.scores.size + 2)
 
 
 class ConstantEvidenceModel(EvidenceModel):
@@ -813,9 +765,7 @@ class OracleEvidenceModel(EvidenceModel):
 # The one place a trainable model kind is declared. Fits are named, not
 # held, and looked up at call time, so a wrapper put in place of one is used.
 MODEL_KINDS = {
-    "logreg": ModelKind("train_logistic_evidence", ("l2", "tolerance"), LogisticEvidenceModel),
-    "gen-logr": ModelKind(
-        "build_generative", ("variance_fraction", "l2", "tolerance"), GenerativeEvidenceModel
-    ),
-    "gen-lda": ModelKind("build_generative", ("variance_fraction",), GenerativeEvidenceModel),
+    "logreg": ModelKind("train_logistic_evidence", ("l2", "tolerance")),
+    "gen-logr": ModelKind("build_generative", ("variance_fraction", "l2", "tolerance")),
+    "gen-lda": ModelKind("build_generative", ("variance_fraction",)),
 }

@@ -195,21 +195,12 @@ class TestTrain:
         model = tmp_path / "m.bin"
         rc = main(["train", str(workspace["data"]), "--kind", "gen-lda", "--out", str(model)])
         assert rc == 0
-        loaded, hyper = read_model(model)
-        _, channels, samples = read_dataset(workspace["data"]).data.shape
-        assert loaded.kind == "gen-lda"
-        assert loaded.scorer.dimension == channels * samples
+        kind, hyper, _ = read_model(model)
+        dataset = read_dataset(workspace["data"])
+        _, channels, samples = dataset.data.shape
+        assert kind == "gen-lda"
+        assert models.build_generative(dataset, kind=kind).scorer.dimension == channels * samples
         assert hyper == {"variance_fraction": 0.8}
-
-    @pytest.mark.parametrize("kind", ["gen-logr", "gen-lda"])
-    def test_stored_bandwidths_are_the_rule_of_the_stored_scores(self, tmp_path, workspace,
-                                                                  kind):
-        model = tmp_path / "m.bin"
-        assert main(["train", str(workspace["data"]), "--kind", kind,
-                     "--out", str(model)]) == 0
-        loaded, _ = read_model(model)
-        for kde in (loaded.kde_pos, loaded.kde_neg):
-            assert kde.bandwidth == models.fit_kde(kde.scores).bandwidth
 
     def test_flat_epochs_train_and_simulate_without_warnings(self, tmp_path, capsys):
         # every epoch is zero, so every score is the scorer's bias: each
@@ -233,7 +224,7 @@ class TestTrain:
         assert "error" not in captured.err
 
     def test_hyper_echoed_for_logreg(self, workspace):
-        _, hyper = read_model(workspace["model"])
+        _, hyper, _ = read_model(workspace["model"])
         assert hyper == {"l2": 0.05, "tolerance": 1e-6}
 
     def test_fit_summary_printed(self, tmp_path, workspace, capsys):
@@ -258,7 +249,7 @@ class TestTrain:
                        "--config", str(cfg), "--out", str(paths[-1])])
             assert rc == 0
         assert read_bytes(paths[0]) != read_bytes(paths[1])
-        _, hyper = read_model(paths[1])
+        _, hyper, _ = read_model(paths[1])
         assert hyper == {"variance_fraction": 0.8, "l2": 0.1, "tolerance": 1e-6}
 
     @pytest.mark.parametrize("line", [
@@ -369,7 +360,7 @@ class TestTrain:
         rc = main(["train", str(tmp_path / "absent.bin"), "--out", str(tmp_path / "m.bin")])
         assert rc == 2
 
-    def test_bad_holdout_fraction_exits_1(self, workspace, tmp_path):
+    def test_bad_holdout_fraction_exits_1(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("holdout_fraction = 1.5\n")
         rc = main(
@@ -377,6 +368,7 @@ class TestTrain:
              "--out", str(tmp_path / "m.bin")]
         )
         assert rc == 1
+        assert capsys.readouterr().err == "error: holdout_fraction must lie in (0, 1), got 1.5\n"
 
 
 class TestModelKinds:
@@ -391,15 +383,23 @@ class TestModelKinds:
         assert kind.choices == tuple(models.MODEL_KINDS)
 
     @pytest.mark.parametrize("kind", list(models.MODEL_KINDS))
-    def test_model_file_holds_the_kinds_arrays_and_settings(self, tmp_path, workspace, kind):
-        path = tmp_path / "model.bin"
+    def test_model_file_holds_the_kinds_settings_and_parameters(self, tmp_path, workspace,
+                                                                 kind, capsys):
+        path, report = tmp_path / "model.bin", tmp_path / "rep.json"
         assert main(["train", str(workspace["data"]), "--kind", kind, "--out", str(path)]) == 0
+        printed = int(re.search(r"^model: \S+  parameters: (\d+)$", capsys.readouterr().out,
+                                re.M).group(1))
         entry = models.MODEL_KINDS[kind]
-        header, _ = read_container(path, "model")
-        assert tuple(e["name"] for e in header["arrays"]) == entry.record.array_names
-        model, hyper = read_model(path)
-        assert model.kind == kind
+        stored_kind, hyper, parameters = read_model(path)
+        assert stored_kind == kind
         assert sorted(hyper) == sorted(entry.settings)
+        assert parameters == printed > 0
+        # simulate reports the trained model's count, read from the file
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("attempts = 10\nsplits = 1\n")
+        assert main(["simulate", str(path), str(workspace["data"]), "--config", str(cfg),
+                     "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["model"] == {"kind": kind, "parameters": printed}
 
     @pytest.mark.parametrize("kind", list(models.MODEL_KINDS))
     def test_fit_defaults_are_the_train_defaults(self, kind):
@@ -579,10 +579,6 @@ class TestSimulate:
         assert rc == 2
 
     @pytest.mark.parametrize("kind, case", [
-        ("logreg", "nan-weight"),
-        ("logreg", "array-entry-not-a-dict"),
-        ("logreg", "arrays-not-a-list"),
-        ("logreg", "negative-shape"),
         ("logreg", "hyper-not-a-dict"),
         ("logreg", "unknown-hyper-key"),
         ("logreg", "string-l2"),
@@ -591,16 +587,6 @@ class TestSimulate:
         ("gen-lda", "string-bandwidth"),
         ("gen-lda", "negative-bandwidth"),
         ("gen-lda", "variance-fraction-above-1"),
-        ("logreg", "nan-zscore-std"),
-        ("logreg", "negative-zscore-std"),
-        ("logreg", "zero-zscore-std"),
-        ("logreg", "nan-zscore-mean"),
-        ("gen-lda", "nan-kde-bandwidths"),
-        ("gen-lda", "nan-bias"),
-        ("logreg", "mis-sized-weights"),
-        ("logreg", "no-channels"),
-        ("gen-lda", "no-channels"),
-        ("gen-lda", "three-kde-bandwidths"),
         ("logreg", "setting-of-another-kind"),
     ])
     def test_malformed_model_file_exits_2(self, tmp_path, workspace, kind, case, capsys):
@@ -609,47 +595,9 @@ class TestSimulate:
             model = tmp_path / "gen.bin"
             assert main(["train", str(workspace["data"]), "--kind", kind,
                          "--out", str(model)]) == 0
-        header, payload = read_container(model, "model")
-        arrays, hyper = header["arrays"], header["hyper"]
-        # a stored parameter overwritten by a bad value: (array, value)
-        poked = {
-            "nan-weight": ("weights", np.nan),
-            "nan-zscore-std": ("zscore_std", np.nan),
-            "negative-zscore-std": ("zscore_std", -1.0),
-            "zero-zscore-std": ("zscore_std", 0.0),
-            "nan-zscore-mean": ("zscore_mean", np.nan),
-            "nan-kde-bandwidths": ("kde_bandwidths", np.nan),
-            "nan-bias": ("bias", np.nan),
-        }
-        names = [entry["name"] for entry in arrays]
-        starts = np.cumsum([0] + [8 * math.prod(e["shape"]) for e in arrays])
-        if case in poked:
-            name, value = poked[case]
-            offset = starts[names.index(name)]
-            blob = bytearray(payload)
-            blob[offset : offset + 8] = np.array([value], dtype="<f8").tobytes()
-            payload = bytes(blob)
-        elif case == "mis-sized-weights":
-            # one weight more than channels * samples
-            end = starts[names.index("weights") + 1]
-            arrays[names.index("weights")]["shape"][0] += 1
-            payload = bytes(payload[:end]) + bytes(8) + bytes(payload[end:])
-        elif case == "three-kde-bandwidths":
-            # a third bandwidth after the two the KDEs use
-            end = starts[names.index("kde_bandwidths") + 1]
-            arrays[names.index("kde_bandwidths")]["shape"] = [3]
-            payload = bytes(payload[:end]) + np.array([1.0], "<f8").tobytes() + bytes(payload[end:])
-        elif case == "no-channels":
-            # empty z-score statistics in front of the stored scorer
-            arrays[0]["shape"] = arrays[1]["shape"] = [0]
-            payload = bytes(payload[starts[2]:])
-        elif case == "array-entry-not-a-dict":
-            header["arrays"] = [arrays[0]["name"]] + arrays[1:]
-        elif case == "arrays-not-a-list":
-            header["arrays"] = {"name": "weights", "shape": [3]}
-        elif case == "negative-shape":
-            arrays[0]["shape"] = [-3]
-        elif case == "hyper-not-a-dict":
+        header, _ = read_container(model, "model")
+        hyper = header["hyper"]
+        if case == "hyper-not-a-dict":
             header["hyper"] = [["l2", 0.05]]
         elif case == "unknown-hyper-key":
             hyper["momentum"] = 0.9
@@ -669,12 +617,46 @@ class TestSimulate:
             # a valid setting that only the generative fits take
             hyper["variance_fraction"] = 0.8
         bad = tmp_path / "bad.bin"
-        write_container(bad, header, payload)
+        write_container(bad, header)
         cfg = self.sim_cfg(tmp_path, attempts=10)
         rc = main(["simulate", str(bad), str(workspace["data"]), "--config", str(cfg),
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 2
         assert "data error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["missing", "-1", "1.5", "true", '"385"', "trailing-byte"])
+    def test_bad_parameter_count_exits_2(self, tmp_path, workspace, case, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(read_bytes(workspace["model"]))
+        if case == "missing":
+            header, _ = read_container(bad, "model")
+            del header["parameters"]
+            write_container(bad, header)
+        elif case == "trailing-byte":
+            bad.write_bytes(read_bytes(bad) + b"\x00")
+        else:
+            splice_header(bad, "model", "parameters", case)
+        cfg = self.sim_cfg(tmp_path, attempts=10)
+        rc = main(["simulate", str(bad), str(workspace["data"]), "--config", str(cfg),
+                   "--out", str(tmp_path / "rep.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert not (tmp_path / "rep.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("holdout_fraction", 0.1), ("seed", 0)])
+    def test_model_file_with_a_train_command_setting_exits_2(self, tmp_path, workspace, key,
+                                                             value, capsys):
+        # the holdout is the train command's, not a setting of the fit
+        header, _ = read_container(workspace["model"], "model")
+        header["hyper"][key] = value
+        bad = tmp_path / "bad.bin"
+        write_container(bad, header)
+        rc = main(["simulate", str(bad), str(workspace["data"]),
+                   "--config", str(self.sim_cfg(tmp_path, attempts=10)),
+                   "--out", str(tmp_path / "rep.json")])
+        assert rc == 2
+        assert f"unknown training setting '{key}'" in capsys.readouterr().err
 
     def test_generative_file_with_a_bandwidth_setting_exits_2(self, tmp_path, workspace,
                                                                capsys):
@@ -701,7 +683,8 @@ class TestSimulate:
         assert main(["train", str(workspace["data"]), "--kind", "gen-logr",
                      "--out", str(model)]) == 0
         header, _ = read_container(model, "model")
-        p, _ = read_model(model)
+        del header["parameters"]
+        p = models.build_generative(read_dataset(workspace["data"]), kind="gen-logr")
         d = p.scorer.dimension
         arrays = [
             ("zscore_mean", p.zscore.mean), ("zscore_std", p.zscore.std),
@@ -718,30 +701,7 @@ class TestSimulate:
         rc = main(["simulate", str(old), str(workspace["data"]), "--config", str(cfg),
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 2
-        assert "missing model arrays weights, bias" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("case", ["extra-array", "swapped-arrays"])
-    def test_logreg_file_with_another_array_table_exits_2(
-        self, tmp_path, workspace, case, capsys
-    ):
-        header, payload = read_container(workspace["model"], "model")
-        if case == "extra-array":
-            header["arrays"].append({"name": "pca_mean", "shape": [2]})
-            payload = bytes(payload) + np.zeros(2, dtype="<f8").tobytes()
-        else:
-            # two one-float arrays: the payload still matches the table
-            header["arrays"] = [
-                {"name": "zscore_mean", "shape": [3]}, {"name": "zscore_std", "shape": [3]},
-                {"name": "bias", "shape": []}, {"name": "weights", "shape": [1]},
-            ]
-            payload = np.concatenate([np.zeros(3), np.ones(3), [0.5, 1.0]]).astype("<f8")
-        bad = tmp_path / "bad.bin"
-        write_container(bad, header, payload)
-        cfg = self.sim_cfg(tmp_path, attempts=10)
-        rc = main(["simulate", str(bad), str(workspace["data"]), "--config", str(cfg),
-                   "--out", str(tmp_path / "rep.json")])
-        assert rc == 2
-        assert "are not the logreg layout" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith("; retrain it\n")
 
     @pytest.mark.parametrize("key, value", [("learning_rate", 0.1), ("max_iterations", 300)])
     def test_model_file_with_removed_setting_exits_2(

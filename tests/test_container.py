@@ -1,14 +1,12 @@
 """Container I/O tests: bit-exact round trips and malformed-file rejection."""
 
 import json
-import math
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from rsvptyping.cli import BUILTIN_MODELS, _builtin_model
 from rsvptyping.container import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -36,11 +34,6 @@ from rsvptyping.synth import LabeledDataset, SynthConfig, generate
 @pytest.fixture(scope="module")
 def dataset():
     return generate(SynthConfig(n_epochs=80, channels=3, target_fraction=0.25, seed=3))
-
-
-@pytest.fixture(scope="module")
-def probes():
-    return generate(SynthConfig(n_epochs=100, channels=3, target_fraction=0.25, seed=9))
 
 
 @pytest.fixture(scope="module")
@@ -259,31 +252,19 @@ class TestRawIO:
 
 
 class TestModelIO:
-    def test_logreg_bit_exact(self, tmp_path, logreg):
-        path = tmp_path / "m.bin"
-        write_model(path, logreg, hyper={"l2": 0.05, "tolerance": 1e-6})
-        loaded, hyper = read_model(path)
-        assert loaded.kind == "logreg"
-        assert hyper == {"l2": 0.05, "tolerance": 1e-6}
-        assert np.array_equal(loaded.scorer.weights, logreg.scorer.weights)
-        assert loaded.scorer.bias == logreg.scorer.bias
-        assert np.array_equal(loaded.zscore.mean, logreg.zscore.mean)
-        assert np.array_equal(loaded.zscore.std, logreg.zscore.std)
-
     def test_generative_kind_names_the_scorer(self, gen_logr, gen_lda):
         assert (gen_logr.kind, gen_lda.kind) == ("gen-logr", "gen-lda")
 
     @pytest.mark.parametrize("name", ["logreg", "gen_logr", "gen_lda"])
-    def test_identical_predictions_after_reload(
-        self, tmp_path, probes, name, request
-    ):
+    def test_file_is_the_recipe_and_parameter_count(self, tmp_path, name, request):
         model = request.getfixturevalue(name)
+        hyper = {key: TRAIN_DEFAULTS[key] for key in MODEL_KINDS[model.kind].settings}
         path = tmp_path / "m.bin"
-        write_model(path, model)
-        loaded, _ = read_model(path)
-        assert loaded.kind == model.kind
-        assert loaded.parameter_count == model.parameter_count
-        assert np.array_equal(model.predict_batch(probes), loaded.predict_batch(probes))
+        write_model(path, model, hyper=hyper)
+        assert read_model(path) == (model.kind, hyper, model.parameter_count)
+        header, payload = read_container(path, "model")
+        assert sorted(header) == ["format", "hyper", "kind", "model", "parameters", "version"]
+        assert len(payload) == 0
 
     @pytest.mark.parametrize("name", ["logreg", "gen_logr", "gen_lda"])
     def test_rewrite_byte_identical(self, tmp_path, name, request):
@@ -310,63 +291,6 @@ class TestModelIO:
             write_model(path, request.getfixturevalue(name), hyper=hyper)
         assert not path.exists()
 
-    @pytest.mark.parametrize("name", ["logreg", "gen_logr", "gen_lda"])
-    def test_every_kind_stores_one_linear_scorer(self, tmp_path, dataset, name, request):
-        model = request.getfixturevalue(name)
-        path = tmp_path / "m.bin"
-        write_model(path, model)
-        header, _ = read_container(path, "model")
-        names = [entry["name"] for entry in header["arrays"]]
-        linear = ["zscore_mean", "zscore_std", "weights", "bias"]
-        kde = ["kde_pos_scores", "kde_neg_scores", "kde_bandwidths"]
-        assert names == (linear if name == "logreg" else linear + kde)
-        shapes = {entry["name"]: entry["shape"] for entry in header["arrays"]}
-        assert shapes["weights"] == [math.prod(dataset.data.shape[1:])]
-        assert sum(math.prod(shape) for shape in shapes.values()) == model.parameter_count
-
-    @pytest.mark.parametrize("kind", list(MODEL_KINDS))
-    def test_each_record_lists_rebuilds_and_counts_its_arrays(self, tmp_path, kind, request):
-        model = request.getfixturevalue(kind.replace("-", "_"))
-        record = MODEL_KINDS[kind].record
-        assert type(model) is record
-        arrays = model.stored_arrays()
-        assert len(arrays) == len(record.array_names)
-        named = dict(zip(record.array_names, arrays))
-        assert np.array_equal(named["zscore_std"], model.zscore.std)
-        assert np.array_equal(named["weights"], model.scorer.weights)
-        assert float(named["bias"]) == model.scorer.bias
-        path = tmp_path / "m.bin"
-        write_model(path, model)
-        header, payload = read_container(path, "model")
-        assert [entry["name"] for entry in header["arrays"]] == list(record.array_names)
-        assert model.parameter_count == sum(np.size(arr) for arr in arrays) == len(payload) // 8
-        loaded, _ = read_model(path)
-        assert type(loaded) is record and loaded.kind == kind
-        back = loaded.stored_arrays()
-        assert [arr.shape for arr in back] == [np.shape(arr) for arr in arrays]
-        assert all(np.asarray(arr).tobytes() == arr_back.tobytes()
-                   for arr, arr_back in zip(arrays, back, strict=True))
-        assert loaded.parameter_count == model.parameter_count
-
-    @pytest.mark.parametrize("name", BUILTIN_MODELS)
-    def test_controls_store_no_arrays(self, tmp_path, name):
-        model = _builtin_model(name, 28)
-        assert model.array_names == () and model.stored_arrays() == ()
-        assert model.parameter_count == 0
-        with pytest.raises(ValueError, match="cannot be serialized"):
-            write_model(tmp_path / "m.bin", model)
-
-    def test_gen_lda_arrays_survive(self, tmp_path, gen_lda):
-        path = tmp_path / "m.bin"
-        write_model(path, gen_lda)
-        loaded, _ = read_model(path)
-        orig, back = gen_lda, loaded
-        assert back.kind == orig.kind == "gen-lda"
-        assert np.array_equal(back.scorer.weights, orig.scorer.weights)
-        assert back.scorer.bias == orig.scorer.bias
-        assert np.array_equal(back.kde_pos.scores, orig.kde_pos.scores)
-        assert back.kde_neg.bandwidth == orig.kde_neg.bandwidth
-
     def test_truncated_payload(self, tmp_path, logreg):
         path = tmp_path / "m.bin"
         write_model(path, logreg)
@@ -390,20 +314,6 @@ class TestModelIO:
         with pytest.raises(ContainerFormatError, match="unknown model kind"):
             read_model(path)
 
-    def test_missing_array(self, tmp_path, logreg):
-        path = tmp_path / "m.bin"
-        write_model(path, logreg)
-        header, payload = read_container(path, "model")
-        kept = [e for e in header["arrays"] if e["name"] != "weights"]
-        dropped = next(e for e in header["arrays"] if e["name"] == "weights")
-        n = 1
-        for s in dropped["shape"]:
-            n *= s
-        header["arrays"] = kept
-        write_container(path, header, payload[: len(payload) - 8 * n])
-        with pytest.raises(ContainerFormatError, match="missing model array"):
-            read_model(path)
-
     @pytest.mark.parametrize("kind", ["bogus", ["logreg"], None])
     def test_unknown_kind_reported_before_arrays(self, tmp_path, logreg, kind):
         path = tmp_path / "m.bin"
@@ -413,16 +323,6 @@ class TestModelIO:
         header["arrays"] = []
         write_container(path, header, b"")
         with pytest.raises(ContainerFormatError, match="unknown model kind"):
-            read_model(path)
-
-    def test_every_missing_array_listed(self, tmp_path, logreg):
-        path = tmp_path / "m.bin"
-        write_model(path, logreg)
-        header, payload = read_container(path, "model")
-        header["arrays"] = header["arrays"][:2]
-        n = sum(math.prod(e["shape"]) for e in header["arrays"])
-        write_container(path, header, payload[: 8 * n])
-        with pytest.raises(ContainerFormatError, match="missing model arrays weights, bias$"):
             read_model(path)
 
     def test_constant_model_rejected(self, tmp_path):

@@ -21,6 +21,7 @@ from rsvptyping.cli import (
     SEED_KEYS,
     SIMULATE_DEFAULTS,
     SYNTH_DEFAULTS,
+    TRAIN_DEFAULTS,
     ConfigError,
     main,
     resolve_config,
@@ -44,7 +45,7 @@ from rsvptyping.dsp import (
 )
 from rsvptyping import models
 from rsvptyping.dsp import fit_zscore, zscore_array
-from rsvptyping.models import TRAIN_DEFAULTS, KdeDensity, kde_log_eval_many
+from rsvptyping.models import KdeDensity, kde_log_eval_many
 from rsvptyping.sim import log_factors
 from rsvptyping.synth import LabeledDataset
 
@@ -484,7 +485,8 @@ def test_header_byte_flip_exits_0_or_2(containers, name, where, mask):
     assert run_on(containers, name, bytes(blob)) in (0, 2)
 
 
-@pytest.mark.parametrize("name", ["data", "logreg", "gen-lda"])
+# model files have no payload: see the appended-bytes property
+@pytest.mark.parametrize("name", ["data"])
 @settings(max_examples=40, deadline=None)
 @given(where=st.floats(0.0, 1.0, exclude_max=True), mask=st.integers(1, 255))
 def test_payload_byte_flip_exits_0_or_2(containers, name, where, mask):
@@ -493,6 +495,13 @@ def test_payload_byte_flip_exits_0_or_2(containers, name, where, mask):
     start = 4 + header_len
     blob[start + int(where * (len(blob) - start))] ^= mask
     assert run_on(containers, name, bytes(blob)) in (0, 2)
+
+
+@pytest.mark.parametrize("name", ["logreg", "gen-lda"])
+@settings(max_examples=20, deadline=None)
+@given(tail=st.binary(min_size=1, max_size=64))
+def test_bytes_after_a_model_header_exit_2(containers, name, tail):
+    assert run_on(containers, name, containers[1][name].read_bytes() + tail) == 2
 
 
 # ---------------------------------------------------------------------------

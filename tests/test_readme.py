@@ -12,9 +12,9 @@ from rsvptyping.cli import (
     PREPROCESS_DEFAULTS,
     SIMULATE_DEFAULTS,
     SYNTH_DEFAULTS,
+    TRAIN_DEFAULTS,
     resolve_config,
 )
-from rsvptyping.models import TRAIN_DEFAULTS
 
 COMMAND_DEFAULTS = {
     "synth": SYNTH_DEFAULTS,
