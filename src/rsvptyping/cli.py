@@ -245,14 +245,17 @@ def cmd_train(args) -> int:
         holdout = split(dataset, n_splits=1, test_fraction=fraction, seed=resolved["seed"])[0]
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+    # both subsets are copies, so the whole dataset is freed before the fit
+    valid = dataset.subset(holdout.test)
+    train = dataset.subset(holdout.train)
+    del dataset
     try:
-        # the training copy is made inline so that it does not outlive the fit
-        model = _fit_model(args.kind, dataset.subset(holdout.train), settings)
+        model = _fit_model(args.kind, train, settings)
     except np.linalg.LinAlgError:
         raise
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    valid = dataset.subset(holdout.test)
+    del train
     predictions = classify_epochs(model.predict_batch(valid))
     ba = balanced_accuracy(predictions, valid.labels)
     write_model(args.out, model, hyper=settings)

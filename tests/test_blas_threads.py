@@ -1,7 +1,8 @@
-"""Reports do not depend on the BLAS thread count. Model files may: the fits'
-Gram and Hessian products sum over rows in a thread-dependent order, so
-their last bits can move, and with them the scores a generative model's KDE
-bandwidths are computed from, but every report a run writes must not."""
+"""The files a run writes do not depend on the BLAS thread count. The fits'
+Gram and Hessian products sum over rows in a thread-dependent order, so the
+last bits of fitted parameters can move, and with them the scores a
+generative model's KDE bandwidths are computed from; but a model file holds
+only its kind, settings and parameter count, and every report must not move."""
 
 import os
 import subprocess
@@ -33,5 +34,5 @@ def run_readme_flow(work: Path, kind: str, threads: int) -> None:
 def test_reports_agree_across_blas_thread_counts(tmp_path, kind):
     run_readme_flow(tmp_path / "one", kind, 1)
     run_readme_flow(tmp_path / "two", kind, 2)
-    for name in ("report.json", "report.csv"):
+    for name in ("data.bin", "model.bin", "report.json", "report.csv"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()

@@ -5,9 +5,14 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,10 @@ from rsvptyping.core import DegenerateEvidenceError
 from rsvptyping.dsp import RawRecording
 from rsvptyping.sim import SubChanceAccuracyWarning
 from rsvptyping.synth import LabeledDataset, SynthConfig, generate
+
+from test_synth import README_SYNTH
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def read_bytes(path):
@@ -177,6 +186,16 @@ class TestSynth:
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def readme_data(tmp_path_factory):
+    """The README dataset, written by the synth command."""
+    root = tmp_path_factory.mktemp("readme")
+    (root / "synth.cfg").write_text(README_SYNTH)
+    data = root / "data.bin"
+    assert main(["synth", "--config", str(root / "synth.cfg"), "--out", str(data)]) == 0
+    return data
+
+
 class TestTrain:
     def test_separable_reaches_perfect_validation(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
@@ -310,6 +329,37 @@ class TestTrain:
         assert len(warned) == logistic
         assert all(line.startswith("warning: 2 of 2 logistic fits stopped short")
                    for line in warned)
+
+    @pytest.mark.parametrize("kind", ["logreg", "gen-lda"])
+    def test_traced_peak_is_under_four_and_a_half_datasets(self, tmp_path, readme_data, kind):
+        # the training and validation subsets, the fit's float64 design and
+        # logreg's one float32 buffer, about four files' worth; keeping the
+        # whole dataset through the fit, and logreg's float32 copy of its
+        # rows, took logreg to 5.8 and gen-lda to 4.9
+        tracemalloc.start()
+        try:
+            rc = main(["train", str(readme_data), "--kind", kind,
+                       "--out", str(tmp_path / "m.bin")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak <= 4.5 * readme_data.stat().st_size
+
+    def test_generative_train_does_not_import_numpy_ma(self, tmp_path, workspace):
+        # np.percentile imports numpy.ma, 9-15 ms of a fit's process
+        script = (
+            "import sys\n"
+            "from rsvptyping.cli import main\n"
+            f"rc = main(['train', {str(workspace['data'])!r}, '--kind', 'gen-lda',"
+            f" '--out', {str(tmp_path / 'm.bin')!r}])\n"
+            "print(rc, 'numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out[-2:] == ["0", "False"]
 
     def test_single_class_data_exits_2(self, tmp_path, capsys):
         base = generate(SynthConfig(n_epochs=40, channels=2, target_fraction=0.5, seed=1))

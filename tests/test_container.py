@@ -291,7 +291,7 @@ class TestModelIO:
             write_model(path, request.getfixturevalue(name), hyper=hyper)
         assert not path.exists()
 
-    def test_truncated_payload(self, tmp_path, logreg):
+    def test_truncated_header(self, tmp_path, logreg):
         path = tmp_path / "m.bin"
         write_model(path, logreg)
         path.write_bytes(read_bytes(path)[:-8])

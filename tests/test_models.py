@@ -272,9 +272,10 @@ class TestLogistic:
         np.testing.assert_array_equal(model.weights, expected.weights)
         assert model.bias == expected.bias
 
-    def test_fit_memory_is_one_float32_copy_and_buffer(self):
+    def test_fit_memory_is_one_float32_buffer(self):
         # the README holdout's shape; a float64 Hessian per step made an
-        # (n, d) float64 temporary as large as the input
+        # (n, d) float64 temporary as large as the input, and a float32 copy
+        # of the rows beside the scaled buffer took the peak to 1.12 x.nbytes
         rng = np.random.default_rng(12)
         x = rng.standard_normal((5400, 372))
         y = (x[:, :8].sum(axis=1) + 2.0 * rng.standard_normal(5400) > 4.0).astype(int)
@@ -285,7 +286,7 @@ class TestLogistic:
         finally:
             tracemalloc.stop()
         assert fit.converged and fit.float64_steps == 0
-        assert peak <= 1.15 * x.nbytes
+        assert peak <= 0.7 * x.nbytes
 
     @pytest.mark.parametrize("setting", [
         {"l2": -0.1}, {"l2": math.nan}, {"tolerance": 0.0}, {"tolerance": math.inf},
@@ -651,6 +652,12 @@ class TestKde:
         density = fit_kde(np.array(scores))
         assert density.bandwidth == pytest.approx(expected, rel=1e-12, abs=0)
         assert np.array_equal(density.scores, scores)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=60))
+    def test_quartiles_are_numpys_linear_percentiles(self, scores):
+        s = np.array(scores)
+        assert models._quartiles(s) == tuple(np.percentile(s, (25.0, 75.0)))
 
     def test_bandwidth_scales_with_the_scores(self):
         scores = np.random.default_rng(9).standard_normal(500)
