@@ -8,12 +8,14 @@ writes a report, and ``report`` merges report files into one CSV table.
 Every command is a pure function of its input files, config, and seed:
 rerunning with identical inputs produces byte-identical outputs at one BLAS
 thread count. Exit codes: 0 success, 1 usage, config or out-of-memory
-error, 2 data error, 3 numerical failure.
+error, 2 data error, 3 numerical failure in any stage. No command writes an
+epochs file with non-finite samples: one past float32 range exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 import warnings
@@ -82,6 +84,18 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     """Input files exist but their contents cannot be used."""
+
+
+@contextlib.contextmanager
+def _fail_as(error: type[Exception]):
+    """Re-raise a ValueError of the block as ``error``, with its message. A
+    LinAlgError, itself a ValueError, passes through to exit 3."""
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise error(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +190,9 @@ def cmd_synth(args) -> int:
     resolved = resolve_config(args.config, SYNTH_DEFAULTS, {"seed": args.seed})
     if resolved["erp_channels"] == ():
         resolved["erp_channels"] = None
-    try:
+    with _fail_as(ConfigError):
         config = SynthConfig(**resolved)
         dataset = generate(config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     write_dataset(args.out, dataset, rate=config.rate)
     labels = dataset.labels
     n_pos = int(labels.sum())
@@ -232,29 +244,20 @@ TRAIN_DEFAULTS = FIT_DEFAULTS | {"holdout_fraction": 0.1, "seed": 0}
 
 def cmd_train(args) -> int:
     resolved = resolve_config(args.config, TRAIN_DEFAULTS, {"seed": args.seed})
-    try:
+    with _fail_as(ConfigError):
         check_train_settings({key: resolved[key] for key in FIT_DEFAULTS})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     fraction = resolved["holdout_fraction"]
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"holdout_fraction must lie in (0, 1), got {fraction!r}")
     settings = {key: resolved[key] for key in MODEL_KINDS[args.kind].settings}
     dataset = read_dataset(args.data)
-    try:
+    with _fail_as(DataError):
         holdout = split(dataset, n_splits=1, test_fraction=fraction, seed=resolved["seed"])[0]
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    # both subsets are copies, so the whole dataset is freed before the fit
-    valid = dataset.subset(holdout.test)
-    train = dataset.subset(holdout.train)
-    del dataset
-    try:
+        # both subsets are copies, so the whole dataset is freed before the fit
+        valid = dataset.subset(holdout.test)
+        train = dataset.subset(holdout.train)
+        del dataset
         model = _fit_model(args.kind, train, settings)
-    except np.linalg.LinAlgError:
-        raise
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
     del train
     predictions = classify_epochs(model.predict_batch(valid))
     ba = balanced_accuracy(predictions, valid.labels)
@@ -289,12 +292,10 @@ def cmd_simulate(args) -> int:
     )
     if resolved["splits"] < 1:
         raise ConfigError("splits must be at least 1")
-    try:
+    with _fail_as(ConfigError):
         typing_config = TypingConfig(
             **{f.name: resolved[f.name] for f in dataclasses.fields(TypingConfig)}
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     dataset = read_dataset(args.data)
     if args.model in BUILTIN_MODELS:
@@ -310,21 +311,16 @@ def cmd_simulate(args) -> int:
             # a setting the file omits takes the fit's default, its TRAIN_DEFAULTS value
             return _fit_model(kind, train, hyper)
 
-    try:
-        with warnings.catch_warnings():
-            # reported once for the whole run by _warn_sub_chance
-            warnings.simplefilter("ignore", SubChanceAccuracyWarning)
-            summary = evaluate_splits(
-                factory,
-                dataset,
-                typing_config,
-                n_splits=resolved["splits"],
-                split_seed=resolved["split_seed"],
-            )
-    except np.linalg.LinAlgError:
-        raise
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    with _fail_as(DataError), warnings.catch_warnings():
+        # reported once for the whole run by _warn_sub_chance
+        warnings.simplefilter("ignore", SubChanceAccuracyWarning)
+        summary = evaluate_splits(
+            factory,
+            dataset,
+            typing_config,
+            n_splits=resolved["splits"],
+            split_seed=resolved["split_seed"],
+        )
 
     config_echo = dict(resolved)
     config_echo["query_strategy"] = typing_config.query_strategy.value
@@ -367,12 +363,10 @@ PREPROCESS_DEFAULTS = {
 def cmd_preprocess(args) -> int:
     resolved = resolve_config(args.config, PREPROCESS_DEFAULTS)
     recording = read_raw(args.raw)
-    try:
-        if resolved["exclude_channels"]:
+    if resolved["exclude_channels"]:
+        with _fail_as(DataError):
             recording = exclude_channels(recording, resolved["exclude_channels"])
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    try:
+    with _fail_as(ConfigError):
         notch = design_notch(recording.rate, resolved["notch_hz"], resolved["notch_q"])
         band = design_bandpass(
             recording.rate,
@@ -380,18 +374,14 @@ def cmd_preprocess(args) -> int:
             resolved["band_high"],
             order=resolved["band_order"],
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    filtered = filter_forward([notch, *band], recording.data)
-    recording = dataclasses.replace(recording, data=filtered)
-    try:
+        filtered = filter_forward([notch, *band], recording.data)
+        recording = dataclasses.replace(recording, data=filtered)
         recording = downsample(recording, resolved["downsample_factor"])
         data, labels, dropped = epoch(recording, resolved["window_ms"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if labels.size == 0:
-        raise DataError("no epochs survive preprocessing")
-    write_dataset(args.out, LabeledDataset(data=data, labels=labels), rate=recording.rate)
+        if labels.size == 0:
+            raise DataError("no epochs survive preprocessing")
+        # refused when a band filter's output overflows float32
+        write_dataset(args.out, LabeledDataset(data=data, labels=labels), rate=recording.rate)
     print(f"wrote {args.out}")
     print(
         f"channels: {recording.n_channels}  rate: {recording.rate:.1f} Hz  "

@@ -24,7 +24,7 @@ import struct
 import numpy as np
 
 from .dsp import RawRecording
-from .models import MODEL_KINDS, EvidenceModel, check_kind_settings
+from .models import MODEL_KINDS, EvidenceModel, check_train_settings
 from .synth import LabeledDataset
 
 FORMAT_NAME = "rsvptyping-container"
@@ -90,7 +90,11 @@ def _base_header(kind: str) -> dict:
 
 
 def write_dataset(path, dataset: LabeledDataset, rate: float | None = None) -> None:
-    stacked = np.ascontiguousarray(dataset.data, dtype="<f4")
+    with np.errstate(over="ignore"):  # a sample past float32 range becomes inf
+        stacked = np.ascontiguousarray(dataset.data, dtype="<f4")
+    # refused before the file exists, by read_dataset's test
+    if not (np.isfinite(stacked.min()) and np.isfinite(stacked.max())):
+        raise ValueError("epochs contain non-finite samples or samples that overflow float32")
     labels = dataset.labels.astype(np.uint8)
     n, channels, samples = stacked.shape
     header = _base_header("epochs")
@@ -175,11 +179,11 @@ def read_raw(path) -> RawRecording:
 
 def write_model(path, model: EvidenceModel, hyper: dict | None = None) -> None:
     """Write a trained model's kind, the training settings ``hyper`` of its
-    fit and its parameter count. ``hyper`` is checked as read_model checks
-    it, before any file is created."""
+    fit and its parameter count. ``hyper`` must pass check_train_settings
+    for the model's kind, as read_model requires, before any file is created."""
     if model.kind not in MODEL_KINDS:
         raise ValueError(f"model kind {model.kind!r} cannot be serialized")
-    check_kind_settings(model.kind, hyper or {})
+    check_train_settings(hyper or {}, model.kind)
     header = _base_header("model")
     header.update({"model": model.kind, "hyper": hyper or {},
                    "parameters": model.parameter_count})
@@ -188,7 +192,8 @@ def write_model(path, model: EvidenceModel, hyper: dict | None = None) -> None:
 
 def read_model(path) -> tuple[str, dict, int]:
     """The model kind, the training settings its fit used and its parameter
-    count. A file that stores arrays was written before model files became
+    count. The settings must pass check_train_settings for the file's kind.
+    A file that stores arrays was written before model files became
     recipes; it must be retrained."""
     header, payload = read_container(path, "model")
     kind = header.get("model")
@@ -206,7 +211,7 @@ def read_model(path) -> tuple[str, dict, int]:
     if not isinstance(hyper, dict):
         raise ContainerFormatError(f"{path}: malformed training hyperparameters")
     try:
-        check_kind_settings(kind, hyper)
+        check_train_settings(hyper, kind)
     except ValueError as exc:
         raise ContainerFormatError(f"{path}: malformed training hyperparameters: {exc}") from exc
     return kind, hyper, parameters

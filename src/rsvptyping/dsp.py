@@ -39,7 +39,7 @@ class BiquadCoefficients:
     a2: float
 
     def __post_init__(self) -> None:
-        for root in np.roots([1.0, self.a1, self.a2]):
+        for root in self.poles():
             if abs(root) >= 1.0:
                 raise ValueError(f"unstable biquad: pole at |z|={abs(root):.6f}")
 

@@ -71,14 +71,6 @@ TRAIN_DEFAULTS = {
     "tolerance": GRADIENT_TOLERANCE,
     "variance_fraction": VARIANCE_FRACTION,
 }
-# Settings that fits no longer take, each with the reason; model files
-# written before their removal may still name them.
-_NEWTON = "logistic fits take Newton steps on an l2-penalized loss"
-REMOVED_TRAIN_KEYS = {
-    "learning_rate": _NEWTON,
-    "max_iterations": _NEWTON,
-    "bandwidth": "the KDE bandwidths follow Silverman's rule from each class's training scores",
-}
 
 
 @dataclass(frozen=True)
@@ -97,14 +89,13 @@ def _check_kind(kind: str, fit: str, family: str) -> None:
         raise ValueError(f"unknown {family} model kind {kind!r}")
 
 
-def check_train_settings(settings: dict) -> None:
-    """Raise ValueError naming the first setting a fit cannot use: a removed
-    key, with the reason it was removed, an unknown key, a value not of its
-    default's type, a non-positive or non-finite ``l2`` or ``tolerance``, or
-    a ``variance_fraction`` outside (0, 1]."""
+def check_train_settings(settings: dict, kind: Optional[str] = None) -> None:
+    """Raise ValueError naming the first setting a fit cannot use: an
+    unknown key, a value not of its default's type, a non-positive or
+    non-finite ``l2`` or ``tolerance``, or a ``variance_fraction`` outside
+    (0, 1]. Given a ``kind``, also any setting that kind's fit does not
+    take: ``settings`` must be those a model file of that kind may store."""
     for key, value in settings.items():
-        if key in REMOVED_TRAIN_KEYS:
-            raise ValueError(f"training setting {key!r} was removed: {REMOVED_TRAIN_KEYS[key]}")
         if key not in TRAIN_DEFAULTS:
             raise ValueError(f"unknown training setting {key!r}")
         expected = type(TRAIN_DEFAULTS[key])
@@ -116,14 +107,7 @@ def check_train_settings(settings: dict) -> None:
             raise ValueError(f"{key} must be positive and finite, got {value!r}")
         if key == "variance_fraction" and not 0.0 < value <= 1.0:
             raise ValueError(f"variance_fraction must lie in (0, 1], got {value!r}")
-
-
-def check_kind_settings(kind: str, settings: dict) -> None:
-    """Raise ValueError unless ``settings`` pass check_train_settings and
-    are all settings that the fit of ``kind`` takes: those a model file of
-    that kind may store."""
-    check_train_settings(settings)
-    unused = [key for key in settings if key not in MODEL_KINDS[kind].settings]
+    unused = [key for key in settings if kind and key not in MODEL_KINDS[kind].settings]
     if unused:
         raise ValueError(f"{kind} fits take no setting {', '.join(unused)}")
 

@@ -134,7 +134,8 @@ def generate(config: SynthConfig) -> LabeledDataset:
     config rate; a warmup stretch is generated and filtered but not kept, so
     epochs do not start with the filter transient. Target epochs add the
     config template on the chosen channels. Label count is exactly
-    round(fraction * n).
+    round(fraction * n). A sample that overflows, in float64 or in the
+    float32 output, raises ValueError.
 
     The output is filled ``CHUNK_EPOCHS`` epochs at a time: each chunk's
     white noise is drawn into one reused buffer from the one generator in
@@ -169,14 +170,18 @@ def generate(config: SynthConfig) -> LabeledDataset:
 
     data = np.empty((n, config.channels, samples), dtype=np.float32)
     buffer = np.empty((min(CHUNK_EPOCHS, n), config.channels, warmup + samples))
-    for lo in range(0, n, CHUNK_EPOCHS):
-        hi = min(lo + CHUNK_EPOCHS, n)
-        white = rng.standard_normal(out=buffer[: hi - lo])
-        chunk = filter_forward(cascade, white, start=warmup)
-        chunk *= config.noise_std
-        pos_rows = np.flatnonzero(labels[lo:hi] == 1)
-        chunk[np.ix_(pos_rows, channel_mask)] += template
-        data[lo:hi] = chunk
+    try:
+        with np.errstate(over="raise"):
+            for lo in range(0, n, CHUNK_EPOCHS):
+                hi = min(lo + CHUNK_EPOCHS, n)
+                white = rng.standard_normal(out=buffer[: hi - lo])
+                chunk = filter_forward(cascade, white, start=warmup)
+                chunk *= config.noise_std
+                pos_rows = np.flatnonzero(labels[lo:hi] == 1)
+                chunk[np.ix_(pos_rows, channel_mask)] += template
+                data[lo:hi] = chunk
+    except FloatingPointError:
+        raise ValueError("samples overflow float32: lower noise_std or erp_amplitude") from None
     return LabeledDataset(data=data, labels=labels)
 
 

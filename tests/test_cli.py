@@ -30,7 +30,7 @@ from rsvptyping.container import (
 )
 from rsvptyping.core import DegenerateEvidenceError
 from rsvptyping.dsp import RawRecording
-from rsvptyping.sim import SubChanceAccuracyWarning
+from rsvptyping.sim import SubChanceAccuracyWarning, TypingConfig
 from rsvptyping.synth import LabeledDataset, SynthConfig, generate
 
 from test_synth import README_SYNTH
@@ -183,6 +183,20 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and line.split()[0] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["erp_amplitude = 1e39", "noise_std = 1e308"])
+    def test_overflowing_samples_exit_1(self, tmp_path, capsys, line):
+        # finite settings whose samples overflow float32, or float64 first
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"n_epochs = 100\n{line}\n")
+        out = tmp_path / "d.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: samples overflow float32: lower noise_std or erp_amplitude\n"
+        )
         assert not out.exists()
 
 
@@ -710,7 +724,8 @@ class TestSimulate:
 
     def test_generative_file_with_a_bandwidth_setting_exits_2(self, tmp_path, workspace,
                                                                capsys):
-        # as written before the KDE bandwidths followed Silverman's rule
+        # a header-only file made by hand, naming the setting that the KDE
+        # bandwidths took before they followed Silverman's rule
         model = tmp_path / "gen.bin"
         assert main(["train", str(workspace["data"]), "--kind", "gen-lda",
                      "--out", str(model)]) == 0
@@ -722,8 +737,7 @@ class TestSimulate:
                    "--config", str(self.sim_cfg(tmp_path, attempts=10)),
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 2
-        assert ("training setting 'bandwidth' was removed: the KDE bandwidths follow "
-                "Silverman's rule from each class's training scores") in capsys.readouterr().err
+        assert "unknown training setting 'bandwidth'" in capsys.readouterr().err
 
     def test_generative_file_of_the_pca_layout_exits_2(self, tmp_path, workspace, capsys):
         # a gen-logr file as written before the PCA projection was folded
@@ -765,7 +779,7 @@ class TestSimulate:
         rc = main(["simulate", str(old), str(workspace["data"]), "--config", str(cfg),
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 2
-        assert f"training setting '{key}' was removed" in capsys.readouterr().err
+        assert f"unknown training setting '{key}'" in capsys.readouterr().err
 
     def test_numerical_failure_exits_3(self, tmp_path, workspace, monkeypatch):
         def explode(*args, **kwargs):
@@ -990,6 +1004,25 @@ class TestPreprocess:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_band_filter_exits_1(self, tmp_path, capsys):
+        # at order 40 the state-space filter amplifies its input by about
+        # 4e9, so inputs of size 1e30 leave float32 range; unit inputs need
+        # an order near 100, whose filter takes seconds to build
+        raw = tmp_path / "raw.bin"
+        data = 1e30 * np.random.default_rng(0).standard_normal((3, 12_000))
+        onsets = [(s, s // 260 % 2) for s in range(100, 11_900, 260)]
+        write_raw(raw, RawRecording(data=data, rate=250.0, stim_onsets=onsets))
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("band_order = 40\n")
+        out = tmp_path / "d.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["preprocess", str(raw), "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: epochs contain non-finite samples or samples that overflow float32\n"
+        )
+        assert not out.exists()
+
     def test_excluding_every_channel_exits_2(self, tmp_path):
         raw = tmp_path / "raw.bin"
         make_raw(raw, n_channels=2, n_samples=12_000)
@@ -997,6 +1030,53 @@ class TestPreprocess:
         cfg.write_text("exclude_channels = 0, 1\n")
         rc = main(["preprocess", str(raw), "--config", str(cfg), "--out", str(tmp_path / "d.bin")])
         assert rc == 2
+
+
+# Each stage that maps a ValueError to an exit code: the command, the
+# object and name of a callee that runs inside the stage, and the code.
+STAGES = [
+    ("synth", cli, "generate", 1),
+    ("train", cli, "check_train_settings", 1),
+    ("train", cli, "split", 2),
+    ("train", cli, "train_logistic_evidence", 2),
+    ("simulate", TypingConfig, "__post_init__", 1),
+    ("simulate", cli, "evaluate_splits", 2),
+    ("preprocess", cli, "exclude_channels", 2),
+    ("preprocess", cli, "design_bandpass", 1),
+    ("preprocess", cli, "epoch", 1),
+    ("preprocess", cli, "write_dataset", 1),
+]
+
+
+@pytest.mark.parametrize("error", ["value", "linalg"])
+@pytest.mark.parametrize("command, owner, name, code", STAGES,
+                         ids=[f"{command}-{name}" for command, _, name, _ in STAGES])
+def test_stage_failure_exit_code(tmp_path, workspace, monkeypatch, capsys, command, owner, name,
+                                 code, error):
+    # a ValueError exits with the stage's code; a LinAlgError, which is also
+    # a ValueError, exits 3 from every stage
+    out = tmp_path / "out.bin"
+    argv = {
+        "synth": ["synth", "--config", str(workspace["synth_cfg"])],
+        "train": ["train", str(workspace["data"])],
+        "simulate": ["simulate", "oracle", str(workspace["data"]), "--splits", "1"],
+        "preprocess": ["preprocess", str(tmp_path / "raw.bin"), "--config",
+                       str(tmp_path / "p.cfg")],
+    }[command] + ["--out", str(out)]
+    make_raw(tmp_path / "raw.bin", n_samples=12_000)
+    (tmp_path / "p.cfg").write_text("exclude_channels = 0\n")
+
+    def explode(*args, **kwargs):
+        raise ValueError("boom") if error == "value" else np.linalg.LinAlgError("boom")
+
+    monkeypatch.setattr(owner, name, explode)
+    rc = main(argv)
+    if error == "linalg":
+        code, prefix = 3, "numerical failure"
+    else:
+        prefix = "error" if code == 1 else "data error"
+    assert (rc, capsys.readouterr().err) == (code, f"{prefix}: boom\n")
+    assert not out.exists()
 
 
 class TestReport:

@@ -191,12 +191,25 @@ class TestDatasetIO:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("position", [0, -1])
     def test_non_finite_sample(self, tmp_path, dataset, value, position):
+        # write_dataset refuses such epochs, so the file is spliced by hand
         path = tmp_path / "d.bin"
-        data = dataset.data.copy()
-        data.reshape(-1)[position] = value
-        write_dataset(path, LabeledDataset(data, dataset.labels))
+        write_dataset(path, dataset)
+        header, payload = read_container(path, "epochs")
+        samples = np.frombuffer(payload[: header["label_offset"]], dtype="<f4").copy()
+        samples[position] = value
+        write_container(path, header, samples, payload[header["label_offset"] :])
         with pytest.raises(ContainerFormatError, match="non-finite"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+    def test_non_finite_sample_is_not_written(self, tmp_path, dataset, value):
+        # 1e39 is finite in float64 and overflows float32
+        path = tmp_path / "d.bin"
+        data = dataset.data.astype(np.float64)
+        data[-1, -1, -1] = value
+        with pytest.raises(ValueError, match="non-finite samples or samples that overflow"):
+            write_dataset(path, LabeledDataset(data, dataset.labels))
+        assert not path.exists()
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
@@ -281,8 +294,8 @@ class TestModelIO:
         ("logreg", {"l2": -0.5}, "l2 must be positive"),
         ("gen_logr", {"variance_fraction": 1}, "must be float"),
         ("logreg", {"momentum": 0.9}, "unknown training setting"),
-        ("logreg", {"learning_rate": 0.1}, "was removed"),
-        ("gen_lda", {"bandwidth": 1.0}, "'bandwidth' was removed: the KDE bandwidths follow"),
+        ("logreg", {"learning_rate": 0.1}, "unknown training setting 'learning_rate'"),
+        ("gen_lda", {"bandwidth": 1.0}, "unknown training setting 'bandwidth'"),
     ])
     def test_unreadable_settings_are_not_written(self, tmp_path, name, hyper, message, request):
         # read_model would reject the file, so write_model raises first
