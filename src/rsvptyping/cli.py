@@ -253,12 +253,9 @@ def cmd_train(args) -> int:
     dataset = read_dataset(args.data)
     with _fail_as(DataError):
         holdout = split(dataset, n_splits=1, test_fraction=fraction, seed=resolved["seed"])[0]
-        # both subsets are copies, so the whole dataset is freed before the fit
+        # row views of the dataset: the fit reads its rows, copying no epoch
         valid = dataset.subset(holdout.test)
-        train = dataset.subset(holdout.train)
-        del dataset
-        model = _fit_model(args.kind, train, settings)
-    del train
+        model = _fit_model(args.kind, dataset.subset(holdout.train), settings)
     predictions = classify_epochs(model.predict_batch(valid))
     ba = balanced_accuracy(predictions, valid.labels)
     write_model(args.out, model, hyper=settings)

@@ -19,12 +19,13 @@ training step only.
 Each trained model is one flat record of its parts, named by its kind:
 LogisticEvidenceModel (``logreg``) holds ``zscore`` and ``scorer``, and
 GenerativeEvidenceModel (``gen-logr`` or ``gen-lda``) adds ``kde_pos`` and
-``kde_neg``. Every EvidenceModel maps a LabeledDataset's epoch stack to one
+``kde_neg``. Every EvidenceModel maps each epoch of a LabeledDataset to one
 float64 log-likelihood ratio log p(e|+) - log p(e|-) per epoch, each model
 dividing by the label prior it is calibrated to: the logistic score for
 ``logreg``, whose class weighting calibrates p(+|e) to 1/2; the difference
 of the two floored KDE log-densities for generative kinds; +-inf for
-certain evidence.
+certain evidence. Fits and scores read a dataset's rows of its epoch stack
+straight into the float64 matrix they build, so a subset costs no copy.
 """
 
 from __future__ import annotations
@@ -423,6 +424,9 @@ def train_lda(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
 # PCA
 
 
+PCA_BLOCK_ROWS = 512  # rows fit_pca projects per product
+
+
 @dataclass(frozen=True)
 class PcaProjection:
     """Affine projection onto the top principal components, as ``fit_pca``
@@ -446,7 +450,8 @@ def fit_pca(
 
     Consumes its input: a C-ordered float64 ``features`` is centered in
     place (any other is centered in a C-ordered float64 copy). Returns the
-    projection and the C-ordered training rows projected by it."""
+    projection and the C-ordered training rows projected by it, formed
+    ``PCA_BLOCK_ROWS`` rows at a time."""
     x = _as_float_matrix(features)
     n = x.shape[0]
     if n < 2:
@@ -479,9 +484,15 @@ def fit_pca(
     # numpy hands a row-major product to BLAS as its column-major transpose,
     # so on 2+ threads OpenBLAS would pack a copy of all n x d centered rows
     # for x @ components; written the other way round, the product packs
-    # only the small components. The result is copied C-ordered, the order
-    # the scorer fits take, so they need no copy of their own.
-    return projection, np.ascontiguousarray((components.T @ x.T).T)
+    # only the small components. It is formed a block of rows at a time
+    # straight into the C-ordered output, the order the scorer fits take;
+    # the last block takes the remainder, so no block is small enough for
+    # OpenBLAS to round it differently from one whole product.
+    reduced = np.empty((n, r))
+    for lo in range(0, max(n // PCA_BLOCK_ROWS, 1) * PCA_BLOCK_ROWS, PCA_BLOCK_ROWS):
+        hi = lo + PCA_BLOCK_ROWS if lo + 2 * PCA_BLOCK_ROWS <= n else n
+        reduced[lo:hi] = (components.T @ x[lo:hi].T).T
+    return projection, reduced
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +589,16 @@ def kde_log_eval_many(density: KdeDensity, xs: np.ndarray) -> np.ndarray:
 # Generative pipeline
 
 
-def _epoch_scores(stats: ZScoreStats, scorer: LogisticModel, stacked: np.ndarray) -> np.ndarray:
-    """One linear score per epoch of a stack (n, channels, samples): z-score,
-    flatten, weights . x + bias."""
-    flat = zscore_array(stats, stacked).reshape(stacked.shape[0], -1)
-    return logistic_scores(scorer, flat)
+def _standardized_rows(stats: ZScoreStats, dataset: LabeledDataset) -> np.ndarray:
+    """The dataset's epochs z-scored and flattened into one C-ordered float64
+    (n, channels * samples) matrix, read from its rows of the stack."""
+    return zscore_array(stats, dataset.epochs, dataset.rows).reshape(len(dataset), -1)
+
+
+def _epoch_scores(stats: ZScoreStats, scorer: LogisticModel, dataset: LabeledDataset) -> np.ndarray:
+    """One linear score per epoch of a dataset: z-score, flatten,
+    weights . x + bias."""
+    return logistic_scores(scorer, _standardized_rows(stats, dataset))
 
 
 def _fold_projection(scorer: LogisticModel, pca: PcaProjection) -> LogisticModel:
@@ -615,18 +631,17 @@ def build_generative(
     labels = train.labels
     if labels.min() == labels.max():
         raise ValueError("both classes must be present")
-    stats = fit_zscore(train.data)
+    stats = fit_zscore(train.epochs, train.rows)
     # the z-scored rows are centered in place and freed once projected; the
     # KDEs' training scores are formed from the epochs again, as predict_batch does
-    pca, reduced = fit_pca(zscore_array(stats, train.data).reshape(len(train), -1),
-                           variance_fraction)
+    pca, reduced = fit_pca(_standardized_rows(stats, train), variance_fraction)
     if kind == "gen-logr":
         scorer = train_logistic(reduced, labels, (1.0, 1.0), l2=l2, tolerance=tolerance)
     else:
         scorer = train_lda(reduced, labels)
     del reduced
     folded = _fold_projection(scorer, pca)
-    scores = _epoch_scores(stats, folded, train.data)
+    scores = _epoch_scores(stats, folded, train)
     return GenerativeEvidenceModel(
         kind=kind,
         zscore=stats,
@@ -679,7 +694,7 @@ class LogisticEvidenceModel(EvidenceModel):
     kind = "logreg"
 
     def predict_batch(self, dataset: LabeledDataset) -> np.ndarray:
-        return _epoch_scores(self.zscore, self.scorer, dataset.data)
+        return _epoch_scores(self.zscore, self.scorer, dataset)
 
     @property
     def parameter_count(self) -> int:
@@ -697,9 +712,9 @@ def train_logistic_evidence(
     """Fit the discriminative baseline, model kind ``logreg``, on labeled
     epochs."""
     _check_kind(kind, "train_logistic_evidence", "logistic")
-    stats = fit_zscore(train.data)
-    flat = zscore_array(stats, train.data).reshape(len(train), -1)
-    scorer = train_logistic(flat, train.labels, l2=l2, tolerance=tolerance)
+    stats = fit_zscore(train.epochs, train.rows)
+    scorer = train_logistic(_standardized_rows(stats, train), train.labels, l2=l2,
+                            tolerance=tolerance)
     return LogisticEvidenceModel(stats, scorer)
 
 
@@ -724,7 +739,7 @@ class GenerativeEvidenceModel(EvidenceModel):
         _check_kind(self.kind, "build_generative", "generative")
 
     def predict_batch(self, dataset: LabeledDataset) -> np.ndarray:
-        scores = _epoch_scores(self.zscore, self.scorer, dataset.data)
+        scores = _epoch_scores(self.zscore, self.scorer, dataset)
         return kde_log_eval_many(self.kde_pos, scores) - kde_log_eval_many(self.kde_neg, scores)
 
     @property

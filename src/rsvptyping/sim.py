@@ -344,8 +344,7 @@ def evaluate_splits(
     """
     rows = []
     for k, s in enumerate(synth.split(dataset, n_splits=n_splits, seed=split_seed)):
-        # the training copy is made inline so that it does not outlive the
-        # fit, which is this loop's memory peak
+        # subsets are row views: the fits read their rows of the dataset
         model = model_factory(dataset.subset(s.train))
         test = dataset.subset(s.test)
         llr = model.predict_batch(test)

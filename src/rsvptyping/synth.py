@@ -8,7 +8,8 @@ Gaussian-windowed bump, standing in for a P300-like response).
 
 The generator is fully determined by its config, including the seed, and
 returns float32 samples, the on-disk dtype, so in-memory datasets match their
-files bit for bit. Train/test splits are sorted int64 index arrays.
+files bit for bit. Train/test splits are sorted int64 index arrays, and a
+dataset's subsets are row views of its epochs.
 """
 
 from __future__ import annotations
@@ -90,20 +91,25 @@ class SplitIndices(NamedTuple):
     test: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LabeledDataset:
-    """Epochs (n, channels, samples) with their 0/1 labels. ``len()`` is the
-    epoch count. Float32 or float64 data is kept as given, without a copy;
-    any other dtype becomes float64. Fits and scores widen to float64."""
+    """Labeled epochs as a row view of an epoch stack: ``epochs`` is the
+    stack (n, channels, samples), ``rows`` the int64 index of the epochs the
+    dataset holds, in order, and ``labels`` their 0/1 labels. ``len()`` is
+    the row count. Built from a stack, a dataset holds all its rows; float32
+    or float64 data is kept as given, without a copy, and any other dtype
+    becomes float64. ``subset`` shares the stack and copies no epoch; fits
+    and scores read the rows straight into their float64 buffers."""
 
-    data: np.ndarray
+    epochs: np.ndarray
+    rows: np.ndarray
     labels: np.ndarray
 
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data)
+    def __init__(self, data: np.ndarray, labels: np.ndarray) -> None:
+        data = np.asarray(data)
         if data.dtype not in (np.float32, np.float64):
             data = data.astype(np.float64)
-        labels = np.asarray(self.labels)
+        labels = np.asarray(labels)
         if data.ndim != 3:
             raise ValueError("epoch data must be epochs x channels x samples")
         if 0 in data.shape:
@@ -113,15 +119,34 @@ class LabeledDataset:
             raise ValueError(f"expected {n} labels, got shape {labels.shape}")
         if not np.all(np.isin(labels, (0, 1))):
             raise ValueError("labels must be 0 or 1")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "labels", labels.astype(np.int64))
+        self._hold(data, np.arange(n), labels.astype(np.int64))
+
+    def _hold(self, epochs: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> None:
+        object.__setattr__(self, "epochs", epochs)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
-        return self.data.shape[0]
+        return self.rows.shape[0]
+
+    @property
+    def data(self) -> np.ndarray:
+        """The held epochs as one stack: ``epochs`` itself when the dataset
+        holds every row in order, else a copy of its rows."""
+        n = self.epochs.shape[0]
+        every = len(self) == n and np.array_equal(self.rows, np.arange(n))
+        return self.epochs if every else self.epochs[self.rows]
 
     def subset(self, indices: Sequence[int]) -> "LabeledDataset":
-        rows = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(data=self.data[rows], labels=self.labels[rows])
+        """The dataset of the given positions of this one, in the given
+        order, as a view of the same stack: subsets of subsets compose."""
+        picked = np.asarray(indices, dtype=np.int64)
+        if picked.ndim != 1 or picked.size == 0:
+            raise ValueError(
+                f"a subset takes a nonempty vector of indices, got shape {picked.shape}")
+        view = object.__new__(LabeledDataset)
+        view._hold(self.epochs, self.rows[picked], self.labels[picked])
+        return view
 
 
 CHUNK_EPOCHS = 512  # epochs drawn and filtered per step of generate

@@ -1005,19 +1005,17 @@ class TestPreprocess:
         assert not out.exists()
 
     def test_overflowing_band_filter_exits_1(self, tmp_path, capsys):
-        # at order 40 the state-space filter amplifies its input by about
-        # 4e9, so inputs of size 1e30 leave float32 range; unit inputs need
-        # an order near 100, whose filter takes seconds to build
+        # a 10.4 Hz square wave of amplitude 3e38, near the float32 limit of
+        # 3.4e38: the band passes its fundamental, 4/pi times the amplitude,
+        # so the default filter's output leaves float32 range
         raw = tmp_path / "raw.bin"
-        data = 1e30 * np.random.default_rng(0).standard_normal((3, 12_000))
+        square = np.where(np.arange(12_000) % 24 < 12, 3e38, -3e38)
         onsets = [(s, s // 260 % 2) for s in range(100, 11_900, 260)]
-        write_raw(raw, RawRecording(data=data, rate=250.0, stim_onsets=onsets))
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text("band_order = 40\n")
+        write_raw(raw, RawRecording(data=np.tile(square, (3, 1)), rate=250.0, stim_onsets=onsets))
         out = tmp_path / "d.bin"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["preprocess", str(raw), "--config", str(cfg), "--out", str(out)]) == 1
+            assert main(["preprocess", str(raw), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error: epochs contain non-finite samples or samples that overflow float32\n"
         )

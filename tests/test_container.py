@@ -263,6 +263,32 @@ class TestRawIO:
         with pytest.raises(ContainerFormatError):
             read_raw(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, -1])
+    def test_non_finite_sample(self, tmp_path, value, position):
+        path = tmp_path / "r.bin"
+        write_raw(path, self.make_recording())
+        header, payload = read_container(path, "raw")
+        samples = np.frombuffer(payload, dtype="<f4").copy()
+        samples[position] = value
+        write_container(path, header, samples)
+        with pytest.raises(ContainerFormatError, match="recording contains non-finite samples"):
+            read_raw(path)
+
+    def test_read_peak_memory_is_the_file_and_its_float64_copy(self, tmp_path):
+        # the payload bytes plus the recording widened to float64; a bool
+        # finiteness mask over the widened recording would add a quarter
+        data = np.random.default_rng(6).standard_normal((8, 60_000))
+        path = tmp_path / "r.bin"
+        write_raw(path, RawRecording(data=data, rate=256.0, stim_onsets=((10, 1),)))
+        tracemalloc.start()
+        try:
+            read_raw(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * path.stat().st_size
+
 
 class TestModelIO:
     def test_generative_kind_names_the_scorer(self, gen_logr, gen_lda):

@@ -20,7 +20,7 @@ from rsvptyping.core import (
     update_factors,
 )
 from rsvptyping import cli, models
-from rsvptyping.dsp import ZScoreStats, zscore_array
+from rsvptyping.dsp import ZScoreStats, fit_zscore, zscore_array
 from rsvptyping.models import (
     ConstantEvidenceModel,
     GenerativeEvidenceModel,
@@ -519,6 +519,19 @@ class TestPca:
         fit_pca(single, 0.9)
         assert np.array_equal(single, x.astype(np.float32))
 
+    def test_blocked_projection_equals_one_product(self):
+        # two whole blocks and a remainder that the last block takes; a row
+        # count that is a multiple of 8 keeps OpenBLAS's partition of one
+        # product across 2 threads at the same rows as the blocks'
+        n = 2 * models.PCA_BLOCK_ROWS + 200
+        rng = np.random.default_rng(45)
+        x = rng.standard_normal((n, 60)) @ rng.standard_normal((60, 60))
+        proj, reduced = fit_pca(x.copy(), 0.9)
+        centered = x - proj.mean
+        assert 1 < proj.components.shape[1] < 60
+        assert np.array_equal(
+            reduced, np.ascontiguousarray((proj.components.T @ centered.T).T))
+
     def test_non_orthonormal_axes_raise_linalg_error(self, monkeypatch):
         eigh = np.linalg.eigh
 
@@ -768,6 +781,26 @@ class TestGenerativePipeline:
             tracemalloc.stop()
         assert peak < 2.0 * matrix_bytes
 
+    @pytest.mark.parametrize("kind", ["gen-lda", "logreg"])
+    def test_split_fit_holds_no_copy_of_the_training_rows(self, kind):
+        # evaluate_splits on the README dataset, one split. D is the float64
+        # design of the split's training rows: a fit holds D plus logreg's
+        # float32 Hessian buffer (D / 2) or gen-lda's projection (about D / 4);
+        # a float32 copy of the training rows would add D / 2 more
+        dataset = generate(SynthConfig(n_epochs=6000, channels=6,
+                                       target_fraction=0.0357142857, seed=0))
+        fit = {"logreg": train_logistic_evidence,
+               "gen-lda": lambda train: build_generative(train, kind="gen-lda")}[kind]
+        tracemalloc.start()
+        try:
+            summary = evaluate_splits(fit, dataset, TypingConfig(attempts=100), n_splits=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        design = 8 * round(0.8 * len(dataset)) * dataset.epochs[0].size
+        assert len(summary.per_split) == 1
+        assert peak <= {"logreg": 1.75, "gen-lda": 1.5}[kind] * design
+
     def test_single_class_rejected(self):
         rng = np.random.default_rng(39)
         epochs = make_dataset(rng.standard_normal((10, 2, 8)), np.ones(10, dtype=int))
@@ -781,6 +814,38 @@ class TestGenerativePipeline:
         model = build_generative(epochs)
         with pytest.raises(ValueError, match="unknown generative model kind 'logreg'"):
             dataclasses.replace(model, kind="logreg")
+
+
+class TestRowViews:
+    """Fits and scores read a subset's rows of the parent stack; they must
+    give the bits that the copy of those rows gives."""
+
+    ROWS = np.array([511, 3, 40, 700, 41, 9, 262, 263, 100, 5, 899, 600] * 30)
+
+    def view_and_copy(self):
+        parent = generate(SynthConfig(n_epochs=900, channels=3, target_fraction=0.2, seed=2))
+        view = parent.subset(self.ROWS)
+        return view, LabeledDataset(data=parent.data[self.ROWS], labels=parent.labels[self.ROWS])
+
+    def test_zscoring_reads_the_rows(self):
+        view, copy = self.view_and_copy()
+        stats = fit_zscore(view.epochs, view.rows)
+        expected = fit_zscore(copy.data)
+        assert stats.mean.tobytes() == expected.mean.tobytes()
+        assert stats.std.tobytes() == expected.std.tobytes()
+        z = zscore_array(stats, view.epochs, view.rows)
+        assert z.flags.c_contiguous and z.dtype == np.float64
+        assert z.tobytes() == zscore_array(stats, copy.data).tobytes()
+
+    @pytest.mark.parametrize("kind", ["logreg", "gen-logr", "gen-lda"])
+    def test_fits_and_scores_read_the_rows(self, kind):
+        view, copy = self.view_and_copy()
+        fit = getattr(models, models.MODEL_KINDS[kind].fit)
+        on_view, on_copy = fit(view, kind=kind), fit(copy, kind=kind)
+        assert on_view.scorer.weights.tobytes() == on_copy.scorer.weights.tobytes()
+        assert on_view.scorer.bias == on_copy.scorer.bias
+        assert on_view.predict_batch(view).tobytes() == on_copy.predict_batch(copy).tobytes()
+        assert on_view.predict_batch(view).tobytes() == on_view.predict_batch(copy).tobytes()
 
 
 class TestBayesConversion:

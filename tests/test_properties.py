@@ -1,6 +1,7 @@
 """Property tests: the batched posterior filter against a per-event
 reference, typing's log-likelihood-ratio factors against the factor pair
-they replace, the block filter against the per-sample recursion, block KDE and
+they replace, the block filter against the per-sample recursion, band filters'
+impulse-response energy against Parseval's value from |H|, block KDE and
 per-channel z-scoring against their whole-matrix forms, the folded
 generative scorer against PCA then the scorer, onset checks and downsampling
 against per-pair loops, the CLI's exit codes on damaged container files, and
@@ -293,6 +294,45 @@ def test_block_filter_matches_per_sample_recursion(
     # outputs' rounding comes from
     scale = np.max(np.abs(expected), initial=0.0)
     assert np.max(np.abs(out - expected[..., start:]), initial=0.0) <= 1e-12 * scale
+
+
+def parseval_energy(cascade, n: int) -> float:
+    """sum |h|^2 of the cascade's impulse response, aliased with period n,
+    as the mean of |H|^2 over n points of the unit circle."""
+    power = np.ones(n)
+    for s in cascade:
+        response = np.fft.rfft([s.b0, s.b1, s.b2], n) / np.fft.rfft([1.0, s.a1, s.a2], n)
+        power = power[: response.size] * np.abs(response) ** 2
+    # the rfft half holds k = 0..n/2; the others mirror k = 1..(n-1)/2
+    mirrored = power[1:(n + 1) // 2]
+    return float((power.sum() + mirrored.sum()) / n)
+
+
+@settings(max_examples=6, deadline=None)
+# the 1-20 Hz band at 256 Hz that `preprocess` builds by default, at orders
+# where the cascade was once run in an order that amplified its round-off
+@example(rate=256.0, low=1.0, high_at=15.0 / 95.0, order=30)
+@example(rate=256.0, low=1.0, high_at=15.0 / 95.0, order=60)
+@given(
+    rate=st.floats(100.0, 1000.0),
+    low=st.floats(0.5, 5.0),
+    high_at=st.floats(0.0, 1.0),
+    order=st.integers(1, 60),
+)
+def test_band_filter_impulse_energy_matches_parseval(rate, low, high_at, order):
+    # high edge between low + 4 Hz and 0.4 of the rate (at most 100 Hz)
+    top = min(0.4 * rate, 100.0)
+    high = low + 4.0 + high_at * (top - low - 4.0)
+    cascade = design_bandpass(rate, low, high, order)
+    # long enough for the slowest pole's envelope to fall by e^-60, and a
+    # power of two, which the FFTs of parseval_energy take fastest
+    radius = max(float(np.max(np.abs(s.poles()))) for s in cascade)
+    n = 1 << int(60.0 / (1.0 - radius)).bit_length()
+    impulse = np.zeros(n)
+    impulse[0] = 1.0
+    h = filter_forward(cascade, impulse)
+    expected = parseval_energy(cascade, n)
+    assert abs(float(h @ h) - expected) <= 1e-6 * expected
 
 
 # ---------------------------------------------------------------------------

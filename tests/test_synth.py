@@ -261,3 +261,32 @@ class TestLabeledDataset:
         part = dataset.subset(np.array([3, 1]))
         assert part.data.dtype == np.float32
         np.testing.assert_array_equal(part.data, dataset.data[[3, 1]])
+
+    def test_subset_is_a_row_view_and_subsets_compose(self):
+        dataset = generate(small_config(n_epochs=20))
+        outer = np.array([9, 2, 15, 4, 11, 0])
+        part = dataset.subset(outer)
+        assert part.epochs is dataset.epochs
+        assert np.shares_memory(part.epochs, dataset.data)
+        inner = np.array([5, 1, 3])
+        nested = part.subset(inner)
+        assert nested.epochs is dataset.epochs
+        np.testing.assert_array_equal(nested.rows, outer[inner])
+        np.testing.assert_array_equal(nested.labels, dataset.labels[outer[inner]])
+        assert len(nested) == 3
+
+    def test_view_data_is_the_copy_it_replaces(self):
+        dataset = generate(small_config(n_epochs=20))
+        rows = np.array([7, 3, 3, 18, 0])
+        view = dataset.subset(rows)
+        copy = dataset.data[rows]
+        assert view.data.dtype == copy.dtype and view.data.shape == copy.shape
+        assert view.data.tobytes() == copy.tobytes()
+        # a whole dataset holds its stack itself
+        assert dataset.data is dataset.epochs
+
+    @pytest.mark.parametrize("indices", [[], [[0, 1]]])
+    def test_subset_needs_a_nonempty_vector(self, indices):
+        dataset = generate(small_config(n_epochs=20))
+        with pytest.raises(ValueError, match="nonempty vector of indices"):
+            dataset.subset(indices)
