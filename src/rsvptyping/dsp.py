@@ -168,10 +168,10 @@ def design_bandpass(
 
     z_poles = [(fs2 + s) / (fs2 - s) for s in analog_poles]
     # the pairs run from the highest pole frequency to the lowest; the cascade
-    # takes them alternately from both ends, so the resonators at one band
-    # edge never run one after another and amplify the round-off of all the
-    # sections before them (in that order, from band order ~25 up the output
-    # was off by factors past 1e3). At orders 1 and 2 the order is unchanged.
+    # takes them alternately from both ends, highest first. Run in frequency
+    # order, the low-edge resonators come last and amplify the round-off of
+    # every section before them: from band order ~25 up, the output is off by
+    # factors past 1e3. Orders 1 and 2 keep the frequency order.
     pairs = _pair_conjugates(z_poles)
     pairs = [pairs[i // 2] if i % 2 == 0 else pairs[-1 - i // 2] for i in range(len(pairs))]
     # unnormalized cascade: each section is (1 - z^-2) / (1 + a1 z^-1 + a2 z^-2),
