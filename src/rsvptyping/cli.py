@@ -47,6 +47,7 @@ from .models import (  # the fits are called by name, in _fit_model
     TRAIN_DEFAULTS as FIT_DEFAULTS,
     ConstantEvidenceModel,
     EvidenceModel,
+    GenerativeEvidenceModel,
     OracleEvidenceModel,
     build_generative,
     check_train_settings,
@@ -262,6 +263,9 @@ def cmd_train(args) -> int:
     print(f"wrote {args.out}")
     print(f"model: {args.kind}  parameters: {model.parameter_count}")
     print(f"train epochs: {len(holdout.train)}  validation epochs: {len(valid)}")
+    if isinstance(model, GenerativeEvidenceModel):
+        print(f"pca: {model.pca_rank} components, "
+              f"retained variance fraction {model.pca_variance_fraction:.6f}")
     if model.fit is not None:
         print(f"fit: {model.fit.steps} Newton steps, gradient norm {model.fit.gradient_norm:.3e}")
     print(f"validation balanced accuracy: {ba:.6f}")

@@ -411,14 +411,17 @@ def fit_zscore(data: np.ndarray, rows: Optional[np.ndarray] = None) -> ZScoreSta
 
 
 def zscore_array(stats: ZScoreStats, data: np.ndarray,
-                 rows: Optional[np.ndarray] = None) -> np.ndarray:
+                 rows: Optional[np.ndarray] = None,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """Standardize the epochs ``rows`` of a stack (n, channels, samples),
     every epoch when ``rows`` is None, with fitted stats. The rows are
-    gathered ``ZSCORE_BLOCK_EPOCHS`` at a time into a new C-ordered float64
-    stack, which is returned; ``data`` is left as it is."""
+    gathered ``ZSCORE_BLOCK_EPOCHS`` at a time into a C-ordered float64
+    stack, ``out`` if given or else a new one, which is returned; ``data``
+    is left as it is."""
     data = np.asarray(data)
     rows = _rows(data, rows)
-    out = np.empty((rows.shape[0], *data.shape[1:]))
+    if out is None:
+        out = np.empty((rows.shape[0], *data.shape[1:]))
     _gather(out, data, rows)
     out -= stats.mean[None, :, None]
     out /= stats.std[None, :, None]

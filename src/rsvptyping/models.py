@@ -18,14 +18,16 @@ training step only.
 
 Each trained model is one flat record of its parts, named by its kind:
 LogisticEvidenceModel (``logreg``) holds ``zscore`` and ``scorer``, and
-GenerativeEvidenceModel (``gen-logr`` or ``gen-lda``) adds ``kde_pos`` and
-``kde_neg``. Every EvidenceModel maps each epoch of a LabeledDataset to one
-float64 log-likelihood ratio log p(e|+) - log p(e|-) per epoch, each model
-dividing by the label prior it is calibrated to: the logistic score for
-``logreg``, whose class weighting calibrates p(+|e) to 1/2; the difference
-of the two floored KDE log-densities for generative kinds; +-inf for
-certain evidence. Fits and scores read a dataset's rows of its epoch stack
-straight into the float64 matrix they build, so a subset costs no copy.
+GenerativeEvidenceModel (``gen-logr`` or ``gen-lda``) adds ``kde_pos``,
+``kde_neg`` and the size of its PCA. Every EvidenceModel maps each epoch of
+a LabeledDataset to one float64 log-likelihood ratio log p(e|+) - log p(e|-)
+per epoch, each model dividing by the label prior it is calibrated to: the
+logistic score for ``logreg``, whose class weighting calibrates p(+|e) to
+1/2; the difference of the two floored KDE log-densities for generative
+kinds; +-inf for certain evidence. Fits and scores read a dataset's rows of its epoch stack
+straight into the float64 rows they build, so a subset costs no copy; the
+generative fits and every scoring read them a block of rows at a time, and
+the generative fits keep only class moments of them.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .core import LabelPrior
-from .dsp import ZScoreStats, fit_zscore, zscore_array
+from .dsp import ZSCORE_BLOCK_EPOCHS, ZScoreStats, fit_zscore, zscore_array
 from .synth import DEFAULT_ALPHABET_SIZE, LabeledDataset
 
 # Ridge penalty (l2 / 2) * |weights|^2 of logistic fits. 1e-2 is the best
@@ -382,9 +384,11 @@ def logistic_scores(model: LogisticModel, features: np.ndarray) -> np.ndarray:
 LDA_RIDGE = 1e-3
 
 
-def train_lda(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
-    """Fit LDA with pooled covariance plus a ridge term, returned as the
-    linear log-odds model it is.
+def train_lda(pooled: np.ndarray, means: np.ndarray, counts: np.ndarray) -> LogisticModel:
+    """Fit LDA from class moments, returned as the linear log-odds model it
+    is: ``pooled`` is the (d, d) pooled within-class covariance, ``means``
+    the (2, d) class means, negative class first, and ``counts`` the two
+    class sizes.
 
     With one shared covariance S, log p(+|x) - log p(-|x) is linear in x:
     weights = S^-1 (mean_pos - mean_neg) and
@@ -392,17 +396,13 @@ def train_lda(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
     The ridge is LDA_RIDGE times the mean diagonal of the pooled covariance;
     a covariance that is still not positive definite raises LinAlgError.
     """
-    x = _as_float_matrix(features)
-    y = _as_labels(labels, x.shape[0])
-    n, d = x.shape
-    means = {}
-    scatter = np.zeros((d, d))
-    for cls in (0, 1):
-        rows = x[y == cls]
-        means[cls] = rows.mean(axis=0)
-        centered = rows - means[cls]
-        scatter += centered.T @ centered
-    pooled = scatter / max(n - 2, 1)
+    pooled = np.asarray(pooled, dtype=np.float64)
+    means = np.asarray(means, dtype=np.float64)
+    d = means.shape[-1]
+    if means.shape != (2, d) or pooled.shape != (d, d) or np.shape(counts) != (2,):
+        raise ValueError("LDA takes a (d, d) covariance, (2, d) class means and 2 counts")
+    if min(counts) < 1:
+        raise ValueError("both classes must be present")
     if not np.all(np.isfinite(pooled)):
         raise ValueError("pooled covariance is not finite")
     mean_diag = float(np.mean(np.diag(pooled)))
@@ -415,16 +415,12 @@ def train_lda(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
             "regularized covariance is not positive definite"
         ) from exc
     weights = np.linalg.solve(regularized, means[1] - means[0])
-    counts = np.bincount(y, minlength=2)
     bias = math.log(counts[1] / counts[0]) - 0.5 * float(weights @ (means[1] + means[0]))
     return LogisticModel(weights=weights, bias=bias)
 
 
 # ---------------------------------------------------------------------------
 # PCA
-
-
-PCA_BLOCK_ROWS = 512  # rows fit_pca projects per product
 
 
 @dataclass(frozen=True)
@@ -440,29 +436,27 @@ class PcaProjection:
 
 
 def fit_pca(
-    features: np.ndarray, variance_fraction: float = VARIANCE_FRACTION
-) -> tuple[PcaProjection, np.ndarray]:
-    """Keep the smallest number of components whose cumulative explained
+    mean: np.ndarray, scatter: np.ndarray, n: int,
+    variance_fraction: float = VARIANCE_FRACTION,
+) -> PcaProjection:
+    """PCA of ``n`` rows from their mean and their (d, d) scatter matrix
+    about it, the sum of (x - mean)(x - mean)^T over the rows.
+
+    Keep the smallest number of components whose cumulative explained
     variance reaches ``variance_fraction``. Zero-variance input keeps one
     component by convention. Component signs are fixed so the entry of
     largest magnitude is positive, making the fit deterministic. Axes that
-    eigh returns non-orthonormal raise LinAlgError.
-
-    Consumes its input: a C-ordered float64 ``features`` is centered in
-    place (any other is centered in a C-ordered float64 copy). Returns the
-    projection and the C-ordered training rows projected by it, formed
-    ``PCA_BLOCK_ROWS`` rows at a time."""
-    x = _as_float_matrix(features)
-    n = x.shape[0]
+    eigh returns non-orthonormal raise LinAlgError."""
     if n < 2:
         raise ValueError("PCA needs at least 2 samples")
     if not (0.0 < variance_fraction <= 1.0):
         raise ValueError("variance_fraction must lie in (0, 1]")
-    mean = x.mean(axis=0)
-    x -= mean
-    # the Gram matrix's eigenpairs are the squared singular values and right
-    # singular vectors of the centered data; eigh returns them ascending
-    eigvals, eigvecs = np.linalg.eigh(x.T @ x)
+    mean = np.asarray(mean, dtype=np.float64)
+    if mean.ndim != 1 or np.shape(scatter) != (mean.shape[0],) * 2:
+        raise ValueError("PCA takes a (d,) mean and a (d, d) scatter matrix")
+    # the scatter matrix's eigenpairs are the squared singular values and
+    # right singular vectors of the centered rows; eigh returns them ascending
+    eigvals, eigvecs = np.linalg.eigh(scatter)
     explained = np.clip(eigvals[::-1], 0.0, None) / (n - 1)
     total = float(explained.sum())
     if total <= 0.0:
@@ -480,19 +474,7 @@ def fit_pca(
     gram = components.T @ components
     if not np.max(np.abs(gram - np.eye(r))) <= 1e-8:
         raise np.linalg.LinAlgError("eigh returned non-orthonormal axes")
-    projection = PcaProjection(mean=mean, components=components, variance_fraction=achieved)
-    # numpy hands a row-major product to BLAS as its column-major transpose,
-    # so on 2+ threads OpenBLAS would pack a copy of all n x d centered rows
-    # for x @ components; written the other way round, the product packs
-    # only the small components. It is formed a block of rows at a time
-    # straight into the C-ordered output, the order the scorer fits take;
-    # the last block takes the remainder, so no block is small enough for
-    # OpenBLAS to round it differently from one whole product.
-    reduced = np.empty((n, r))
-    for lo in range(0, max(n // PCA_BLOCK_ROWS, 1) * PCA_BLOCK_ROWS, PCA_BLOCK_ROWS):
-        hi = lo + PCA_BLOCK_ROWS if lo + 2 * PCA_BLOCK_ROWS <= n else n
-        reduced[lo:hi] = (components.T @ x[lo:hi].T).T
-    return projection, reduced
+    return PcaProjection(mean=mean, components=components, variance_fraction=achieved)
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +577,26 @@ def _standardized_rows(stats: ZScoreStats, dataset: LabeledDataset) -> np.ndarra
     return zscore_array(stats, dataset.epochs, dataset.rows).reshape(len(dataset), -1)
 
 
+def _standardized_blocks(stats: ZScoreStats, dataset: LabeledDataset):
+    """The dataset's epochs z-scored and flattened ``ZSCORE_BLOCK_EPOCHS``
+    at a time: yields each block's first position and the block, a
+    C-ordered float64 (rows, channels * samples) view of one buffer that
+    the next block overwrites."""
+    rows = dataset.rows
+    buffer = np.empty((min(ZSCORE_BLOCK_EPOCHS, len(rows)), *dataset.epochs.shape[1:]))
+    for lo in range(0, len(rows), ZSCORE_BLOCK_EPOCHS):
+        block = rows[lo:lo + ZSCORE_BLOCK_EPOCHS]
+        out = zscore_array(stats, dataset.epochs, block, out=buffer[: len(block)])
+        yield lo, out.reshape(len(block), -1)
+
+
 def _epoch_scores(stats: ZScoreStats, scorer: LogisticModel, dataset: LabeledDataset) -> np.ndarray:
     """One linear score per epoch of a dataset: z-score, flatten,
-    weights . x + bias."""
-    return logistic_scores(scorer, _standardized_rows(stats, dataset))
+    weights . x + bias, a block of epochs at a time."""
+    scores = np.empty(len(dataset))
+    for lo, block in _standardized_blocks(stats, dataset):
+        scores[lo:lo + len(block)] = logistic_scores(scorer, block)
+    return scores
 
 
 def _fold_projection(scorer: LogisticModel, pca: PcaProjection) -> LogisticModel:
@@ -626,20 +624,44 @@ def build_generative(
     their ratio carries no label prior. Each KDE takes its bandwidth from
     its class's scores by fit_kde's rule. ``l2`` and ``tolerance`` go to the
     logistic scorer's fit.
+
+    No (n, d) design is built: the z-scored rows are read a block at a time,
+    once for the class means and once for the within-class scatter S_w, and
+    the PCA is that of the total scatter S_w + sum_c n_c (m_c - m)(m_c - m)^T.
+    LDA takes its moments projected; logistic regression takes the (n, r)
+    projected rows, formed in a third read.
     """
     _check_kind(kind, "build_generative", "generative")
     labels = train.labels
-    if labels.min() == labels.max():
+    counts = np.bincount(labels, minlength=2)
+    if counts.min() == 0:
         raise ValueError("both classes must be present")
+    n, d = len(train), train.epochs[0].size
     stats = fit_zscore(train.epochs, train.rows)
-    # the z-scored rows are centered in place and freed once projected; the
-    # KDEs' training scores are formed from the epochs again, as predict_batch does
-    pca, reduced = fit_pca(_standardized_rows(stats, train), variance_fraction)
+    sums = np.zeros((2, d))
+    for lo, block in _standardized_blocks(stats, train):
+        # one row of indicators per class: the product sums each class's
+        # rows; this first read also rejects non-finite z-scored rows
+        classes = np.equal.outer((0, 1), labels[lo:lo + len(block)])
+        sums += classes.astype(np.float64) @ _as_float_matrix(block)
+    class_means = sums / counts[:, None]
+    within = np.zeros((d, d))
+    for lo, block in _standardized_blocks(stats, train):
+        block -= class_means[labels[lo:lo + len(block)]]
+        within += block.T @ block
+    mean = sums.sum(axis=0) / n
+    offsets = class_means - mean
+    pca = fit_pca(mean, within + (offsets.T * counts) @ offsets, n, variance_fraction)
+    components = pca.components
     if kind == "gen-logr":
+        reduced = np.empty((n, components.shape[1]))
+        for lo, block in _standardized_blocks(stats, train):
+            block -= mean
+            reduced[lo:lo + len(block)] = block @ components
         scorer = train_logistic(reduced, labels, (1.0, 1.0), l2=l2, tolerance=tolerance)
     else:
-        scorer = train_lda(reduced, labels)
-    del reduced
+        pooled = components.T @ within @ components / max(n - 2, 1)
+        scorer = train_lda(pooled, offsets @ components, counts)
     folded = _fold_projection(scorer, pca)
     scores = _epoch_scores(stats, folded, train)
     return GenerativeEvidenceModel(
@@ -648,6 +670,8 @@ def build_generative(
         scorer=folded,
         kde_pos=fit_kde(scores[labels == 1]),
         kde_neg=fit_kde(scores[labels == 0]),
+        pca_rank=components.shape[1],
+        pca_variance_fraction=pca.variance_fraction,
     )
 
 
@@ -725,7 +749,9 @@ class GenerativeEvidenceModel(EvidenceModel):
     both are floored.
 
     The scorer takes the flattened z-scored epoch; the PCA projection it was
-    fit on is folded into its weights. ``kind`` names the fit that made it:
+    fit on is folded into its weights, and ``pca_rank`` and
+    ``pca_variance_fraction`` say how many components it kept and the
+    fraction of variance they explain. ``kind`` names the fit that made it:
     ``gen-logr`` (logistic regression) or ``gen-lda``.
     """
 
@@ -734,6 +760,8 @@ class GenerativeEvidenceModel(EvidenceModel):
     scorer: LogisticModel
     kde_pos: KdeDensity
     kde_neg: KdeDensity
+    pca_rank: int
+    pca_variance_fraction: float
 
     def __post_init__(self) -> None:
         _check_kind(self.kind, "build_generative", "generative")

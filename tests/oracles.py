@@ -13,7 +13,9 @@ a block of rows or one channel at a time; stimulus onsets are checked and
 remapped one Python pair at a time where the package works on one array.
 The reference logistic fit forms every Newton Hessian from the float64 rows,
 where the package forms it from a float32 copy and checks each direction;
-it shares the package's loss, gradient and input checks.
+it shares the package's loss, gradient and input checks. The reference
+generative scorer fits PCA and LDA on the rows themselves, where the package
+fits them from class moments streamed a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -292,6 +294,56 @@ def reference_projected_scores(mean, components, weights, bias, rows):
     rows = np.asarray(rows, dtype=np.float64)
     projected = (rows - np.asarray(mean)) @ np.asarray(components)
     return projected @ np.asarray(weights) + bias
+
+
+def reference_pca(features, variance_fraction):
+    """PCA of the rows themselves, by fit_pca's rank and sign rules: the
+    mean, the (d, r) components and the centered rows projected onto them."""
+    x = np.asarray(features, dtype=np.float64)
+    mean = x.mean(axis=0)
+    centered = x - mean
+    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered)
+    explained = np.clip(eigvals[::-1], 0.0, None)
+    if explained.sum() <= 0.0:
+        r = 1
+    else:
+        cumulative = np.cumsum(explained) / explained.sum()
+        r = min(int(np.searchsorted(cumulative, variance_fraction - 1e-12) + 1), len(explained))
+    components = eigvecs[:, ::-1][:, :r].copy()
+    largest = components[np.argmax(np.abs(components), axis=0), np.arange(r)]
+    components *= np.where(largest < 0, -1.0, 1.0)
+    return mean, components, centered @ components
+
+
+def reference_lda(features, labels):
+    """LDA fit on the rows themselves: the class means and the pooled
+    within-class scatter of the rows, the ridge as in train_lda. Returns
+    (weights, bias)."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels)
+    n, d = x.shape
+    means = [x[y == cls].mean(axis=0) for cls in (0, 1)]
+    scatter = sum((x[y == cls] - means[cls]).T @ (x[y == cls] - means[cls]) for cls in (0, 1))
+    pooled = scatter / max(n - 2, 1)
+    mean_diag = float(np.mean(np.diag(pooled)))
+    ridge = models.LDA_RIDGE * mean_diag if mean_diag > 0 else models.LDA_RIDGE
+    weights = np.linalg.solve(pooled + ridge * np.eye(d), means[1] - means[0])
+    counts = np.bincount(y, minlength=2)
+    return weights, math.log(counts[1] / counts[0]) - 0.5 * float(weights @ (means[1] + means[0]))
+
+
+def reference_generative_scorer(features, labels, kind, variance_fraction):
+    """The generative fits' scorer as the unfolded composition of row fits:
+    PCA of the z-scored training rows, then LDA (``gen-lda``) or the
+    unweighted logistic fit (``gen-logr``) on the projected rows. Returns
+    (mean, components, weights, bias), for reference_projected_scores."""
+    mean, components, reduced = reference_pca(features, variance_fraction)
+    if kind == "gen-logr":
+        scorer = models.train_logistic(reduced, labels, class_weights=(1.0, 1.0))
+        weights, bias = scorer.weights, scorer.bias
+    else:
+        weights, bias = reference_lda(reduced, labels)
+    return mean, components, weights, bias
 
 
 def _reference_newton_direction(z, x, sample_w, l2, grad_w, grad_b):

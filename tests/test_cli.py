@@ -344,6 +344,19 @@ class TestTrain:
         assert all(line.startswith("warning: 2 of 2 logistic fits stopped short")
                    for line in warned)
 
+    @pytest.mark.parametrize("kind", list(models.MODEL_KINDS))
+    def test_pca_size_printed_for_generative_kinds(self, tmp_path, workspace, capsys, kind):
+        assert main(["train", str(workspace["data"]), "--kind", kind,
+                     "--out", str(tmp_path / "m.bin")]) == 0
+        lines = re.findall(r"^pca: (\d+) components, retained variance fraction (\S+)$",
+                           capsys.readouterr().out, re.M)
+        if kind == "logreg":
+            assert lines == []
+            return
+        [(rank, fraction)] = lines
+        assert 1 < int(rank) < read_dataset(workspace["data"]).epochs[0].size
+        assert 0.8 <= float(fraction) < 0.81
+
     @pytest.mark.parametrize("kind", ["logreg", "gen-lda"])
     def test_traced_peak_is_under_four_and_a_half_datasets(self, tmp_path, readme_data, kind):
         # the dataset, of which both subsets are row views, the fit's float64

@@ -39,7 +39,7 @@ from rsvptyping.models import (
     train_logistic_evidence,
 )
 from rsvptyping.sim import TypingConfig, classify_epochs, evaluate_splits, log_factors
-from rsvptyping.synth import LabeledDataset, SynthConfig, generate
+from rsvptyping.synth import LabeledDataset, SynthConfig, generate, split
 
 try:
     import resource
@@ -47,6 +47,7 @@ except ImportError:  # not on Windows
     resource = None
 
 from oracles import (
+    reference_lda,
     reference_train_logistic,
     central_difference_gradient,
     grid_search_boundary_1d,
@@ -301,6 +302,32 @@ def linear_parameters(model: LogisticModel) -> tuple:
     return model.weights, model.bias
 
 
+def lda_moments(features, labels) -> tuple:
+    """train_lda's inputs for labeled rows: their pooled within-class
+    covariance, laid out in the memory order of the rows, their (2, d) class
+    means and the two class counts."""
+    x = np.ascontiguousarray(features, dtype=np.float64)
+    y = np.asarray(labels)
+    counts = np.bincount(y, minlength=2)
+    means = np.stack([x[y == cls].mean(axis=0) for cls in (0, 1)])
+    centered = x - means[y]
+    pooled = centered.T @ centered / max(len(y) - 2, 1)
+    return np.asarray(pooled, order="F" if np.isfortran(features) else "C"), means, counts
+
+
+def pca_of_rows(features, variance_fraction=models.VARIANCE_FRACTION):
+    """fit_pca of rows, from their mean and their scatter matrix about it."""
+    x = np.asarray(features, dtype=np.float64)
+    mean = x.mean(axis=0)
+    centered = x - mean
+    return fit_pca(mean, centered.T @ centered, len(x), variance_fraction)
+
+
+def projected(proj, features) -> np.ndarray:
+    """Rows projected by a PcaProjection."""
+    return (np.asarray(features, dtype=np.float64) - proj.mean) @ proj.components
+
+
 # Each case maps (features, labels, weights) to the arrays it computes.
 LAYOUT_CASES = {
     "train_logistic": lambda x, y, w: linear_parameters(train_logistic(x, y)),
@@ -309,7 +336,7 @@ LAYOUT_CASES = {
     "logistic_loss_and_gradient": lambda x, y, w: logistic_loss_and_gradient(
         w, 0.1, x, y, l2=0.01),
     "logistic_scores": lambda x, y, w: (logistic_scores(LogisticModel(w, 0.1), x),),
-    "train_lda": lambda x, y, w: linear_parameters(train_lda(x, y)),
+    "train_lda": lambda x, y, w: linear_parameters(train_lda(*lda_moments(x, y))),
 }
 
 
@@ -359,13 +386,13 @@ class TestLda:
     def test_zero_score_at_midpoint_of_symmetric_classes(self):
         x = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([0, 0, 1, 1])
-        model = train_lda(x, y)
+        model = train_lda(*lda_moments(x, y))
         assert abs(logistic_scores(model, np.array([[0.0]]))[0]) < 1e-10
 
     def test_identical_means_give_constant_score(self):
         x = np.array([[-1.0], [1.0], [-1.0], [1.0]])
         y = np.array([0, 0, 1, 1])
-        model = train_lda(x, y)
+        model = train_lda(*lda_moments(x, y))
         scores = logistic_scores(model, np.linspace(-3, 3, 7)[:, None])
         np.testing.assert_allclose(scores, scores[0], atol=1e-12)
 
@@ -378,7 +405,7 @@ class TestLda:
         cls_pts = lambda mu: [mu + a, mu - a, mu + b, mu - b]
         x = np.array(cls_pts(mu_neg) + cls_pts(mu_pos))
         y = np.array([0] * 4 + [1] * 4)
-        model = train_lda(x, y)
+        model = train_lda(*lda_moments(x, y))
 
         scatter = 2.0 * (2 * np.outer(a, a) + 2 * np.outer(b, b))
         pooled = scatter / (8 - 2)
@@ -392,15 +419,15 @@ class TestLda:
             assert logistic_scores(model, pt[None, :])[0] == pytest.approx(expected, abs=1e-6)
 
     def test_single_class_rejected(self):
-        with pytest.raises(ValueError):
-            train_lda(np.zeros((4, 2)), np.zeros(4, dtype=int))
+        with pytest.raises(ValueError, match="both classes"):
+            train_lda(np.eye(2), np.zeros((2, 2)), np.array([4, 0]))
 
     def test_bias_carries_the_log_prior_ratio(self):
         # one positive to three negatives, with the class means at 1 and 3:
         # the score at the midpoint 2 is the log prior ratio alone
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 0, 1])
-        model = train_lda(x, y)
+        model = train_lda(*lda_moments(x, y))
         assert isinstance(model, LogisticModel)
         assert logistic_scores(model, np.array([[2.0]]))[0] == pytest.approx(
             math.log(1 / 3), abs=1e-12
@@ -408,19 +435,44 @@ class TestLda:
         with pytest.raises(ValueError):
             dataclasses.replace(model, bias=math.nan)
 
+    def test_matches_the_fit_on_the_rows(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((300, 12)) @ rng.standard_normal((12, 12))
+        y = (x[:, 0] + rng.standard_normal(300) > 1.0).astype(int)
+        model = train_lda(*lda_moments(x, y))
+        weights, bias = reference_lda(x, y)
+        np.testing.assert_allclose(model.weights, weights, rtol=1e-10, atol=1e-12)
+        assert model.bias == pytest.approx(bias, rel=1e-10)
+
+    def test_covariance_not_positive_definite_raises_linalg_error(self):
+        # the ridge of a negative mean diagonal is LDA_RIDGE itself, too
+        # small to lift the -5 eigenvalue
+        pooled = np.diag([1.0, -5.0])
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            train_lda(pooled, np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([3, 3]))
+
+    def test_non_finite_covariance_rejected(self):
+        pooled = np.array([[1.0, math.inf], [math.inf, 1.0]])
+        with pytest.raises(ValueError, match="pooled covariance is not finite"):
+            train_lda(pooled, np.zeros((2, 2)), np.array([3, 3]))
+
+    def test_moment_shapes_checked(self):
+        with pytest.raises(ValueError, match="class means"):
+            train_lda(np.eye(3), np.zeros((2, 2)), np.array([3, 3]))
+
 
 class TestPca:
     def test_single_axis_data_keeps_one_component(self):
         t = np.linspace(-1, 1, 30)
         x = np.outer(t, np.array([1.0, 2.0, -1.0]))
-        proj, _ = fit_pca(x, 0.8)
+        proj = pca_of_rows(x, 0.8)
         assert proj.components.shape[1] == 1
         assert proj.variance_fraction >= 0.999999
 
     def test_isotropic_gaussian_matches_eigenvalue_oracle(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((500, 10))
-        proj, _ = fit_pca(x.copy(), 0.8)
+        proj = pca_of_rows(x, 0.8)
         # oracle: eigenvalues of the sample covariance
         cov = np.cov(x, rowvar=False)
         eigvals = np.sort(np.linalg.eigvalsh(cov))[::-1]
@@ -432,38 +484,36 @@ class TestPca:
     def test_reconstruction_keeps_most_variance(self):
         rng = np.random.default_rng(29)
         x = rng.standard_normal((200, 6)) @ np.diag([3.0, 2.0, 1.0, 0.5, 0.3, 0.1])
-        proj, reduced = fit_pca(x.copy(), 0.8)
-        recon = reduced @ proj.components.T + proj.mean
+        proj = pca_of_rows(x, 0.8)
+        recon = projected(proj, x) @ proj.components.T + proj.mean
         lost = np.var(x - recon, axis=0).sum() / np.var(x - x.mean(axis=0), axis=0).sum()
         assert lost <= 0.2
 
     def test_zero_variance_keeps_one_component(self):
-        proj, _ = fit_pca(np.ones((5, 4)), 0.8)
+        proj = pca_of_rows(np.ones((5, 4)), 0.8)
         assert proj.components.shape[1] == 1
+        assert proj.variance_fraction == 1.0
 
     def test_projection_is_contraction(self):
         rng = np.random.default_rng(31)
         x = rng.standard_normal((100, 8))
-        proj, _ = fit_pca(x, 0.8)
-
-        def project(w):
-            return (w - proj.mean) @ proj.components
+        proj = pca_of_rows(x, 0.8)
 
         for _ in range(20):
             u, v = rng.standard_normal((2, 8))
             dist_in = np.linalg.norm(u - v)
-            dist_out = np.linalg.norm(project(u) - project(v))
+            dist_out = np.linalg.norm(projected(proj, u) - projected(proj, v))
             assert dist_out <= dist_in + 1e-12
 
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(41)
         scales = np.linspace(3.0, 0.2, 24)
         x = rng.standard_normal((400, 24)) * scales + rng.standard_normal(24)
-        proj, reduced = fit_pca(x.copy(), 0.8)
+        proj = pca_of_rows(x, 0.8)
         explained, axes = svd_pca(x)
         r = proj.components.shape[1]
         assert r == int(np.searchsorted(np.cumsum(explained) / explained.sum(), 0.8) + 1)
-        kept = np.var(reduced, axis=0, ddof=1)
+        kept = np.var(projected(proj, x), axis=0, ddof=1)
         np.testing.assert_allclose(kept, explained[:r], rtol=1e-12, atol=0)
         assert proj.variance_fraction == pytest.approx(explained[:r].sum() / explained.sum(),
                                                        rel=1e-12)
@@ -472,7 +522,7 @@ class TestPca:
     def test_determinism(self):
         rng = np.random.default_rng(40)
         x = rng.standard_normal((60, 5))
-        (p1, _), (p2, _) = fit_pca(x.copy()), fit_pca(x.copy())
+        p1, p2 = pca_of_rows(x), pca_of_rows(x)
         np.testing.assert_array_equal(p1.components, p2.components)
 
     def test_components_are_orthonormal(self):
@@ -491,46 +541,57 @@ class TestPca:
         ]
         for x in inputs:
             for fraction in (0.8, 1.0):
-                components = fit_pca(x.copy(), fraction)[0].components
+                components = pca_of_rows(x, fraction).components
                 gram = components.T @ components
                 np.testing.assert_allclose(gram, np.eye(gram.shape[0]), rtol=0, atol=1e-8)
+
+    def test_signs_put_the_largest_entry_positive(self):
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((200, 9)) @ rng.standard_normal((9, 9))
+        for flipped in (x, -x):
+            components = pca_of_rows(flipped, 1.0).components
+            largest = components[np.argmax(np.abs(components), axis=0), np.arange(9)]
+            assert np.all(largest > 0)
 
     def test_full_variance_fraction_is_at_most_one(self):
         # the running sum of explained variance can round past the total
         for seed in range(20):
             x = np.random.default_rng(seed).standard_normal((50, 12))
-            assert fit_pca(x, 1.0)[0].variance_fraction <= 1.0
+            assert pca_of_rows(x, 1.0).variance_fraction <= 1.0
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.0 + 1e-9, math.nan])
+    def test_variance_fraction_out_of_range_rejected(self, fraction):
+        with pytest.raises(ValueError, match="variance_fraction must lie in"):
+            fit_pca(np.zeros(3), np.eye(3), 10, fraction)
 
     def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            fit_pca(np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            fit_pca(np.zeros(3), np.zeros((3, 3)), 1)
+        with pytest.raises(ValueError, match="scatter matrix"):
+            fit_pca(np.zeros(3), np.zeros((3, 2)), 10)
 
     def test_training_projection_matches_a_projection_of_the_input(self):
-        rng = np.random.default_rng(43)
-        x = rng.standard_normal((80, 7)) + 3.0
-        features = x.copy()
-        proj, reduced = fit_pca(features, 0.9)
-        # a float64 input is centered in place
-        assert np.array_equal(features, x - proj.mean)
-        assert reduced.flags.c_contiguous
-        assert np.array_equal(reduced, (x - proj.mean) @ proj.components)
-        # any other dtype is centered in a copy
-        single = x.astype(np.float32)
-        fit_pca(single, 0.9)
-        assert np.array_equal(single, x.astype(np.float32))
+        # gen-logr's fit projects its z-scored rows a block at a time; over
+        # three blocks, the last one short, they are the whole projection
+        epochs = separable_epochs(np.random.default_rng(43),
+                                  n=2 * models.ZSCORE_BLOCK_EPOCHS + 30, offset=0.5)
+        seen = {}
 
-    def test_blocked_projection_equals_one_product(self):
-        # two whole blocks and a remainder that the last block takes; a row
-        # count that is a multiple of 8 keeps OpenBLAS's partition of one
-        # product across 2 threads at the same rows as the blocks'
-        n = 2 * models.PCA_BLOCK_ROWS + 200
-        rng = np.random.default_rng(45)
-        x = rng.standard_normal((n, 60)) @ rng.standard_normal((60, 60))
-        proj, reduced = fit_pca(x.copy(), 0.9)
-        centered = x - proj.mean
-        assert 1 < proj.components.shape[1] < 60
-        assert np.array_equal(
-            reduced, np.ascontiguousarray((proj.components.T @ centered.T).T))
+        def keep(name, fit):
+            def kept(*args, **kwargs):
+                seen[name] = (args, fit(*args, **kwargs))
+                return seen[name][1]
+            return kept
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "fit_pca", keep("pca", models.fit_pca))
+            patch.setattr(models, "train_logistic", keep("scorer", models.train_logistic))
+            model = build_generative(epochs, kind="gen-logr", variance_fraction=0.9)
+        pca, reduced = seen["pca"][1], seen["scorer"][0][0]
+        flat = zscore_array(model.zscore, epochs.data).reshape(len(epochs), -1)
+        assert 1 < pca.components.shape[1] < flat.shape[1]
+        assert reduced.flags.c_contiguous
+        np.testing.assert_allclose(reduced, projected(pca, flat), rtol=1e-12, atol=1e-12)
 
     def test_non_orthonormal_axes_raise_linalg_error(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -542,18 +603,20 @@ class TestPca:
         monkeypatch.setattr(models.np.linalg, "eigh", skewed)
         x = np.random.default_rng(44).standard_normal((40, 5))
         with pytest.raises(np.linalg.LinAlgError, match="eigh returned non-orthonormal axes"):
-            fit_pca(x, 0.9)
+            pca_of_rows(x, 0.9)
 
     @pytest.mark.skipif(resource is None, reason="needs the resource module")
     def test_training_projection_makes_no_blas_copy_of_the_rows(self):
         # A threaded gemm that packs the tall operand holds a copy of all
         # n x d rows. The high-water mark before the call already covers the
-        # rows and one more matrix; the fit may add only its small results.
-        # Low-rank data keeps ~20 components, so the results stay small.
+        # rows and one more matrix; gen-logr's fit, which projects its
+        # z-scored rows, may add only its small results. Low-rank data keeps
+        # ~20 components, so the results stay small.
         script = """
 import resource
 import numpy as np
-from rsvptyping.models import fit_pca
+from rsvptyping.models import build_generative
+from rsvptyping.synth import LabeledDataset
 
 rng = np.random.default_rng(0)
 basis = rng.standard_normal((20, 372))
@@ -561,13 +624,15 @@ x = np.empty((10000, 372))
 for start in range(0, 10000, 500):
     x[start:start + 500] = rng.standard_normal((500, 20)) @ basis
     x[start:start + 500] += 0.05 * rng.standard_normal((500, 372))
-fit_pca(x[:500].copy())  # BLAS and LAPACK set up their buffers
+labels = (x[:, 0] > 0).astype(int)
+epochs = LabeledDataset(data=x[:, None, :], labels=labels)
+build_generative(epochs.subset(range(500)))  # BLAS and LAPACK set up their buffers
 spare = np.ones_like(x)
 del spare
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-proj, reduced = fit_pca(x)
+model = build_generative(epochs)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(proj.components.shape[1], (after - before) * 1024 / x.nbytes)
+print(model.pca_rank, (after - before) * 1024 / x.nbytes)
 """
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
                "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
@@ -801,6 +866,27 @@ class TestGenerativePipeline:
         assert len(summary.per_split) == 1
         assert peak <= {"logreg": 1.75, "gen-lda": 1.5}[kind] * design
 
+    @pytest.mark.parametrize("kind", ["gen-lda", "gen-logr"])
+    def test_fit_builds_no_design_of_the_training_rows(self, kind):
+        # build_generative on the train command's split of the README
+        # dataset. D is the float64 design of its 5,400 training rows, which
+        # the fit once built whole (1.42 D). It keeps class moments and one
+        # block of rows; gen-logr adds its projected rows and their float32
+        # Newton buffer. A float64 design or a float32 copy of the training
+        # rows exceeds either bound.
+        dataset = generate(SynthConfig(n_epochs=6000, channels=6,
+                                       target_fraction=0.0357142857, seed=0))
+        holdout = split(dataset, n_splits=1, test_fraction=0.1, seed=0)[0]
+        train = dataset.subset(holdout.train)
+        tracemalloc.start()
+        try:
+            build_generative(train, kind=kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        design = 8 * len(train) * dataset.epochs[0].size
+        assert peak <= {"gen-lda": 0.45, "gen-logr": 0.8}[kind] * design
+
     def test_single_class_rejected(self):
         rng = np.random.default_rng(39)
         epochs = make_dataset(rng.standard_normal((10, 2, 8)), np.ones(10, dtype=int))
@@ -993,15 +1079,17 @@ class TestTracedCallSites:
         calls = self.count_calls(monkeypatch)
         epochs = separable_epochs(np.random.default_rng(53))
         model = build_generative(epochs, kind="gen-lda")
-        # one z-scoring for the PCA, one for the KDEs' training scores
-        fit = {"fit_zscore": 1, "zscore_array": 2, "fit_pca": 1, "train_lda": 1,
+        # 40 epochs are one block: one z-scoring for the class means, one for
+        # the within-class scatter, one for the KDEs' training scores
+        fit = {"fit_zscore": 1, "zscore_array": 3, "fit_pca": 1, "train_lda": 1,
                "train_logistic": 0, "fit_kde": 2, "kde_log_eval_many": 0,
                "logistic_loss_and_gradient": 0}
         assert calls == fit
         model.predict_batch(epochs)
-        assert calls == {**fit, "zscore_array": 3, "kde_log_eval_many": 2}
+        assert calls == {**fit, "zscore_array": 4, "kde_log_eval_many": 2}
         fit = build_generative(epochs, kind="gen-logr").fit
-        assert (calls["train_lda"], calls["train_logistic"]) == (1, 1)
+        # and one more for the projected rows
+        assert (calls["train_lda"], calls["train_logistic"], calls["zscore_array"]) == (1, 1, 8)
         # the benchmark counts a fit's iterations from these calls
         assert fit.steps >= 1
         assert calls["logistic_loss_and_gradient"] == fit.steps + 1

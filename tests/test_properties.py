@@ -53,6 +53,7 @@ from rsvptyping.synth import LabeledDataset
 from oracles import (
     reference_downsample_onsets,
     reference_filter,
+    reference_generative_scorer,
     reference_kde_log_eval,
     reference_onsets_valid,
     reference_projected_scores,
@@ -433,17 +434,12 @@ def generative_fits(draw):
 def test_folded_scorer_matches_projection_then_scorer(case):
     train, held, kind, variance_fraction = case
     model = models.build_generative(train, kind=kind, variance_fraction=variance_fraction)
-    # the unfolded composition: the same PCA fit, then the scorer fit on
-    # the projected training rows, applied in PCA space
+    # the unfolded composition: PCA of the training rows themselves, then
+    # the scorer fit on the projected training rows, applied in PCA space
     flat = zscore_array(model.zscore, train.data).reshape(len(train), -1)
-    pca, reduced = models.fit_pca(flat, variance_fraction)
-    if kind == "gen-logr":
-        scorer = models.train_logistic(reduced, train.labels, class_weights=(1.0, 1.0))
-    else:
-        scorer = models.train_lda(reduced, train.labels)
+    reference = reference_generative_scorer(flat, train.labels, kind, variance_fraction)
     rows = zscore_array(model.zscore, held).reshape(len(held), -1)
-    expected = reference_projected_scores(pca.mean, pca.components, scorer.weights,
-                                          scorer.bias, rows)
+    expected = reference_projected_scores(*reference, rows)
     got = models.logistic_scores(model.scorer, rows)
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
 
