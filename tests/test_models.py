@@ -887,6 +887,19 @@ class TestGenerativePipeline:
         design = 8 * len(train) * dataset.epochs[0].size
         assert peak <= {"gen-lda": 0.45, "gen-logr": 0.8}[kind] * design
 
+    @pytest.mark.parametrize("kind", ["gen-lda", "gen-logr"])
+    def test_non_finite_zscored_rows_rejected(self, monkeypatch, kind):
+        # a valid but subnormal std takes every z-scored sample past float64
+        epochs = separable_epochs(np.random.default_rng(38))
+        model = build_generative(epochs, kind=kind)
+        held = make_dataset(np.full((1, 2, 8), np.inf), [0])
+        with pytest.raises(ValueError, match="features must be finite"):
+            model.predict_batch(held)
+        overflowing = ZScoreStats(mean=np.zeros(2), std=np.full(2, 1e-310))
+        monkeypatch.setattr(models, "fit_zscore", lambda data, rows=None: overflowing)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="features must be finite"):
+            build_generative(epochs, kind=kind)
+
     def test_single_class_rejected(self):
         rng = np.random.default_rng(39)
         epochs = make_dataset(rng.standard_normal((10, 2, 8)), np.ones(10, dtype=int))
