@@ -422,7 +422,14 @@ def zscore_array(stats: ZScoreStats, data: np.ndarray,
     rows = _rows(data, rows)
     if out is None:
         out = np.empty((rows.shape[0], *data.shape[1:]))
+    elif out.shape != (rows.shape[0], *data.shape[1:]) or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-ordered stack of the rows' shape")
     _gather(out, data, rows)
-    out -= stats.mean[None, :, None]
-    out /= stats.std[None, :, None]
+    # each element takes the same subtraction and division as a broadcast
+    # over the samples axis, but in one pass over (rows, channels * samples)
+    # with each channel's statistic repeated per sample: fewer, longer loops
+    _, channels, samples = data.shape
+    flat = out.reshape(rows.shape[0], channels * samples)
+    flat -= np.repeat(stats.mean, samples)
+    flat /= np.repeat(stats.std, samples)
     return out

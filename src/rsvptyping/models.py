@@ -4,9 +4,10 @@ Two families are provided, and both score an epoch the same way: per-channel
 z-scoring, flattening, and one linear score weights . x + bias. The
 discriminative family maps that score straight to label probabilities: the
 scorer is logistic regression trained on ridge-penalized weighted
-cross-entropy by Newton's method. Each Newton step forms the (d, d) block of
-its Hessian from the features cast to float32 and checks the direction
-with one float64 Hessian-vector product; a relative residual above
+cross-entropy by Newton's method, which reads its rows once per step: at a
+trial point, one read forms the loss, the gradient and the Hessian, whose
+(d, d) block comes from the rows cast to float32, and checks the direction
+it tries with one float64 Hessian-vector product; a relative residual above
 HESSIAN_RESIDUAL_LIMIT (1e-5) forms that step's block again in float64.
 The generative family instead models class-conditional densities with a
 Gaussian KDE per class over the score, each with the bandwidth that
@@ -24,10 +25,11 @@ a LabeledDataset to one float64 log-likelihood ratio log p(e|+) - log p(e|-)
 per epoch, each model dividing by the label prior it is calibrated to: the
 logistic score for ``logreg``, whose class weighting calibrates p(+|e) to
 1/2; the difference of the two floored KDE log-densities for generative
-kinds; +-inf for certain evidence. Fits and scores read a dataset's rows of its epoch stack
-straight into the float64 rows they build, so a subset costs no copy; the
-generative fits and every scoring read them a block of rows at a time, and
-the generative fits keep only class moments of them.
+kinds; +-inf for certain evidence. Fits and scores read a dataset's rows of
+its epoch stack a block of rows at a time, z-scored into one reused float64
+buffer, so neither a subset nor an (n, d) design is ever copied whole; the
+generative fits keep only class moments of them, and the logistic fit of
+``logreg`` z-scores them again on every read.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -65,6 +67,10 @@ MAX_STEP_HALVINGS = 40
 # tolerance. Fits of the README dataset leave residuals under 2e-6, so it
 # never fires there.
 HESSIAN_RESIDUAL_LIMIT = 1e-5
+# Rows a logistic fit reads at a time, through one float32 buffer of this
+# many rows; on the README holdout split (5,400 x 372) larger blocks made
+# each read no faster, and each block holds a float64 and a float32 copy.
+LOGISTIC_BLOCK_ROWS = 1024
 
 # Settings of the fits and their defaults; each key's type is its default's
 # type. A model file stores the settings its fit used, so they are checked
@@ -126,15 +132,23 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 KDE_BLOCK_BYTES = 1 << 20
 
 
-def _as_float_matrix(features: np.ndarray) -> np.ndarray:
+def _c_order_matrix(features: np.ndarray) -> np.ndarray:
     # C order: BLAS rounds the products of a fit differently on F-ordered rows
     out = np.asarray(features, dtype=np.float64, order="C")
     if out.ndim != 2:
         raise ValueError(f"expected a 2-D feature matrix, got shape {out.shape}")
-    # min and max propagate NaN and find infinities without a matrix-sized mask
-    if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
-        raise ValueError("features must be finite")
     return out
+
+
+def _check_finite(rows: np.ndarray) -> np.ndarray:
+    # min and max propagate NaN and find infinities without a matrix-sized mask
+    if rows.size and not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
+        raise ValueError("features must be finite")
+    return rows
+
+
+def _as_float_matrix(features: np.ndarray) -> np.ndarray:
+    return _check_finite(_c_order_matrix(features))
 
 
 def _as_labels(labels: np.ndarray, n: int, require_both: bool = True) -> np.ndarray:
@@ -229,86 +243,156 @@ def _penalized_loss(
     return data_term + 0.5 * l2 * float(weights @ weights)
 
 
+@dataclass(frozen=True)
+class RowBlocks:
+    """The rows of an (n, d) float64 design, read a block at a time: each
+    call of ``read()`` yields each block's first row and the block, at most
+    LOGISTIC_BLOCK_ROWS C-ordered float64 rows that the next block may
+    overwrite. train_logistic reads its rows through one, so a design that
+    is formed from other data, as ``logreg``'s z-scored rows are, is never
+    held whole."""
+
+    shape: tuple[int, int]
+    read: Callable[[], Iterator[tuple[int, np.ndarray]]]
+
+
+def _row_blocks(features) -> RowBlocks:
+    """``features`` if it is RowBlocks, else the RowBlocks of views of the
+    (n, d) matrix ``features``."""
+    if isinstance(features, RowBlocks):
+        return features
+    x = _c_order_matrix(features)
+    return RowBlocks(x.shape, lambda: (
+        (lo, x[lo:lo + LOGISTIC_BLOCK_ROWS]) for lo in range(0, x.shape[0], LOGISTIC_BLOCK_ROWS)
+    ))
+
+
+class NewtonRead:
+    """The Newton terms that one read of a logistic fit's rows forms beside
+    the loss and gradient, at the same point; train_logistic passes one to
+    each of its calls of logistic_loss_and_gradient. After the read:
+
+    - ``curvature`` is the n-vector sample_w * p * (1 - p);
+    - ``hessian`` is the penalized (d + 1, d + 1) Hessian in (weights,
+      bias). Its (d, d) block X^T C X is summed in float64 over the blocks
+      of rows, each cast to float32 and scaled by sqrt(curvature), its
+      product formed in float32; ``buffers`` are the reused float32 (block
+      rows, d) and (d, d) arrays these go through. The bias row and column
+      are float64;
+    - given ``check``, a direction (dw, db) and the curvature of the iterate
+      it was solved at, ``product`` is the float64 Hessian of that iterate
+      times the direction, formed from X dw + db.
+
+    ``check_rows`` has the read reject non-finite rows: a fit's first read
+    checks them, its later reads of the same rows do not.
+    """
+
+    def __init__(self, n: int, buffers: tuple[np.ndarray, np.ndarray], check_rows: bool,
+                 check: Optional[tuple[np.ndarray, float, np.ndarray]] = None):
+        d = buffers[1].shape[0]
+        self.scaled32, self.gram32 = buffers
+        self.check_rows = check_rows
+        self.check = check
+        self.curvature = np.empty(n)
+        self.hessian = np.zeros((d + 1, d + 1))
+        if check is not None:
+            self.weighted = np.empty(n)
+            self.product = np.zeros(d + 1)
+
+    def add(self, block: np.ndarray, part: slice, curvature: np.ndarray) -> None:
+        """Add the terms of the rows ``block``, at positions ``part``, whose
+        curvature is ``curvature``."""
+        d = block.shape[1]
+        self.curvature[part] = curvature
+        self.hessian[:d, d] += block.T @ curvature
+        scaled = self.scaled32[: block.shape[0]]
+        # dtype=float32 casts each float64 entry before it multiplies, so the
+        # products are those of the rows cast to float32 times the float32
+        # sqrt(curvature); rows beyond float32 range make inf or NaN, and the
+        # residual check rejects the direction solved from them
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(block, np.sqrt(curvature).astype(np.float32)[:, None], out=scaled,
+                        dtype=np.float32)
+            # X^T X of a single buffer is a symmetric product
+            self.hessian[:d, :d] += np.matmul(scaled.T, scaled, out=self.gram32)
+        if self.check is not None:
+            dw, db, previous = self.check
+            weighted = self.weighted[part] = previous[part] * (block @ dw + db)
+            self.product[:d] += block.T @ weighted
+
+    def finish(self, l2: float) -> None:
+        """Complete the terms once every block is added."""
+        d = self.hessian.shape[0] - 1
+        self.hessian[d, :d] = self.hessian[:d, d]
+        self.hessian[d, d] = float(np.sum(self.curvature))
+        self.hessian[np.arange(d), np.arange(d)] += l2
+        if self.check is not None:
+            self.product[:d] += l2 * self.check[0]
+            self.product[d] = np.sum(self.weighted)
+
+
 def logistic_loss_and_gradient(
     weights: np.ndarray,
     bias: float,
-    features: np.ndarray,
+    features,
     labels: np.ndarray,
     class_weights: Optional[tuple[float, float]] = None,
     l2: float = 0.0,
+    *,
+    newton: Optional[NewtonRead] = None,
 ) -> tuple[float, np.ndarray, float]:
     """Mean weighted cross-entropy plus (l2 / 2) * |weights|^2, and its
     gradient in (weights, bias). The bias is not penalized.
 
     Per sample: w_i * (softplus(z_i) - y_i * z_i) with z = X.weights + bias,
     which is the numerically stable form of -w_i * log p(y_i | x_i).
+    ``features`` is an (n, d) matrix or RowBlocks; either is read once, a
+    block of rows at a time. Given ``newton``, the same read also forms its
+    Newton terms.
     """
-    x = _as_float_matrix(features)
-    y = _as_labels(labels, x.shape[0], require_both=class_weights is None)
-    sample_w = _sample_weights(y, class_weights) / x.shape[0]
+    rows = _row_blocks(features)
+    n, d = rows.shape
+    y = _as_labels(labels, n, require_both=class_weights is None)
+    sample_w = _sample_weights(y, class_weights) / n
     w = np.asarray(weights, dtype=np.float64)
-    z = x @ w + bias
-    loss = _penalized_loss(w, z, y, sample_w, l2)
-    residual = sample_w * (_sigmoid(z) - y)
-    grad_w = x.T @ residual + l2 * w
-    grad_b = float(np.sum(residual))
-    return loss, grad_w, grad_b
+    z = np.empty(n)
+    residual = np.empty(n)
+    grad_w = np.zeros(d)
+    for lo, block in rows.read():
+        if newton is None or newton.check_rows:
+            _check_finite(block)
+        part = slice(lo, lo + block.shape[0])
+        z[part] = block @ w + bias
+        p = _sigmoid(z[part])
+        residual[part] = sample_w[part] * (p - y[part])
+        grad_w += block.T @ residual[part]
+        if newton is not None:
+            newton.add(block, part, sample_w[part] * p * (1.0 - p))
+    if newton is not None:
+        newton.finish(l2)
+    grad_w += l2 * w
+    return _penalized_loss(w, z, y, sample_w, l2), grad_w, float(np.sum(residual))
 
 
-def _newton_direction(
-    z: np.ndarray,
-    x: np.ndarray,
-    scaled32: np.ndarray,
-    sample_w: np.ndarray,
-    l2: float,
-    grad_w: np.ndarray,
-    grad_b: float,
-) -> tuple[np.ndarray, float, bool]:
-    """Solve H d = -g for the penalized loss's Hessian H in (weights, bias).
-
-    The (d, d) block X^T C X of H is formed from the rows ``x`` cast to
-    float32 and scaled by sqrt(C), written straight into the reused float32
-    buffer ``scaled32``. The bias row and column, the penalty and the solve
-    are float64. One float64 Hessian-vector product then checks the direction:
-    if |H d + g| > HESSIAN_RESIDUAL_LIMIT * |g|, the block is formed again
-    from ``x`` and solved once more. Returns the direction and whether it
-    came from the float64 rows.
-    """
-    p = _sigmoid(z)
-    curvature = sample_w * p * (1.0 - p)
+def _float64_gram(rows: RowBlocks, curvature: np.ndarray) -> np.ndarray:
+    """X^T C X of the rows in float64, one read with a block-sized float64
+    temporary."""
+    d = rows.shape[1]
+    gram = np.zeros((d, d))
     root = np.sqrt(curvature)
-    d = x.shape[1]
-    gradient = np.append(grad_w, grad_b)
-    hessian = np.empty((d + 1, d + 1))
-    hessian[:d, d] = hessian[d, :d] = x.T @ curvature
-    hessian[d, d] = float(np.sum(curvature))
-    for exact in (False, True):
-        # X^T X of a single buffer is a symmetric product
-        if exact:
-            scaled = x * root[:, None]
-            hessian[:d, :d] = scaled.T @ scaled
-            del scaled
-        else:
-            # dtype=float32 casts each float64 entry before it multiplies, so
-            # the products are those of x.astype(float32) * root32 with no
-            # (n, d) float32 copy of x; large rows can overflow float32 to
-            # inf, and the check rejects the result
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(x, root.astype(np.float32)[:, None], out=scaled32, dtype=np.float32)
-                hessian[:d, :d] = scaled32.T @ scaled32
-        hessian[np.arange(d), np.arange(d)] += l2
-        step = np.linalg.solve(hessian, -gradient)
-        dw, db = step[:d], float(step[d])
-        weighted = curvature * (x @ dw + db)
-        product = np.append(x.T @ weighted + l2 * dw, np.sum(weighted))
-        # written so that a NaN or inf residual fails it too
-        if np.linalg.norm(product + gradient) <= HESSIAN_RESIDUAL_LIMIT * np.linalg.norm(gradient):
-            break
-    return dw, db, exact
+    for lo, block in rows.read():
+        scaled = block * root[lo:lo + block.shape[0], None]
+        gram += scaled.T @ scaled
+    return gram
+
+
+def _solve(hessian: np.ndarray, gradient: np.ndarray) -> tuple[np.ndarray, float]:
+    step = np.linalg.solve(hessian, -gradient)
+    return step[:-1], float(step[-1])
 
 
 def train_logistic(
-    features: np.ndarray,
+    features,
     labels: np.ndarray,
     class_weights: Optional[tuple[float, float]] = None,
     *,
@@ -325,45 +409,70 @@ def train_logistic(
     default to inverse label fractions. Deterministic: no randomness is
     involved. The model's ``fit`` is the LogisticFit of how the fit ended.
 
-    Each step's (d, d) Hessian block is formed from the features cast to
-    float32 in one reused float32 (n, d) buffer, the fit's only float32 copy.
-    The direction is kept when one float64 Hessian-vector product shows a
-    relative residual |H d + g| / |g| of at most HESSIAN_RESIDUAL_LIMIT
-    (1e-5); otherwise that step's block is formed from the float64 features,
-    and the LogisticFit counts the step in ``float64_steps``. The loss, the
-    gradient, the bias row and column, the line search and the stopping
-    rule are float64.
+    ``features`` is an (n, d) matrix or the RowBlocks of one, and the fit
+    reads it a block of LOGISTIC_BLOCK_ROWS rows at a time: no (n, d) copy
+    is made. Each read is one call of logistic_loss_and_gradient at a trial
+    point, which also forms that point's Hessian, its (d, d) block from the
+    rows cast to float32 (see NewtonRead), and checks the direction it tries
+    with one float64 Hessian-vector product at the iterate it was solved
+    at. The direction is kept when the relative residual |H d + g| / |g| is
+    at most HESSIAN_RESIDUAL_LIMIT (1e-5); otherwise the trial is discarded,
+    that step's block is formed from the float64 rows in one more read, and
+    the LogisticFit counts the step in ``float64_steps``. Each halving is
+    one more read, so a fit with no halving and no float64 step reads its
+    rows ``steps + 1`` times. The loss, the gradient, the bias row and
+    column, the line search and the stopping rule are float64.
     """
     if not (math.isfinite(l2) and l2 >= 0.0):
         raise ValueError(f"l2 must be non-negative and finite, got {l2!r}")
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
-    x = _as_float_matrix(features)
-    y = _as_labels(labels, x.shape[0])
-    sample_w = _sample_weights(y, class_weights) / x.shape[0]
-    scaled32 = np.empty(x.shape, dtype=np.float32)
-    w = np.zeros(x.shape[1])
-    b = 0.0
-    losses = []
+    rows = _row_blocks(features)
+    n, d = rows.shape
+    y = _as_labels(labels, n)
+    buffers = (np.empty((min(LOGISTIC_BLOCK_ROWS, n), d), dtype=np.float32),
+               np.empty((d, d), dtype=np.float32))
+
+    def read(w, b, check=None, check_rows=False):
+        newton = NewtonRead(n, buffers, check_rows, check)
+        return (*logistic_loss_and_gradient(w, b, rows, y, class_weights, l2, newton=newton),
+                newton)
+
+    w, b = np.zeros(d), 0.0
+    loss, grad_w, grad_b, newton = read(w, b, check_rows=True)
+    losses = [loss]
     float64_steps = 0
-    for step in range(NEWTON_MAX_STEPS + 1):
-        loss, grad_w, grad_b = logistic_loss_and_gradient(w, b, x, y, class_weights, l2)
-        losses.append(loss)
-        norm = math.hypot(float(np.linalg.norm(grad_w)), grad_b)
-        if norm <= tolerance or step == NEWTON_MAX_STEPS:
+    for _ in range(NEWTON_MAX_STEPS):
+        if math.hypot(float(np.linalg.norm(grad_w)), grad_b) <= tolerance:
             break
-        dw, db, exact = _newton_direction(
-            x @ w + b, x, scaled32, sample_w, l2, grad_w, grad_b
-        )
-        for halving in range(MAX_STEP_HALVINGS):
-            t = 0.5**halving
-            trial_w, trial_b = w + t * dw, b + t * db
-            if _penalized_loss(trial_w, x @ trial_w + trial_b, y, sample_w, l2) < loss:
+        gradient = np.append(grad_w, grad_b)
+        dw, db = _solve(newton.hessian, gradient)
+        # the check has not yet passed the direction, which may point anywhere,
+        # so the trial's loss may overflow or be NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = read(w + dw, b + db, check=(dw, db, newton.curvature))
+        # written so that a NaN or inf residual fails it too
+        residual = np.linalg.norm(trial[3].product + gradient)
+        exact = not residual <= HESSIAN_RESIDUAL_LIMIT * np.linalg.norm(gradient)
+        if exact:
+            hessian = newton.hessian.copy()
+            hessian[:d, :d] = _float64_gram(rows, newton.curvature)
+            hessian[np.arange(d), np.arange(d)] += l2
+            dw, db = _solve(hessian, gradient)
+            trial = read(w + dw, b + db)
+        t = 1.0
+        for _ in range(MAX_STEP_HALVINGS - 1):
+            if trial[0] < loss:
                 break
-        else:
+            t *= 0.5
+            trial = read(w + t * dw, b + t * db)
+        if not trial[0] < loss:
             break
-        w, b = trial_w, trial_b
+        w, b = w + t * dw, b + t * db
+        loss, grad_w, grad_b, newton = trial
+        losses.append(loss)
         float64_steps += exact
+    norm = math.hypot(float(np.linalg.norm(grad_w)), grad_b)
     return LogisticModel(w, b, LogisticFit(tuple(losses), norm, tolerance, float64_steps))
 
 
@@ -571,21 +680,16 @@ def kde_log_eval_many(density: KdeDensity, xs: np.ndarray) -> np.ndarray:
 # Generative pipeline
 
 
-def _standardized_rows(stats: ZScoreStats, dataset: LabeledDataset) -> np.ndarray:
-    """The dataset's epochs z-scored and flattened into one C-ordered float64
-    (n, channels * samples) matrix, read from its rows of the stack."""
-    return zscore_array(stats, dataset.epochs, dataset.rows).reshape(len(dataset), -1)
-
-
-def _standardized_blocks(stats: ZScoreStats, dataset: LabeledDataset):
-    """The dataset's epochs z-scored and flattened ``ZSCORE_BLOCK_EPOCHS``
-    at a time: yields each block's first position and the block, a
-    C-ordered float64 (rows, channels * samples) view of one buffer that
-    the next block overwrites."""
+def _standardized_blocks(stats: ZScoreStats, dataset: LabeledDataset,
+                         size: int = ZSCORE_BLOCK_EPOCHS):
+    """The dataset's epochs z-scored and flattened ``size`` at a time:
+    yields each block's first position and the block, a C-ordered float64
+    (rows, channels * samples) view of one buffer that the next block
+    overwrites."""
     rows = dataset.rows
-    buffer = np.empty((min(ZSCORE_BLOCK_EPOCHS, len(rows)), *dataset.epochs.shape[1:]))
-    for lo in range(0, len(rows), ZSCORE_BLOCK_EPOCHS):
-        block = rows[lo:lo + ZSCORE_BLOCK_EPOCHS]
+    buffer = np.empty((min(size, len(rows)), *dataset.epochs.shape[1:]))
+    for lo in range(0, len(rows), size):
+        block = rows[lo:lo + size]
         out = zscore_array(stats, dataset.epochs, block, out=buffer[: len(block)])
         yield lo, out.reshape(len(block), -1)
 
@@ -734,11 +838,13 @@ def train_logistic_evidence(
     tolerance: float = GRADIENT_TOLERANCE,
 ) -> LogisticEvidenceModel:
     """Fit the discriminative baseline, model kind ``logreg``, on labeled
-    epochs."""
+    epochs. The logistic fit reads the z-scored epochs a block at a time,
+    z-scoring them from the epoch stack again on every read."""
     _check_kind(kind, "train_logistic_evidence", "logistic")
     stats = fit_zscore(train.epochs, train.rows)
-    scorer = train_logistic(_standardized_rows(stats, train), train.labels, l2=l2,
-                            tolerance=tolerance)
+    rows = RowBlocks((len(train), train.epochs[0].size),
+                     lambda: _standardized_blocks(stats, train, LOGISTIC_BLOCK_ROWS))
+    scorer = train_logistic(rows, train.labels, l2=l2, tolerance=tolerance)
     return LogisticEvidenceModel(stats, scorer)
 
 

@@ -9,13 +9,15 @@ responses via FFT; PCA comes from the SVD where the package decomposes the
 Gram matrix; the synthetic dataset is drawn and filtered as one whole array
 where the package fills it a chunk of epochs at a time; KDE log-densities and
 z-score statistics come from whole-matrix temporaries where the package works
-a block of rows or one channel at a time; stimulus onsets are checked and
-remapped one Python pair at a time where the package works on one array.
-The reference logistic fit forms every Newton Hessian from the float64 rows,
-where the package forms it from a float32 copy and checks each direction;
-it shares the package's loss, gradient and input checks. The reference
-generative scorer fits PCA and LDA on the rows themselves, where the package
-fits them from class moments streamed a block of rows at a time.
+a block of rows or one channel at a time; z-scored epochs come from a
+broadcast over the samples axis where the package works on flat rows;
+stimulus onsets are checked and remapped one Python pair at a time where the
+package works on one array. The reference logistic fit forms every Newton
+Hessian from the whole float64 design, where the package reads its rows a
+block at a time, forms each Hessian from float32 blocks and checks each
+direction; it shares the package's loss, gradient and input checks. The
+reference generative scorer fits PCA and LDA on the rows themselves, where
+the package fits them from class moments streamed a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -266,6 +268,18 @@ def reference_zscore_stats(data):
     per_channel = np.ascontiguousarray(data.transpose(1, 0, 2)).reshape(data.shape[1], -1)
     std = per_channel.std(axis=1)
     return per_channel.mean(axis=1), np.where(std < 1e-12, 1.0, std)
+
+
+def reference_zscore_array(stats, data, rows=None):
+    """The epochs ``rows`` of a stack (n, channels, samples), every epoch
+    when None, standardized as a float64 copy broadcast against the
+    per-channel statistics over the samples axis."""
+    data = np.asarray(data)
+    picked = data if rows is None else data[np.asarray(rows, dtype=np.int64)]
+    out = picked.astype(np.float64)
+    out -= stats.mean[None, :, None]
+    out /= stats.std[None, :, None]
+    return out
 
 
 def reference_onsets_valid(onsets, n_samples):

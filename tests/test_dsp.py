@@ -284,6 +284,15 @@ class TestZScore:
         assert np.array_equal(eps, before)
         assert not np.shares_memory(out, eps)
 
+    def test_out_must_be_a_c_ordered_stack_of_the_rows(self):
+        # the z-scoring works on a flat view of ``out``; a buffer that has
+        # none would be written through a copy and left as it was
+        eps = self.make_epochs(np.random.default_rng(4), n=6)
+        stats = fit_zscore(eps)
+        for out in (np.empty((6, 20, 3)).transpose(0, 2, 1), np.empty((5, 3, 20))):
+            with pytest.raises(ValueError, match="C-ordered stack"):
+                zscore_array(stats, eps, out=out)
+
     def test_fit_peak_memory_is_one_channel(self):
         # the training stack of the README dataset's first split
         eps = np.random.default_rng(5).standard_normal((4800, 6, 62))

@@ -258,9 +258,11 @@ class TestLogistic:
         assert fit.converged and fit.steps == reference[0].steps
         assert fit.float64_steps >= 1
 
-    def test_features_beyond_float32_range_form_float64_hessians(self):
+    def test_features_beyond_float32_range_form_float64_hessians(self, monkeypatch):
         # 1e40 overflows float32 to inf; every direction comes from float64
-        # rows, as in the reference fit, and no overflow warning escapes
+        # rows, as in the reference fit, and no overflow warning escapes.
+        # In one block of rows the fit's sums are the reference's; over
+        # four, they are summed in another order
         rng = np.random.default_rng(3)
         x = rng.standard_normal((200, 3))
         y = (x[:, 0] + rng.standard_normal(200) > 0).astype(int)
@@ -272,11 +274,39 @@ class TestLogistic:
         assert model.fit.float64_steps == model.fit.steps
         np.testing.assert_array_equal(model.weights, expected.weights)
         assert model.bias == expected.bias
+        monkeypatch.setattr(models, "LOGISTIC_BLOCK_ROWS", 64)
+        blocked = train_logistic(x, y)
+        assert blocked.fit.steps == blocked.fit.float64_steps == reference[0].steps
+        scale = math.hypot(np.linalg.norm(expected.weights), expected.bias)
+        assert np.linalg.norm(blocked.weights - expected.weights) <= 1e-9 * scale
+        assert abs(blocked.bias - expected.bias) <= 1e-9 * scale
 
-    def test_fit_memory_is_one_float32_buffer(self):
-        # the README holdout's shape; a float64 Hessian per step made an
-        # (n, d) float64 temporary as large as the input, and a float32 copy
-        # of the rows beside the scaled buffer took the peak to 1.12 x.nbytes
+    @pytest.mark.parametrize("n", [15, 16, 17, 3 * 16 + 5])
+    def test_streamed_fit_matches_the_fit_of_the_whole_design(self, monkeypatch, n):
+        # logreg reads its z-scored rows in blocks of 16 here: one row short
+        # of a block, one block, one row over, and several blocks and a part
+        monkeypatch.setattr(models, "LOGISTIC_BLOCK_ROWS", 16)
+        rng = np.random.default_rng(n)
+        data = rng.standard_normal((n, 3, 5))
+        labels = (data[:, 0, 2] + rng.standard_normal(n) > 0.3).astype(int)
+        labels[:2] = [0, 1]
+        epochs = make_dataset(data, labels)
+        model = train_logistic_evidence(epochs)
+        flat = zscore_array(model.zscore, data).reshape(n, -1)
+        reference: list = []
+        expected = reference_train_logistic(flat, labels, fits=reference)
+        assert model.fit.steps == reference[0].steps >= 1
+        assert model.fit.float64_steps == 0
+        scale = math.hypot(np.linalg.norm(expected.weights), expected.bias)
+        assert np.linalg.norm(model.scorer.weights - expected.weights) <= 1e-9 * scale
+        assert abs(model.scorer.bias - expected.bias) <= 1e-9 * scale
+
+    def test_fit_holds_a_block_of_the_rows(self):
+        # the README holdout's shape; the fit reads the rows in blocks and
+        # holds one float32 block of them, its Newton terms and some
+        # n-vectors. A float32 (n, d) buffer of the rows is half of x.nbytes,
+        # a float64 Hessian formed from the whole rows an (n, d) temporary
+        # as large as x
         rng = np.random.default_rng(12)
         x = rng.standard_normal((5400, 372))
         y = (x[:, :8].sum(axis=1) + 2.0 * rng.standard_normal(5400) > 4.0).astype(int)
@@ -287,7 +317,7 @@ class TestLogistic:
         finally:
             tracemalloc.stop()
         assert fit.converged and fit.float64_steps == 0
-        assert peak <= 0.7 * x.nbytes
+        assert peak <= 0.4 * x.nbytes
 
     @pytest.mark.parametrize("setting", [
         {"l2": -0.1}, {"l2": math.nan}, {"tolerance": 0.0}, {"tolerance": math.inf},
@@ -849,9 +879,8 @@ class TestGenerativePipeline:
     @pytest.mark.parametrize("kind", ["gen-lda", "logreg"])
     def test_split_fit_holds_no_copy_of_the_training_rows(self, kind):
         # evaluate_splits on the README dataset, one split. D is the float64
-        # design of the split's training rows: a fit holds D plus logreg's
-        # float32 Hessian buffer (D / 2) or gen-lda's projection (about D / 4);
-        # a float32 copy of the training rows would add D / 2 more
+        # design of the split's training rows, which neither fit builds; a
+        # float32 copy of the training rows would add D / 2
         dataset = generate(SynthConfig(n_epochs=6000, channels=6,
                                        target_fraction=0.0357142857, seed=0))
         fit = {"logreg": train_logistic_evidence,
@@ -866,26 +895,30 @@ class TestGenerativePipeline:
         assert len(summary.per_split) == 1
         assert peak <= {"logreg": 1.75, "gen-lda": 1.5}[kind] * design
 
-    @pytest.mark.parametrize("kind", ["gen-lda", "gen-logr"])
+    @pytest.mark.parametrize("kind", ["gen-lda", "gen-logr", "logreg"])
     def test_fit_builds_no_design_of_the_training_rows(self, kind):
-        # build_generative on the train command's split of the README
-        # dataset. D is the float64 design of its 5,400 training rows, which
-        # the fit once built whole (1.42 D). It keeps class moments and one
-        # block of rows; gen-logr adds its projected rows and their float32
-        # Newton buffer. A float64 design or a float32 copy of the training
-        # rows exceeds either bound.
+        # each fit on the train command's split of the README dataset. D is
+        # the float64 design of its 5,400 training rows, which the
+        # generative fit once built whole (1.42 D). It keeps class moments
+        # and one block of rows; gen-logr adds its projected rows and their
+        # float32 Newton buffer. logreg holds one float64 and one float32
+        # block of its z-scored rows and its Newton terms. A float64 design
+        # or a float32 copy of the training rows exceeds each bound.
         dataset = generate(SynthConfig(n_epochs=6000, channels=6,
                                        target_fraction=0.0357142857, seed=0))
         holdout = split(dataset, n_splits=1, test_fraction=0.1, seed=0)[0]
         train = dataset.subset(holdout.train)
         tracemalloc.start()
         try:
-            build_generative(train, kind=kind)
+            if kind == "logreg":
+                train_logistic_evidence(train)
+            else:
+                build_generative(train, kind=kind)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         design = 8 * len(train) * dataset.epochs[0].size
-        assert peak <= {"gen-lda": 0.45, "gen-logr": 0.8}[kind] * design
+        assert peak <= {"gen-lda": 0.45, "gen-logr": 0.8, "logreg": 0.75}[kind] * design
 
     @pytest.mark.parametrize("kind", ["gen-lda", "gen-logr"])
     def test_non_finite_zscored_rows_rejected(self, monkeypatch, kind):
@@ -1112,8 +1145,11 @@ class TestTracedCallSites:
         epochs = separable_epochs(np.random.default_rng(55))
         model = train_logistic_evidence(epochs)
         model.predict_batch(epochs)
-        assert (calls["fit_zscore"], calls["zscore_array"], calls["train_logistic"]) == (1, 2, 1)
+        # 40 epochs are one block: the fit z-scores them once per read of
+        # its rows, steps + 1 reads, and predict_batch once more
         assert model.fit.steps >= 1
+        assert (calls["fit_zscore"], calls["train_logistic"]) == (1, 1)
+        assert calls["zscore_array"] == model.fit.steps + 2
         assert calls["logistic_loss_and_gradient"] == model.fit.steps + 1
 
     @pytest.mark.parametrize("kind", list(models.MODEL_KINDS))

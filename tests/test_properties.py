@@ -57,6 +57,7 @@ from oracles import (
     reference_kde_log_eval,
     reference_onsets_valid,
     reference_projected_scores,
+    reference_zscore_array,
     reference_zscore_stats,
     sequential_posterior,
     threshold_decision,
@@ -410,6 +411,27 @@ def test_per_channel_zscore_matches_transposed_copy(data):
     assert np.array_equal(stats.mean, mean) and np.array_equal(stats.std, std)
     expected = (data - mean[None, :, None]) / std[None, :, None]
     assert np.array_equal(zscore_array(stats, data), expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(epoch_stacks(), st.data())
+def test_zscore_array_matches_the_broadcast_form(data, draw):
+    # zscore_array works on flat (rows, channels * samples) rows; each
+    # element takes the same subtraction and division, so the bits agree,
+    # for any row subset and into any C-ordered buffer of the rows' shape
+    stats = fit_zscore(data)
+    n = data.shape[0]
+    rows = draw.draw(st.one_of(
+        st.none(), st.lists(st.integers(0, n - 1), max_size=2 * n).map(np.array)))
+    expected = reference_zscore_array(stats, data, rows)
+    out = None
+    if draw.draw(st.booleans()):
+        spare = draw.draw(st.integers(0, 3))
+        out = np.full((expected.shape[0] + spare, *data.shape[1:]), np.nan)[: expected.shape[0]]
+    got = zscore_array(stats, data, rows, out=out)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert out is None or got is out
+    assert got.tobytes() == expected.tobytes()
 
 
 @st.composite
