@@ -67,9 +67,10 @@ MAX_STEP_HALVINGS = 40
 # tolerance. Fits of the README dataset leave residuals under 2e-6, so it
 # never fires there.
 HESSIAN_RESIDUAL_LIMIT = 1e-5
-# Rows a logistic fit reads at a time, through one float32 buffer of this
-# many rows; on the README holdout split (5,400 x 372) larger blocks made
-# each read no faster, and each block holds a float64 and a float32 copy.
+# Rows a logistic fit reads at a time; it holds a float64 and a float32 copy
+# of one block. On the README holdout split (5,400 x 372), fits in blocks of
+# 1,536 to 5,400 rows were no faster, and in blocks of 512 slower at 2
+# OpenBLAS threads.
 LOGISTIC_BLOCK_ROWS = 1024
 
 # Settings of the fits and their defaults; each key's type is its default's
