@@ -359,11 +359,12 @@ class TestTrain:
 
     @pytest.mark.parametrize("kind", ["logreg", "gen-lda"])
     def test_traced_peak_is_under_four_and_a_half_datasets(self, tmp_path, readme_data, kind):
-        # the dataset, of which both subsets are row views, the fit's float64
-        # design and logreg's one float32 buffer, about four files' worth;
-        # copies of the subsets kept beside the dataset through the fit, and
-        # logreg's float32 copy of its rows, took logreg to 5.8 and gen-lda
-        # to 4.9
+        # the dataset, of which both subsets are row views, and blocks of
+        # the fit's rows: 2.05 files' worth for logreg and 1.6 for gen-lda.
+        # logreg's float64 design and float32 buffer of its rows took it to
+        # 4.05; copies of the subsets kept beside the dataset through the
+        # fit, and logreg's float32 copy of its rows, took logreg to 5.8 and
+        # gen-lda to 4.9
         tracemalloc.start()
         try:
             rc = main(["train", str(readme_data), "--kind", kind,
