@@ -301,12 +301,12 @@ def cmd_simulate(args) -> int:
     dataset = read_dataset(args.data)
     if args.model in BUILTIN_MODELS:
         model = _builtin_model(args.model, resolved["alphabet_size"])
-        kind, parameters = model.kind, model.parameter_count
+        kind = model.kind
 
         def factory(train):
             return model
     else:
-        kind, hyper, parameters = read_model(args.model)
+        kind, hyper = read_model(args.model)
 
         def factory(train):
             # a setting the file omits takes the fit's default, its TRAIN_DEFAULTS value
@@ -332,7 +332,6 @@ def cmd_simulate(args) -> int:
         seed=resolved["seed"],
         config_echo=config_echo,
         model_kind=kind,
-        parameter_count=parameters,
         summary=summary,
     )
     write_report_json(args.out, report)

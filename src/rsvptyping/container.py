@@ -8,8 +8,7 @@ payload bytes. The header's "kind" field says what the payload holds:
 * "raw": one continuous float32 block (channel-major, time-minor) with the
   stimulus onsets carried in the header as [sample, label] pairs;
 * "model": no payload. The header is the recipe ``simulate`` refits each
-  split from, the model kind and its training settings, plus the number of
-  floats in the model ``train`` fitted.
+  split from: the model kind and its training settings, nothing else.
 
 Headers are serialized with sorted keys and no whitespace, which makes every
 writer output byte-identical for identical inputs. A header that cannot be
@@ -179,23 +178,23 @@ def read_raw(path) -> RawRecording:
 
 
 def write_model(path, model: EvidenceModel, hyper: dict | None = None) -> None:
-    """Write a trained model's kind, the training settings ``hyper`` of its
-    fit and its parameter count. ``hyper`` must pass check_train_settings
-    for the model's kind, as read_model requires, before any file is created."""
+    """Write a trained model's kind and the training settings ``hyper`` of
+    its fit. ``hyper`` must pass check_train_settings for the model's kind,
+    as read_model requires, before any file is created."""
     if model.kind not in MODEL_KINDS:
         raise ValueError(f"model kind {model.kind!r} cannot be serialized")
     check_train_settings(hyper or {}, model.kind)
     header = _base_header("model")
-    header.update({"model": model.kind, "hyper": hyper or {},
-                   "parameters": model.parameter_count})
+    header.update({"model": model.kind, "hyper": hyper or {}})
     write_container(path, header)
 
 
-def read_model(path) -> tuple[str, dict, int]:
-    """The model kind, the training settings its fit used and its parameter
-    count. The settings must pass check_train_settings for the file's kind.
-    A file that stores arrays was written before model files became
-    recipes; it must be retrained."""
+def read_model(path) -> tuple[str, dict]:
+    """The model kind and the training settings its fit used. The settings
+    must pass check_train_settings for the file's kind. A file that stores
+    arrays was written before model files became recipes; it must be
+    retrained. The ``parameters`` key that older recipes store is ignored:
+    a report counts the floats of the models it scored, not of ``train``'s."""
     header, payload = read_container(path, "model")
     kind = header.get("model")
     if not (isinstance(kind, str) and kind in MODEL_KINDS):
@@ -205,9 +204,6 @@ def read_model(path) -> tuple[str, dict, int]:
                                    "wrote it; retrain it")
     if len(payload):
         raise ContainerFormatError(f"{path}: model file has trailing bytes after its header")
-    parameters = header.get("parameters")
-    if not (type(parameters) is int and parameters >= 0):
-        raise ContainerFormatError(f"{path}: malformed parameter count {parameters!r}")
     hyper = header.get("hyper", {})
     if not isinstance(hyper, dict):
         raise ContainerFormatError(f"{path}: malformed training hyperparameters")
@@ -215,4 +211,4 @@ def read_model(path) -> tuple[str, dict, int]:
         check_train_settings(hyper, kind)
     except ValueError as exc:
         raise ContainerFormatError(f"{path}: malformed training hyperparameters: {exc}") from exc
-    return kind, hyper, parameters
+    return kind, hyper

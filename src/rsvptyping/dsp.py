@@ -198,23 +198,22 @@ BLOCK_SAMPLES = 128  # samples per block of the state-space filter
 def _state_space(cascade: Sequence[BiquadCoefficients]):
     """The cascade as one system ``s' = A s + B x``, ``y = C s + D x`` with two
     states per section: each section's transposed direct-form II registers,
-    driven by the previous section's output. Entries are long doubles."""
+    driven by the previous section's output."""
     size = 2 * len(cascade)
-    a = np.zeros((size, size), dtype=np.longdouble)
-    b = np.zeros(size, dtype=np.longdouble)
-    c = np.zeros(size, dtype=np.longdouble)
-    d = np.longdouble(1.0)
+    a = np.zeros((size, size))
+    b = np.zeros(size)
+    c = np.zeros(size)
+    d = 1.0
     for k, sec in enumerate(cascade):
         i = 2 * k
-        b0, b1, b2, a1, a2 = (np.longdouble(v) for v in (sec.b0, sec.b1, sec.b2, sec.a1, sec.a2))
         # the section's input is the cascade so far: c @ s + d * x
-        drive = np.array([b1 - a1 * b0, b2 - a2 * b0])
+        drive = np.array([sec.b1 - sec.a1 * sec.b0, sec.b2 - sec.a2 * sec.b0])
         a[i:i + 2, :i] = np.outer(drive, c[:i])
-        a[i:i + 2, i:i + 2] = [[-a1, 1.0], [-a2, 0.0]]
+        a[i:i + 2, i:i + 2] = [[-sec.a1, 1.0], [-sec.a2, 0.0]]
         b[i:i + 2] = drive * d
-        c[:i] *= b0
+        c[:i] *= sec.b0
         c[i] = 1.0
-        d *= b0
+        d *= sec.b0
     return a, b, c, d
 
 
@@ -224,13 +223,13 @@ def _block_operators(cascade: Sequence[BiquadCoefficients], block: int):
     from zero state), ``reach`` (inputs to end state), ``carry`` = A^L
     (start state to end state) and ``observe`` (start state to outputs).
 
-    A cascade with poles near the unit circle has an A far from normal, so
-    its powers lose digits; they are accumulated in long double, which is
-    wider than float64 on x86, and rounded once at the end."""
+    They are built in float64. ``design_bandpass`` alternates its sections
+    between the band's edges, which keeps the low-edge resonators from
+    amplifying the round-off of the sections before them."""
     a, b, c, d = _state_space(cascade)
     # observe[i] = C A^i and reach[j] = A^(L-1-j) B, by repeated products
-    observe = np.empty((block, a.shape[0]), dtype=np.longdouble)
-    reach = np.empty((block, a.shape[0]), dtype=np.longdouble)
+    observe = np.empty((block, a.shape[0]))
+    reach = np.empty((block, a.shape[0]))
     carry = a
     observe[0], reach[-1] = c, b
     for i in range(1, block):
@@ -240,7 +239,7 @@ def _block_operators(cascade: Sequence[BiquadCoefficients], block: int):
     impulse = np.concatenate(([d], observe[:-1] @ b))
     lags = np.subtract.outer(np.arange(block), np.arange(block))
     toeplitz = np.where(lags >= 0, impulse[np.maximum(lags, 0)], 0.0)
-    return tuple(m.astype(np.float64) for m in (toeplitz, reach, carry, observe))
+    return toeplitz, reach, carry, observe
 
 
 def filter_forward(coeffs: FilterCascade, signal: np.ndarray, start: int = 0) -> np.ndarray:

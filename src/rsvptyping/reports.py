@@ -30,16 +30,18 @@ def build_report(
     seed: int,
     config_echo: dict,
     model_kind: str,
-    parameter_count: int,
     summary: SplitSummary,
 ) -> dict:
+    """The report of one run. Its ``parameters`` is the parameter count of
+    split 0's model: stratified splits give every split the same training
+    size, so every split's model holds the same number of floats."""
     return {
         "tool": "rsvptyping",
         "tool_version": __version__,
         "command": command,
         "seed": seed,
         "config": config_echo,
-        "model": {"kind": model_kind, "parameters": parameter_count},
+        "model": {"kind": model_kind, "parameters": summary.per_split[0].parameter_count},
         "splits": [
             {
                 "split": row.split_index,

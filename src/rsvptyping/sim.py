@@ -295,12 +295,13 @@ def classify_epochs(llr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SplitMetrics:
-    """One split's scores, and how its model's logistic fit ended (None
-    when its model had none)."""
+    """One split's scores, the number of floats its model holds, and how
+    its model's logistic fit ended (None when its model had none)."""
 
     split_index: int
     balanced_accuracy: float
     typing: TypingResult
+    parameter_count: int
     fit: Optional[LogisticFit] = None
 
 
@@ -355,6 +356,7 @@ def evaluate_splits(
                 split_index=k,
                 balanced_accuracy=balanced_accuracy(predictions, test.labels),
                 typing=run_typing(llr, test.labels, run_config),
+                parameter_count=model.parameter_count,
                 fit=model.fit,
             )
         )

@@ -2,7 +2,7 @@
 Gram and Hessian products sum over rows in a thread-dependent order, so the
 last bits of fitted parameters can move, and with them the scores a
 generative model's KDE bandwidths are computed from; but a model file holds
-only its kind, settings and parameter count, and every report must not move."""
+only its kind and settings, and every report must not move."""
 
 import os
 import subprocess

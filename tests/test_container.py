@@ -300,10 +300,14 @@ class TestModelIO:
         hyper = {key: TRAIN_DEFAULTS[key] for key in MODEL_KINDS[model.kind].settings}
         path = tmp_path / "m.bin"
         write_model(path, model, hyper=hyper)
-        assert read_model(path) == (model.kind, hyper, model.parameter_count)
+        assert read_model(path) == (model.kind, hyper)
         header, payload = read_container(path, "model")
-        assert sorted(header) == ["format", "hyper", "kind", "model", "parameters", "version"]
+        assert sorted(header) == ["format", "hyper", "kind", "model", "version"]
         assert len(payload) == 0
+        # the parameter count that older files store is ignored, whatever it holds
+        for stored in (model.parameter_count, -1, "385", None):
+            write_container(path, header | {"parameters": stored})
+            assert read_model(path) == (model.kind, hyper)
 
     @pytest.mark.parametrize("name", ["logreg", "gen_logr", "gen_lda"])
     def test_rewrite_byte_identical(self, tmp_path, name, request):

@@ -124,7 +124,7 @@ class TestGenerate:
 README_SYNTH = (
     "n_epochs = 6000\nchannels = 6\ntarget_fraction = 0.0357142857  # 1/28\nseed = 0\n"
 )
-README_DATA_SHA256 = "1796a3ff5e326fe7ed86b1632a0f7c84598cdc07ccccd35636f1e26070506f58"
+README_DATA_SHA256 = "6c1aae31e041215a2c5d5731c46a74bcaed66dae092cdbb064a7d25b8936172b"
 
 
 @st.composite
