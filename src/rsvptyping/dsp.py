@@ -1,6 +1,7 @@
 """Preprocessing chain from continuous multichannel recordings to labeled
-trial epochs: notch, Butterworth bandpass, downsampling, epoching, and
-per-channel standardization.
+trial epochs: notch, Butterworth bandpass, downsampling, epoching and
+channel masking. Standardizing the epochs belongs to each model's fit
+(``models``), which derives it from the class moments of its rows.
 
 Epochs are whole arrays throughout: a stack of shape (epochs, channels,
 samples) with one 0/1 label per epoch.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -345,90 +346,3 @@ def exclude_channels(recording: RawRecording, channels: Sequence[int]) -> RawRec
     return RawRecording(
         data=recording.data[keep], rate=recording.rate, stim_onsets=recording.stim_onsets
     )
-
-
-@dataclass(frozen=True)
-class ZScoreStats:
-    """Per-channel mean and standard deviation from a training set: finite
-    vectors of one length, every std positive."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.ndim(self.mean) != 1 or np.shape(self.std) != np.shape(self.mean):
-            raise ValueError("z-score mean and std must be vectors of one length")
-        finite = np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.std))
-        if not (finite and np.all(np.asarray(self.std) > 0)):
-            raise ValueError("z-score mean and std must be finite, std positive")
-
-
-ZSCORE_BLOCK_EPOCHS = 256  # epochs a z-scoring gathers per step
-
-
-def _rows(data: np.ndarray, rows: Optional[np.ndarray]) -> np.ndarray:
-    # the int64 index of the epochs of a stack that a z-scoring reads
-    if data.ndim != 3:
-        raise ValueError("epochs must be epochs x channels x samples")
-    return np.arange(data.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
-
-
-def _gather(out: np.ndarray, data: np.ndarray, rows: np.ndarray) -> None:
-    # out = data[rows], with a temporary of ZSCORE_BLOCK_EPOCHS rows at most
-    for lo in range(0, rows.shape[0], ZSCORE_BLOCK_EPOCHS):
-        out[lo:lo + ZSCORE_BLOCK_EPOCHS] = data[rows[lo:lo + ZSCORE_BLOCK_EPOCHS]]
-
-
-def fit_zscore(data: np.ndarray, rows: Optional[np.ndarray] = None) -> ZScoreStats:
-    """Per-channel statistics pooled over all samples of the epochs ``rows``
-    of a stack (n, channels, samples), every epoch when ``rows`` is None.
-
-    Channels with (near) zero spread get std 1 so they pass through centered
-    but unscaled.
-    """
-    data = np.asarray(data)
-    rows = _rows(data, rows)
-    if rows.shape[0] == 0:
-        raise ValueError("cannot fit z-scoring on an empty training set")
-    # each channel of the rows in turn is copied into one contiguous float64
-    # buffer with the epochs laid end to end, so the sums run in the same
-    # order whatever the memory layout of the stack; the spread is then
-    # formed in that buffer the way ndarray.std forms it, without its
-    # full-size temporary
-    channel = np.empty((rows.shape[0], data.shape[2]))
-    values = channel.reshape(-1)
-    mean = np.empty(data.shape[1])
-    std = np.empty(data.shape[1])
-    for c in range(data.shape[1]):
-        _gather(channel, data[:, c, :], rows)
-        mean[c] = values.mean()
-        values -= mean[c]
-        np.square(values, out=values)
-        std[c] = np.sqrt(values.sum() / values.size)
-    std = np.where(std < 1e-12, 1.0, std)
-    return ZScoreStats(mean=mean, std=std)
-
-
-def zscore_array(stats: ZScoreStats, data: np.ndarray,
-                 rows: Optional[np.ndarray] = None,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Standardize the epochs ``rows`` of a stack (n, channels, samples),
-    every epoch when ``rows`` is None, with fitted stats. The rows are
-    gathered ``ZSCORE_BLOCK_EPOCHS`` at a time into a C-ordered float64
-    stack, ``out`` if given or else a new one, which is returned; ``data``
-    is left as it is."""
-    data = np.asarray(data)
-    rows = _rows(data, rows)
-    if out is None:
-        out = np.empty((rows.shape[0], *data.shape[1:]))
-    elif out.shape != (rows.shape[0], *data.shape[1:]) or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-ordered stack of the rows' shape")
-    _gather(out, data, rows)
-    # each element takes the same subtraction and division as a broadcast
-    # over the samples axis, but in one pass over (rows, channels * samples)
-    # with each channel's statistic repeated per sample: fewer, longer loops
-    _, channels, samples = data.shape
-    flat = out.reshape(rows.shape[0], channels * samples)
-    flat -= np.repeat(stats.mean, samples)
-    flat /= np.repeat(stats.std, samples)
-    return out

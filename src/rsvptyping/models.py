@@ -25,11 +25,12 @@ a LabeledDataset to one float64 log-likelihood ratio log p(e|+) - log p(e|-)
 per epoch, each model dividing by the label prior it is calibrated to: the
 logistic score for ``logreg``, whose class weighting calibrates p(+|e) to
 1/2; the difference of the two floored KDE log-densities for generative
-kinds; +-inf for certain evidence. Fits and scores read a dataset's rows of
-its epoch stack a block of rows at a time, z-scored into one reused float64
-buffer, so neither a subset nor an (n, d) design is ever copied whole; the
-generative fits keep only class moments of them, and the logistic fit of
-``logreg`` z-scores them again on every read.
+kinds; +-inf for certain evidence. ``read_rows``, the one reader of epoch
+rows, widens a block of them at a time to float64 in one reused buffer, so
+no (n, d) design is ever built. Every fit derives the z-score from the class
+moments of two raw reads; the generative fits scale their moments by it,
+``logreg``'s Newton reads z-score each block in place, and scoring folds it
+into the scorer: one matrix-vector product per block of raw rows.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .core import LabelPrior
-from .dsp import ZSCORE_BLOCK_EPOCHS, ZScoreStats, fit_zscore, zscore_array
 from .synth import DEFAULT_ALPHABET_SIZE, LabeledDataset
 
 # Ridge penalty (l2 / 2) * |weights|^2 of logistic fits. 1e-2 is the best
@@ -67,10 +67,10 @@ MAX_STEP_HALVINGS = 40
 # tolerance. Fits of the README dataset leave residuals under 2e-6, so it
 # never fires there.
 HESSIAN_RESIDUAL_LIMIT = 1e-5
-# Rows a logistic fit reads at a time; it holds a float64 and a float32 copy
-# of one block. On the README holdout split (5,400 x 372), fits in blocks of
-# 1,536 to 5,400 rows were no faster, and in blocks of 512 slower at 2
-# OpenBLAS threads.
+# Rows every read of epoch rows takes at a time. On the README holdout split
+# (5,400 x 372) at 2 OpenBLAS threads, logistic fits in blocks of 512 rows
+# were slower and of 1,536 to 5,400 no faster; the generative scatter took
+# 27.7, 24.2 and 16.9 ms in blocks of 256, 512 and 1,024.
 LOGISTIC_BLOCK_ROWS = 1024
 
 # Settings of the fits and their defaults; each key's type is its default's
@@ -249,9 +249,9 @@ class RowBlocks:
     """The rows of an (n, d) float64 design, read a block at a time: each
     call of ``read()`` yields each block's first row and the block, at most
     LOGISTIC_BLOCK_ROWS C-ordered float64 rows that the next block may
-    overwrite. train_logistic reads its rows through one, so a design that
-    is formed from other data, as ``logreg``'s z-scored rows are, is never
-    held whole."""
+    overwrite, and that its maker has checked finite. train_logistic reads
+    its rows through one, so a design formed from other data, as ``logreg``'s
+    z-scored rows are, is never held whole."""
 
     shape: tuple[int, int]
     read: Callable[[], Iterator[tuple[int, np.ndarray]]]
@@ -259,10 +259,10 @@ class RowBlocks:
 
 def _row_blocks(features) -> RowBlocks:
     """``features`` if it is RowBlocks, else the RowBlocks of views of the
-    (n, d) matrix ``features``."""
+    (n, d) matrix ``features``, checked finite here."""
     if isinstance(features, RowBlocks):
         return features
-    x = _c_order_matrix(features)
+    x = _as_float_matrix(features)
     return RowBlocks(x.shape, lambda: (
         (lo, x[lo:lo + LOGISTIC_BLOCK_ROWS]) for lo in range(0, x.shape[0], LOGISTIC_BLOCK_ROWS)
     ))
@@ -283,16 +283,12 @@ class NewtonRead:
     - given ``check``, a direction (dw, db) and the curvature of the iterate
       it was solved at, ``product`` is the float64 Hessian of that iterate
       times the direction, formed from X dw + db.
-
-    ``check_rows`` has the read reject non-finite rows: a fit's first read
-    checks them, its later reads of the same rows do not.
     """
 
-    def __init__(self, n: int, buffers: tuple[np.ndarray, np.ndarray], check_rows: bool,
+    def __init__(self, n: int, buffers: tuple[np.ndarray, np.ndarray],
                  check: Optional[tuple[np.ndarray, float, np.ndarray]] = None):
         d = buffers[1].shape[0]
         self.scaled32, self.gram32 = buffers
-        self.check_rows = check_rows
         self.check = check
         self.curvature = np.empty(n)
         self.hessian = np.zeros((d + 1, d + 1))
@@ -347,21 +343,19 @@ def logistic_loss_and_gradient(
 
     Per sample: w_i * (softplus(z_i) - y_i * z_i) with z = X.weights + bias,
     which is the numerically stable form of -w_i * log p(y_i | x_i).
-    ``features`` is an (n, d) matrix or RowBlocks; either is read once, a
-    block of rows at a time. Given ``newton``, the same read also forms its
-    Newton terms.
-    """
+    ``features`` is an (n, d) matrix, checked finite, or RowBlocks; either
+    is read once, a block of rows at a time. Given ``newton``, the read is
+    one of train_logistic's, which checked the labels, and also forms its
+    Newton terms."""
     rows = _row_blocks(features)
     n, d = rows.shape
-    y = _as_labels(labels, n, require_both=class_weights is None)
+    y = _as_labels(labels, n, require_both=class_weights is None) if newton is None else labels
     sample_w = _sample_weights(y, class_weights) / n
     w = np.asarray(weights, dtype=np.float64)
     z = np.empty(n)
     residual = np.empty(n)
     grad_w = np.zeros(d)
     for lo, block in rows.read():
-        if newton is None or newton.check_rows:
-            _check_finite(block)
         part = slice(lo, lo + block.shape[0])
         z[part] = block @ w + bias
         p = _sigmoid(z[part])
@@ -434,13 +428,13 @@ def train_logistic(
     buffers = (np.empty((min(LOGISTIC_BLOCK_ROWS, n), d), dtype=np.float32),
                np.empty((d, d), dtype=np.float32))
 
-    def read(w, b, check=None, check_rows=False):
-        newton = NewtonRead(n, buffers, check_rows, check)
+    def read(w, b, check=None):
+        newton = NewtonRead(n, buffers, check)
         return (*logistic_loss_and_gradient(w, b, rows, y, class_weights, l2, newton=newton),
                 newton)
 
     w, b = np.zeros(d), 0.0
-    loss, grad_w, grad_b, newton = read(w, b, check_rows=True)
+    loss, grad_w, grad_b, newton = read(w, b)
     losses = [loss]
     float64_steps = 0
     for _ in range(NEWTON_MAX_STEPS):
@@ -475,15 +469,6 @@ def train_logistic(
         float64_steps += exact
     norm = math.hypot(float(np.linalg.norm(grad_w)), grad_b)
     return LogisticModel(w, b, LogisticFit(tuple(losses), norm, tolerance, float64_steps))
-
-
-def logistic_scores(model: LogisticModel, features: np.ndarray) -> np.ndarray:
-    x = _as_float_matrix(features)
-    if x.shape[1] != model.dimension:
-        raise ValueError(
-            f"feature dimension {x.shape[1]} does not match model {model.dimension}"
-        )
-    return x @ model.weights + model.bias
 
 
 # ---------------------------------------------------------------------------
@@ -678,29 +663,98 @@ def kde_log_eval_many(density: KdeDensity, xs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Generative pipeline
+# Epoch rows, their z-score and the generative pipeline
 
 
-def _standardized_blocks(stats: ZScoreStats, dataset: LabeledDataset,
-                         size: int = ZSCORE_BLOCK_EPOCHS):
-    """The dataset's epochs z-scored and flattened ``size`` at a time:
-    yields each block's first position and the block, a C-ordered float64
-    (rows, channels * samples) view of one buffer that the next block
-    overwrites."""
+def read_rows(dataset: LabeledDataset) -> Iterator[tuple[int, np.ndarray]]:
+    """The dataset's rows of its epoch stack, LOGISTIC_BLOCK_ROWS at a time:
+    yields each block's first position and the block, flattened and
+    widened to float64, a C-ordered (rows, channels * samples) view of one
+    buffer that the next block overwrites."""
     rows = dataset.rows
-    buffer = np.empty((min(size, len(rows)), *dataset.epochs.shape[1:]))
-    for lo in range(0, len(rows), size):
-        block = rows[lo:lo + size]
-        out = zscore_array(stats, dataset.epochs, block, out=buffer[: len(block)])
-        yield lo, out.reshape(len(block), -1)
+    buffer = np.empty((min(LOGISTIC_BLOCK_ROWS, len(rows)), *dataset.epochs.shape[1:]))
+    for lo in range(0, len(rows), LOGISTIC_BLOCK_ROWS):
+        index = rows[lo:lo + LOGISTIC_BLOCK_ROWS]
+        buffer[: len(index)] = dataset.epochs[index]
+        yield lo, buffer[: len(index)].reshape(len(index), -1)
+
+
+@dataclass(frozen=True)
+class ZScoreStats:
+    """Per-channel mean and standard deviation from a training set: finite
+    vectors of one length, every std positive."""
+
+    mean: np.ndarray
+    std: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.mean) != 1 or np.shape(self.std) != np.shape(self.mean):
+            raise ValueError("z-score mean and std must be vectors of one length")
+        finite = np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.std))
+        if not (finite and np.all(np.asarray(self.std) > 0)):
+            raise ValueError("z-score mean and std must be finite, std positive")
+
+    def per_feature(self, samples: int) -> tuple[np.ndarray, np.ndarray]:
+        """The mean and std repeated per sample: one each per feature."""
+        return np.repeat(self.mean, samples), np.repeat(self.std, samples)
+
+
+def _class_moments(train: LabeledDataset, scatter: bool = True) -> tuple:
+    """Class sizes, (2, d) class means, d feature means and within-class
+    scatter (the (d, d) sum of (x - m_c)(x - m_c)^T, or its diagonal unless
+    ``scatter``) of the flattened raw rows, from two reads: the class sums,
+    which rejects non-finite rows, and the rows less their class mean. Last,
+    the per-channel z-score: a channel's mean is that of its feature means
+    m_j; its variance is the sum over its features of the total scatter
+    diagonal (within-class plus sum_c n_c (m_cj - m_j)^2) and n (m_j -
+    mean)^2, over n * samples. A std under 1e-12 becomes 1 (centered only)."""
+    labels = train.labels
+    counts = np.bincount(labels, minlength=2)
+    if counts.min() == 0:
+        raise ValueError("both classes must be present")
+    n, (channels, samples) = len(train), train.epochs.shape[1:]
+    sums = np.zeros((2, channels * samples))
+    for lo, block in read_rows(train):
+        # one row of indicators per class: the product sums each class's rows
+        classes = np.equal.outer((0, 1), labels[lo:lo + len(block)])
+        sums += classes.astype(np.float64) @ _check_finite(block)
+    del block  # the buffer goes before the next read makes its own
+    means = sums / counts[:, None]
+    within = np.zeros((sums.shape[1],) * (2 if scatter else 1))
+    for lo, block in read_rows(train):
+        # each row less its class mean, copying the positive rows, not the block
+        pos = np.flatnonzero(labels[lo:lo + len(block)])
+        positive = block[pos]
+        positive -= means[1]
+        block -= means[0]
+        block[pos] = positive
+        if scatter:
+            within += block.T @ block
+        else:
+            within += np.einsum("ij,ij->j", block, block)
+    mean = sums.sum(axis=0) / n
+    diagonal = (within.diagonal() if scatter else within) + counts @ (means - mean) ** 2
+    features = mean.reshape(channels, samples)
+    channel_mean = features.mean(axis=1)
+    spread = diagonal.reshape(channels, samples) + n * (features - channel_mean[:, None]) ** 2
+    std = np.sqrt(spread.sum(axis=1) / (n * samples))
+    stats = ZScoreStats(mean=channel_mean, std=np.where(std < 1e-12, 1.0, std))
+    return counts, means, mean, within, stats
 
 
 def _epoch_scores(stats: ZScoreStats, scorer: LogisticModel, dataset: LabeledDataset) -> np.ndarray:
-    """One linear score per epoch of a dataset: z-score, flatten,
-    weights . x + bias, a block of epochs at a time."""
+    """One score per epoch: the scorer of z-scored epochs, weights . z + bias,
+    folded into (weights / std) . x + bias - mean . (weights / std) of the
+    raw rows and applied a block at a time. Each row is checked finite."""
+    channels, samples = dataset.epochs.shape[1:]
+    if channels != stats.mean.size or channels * samples != scorer.dimension:
+        raise ValueError(f"epochs of shape {dataset.epochs.shape[1:]} do not fit the model")
+    mean, std = stats.per_feature(samples)
+    weights = scorer.weights / std
+    bias = scorer.bias - float(mean @ weights)
     scores = np.empty(len(dataset))
-    for lo, block in _standardized_blocks(stats, dataset):
-        scores[lo:lo + len(block)] = logistic_scores(scorer, block)
+    for lo, block in read_rows(dataset):
+        scores[lo:lo + len(block)] = _check_finite(block) @ weights + bias
     return scores
 
 
@@ -730,39 +784,29 @@ def build_generative(
     its class's scores by fit_kde's rule. ``l2`` and ``tolerance`` go to the
     logistic scorer's fit.
 
-    No (n, d) design is built: the z-scored rows are read a block at a time,
-    once for the class means and once for the within-class scatter S_w, and
-    the PCA is that of the total scatter S_w + sum_c n_c (m_c - m)(m_c - m)^T.
-    LDA takes its moments projected; logistic regression takes the (n, r)
-    projected rows, formed in a third read.
+    No row is z-scored: _class_moments' raw class means and scatter S_w,
+    scaled by the z-score's std, are the z-scored rows' moments, and the PCA
+    is that of their total scatter S_w + sum_c n_c (m_c - m)(m_c - m)^T. LDA
+    takes its moments projected; logistic regression takes the (n, r)
+    projected rows, (x - m) @ (components / std), formed in a third read.
     """
     _check_kind(kind, "build_generative", "generative")
-    labels = train.labels
-    counts = np.bincount(labels, minlength=2)
-    if counts.min() == 0:
-        raise ValueError("both classes must be present")
-    n, d = len(train), train.epochs[0].size
-    stats = fit_zscore(train.epochs, train.rows)
-    sums = np.zeros((2, d))
-    for lo, block in _standardized_blocks(stats, train):
-        # one row of indicators per class: the product sums each class's
-        # rows; this first read also rejects non-finite z-scored rows
-        classes = np.equal.outer((0, 1), labels[lo:lo + len(block)])
-        sums += classes.astype(np.float64) @ _as_float_matrix(block)
-    class_means = sums / counts[:, None]
-    within = np.zeros((d, d))
-    for lo, block in _standardized_blocks(stats, train):
-        block -= class_means[labels[lo:lo + len(block)]]
-        within += block.T @ block
-    mean = sums.sum(axis=0) / n
-    offsets = class_means - mean
-    pca = fit_pca(mean, within + (offsets.T * counts) @ offsets, n, variance_fraction)
+    labels, n = train.labels, len(train)
+    counts, means, mean, within, stats = _class_moments(train)
+    center, scale = stats.per_feature(train.epochs.shape[2])
+    # the z-scored rows' moments: z = (x - center) / scale feature by feature
+    within /= np.outer(scale, scale)
+    offsets = (means - mean) / scale
+    pca = fit_pca((mean - center) / scale, within + (offsets.T * counts) @ offsets, n,
+                  variance_fraction)
     components = pca.components
     if kind == "gen-logr":
         reduced = np.empty((n, components.shape[1]))
-        for lo, block in _standardized_blocks(stats, train):
+        raw_components = components / scale[:, None]
+        for lo, block in read_rows(train):
             block -= mean
-            reduced[lo:lo + len(block)] = block @ components
+            reduced[lo:lo + len(block)] = block @ raw_components
+        del block
         scorer = train_logistic(reduced, labels, (1.0, 1.0), l2=l2, tolerance=tolerance)
     else:
         pooled = components.T @ within @ components / max(n - 2, 1)
@@ -839,12 +883,19 @@ def train_logistic_evidence(
     tolerance: float = GRADIENT_TOLERANCE,
 ) -> LogisticEvidenceModel:
     """Fit the discriminative baseline, model kind ``logreg``, on labeled
-    epochs. The logistic fit reads the z-scored epochs a block at a time,
-    z-scoring them from the epoch stack again on every read."""
+    epochs. Its z-score comes from _class_moments, which forms only the
+    scatter's diagonal; each Newton read z-scores each block in place."""
     _check_kind(kind, "train_logistic_evidence", "logistic")
-    stats = fit_zscore(train.epochs, train.rows)
-    rows = RowBlocks((len(train), train.epochs[0].size),
-                     lambda: _standardized_blocks(stats, train, LOGISTIC_BLOCK_ROWS))
+    *_, stats = _class_moments(train, scatter=False)
+    center, scale = stats.per_feature(train.epochs.shape[2])
+
+    def standardized():
+        for lo, block in read_rows(train):
+            block -= center
+            block /= scale
+            yield lo, block
+
+    rows = RowBlocks((len(train), train.epochs[0].size), standardized)
     scorer = train_logistic(rows, train.labels, l2=l2, tolerance=tolerance)
     return LogisticEvidenceModel(stats, scorer)
 

@@ -3,21 +3,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rsvptyping import models
 from rsvptyping.dsp import (
     BiquadCoefficients,
     RawRecording,
-    ZScoreStats,
     design_bandpass,
     design_notch,
     downsample,
     epoch,
     exclude_channels,
     filter_forward,
-    fit_zscore,
-    zscore_array,
 )
+from rsvptyping.models import LogisticEvidenceModel, LogisticModel, ZScoreStats
+from rsvptyping.synth import LabeledDataset
 
-from oracles import analytic_butterworth_bandpass_db, measured_gain_db
+from oracles import (
+    analytic_butterworth_bandpass_db,
+    measured_gain_db,
+    reference_zscore_array,
+    reference_zscore_stats,
+)
 
 RATE = 250.0
 NFFT = 16000  # 250 / 16000 = 1/64 Hz bins: 1, 5, 10, 20, 50, 60 Hz all on-bin
@@ -237,77 +242,92 @@ class TestDownsampleAndEpoch:
         np.testing.assert_array_equal(run(), run())
 
 
+def moment_zscore(eps, labels=None):
+    """The z-score a fit derives from the class moments of the epochs, with
+    alternating labels unless given."""
+    labels = np.arange(len(eps)) % 2 if labels is None else labels
+    return models._class_moments(LabeledDataset(eps, labels), scatter=False)[-1]
+
+
 class TestZScore:
+    """The per-channel z-score that every model fit derives from the class
+    moments of the epochs this chain makes (see models._class_moments)."""
+
     def make_epochs(self, rng, n=50, channels=3, samples=20):
         return rng.standard_normal((n, channels, samples)) * 2 + 1
 
     def test_constant_channel_maps_to_zeros(self):
         eps = np.full((2, 1, 10), 4.2)
-        stats = fit_zscore(eps)
+        stats = moment_zscore(eps)
         assert stats.std[0] == 1.0  # degenerate scale guard
-        out = zscore_array(stats, eps)
+        out = reference_zscore_array(stats, eps)
         np.testing.assert_allclose(out[0], np.zeros((1, 10)), atol=1e-12)
 
     def test_standardizes_training_distribution(self):
         rng = np.random.default_rng(17)
         eps = self.make_epochs(rng, n=400)
-        stats = fit_zscore(eps)
-        z = zscore_array(stats, eps)
+        stats = moment_zscore(eps)
+        z = reference_zscore_array(stats, eps)
         np.testing.assert_allclose(z.mean(axis=(0, 2)), 0.0, atol=1e-12)
         np.testing.assert_allclose(z.std(axis=(0, 2)), 1.0, atol=1e-12)
 
     def test_test_data_uses_train_stats_only(self):
+        # a scorer applies the training stats to held-out epochs: shifting
+        # every sample by 10 moves the score by 10 * sum(weights / std)
         rng = np.random.default_rng(21)
         train = self.make_epochs(rng, n=100)
-        stats = fit_zscore(train)
-        out = zscore_array(stats, train[:1] + 10.0)
-        expected = zscore_array(stats, train[:1]) + 10.0 / stats.std[None, :, None]
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        stats = moment_zscore(train)
+        weights = rng.standard_normal(3 * 20)
+        model = LogisticEvidenceModel(stats, LogisticModel(weights, 0.5))
+        held = LabeledDataset(train[:1], [0])
+        shifted = LabeledDataset(train[:1] + 10.0, [0])
+        shift = 10.0 * np.sum(weights / np.repeat(stats.std, 20))
+        np.testing.assert_allclose(model.predict_batch(shifted) - model.predict_batch(held),
+                                   shift, atol=1e-12)
 
     def test_array_variant_matches(self):
-        # the per-channel statistics are those of the epochs laid end to end
+        # the per-channel statistics are those of the epochs laid end to end,
+        # to 1e-14 of the data's scale
         rng = np.random.default_rng(2)
         eps = self.make_epochs(rng, n=10)
-        stats = fit_zscore(eps)
+        stats = moment_zscore(eps)
         joined = np.concatenate(list(eps), axis=1)
-        assert np.array_equal(stats.mean, joined.mean(axis=1))
-        assert np.array_equal(stats.std, joined.std(axis=1))
-        out = zscore_array(stats, eps)
-        expected = (eps[3] - stats.mean[:, None]) / stats.std[:, None]
-        np.testing.assert_allclose(out[3], expected, atol=1e-15)
+        np.testing.assert_allclose(stats.mean, joined.mean(axis=1), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(stats.std, joined.std(axis=1), rtol=1e-14)
+        mean, std = reference_zscore_stats(eps)
+        np.testing.assert_allclose(stats.mean, mean, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(stats.std, std, rtol=1e-14)
 
     def test_standardizing_leaves_the_input_unmodified(self):
         rng = np.random.default_rng(3)
         eps = self.make_epochs(rng)
         before = eps.copy()
-        out = zscore_array(fit_zscore(eps), eps)
+        stats = moment_zscore(eps)
+        LogisticEvidenceModel(stats, LogisticModel(np.ones(60), 0.0)).predict_batch(
+            LabeledDataset(eps, np.zeros(len(eps), dtype=int)))
         assert np.array_equal(eps, before)
-        assert not np.shares_memory(out, eps)
 
-    def test_out_must_be_a_c_ordered_stack_of_the_rows(self):
-        # the z-scoring works on a flat view of ``out``; a buffer that has
-        # none would be written through a copy and left as it was
-        eps = self.make_epochs(np.random.default_rng(4), n=6)
-        stats = fit_zscore(eps)
-        for out in (np.empty((6, 20, 3)).transpose(0, 2, 1), np.empty((5, 3, 20))):
-            with pytest.raises(ValueError, match="C-ordered stack"):
-                zscore_array(stats, eps, out=out)
-
-    def test_fit_peak_memory_is_one_channel(self):
-        # the training stack of the README dataset's first split
-        eps = np.random.default_rng(5).standard_normal((4800, 6, 62))
-        one_channel = eps[:, 0, :].nbytes
+    def test_moments_peak_memory_is_a_block(self):
+        # the training stack of the README dataset's first split, read a
+        # block of rows at a time: one float64 buffer, the float32 rows
+        # gathered into it and a float64 copy of the block's positive rows,
+        # 20 bytes per sample of a block; a float64 copy of the stack would
+        # take 37.5
+        eps = np.random.default_rng(5).standard_normal((4800, 6, 62)).astype(np.float32)
+        block = models.LOGISTIC_BLOCK_ROWS * 6 * 62 * 20
         tracemalloc.start()
         try:
-            fit_zscore(eps)
+            moment_zscore(eps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < one_channel + 2**20
+        assert peak < block + 2**20
 
     def test_empty_train_set_rejected(self):
         with pytest.raises(ValueError):
-            fit_zscore(np.zeros((0, 3, 20)))
+            moment_zscore(np.zeros((0, 3, 20)), np.zeros(0, dtype=int))
+        with pytest.raises(ValueError, match="both classes"):
+            moment_zscore(np.zeros((4, 3, 20)), np.ones(4, dtype=int))
 
     def test_bad_stats_rejected(self):
         ones = np.ones(2)

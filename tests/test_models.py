@@ -20,7 +20,6 @@ from rsvptyping.core import (
     update_factors,
 )
 from rsvptyping import cli, models
-from rsvptyping.dsp import ZScoreStats, fit_zscore, zscore_array
 from rsvptyping.models import (
     ConstantEvidenceModel,
     GenerativeEvidenceModel,
@@ -28,12 +27,12 @@ from rsvptyping.models import (
     LogisticEvidenceModel,
     LogisticModel,
     OracleEvidenceModel,
+    ZScoreStats,
     build_generative,
     fit_kde,
     fit_pca,
     kde_log_eval_many,
     logistic_loss_and_gradient,
-    logistic_scores,
     train_lda,
     train_logistic,
     train_logistic_evidence,
@@ -52,6 +51,8 @@ from oracles import (
     central_difference_gradient,
     grid_search_boundary_1d,
     reference_weighted_ce,
+    reference_zscore_array,
+    reference_zscore_stats,
     svd_pca,
 )
 
@@ -292,7 +293,7 @@ class TestLogistic:
         labels[:2] = [0, 1]
         epochs = make_dataset(data, labels)
         model = train_logistic_evidence(epochs)
-        flat = zscore_array(model.zscore, data).reshape(n, -1)
+        flat = reference_zscore_array(model.zscore, data).reshape(n, -1)
         reference: list = []
         expected = reference_train_logistic(flat, labels, fits=reference)
         assert model.fit.steps == reference[0].steps >= 1
@@ -365,7 +366,9 @@ LAYOUT_CASES = {
         train_logistic(x, y, (1.0, 1.0))),
     "logistic_loss_and_gradient": lambda x, y, w: logistic_loss_and_gradient(
         w, 0.1, x, y, l2=0.01),
-    "logistic_scores": lambda x, y, w: (logistic_scores(LogisticModel(w, 0.1), x),),
+    "predict_batch": lambda x, y, w: (LogisticEvidenceModel(
+        ZScoreStats(np.zeros(1), np.ones(1)), LogisticModel(w, 0.1)
+    ).predict_batch(LabeledDataset(x[:, None, :], y)),),
     "train_lda": lambda x, y, w: linear_parameters(train_lda(*lda_moments(x, y))),
 }
 
@@ -417,13 +420,13 @@ class TestLda:
         x = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([0, 0, 1, 1])
         model = train_lda(*lda_moments(x, y))
-        assert abs(logistic_scores(model, np.array([[0.0]]))[0]) < 1e-10
+        assert abs(model.bias) < 1e-10
 
     def test_identical_means_give_constant_score(self):
         x = np.array([[-1.0], [1.0], [-1.0], [1.0]])
         y = np.array([0, 0, 1, 1])
         model = train_lda(*lda_moments(x, y))
-        scores = logistic_scores(model, np.linspace(-3, 3, 7)[:, None])
+        scores = np.linspace(-3, 3, 7)[:, None] @ model.weights + model.bias
         np.testing.assert_allclose(scores, scores[0], atol=1e-12)
 
     def test_matches_closed_form_gaussian_log_ratio(self):
@@ -446,7 +449,7 @@ class TestLda:
             pt = rng.standard_normal(2) * 2
             dp, dn = pt - mu_pos, pt - mu_neg
             expected = 0.5 * (dn @ precision @ dn - dp @ precision @ dp)
-            assert logistic_scores(model, pt[None, :])[0] == pytest.approx(expected, abs=1e-6)
+            assert pt @ model.weights + model.bias == pytest.approx(expected, abs=1e-6)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
@@ -459,7 +462,7 @@ class TestLda:
         y = np.array([0, 0, 0, 1])
         model = train_lda(*lda_moments(x, y))
         assert isinstance(model, LogisticModel)
-        assert logistic_scores(model, np.array([[2.0]]))[0] == pytest.approx(
+        assert 2.0 * model.weights[0] + model.bias == pytest.approx(
             math.log(1 / 3), abs=1e-12
         )
         with pytest.raises(ValueError):
@@ -601,10 +604,11 @@ class TestPca:
             fit_pca(np.zeros(3), np.zeros((3, 2)), 10)
 
     def test_training_projection_matches_a_projection_of_the_input(self):
-        # gen-logr's fit projects its z-scored rows a block at a time; over
-        # three blocks, the last one short, they are the whole projection
+        # gen-logr's fit projects its raw rows a block at a time; over three
+        # blocks, the last one short, they are the projection of the z-scored
+        # rows
         epochs = separable_epochs(np.random.default_rng(43),
-                                  n=2 * models.ZSCORE_BLOCK_EPOCHS + 30, offset=0.5)
+                                  n=2 * models.LOGISTIC_BLOCK_ROWS + 30, offset=0.5)
         seen = {}
 
         def keep(name, fit):
@@ -618,9 +622,10 @@ class TestPca:
             patch.setattr(models, "train_logistic", keep("scorer", models.train_logistic))
             model = build_generative(epochs, kind="gen-logr", variance_fraction=0.9)
         pca, reduced = seen["pca"][1], seen["scorer"][0][0]
-        flat = zscore_array(model.zscore, epochs.data).reshape(len(epochs), -1)
+        flat = reference_zscore_array(model.zscore, epochs.data).reshape(len(epochs), -1)
         assert 1 < pca.components.shape[1] < flat.shape[1]
         assert reduced.flags.c_contiguous
+        # the fit folds the z-score into the components: (x - m) @ (C / std)
         np.testing.assert_allclose(reduced, projected(pca, flat), rtol=1e-12, atol=1e-12)
 
     def test_non_orthonormal_axes_raise_linalg_error(self, monkeypatch):
@@ -803,8 +808,8 @@ class TestGenerativePipeline:
         rng = np.random.default_rng(28)
         epochs = separable_epochs(rng)
         model = build_generative(epochs)
-        flat = zscore_array(model.zscore, epochs.data).reshape(len(epochs), -1)
-        scores = logistic_scores(model.scorer, flat)
+        flat = reference_zscore_array(model.zscore, epochs.data).reshape(len(epochs), -1)
+        scores = flat @ model.scorer.weights + model.scorer.bias
         expected = (kde_log_eval_many(model.kde_pos, scores)
                     - kde_log_eval_many(model.kde_neg, scores))
         np.testing.assert_allclose(model.predict_batch(epochs), expected, rtol=0, atol=1e-9)
@@ -921,17 +926,17 @@ class TestGenerativePipeline:
         assert peak <= {"gen-lda": 0.45, "gen-logr": 0.8, "logreg": 0.75}[kind] * design
 
     @pytest.mark.parametrize("kind", ["gen-lda", "gen-logr"])
-    def test_non_finite_zscored_rows_rejected(self, monkeypatch, kind):
-        # a valid but subnormal std takes every z-scored sample past float64
+    def test_non_finite_zscored_rows_rejected(self, kind):
         epochs = separable_epochs(np.random.default_rng(38))
         model = build_generative(epochs, kind=kind)
         held = make_dataset(np.full((1, 2, 8), np.inf), [0])
         with pytest.raises(ValueError, match="features must be finite"):
             model.predict_batch(held)
-        overflowing = ZScoreStats(mean=np.zeros(2), std=np.full(2, 1e-310))
-        monkeypatch.setattr(models, "fit_zscore", lambda data, rows=None: overflowing)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="features must be finite"):
-            build_generative(epochs, kind=kind)
+        # the fit's first read of its raw rows checks them
+        data = epochs.data.copy()
+        data[3, 1, 4] = np.nan
+        with pytest.raises(ValueError, match="features must be finite"):
+            build_generative(make_dataset(data, epochs.labels), kind=kind)
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(39)
@@ -960,14 +965,24 @@ class TestRowViews:
         return view, LabeledDataset(data=parent.data[self.ROWS], labels=parent.labels[self.ROWS])
 
     def test_zscoring_reads_the_rows(self):
+        # the z-score comes from the class moments of the view's rows, the
+        # ones each read of the rows gathers
         view, copy = self.view_and_copy()
-        stats = fit_zscore(view.epochs, view.rows)
-        expected = fit_zscore(copy.data)
-        assert stats.mean.tobytes() == expected.mean.tobytes()
-        assert stats.std.tobytes() == expected.std.tobytes()
-        z = zscore_array(stats, view.epochs, view.rows)
-        assert z.flags.c_contiguous and z.dtype == np.float64
-        assert z.tobytes() == zscore_array(stats, copy.data).tobytes()
+        for scatter in (True, False):
+            stats = models._class_moments(view, scatter)[-1]
+            expected = models._class_moments(copy, scatter)[-1]
+            assert stats.mean.tobytes() == expected.mean.tobytes()
+            assert stats.std.tobytes() == expected.std.tobytes()
+        blocks = [(lo, block.copy()) for lo, block in models.read_rows(view)]
+        assert [lo for lo, _ in blocks] == list(range(0, len(view), models.LOGISTIC_BLOCK_ROWS))
+        rows = np.concatenate([block for _, block in blocks])
+        assert rows.dtype == np.float64
+        assert rows.tobytes() == copy.data.reshape(len(copy), -1).astype(np.float64).tobytes()
+        # against the transposed copy's statistics: 1e-12 of the data's
+        # scale for the means, 1e-9 relative for the stds
+        mean, std = reference_zscore_stats(copy.data)
+        np.testing.assert_allclose(stats.mean, mean, rtol=0, atol=1e-12 * np.abs(copy.data).max())
+        np.testing.assert_allclose(stats.std, std, rtol=1e-9)
 
     @pytest.mark.parametrize("kind", ["logreg", "gen-logr", "gen-lda"])
     def test_fits_and_scores_read_the_rows(self, kind):
@@ -1104,9 +1119,10 @@ class TestTracedCallSites:
     """The benchmark's tracer times the fit and scoring stages by replacing
     these names on the models module, the two fits on the cli module and
     ``predict_batch`` on both trained evidence classes, so callers must look
-    them up there at call time."""
+    them up there at call time. ``read_rows``, the one reader of epoch rows,
+    is counted the same way."""
 
-    NAMES = ("fit_zscore", "zscore_array", "fit_pca", "train_lda", "train_logistic", "fit_kde",
+    NAMES = ("read_rows", "fit_pca", "train_lda", "train_logistic", "fit_kde",
              "kde_log_eval_many", "logistic_loss_and_gradient")
 
     def count_calls(self, monkeypatch):
@@ -1125,17 +1141,17 @@ class TestTracedCallSites:
         calls = self.count_calls(monkeypatch)
         epochs = separable_epochs(np.random.default_rng(53))
         model = build_generative(epochs, kind="gen-lda")
-        # 40 epochs are one block: one z-scoring for the class means, one for
-        # the within-class scatter, one for the KDEs' training scores
-        fit = {"fit_zscore": 1, "zscore_array": 3, "fit_pca": 1, "train_lda": 1,
+        # 40 epochs are one block: one read for the class means, one for the
+        # within-class scatter, one for the KDEs' training scores
+        fit = {"read_rows": 3, "fit_pca": 1, "train_lda": 1,
                "train_logistic": 0, "fit_kde": 2, "kde_log_eval_many": 0,
                "logistic_loss_and_gradient": 0}
         assert calls == fit
         model.predict_batch(epochs)
-        assert calls == {**fit, "zscore_array": 4, "kde_log_eval_many": 2}
+        assert calls == {**fit, "read_rows": 4, "kde_log_eval_many": 2}
         fit = build_generative(epochs, kind="gen-logr").fit
         # and one more for the projected rows
-        assert (calls["train_lda"], calls["train_logistic"], calls["zscore_array"]) == (1, 1, 8)
+        assert (calls["train_lda"], calls["train_logistic"], calls["read_rows"]) == (1, 1, 8)
         # the benchmark counts a fit's iterations from these calls
         assert fit.steps >= 1
         assert calls["logistic_loss_and_gradient"] == fit.steps + 1
@@ -1145,11 +1161,11 @@ class TestTracedCallSites:
         epochs = separable_epochs(np.random.default_rng(55))
         model = train_logistic_evidence(epochs)
         model.predict_batch(epochs)
-        # 40 epochs are one block: the fit z-scores them once per read of
-        # its rows, steps + 1 reads, and predict_batch once more
+        # 40 epochs are one block: two reads for the class moments, one per
+        # Newton read, steps + 1, and one for predict_batch
         assert model.fit.steps >= 1
-        assert (calls["fit_zscore"], calls["train_logistic"]) == (1, 1)
-        assert calls["zscore_array"] == model.fit.steps + 2
+        assert calls["train_logistic"] == 1
+        assert calls["read_rows"] == model.fit.steps + 4
         assert calls["logistic_loss_and_gradient"] == model.fit.steps + 1
 
     @pytest.mark.parametrize("kind", list(models.MODEL_KINDS))

@@ -2,10 +2,12 @@
 reference, typing's log-likelihood-ratio factors against the factor pair
 they replace, the block filter against the per-sample recursion, band filters'
 impulse-response energy against Parseval's value from |H|, block KDE and
-per-channel z-scoring against their whole-matrix forms, the folded
-generative scorer against PCA then the scorer, onset checks and downsampling
-against per-pair loops, the CLI's exit codes on damaged container files, and
-config files read back as written."""
+the per-channel z-score derived from class moments against their
+whole-matrix forms, scores with the z-score folded in against z-scoring then
+the scorer, the folded generative scorer against PCA then the scorer, onset
+checks and downsampling against per-pair loops, typing on exact evidence
+against the Bayes bound of its threshold, the CLI's exit codes on damaged
+container files, and config files read back as written."""
 
 import math
 import struct
@@ -45,9 +47,8 @@ from rsvptyping.dsp import (
     filter_forward,
 )
 from rsvptyping import models
-from rsvptyping.dsp import fit_zscore, zscore_array
-from rsvptyping.models import KdeDensity, kde_log_eval_many
-from rsvptyping.sim import log_factors
+from rsvptyping.models import KdeDensity, LogisticEvidenceModel, LogisticModel, kde_log_eval_many
+from rsvptyping.sim import QueryStrategy, TypingConfig, log_factors, run_typing
 from rsvptyping.synth import LabeledDataset
 
 from oracles import (
@@ -403,35 +404,55 @@ def epoch_stacks(draw):
     return data.astype(draw(st.sampled_from([np.float64, np.float32])))
 
 
+def labeled_view(data, draw):
+    """A dataset of the stack with alternating labels, and a view of it
+    whose rows may repeat; both classes are among the view's rows. Half the
+    time one channel is first offset by 1e3 times its spread."""
+    if data.shape[0] == 1:
+        data = np.concatenate([data, data])
+    if draw.draw(st.booleans()):
+        channel = draw.draw(st.integers(0, data.shape[1] - 1))
+        data[:, channel, :] += 1e3 * data[:, channel, :].std()
+    n = data.shape[0]
+    rows = [0, 1] + draw.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    rows = np.array(draw.draw(st.permutations(rows)))
+    return data, rows, LabeledDataset(data, np.arange(n) % 2).subset(rows)
+
+
 @settings(max_examples=200, deadline=None)
-@given(epoch_stacks())
-def test_per_channel_zscore_matches_transposed_copy(data):
-    stats = fit_zscore(data)
-    mean, std = reference_zscore_stats(data)
-    assert np.array_equal(stats.mean, mean) and np.array_equal(stats.std, std)
-    expected = (data - mean[None, :, None]) / std[None, :, None]
-    assert np.array_equal(zscore_array(stats, data), expected)
+@given(epoch_stacks(), st.data())
+def test_per_channel_zscore_matches_transposed_copy(data, draw):
+    # the z-score derived from the class moments of a view's rows against
+    # the statistics of the transposed copy of those rows: the means within
+    # 1e-12 of the channel's largest magnitude, the stds within 1e-9
+    # relative; the std floor gives both exactly 1
+    data, rows, view = labeled_view(data, draw)
+    stats = models._class_moments(view, scatter=draw.draw(st.booleans()))[-1]
+    picked = data[rows]
+    mean, std = reference_zscore_stats(picked)
+    scale = np.abs(picked.astype(np.float64)).max(axis=(0, 2))
+    assert np.all(np.abs(stats.mean - mean) <= 1e-12 * scale)
+    np.testing.assert_allclose(stats.std, std, rtol=1e-9, atol=0)
 
 
 @settings(max_examples=150, deadline=None)
 @given(epoch_stacks(), st.data())
-def test_zscore_array_matches_the_broadcast_form(data, draw):
-    # zscore_array works on flat (rows, channels * samples) rows; each
-    # element takes the same subtraction and division, so the bits agree,
-    # for any row subset and into any C-ordered buffer of the rows' shape
-    stats = fit_zscore(data)
-    n = data.shape[0]
-    rows = draw.draw(st.one_of(
-        st.none(), st.lists(st.integers(0, n - 1), max_size=2 * n).map(np.array)))
-    expected = reference_zscore_array(stats, data, rows)
-    out = None
-    if draw.draw(st.booleans()):
-        spare = draw.draw(st.integers(0, 3))
-        out = np.full((expected.shape[0] + spare, *data.shape[1:]), np.nan)[: expected.shape[0]]
-    got = zscore_array(stats, data, rows, out=out)
-    assert got.dtype == np.float64 and got.flags.c_contiguous
-    assert out is None or got is out
-    assert got.tobytes() == expected.tobytes()
+def test_folded_scores_match_zscoring_then_the_scorer(data, draw):
+    # a model folds its z-score into its scorer and reads the raw rows; the
+    # scores are those of the z-scored rows within 1e-12 of the sum of the
+    # magnitudes of the terms the folded score adds up
+    data, rows, view = labeled_view(data, draw)
+    stats = models._class_moments(view, scatter=False)[-1]
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
+    scorer = LogisticModel(rng.standard_normal(data[0].size), float(rng.standard_normal()))
+    got = LogisticEvidenceModel(stats, scorer).predict_batch(view)
+    z = reference_zscore_array(stats, data, rows).reshape(len(rows), -1)
+    expected = z @ scorer.weights + scorer.bias
+    samples = data.shape[2]
+    folded = np.abs(scorer.weights / np.repeat(stats.std, samples))
+    raw = np.abs(data[rows].astype(np.float64).reshape(len(rows), -1))
+    terms = (raw + np.abs(np.repeat(stats.mean, samples))) @ folded + abs(scorer.bias)
+    assert np.all(np.abs(got - expected) <= 1e-12 * terms)
 
 
 @st.composite
@@ -458,12 +479,38 @@ def test_folded_scorer_matches_projection_then_scorer(case):
     model = models.build_generative(train, kind=kind, variance_fraction=variance_fraction)
     # the unfolded composition: PCA of the training rows themselves, then
     # the scorer fit on the projected training rows, applied in PCA space
-    flat = zscore_array(model.zscore, train.data).reshape(len(train), -1)
+    flat = reference_zscore_array(model.zscore, train.data).reshape(len(train), -1)
     reference = reference_generative_scorer(flat, train.labels, kind, variance_fraction)
-    rows = zscore_array(model.zscore, held).reshape(len(held), -1)
+    rows = reference_zscore_array(model.zscore, held).reshape(len(held), -1)
     expected = reference_projected_scores(*reference, rows)
-    got = models.logistic_scores(model.scorer, rows)
+    got = rows @ model.scorer.weights + model.scorer.bias
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("strategy", list(QueryStrategy))
+@pytest.mark.parametrize("mu", [1.0, 2.0])
+def test_typing_on_exact_evidence_meets_the_threshold(mu, strategy):
+    # Evidence that is the true log-likelihood ratio of N(mu, 1) against
+    # N(0, 1), mu x - mu^2 / 2, makes every posterior exact, so a symbol
+    # decided at posterior 0.9 is right with probability at least 0.9:
+    # correct / decided may fall short of it only by Monte Carlo error,
+    # allowed for as three binomial standard errors. Doubled evidence is
+    # overconfident and falls below the threshold.
+    rng = np.random.default_rng(0)
+    pool = 10_000
+    labels = np.repeat([1, 0], pool)
+    x = rng.standard_normal(2 * pool) + mu * labels
+    llr = mu * x - mu**2 / 2
+    config = TypingConfig(attempts=4000, threshold=0.9, query_strategy=strategy, seed=1)
+    for scale, calibrated in ((1.0, True), (2.0, False)):
+        result = run_typing(scale * llr, labels, config)
+        decided = result.correct + result.wrong
+        accuracy = result.correct / decided
+        allowance = 3.0 * math.sqrt(0.9 * 0.1 / decided)
+        if calibrated:
+            assert accuracy >= 0.9 - allowance
+        else:
+            assert accuracy < 0.9
 
 
 @st.composite

@@ -14,8 +14,8 @@ from rsvptyping import cli, models
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 # Names the tracer still lists for functions the package no longer has.
-DEAD_NAMES = {"models.apply_zscore", "sim.select_query", "sim.init_posterior",
-              "sim.apply_query", "sim.decide"}
+DEAD_NAMES = {"models.apply_zscore", "models.fit_zscore", "models.zscore_array",
+              "sim.select_query", "sim.init_posterior", "sim.apply_query", "sim.decide"}
 
 
 def load_tracing():
