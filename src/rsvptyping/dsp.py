@@ -19,6 +19,7 @@ rounding. Designs use the bilinear transform with frequency pre-warping.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -218,15 +219,18 @@ def _state_space(cascade: Sequence[BiquadCoefficients]):
     return a, b, c, d
 
 
-def _block_operators(cascade: Sequence[BiquadCoefficients], block: int):
+@functools.lru_cache(maxsize=8)
+def _block_operators(cascade: tuple[BiquadCoefficients, ...], block: int):
     """The maps that filter one block of ``block`` samples: the lower-
     triangular Toeplitz matrix of the impulse response (inputs to outputs
     from zero state), ``reach`` (inputs to end state), ``carry`` = A^L
     (start state to end state) and ``observe`` (start state to outputs).
 
-    They are built in float64. ``design_bandpass`` alternates its sections
-    between the band's edges, which keeps the low-edge resonators from
-    amplifying the round-off of the sections before them."""
+    They are built in float64, once per cascade and block size, and kept
+    read-only: ``generate`` filters its epochs a chunk at a time with one
+    cascade. ``design_bandpass`` alternates its sections between the band's
+    edges, which keeps the low-edge resonators from amplifying the round-off
+    of the sections before them."""
     a, b, c, d = _state_space(cascade)
     # observe[i] = C A^i and reach[j] = A^(L-1-j) B, by repeated products
     observe = np.empty((block, a.shape[0]))
@@ -240,6 +244,8 @@ def _block_operators(cascade: Sequence[BiquadCoefficients], block: int):
     impulse = np.concatenate(([d], observe[:-1] @ b))
     lags = np.subtract.outer(np.arange(block), np.arange(block))
     toeplitz = np.where(lags >= 0, impulse[np.maximum(lags, 0)], 0.0)
+    for array in (toeplitz, reach, carry, observe):
+        array.flags.writeable = False
     return toeplitz, reach, carry, observe
 
 
@@ -252,7 +258,7 @@ def filter_forward(coeffs: FilterCascade, signal: np.ndarray, start: int = 0) ->
     warm the filter up. When the signal fits in one block, only the
     Toeplitz rows of the kept outputs are multiplied.
     """
-    cascade = [coeffs] if isinstance(coeffs, BiquadCoefficients) else list(coeffs)
+    cascade = (coeffs,) if isinstance(coeffs, BiquadCoefficients) else tuple(coeffs)
     x = np.asarray(signal, dtype=np.float64)
     n = x.shape[-1]
     if not 0 <= start <= n:

@@ -68,10 +68,14 @@ MAX_STEP_HALVINGS = 40
 # never fires there.
 HESSIAN_RESIDUAL_LIMIT = 1e-5
 # Rows every read of epoch rows takes at a time. On the README holdout split
-# (5,400 x 372) at 2 OpenBLAS threads, logistic fits in blocks of 512 rows
-# were slower and of 1,536 to 5,400 no faster; the generative scatter took
-# 27.7, 24.2 and 16.9 ms in blocks of 256, 512 and 1,024.
-LOGISTIC_BLOCK_ROWS = 1024
+# (5,400 x 372) at 2 OpenBLAS threads (best of 7), the logreg fit took 276,
+# 220 and 217 ms in blocks of 256, 512 and 1,024 rows, the gen-lda fit 55,
+# 52 and 54 ms, and its two moment reads 29, 25 and 27 ms. 512 rows halve
+# the float64 read buffer (1.5 MB) and the float32 Newton buffer of 1,024.
+LOGISTIC_BLOCK_ROWS = 512
+# Rows read_rows gathers from the epoch stack per fancy index: the gathered
+# copy is 0.38 MB of float32 rows at the README shape, not a whole block.
+GATHER_ROWS = 256
 
 # Settings of the fits and their defaults; each key's type is its default's
 # type. A model file stores the settings its fit used, so they are checked
@@ -369,16 +373,20 @@ def logistic_loss_and_gradient(
     return _penalized_loss(w, z, y, sample_w, l2), grad_w, float(np.sum(residual))
 
 
-def _float64_gram(rows: RowBlocks, curvature: np.ndarray) -> np.ndarray:
-    """X^T C X of the rows in float64, one read with a block-sized float64
-    temporary."""
+def _float64_hessian(rows: RowBlocks, curvature: np.ndarray, bias: np.ndarray,
+                     l2: float) -> np.ndarray:
+    """The penalized (d + 1, d + 1) Hessian with its (d, d) block X^T C X
+    summed in float64, in one read with a block-sized float64 temporary, and
+    ``bias`` as its bias row and column."""
     d = rows.shape[1]
-    gram = np.zeros((d, d))
+    hessian = np.zeros((d + 1, d + 1))
     root = np.sqrt(curvature)
     for lo, block in rows.read():
         scaled = block * root[lo:lo + block.shape[0], None]
-        gram += scaled.T @ scaled
-    return gram
+        hessian[:d, :d] += scaled.T @ scaled
+    hessian[np.arange(d), np.arange(d)] += l2
+    hessian[d] = hessian[:, d] = bias
+    return hessian
 
 
 def _solve(hessian: np.ndarray, gradient: np.ndarray) -> tuple[np.ndarray, float]:
@@ -410,9 +418,11 @@ def train_logistic(
     point, which also forms that point's Hessian, its (d, d) block from the
     rows cast to float32 (see NewtonRead), and checks the direction it tries
     with one float64 Hessian-vector product at the iterate it was solved
-    at. The direction is kept when the relative residual |H d + g| / |g| is
-    at most HESSIAN_RESIDUAL_LIMIT (1e-5); otherwise the trial is discarded,
-    that step's block is formed from the float64 rows in one more read, and
+    at. The iterate's Hessian is dropped once its direction is solved, so
+    one (d + 1, d + 1) Hessian lives at a time. The direction is kept when
+    the relative residual |H d + g| / |g| is at most HESSIAN_RESIDUAL_LIMIT
+    (1e-5); otherwise the trial is discarded, that step's block is formed
+    from the float64 rows in one more read beside the kept bias row, and
     the LogisticFit counts the step in ``float64_steps``. Each halving is
     one more read, so a fit with no halving and no float64 step reads its
     rows ``steps + 1`` times. The loss, the gradient, the bias row and
@@ -442,6 +452,10 @@ def train_logistic(
             break
         gradient = np.append(grad_w, grad_b)
         dw, db = _solve(newton.hessian, gradient)
+        # one Hessian lives at a time: the iterate's goes before the trial
+        # read forms its own, keeping the bias row a float64 step needs
+        bias = newton.hessian[d].copy()
+        newton.hessian = None
         # the check has not yet passed the direction, which may point anywhere,
         # so the trial's loss may overflow or be NaN
         with np.errstate(over="ignore", invalid="ignore"):
@@ -450,16 +464,15 @@ def train_logistic(
         residual = np.linalg.norm(trial[3].product + gradient)
         exact = not residual <= HESSIAN_RESIDUAL_LIMIT * np.linalg.norm(gradient)
         if exact:
-            hessian = newton.hessian.copy()
-            hessian[:d, :d] = _float64_gram(rows, newton.curvature)
-            hessian[np.arange(d), np.arange(d)] += l2
-            dw, db = _solve(hessian, gradient)
+            del trial
+            dw, db = _solve(_float64_hessian(rows, newton.curvature, bias, l2), gradient)
             trial = read(w + dw, b + db)
         t = 1.0
         for _ in range(MAX_STEP_HALVINGS - 1):
             if trial[0] < loss:
                 break
             t *= 0.5
+            del trial
             trial = read(w + t * dw, b + t * db)
         if not trial[0] < loss:
             break
@@ -670,12 +683,16 @@ def read_rows(dataset: LabeledDataset) -> Iterator[tuple[int, np.ndarray]]:
     """The dataset's rows of its epoch stack, LOGISTIC_BLOCK_ROWS at a time:
     yields each block's first position and the block, flattened and
     widened to float64, a C-ordered (rows, channels * samples) view of one
-    buffer that the next block overwrites."""
+    buffer that the next block overwrites. The rows are gathered into the
+    buffer GATHER_ROWS at a time, so the gathered copy in the stack's dtype
+    is a fraction of a block."""
     rows = dataset.rows
     buffer = np.empty((min(LOGISTIC_BLOCK_ROWS, len(rows)), *dataset.epochs.shape[1:]))
     for lo in range(0, len(rows), LOGISTIC_BLOCK_ROWS):
         index = rows[lo:lo + LOGISTIC_BLOCK_ROWS]
-        buffer[: len(index)] = dataset.epochs[index]
+        for at in range(0, len(index), GATHER_ROWS):
+            part = index[at:at + GATHER_ROWS]
+            buffer[at:at + len(part)] = dataset.epochs[part]
         yield lo, buffer[: len(index)].reshape(len(index), -1)
 
 
@@ -797,8 +814,10 @@ def build_generative(
     # the z-scored rows' moments: z = (x - center) / scale feature by feature
     within /= np.outer(scale, scale)
     offsets = (means - mean) / scale
-    pca = fit_pca((mean - center) / scale, within + (offsets.T * counts) @ offsets, n,
-                  variance_fraction)
+    total = (offsets.T * counts) @ offsets
+    total += within
+    pca = fit_pca((mean - center) / scale, total, n, variance_fraction)
+    del total
     components = pca.components
     if kind == "gen-logr":
         reduced = np.empty((n, components.shape[1]))

@@ -149,7 +149,12 @@ class LabeledDataset:
         return view
 
 
-CHUNK_EPOCHS = 512  # epochs drawn and filtered per step of generate
+# Epochs drawn and filtered per step of generate. At the README config the
+# white-noise buffer of 128 epochs takes 0.76 MB. There, at 2 OpenBLAS
+# threads (best of 15, in each of 3 processes), generate took 87-89 ms in
+# chunks of 128 and 74-93 ms in chunks of 512, but 125-152 ms in chunks of
+# 128 when each chunk built the filter's block operators again.
+CHUNK_EPOCHS = 128
 
 
 def generate(config: SynthConfig) -> LabeledDataset:

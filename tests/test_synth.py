@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rsvptyping import dsp
+from rsvptyping.dsp import design_bandpass
 from rsvptyping.cli import main
 from rsvptyping.synth import CHUNK_EPOCHS, LabeledDataset, SynthConfig, generate, split
 from rsvptyping.models import train_logistic_evidence
@@ -166,6 +168,19 @@ class TestChunkedGenerate:
         # and the two filter products may differ in the last float64 bit
         ulp = np.spacing(np.abs(want.data).astype(np.float32)).astype(np.float64)
         assert np.all(np.abs(got.data - want.data) <= ulp)
+
+    def test_filter_operators_are_built_once(self):
+        # the README dataset is filtered in ceil(6000 / CHUNK_EPOCHS) chunks,
+        # and the cascade's block operators are built for the first of them:
+        # each cache miss is one call of the unmemoized builder
+        dsp._block_operators.cache_clear()
+        generate(SynthConfig(n_epochs=6000, channels=6, target_fraction=0.0357142857, seed=0))
+        assert 6000 > CHUNK_EPOCHS
+        assert dsp._block_operators.cache_info().misses == 1
+        for array in dsp._block_operators(tuple(design_bandpass(125.0, 1.0, 20.0, 2)), 124):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert dsp._block_operators.cache_info().misses == 1
 
     def test_readme_dataset_bytes_are_pinned(self, tmp_path):
         cfg = tmp_path / "synth.cfg"
