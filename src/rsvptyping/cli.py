@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import sys
 import warnings
 from enum import Enum
@@ -238,6 +239,25 @@ def _warn_sub_chance(summary: SplitSummary, alphabet_size: int) -> None:
               f"{len(summary.per_split)} splits: {named}", file=sys.stderr)
 
 
+def _warn_overconfident(summary: SplitSummary, threshold: float) -> None:
+    """One stderr line when the decided accuracy pooled over the splits,
+    correct / (correct + wrong), is below the decision threshold by more
+    than three binomial standard errors. Exact posteriors decide right with
+    probability at least the threshold, so the evidence is overconfident.
+    Nothing when no attempt decided."""
+    correct = sum(row.typing.correct for row in summary.per_split)
+    decided = correct + sum(row.typing.wrong for row in summary.per_split)
+    if decided == 0:
+        return
+    accuracy = correct / decided
+    allowance = 3.0 * math.sqrt(threshold * (1.0 - threshold) / decided)
+    if accuracy < threshold - allowance:
+        splits = len(summary.per_split)
+        print(f"warning: decided typing accuracy below threshold {threshold:g} over "
+              f"{splits} split{'s' * (splits != 1)}: {accuracy:.4f} ({correct} correct of "
+              f"{decided} decided), beyond 3 standard errors ({allowance:.4f})", file=sys.stderr)
+
+
 # The fits' settings, plus the holdout that validation balanced accuracy is
 # measured on.
 TRAIN_DEFAULTS = FIT_DEFAULTS | {"holdout_fraction": 0.1, "seed": 0}
@@ -345,6 +365,7 @@ def cmd_simulate(args) -> int:
     print(f"itr bits/symbol: {summary.mean_itr:.6f} ± {summary.std_itr:.6f}")
     _warn_unconverged(row.fit for row in summary.per_split)
     _warn_sub_chance(summary, resolved["alphabet_size"])
+    _warn_overconfident(summary, typing_config.threshold)
     return EXIT_OK
 
 

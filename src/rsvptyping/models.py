@@ -28,9 +28,11 @@ logistic score for ``logreg``, whose class weighting calibrates p(+|e) to
 kinds; +-inf for certain evidence. ``read_rows``, the one reader of epoch
 rows, widens a block of them at a time to float64 in one reused buffer, so
 no (n, d) design is ever built. Every fit derives the z-score from the class
-moments of two raw reads; the generative fits scale their moments by it,
-``logreg``'s Newton reads z-score each block in place, and scoring folds it
-into the scorer: one matrix-vector product per block of raw rows.
+moments of two raw reads. The generative fits scale their moments by it,
+hold one (d, d) scatter through their PCA, and fold it into the components
+of one projection read; ``logreg``'s Newton reads z-score each block in
+place; and scoring folds it into the scorer: one matrix-vector product per
+block of raw rows.
 """
 
 from __future__ import annotations
@@ -716,6 +718,16 @@ class ZScoreStats:
         return np.repeat(self.mean, samples), np.repeat(self.std, samples)
 
 
+def _less_class_means(block: np.ndarray, labels: np.ndarray, means: np.ndarray) -> None:
+    """Subtract from each row of ``block`` in place its class's row of the
+    (2, d) ``means``, copying the positive rows, not the block."""
+    pos = np.flatnonzero(labels)
+    positive = block[pos]
+    positive -= means[1]
+    block -= means[0]
+    block[pos] = positive
+
+
 def _class_moments(train: LabeledDataset, scatter: bool = True) -> tuple:
     """Class sizes, (2, d) class means, d feature means and within-class
     scatter (the (d, d) sum of (x - m_c)(x - m_c)^T, or its diagonal unless
@@ -739,12 +751,7 @@ def _class_moments(train: LabeledDataset, scatter: bool = True) -> tuple:
     means = sums / counts[:, None]
     within = np.zeros((sums.shape[1],) * (2 if scatter else 1))
     for lo, block in read_rows(train):
-        # each row less its class mean, copying the positive rows, not the block
-        pos = np.flatnonzero(labels[lo:lo + len(block)])
-        positive = block[pos]
-        positive -= means[1]
-        block -= means[0]
-        block[pos] = positive
+        _less_class_means(block, labels[lo:lo + len(block)], means)
         if scatter:
             within += block.T @ block
         else:
@@ -803,33 +810,46 @@ def build_generative(
 
     No row is z-scored: _class_moments' raw class means and scatter S_w,
     scaled by the z-score's std, are the z-scored rows' moments, and the PCA
-    is that of their total scatter S_w + sum_c n_c (m_c - m)(m_c - m)^T. LDA
-    takes its moments projected; logistic regression takes the (n, r)
-    projected rows, (x - m) @ (components / std), formed in a third read.
+    is that of their total scatter S_w + sum_c n_c (m_c - m)(m_c - m)^T,
+    formed in S_w's own buffer and dropped after the PCA, so one (d, d)
+    matrix is held there. A third read then projects the rows with the
+    z-score folded into the components, (x - c) @ (components / std):
+    logistic regression takes the (n, r) projected rows, c the mean m, and
+    LDA the (r, r) scatter of the projected rows less their class mean,
+    c = m_c, as its pooled covariance.
     """
     _check_kind(kind, "build_generative", "generative")
     labels, n = train.labels, len(train)
     counts, means, mean, within, stats = _class_moments(train)
     center, scale = stats.per_feature(train.epochs.shape[2])
-    # the z-scored rows' moments: z = (x - center) / scale feature by feature
-    within /= np.outer(scale, scale)
+    # the z-scored rows' moments: z = (x - center) / scale feature by feature.
+    # The scatter is scaled 64 rows at a time, making no (d, d) temporary,
+    # and their total scatter takes its buffer
+    for lo in range(0, len(scale), 64):
+        within[lo:lo + 64] /= np.outer(scale[lo:lo + 64], scale)
     offsets = (means - mean) / scale
-    total = (offsets.T * counts) @ offsets
-    total += within
-    pca = fit_pca((mean - center) / scale, total, n, variance_fraction)
-    del total
+    within += (offsets.T * counts) @ offsets
+    pca = fit_pca((mean - center) / scale, within, n, variance_fraction)
+    del within
     components = pca.components
-    if kind == "gen-logr":
-        reduced = np.empty((n, components.shape[1]))
-        raw_components = components / scale[:, None]
-        for lo, block in read_rows(train):
+    r = components.shape[1]
+    # one projection read: gen-logr keeps the rows, gen-lda sums their scatter
+    raw_components = components / scale[:, None]
+    logistic = kind == "gen-logr"
+    projected = np.empty((n, r)) if logistic else np.zeros((r, r))
+    for lo, block in read_rows(train):
+        if logistic:
             block -= mean
-            reduced[lo:lo + len(block)] = block @ raw_components
-        del block
-        scorer = train_logistic(reduced, labels, (1.0, 1.0), l2=l2, tolerance=tolerance)
+            projected[lo:lo + len(block)] = block @ raw_components
+        else:
+            _less_class_means(block, labels[lo:lo + len(block)], means)
+            rows = block @ raw_components
+            projected += rows.T @ rows
+    del block
+    if logistic:
+        scorer = train_logistic(projected, labels, (1.0, 1.0), l2=l2, tolerance=tolerance)
     else:
-        pooled = components.T @ within @ components / max(n - 2, 1)
-        scorer = train_lda(pooled, offsets @ components, counts)
+        scorer = train_lda(projected / max(n - 2, 1), offsets @ components, counts)
     folded = _fold_projection(scorer, pca)
     scores = _epoch_scores(stats, folded, train)
     return GenerativeEvidenceModel(
@@ -838,7 +858,7 @@ def build_generative(
         scorer=folded,
         kde_pos=fit_kde(scores[labels == 1]),
         kde_neg=fit_kde(scores[labels == 0]),
-        pca_rank=components.shape[1],
+        pca_rank=r,
         pca_variance_fraction=pca.variance_fraction,
     )
 

@@ -579,6 +579,29 @@ class TestSimulate:
         expected = math.log2(28.0 / 27.0)
         assert abs(report["aggregate"]["itr_bits_per_symbol"]["mean"] - expected) < 1e-6
 
+    def test_overconfident_evidence_warns(self, tmp_path, workspace, capsys):
+        # at the default l2, the smoke dataset's logreg decides 47 of 104
+        # attempts right at threshold 0.9, short by far more than three
+        # binomial standard errors; the oracle decides every attempt right
+        # and prints nothing
+        model, out = tmp_path / "m.bin", tmp_path / "rep.json"
+        assert main(["train", str(workspace["data"]), "--out", str(model)]) == 0
+        assert main(["simulate", str(model), str(workspace["data"]),
+                     "--config", str(self.sim_cfg(tmp_path)), "--out", str(out)]) == 0
+        outcomes = [row["outcomes"] for row in json.loads(out.read_text())["splits"]]
+        correct = sum(row["correct"] for row in outcomes)
+        decided = correct + sum(row["wrong"] for row in outcomes)
+        allowance = 3.0 * math.sqrt(0.9 * 0.1 / decided)
+        assert correct / decided < 0.9 - allowance
+        assert capsys.readouterr().err == (
+            f"warning: decided typing accuracy below threshold 0.9 over 2 splits: "
+            f"{correct / decided:.4f} ({correct} correct of {decided} decided), "
+            f"beyond 3 standard errors ({allowance:.4f})\n"
+        )
+        assert main(["simulate", "oracle", str(workspace["data"]),
+                     "--config", str(self.sim_cfg(tmp_path)), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_model_file_runs_and_reports(self, tmp_path, workspace, capsys):
         cfg = self.sim_cfg(tmp_path)
         out = tmp_path / "rep.json"
