@@ -33,6 +33,7 @@ from .container import (
     read_model,
     read_raw,
     write_dataset,
+    write_epochs,
     write_model,
 )
 from .dsp import (
@@ -70,7 +71,7 @@ from .sim import (
     classify_epochs,
     evaluate_splits,
 )
-from .synth import LabeledDataset, SynthConfig, generate, split
+from .synth import LabeledDataset, SynthConfig, draw, split
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -194,9 +195,11 @@ def cmd_synth(args) -> int:
         resolved["erp_channels"] = None
     with _fail_as(ConfigError):
         config = SynthConfig(**resolved)
-        dataset = generate(config)
-    write_dataset(args.out, dataset, rate=config.rate)
-    labels = dataset.labels
+        labels, chunks = draw(config)
+        # each chunk goes to the file as it is drawn; one that overflows
+        # float32 leaves no file
+        write_epochs(args.out, labels, chunks, (config.channels, config.samples_per_epoch),
+                     rate=config.rate)
     n_pos = int(labels.sum())
     print(f"wrote {args.out}")
     print(
@@ -277,7 +280,8 @@ def cmd_train(args) -> int:
         # row views of the dataset: the fit reads its rows, copying no epoch
         valid = dataset.subset(holdout.test)
         model = _fit_model(args.kind, dataset.subset(holdout.train), settings)
-    predictions = classify_epochs(model.predict_batch(valid))
+        # scoring checks the validation rows finite as it reads them
+        predictions = classify_epochs(model.predict_batch(valid))
     ba = balanced_accuracy(predictions, valid.labels)
     write_model(args.out, model, hyper=settings)
     print(f"wrote {args.out}")

@@ -75,9 +75,6 @@ HESSIAN_RESIDUAL_LIMIT = 1e-5
 # 52 and 54 ms, and its two moment reads 29, 25 and 27 ms. 512 rows halve
 # the float64 read buffer (1.5 MB) and the float32 Newton buffer of 1,024.
 LOGISTIC_BLOCK_ROWS = 512
-# Rows read_rows gathers from the epoch stack per fancy index: the gathered
-# copy is 0.38 MB of float32 rows at the README shape, not a whole block.
-GATHER_ROWS = 256
 
 # Settings of the fits and their defaults; each key's type is its default's
 # type. A model file stores the settings its fit used, so they are checked
@@ -685,17 +682,17 @@ def read_rows(dataset: LabeledDataset) -> Iterator[tuple[int, np.ndarray]]:
     """The dataset's rows of its epoch stack, LOGISTIC_BLOCK_ROWS at a time:
     yields each block's first position and the block, flattened and
     widened to float64, a C-ordered (rows, channels * samples) view of one
-    buffer that the next block overwrites. The rows are gathered into the
-    buffer GATHER_ROWS at a time, so the gathered copy in the stack's dtype
-    is a fraction of a block."""
-    rows = dataset.rows
-    buffer = np.empty((min(LOGISTIC_BLOCK_ROWS, len(rows)), *dataset.epochs.shape[1:]))
-    for lo in range(0, len(rows), LOGISTIC_BLOCK_ROWS):
-        index = rows[lo:lo + LOGISTIC_BLOCK_ROWS]
-        for at in range(0, len(index), GATHER_ROWS):
-            part = index[at:at + GATHER_ROWS]
-            buffer[at:at + len(part)] = dataset.epochs[part]
-        yield lo, buffer[: len(index)].reshape(len(index), -1)
+    buffer that the next block overwrites. The dataset's reader fills each
+    block from spans of at most SPAN_EPOCHS epochs of its stack, read from
+    the file when the stack is an EpochFile, so no more of the stack than
+    one span is ever held in its own dtype."""
+    n, width = len(dataset), math.prod(dataset.epochs.shape[1:])
+    buffer = np.empty((min(LOGISTIC_BLOCK_ROWS, n), width))
+    with dataset.reader() as fill:
+        for lo in range(0, n, LOGISTIC_BLOCK_ROWS):
+            block = buffer[: min(LOGISTIC_BLOCK_ROWS, n - lo)]
+            fill(lo, lo + len(block), block)
+            yield lo, block
 
 
 @dataclass(frozen=True)
@@ -934,7 +931,7 @@ def train_logistic_evidence(
             block /= scale
             yield lo, block
 
-    rows = RowBlocks((len(train), train.epochs[0].size), standardized)
+    rows = RowBlocks((len(train), math.prod(train.epochs.shape[1:])), standardized)
     scorer = train_logistic(rows, train.labels, l2=l2, tolerance=tolerance)
     return LogisticEvidenceModel(stats, scorer)
 

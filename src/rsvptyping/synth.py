@@ -7,20 +7,26 @@ target trials carrying an additional stereotyped deflection (a
 Gaussian-windowed bump, standing in for a P300-like response).
 
 The generator is fully determined by its config, including the seed, and
-returns float32 samples, the on-disk dtype, so in-memory datasets match their
-files bit for bit. Train/test splits are sorted int64 index arrays, and a
-dataset's subsets are row views of its epochs.
+draws float32 samples, the on-disk dtype, a chunk of epochs at a time, so
+``synth`` writes each chunk to its file as it is drawn and in-memory
+datasets match their files bit for bit. Train/test splits are sorted int64
+index arrays, and a dataset's subsets are row views of its epochs, held in
+an array or left in an epochs file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .dsp import design_bandpass, filter_forward
+
+if TYPE_CHECKING:
+    from .container import EpochFile
 
 DEFAULT_ALPHABET_SIZE = 28  # 26 letters + space + backspace
 
@@ -91,26 +97,36 @@ class SplitIndices(NamedTuple):
     test: np.ndarray
 
 
+# Most epochs one read of a stack spans: a dataset's reader cuts the rows it
+# wants every SPAN_EPOCHS epochs and reads each piece as one stretch of the
+# stack, gaps included, from a file into one float32 span buffer (0.19 MB
+# at the README shape).
+SPAN_EPOCHS = 128
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class LabeledDataset:
     """Labeled epochs as a row view of an epoch stack: ``epochs`` is the
-    stack (n, channels, samples), ``rows`` the int64 index of the epochs the
-    dataset holds, in order, and ``labels`` their 0/1 labels. ``len()`` is
-    the row count. Built from a stack, a dataset holds all its rows; float32
-    or float64 data is kept as given, without a copy, and any other dtype
-    becomes float64. ``subset`` shares the stack and copies no epoch; fits
-    and scores read the rows straight into their float64 buffers."""
+    stack (n, channels, samples), ``rows`` the int64 index of the epochs it
+    holds, in order, and ``labels`` their 0/1 labels. ``len()`` is the row
+    count. The stack is an array, float32 or float64 kept as given without a
+    copy and any other dtype made float64, or the samples left in an epochs
+    file, a container.EpochFile. Built from a stack, a dataset holds all its
+    rows. ``subset`` shares the stack and copies no epoch, and ``reader``
+    copies held rows out of the stack a span at a time, so fits and scores
+    read them straight into their float64 buffers."""
 
-    epochs: np.ndarray
+    epochs: np.ndarray | EpochFile
     rows: np.ndarray
     labels: np.ndarray
 
-    def __init__(self, data: np.ndarray, labels: np.ndarray) -> None:
-        data = np.asarray(data)
-        if data.dtype not in (np.float32, np.float64):
-            data = data.astype(np.float64)
+    def __init__(self, data, labels: np.ndarray) -> None:
+        if not hasattr(data, "spans"):  # an array, not an EpochFile
+            data = np.asarray(data)
+            if data.dtype not in (np.float32, np.float64):
+                data = data.astype(np.float64)
         labels = np.asarray(labels)
-        if data.ndim != 3:
+        if len(data.shape) != 3:
             raise ValueError("epoch data must be epochs x channels x samples")
         if 0 in data.shape:
             raise ValueError(f"dataset is empty: epochs x channels x samples {data.shape}")
@@ -121,7 +137,7 @@ class LabeledDataset:
             raise ValueError("labels must be 0 or 1")
         self._hold(data, np.arange(n), labels.astype(np.int64))
 
-    def _hold(self, epochs: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> None:
+    def _hold(self, epochs, rows: np.ndarray, labels: np.ndarray) -> None:
         object.__setattr__(self, "epochs", epochs)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
@@ -131,11 +147,17 @@ class LabeledDataset:
 
     @property
     def data(self) -> np.ndarray:
-        """The held epochs as one stack: ``epochs`` itself when the dataset
-        holds every row in order, else a copy of its rows."""
+        """The held epochs as one stack: ``epochs`` itself when it is an
+        array and the dataset holds every row in order, else a copy of the
+        rows in the stack's dtype."""
         n = self.epochs.shape[0]
-        every = len(self) == n and np.array_equal(self.rows, np.arange(n))
-        return self.epochs if every else self.epochs[self.rows]
+        if (isinstance(self.epochs, np.ndarray) and len(self) == n
+                and np.array_equal(self.rows, np.arange(n))):
+            return self.epochs
+        data = np.empty((len(self), *self.epochs.shape[1:]), dtype=self.epochs.dtype)
+        with self.reader() as fill:
+            fill(0, len(self), data)
+        return data
 
     def subset(self, indices: Sequence[int]) -> "LabeledDataset":
         """The dataset of the given positions of this one, in the given
@@ -148,8 +170,42 @@ class LabeledDataset:
         view._hold(self.epochs, self.rows[picked], self.labels[picked])
         return view
 
+    @contextlib.contextmanager
+    def reader(self) -> Iterator[Callable[[int, int, np.ndarray], None]]:
+        """A function ``fill(lo, hi, out)`` that copies held rows lo..hi-1
+        into ``out``, a C-ordered array of hi - lo rows, of any float dtype,
+        shaped (channels, samples) or channels * samples per row. numpy puts
+        the wanted rows in stack order, when they are not, and cuts them
+        every SPAN_EPOCHS epochs from the first of them, for the whole call;
+        each piece is read as one stretch of the stack, from its first epoch
+        through its last, and goes to ``out`` by one gather, or by one copy
+        when the stretch is all wanted. An EpochFile reads each stretch from
+        the file, which stays open until the block ends."""
+        if isinstance(self.epochs, np.ndarray):
+            spans = contextlib.nullcontext(lambda lo, hi: self.epochs[lo:hi])
+        else:
+            spans = self.epochs.spans(SPAN_EPOCHS)
+        with spans as read:
+            def fill(lo: int, hi: int, out: np.ndarray) -> None:
+                rows, flat = self.rows[lo:hi], out.reshape(hi - lo, -1)
+                place = None  # the positions in ``out`` of the sorted rows
+                if np.any(rows[1:] <= rows[:-1]):  # out of order or repeated
+                    place = np.argsort(rows, kind="stable")
+                    rows = rows[place]
+                cuts = np.flatnonzero(np.diff((rows - rows[0]) // SPAN_EPOCHS)) + 1
+                edges = np.concatenate(((0,), cuts, (len(rows),)))
+                starts, ends = edges[:-1], edges[1:]
+                for a, b, first, last in zip(starts.tolist(), ends.tolist(),
+                                             rows[starts].tolist(), rows[ends - 1].tolist()):
+                    span = read(first, last + 1).reshape(last + 1 - first, -1)
+                    whole = place is None and b - a == len(span)
+                    at = slice(a, b) if place is None else place[a:b]
+                    flat[at] = span if whole else span[rows[a:b] - first]
 
-# Epochs drawn and filtered per step of generate. At the README config the
+            yield fill
+
+
+# Epochs drawn and filtered per step of draw. At the README config the
 # white-noise buffer of 128 epochs takes 0.76 MB. There, at 2 OpenBLAS
 # threads (best of 15, in each of 3 processes), generate took 87-89 ms in
 # chunks of 128 and 74-93 ms in chunks of 512, but 125-152 ms in chunks of
@@ -157,21 +213,23 @@ class LabeledDataset:
 CHUNK_EPOCHS = 128
 
 
-def generate(config: SynthConfig) -> LabeledDataset:
-    """Draw a dataset from the synthetic ERP model.
+def draw(config: SynthConfig) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """Draw a dataset from the synthetic ERP model: its int64 labels, and an
+    iterator of its float32 epochs, ``CHUNK_EPOCHS`` at a time, in order.
 
     Noise is white Gaussian shaped by the standard 1-20 Hz bandpass at the
     config rate; a warmup stretch is generated and filtered but not kept, so
     epochs do not start with the filter transient. Target epochs add the
     config template on the chosen channels. Label count is exactly
-    round(fraction * n). A sample that overflows, in float64 or in the
-    float32 output, raises ValueError.
+    round(fraction * n). The config is checked, the labels drawn and the
+    filter designed before this returns; a sample that overflows, in
+    float64 or in float32, raises ValueError from the iterator.
 
-    The output is filled ``CHUNK_EPOCHS`` epochs at a time: each chunk's
-    white noise is drawn into one reused buffer from the one generator in
-    order, which gives the same stream as a single draw, then filtered,
-    scaled, given its template and rounded into the float32 output. Memory
-    beyond the output is a few float64 chunks, whatever ``n_epochs`` is.
+    Each chunk's white noise is drawn into one reused buffer from the one
+    generator in order, which gives the same stream as a single draw, then
+    filtered, scaled, given its template and rounded into one reused
+    float32 chunk, which the iterator yields and its next step overwrites.
+    Memory is a few float64 chunks, whatever ``n_epochs`` is.
     """
     n = config.n_epochs
     n_pos = int(round(config.target_fraction * n))
@@ -197,21 +255,36 @@ def generate(config: SynthConfig) -> LabeledDataset:
         if config.erp_channels is None
         else np.asarray(config.erp_channels, dtype=np.int64)
     )
-
-    data = np.empty((n, config.channels, samples), dtype=np.float32)
     buffer = np.empty((min(CHUNK_EPOCHS, n), config.channels, warmup + samples))
-    try:
-        with np.errstate(over="raise"):
-            for lo in range(0, n, CHUNK_EPOCHS):
-                hi = min(lo + CHUNK_EPOCHS, n)
-                white = rng.standard_normal(out=buffer[: hi - lo])
-                chunk = filter_forward(cascade, white, start=warmup)
-                chunk *= config.noise_std
-                pos_rows = np.flatnonzero(labels[lo:hi] == 1)
-                chunk[np.ix_(pos_rows, channel_mask)] += template
-                data[lo:hi] = chunk
-    except FloatingPointError:
-        raise ValueError("samples overflow float32: lower noise_std or erp_amplitude") from None
+    rounded = np.empty((len(buffer), config.channels, samples), dtype=np.float32)
+
+    def chunks() -> Iterator[np.ndarray]:
+        for lo in range(0, n, CHUNK_EPOCHS):
+            hi = min(lo + CHUNK_EPOCHS, n)
+            # raising per chunk: a state still set at the yield reaches the caller
+            try:
+                with np.errstate(over="raise"):
+                    white = rng.standard_normal(out=buffer[: hi - lo])
+                    chunk = filter_forward(cascade, white, start=warmup)
+                    chunk *= config.noise_std
+                    pos_rows = np.flatnonzero(labels[lo:hi] == 1)
+                    chunk[np.ix_(pos_rows, channel_mask)] += template
+                    rounded[: hi - lo] = chunk
+            except FloatingPointError:
+                raise ValueError(
+                    "samples overflow float32: lower noise_std or erp_amplitude") from None
+            yield rounded[: hi - lo]
+
+    return labels, chunks()
+
+
+def generate(config: SynthConfig) -> LabeledDataset:
+    """The dataset ``draw`` draws, held as one float32 stack."""
+    labels, chunks = draw(config)
+    data = np.empty((config.n_epochs, config.channels, config.samples_per_epoch),
+                    dtype=np.float32)
+    for lo, chunk in zip(range(0, config.n_epochs, CHUNK_EPOCHS), chunks):
+        data[lo:lo + len(chunk)] = chunk
     return LabeledDataset(data=data, labels=labels)
 
 

@@ -199,6 +199,60 @@ class TestSynth:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_epochs", [2, 127, 128, 129, 300])
+    def test_streamed_file_is_the_held_dataset_written(self, tmp_path, n_epochs):
+        # synth writes each chunk as it is drawn, in chunks of 128 epochs
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"n_epochs = {n_epochs}\nchannels = 3\ntarget_fraction = 0.5\n")
+        out, held = tmp_path / "d.bin", tmp_path / "held.bin"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        config = SynthConfig(n_epochs=n_epochs, channels=3, target_fraction=0.5)
+        write_dataset(held, generate(config), rate=config.rate)
+        assert read_bytes(out) == read_bytes(held)
+
+    def test_refused_synth_leaves_no_temporary_file(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("n_epochs = 300\nerp_amplitude = 1e39\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d.bin")]) == 1
+        assert "overflow" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["s.cfg"]
+
+    def test_interrupted_synth_keeps_the_older_file(self, tmp_path, monkeypatch, workspace):
+        out = tmp_path / "d.bin"
+        out.write_bytes(b"older")
+        drawn = cli.draw
+
+        def interrupted(config):
+            labels, chunks = drawn(config)
+
+            def some():
+                yield next(chunks)
+                raise KeyboardInterrupt
+
+            return labels, some()
+
+        monkeypatch.setattr(cli, "draw", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["synth", "--config", str(workspace["synth_cfg"]), "--out", str(out)])
+        assert read_bytes(out) == b"older"
+        assert [path.name for path in tmp_path.iterdir()] == ["d.bin"]
+
+    def test_synth_holds_a_few_chunks_not_the_dataset(self, tmp_path):
+        # the README dataset is 8.9 MB of float32 samples; synth holds the
+        # float64 white noise of one chunk, the filter's working arrays and
+        # one float32 chunk
+        (tmp_path / "synth.cfg").write_text(README_SYNTH)
+        argv = ["synth", "--config", str(tmp_path / "synth.cfg"), "--out", str(tmp_path / "d.bin")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "d.bin").stat().st_size
+        assert size > 8_900_000
+        assert peak <= 0.4 * size
+
 
 @pytest.fixture(scope="module")
 def readme_data(tmp_path_factory):
@@ -354,7 +408,7 @@ class TestTrain:
             assert lines == []
             return
         [(rank, fraction)] = lines
-        assert 1 < int(rank) < read_dataset(workspace["data"]).epochs[0].size
+        assert 1 < int(rank) < math.prod(read_dataset(workspace["data"]).epochs.shape[1:])
         assert 0.8 <= float(fraction) < 0.81
 
     @pytest.mark.parametrize("kind", ["logreg", "gen-lda"])
@@ -415,6 +469,51 @@ class TestTrain:
         rc = main(["train", str(data), "--out", str(tmp_path / "m.bin")])
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_non_finite_validation_sample_exits_2(self, tmp_path, workspace, capsys):
+        # the NaN lies in an epoch of the holdout, none of the fit's rows
+        holdout = split(read_dataset(workspace["data"]), n_splits=1, test_fraction=0.1)[0]
+        header, payload = read_container(workspace["data"], "epochs")
+        at = int(holdout.test[0]) * header["channels"] * header["samples_per_epoch"] * 4
+        blob = bytearray(payload)
+        blob[at:at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        data = tmp_path / "nan.bin"
+        write_container(data, header, bytes(blob))
+        assert main(["train", str(data), "--out", str(tmp_path / "m.bin")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_validation_scoring_maps_a_value_error_to_exit_2(self, tmp_path, workspace,
+                                                             monkeypatch, capsys):
+        # a held dataset, whose samples nothing checked before the fit: the
+        # scoring of the one NaN validation epoch is a data error too
+        dataset = read_dataset(workspace["data"])
+        holdout = split(dataset, n_splits=1, test_fraction=0.1)[0]
+        data = dataset.data
+        data[holdout.test[0], 0, 0] = np.nan
+        monkeypatch.setattr(cli, "read_dataset", lambda path: LabeledDataset(data, dataset.labels))
+        assert main(["train", "held", "--out", str(tmp_path / "m.bin")]) == 2
+        assert capsys.readouterr().err == "data error: features must be finite\n"
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("change", ["truncate", "append"])
+    def test_file_changed_after_it_was_read_exits_2(self, tmp_path, workspace, monkeypatch,
+                                                   capsys, change):
+        data = tmp_path / "d.bin"
+        data.write_bytes(read_bytes(workspace["data"]))
+        size, read = data.stat().st_size, cli.read_dataset
+
+        def read_then_change(path):
+            dataset = read(path)
+            if change == "truncate":
+                os.truncate(path, size // 2)
+            else:
+                with open(path, "ab") as fh:
+                    fh.write(b"\0")
+            return dataset
+
+        monkeypatch.setattr(cli, "read_dataset", read_then_change)
+        assert main(["train", str(data), "--out", str(tmp_path / "m.bin")]) == 2
+        assert capsys.readouterr().err == f"data error: {data}: changed since it was read\n"
 
     def test_integer_past_the_digit_limit_exits_2(self, tmp_path, workspace, capsys):
         data = tmp_path / "d.bin"
@@ -1077,7 +1176,8 @@ class TestPreprocess:
 # Each stage that maps a ValueError to an exit code: the command, the
 # object and name of a callee that runs inside the stage, and the code.
 STAGES = [
-    ("synth", cli, "generate", 1),
+    ("synth", cli, "draw", 1),
+    ("synth", cli, "write_epochs", 1),
     ("train", cli, "check_train_settings", 1),
     ("train", cli, "split", 2),
     ("train", cli, "train_logistic_evidence", 2),

@@ -1,6 +1,7 @@
 """Container I/O tests: bit-exact round trips and malformed-file rejection."""
 
 import json
+import os
 import struct
 import tracemalloc
 
@@ -11,6 +12,7 @@ from rsvptyping.container import (
     FORMAT_NAME,
     FORMAT_VERSION,
     ContainerFormatError,
+    EpochFile,
     read_container,
     read_dataset,
     read_model,
@@ -26,6 +28,7 @@ from rsvptyping.models import (
     TRAIN_DEFAULTS,
     ConstantEvidenceModel,
     build_generative,
+    read_rows,
     train_logistic_evidence,
 )
 from rsvptyping.synth import LabeledDataset, SynthConfig, generate
@@ -171,11 +174,65 @@ class TestDatasetIO:
         with pytest.raises(ContainerFormatError, match="labels"):
             read_dataset(path)
 
-    def test_reads_a_float32_view_of_the_file(self, tmp_path, dataset):
+    def test_leaves_the_samples_in_the_file(self, tmp_path, dataset):
         path = tmp_path / "d.bin"
         write_dataset(path, dataset)
         loaded = read_dataset(path)
-        assert loaded.data.dtype == np.float32 and not loaded.data.flags.owndata
+        assert isinstance(loaded.epochs, EpochFile) and loaded.epochs.shape == (80, 3, 62)
+        # the held rows come back as a float32 copy read from the file
+        assert loaded.data.dtype == np.float32 and loaded.data.flags.owndata
+
+    def test_read_holds_its_labels_and_not_its_samples(self, tmp_path):
+        # the README shape: 6,000 epochs of 6 x 62 float32 samples, 8.9 MB
+        path = tmp_path / "d.bin"
+        write_dataset(path, generate(SynthConfig(seed=2)))
+        tracemalloc.start()
+        try:
+            loaded = read_dataset(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 8_900_000
+        assert held - loaded.labels.nbytes < 2**20
+        assert peak - loaded.labels.nbytes < 2**20
+
+    def test_rows_read_from_the_file_are_the_held_rows(self, tmp_path):
+        # whole, sparse, far apart, shuffled and repeated rows, read a span
+        # of at most 128 epochs at a time from the file
+        dataset = generate(SynthConfig(n_epochs=700, channels=2, target_fraction=0.25, seed=4))
+        path = tmp_path / "d.bin"
+        write_dataset(path, dataset)
+        loaded = read_dataset(path)
+        rng = np.random.default_rng(0)
+        for picked in (np.arange(700), np.sort(rng.choice(700, 70, replace=False)),
+                       np.array([0, 5, 300, 301, 699]), rng.permutation(700)[:600],
+                       rng.integers(0, 700, 900), np.array([699, 0, 699])):
+            on_file, held = loaded.subset(picked), dataset.subset(picked)
+            blocks = zip(read_rows(on_file), read_rows(held))
+            assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in blocks)
+            assert on_file.data.tobytes() == held.data.tobytes()
+
+    @pytest.mark.parametrize("change", ["truncate", "append"])
+    def test_read_of_a_file_changed_since_it_was_read_raises(self, tmp_path, dataset, change):
+        path = tmp_path / "d.bin"
+        write_dataset(path, dataset)
+        loaded = read_dataset(path)
+        if change == "truncate":
+            os.truncate(path, path.stat().st_size - 1)
+        else:
+            with open(path, "ab") as fh:
+                fh.write(b"\0")
+        with pytest.raises(ContainerFormatError, match="changed since it was read"):
+            next(read_rows(loaded))
+
+    def test_read_of_a_file_cut_short_under_the_reader_raises(self, tmp_path, dataset):
+        path = tmp_path / "d.bin"
+        write_dataset(path, dataset)
+        loaded = read_dataset(path)
+        with loaded.reader() as fill:
+            os.truncate(path, 64)
+            with pytest.raises(ContainerFormatError, match="cut short since it was read"):
+                fill(0, len(loaded), np.empty(loaded.epochs.shape))
 
     def test_read_peak_memory_stays_near_the_file_size(self, tmp_path):
         path = tmp_path / "d.bin"

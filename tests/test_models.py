@@ -38,7 +38,7 @@ from rsvptyping.models import (
     train_logistic_evidence,
 )
 from rsvptyping.sim import TypingConfig, classify_epochs, evaluate_splits, log_factors
-from rsvptyping.synth import LabeledDataset, SynthConfig, generate, split
+from rsvptyping.synth import SPAN_EPOCHS, LabeledDataset, SynthConfig, generate, split
 
 try:
     import resource
@@ -1013,11 +1013,11 @@ class TestRowViews:
 
     def test_read_peaks_at_its_buffer_and_a_gather(self):
         # a read of the README split's 5,400 float32 rows holds its float64
-        # block buffer and the float32 copy of at most 256 gathered rows
+        # block buffer and the float32 copy of the rows gathered from one span
         epochs = np.random.default_rng(6).standard_normal((5400, 6, 62)).astype(np.float32)
         dataset = LabeledDataset(epochs, np.arange(5400) % 2)
         buffer = models.LOGISTIC_BLOCK_ROWS * epochs[0].size * 8
-        gather = 256 * epochs[0].size * 4
+        gather = SPAN_EPOCHS * epochs[0].size * 4
         tracemalloc.start()
         try:
             for _ in models.read_rows(dataset):
