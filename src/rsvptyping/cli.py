@@ -10,6 +10,11 @@ rerunning with identical inputs produces byte-identical outputs at one BLAS
 thread count. Exit codes: 0 success, 1 usage, config or out-of-memory
 error, 2 data error, 3 numerical failure in any stage. No command writes an
 epochs file with non-finite samples: one past float32 range exits 1.
+
+Each command loads only the modules it runs: this module imports the
+standard library and the numpy-free model-kind registry, so ``--version``,
+usage errors and ``report`` start without numpy, and ``synth`` and
+``preprocess`` without the models, the simulator and the reports.
 """
 
 from __future__ import annotations
@@ -17,61 +22,67 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import importlib
 import math
 import sys
 import warnings
 from enum import Enum
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .core import DegenerateEvidenceError
-from .container import (
-    ContainerFormatError,
-    read_dataset,
-    read_model,
-    read_raw,
-    write_dataset,
-    write_epochs,
-    write_model,
-)
-from .dsp import (
-    design_bandpass,
-    design_notch,
-    downsample,
-    epoch,
-    exclude_channels,
-    filter_forward,
-)
-from .models import (  # the fits are called by name, in _fit_model
-    MODEL_KINDS,
-    TRAIN_DEFAULTS as FIT_DEFAULTS,
-    ConstantEvidenceModel,
-    EvidenceModel,
-    GenerativeEvidenceModel,
-    OracleEvidenceModel,
-    build_generative,
-    check_train_settings,
-    train_logistic_evidence,
-)
-from .reports import (
-    build_report,
-    csv_path_for,
-    read_report_json,
-    report_csv_row,
-    write_csv,
-    write_report_json,
-)
-from .sim import (
-    SplitSummary,
-    SubChanceAccuracyWarning,
-    TypingConfig,
-    balanced_accuracy,
-    classify_epochs,
-    evaluate_splits,
-)
-from .synth import LabeledDataset, SynthConfig, draw, split
+from .kinds import MODEL_KINDS, TRAIN_DEFAULTS as FIT_DEFAULTS, check_train_settings
+
+if TYPE_CHECKING:
+    from .models import EvidenceModel
+    from .sim import SplitSummary
+    from .synth import LabeledDataset
+
+# The names the commands call, by module. None is imported with this module:
+# __getattr__ binds a name here on first use (PEP 562), and main binds the
+# names of a command's modules before it runs the command. A name already
+# bound, such as a wrapper or a patch, is kept; the fits in MODEL_KINDS are
+# called by name, in _fit_model.
+_SOURCES = {name: module for module, names in {
+    "container": "read_dataset read_model read_raw write_dataset write_epochs write_model",
+    "dsp": "design_bandpass design_notch downsample epoch exclude_channels filter_forward",
+    "models": "ConstantEvidenceModel GenerativeEvidenceModel OracleEvidenceModel "
+              "build_generative train_logistic_evidence",
+    "reports": "build_report csv_path_for read_report_json report_csv_row write_csv "
+               "write_report_json",
+    "sim": "SIMULATE_DEFAULTS SubChanceAccuracyWarning TypingConfig balanced_accuracy "
+           "classify_epochs evaluate_splits",
+    "synth": "SYNTH_DEFAULTS LabeledDataset SynthConfig draw split",
+}.items() for name in names.split()}
+
+# Command defaults derived from a config class: its fields and defaults, and
+# the keys the command adds.
+_DERIVED = {
+    # an empty ``erp_channels`` list stands for None, every channel
+    "SYNTH_DEFAULTS": ("SynthConfig", {"erp_channels": ()}),
+    # the splits to evaluate over
+    "SIMULATE_DEFAULTS": ("TypingConfig", {"splits": 5, "split_seed": 0}),
+}
+
+
+def __getattr__(name: str):
+    """Bind ``name`` here from its module in _SOURCES and return what is
+    bound, keeping a name bound already."""
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _DERIVED:
+        config, extra = _DERIVED[name]
+        value = {f.name: f.default for f in dataclasses.fields(__getattr__(config))} | extra
+    else:
+        value = getattr(importlib.import_module(f".{_SOURCES[name]}", __package__), name)
+    return globals().setdefault(name, value)
+
+
+def _loaded(*names: str) -> tuple[type, ...]:
+    """The classes of ``names``, each "module.Class", whose modules are
+    loaded: a class of a module the command never loaded was not raised."""
+    return tuple(getattr(sys.modules[module], cls) for module, _, cls in
+                 (name.rpartition(".") for name in names) if module in sys.modules)
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,7 +106,7 @@ def _fail_as(error: type[Exception]):
     LinAlgError, itself a ValueError, passes through to exit 3."""
     try:
         yield
-    except np.linalg.LinAlgError:
+    except _loaded("numpy.linalg.LinAlgError"):
         raise
     except ValueError as exc:
         raise error(str(exc)) from exc
@@ -180,13 +191,6 @@ def resolve_config(path: Optional[str], defaults: dict, overrides: Optional[dict
 
 # ---------------------------------------------------------------------------
 # Subcommands
-
-
-# SynthConfig's fields and defaults; an empty ``erp_channels`` list stands
-# for None, every channel.
-SYNTH_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SynthConfig)} | {
-    "erp_channels": ()
-}
 
 
 def cmd_synth(args) -> int:
@@ -295,13 +299,6 @@ def cmd_train(args) -> int:
     print(f"validation balanced accuracy: {ba:.6f}")
     _warn_unconverged([model.fit])
     return EXIT_OK
-
-
-# TypingConfig's fields and defaults, plus the splits to evaluate over.
-SIMULATE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TypingConfig)} | {
-    "splits": 5,
-    "split_seed": 0,
-}
 
 
 def _builtin_model(name: str, alphabet_size: int) -> EvidenceModel:
@@ -457,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", required=True, help="output dataset path")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, modules=("synth", "container"))
 
     p = sub.add_parser("train", help="fit an evidence model on a dataset")
     p.add_argument("data", help="input dataset file")
@@ -465,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", required=True, help="output model path")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, modules=("synth", "container", "models", "sim"))
 
     p = sub.add_parser("simulate", help="run the typing benchmark across splits")
     p.add_argument(
@@ -477,18 +474,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--splits", type=int, help="override the split count")
     p.add_argument("--out", required=True, help="output report path (.json)")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, modules=("synth", "container", "models", "sim", "reports"))
 
     p = sub.add_parser("preprocess", help="raw recording -> epoch dataset")
     p.add_argument("raw", help="input raw recording file")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", required=True, help="output dataset path")
-    p.set_defaults(func=cmd_preprocess)
+    p.set_defaults(func=cmd_preprocess, modules=("dsp", "synth", "container"))
 
     p = sub.add_parser("report", help="merge simulation reports into one CSV")
     p.add_argument("reports", nargs="+", help="report JSON files")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, modules=("reports",))
 
     return parser
 
@@ -496,6 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for name, module in _SOURCES.items():
+            if module in args.modules:  # the modules whose names the command calls
+                __getattr__(name)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -503,10 +503,12 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a config asking for more memory than there is
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ContainerFormatError) as exc:
+    # a class named here is looked up only when an exception reaches it
+    except (DataError, *_loaded("rsvptyping.container.ContainerFormatError")) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DegenerateEvidenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (FloatingPointError, *_loaded("rsvptyping.core.DegenerateEvidenceError",
+                                         "numpy.linalg.LinAlgError")) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -28,13 +28,16 @@ import json
 import os
 import stat
 import struct
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .dsp import RawRecording
-from .models import MODEL_KINDS, EvidenceModel, check_train_settings
+from .kinds import MODEL_KINDS, check_train_settings
 from .synth import CHUNK_EPOCHS, SPAN_EPOCHS, LabeledDataset
+
+if TYPE_CHECKING:
+    from .models import EvidenceModel
 
 FORMAT_NAME = "rsvptyping-container"
 FORMAT_VERSION = 1

@@ -12,10 +12,12 @@ import csv
 import io
 import json
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from .sim import SplitSummary
+
+if TYPE_CHECKING:
+    from .sim import SplitSummary
 
 CSV_COLUMNS = ("model", "parameters", "balanced_accuracy", "itr")
 

@@ -1341,3 +1341,65 @@ class TestUsage:
     def test_missing_out_flag_exits_1(self, workspace, capsys):
         assert main(["synth"]) == 1
         assert "--out" in capsys.readouterr().err
+
+
+# Runs ``python -m rsvptyping.cli ARGV`` in a new interpreter, then prints
+# the numpy and package modules it loaded as its last line of stdout.
+FRESH_CLI = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules\n"
+    "    if m == 'numpy' or m.startswith('rsvptyping.'))))\n"
+    "sys.argv = ['rsvptyping', *sys.argv[1:]]\n"
+    "runpy.run_module('rsvptyping.cli', run_name='__main__')\n"
+)
+
+
+def run_fresh(argv, cwd):
+    """Exit code, stderr and loaded modules of one CLI command in a new process."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", FRESH_CLI, *map(str, argv)], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stderr, set(proc.stdout.splitlines()[-1].split())
+
+
+RUNNERS = {"rsvptyping.models", "rsvptyping.core", "rsvptyping.sim", "rsvptyping.reports"}
+
+
+class TestFreshProcess:
+    """Each command loads only the modules it runs, and main's exception
+    handlers name no class of a module the command did not load."""
+
+    @pytest.mark.parametrize("argv, code, stderr, absent", [
+        (["--version"], 0, "", {"numpy"}),
+        (["--help"], 0, "", {"numpy"}),
+        (["train", "--help"], 0, "", {"numpy"}),
+        (["mlp"], 1, "error: argument command: invalid choice", {"numpy"}),
+        (["report", "r.json", "--out", "m.csv"], 0, "", {"numpy"}),
+        (["report", "bad.json", "--out", "m.csv"], 2, "data error: bad.json: not a valid",
+         {"numpy"}),
+        (["synth", "--config", "s.cfg", "--out", "d.bin"], 0, "", RUNNERS),
+        (["preprocess", "raw.bin", "--out", "e.bin"], 0, "", RUNNERS),
+    ], ids=["version", "help", "train-help", "unknown-command", "report", "report-not-json",
+            "synth", "preprocess"])
+    def test_exit_code_and_loaded_modules(self, tmp_path, argv, code, stderr, absent):
+        # the SystemExit of --version and --help passes main's except
+        # clauses, which must name no class of a module that is not loaded
+        (tmp_path / "s.cfg").write_text("n_epochs = 60\nchannels = 2\ntarget_fraction = 0.25\n")
+        (tmp_path / "r.json").write_text(json.dumps(TestReport.report()))
+        (tmp_path / "bad.json").write_text("{not json")
+        make_raw(tmp_path / "raw.bin", n_channels=2, n_samples=12_000)
+        rc, err, loaded = run_fresh(argv, tmp_path)
+        assert (rc, err[:len(stderr)]) == (code, stderr), err
+        assert not loaded & absent
+        # the probe sees what a command does load
+        assert ("rsvptyping.reports" in loaded) == (argv[0] == "report")
+        assert ("numpy" in loaded) == (absent == RUNNERS)
+
+    def test_truncated_model_file_exits_2(self, tmp_path, workspace):
+        model = tmp_path / "cut.bin"
+        model.write_bytes(workspace["model"].read_bytes()[:-5])
+        rc, err, loaded = run_fresh(["simulate", model, workspace["data"], "--splits", "1",
+                                     "--out", "r.json"], tmp_path)
+        assert (rc, err.startswith("data error: ")) == (2, True), err
+        assert "rsvptyping.container" in loaded
