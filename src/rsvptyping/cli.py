@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import importlib
 import math
 import sys
@@ -54,26 +55,12 @@ _SOURCES = {name: module for module, names in {
     "synth": "SYNTH_DEFAULTS LabeledDataset SynthConfig draw split",
 }.items() for name in names.split()}
 
-# Command defaults derived from a config class: its fields and defaults, and
-# the keys the command adds.
-_DERIVED = {
-    # an empty ``erp_channels`` list stands for None, every channel
-    "SYNTH_DEFAULTS": ("SynthConfig", {"erp_channels": ()}),
-    # the splits to evaluate over
-    "SIMULATE_DEFAULTS": ("TypingConfig", {"splits": 5, "split_seed": 0}),
-}
-
-
 def __getattr__(name: str):
     """Bind ``name`` here from its module in _SOURCES and return what is
     bound, keeping a name bound already."""
     if name not in _SOURCES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if name in _DERIVED:
-        config, extra = _DERIVED[name]
-        value = {f.name: f.default for f in dataclasses.fields(__getattr__(config))} | extra
-    else:
-        value = getattr(importlib.import_module(f".{_SOURCES[name]}", __package__), name)
+    value = getattr(importlib.import_module(f".{_SOURCES[name]}", __package__), name)
     return globals().setdefault(name, value)
 
 
@@ -516,5 +503,13 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
 
+def run() -> None:
+    """The ``rsvptyping`` script: main, then exit without the interpreter's
+    last full garbage collection, which would only free what exit frees."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -4,18 +4,20 @@ Layout: a 4-byte little-endian header length, a UTF-8 JSON header, then the
 payload bytes. The header's "kind" field says what the payload holds:
 
 * "epochs": float32 epochs in epoch-major, channel-major, time-minor order,
-  followed by one label byte per epoch. The samples are written a chunk at
-  a time as they come, to a temporary file beside the path that replaces
-  it only once whole, so a refused or interrupted write leaves no file.
-  They stay in the file when it is read: the dataset holds its labels and
-  an EpochFile, which reads spans of epochs with os.preadv into one small
-  buffer, never mapping the file, so a file cut short or changed since it
-  was read is a ContainerFormatError at the next read, not a crash;
+  followed by one label byte per epoch. The samples are written a block at
+  a time as they come; write_dataset takes them from the dataset's
+  ``blocks``. They stay in the file when it is read: the dataset holds its
+  labels and an EpochFile, which reads spans of epochs with os.preadv into
+  one small buffer for the dataset's ``blocks``, never mapping the file, so
+  a file cut short or changed since it was read is a ContainerFormatError
+  at the next read, not a crash;
 * "raw": one continuous float32 block (channel-major, time-minor) with the
   stimulus onsets carried in the header as [sample, label] pairs;
 * "model": no payload. The header is the recipe ``simulate`` refits each
   split from: the model kind and its training settings, nothing else.
 
+Every file is written to a temporary file beside its path that replaces it
+only once whole, so a refused or interrupted write leaves the older file.
 Headers are serialized with sorted keys and no whitespace, which makes every
 writer output byte-identical for identical inputs. A header that cannot be
 decoded or converted, numbers out of range included, is a ContainerFormatError.
@@ -34,7 +36,7 @@ import numpy as np
 
 from .dsp import RawRecording
 from .kinds import MODEL_KINDS, check_train_settings
-from .synth import CHUNK_EPOCHS, SPAN_EPOCHS, LabeledDataset
+from .synth import SPAN_EPOCHS, LabeledDataset
 
 if TYPE_CHECKING:
     from .models import EvidenceModel
@@ -53,10 +55,38 @@ def _encode_header(header: dict) -> bytes:
     return struct.pack("<I", len(body)) + body
 
 
+@contextlib.contextmanager
+def _replacing(path) -> Iterator:
+    """A binary file open for writing at a temporary path beside ``path``,
+    moved over ``path`` when the block ends and removed if it raises. A
+    path that names something other than a regular file, such as
+    /dev/null, is written in place."""
+    path = os.path.realpath(path)  # through a link, to the file it names
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    head, tail = os.path.split(path)
+    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temporary)
+        raise
+
+
 def write_container(path, header: dict, *payload) -> None:
-    """Write the header, then each payload part in order. A part is any
-    bytes-like object, C-contiguous arrays included, written as is."""
-    with open(path, "wb") as fh:
+    """Write the header, then each payload part in order, whole or not at
+    all (see _replacing). A part is any bytes-like object, C-contiguous
+    arrays included, written as is."""
+    with _replacing(path) as fh:
         fh.write(_encode_header(header))
         for part in payload:
             fh.write(part)
@@ -112,33 +142,6 @@ def _base_header(kind: str) -> dict:
 # Epoch datasets
 
 
-@contextlib.contextmanager
-def _replacing(path) -> Iterator:
-    """A binary file open for writing at a temporary path beside ``path``,
-    moved over ``path`` when the block ends and removed if it raises. A
-    path that names something other than a regular file, such as
-    /dev/null, is written in place."""
-    path = os.path.realpath(path)  # through a link, to the file it names
-    try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
-    except FileNotFoundError:
-        regular = True
-    if not regular:
-        with open(path, "wb") as fh:
-            yield fh
-        return
-    head, tail = os.path.split(path)
-    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    try:
-        with open(temporary, "wb") as fh:
-            yield fh
-        os.replace(temporary, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(temporary)
-        raise
-
-
 def write_epochs(path, labels: np.ndarray, chunks: Iterable[np.ndarray],
                  epoch_shape: tuple[int, int], rate: float | None = None) -> None:
     """Write an epochs file as its samples come: the header, then each
@@ -174,20 +177,11 @@ def write_epochs(path, labels: np.ndarray, chunks: Iterable[np.ndarray],
 
 def write_dataset(path, dataset: LabeledDataset, rate: float | None = None) -> None:
     """Write the dataset's held epochs as an epochs file, rounded to
-    float32 CHUNK_EPOCHS epochs at a time through its reader: a sample past
+    float32 SPAN_EPOCHS epochs at a time by its blocks: a sample past
     float32 range becomes inf, which write_epochs refuses."""
-    n, shape = len(dataset), dataset.epochs.shape[1:]
-
-    def chunks() -> Iterator[np.ndarray]:
-        buffer = np.empty((min(CHUNK_EPOCHS, n), *shape), dtype="<f4")
-        with dataset.reader() as fill:
-            for lo in range(0, n, CHUNK_EPOCHS):
-                chunk = buffer[: min(CHUNK_EPOCHS, n - lo)]
-                with np.errstate(over="ignore"):
-                    fill(lo, lo + len(chunk), chunk)
-                yield chunk
-
-    write_epochs(path, dataset.labels, chunks(), shape, rate)
+    blocks = (block for _, block in dataset.blocks(SPAN_EPOCHS, np.float32))
+    with np.errstate(over="ignore"):
+        write_epochs(path, dataset.labels, blocks, dataset.epochs.shape[1:], rate)
 
 
 def _identity(status: os.stat_result) -> tuple[int, ...]:

@@ -25,14 +25,14 @@ a LabeledDataset to one float64 log-likelihood ratio log p(e|+) - log p(e|-)
 per epoch, each model dividing by the label prior it is calibrated to: the
 logistic score for ``logreg``, whose class weighting calibrates p(+|e) to
 1/2; the difference of the two floored KDE log-densities for generative
-kinds; +-inf for certain evidence. ``read_rows``, the one reader of epoch
-rows, widens a block of them at a time to float64 in one reused buffer, so
-no (n, d) design is ever built. Every fit derives the z-score from the class
-moments of two raw reads. The generative fits scale their moments by it,
-hold one (d, d) scatter through their PCA, and fold it into the components
-of one projection read; ``logreg``'s Newton reads z-score each block in
-place; and scoring folds it into the scorer: one matrix-vector product per
-block of raw rows.
+kinds; +-inf for certain evidence. Fits and scores read a dataset's rows
+through its ``blocks``, LOGISTIC_BLOCK_ROWS at a time widened to float64 in
+one reused buffer, so no (n, d) design is ever built. Every fit derives the
+z-score from the class moments of two raw reads. The generative fits scale
+their moments by it, hold one (d, d) scatter through their PCA, and fold it
+into the components of one projection read; ``logreg``'s Newton reads
+z-score each block in place; and scoring folds it into the scorer: one
+matrix-vector product per block of raw rows.
 """
 
 from __future__ import annotations
@@ -631,23 +631,6 @@ def kde_log_eval_many(density: KdeDensity, xs: np.ndarray) -> np.ndarray:
 # Epoch rows, their z-score and the generative pipeline
 
 
-def read_rows(dataset: LabeledDataset) -> Iterator[tuple[int, np.ndarray]]:
-    """The dataset's rows of its epoch stack, LOGISTIC_BLOCK_ROWS at a time:
-    yields each block's first position and the block, flattened and
-    widened to float64, a C-ordered (rows, channels * samples) view of one
-    buffer that the next block overwrites. The dataset's reader fills each
-    block from spans of at most SPAN_EPOCHS epochs of its stack, read from
-    the file when the stack is an EpochFile, so no more of the stack than
-    one span is ever held in its own dtype."""
-    n, width = len(dataset), math.prod(dataset.epochs.shape[1:])
-    buffer = np.empty((min(LOGISTIC_BLOCK_ROWS, n), width))
-    with dataset.reader() as fill:
-        for lo in range(0, n, LOGISTIC_BLOCK_ROWS):
-            block = buffer[: min(LOGISTIC_BLOCK_ROWS, n - lo)]
-            fill(lo, lo + len(block), block)
-            yield lo, block
-
-
 @dataclass(frozen=True)
 class ZScoreStats:
     """Per-channel mean and standard deviation from a training set: finite
@@ -693,14 +676,14 @@ def _class_moments(train: LabeledDataset, scatter: bool = True) -> tuple:
         raise ValueError("both classes must be present")
     n, (channels, samples) = len(train), train.epochs.shape[1:]
     sums = np.zeros((2, channels * samples))
-    for lo, block in read_rows(train):
+    for lo, block in train.blocks(LOGISTIC_BLOCK_ROWS):
         # one row of indicators per class: the product sums each class's rows
         classes = np.equal.outer((0, 1), labels[lo:lo + len(block)])
         sums += classes.astype(np.float64) @ _check_finite(block)
     del block  # the buffer goes before the next read makes its own
     means = sums / counts[:, None]
     within = np.zeros((sums.shape[1],) * (2 if scatter else 1))
-    for lo, block in read_rows(train):
+    for lo, block in train.blocks(LOGISTIC_BLOCK_ROWS):
         _less_class_means(block, labels[lo:lo + len(block)], means)
         if scatter:
             within += block.T @ block
@@ -727,7 +710,7 @@ def _epoch_scores(stats: ZScoreStats, scorer: LogisticModel, dataset: LabeledDat
     weights = scorer.weights / std
     bias = scorer.bias - float(mean @ weights)
     scores = np.empty(len(dataset))
-    for lo, block in read_rows(dataset):
+    for lo, block in dataset.blocks(LOGISTIC_BLOCK_ROWS):
         scores[lo:lo + len(block)] = _check_finite(block) @ weights + bias
     return scores
 
@@ -787,7 +770,7 @@ def build_generative(
     raw_components = components / scale[:, None]
     logistic = kind == "gen-logr"
     projected = np.empty((n, r)) if logistic else np.zeros((r, r))
-    for lo, block in read_rows(train):
+    for lo, block in train.blocks(LOGISTIC_BLOCK_ROWS):
         if logistic:
             block -= mean
             projected[lo:lo + len(block)] = block @ raw_components
@@ -879,7 +862,7 @@ def train_logistic_evidence(
     center, scale = stats.per_feature(train.epochs.shape[2])
 
     def standardized():
-        for lo, block in read_rows(train):
+        for lo, block in train.blocks(LOGISTIC_BLOCK_ROWS):
             block -= center
             block /= scale
             yield lo, block

@@ -86,6 +86,12 @@ class TypingConfig:
                 )
 
 
+# The ``simulate`` command's config keys and defaults: TypingConfig's fields
+# and the splits to evaluate over.
+SIMULATE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TypingConfig)} | {
+    "splits": 5, "split_seed": 0}
+
+
 OUTCOMES = ("timeout", "correct", "wrong")
 TIMEOUT, CORRECT, WRONG = range(3)
 

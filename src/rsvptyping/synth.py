@@ -11,15 +11,16 @@ draws float32 samples, the on-disk dtype, a chunk of epochs at a time, so
 ``synth`` writes each chunk to its file as it is drawn and in-memory
 datasets match their files bit for bit. Train/test splits are sorted int64
 index arrays, and a dataset's subsets are row views of its epochs, held in
-an array or left in an epochs file.
+an array or left in an epochs file, and read by one reader, the dataset's
+``blocks``. One constant, SPAN_EPOCHS, sizes every pass over whole epochs.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -90,6 +91,11 @@ class SynthConfig:
         return self.erp_amplitude * np.exp(-0.5 * z**2)
 
 
+# The ``synth`` command's config keys and defaults: SynthConfig's fields, where
+# an empty ``erp_channels`` list stands for None, every channel.
+SYNTH_DEFAULTS = {f.name: f.default for f in fields(SynthConfig)} | {"erp_channels": ()}
+
+
 class SplitIndices(NamedTuple):
     """One train/test partition: two disjoint, sorted int64 index arrays."""
 
@@ -97,10 +103,14 @@ class SplitIndices(NamedTuple):
     test: np.ndarray
 
 
-# Most epochs one read of a stack spans: a dataset's reader cuts the rows it
-# wants every SPAN_EPOCHS epochs and reads each piece as one stretch of the
-# stack, gaps included, from a file into one float32 span buffer (0.19 MB
-# at the README shape).
+# Epochs per pass over whole epochs. ``draw`` draws and filters this many at
+# a time: at the README config its white-noise buffer takes 0.76 MB, and at
+# 2 OpenBLAS threads (best of 15, in each of 3 processes) generate took
+# 87-89 ms in chunks of 128 and 74-93 ms in chunks of 512, but 125-152 ms in
+# chunks of 128 when each chunk built the filter's block operators again.
+# ``blocks`` cuts the rows it wants every SPAN_EPOCHS epochs and reads each
+# piece as one stretch of the stack, gaps included, from a file into one
+# float32 span buffer (0.19 MB at the README shape).
 SPAN_EPOCHS = 128
 
 
@@ -112,9 +122,9 @@ class LabeledDataset:
     count. The stack is an array, float32 or float64 kept as given without a
     copy and any other dtype made float64, or the samples left in an epochs
     file, a container.EpochFile. Built from a stack, a dataset holds all its
-    rows. ``subset`` shares the stack and copies no epoch, and ``reader``
-    copies held rows out of the stack a span at a time, so fits and scores
-    read them straight into their float64 buffers."""
+    rows. ``subset`` shares the stack and copies no epoch, and ``blocks``
+    copies held rows out of the stack a span at a time into one reused
+    buffer, the one reader of a dataset's rows."""
 
     epochs: np.ndarray | EpochFile
     rows: np.ndarray
@@ -154,10 +164,8 @@ class LabeledDataset:
         if (isinstance(self.epochs, np.ndarray) and len(self) == n
                 and np.array_equal(self.rows, np.arange(n))):
             return self.epochs
-        data = np.empty((len(self), *self.epochs.shape[1:]), dtype=self.epochs.dtype)
-        with self.reader() as fill:
-            fill(0, len(self), data)
-        return data
+        _, block = next(self.blocks(len(self), self.epochs.dtype))
+        return block.reshape(len(self), *self.epochs.shape[1:])
 
     def subset(self, indices: Sequence[int]) -> "LabeledDataset":
         """The dataset of the given positions of this one, in the given
@@ -170,25 +178,26 @@ class LabeledDataset:
         view._hold(self.epochs, self.rows[picked], self.labels[picked])
         return view
 
-    @contextlib.contextmanager
-    def reader(self) -> Iterator[Callable[[int, int, np.ndarray], None]]:
-        """A function ``fill(lo, hi, out)`` that copies held rows lo..hi-1
-        into ``out``, a C-ordered array of hi - lo rows, of any float dtype,
-        shaped (channels, samples) or channels * samples per row. numpy puts
-        the wanted rows in stack order, when they are not, and cuts them
-        every SPAN_EPOCHS epochs from the first of them, for the whole call;
-        each piece is read as one stretch of the stack, from its first epoch
-        through its last, and goes to ``out`` by one gather, or by one copy
-        when the stretch is all wanted. An EpochFile reads each stretch from
-        the file, which stays open until the block ends."""
+    def blocks(self, size: int, dtype=np.float64) -> Iterator[tuple[int, np.ndarray]]:
+        """The held rows ``size`` at a time: yields each block's first
+        position and the block, a C-ordered (rows, channels * samples) view
+        of one ``dtype`` buffer that the next block overwrites. numpy puts a
+        block's wanted rows in stack order, when they are not, and cuts them
+        every SPAN_EPOCHS epochs from the first of them; each piece is read
+        as one stretch of the stack, from its first epoch through its last,
+        and goes to the block by one gather, or by one copy when the stretch
+        is all wanted. An EpochFile reads each stretch from the file, which
+        stays open until the generator ends or is dropped."""
+        n = len(self)
+        buffer = np.empty((min(size, n), math.prod(self.epochs.shape[1:])), dtype=dtype)
         if isinstance(self.epochs, np.ndarray):
             spans = contextlib.nullcontext(lambda lo, hi: self.epochs[lo:hi])
         else:
             spans = self.epochs.spans(SPAN_EPOCHS)
         with spans as read:
-            def fill(lo: int, hi: int, out: np.ndarray) -> None:
-                rows, flat = self.rows[lo:hi], out.reshape(hi - lo, -1)
-                place = None  # the positions in ``out`` of the sorted rows
+            for lo in range(0, n, size):
+                block, rows = buffer[: min(size, n - lo)], self.rows[lo:lo + size]
+                place = None  # the positions in ``block`` of the sorted rows
                 if np.any(rows[1:] <= rows[:-1]):  # out of order or repeated
                     place = np.argsort(rows, kind="stable")
                     rows = rows[place]
@@ -200,22 +209,13 @@ class LabeledDataset:
                     span = read(first, last + 1).reshape(last + 1 - first, -1)
                     whole = place is None and b - a == len(span)
                     at = slice(a, b) if place is None else place[a:b]
-                    flat[at] = span if whole else span[rows[a:b] - first]
-
-            yield fill
-
-
-# Epochs drawn and filtered per step of draw. At the README config the
-# white-noise buffer of 128 epochs takes 0.76 MB. There, at 2 OpenBLAS
-# threads (best of 15, in each of 3 processes), generate took 87-89 ms in
-# chunks of 128 and 74-93 ms in chunks of 512, but 125-152 ms in chunks of
-# 128 when each chunk built the filter's block operators again.
-CHUNK_EPOCHS = 128
+                    block[at] = span if whole else span[rows[a:b] - first]
+                yield lo, block
 
 
 def draw(config: SynthConfig) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """Draw a dataset from the synthetic ERP model: its int64 labels, and an
-    iterator of its float32 epochs, ``CHUNK_EPOCHS`` at a time, in order.
+    iterator of its float32 epochs, ``SPAN_EPOCHS`` at a time, in order.
 
     Noise is white Gaussian shaped by the standard 1-20 Hz bandpass at the
     config rate; a warmup stretch is generated and filtered but not kept, so
@@ -255,12 +255,12 @@ def draw(config: SynthConfig) -> tuple[np.ndarray, Iterator[np.ndarray]]:
         if config.erp_channels is None
         else np.asarray(config.erp_channels, dtype=np.int64)
     )
-    buffer = np.empty((min(CHUNK_EPOCHS, n), config.channels, warmup + samples))
+    buffer = np.empty((min(SPAN_EPOCHS, n), config.channels, warmup + samples))
     rounded = np.empty((len(buffer), config.channels, samples), dtype=np.float32)
 
     def chunks() -> Iterator[np.ndarray]:
-        for lo in range(0, n, CHUNK_EPOCHS):
-            hi = min(lo + CHUNK_EPOCHS, n)
+        for lo in range(0, n, SPAN_EPOCHS):
+            hi = min(lo + SPAN_EPOCHS, n)
             # raising per chunk: a state still set at the yield reaches the caller
             try:
                 with np.errstate(over="raise"):
@@ -283,7 +283,7 @@ def generate(config: SynthConfig) -> LabeledDataset:
     labels, chunks = draw(config)
     data = np.empty((config.n_epochs, config.channels, config.samples_per_epoch),
                     dtype=np.float32)
-    for lo, chunk in zip(range(0, config.n_epochs, CHUNK_EPOCHS), chunks):
+    for lo, chunk in zip(range(0, config.n_epochs, SPAN_EPOCHS), chunks):
         data[lo:lo + len(chunk)] = chunk
     return LabeledDataset(data=data, labels=labels)
 

@@ -24,14 +24,14 @@ from rsvptyping.container import (
 )
 from rsvptyping.dsp import RawRecording
 from rsvptyping.models import (
+    LOGISTIC_BLOCK_ROWS,
     MODEL_KINDS,
     TRAIN_DEFAULTS,
     ConstantEvidenceModel,
     build_generative,
-    read_rows,
     train_logistic_evidence,
 )
-from rsvptyping.synth import LabeledDataset, SynthConfig, generate
+from rsvptyping.synth import SPAN_EPOCHS, LabeledDataset, SynthConfig, generate
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +134,16 @@ class TestContainerCore:
         with pytest.raises(ContainerFormatError, match="expected kind 'model'"):
             read_container(path, "model")
 
+    def test_interrupted_write_keeps_the_older_file(self, tmp_path):
+        # a part that is not bytes-like raises at its write, after the header
+        path = tmp_path / "x.bin"
+        path.write_bytes(b"older")
+        header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "kind": "raw"}
+        with pytest.raises(TypeError):
+            write_container(path, header, b"\x00", object())
+        assert read_bytes(path) == b"older"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["x.bin"]
+
 
 class TestDatasetIO:
     def test_round_trip_bit_exact(self, tmp_path, dataset):
@@ -179,8 +189,11 @@ class TestDatasetIO:
         write_dataset(path, dataset)
         loaded = read_dataset(path)
         assert isinstance(loaded.epochs, EpochFile) and loaded.epochs.shape == (80, 3, 62)
-        # the held rows come back as a float32 copy read from the file
-        assert loaded.data.dtype == np.float32 and loaded.data.flags.owndata
+        # the held rows come back as a float32 copy read from the file, a
+        # new one at each call
+        data = loaded.data
+        assert data.dtype == np.float32 and data.flags.writeable
+        assert not np.shares_memory(data, loaded.data)
 
     def test_read_holds_its_labels_and_not_its_samples(self, tmp_path):
         # the README shape: 6,000 epochs of 6 x 62 float32 samples, 8.9 MB
@@ -196,9 +209,12 @@ class TestDatasetIO:
         assert held - loaded.labels.nbytes < 2**20
         assert peak - loaded.labels.nbytes < 2**20
 
-    def test_rows_read_from_the_file_are_the_held_rows(self, tmp_path):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [1, SPAN_EPOCHS - 1, SPAN_EPOCHS, SPAN_EPOCHS + 1,
+                                      LOGISTIC_BLOCK_ROWS])
+    def test_rows_read_from_the_file_are_the_held_rows(self, tmp_path, size, dtype):
         # whole, sparse, far apart, shuffled and repeated rows, read a span
-        # of at most 128 epochs at a time from the file
+        # of at most SPAN_EPOCHS epochs at a time from the file
         dataset = generate(SynthConfig(n_epochs=700, channels=2, target_fraction=0.25, seed=4))
         path = tmp_path / "d.bin"
         write_dataset(path, dataset)
@@ -208,9 +224,32 @@ class TestDatasetIO:
                        np.array([0, 5, 300, 301, 699]), rng.permutation(700)[:600],
                        rng.integers(0, 700, 900), np.array([699, 0, 699])):
             on_file, held = loaded.subset(picked), dataset.subset(picked)
-            blocks = zip(read_rows(on_file), read_rows(held))
-            assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in blocks)
+            want = held.data.reshape(len(held), -1).astype(dtype)
+            for view in (on_file, held):
+                blocks = [(lo, block.copy()) for lo, block in view.blocks(size, dtype)]
+                assert [lo for lo, _ in blocks] == list(range(0, len(view), size))
+                assert all(block.dtype == dtype and block.flags.c_contiguous
+                           for _, block in blocks)
+                assert np.concatenate([block for _, block in blocks]).tobytes() == want.tobytes()
             assert on_file.data.tobytes() == held.data.tobytes()
+
+    def test_dropped_blocks_close_the_file(self, tmp_path, dataset, monkeypatch):
+        path = tmp_path / "d.bin"
+        write_dataset(path, dataset)
+        loaded = read_dataset(path)
+        opened, os_open = [], os.open
+
+        def recorded(*args, **kwargs):
+            opened.append(os_open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(os, "open", recorded)
+        blocks = loaded.blocks(8)
+        next(blocks)
+        os.fstat(opened[0])  # open while the generator is suspended
+        del blocks
+        with pytest.raises(OSError):
+            os.fstat(opened[0])
 
     @pytest.mark.parametrize("change", ["truncate", "append"])
     def test_read_of_a_file_changed_since_it_was_read_raises(self, tmp_path, dataset, change):
@@ -223,16 +262,17 @@ class TestDatasetIO:
             with open(path, "ab") as fh:
                 fh.write(b"\0")
         with pytest.raises(ContainerFormatError, match="changed since it was read"):
-            next(read_rows(loaded))
+            next(loaded.blocks(LOGISTIC_BLOCK_ROWS))
 
     def test_read_of_a_file_cut_short_under_the_reader_raises(self, tmp_path, dataset):
         path = tmp_path / "d.bin"
         write_dataset(path, dataset)
         loaded = read_dataset(path)
-        with loaded.reader() as fill:
-            os.truncate(path, 64)
-            with pytest.raises(ContainerFormatError, match="cut short since it was read"):
-                fill(0, len(loaded), np.empty(loaded.epochs.shape))
+        blocks = loaded.blocks(len(loaded) // 2)
+        next(blocks)
+        os.truncate(path, 64)
+        with pytest.raises(ContainerFormatError, match="cut short since it was read"):
+            next(blocks)
 
     def test_read_peak_memory_stays_near_the_file_size(self, tmp_path):
         path = tmp_path / "d.bin"

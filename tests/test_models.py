@@ -1000,7 +1000,7 @@ class TestRowViews:
             expected = models._class_moments(copy, scatter)[-1]
             assert stats.mean.tobytes() == expected.mean.tobytes()
             assert stats.std.tobytes() == expected.std.tobytes()
-        blocks = [(lo, block.copy()) for lo, block in models.read_rows(view)]
+        blocks = [(lo, block.copy()) for lo, block in view.blocks(models.LOGISTIC_BLOCK_ROWS)]
         assert [lo for lo, _ in blocks] == list(range(0, len(view), models.LOGISTIC_BLOCK_ROWS))
         rows = np.concatenate([block for _, block in blocks])
         assert rows.dtype == np.float64
@@ -1020,7 +1020,7 @@ class TestRowViews:
         gather = SPAN_EPOCHS * epochs[0].size * 4
         tracemalloc.start()
         try:
-            for _ in models.read_rows(dataset):
+            for _ in dataset.blocks(models.LOGISTIC_BLOCK_ROWS):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -1162,22 +1162,22 @@ class TestTracedCallSites:
     """The benchmark's tracer times the fit and scoring stages by replacing
     these names on the models module, the two fits on the cli module and
     ``predict_batch`` on both trained evidence classes, so callers must look
-    them up there at call time. ``read_rows``, the one reader of epoch rows,
-    is counted the same way."""
+    them up there at call time. ``LabeledDataset.blocks``, the one reader of
+    epoch rows, is counted on its class, as ``blocks``."""
 
-    NAMES = ("read_rows", "fit_pca", "train_lda", "train_logistic", "fit_kde",
+    NAMES = ("fit_pca", "train_lda", "train_logistic", "fit_kde",
              "kde_log_eval_many", "logistic_loss_and_gradient")
 
     def count_calls(self, monkeypatch):
-        calls = dict.fromkeys(self.NAMES, 0)
-        for name in self.NAMES:
-            original = getattr(models, name)
+        calls = dict.fromkeys(("blocks", *self.NAMES), 0)
+        for owner, name in ((LabeledDataset, "blocks"), *((models, n) for n in self.NAMES)):
+            original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(models, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         return calls
 
     def test_generative_fit_and_scoring_reach_the_module_names(self, monkeypatch):
@@ -1187,15 +1187,15 @@ class TestTracedCallSites:
         # 40 epochs are one block: one read for the class means, one for the
         # within-class scatter, one for the projected rows' pooled scatter and
         # one for the KDEs' training scores
-        fit = {"read_rows": 4, "fit_pca": 1, "train_lda": 1,
+        fit = {"blocks": 4, "fit_pca": 1, "train_lda": 1,
                "train_logistic": 0, "fit_kde": 2, "kde_log_eval_many": 0,
                "logistic_loss_and_gradient": 0}
         assert calls == fit
         model.predict_batch(epochs)
-        assert calls == {**fit, "read_rows": 5, "kde_log_eval_many": 2}
+        assert calls == {**fit, "blocks": 5, "kde_log_eval_many": 2}
         fit = build_generative(epochs, kind="gen-logr").fit
         # gen-logr's projection read keeps the projected rows in its place
-        assert (calls["train_lda"], calls["train_logistic"], calls["read_rows"]) == (1, 1, 9)
+        assert (calls["train_lda"], calls["train_logistic"], calls["blocks"]) == (1, 1, 9)
         # the benchmark counts a fit's iterations from these calls
         assert fit.steps >= 1
         assert calls["logistic_loss_and_gradient"] == fit.steps + 1
@@ -1209,7 +1209,7 @@ class TestTracedCallSites:
         # Newton read, steps + 1, and one for predict_batch
         assert model.fit.steps >= 1
         assert calls["train_logistic"] == 1
-        assert calls["read_rows"] == model.fit.steps + 4
+        assert calls["blocks"] == model.fit.steps + 4
         assert calls["logistic_loss_and_gradient"] == model.fit.steps + 1
 
     @pytest.mark.parametrize("kind", list(models.MODEL_KINDS))

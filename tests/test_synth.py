@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rsvptyping import dsp
 from rsvptyping.dsp import design_bandpass
 from rsvptyping.cli import main
-from rsvptyping.synth import CHUNK_EPOCHS, LabeledDataset, SynthConfig, generate, split
+from rsvptyping.synth import SPAN_EPOCHS, LabeledDataset, SynthConfig, generate, split
 from rsvptyping.models import train_logistic_evidence
 
 from oracles import reference_generate
@@ -139,8 +139,8 @@ def chunked_configs(draw):
     erp = draw(st.one_of(st.none(), st.lists(
         st.integers(0, channels - 1), min_size=1, max_size=channels, unique=True)))
     n_epochs = draw(st.one_of(
-        st.integers(20, CHUNK_EPOCHS - 1), st.just(CHUNK_EPOCHS),
-        st.integers(CHUNK_EPOCHS + 1, 2 * CHUNK_EPOCHS + 40)))
+        st.integers(20, SPAN_EPOCHS - 1), st.just(SPAN_EPOCHS),
+        st.integers(SPAN_EPOCHS + 1, 2 * SPAN_EPOCHS + 40)))
     return SynthConfig(
         n_epochs=n_epochs,
         channels=channels,
@@ -155,8 +155,8 @@ def chunked_configs(draw):
 
 class TestChunkedGenerate:
     @settings(max_examples=25, deadline=None)
-    @example(SynthConfig(n_epochs=CHUNK_EPOCHS, channels=2, noise_std=0.5, seed=1))
-    @example(SynthConfig(n_epochs=CHUNK_EPOCHS + 1, channels=3, trial_ms=1200.0,
+    @example(SynthConfig(n_epochs=SPAN_EPOCHS, channels=2, noise_std=0.5, seed=1))
+    @example(SynthConfig(n_epochs=SPAN_EPOCHS + 1, channels=3, trial_ms=1200.0,
                          erp_channels=(2, 0), target_fraction=0.1, seed=2))
     @given(config=chunked_configs())
     def test_matches_whole_array_reference(self, config):
@@ -170,12 +170,12 @@ class TestChunkedGenerate:
         assert np.all(np.abs(got.data - want.data) <= ulp)
 
     def test_filter_operators_are_built_once(self):
-        # the README dataset is filtered in ceil(6000 / CHUNK_EPOCHS) chunks,
+        # the README dataset is filtered in ceil(6000 / SPAN_EPOCHS) chunks,
         # and the cascade's block operators are built for the first of them:
         # each cache miss is one call of the unmemoized builder
         dsp._block_operators.cache_clear()
         generate(SynthConfig(n_epochs=6000, channels=6, target_fraction=0.0357142857, seed=0))
-        assert 6000 > CHUNK_EPOCHS
+        assert 6000 > SPAN_EPOCHS
         assert dsp._block_operators.cache_info().misses == 1
         for array in dsp._block_operators(tuple(design_bandpass(125.0, 1.0, 20.0, 2)), 124):
             with pytest.raises(ValueError, match="read-only"):
@@ -199,7 +199,7 @@ class TestChunkedGenerate:
         # the float32 output plus three float64 chunks of warmup and kept
         # samples: the white noise buffer and the filter's working arrays
         n, channels, samples = dataset.data.shape
-        chunk = CHUNK_EPOCHS * channels * 2 * samples * 8
+        chunk = SPAN_EPOCHS * channels * 2 * samples * 8
         bound = dataset.data.nbytes + 3 * chunk
         # no looser than the bound of a float64 output, 1.5 times its bytes
         assert bound <= 1.5 * n * channels * samples * 8
