@@ -505,7 +505,13 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """The ``rsvptyping`` script: main, then exit without the interpreter's
-    last full garbage collection, which would only free what exit frees."""
+    last full garbage collection, which would only free what exit frees.
+
+    The process runs without OpenSSL: ``numpy.random`` imports ``secrets``
+    for seed entropy that no command draws, and with ``_hashlib`` marked
+    absent ``hashlib`` and ``hmac`` use the interpreter's built-in hashes
+    and ``libcrypto`` is never loaded. Callers of ``main`` keep theirs."""
+    sys.modules.setdefault("_hashlib", None)
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -195,6 +195,7 @@ def design_bandpass(
 
 
 BLOCK_SAMPLES = 128  # samples per block of the state-space filter
+CHUNK_BLOCKS = 32  # blocks per chunk of a signal longer than one block
 
 
 def _state_space(cascade: Sequence[BiquadCoefficients]):
@@ -256,34 +257,51 @@ def filter_forward(coeffs: FilterCascade, signal: np.ndarray, start: int = 0) ->
     Returns the outputs from sample ``start`` on (0 <= start <= T): the
     recursion still starts at sample 0, so the first ``start`` samples only
     warm the filter up. When the signal fits in one block, only the
-    Toeplitz rows of the kept outputs are multiplied.
+    Toeplitz rows of the kept outputs are multiplied. A longer signal is
+    filtered ``CHUNK_BLOCKS`` blocks at a time into one float64 output, the
+    state carried from chunk to chunk, so beyond its input and output it
+    holds one chunk's temporaries.
     """
     cascade = (coeffs,) if isinstance(coeffs, BiquadCoefficients) else tuple(coeffs)
     x = np.asarray(signal, dtype=np.float64)
     n = x.shape[-1]
     if not 0 <= start <= n:
         raise ValueError(f"filter start {start} outside [0, {n}]")
+    lead = x.shape[:-1]
     if start == n:
-        return np.empty((*x.shape[:-1], 0))
-    rows = x.reshape(-1, n)
+        return np.empty((*lead, 0))
     block = min(BLOCK_SAMPLES, n)
     toeplitz, reach, carry, observe = _block_operators(cascade, block)
+    if n == block:
+        return (x.reshape(-1, n) @ toeplitz[start:].T).reshape(*lead, n - start)
 
-    count = -(-n // block)
-    if count == 1:
-        return (rows @ toeplitz[start:].T).reshape(*x.shape[:-1], n - start)
-    if count * block > n:  # pad the last block
-        rows = np.pad(rows, ((0, 0), (0, count * block - n)))
-    blocks = rows.reshape(len(rows), count, block)
-    out = blocks @ toeplitz.T
-    # the state each block starts in, carried from block to block
-    ends = blocks[:, :-1] @ reach
-    starts = np.zeros((len(rows), count, carry.shape[0]))
-    for k in range(1, count):
-        starts[:, k] = starts[:, k - 1] @ carry.T + ends[:, k - 1]
-    out += starts @ observe.T
-    out = out.reshape(len(rows), count * block)[:, start:n]
-    return np.ascontiguousarray(out).reshape(*x.shape[:-1], n - start)
+    rows = math.prod(lead)
+    out = np.empty((rows, n - start))
+    states = carry.shape[0]
+    state = np.zeros((rows, states))  # the state the next chunk starts in
+    step = CHUNK_BLOCKS * block
+    buffer = np.empty(rows * step)  # a chunk's samples, each block one row of a product
+    for lo in range(0, n, step):
+        width = min(step, n - lo)
+        count = -(-width // block)
+        samples = buffer[:rows * count * block].reshape(rows, count * block)
+        samples[:, :width].reshape(*lead, width)[...] = x[..., lo:lo + width]  # a view
+        samples[:, width:] = 0.0  # pad the last block
+        blocks = samples.reshape(rows * count, block)
+        ends = (blocks @ reach).reshape(rows, count, states)
+        # the state each block starts in, carried from block to block
+        starts = np.empty((rows, count, states))
+        starts[:, 0] = state
+        for k in range(1, count):
+            starts[:, k] = starts[:, k - 1] @ carry.T + ends[:, k - 1]
+        state = starts[:, -1] @ carry.T + ends[:, -1]
+        if lo + width > start:
+            chunk = blocks @ toeplitz.T
+            chunk += starts.reshape(rows * count, states) @ observe.T
+            skip = max(start - lo, 0)
+            out[:, lo + skip - start:lo + width - start] = (
+                chunk.reshape(rows, count * block)[:, skip:width])
+    return out.reshape(*lead, n - start)
 
 
 def downsample(recording: RawRecording, factor: int = 2) -> RawRecording:

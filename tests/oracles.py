@@ -4,20 +4,22 @@ These deliberately avoid the package's code paths: posteriors are found by
 enumerating the full joint distribution in linear space, or by folding
 evidence in one event at a time where the package folds a whole round at
 once; filters run their recursion one time step at a time where the package
-filters whole blocks, and filter responses are measured from impulse
-responses via FFT; PCA comes from the SVD where the package decomposes the
-Gram matrix; the synthetic dataset is drawn and filtered as one whole array
-where the package fills it a chunk of epochs at a time; KDE log-densities and
-z-score statistics come from whole-matrix temporaries where the package works
-a block of rows or one channel at a time; z-scored epochs come from a
-broadcast over the samples axis where the package works on flat rows;
-stimulus onsets are checked and remapped one Python pair at a time where the
-package works on one array. The reference logistic fit forms every Newton
-Hessian from the whole float64 design, where the package reads its rows a
-block at a time, forms each Hessian from float32 blocks and checks each
-direction; it shares the package's loss, gradient and input checks. The
-reference generative scorer fits PCA and LDA on the rows themselves, where
-the package fits them from class moments streamed a block of rows at a time.
+filters whole blocks, and the block filter runs over a whole signal where
+the package works a chunk of blocks at a time; filter responses are measured
+from impulse responses via FFT; PCA comes from the SVD where the package
+decomposes the Gram matrix; the synthetic dataset is drawn and filtered as
+one whole array where the package fills it a chunk of epochs at a time; KDE
+log-densities and z-score statistics come from whole-matrix temporaries
+where the package works a block of rows or one channel at a time; z-scored
+epochs come from a broadcast over the samples axis where the package works
+on flat rows; stimulus onsets are checked and remapped one Python pair at a
+time where the package works on one array. The reference logistic fit forms
+every Newton Hessian from the whole float64 design, where the package reads
+its rows a block at a time, forms each Hessian from float32 blocks and
+checks each direction; it shares the package's loss, gradient and input
+checks. The reference generative scorer fits PCA and LDA on the rows
+themselves, where the package fits them from class moments streamed a block
+of rows at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 
 import numpy as np
 
-from rsvptyping import models
+from rsvptyping import dsp, models
 from rsvptyping.models import LogisticFit, LogisticModel
 
 
@@ -118,6 +120,32 @@ def reference_filter(coeffs, signal):
             y[..., n] = yn
         x = y
     return x
+
+
+def whole_length_block_filter(cascade, signal, start=0):
+    """The package's block filter of a signal longer than one block, run
+    over the whole length at once: every block's zero-state output and end
+    state in one product each, over the signal zero-padded to whole blocks,
+    then the state carried through every block and its part added. It
+    shares the package's block operators; the package works a chunk of
+    blocks at a time."""
+    x = np.asarray(signal, dtype=np.float64)
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    block = dsp.BLOCK_SAMPLES
+    toeplitz, reach, carry, observe = dsp._block_operators(tuple(cascade), block)
+    count = -(-n // block)
+    if count * block > n:  # pad the last block
+        rows = np.pad(rows, ((0, 0), (0, count * block - n)))
+    blocks = rows.reshape(len(rows), count, block)
+    out = blocks @ toeplitz.T
+    ends = blocks[:, :-1] @ reach
+    starts = np.zeros((len(rows), count, carry.shape[0]))
+    for k in range(1, count):
+        starts[:, k] = starts[:, k - 1] @ carry.T + ends[:, k - 1]
+    out += starts @ observe.T
+    out = out.reshape(len(rows), count * block)[:, start:n]
+    return np.ascontiguousarray(out).reshape(*x.shape[:-1], n - start)
 
 
 def reference_generate(config):

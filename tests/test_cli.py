@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib
 import inspect
 import json
 import math
@@ -1344,11 +1345,13 @@ class TestUsage:
 
 
 # Runs ``python -m rsvptyping.cli ARGV`` in a new interpreter, then prints
-# the numpy and package modules it loaded as its last line of stdout.
+# the numpy and package modules it loaded, and OpenSSL's _hashlib when it
+# was loaded rather than marked absent, as its last line of stdout.
 FRESH_CLI = (
     "import atexit, runpy, sys\n"
     "atexit.register(lambda: print(*sorted(m for m in sys.modules\n"
-    "    if m == 'numpy' or m.startswith('rsvptyping.'))))\n"
+    "    if m == 'numpy' or m.startswith('rsvptyping.')\n"
+    "    or m == '_hashlib' and sys.modules[m] is not None)))\n"
     "sys.argv = ['rsvptyping', *sys.argv[1:]]\n"
     "runpy.run_module('rsvptyping.cli', run_name='__main__')\n"
 )
@@ -1367,8 +1370,8 @@ RUNNERS = {"rsvptyping.models", "rsvptyping.core", "rsvptyping.sim", "rsvptyping
 
 
 class TestFreshProcess:
-    """Each command loads only the modules it runs, and main's exception
-    handlers name no class of a module the command did not load."""
+    """Each command loads only the modules it runs, and no OpenSSL; main's
+    exception handlers name no class of a module the command did not load."""
 
     @pytest.mark.parametrize("argv, code, stderr, absent", [
         (["--version"], 0, "", {"numpy"}),
@@ -1403,3 +1406,36 @@ class TestFreshProcess:
                                      "--out", "r.json"], tmp_path)
         assert (rc, err.startswith("data error: ")) == (2, True), err
         assert "rsvptyping.container" in loaded
+
+    @pytest.mark.parametrize("step", range(3), ids=["synth", "train-gen-lda", "simulate"])
+    def test_numpy_commands_run_without_openssl(self, tmp_path, monkeypatch, step):
+        # numpy.random imports secrets, hmac and hashlib; the script marks
+        # _hashlib absent, so they take the built-in hashes, not OpenSSL's
+        commands = [["synth", "--config", "s.cfg", "--out", "d.bin"],
+                    ["train", "d.bin", "--kind", "gen-lda", "--out", "m.bin"],
+                    ["simulate", "m.bin", "d.bin", "--splits", "1", "--out", "r.json"]]
+        (tmp_path / "s.cfg").write_text("n_epochs = 120\nchannels = 2\ntarget_fraction = 0.25\n")
+        monkeypatch.chdir(tmp_path)
+        for argv in commands[:step]:
+            assert main(argv) == 0
+        rc, err, loaded = run_fresh(commands[step], tmp_path)
+        assert rc == 0, err
+        assert "numpy" in loaded and "_hashlib" not in loaded
+
+
+@pytest.mark.parametrize("entry", ["loaded", "absent"])
+def test_main_leaves_the_openssl_entry_as_it_found_it(tmp_path, monkeypatch, entry):
+    # only the script marks _hashlib absent; main, run by a freshly imported
+    # cli module, leaves a caller's entry alone
+    if entry == "loaded":
+        pytest.importorskip("_hashlib")
+    else:
+        monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+    found = ("_hashlib" in sys.modules, sys.modules.get("_hashlib"))
+    monkeypatch.delitem(sys.modules, "rsvptyping.cli")
+    monkeypatch.setattr(sys.modules["rsvptyping"], "cli", cli)
+    fresh = importlib.import_module("rsvptyping.cli")
+    (tmp_path / "s.cfg").write_text("n_epochs = 60\nchannels = 2\ntarget_fraction = 0.25\n")
+    assert fresh.main(["synth", "--config", str(tmp_path / "s.cfg"),
+                       "--out", str(tmp_path / "d.bin")]) == 0
+    assert ("_hashlib" in sys.modules, sys.modules.get("_hashlib")) == found

@@ -148,6 +148,24 @@ class TestFilterForward:
         with pytest.raises(ValueError, match="filter start"):
             filter_forward(design_bandpass(RATE), np.ones((2, 10)), start=start)
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_long_signal_peak_memory_is_its_output_and_a_chunk(self, transposed):
+        # 10 minutes of 8 channels at 256 Hz through the notch and bandpass
+        # of `preprocess`: the output and one chunk's temporaries, where a
+        # pass over the whole length held about three copies of the signal
+        cascade = [design_notch(256.0), *design_bandpass(256.0)]
+        rng = np.random.default_rng(2)
+        signal = rng.standard_normal((153_600, 8)).T if transposed else \
+            rng.standard_normal((8, 153_600))
+        filter_forward(cascade, signal[:, :1000])  # builds the block operators
+        tracemalloc.start()
+        try:
+            out = filter_forward(cascade, signal)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes
+
 
 class TestDownsampleAndEpoch:
     def make_recording(self, n=1000, rate=250.0, onsets=((101, 1), (400, 0))):

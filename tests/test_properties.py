@@ -1,8 +1,8 @@
 """Property tests: the batched posterior filter against a per-event
 reference, typing's log-likelihood-ratio factors against the factor pair
-they replace, the block filter against the per-sample recursion, band filters'
-impulse-response energy against Parseval's value from |H|, block KDE and
-the per-channel z-score derived from class moments against their
+they replace, the chunked block filter against the per-sample recursion and
+the block filter run over the whole length, band filters' impulse-response
+energy against Parseval's value from |H|, block KDE and the per-channel z-score derived from class moments against their
 whole-matrix forms, scores with the z-score folded in against z-scoring then
 the scorer, the folded generative scorer against PCA then the scorer, onset
 checks and downsampling against per-pair loops, typing on exact evidence
@@ -39,6 +39,7 @@ from rsvptyping.core import (
 )
 from rsvptyping.dsp import (
     BLOCK_SAMPLES,
+    CHUNK_BLOCKS,
     BiquadCoefficients,
     design_bandpass,
     RawRecording,
@@ -62,6 +63,7 @@ from oracles import (
     reference_zscore_stats,
     sequential_posterior,
     threshold_decision,
+    whole_length_block_filter,
 )
 
 
@@ -258,6 +260,11 @@ CLI_CASCADE = [design_notch(256.0), *design_bandpass(256.0)]
 # the cascade and shape `synth` filters: 62 warmup samples and 62 kept
 SYNTH_CASCADE = design_bandpass(125.0)
 
+# samples per chunk of a long signal's filtering, and a length of two
+# chunks, three blocks and a part block
+CHUNK = CHUNK_BLOCKS * BLOCK_SAMPLES
+CHUNKS_AND_PART = 2 * CHUNK + 3 * BLOCK_SAMPLES + 17
+
 
 @settings(max_examples=200, deadline=None)
 @example(cascade=CLI_CASCADE, lead=[], length=1, transposed=False, seed=0, start_at=0.0)
@@ -274,6 +281,21 @@ SYNTH_CASCADE = design_bandpass(125.0)
 @example(cascade=CLI_CASCADE, lead=[0], length=2 * BLOCK_SAMPLES + 5, transposed=False, seed=0,
          start_at=0.0)
 @example(cascade=SYNTH_CASCADE, lead=[4, 6], length=124, transposed=False, seed=0, start_at=0.5)
+# one chunk and either side of it; starts at 0, inside the first chunk and
+# past it
+@example(cascade=CLI_CASCADE, lead=[2], length=CHUNK - 1, transposed=False, seed=0,
+         start_at=0.0)
+@example(cascade=CLI_CASCADE, lead=[3], length=CHUNK, transposed=True, seed=0, start_at=0.4)
+@example(cascade=CLI_CASCADE, lead=[2], length=CHUNK + 1, transposed=False, seed=0,
+         start_at=0.0)
+@example(cascade=CLI_CASCADE, lead=[], length=CHUNK + 1, transposed=False, seed=0,
+         start_at=CHUNK / (CHUNK + 1))
+@example(cascade=CLI_CASCADE, lead=[2], length=CHUNKS_AND_PART, transposed=False, seed=0,
+         start_at=0.0)
+@example(cascade=CLI_CASCADE, lead=[3], length=CHUNKS_AND_PART, transposed=True, seed=0,
+         start_at=0.1)
+@example(cascade=CLI_CASCADE, lead=[2], length=CHUNKS_AND_PART, transposed=False, seed=0,
+         start_at=(CHUNK + 1) / CHUNKS_AND_PART)
 @given(
     cascade=st.lists(stable_sections(), min_size=1, max_size=4),
     lead=st.lists(st.integers(0, 3), max_size=2),
@@ -297,6 +319,12 @@ def test_block_filter_matches_per_sample_recursion(
     # outputs' rounding comes from
     scale = np.max(np.abs(expected), initial=0.0)
     assert np.max(np.abs(out - expected[..., start:]), initial=0.0) <= 1e-12 * scale
+    if length > BLOCK_SAMPLES:
+        # the same block filter over the whole length at once: its products
+        # have other shapes and round apart, and the recursion carries that
+        # as far as its own rounding
+        whole = whole_length_block_filter(cascade, signal, start)
+        assert np.max(np.abs(out - whole), initial=0.0) <= 1e-12 * scale
 
 
 def parseval_energy(cascade, n: int) -> float:
