@@ -202,9 +202,9 @@ class EpochFile:
         self.path, self.start, self.shape, self.identity = path, start, shape, identity
 
     @contextlib.contextmanager
-    def spans(self, most: int) -> Iterator[Callable[[int, int], np.ndarray]]:
+    def spans(self) -> Iterator[Callable[[int, int], np.ndarray]]:
         """A function ``read(lo, hi)`` that reads epochs lo..hi-1, at most
-        ``most`` of them, by os.preadv into one float32 buffer and returns
+        SPAN_EPOCHS of them, by os.preadv into one float32 buffer and returns
         the (hi - lo, channels, samples) view of it that the next read
         overwrites. The file is open until the block ends. A file that is
         not the one read_dataset checked, or that is cut short under a
@@ -216,7 +216,7 @@ class EpochFile:
         try:
             if _identity(os.fstat(fd)) != self.identity:
                 raise ContainerFormatError(f"{self.path}: changed since it was read")
-            buffer = np.empty((min(most, self.shape[0]), *self.shape[1:]), dtype=self.dtype)
+            buffer = np.empty((min(SPAN_EPOCHS, self.shape[0]), *self.shape[1:]), dtype=self.dtype)
             whole = memoryview(buffer).cast("B")
             epoch_bytes = buffer[0].nbytes
 
@@ -263,7 +263,7 @@ def read_dataset(path) -> LabeledDataset:
         dataset = LabeledDataset(epochs, labels)
     except ValueError as exc:
         raise ContainerFormatError(f"{path}: {exc}") from exc
-    with epochs.spans(SPAN_EPOCHS) as read:
+    with epochs.spans() as read:
         for lo in range(0, n, SPAN_EPOCHS):
             span = read(lo, min(lo + SPAN_EPOCHS, n))
             if not (np.isfinite(span.min()) and np.isfinite(span.max())):

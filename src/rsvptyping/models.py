@@ -8,7 +8,8 @@ cross-entropy by Newton's method, which reads its rows once per step: at a
 trial point, one read forms the loss, the gradient and the Hessian, whose
 (d, d) block comes from the rows cast to float32, and checks the direction
 it tries with one float64 Hessian-vector product; a relative residual above
-HESSIAN_RESIDUAL_LIMIT (1e-5) forms that step's block again in float64.
+HESSIAN_RESIDUAL_LIMIT (1e-5) reads the iterate again to form its block in
+float64: a float64 step is three reads, each a call.
 The generative family instead models class-conditional densities with a
 Gaussian KDE per class over the score, each with the bandwidth that
 Silverman's rule of thumb gives for its class's training scores. Its scorer
@@ -89,14 +90,6 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 KDE_BLOCK_BYTES = 1 << 20
 
 
-def _c_order_matrix(features: np.ndarray) -> np.ndarray:
-    # C order: BLAS rounds the products of a fit differently on F-ordered rows
-    out = np.asarray(features, dtype=np.float64, order="C")
-    if out.ndim != 2:
-        raise ValueError(f"expected a 2-D feature matrix, got shape {out.shape}")
-    return out
-
-
 def _check_finite(rows: np.ndarray) -> np.ndarray:
     # min and max propagate NaN and find infinities without a matrix-sized mask
     if rows.size and not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
@@ -105,7 +98,11 @@ def _check_finite(rows: np.ndarray) -> np.ndarray:
 
 
 def _as_float_matrix(features: np.ndarray) -> np.ndarray:
-    return _check_finite(_c_order_matrix(features))
+    # C order: BLAS rounds the products of a fit differently on F-ordered rows
+    out = np.asarray(features, dtype=np.float64, order="C")
+    if out.ndim != 2:
+        raise ValueError(f"expected a 2-D feature matrix, got shape {out.shape}")
+    return _check_finite(out)
 
 
 def _as_labels(labels: np.ndarray, n: int, require_both: bool = True) -> np.ndarray:
@@ -138,7 +135,7 @@ class LogisticFit:
     """How a Newton fit ended: the loss at each iterate, and the penalized
     gradient norm at the last one with the tolerance it was held to.
     ``float64_steps`` counts the steps whose float32-formed Hessian failed
-    the residual check and was formed again from the float64 rows."""
+    the residual check and was formed again in float64 by a re-read."""
 
     losses: tuple[float, ...]
     gradient_norm: float
@@ -232,10 +229,10 @@ class NewtonRead:
     - ``curvature`` is the n-vector sample_w * p * (1 - p);
     - ``hessian`` is the penalized (d + 1, d + 1) Hessian in (weights,
       bias). Its (d, d) block X^T C X is summed in float64 over the blocks
-      of rows, each cast to float32 and scaled by sqrt(curvature), its
-      product formed in float32; ``buffers`` are the reused float32 (block
-      rows, d) and (d, d) arrays these go through. The bias row and column
-      are float64;
+      of rows, each scaled by sqrt(curvature), its product formed in the
+      dtype of ``buffers``, the reused (block rows, d) and (d, d) arrays
+      these go through: float32, or float64 for a float64 step. The bias
+      row and column are float64;
     - given ``check``, a direction (dw, db) and the curvature of the iterate
       it was solved at, ``product`` is the float64 Hessian of that iterate
       times the direction, formed from X dw + db.
@@ -244,7 +241,7 @@ class NewtonRead:
     def __init__(self, n: int, buffers: tuple[np.ndarray, np.ndarray],
                  check: Optional[tuple[np.ndarray, float, np.ndarray]] = None):
         d = buffers[1].shape[0]
-        self.scaled32, self.gram32 = buffers
+        self.scaled, self.gram = buffers
         self.check = check
         self.curvature = np.empty(n)
         self.hessian = np.zeros((d + 1, d + 1))
@@ -258,16 +255,16 @@ class NewtonRead:
         d = block.shape[1]
         self.curvature[part] = curvature
         self.hessian[:d, d] += block.T @ curvature
-        scaled = self.scaled32[: block.shape[0]]
-        # dtype=float32 casts each float64 entry before it multiplies, so the
-        # products are those of the rows cast to float32 times the float32
-        # sqrt(curvature); rows beyond float32 range make inf or NaN, and the
-        # residual check rejects the direction solved from them
+        scaled = self.scaled[: block.shape[0]]
+        # dtype casts each entry before it multiplies: float32 products are
+        # those of the rows cast to float32 times the float32 sqrt(curvature);
+        # rows beyond float32 range make inf or NaN, and the residual check
+        # rejects the direction solved from them
         with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(block, np.sqrt(curvature).astype(np.float32)[:, None], out=scaled,
-                        dtype=np.float32)
+            np.multiply(block, np.sqrt(curvature).astype(scaled.dtype)[:, None], out=scaled,
+                        dtype=scaled.dtype)
             # X^T X of a single buffer is a symmetric product
-            self.hessian[:d, :d] += np.matmul(scaled.T, scaled, out=self.gram32)
+            self.hessian[:d, :d] += np.matmul(scaled.T, scaled, out=self.gram)
         if self.check is not None:
             dw, db, previous = self.check
             weighted = self.weighted[part] = previous[part] * (block @ dw + db)
@@ -325,22 +322,6 @@ def logistic_loss_and_gradient(
     return _penalized_loss(w, z, y, sample_w, l2), grad_w, float(np.sum(residual))
 
 
-def _float64_hessian(rows: RowBlocks, curvature: np.ndarray, bias: np.ndarray,
-                     l2: float) -> np.ndarray:
-    """The penalized (d + 1, d + 1) Hessian with its (d, d) block X^T C X
-    summed in float64, in one read with a block-sized float64 temporary, and
-    ``bias`` as its bias row and column."""
-    d = rows.shape[1]
-    hessian = np.zeros((d + 1, d + 1))
-    root = np.sqrt(curvature)
-    for lo, block in rows.read():
-        scaled = block * root[lo:lo + block.shape[0], None]
-        hessian[:d, :d] += scaled.T @ scaled
-    hessian[np.arange(d), np.arange(d)] += l2
-    hessian[d] = hessian[:, d] = bias
-    return hessian
-
-
 def _solve(hessian: np.ndarray, gradient: np.ndarray) -> tuple[np.ndarray, float]:
     step = np.linalg.solve(hessian, -gradient)
     return step[:-1], float(step[-1])
@@ -373,12 +354,12 @@ def train_logistic(
     at. The iterate's Hessian is dropped once its direction is solved, so
     one (d + 1, d + 1) Hessian lives at a time. The direction is kept when
     the relative residual |H d + g| / |g| is at most HESSIAN_RESIDUAL_LIMIT
-    (1e-5); otherwise the trial is discarded, that step's block is formed
-    from the float64 rows in one more read beside the kept bias row, and
-    the LogisticFit counts the step in ``float64_steps``. Each halving is
-    one more read, so a fit with no halving and no float64 step reads its
-    rows ``steps + 1`` times. The loss, the gradient, the bias row and
-    column, the line search and the stopping rule are float64.
+    (1e-5); otherwise the trial is discarded, the iterate is read again
+    with float64 buffers for the direction of a new trial, and the
+    LogisticFit counts the step in ``float64_steps``. With each halving one
+    more read, a fit reads its rows ``steps + 1 + 2 * float64_steps`` times
+    plus its halvings. The loss, the gradient, the bias row and column, the
+    line search and the stopping rule are float64.
     """
     if not (math.isfinite(l2) and l2 >= 0.0):
         raise ValueError(f"l2 must be non-negative and finite, got {l2!r}")
@@ -390,7 +371,7 @@ def train_logistic(
     buffers = (np.empty((min(LOGISTIC_BLOCK_ROWS, n), d), dtype=np.float32),
                np.empty((d, d), dtype=np.float32))
 
-    def read(w, b, check=None):
+    def read(w, b, check=None, buffers=buffers):
         newton = NewtonRead(n, buffers, check)
         return (*logistic_loss_and_gradient(w, b, rows, y, class_weights, l2, newton=newton),
                 newton)
@@ -405,8 +386,7 @@ def train_logistic(
         gradient = np.append(grad_w, grad_b)
         dw, db = _solve(newton.hessian, gradient)
         # one Hessian lives at a time: the iterate's goes before the trial
-        # read forms its own, keeping the bias row a float64 step needs
-        bias = newton.hessian[d].copy()
+        # read forms its own
         newton.hessian = None
         # the check has not yet passed the direction, which may point anywhere,
         # so the trial's loss may overflow or be NaN
@@ -417,7 +397,9 @@ def train_logistic(
         exact = not residual <= HESSIAN_RESIDUAL_LIMIT * np.linalg.norm(gradient)
         if exact:
             del trial
-            dw, db = _solve(_float64_hessian(rows, newton.curvature, bias, l2), gradient)
+            iterate = read(w, b, buffers=tuple(np.empty_like(x, np.float64) for x in buffers))
+            dw, db = _solve(iterate[3].hessian, gradient)
+            del iterate
             trial = read(w + dw, b + db)
         t = 1.0
         for _ in range(MAX_STEP_HALVINGS - 1):

@@ -190,10 +190,8 @@ class LabeledDataset:
         stays open until the generator ends or is dropped."""
         n = len(self)
         buffer = np.empty((min(size, n), math.prod(self.epochs.shape[1:])), dtype=dtype)
-        if isinstance(self.epochs, np.ndarray):
-            spans = contextlib.nullcontext(lambda lo, hi: self.epochs[lo:hi])
-        else:
-            spans = self.epochs.spans(SPAN_EPOCHS)
+        spans = (contextlib.nullcontext(lambda lo, hi: self.epochs[lo:hi])
+                 if isinstance(self.epochs, np.ndarray) else self.epochs.spans())
         with spans as read:
             for lo in range(0, n, size):
                 block, rows = buffer[: min(size, n - lo)], self.rows[lo:lo + size]

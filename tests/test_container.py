@@ -2,7 +2,9 @@
 
 import json
 import os
+import stat
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -143,6 +145,36 @@ class TestContainerCore:
             write_container(path, header, b"\x00", object())
         assert read_bytes(path) == b"older"
         assert [entry.name for entry in tmp_path.iterdir()] == ["x.bin"]
+
+    def test_write_through_a_link_replaces_its_target(self, tmp_path):
+        target, link = tmp_path / "target.bin", tmp_path / "link.bin"
+        plain = tmp_path / "plain.bin"
+        target.write_bytes(b"older")
+        link.symlink_to(target)
+        header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "kind": "raw"}
+        write_container(link, header, b"xyz")
+        write_container(plain, header, b"xyz")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert read_bytes(target) == read_bytes(plain)
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == [
+            "link.bin", "plain.bin", "target.bin"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_write_to_a_fifo_goes_in_place(self, tmp_path):
+        # a temporary file moved over the FIFO would leave the reader
+        # blocked on the old one, so it is a daemon and its join times out
+        fifo, plain = tmp_path / "pipe", tmp_path / "plain.bin"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(read_bytes(fifo)), daemon=True)
+        reader.start()
+        header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "kind": "raw"}
+        write_container(fifo, header, b"xyz")
+        reader.join(timeout=10)
+        write_container(plain, header, b"xyz")
+        assert got == [read_bytes(plain)]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["pipe", "plain.bin"]
 
 
 class TestDatasetIO:

@@ -244,7 +244,7 @@ class TestLogistic:
         assert np.linalg.norm(model.weights - expected.weights) <= 1e-9 * scale
         assert abs(model.bias - expected.bias) <= 1e-9 * scale
 
-    def test_badly_scaled_collinear_design_forms_float64_hessians(self):
+    def test_badly_scaled_collinear_design_forms_float64_hessians(self, monkeypatch):
         # 50 columns within 1e-3 of the first, scaled from 1e-3 to 1e3: the
         # float32 Hessian's rounding swamps its small eigenvalues, and the
         # fit without the residual check takes 13 steps where float64 takes 5
@@ -253,11 +253,18 @@ class TestLogistic:
         x = (base[:, None] + 1e-3 * rng.standard_normal((2000, 50))) * np.logspace(-3, 3, 50)
         y = (base + rng.standard_normal(2000) > 0).astype(int)
         reference: list = []
-        fit = train_logistic(x, y, l2=1e-6).fit
         reference_train_logistic(x, y, l2=1e-6, fits=reference)
+        calls = []
+        original = models.logistic_loss_and_gradient
+        monkeypatch.setattr(models, "logistic_loss_and_gradient",
+                            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+        fit = train_logistic(x, y, l2=1e-6).fit
         assert reference[0].converged
         assert fit.converged and fit.steps == reference[0].steps
         assert fit.float64_steps >= 1
+        # every read of the rows is a call, the float64 step's re-read of
+        # its iterate too: a float64 step is three reads, and none halves
+        assert len(calls) == 1 + fit.steps + 2 * fit.float64_steps
 
     def test_features_beyond_float32_range_form_float64_hessians(self, monkeypatch):
         # 1e40 overflows float32 to inf; every direction comes from float64
